@@ -52,9 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--demand-scale", type=float, default=1.0)
-    cap = p.add_mutually_exclusive_group()
-    cap.add_argument("--until-cleared", action="store_true", default=True)
-    cap.add_argument("--cap", type=float, default=None, help="hard stop (seconds)")
+    p.add_argument("--cap", type=float, default=None, help="hard stop (seconds)")
 
     p = sub.add_parser("compare", help="run several strategies x seeds and summarize")
     _add_scenario_arg(p)
@@ -67,7 +65,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out", required=True, help="directory holding comparison.csv")
 
     args = parser.parse_args(argv)
+    try:
+        return _execute(args)
+    except netmodel.ScenarioError as exc:
+        print("msjc: error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
 
+
+def _execute(args: argparse.Namespace) -> int:
     if args.command == "make-scenario":
         scenario = fixtures.BUILTIN[args.name](with_mfd=not args.without_mfd)
         netmodel.save_scenario(scenario, args.out)

@@ -12,7 +12,7 @@ across threads.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import yaml
@@ -298,7 +298,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     inter_raw = _require(raw, "intersections", "scenario")
     plans_raw = _require(raw, "plans", "scenario")
     demand_raw = _require(raw, "demand", "scenario")
-    control_raw = raw.get("control", {})
+    control_raw = raw.get("control", {}) or {}
     lanes_raw = raw.get("lanes", {}) or {}
 
     regions = tuple(sorted(regions_raw))
@@ -535,7 +535,10 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         od=tuple(od_flows),
     )
 
-    control = ControlConfig(**{k: v for k, v in control_raw.items()})
+    unknown = sorted(set(control_raw) - {f.name for f in fields(ControlConfig)})
+    if unknown:
+        raise ScenarioError(f"control: unknown key(s) {', '.join(unknown)}")
+    control = ControlConfig(**control_raw)
     if abs(control.t_macro_s - control.steps_per_macro * control.t_micro_s) > 1e-9:
         raise ScenarioError("control: t_macro_s must be a multiple of t_micro_s")
     if not 0 < control.activation_threshold < 1:

@@ -4,9 +4,9 @@ Candidate generation keeps exactly the vehicle's current route and the
 instantaneously shortest route (deduplicated).  The per-region program picks
 route probabilities on each vehicle's simplex so that the realized
 next-region proportions match the hyper-path split targets while the
-predicted end-of-step link densities stay close to the region mean.  The
-objective is a convex quadratic; it is solved by accelerated projected
-gradient on the product of per-vehicle simplices.
+predicted end-of-step link densities stay close to the region mean.  With
+at most two candidates per vehicle the program is a bounded-variable least
+squares problem, solved exactly.
 """
 
 from __future__ import annotations
@@ -14,18 +14,17 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
 from .mesosim import MicroObservation, VehicleView
 from .netmodel import Network, next_region
 
 logger = logging.getLogger(__name__)
-
-_STATIONARITY_TOL = 1e-9
-_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -227,129 +226,63 @@ def solve_probabilities(
     adjacency: Mapping[str, tuple[str, ...]],
 ) -> RouteProbabilities:
     """Minimize beta * (proportion mismatch)^2 + (density spread)^2 over the
-    product of per-vehicle simplices, by accelerated projected gradient.
+    route probabilities of the region's vehicles, exactly.
 
-    The returned objective never exceeds the uniform-probability objective
-    and satisfies the simplex constraints exactly.
+    A vehicle has one or two candidates, so its probabilities are (1,) or
+    (x, 1 - x).  The program is then min ||M x - c||^2 over x in [0, 1]^n,
+    one column per two-candidate vehicle, solved by bounded-variable least
+    squares.  Raises ValueError for a vehicle with more than two candidates.
     """
     in_region = [vr for vr in routes if vr.region == region]
     if not in_region:
         raise ValueError(f"no vehicles to route in region {region}")
-
-    var_of: dict[tuple[int, int], int] = {}
-    groups: list[np.ndarray] = []
     for vr in in_region:
-        cols = []
-        for r_idx in range(len(vr.routes)):
-            var_of[(vr.vid, r_idx)] = len(var_of)
-            cols.append(var_of[(vr.vid, r_idx)])
-        groups.append(np.array(cols, dtype=int))
-    nv = len(var_of)
+        if len(vr.routes) > 2:
+            raise ValueError(
+                f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, at most 2 supported"
+            )
 
-    od_counts: dict[tuple[str, str], int] = {}
-    for vr in in_region:
-        if vr.dest_region != region:
-            key = (region, vr.dest_region)
-            od_counts[key] = od_counts.get(key, 0) + 1
-
-    a_rows = []
-    t_vals = []
-    for (i, j) in sorted(od_counts):
-        n_ij = od_counts[(i, j)]
-        for h in adjacency[region]:
-            row = np.zeros(nv)
-            for vr in in_region:
-                if (vr.region, vr.dest_region) != (i, j):
-                    continue
-                for r_idx, r in enumerate(vr.routes):
-                    if r.next_region == h:
-                        row[var_of[(vr.vid, r_idx)]] = 1.0 / n_ij
-            a_rows.append(row)
-            t_vals.append(targets.get((i, h, j), 0.0))
-    a_mat = np.array(a_rows) if a_rows else np.zeros((0, nv))
-    t_vec = np.array(t_vals)
-
+    od_counts = Counter(vr.dest_region for vr in in_region if vr.dest_region != region)
+    keys = [(region, h, j) for j in sorted(od_counts) for h in adjacency[region]]
+    key_row = {key: k for k, key in enumerate(keys)}
     region_links = sorted(l.id for l in net.links.values() if l.region == region)
-    area = np.array(
-        [net.links[l].lane_count * net.links[l].length_m for l in region_links]
-    )
-    d_rows = np.zeros((len(region_links), nv))
-    link_row = {l: k for k, l in enumerate(region_links)}
-    for vr in in_region:
-        for r_idx, r in enumerate(vr.routes):
-            if r.projected_link is not None and r.projected_link in link_row:
-                d_rows[link_row[r.projected_link], var_of[(vr.vid, r_idx)]] = 1.0
-    d_mat = d_rows / area[:, None]
-    d_bar = accumulation / float(area.sum())
+    link_row = {l: len(keys) + k for k, l in enumerate(region_links)}
+    area = {l: net.links[l].lane_count * net.links[l].length_m for l in region_links}
+    d_bar = accumulation / sum(area.values())
 
-    def objective_terms(x: np.ndarray) -> tuple[float, float]:
-        ta = float(np.sum((a_mat @ x - t_vec) ** 2)) if a_rows else 0.0
-        td = float(np.sum((d_mat @ x - d_bar) ** 2))
-        return beta * ta, td
+    def column(vr: VehicleRoutes, r: CandidateRoute) -> np.ndarray:
+        """Realized proportions and link densities of one vehicle certainly
+        on route ``r``."""
+        col = np.zeros(len(keys) + len(region_links))
+        row = key_row.get((region, r.next_region, vr.dest_region))
+        if row is not None:
+            col[row] = 1.0 / od_counts[vr.dest_region]
+        if r.projected_link in link_row:
+            col[link_row[r.projected_link]] = 1.0 / area[r.projected_link]
+        return col
 
-    def grad(x: np.ndarray) -> np.ndarray:
-        g = 2.0 * d_mat.T @ (d_mat @ x - d_bar)
-        if a_rows:
-            g += 2.0 * beta * a_mat.T @ (a_mat @ x - t_vec)
-        return g
+    # At x = 0 every vehicle takes its last candidate.
+    free = [vr for vr in in_region if len(vr.routes) == 2]
+    base = sum(column(vr, vr.routes[-1]) for vr in in_region)
+    m_mat = np.zeros((len(base), len(free)))
+    for k, vr in enumerate(free):
+        m_mat[:, k] = column(vr, vr.routes[0]) - column(vr, vr.routes[1])
+    goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(region_links))
+    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(region_links))
+    x, iterations = np.zeros(0), 0
+    if free:
+        sol = lsq_linear(
+            weight[:, None] * m_mat, weight * (goal - base), bounds=(0.0, 1.0), method="bvls"
+        )
+        x, iterations = sol.x, sol.nit
 
-    def project(x: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        for cols in groups:
-            y[cols] = _project_simplex(y[cols])
-        return y
-
-    # Lipschitz constant of the gradient via power iteration
-    rng = np.random.Generator(np.random.PCG64(7))
-    v = rng.normal(size=nv)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(50):
-        w = 2.0 * d_mat.T @ (d_mat @ v)
-        if a_rows:
-            w += 2.0 * beta * a_mat.T @ (a_mat @ v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-15:
-            break
-        lam = norm
-        v = w / norm
-    step = 1.0 / max(lam, 1e-12)
-
-    x = project(np.concatenate([np.full(len(g), 1.0 / len(g)) for g in groups]))
-    f_uniform = sum(objective_terms(x))
-    best_x, best_f = x.copy(), f_uniform
-    y = x.copy()
-    t_momentum = 1.0
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        x_new = project(y - step * grad(y))
-        f_new = sum(objective_terms(x_new))
-        if f_new < best_f:
-            best_f, best_x = f_new, x_new.copy()
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum**2))
-        y = x_new + (t_momentum - 1.0) / t_next * (x_new - x)
-        moved = np.max(np.abs(x_new - x))
-        x = x_new
-        t_momentum = t_next
-        residual = np.max(np.abs(x - project(x - step * grad(x)))) / step
-        if residual <= _STATIONARITY_TOL * max(1.0, lam) and moved <= step:
-            break
-
-    phi = {vr.vid: best_x[groups[k]].copy() for k, vr in enumerate(in_region)}
+    phi = {vr.vid: np.ones(1) for vr in in_region}
+    for vr, xk in zip(free, x):
+        phi[vr.vid] = np.array([xk, 1.0 - xk])
     densities, mean = density_fields(in_region, phi, net, region, accumulation)
-    realized: dict[tuple[str, str, str], float] = {}
-    for (i, j) in sorted(od_counts):
-        n_ij = od_counts[(i, j)]
-        for h in adjacency[region]:
-            total = 0.0
-            for vr in in_region:
-                if (vr.region, vr.dest_region) != (i, j):
-                    continue
-                for r_idx, r in enumerate(vr.routes):
-                    if r.next_region == h:
-                        total += phi[vr.vid][r_idx]
-            realized[(i, h, j)] = total / n_ij
-    target_term, homog_term = objective_terms(best_x)
+    value = base + m_mat @ x
+    target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
+    homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
     return RouteProbabilities(
         phi=phi,
         densities=densities,
@@ -357,20 +290,9 @@ def solve_probabilities(
         objective=target_term + homog_term,
         target_term=target_term,
         homogeneity_term=homog_term,
-        realized=realized,
+        realized={key: float(v) for key, v in zip(keys, value)},
         iterations=iterations,
     )
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    if len(v) == 1:
-        return np.ones(1)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 def assign_routes(

@@ -725,7 +725,12 @@ def run(
             logs.boundary(strategy.boundary_rows())
             logs.routing(strategy.routing_rows())
 
-        assert sim.created_total == sim.completed_total + obs.in_network + obs.entry_queue
+        if sim.created_total != sim.completed_total + obs.in_network + obs.entry_queue:
+            raise RuntimeError(
+                f"vehicle conservation broken at t={sim.time_s:.0f}s: "
+                f"created {sim.created_total} != completed {sim.completed_total}"
+                f" + in network {obs.in_network} + entry queue {obs.entry_queue}"
+            )
 
         realized_prev = {
             key: total / control.t_macro_s for key, total in window_crossed.items()
@@ -936,6 +941,10 @@ def report(runs: list[RunMetrics], out_dir: str | Path) -> list[dict]:
                 ]
             )
 
+    # Runs read back from comparison.csv carry no series; keep the file the
+    # original comparison wrote.
+    if not any(m.throughput_series for m in runs):
+        return rows
     by_strategy: dict[str, list[RunMetrics]] = {}
     for m in runs:
         by_strategy.setdefault(m.strategy, []).append(m)

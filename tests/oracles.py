@@ -94,11 +94,9 @@ def route_choice_grid_search(objective, n_vars, resolution=1e-3):
         k = int(np.argmin(values))
         return float(values[k]), (float(grid[k]),)
     if n_vars == 2:
-        best = (np.inf, (0.0, 0.0))
-        for x in grid:
-            values = np.array([objective((x, y)) for y in grid])
-            k = int(np.argmin(values))
-            if values[k] < best[0]:
-                best = (float(values[k]), (float(x), float(grid[k])))
-        return best
+        # full arrays, not broadcast views: objectives may add in place
+        xs, ys = np.meshgrid(grid, grid, indexing="ij")
+        values = objective((xs, ys))
+        k = int(np.argmin(values))  # first minimum in row-major order
+        return float(values.flat[k]), (float(xs.flat[k]), float(ys.flat[k]))
     raise ValueError("grid oracle supports at most two free vehicles")

@@ -160,3 +160,10 @@ class TestCandidateHyperPath:
     def test_unknown_link_rejected(self, linear3):
         with pytest.raises(ScenarioError, match="unknown link"):
             candidate_hyper_path(["a1", "zz"], linear3.network)
+
+
+def test_unknown_control_key_rejected():
+    raw = _raw()
+    raw["control"] = {"route_beta": 5.0, "route_betta": 5.0}
+    with pytest.raises(ScenarioError, match="route_betta"):
+        scenario_from_dict(raw)

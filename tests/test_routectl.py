@@ -271,6 +271,75 @@ class TestSolveProbabilities:
         assert out.realized[("R1", "R2", "R9")] == pytest.approx(0.7, abs=1e-3)
 
 
+    def test_three_candidates_rejected(self):
+        net = one_region_net(n_links=3)
+        routes = [
+            vr(1, "R1", "R9", [
+                cr("R2", "L0"),
+                cr("R3", "L1", is_current=False),
+                cr("R2", "L2", is_current=False),
+            ])
+        ]
+        with pytest.raises(ValueError, match="3 candidate routes"):
+            solve_probabilities(routes, {("R1", "R2", "R9"): 1.0}, net, "R1", 1.0, 10.0, ADJ)
+
+    def test_solution_meets_bound_constrained_kkt_conditions(self):
+        rng = np.random.default_rng(21)
+        area = 10.0
+        links = ["L0", "L1", "L2"]
+        net = one_region_net(n_links=3, lanes=1, length=area)
+        spec = [
+            (
+                k,
+                str(rng.choice(["R8", "R9"])),
+                [(str(rng.choice(["R2", "R3"])), rng.choice(links + [None])) for _ in range(2)],
+            )
+            for k in range(24)
+        ]
+        pinned = [(100, "R9", [("R2", "L0")]), (101, "R8", [("R3", "L1")])]
+        routes = [
+            vr(k, "R1", dest, [cr(h, link, is_current=(n == 0)) for n, (h, link) in enumerate(cands)])
+            for k, dest, cands in spec + pinned
+        ]
+        targets = {("R1", "R2", "R9"): 0.35, ("R1", "R3", "R9"): 0.65,
+                   ("R1", "R2", "R8"): 0.8, ("R1", "R3", "R8"): 0.2}
+        beta, acc = 4.0, 9.0
+        out = solve_probabilities(routes, targets, net, "R1", acc, beta, ADJ)
+
+        def objective(x):
+            probs = [(xk, 1.0 - xk) for xk in x] + [(1.0,), (1.0,)]
+            mass = dict.fromkeys(links, 0.0)
+            share = {}
+            count = {}
+            for (_, dest, cands), p in zip(spec + pinned, probs):
+                count[dest] = count.get(dest, 0) + 1
+                for (h, link), w in zip(cands, p):
+                    share[(h, dest)] = share.get((h, dest), 0.0) + w
+                    if link is not None:
+                        mass[link] += w
+            mismatch = sum(
+                (share.get((h, dest), 0.0) / count[dest] - targets[("R1", h, dest)]) ** 2
+                for dest in count
+                for h in ("R2", "R3")
+            )
+            mean = acc / (len(links) * area)
+            return beta * mismatch + sum((mass[l] / area - mean) ** 2 for l in links)
+
+        x = np.array([out.phi[k][0] for k, _, _ in spec])
+        assert objective(x) == pytest.approx(out.objective, rel=1e-12)
+        step = 1e-4
+        grad = np.array([
+            (objective(x + step * e) - objective(x - step * e)) / (2 * step)
+            for e in np.eye(len(x))
+        ])
+        at_lower, at_upper = x == 0.0, x == 1.0
+        inside = ~(at_lower | at_upper)
+        assert inside.any() and (at_lower | at_upper).any()
+        assert np.all(np.abs(grad[inside]) <= 1e-7)
+        assert np.all(grad[at_lower] >= -1e-7)
+        assert np.all(grad[at_upper] <= 1e-7)
+
+
 class TestAssignRoutes:
     def test_certain_probability_always_picks_first(self):
         routes = [vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0", is_current=False)])]
