@@ -179,16 +179,23 @@ def select_plan(
 
 @dataclass
 class BoundaryDecision:
+    """One micro step's plan choice at a boundary and the flows it realized.
+    The field order is the column order of a run's ``boundary.csv``."""
+
+    time_s: float
+    boundary: str  # "i|h" for the canonical key (i, h)
     k: int
-    plan_id: str
+    plan: str
     fallback: bool
+    feasible_count: int
     m_expected_fwd: float
     m_expected_rev: float
     est_fwd: float
     est_rev: float
     ng_fwd: float
     ng_rev: float
-    feasible_count: int
+    realized_fwd: float = 0.0  # set by record_realized after the step
+    realized_rev: float = 0.0
 
 
 class BoundaryController:
@@ -260,30 +267,30 @@ class BoundaryController:
         if fallback:
             logger.debug("boundary %s step %d: empty feasible set", self.key, self.fwd.k)
         self.last_decision = BoundaryDecision(
+            time_s=obs.time_s,
+            boundary=f"{i}|{h}",
             k=self.fwd.k,
-            plan_id=plan_id,
+            plan=plan_id,
             fallback=fallback,
+            feasible_count=len(feasible),
             m_expected_fwd=m_fwd,
             m_expected_rev=m_rev,
             est_fwd=estimates[plan_id][0],
             est_rev=estimates[plan_id][1],
             ng_fwd=self.fwd.ng_rate,
             ng_rev=self.rev.ng_rate,
-            feasible_count=len(feasible),
         )
         return plan_id
 
     def record_realized(self, obs: MicroObservation) -> None:
-        """Append the realized flows once the simulator finished the step."""
+        """Append the realized flows once the simulator finished the step
+        that ``control_step`` decided, and note them in its decision."""
         i, h = self.key
-        self.fwd.record(
-            obs.boundary_crossings.get((i, h), 0.0),
-            obs.non_gating_crossings.get((i, h), 0.0),
-        )
-        self.rev.record(
-            obs.boundary_crossings.get((h, i), 0.0),
-            obs.non_gating_crossings.get((h, i), 0.0),
-        )
+        d = self.last_decision
+        d.realized_fwd = obs.boundary_crossings.get((i, h), 0.0)
+        d.realized_rev = obs.boundary_crossings.get((h, i), 0.0)
+        self.fwd.record(d.realized_fwd, obs.non_gating_crossings.get((i, h), 0.0))
+        self.rev.record(d.realized_rev, obs.non_gating_crossings.get((h, i), 0.0))
 
 
 def _relative_deviation(

@@ -7,7 +7,6 @@ Subcommands: ``make-scenario``, ``calibrate``, ``run``, ``compare``,
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -23,7 +22,9 @@ def _add_scenario_arg(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> tuple[netmodel.Scenario, mfdmod.MfdModel | None]:
     scenario = netmodel.load_scenario(args.scenario)
-    model = mfdmod.load_mfd(args.mfd) if getattr(args, "mfd", None) else None
+    model = None
+    if getattr(args, "mfd", None):
+        model = mfdmod.load_mfd(args.mfd, scenario.partition.regions)
     return scenario, model
 
 
@@ -120,10 +121,10 @@ def _execute(args: argparse.Namespace) -> int:
         )
         for row in runner.summarize(runs):
             print(
-                f"{row['strategy']:8s} TTT {row['mean_total_travel_time_veh_s']:12.0f}"
-                f" +- {row['std_total_travel_time_veh_s']:8.0f} veh*s   "
-                f"throughput {row['mean_throughput_veh']:8.1f}"
-                f" +- {row['std_throughput_veh']:6.1f} veh"
+                f"{row.strategy:8s} TTT {row.mean_total_travel_time_veh_s:12.0f}"
+                f" +- {row.std_total_travel_time_veh_s:8.0f} veh*s   "
+                f"throughput {row.mean_throughput_veh:8.1f}"
+                f" +- {row.std_throughput_veh:6.1f} veh"
             )
         return 0
 
@@ -132,29 +133,10 @@ def _execute(args: argparse.Namespace) -> int:
         if not path.exists():
             print(f"no comparison.csv under {args.out}", file=sys.stderr)
             return 1
-        runs = []
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                runs.append(
-                    runner.RunMetrics(
-                        strategy=row["strategy"],
-                        seed=int(row["seed"]),
-                        total_travel_time_veh_s=float(row["total_travel_time_veh_s"]),
-                        throughput_veh=int(row["throughput_veh"]),
-                        injected_veh=int(row["injected_veh"]),
-                        clearance_time_s=float(row["clearance_time_s"]),
-                        truncated=bool(int(row["truncated"])),
-                        first_activation_s=(
-                            float(row["first_activation_s"])
-                            if row["first_activation_s"]
-                            else None
-                        ),
-                    )
-                )
-        for row in runner.report(runs, args.out):
+        for row in runner.report(runner.read_metrics_csv(path), args.out):
             print(
-                f"{row['strategy']:8s} TTT {row['mean_total_travel_time_veh_s']:12.0f}"
-                f" +- {row['std_total_travel_time_veh_s']:8.0f} veh*s"
+                f"{row.strategy:8s} TTT {row.mean_total_travel_time_veh_s:12.0f}"
+                f" +- {row.std_total_travel_time_veh_s:8.0f} veh*s"
             )
         return 0
 

@@ -22,15 +22,16 @@ GRID6_ADJACENCY = {
     "R6": ["R3", "R5"],
 }
 
-# Fitted by `msjc calibrate` on the corridor fixture (seed 0, demand sweep
-# 25..125%); kept inline so control runs need no calibration pass.
+# Hand-set cubics, kept inline so control runs need no calibration pass.
+# They were not fitted by `msjc calibrate`: on grid6 that gives b1 of about
+# 0.014-0.017 with b3 < 0, against b1 = 0.08 and b3 > 0 here.  Changing them
+# changes every run.
 CORRIDOR2_MFD = {
     "R1": {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 120.0},
     "R2": {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 120.0},
 }
 
-# Fitted by `msjc calibrate` on the grid fixture (seed 0, demand sweep
-# 25..125%).
+# The same hand-set cubic per region (see CORRIDOR2_MFD).
 GRID6_MFD = {
     r: {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 150.0}
     for r in GRID6_ADJACENCY

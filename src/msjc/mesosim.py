@@ -13,23 +13,15 @@ produce an identical observation trace.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import (
-    GATING,
-    NON_GATING,
-    MultiPhasePlan,
-    Network,
-    Scenario,
-    boundary_key,
-)
+from .netmodel import GATING, NON_GATING, MultiPhasePlan, Network, Scenario
 
 logger = logging.getLogger(__name__)
 
@@ -99,32 +91,6 @@ class MicroObservation:
         return sum(self.queues.values())
 
 
-@dataclass(frozen=True)
-class TypeCounts:
-    by_region: dict[str, tuple[int, int, int]]
-    by_od: dict[tuple[str, str], tuple[int, int, int]]
-
-
-def classify_vehicles(obs: MicroObservation, net: Network) -> TypeCounts:
-    """Partition each region's vehicles into boundary-ready (type I),
-    on-destination-link (type II) and still-traveling (type III)."""
-    by_region: dict[str, list[int]] = {}
-    by_od: dict[tuple[str, str], list[int]] = {}
-    for v in obs.vehicles:
-        if v.link == v.destination:
-            idx = 1
-        elif v.queued and len(v.route) > 1 and net.link_region(v.route[1]) != v.region:
-            idx = 0
-        else:
-            idx = 2
-        by_region.setdefault(v.region, [0, 0, 0])[idx] += 1
-        by_od.setdefault((v.region, v.dest_region), [0, 0, 0])[idx] += 1
-    return TypeCounts(
-        {r: tuple(c) for r, c in by_region.items()},
-        {k: tuple(c) for k, c in by_od.items()},
-    )
-
-
 class Simulator:
     """Single-writer simulation state; ``advance`` is the only mutator."""
 
@@ -159,7 +125,6 @@ class Simulator:
         self.created_total = 0
         self.admitted_total = 0
         self.completed_total = 0
-        self._last_obs: MicroObservation | None = None
 
         # feasible lanes per (link, next link)
         self._lane_for_move: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -174,16 +139,6 @@ class Simulator:
                     )
                 )
                 self._lane_for_move[(link.id, nxt)] = feasible
-
-        self._gating_node: dict[str, str] = {}  # node -> canonical boundary
-        self._non_gating_node: dict[str, str] = {}
-        for node in self.net.intersections.values():
-            if node.boundary is None:
-                continue
-            if node.kind == GATING:
-                self._gating_node[node.id] = node.id
-            elif node.kind == NON_GATING:
-                self._non_gating_node[node.id] = node.id
 
     # ------------------------------------------------------------------
     # Demand
@@ -402,11 +357,9 @@ class Simulator:
                         if node is not None and node.kind == NON_GATING:
                             ng_crossings[key] = ng_crossings.get(key, 0) + 1
 
-        obs = self._build_observation(
+        return self._build_observation(
             crossings, ng_crossings, completed, completions_by_region, admitted_od, dt
         )
-        self._last_obs = obs
-        return obs
 
     def _pick_lane(self, v: _Vehicle) -> str | None:
         nxt = v.route[1]
@@ -426,11 +379,6 @@ class Simulator:
 
     def initial_observation(self) -> MicroObservation:
         return self._build_observation({}, {}, 0, {}, {}, self.dt)
-
-    def last_observation(self) -> MicroObservation:
-        if self._last_obs is None:
-            self._last_obs = self.initial_observation()
-        return self._last_obs
 
     def _build_observation(
         self,
@@ -515,27 +463,3 @@ class Simulator:
             vehicles=tuple(views),
         )
 
-
-def write_observation_log(
-    path, observations: Iterable[MicroObservation], scenario: Scenario
-) -> None:
-    """Per-step observation log: step, region accumulations, boundary
-    crossing rates, queue totals.  Column order is stable."""
-    regions = scenario.partition.regions
-    boundaries = scenario.partition.ordered_boundaries()
-    header = (
-        ["step", "time_s"]
-        + [f"N_{r}" for r in regions]
-        + [f"m_{i}_{h}" for i, h in boundaries]
-        + ["queue_total", "entry_queue", "in_network", "completed"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for obs in observations:
-            writer.writerow(
-                [obs.step, repr(obs.time_s)]
-                + [obs.accumulation[r] for r in regions]
-                + [repr(obs.boundary_crossings[(i, h)]) for i, h in boundaries]
-                + [obs.queue_total(), obs.entry_queue, obs.in_network, obs.completed]
-            )

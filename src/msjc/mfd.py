@@ -10,11 +10,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import yaml
 
-from .netmodel import MfdParams, ScenarioError
+from .netmodel import MfdParams, ScenarioError, mfd_from_dict, mfd_to_dict, read_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -66,31 +67,7 @@ class MfdModel:
         return cls(params)
 
     def to_dict(self) -> dict:
-        return {
-            r: {
-                "b1": float(p.b1),
-                "b2": float(p.b2),
-                "b3": float(p.b3),
-                "n_crit": float(p.n_crit),
-                "n_max_fit": None if p.n_max_fit is None else float(p.n_max_fit),
-            }
-            for r, p in self.params.items()
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MfdModel":
-        return cls(
-            {
-                r: MfdParams(
-                    float(s["b1"]),
-                    float(s["b2"]),
-                    float(s["b3"]),
-                    float(s["n_crit"]),
-                    None if s.get("n_max_fit") is None else float(s["n_max_fit"]),
-                )
-                for r, s in raw.items()
-            }
-        )
+        return mfd_to_dict(self.params)
 
 
 def _cubic(b1: float, b2: float, b3: float, n) -> np.ndarray:
@@ -186,9 +163,13 @@ def save_mfd(model: MfdModel, path) -> None:
         yaml.safe_dump({"mfd": model.to_dict()}, fh, sort_keys=True)
 
 
-def load_mfd(path) -> MfdModel:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+def load_mfd(path, regions: Sequence[str]) -> MfdModel:
+    """Read a file written by ``save_mfd``; it must cover exactly the
+    network's ``regions``."""
+    raw = read_yaml(path, "MFD file")
     if not isinstance(raw, dict) or "mfd" not in raw:
         raise ScenarioError(f"{path}: not an MFD file (missing 'mfd' block)")
-    return MfdModel.from_dict(raw["mfd"])
+    try:
+        return MfdModel(mfd_from_dict(raw["mfd"], regions))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None

@@ -12,8 +12,8 @@ across threads.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, Sequence
 
 import yaml
 
@@ -93,9 +93,6 @@ class RegionPartition:
     adjacency: dict[str, tuple[str, ...]]
     link_region: dict[str, str]
 
-    def neighbors(self, region: str) -> tuple[str, ...]:
-        return self.adjacency[region]
-
     def ordered_boundaries(self) -> list[tuple[str, str]]:
         return [(i, h) for i in self.regions for h in self.adjacency[i]]
 
@@ -139,13 +136,20 @@ class ControlConfig:
     logit_theta: float = 0.01
     pi_kp: float = 0.05
     pi_ki: float = 0.01
-    completion_proxy: str = "outflow_plus_internal"  # or "outflow"
-    demand_forecast: str = "previous"  # or "known"
+    completion_proxy: str = "outflow_plus_internal"
+    demand_forecast: str = "previous"
     cap_factor: float = 4.0
 
     @property
     def steps_per_macro(self) -> int:
         return int(round(self.t_macro_s / self.t_micro_s))
+
+
+# The allowed values of the ControlConfig fields that name a mode.
+CONTROL_CHOICES = {
+    "completion_proxy": ("outflow_plus_internal", "outflow"),
+    "demand_forecast": ("previous", "known"),
+}
 
 
 def boundary_key(i: str, h: str) -> tuple[str, str]:
@@ -168,12 +172,6 @@ class Network:
         self.intersections = dict(sorted(intersections.items()))
         self.plans = {k: tuple(v) for k, v in sorted(plans.items())}
 
-        self._out_links: dict[str, list[str]] = {}
-        for link in self.links.values():
-            self._out_links.setdefault(link.from_node, []).append(link.id)
-        for v in self._out_links.values():
-            v.sort()
-
         # Link successors via lane wiring (prunes movements the lanes forbid).
         self._succ: dict[str, tuple[str, ...]] = {}
         for link in self.links.values():
@@ -182,19 +180,6 @@ class Network:
                 for out in self.lanes[lane_id].output_lanes:
                     nxt.add(self.lanes[out].link)
             self._succ[link.id] = tuple(sorted(nxt))
-
-        self._gating_by_boundary: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._non_gating_by_boundary: dict[tuple[str, str], tuple[str, ...]] = {}
-        for node in self.intersections.values():
-            if node.boundary is None:
-                continue
-            key = boundary_key(*node.boundary)
-            target = (
-                self._gating_by_boundary
-                if node.kind == GATING
-                else self._non_gating_by_boundary
-            )
-            target[key] = tuple(sorted(target.get(key, ()) + (node.id,)))
 
         # L^p_{i,h}: for each plan and ordered boundary direction, the approach
         # lanes the plan serves whose movement crosses that direction.
@@ -220,15 +205,6 @@ class Network:
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
-
-    def sink_links(self) -> tuple[str, ...]:
-        return tuple(l for l, nxt in sorted(self._succ.items()) if not nxt)
-
-    def gating_intersections(self, key: tuple[str, str]) -> tuple[str, ...]:
-        return self._gating_by_boundary.get(key, ())
-
-    def non_gating_intersections(self, key: tuple[str, str]) -> tuple[str, ...]:
-        return self._non_gating_by_boundary.get(key, ())
 
     def plan_set(self, i: str, h: str) -> tuple[MultiPhasePlan, ...]:
         return self.plans[boundary_key(i, h)]
@@ -277,16 +253,24 @@ def _require(mapping: Mapping, key: str, ctx: str):
     return mapping[key]
 
 
+def read_yaml(path, what: str):
+    """Parse a YAML file; an unreadable file or bad YAML raises ScenarioError
+    naming the path."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read {what}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a scenario file.
 
     Raises ScenarioError naming the offending field or the violated rule.
     """
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: YAML parse error: {exc}") from exc
+    raw = read_yaml(path, "scenario")
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return scenario_from_dict(raw, name=str(raw.get("meta", {}).get("name", path)))
@@ -535,10 +519,9 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         od=tuple(od_flows),
     )
 
-    unknown = sorted(set(control_raw) - {f.name for f in fields(ControlConfig)})
-    if unknown:
-        raise ScenarioError(f"control: unknown key(s) {', '.join(unknown)}")
-    control = ControlConfig(**control_raw)
+    control = _control_from_dict(control_raw)
+    if not 0 < control.t_micro_s <= control.t_macro_s:
+        raise ScenarioError("control: need 0 < t_micro_s <= t_macro_s")
     if abs(control.t_macro_s - control.steps_per_macro * control.t_micro_s) > 1e-9:
         raise ScenarioError("control: t_macro_s must be a multiple of t_micro_s")
     if not 0 < control.activation_threshold < 1:
@@ -555,24 +538,72 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 f"demand od {flow.origin}->{flow.destination}: destination unreachable"
             )
 
-    mfd = None
-    if raw.get("mfd"):
-        mfd = {}
-        for r in sorted(raw["mfd"]):
-            if r not in adjacency:
-                raise ScenarioError(f"mfd: unknown region '{r}'")
-            spec = raw["mfd"][r]
-            mfd[r] = MfdParams(
-                b1=float(spec["b1"]),
-                b2=float(spec["b2"]),
-                b3=float(spec["b3"]),
-                n_crit=float(spec["n_crit"]),
-                n_max_fit=(
-                    float(spec["n_max_fit"]) if spec.get("n_max_fit") is not None else None
-                ),
-            )
-
+    mfd = mfd_from_dict(raw["mfd"], regions) if raw.get("mfd") else None
     return Scenario(name, network, partition, demand, control, mfd)
+
+
+def _control_from_dict(raw: Mapping) -> ControlConfig:
+    """ControlConfig from a ``control`` block, each value converted to its
+    field's declared type."""
+    unknown = sorted(set(raw) - {f.name for f in fields(ControlConfig)})
+    if unknown:
+        raise ScenarioError(f"control: unknown key(s) {', '.join(unknown)}")
+    values = {}
+    for f in fields(ControlConfig):
+        if f.name not in raw:
+            continue
+        try:
+            values[f.name] = float(raw[f.name]) if f.type == "float" else str(raw[f.name])
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"control: {f.name} must be a {f.type}, got {raw[f.name]!r}"
+            ) from None
+        allowed = CONTROL_CHOICES.get(f.name)
+        if allowed and values[f.name] not in allowed:
+            raise ScenarioError(
+                f"control: {f.name} must be one of {', '.join(allowed)}, got {raw[f.name]!r}"
+            )
+    return ControlConfig(**values)
+
+
+def mfd_from_dict(raw, regions: Sequence[str]) -> dict[str, MfdParams]:
+    """Read an ``mfd`` block: per region, the coefficients b1, b2, b3, n_crit
+    and an optional n_max_fit.  The block must cover exactly the network's
+    ``regions``."""
+    if not isinstance(raw, Mapping):
+        raise ScenarioError("mfd: must map each region to its coefficients")
+    unknown = sorted(set(raw) - set(regions))
+    if unknown:
+        raise ScenarioError(f"mfd: unknown region '{unknown[0]}'")
+    params = {}
+    for r in sorted(regions):
+        spec = raw.get(r)
+        if not isinstance(spec, Mapping):
+            raise ScenarioError(f"mfd: region {r} has no coefficients")
+        values = {}
+        for f in fields(MfdParams):
+            value = spec.get(f.name)
+            if value is None and f.default is None:
+                values[f.name] = None
+                continue
+            try:
+                values[f.name] = float(value)
+            except (TypeError, ValueError):
+                what = "missing" if value is None else f"not a number ({value!r})"
+                raise ScenarioError(f"mfd: region {r} field '{f.name}' is {what}") from None
+        params[r] = MfdParams(**values)
+    return params
+
+
+def mfd_to_dict(params: Mapping[str, MfdParams]) -> dict:
+    """Write an ``mfd`` block; ``mfd_from_dict`` reads it back unchanged."""
+    return {
+        r: {
+            f.name: None if getattr(p, f.name) is None else float(getattr(p, f.name))
+            for f in fields(MfdParams)
+        }
+        for r, p in sorted(params.items())
+    }
 
 
 def _route_exists(net: Network, origin: str, destination: str) -> bool:
@@ -671,26 +702,13 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "control": control,
     }
     if sc.mfd is not None:
-        out["mfd"] = {
-            r: {
-                "b1": float(p.b1),
-                "b2": float(p.b2),
-                "b3": float(p.b3),
-                "n_crit": float(p.n_crit),
-                "n_max_fit": None if p.n_max_fit is None else float(p.n_max_fit),
-            }
-            for r, p in sorted(sc.mfd.items())
-        }
+        out["mfd"] = mfd_to_dict(sc.mfd)
     return out
 
 
 def save_scenario(sc: Scenario, path) -> None:
     with open(path, "w") as fh:
         yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(sc), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import jointctl, mfd as mfdmod, routectl
 from .baselines import PiController, bp_control, logit_choice, pi_target, route_travel_time
-from .boundaryctl import BoundaryController
+from .boundaryctl import BoundaryController, BoundaryDecision
 from .jointctl import ControlBounds, ControlSolution
 from .macrodyn import MacroState
 from .mesosim import MicroObservation, Simulator
@@ -44,20 +45,10 @@ class RunConfig:
 
 
 @dataclass
-class BoundaryMacroRecord:
-    t_index: int
-    time_s: float
-    direction: tuple[str, str]
-    target: float
-    m_min: float
-    m_max: float
-    realized: float
-    fallback_steps: int
-    active: bool
-
-
-@dataclass
 class RunMetrics:
+    """Headline results of one run.  Every field but the series is a column
+    of ``metrics.csv`` and ``comparison.csv``, in field order."""
+
     strategy: str
     seed: int
     total_travel_time_veh_s: float
@@ -66,9 +57,10 @@ class RunMetrics:
     clearance_time_s: float
     truncated: bool
     first_activation_s: float | None
-    accumulation_series: list[tuple[float, dict[str, int]]] = field(repr=False, default_factory=list)
     throughput_series: list[tuple[float, int]] = field(repr=False, default_factory=list)
-    boundary_records: list[BoundaryMacroRecord] = field(repr=False, default_factory=list)
+
+
+_METRIC_COLUMNS = [f for f in fields(RunMetrics) if f.name != "throughput_series"]
 
 
 @dataclass
@@ -82,6 +74,34 @@ class MacroContext:
     travel_times: dict[str, float]
 
 
+@dataclass
+class RoutingRow:
+    """Realized against target split of one (region, next, destination)
+    after one route-choice solve; a row of ``routing.csv``."""
+
+    time_s: float
+    region: str
+    dest_region: str
+    next_region: str
+    target: float
+    realized: float
+    target_term: float
+    homogeneity_term: float
+
+
+@dataclass
+class MacroRecord:
+    """What a strategy set and saw during one macro step.  ``begin_macro``
+    starts a new one; the run loop reads it once the macro step ends."""
+
+    targets: dict[tuple[str, str], float] = field(default_factory=dict)
+    envelopes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
+    fallbacks: dict[tuple[str, str], int] = field(default_factory=dict)  # per canonical key
+    solution: ControlSolution | None = None
+    decisions: list[BoundaryDecision] = field(default_factory=list)
+    routing: list[RoutingRow] = field(default_factory=list)
+
+
 def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
     if model is not None:
         return model
@@ -93,44 +113,13 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 
 
 # ---------------------------------------------------------------------------
-# Strategies (identical controller interface: macro hook + micro hooks)
+# Strategies.  Each has the same four methods: ``begin_macro(ctx)`` once per
+# macro step, then per micro step ``plans(obs)`` (plan id per boundary key),
+# ``routes(obs)`` (new routes by vehicle id, or None) and, after the
+# simulator stepped, ``record(obs)``.  ``macro`` holds the current MacroRecord.
 
 
-class DefaultStrategy:
-    """Fixed-cycle round robin, no routing; used for calibration sweeps."""
-
-    def begin_macro(self, ctx: MacroContext) -> None:
-        pass
-
-    def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
-        return {}
-
-    def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        return None
-
-    def record(self, obs: MicroObservation) -> None:
-        pass
-
-    def joint_row(self):
-        return None
-
-    def boundary_rows(self):
-        return []
-
-    def routing_rows(self):
-        return []
-
-    def envelopes(self) -> dict[tuple[str, str], tuple[float, float]]:
-        return {}
-
-    def targets(self) -> dict[tuple[str, str], float]:
-        return {}
-
-    def fallback_steps(self) -> dict[tuple[str, str], int]:
-        return {}
-
-
-class _TrackedStrategy(DefaultStrategy):
+class _TrackedStrategy:
     """Shared plumbing for strategies that realize macro flow targets
     through the boundary flow-tracking controller."""
 
@@ -152,20 +141,19 @@ class _TrackedStrategy(DefaultStrategy):
             for key in scenario.partition.boundary_keys()
         }
         self.active = False
-        self._targets: dict[tuple[str, str], float] = {}
-        self._envelopes: dict[tuple[str, str], tuple[float, float]] = {}
-        self._fallbacks: dict[tuple[str, str], int] = {}
-        self._boundary_rows: list[dict] = []
+        self.macro = MacroRecord()
 
     def _begin_boundaries(self, ctx: MacroContext) -> None:
-        self._fallbacks = {key: 0 for key in self.controllers}
-        self._boundary_rows = []
-        self._envelopes = {}
-        for key, bc in self.controllers.items():
+        self.macro.fallbacks = {key: 0 for key in self.controllers}
+        for (i, h), bc in self.controllers.items():
             (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs)
-            i, h = key
-            self._envelopes[(i, h)] = (f_lo, f_hi)
-            self._envelopes[(h, i)] = (r_lo, r_hi)
+            self.macro.envelopes[(i, h)] = (f_lo, f_hi)
+            self.macro.envelopes[(h, i)] = (r_lo, r_hi)
+
+    def _set_targets(self, targets: dict[tuple[str, str], float]) -> None:
+        self.macro.targets = targets
+        for (i, h), bc in self.controllers.items():
+            bc.begin_macro(targets.get((i, h), 0.0), targets.get((h, i), 0.0))
 
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
         if not self.active:
@@ -173,25 +161,8 @@ class _TrackedStrategy(DefaultStrategy):
         out = {}
         for key, bc in self.controllers.items():
             out[key] = bc.control_step(obs)
-            d = bc.last_decision
-            if d.fallback:
-                self._fallbacks[key] += 1
-            self._boundary_rows.append(
-                {
-                    "time_s": obs.time_s,
-                    "boundary": f"{key[0]}|{key[1]}",
-                    "k": d.k,
-                    "plan": d.plan_id,
-                    "fallback": int(d.fallback),
-                    "feasible_count": d.feasible_count,
-                    "m_expected_fwd": d.m_expected_fwd,
-                    "m_expected_rev": d.m_expected_rev,
-                    "est_fwd": d.est_fwd,
-                    "est_rev": d.est_rev,
-                    "ng_fwd": d.ng_fwd,
-                    "ng_rev": d.ng_rev,
-                }
-            )
+            if bc.last_decision.fallback:
+                self.macro.fallbacks[key] += 1
         return out
 
     def record(self, obs: MicroObservation) -> None:
@@ -199,44 +170,15 @@ class _TrackedStrategy(DefaultStrategy):
             return
         for bc in self.controllers.values():
             bc.record_realized(obs)
-        if self._boundary_rows:
-            for key, bc in self.controllers.items():
-                row = next(
-                    r
-                    for r in reversed(self._boundary_rows)
-                    if r["boundary"] == f"{key[0]}|{key[1]}"
-                )
-                i, h = key
-                row["realized_fwd"] = obs.boundary_crossings.get((i, h), 0.0)
-                row["realized_rev"] = obs.boundary_crossings.get((h, i), 0.0)
-
-    def boundary_rows(self):
-        rows, self._boundary_rows = self._boundary_rows, []
-        return rows
-
-    def envelopes(self):
-        return self._envelopes
-
-    def targets(self):
-        return self._targets
-
-    def fallback_steps(self):
-        return self._fallbacks
+            self.macro.decisions.append(bc.last_decision)
 
 
 class MsjcStrategy(_TrackedStrategy):
     """Joint gating/routing optimization on top of the tracking controller."""
 
-    def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
-        super().__init__(scenario, model, sim)
-        self.solution: ControlSolution | None = None
-        self._joint_row = None
-        self._routing_rows: list[dict] = []
-
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
-        self.solution = None
-        self._joint_row = None
+        self.macro = MacroRecord()
         if not ctx.active:
             return
         self._begin_boundaries(ctx)
@@ -252,32 +194,19 @@ class MsjcStrategy(_TrackedStrategy):
             for h in self.scenario.partition.adjacency[i]:
                 c_min.setdefault((i, h, j), 0.0)
                 c_max.setdefault((i, h, j), 1.0)
+        envelopes = self.macro.envelopes
         bounds = ControlBounds(
-            m_min={k: v[0] for k, v in self._envelopes.items()},
-            m_max={k: v[1] for k, v in self._envelopes.items()},
+            m_min={k: v[0] for k, v in envelopes.items()},
+            m_max={k: v[1] for k, v in envelopes.items()},
             c_min=c_min,
             c_max=c_max,
         )
-        self.solution = jointctl.solve(ctx.state, self.model, bounds)
-        self._targets = dict(self.solution.m)
-        for key, bc in self.controllers.items():
-            i, h = key
-            bc.begin_macro(
-                self._targets.get((i, h), 0.0), self._targets.get((h, i), 0.0)
-            )
-        self._joint_row = {
-            "t_index": ctx.t_index,
-            "time_s": ctx.time_s,
-            "z": self.solution.z,
-            "residual": self.solution.residual,
-            "feasible": int(self.solution.feasible),
-            "start_index": self.solution.start_index,
-            "b": dict(self.solution.b),
-            "m": dict(self.solution.m),
-        }
+        self.macro.solution = jointctl.solve(ctx.state, self.model, bounds)
+        self._set_targets(dict(self.macro.solution.m))
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        if not self.active or self.solution is None:
+        solution = self.macro.solution
+        if not self.active or solution is None:
             return None
         route_set = routectl.generate_routes(
             obs.vehicles,
@@ -292,7 +221,7 @@ class MsjcStrategy(_TrackedStrategy):
                 continue
             probs = routectl.solve_probabilities(
                 in_region,
-                self.solution.c,
+                solution.c,
                 self.net,
                 region,
                 float(obs.accumulation[region]),
@@ -305,27 +234,19 @@ class MsjcStrategy(_TrackedStrategy):
                 if route != current[vid]:
                     assignments[vid] = route
             for (i, h, j), realized in sorted(probs.realized.items()):
-                self._routing_rows.append(
-                    {
-                        "time_s": obs.time_s,
-                        "region": region,
-                        "dest_region": j,
-                        "next_region": h,
-                        "target": self.solution.c.get((i, h, j), 0.0),
-                        "realized": realized,
-                        "target_term": probs.target_term,
-                        "homogeneity_term": probs.homogeneity_term,
-                    }
+                self.macro.routing.append(
+                    RoutingRow(
+                        time_s=obs.time_s,
+                        region=region,
+                        dest_region=j,
+                        next_region=h,
+                        target=solution.c.get((i, h, j), 0.0),
+                        realized=realized,
+                        target_term=probs.target_term,
+                        homogeneity_term=probs.homogeneity_term,
+                    )
                 )
         return assignments
-
-    def joint_row(self):
-        row, self._joint_row = self._joint_row, None
-        return row
-
-    def routing_rows(self):
-        rows, self._routing_rows = self._routing_rows, []
-        return rows
 
 
 class PiStrategy(_TrackedStrategy):
@@ -347,38 +268,33 @@ class PiStrategy(_TrackedStrategy):
             )
             for i, h in scenario.partition.ordered_boundaries()
         }
-        self._routing_rows: list[dict] = []
 
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
+        self.macro = MacroRecord()
         if not ctx.active:
             for pi in self.pi.values():
                 pi.deactivate()
             return
         self._begin_boundaries(ctx)
-        self._targets = {}
+        targets = {}
         for (i, h), pi in sorted(self.pi.items()):
             n_h = ctx.state.accumulation(h)
             if not pi.active:
                 pi.reset(ctx.realized_prev.get((i, h), 0.0), n_h)
-            lo, hi = self._envelopes[(i, h)]
-            self._targets[(i, h)] = pi_target(pi, n_h, lo, hi)
-        for key, bc in self.controllers.items():
-            i, h = key
-            bc.begin_macro(self._targets[(i, h)], self._targets[(h, i)])
+            lo, hi = self.macro.envelopes[(i, h)]
+            targets[(i, h)] = pi_target(pi, n_h, lo, hi)
+        self._set_targets(targets)
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
         if not self.active or not self.routing:
             return None
         return _logit_routes(self, obs)
 
-    def routing_rows(self):
-        rows, self._routing_rows = self._routing_rows, []
-        return rows
 
-
-class BpStrategy(DefaultStrategy):
-    """Pure backpressure at boundary intersections, optional logit routing."""
+class BpStrategy:
+    """Pure backpressure at boundary intersections, optional logit routing.
+    It sets no targets, so its macro record stays empty."""
 
     def __init__(self, scenario: Scenario, sim: Simulator, routing: bool):
         self.scenario = scenario
@@ -386,7 +302,7 @@ class BpStrategy(DefaultStrategy):
         self.sim = sim
         self.routing = routing
         self.active = False
-        self._routing_rows: list[dict] = []
+        self.macro = MacroRecord()
 
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
@@ -404,9 +320,8 @@ class BpStrategy(DefaultStrategy):
             return None
         return _logit_routes(self, obs)
 
-    def routing_rows(self):
-        rows, self._routing_rows = self._routing_rows, []
-        return rows
+    def record(self, obs: MicroObservation) -> None:
+        pass
 
 
 def _logit_routes(strategy, obs: MicroObservation) -> dict[int, tuple[str, ...]]:
@@ -430,8 +345,6 @@ def _logit_routes(strategy, obs: MicroObservation) -> dict[int, tuple[str, ...]]
 def make_strategy(
     name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator
 ):
-    if name == "default":
-        return DefaultStrategy()
     model = _require_mfd(scenario, model)
     if name == "msjc":
         return MsjcStrategy(scenario, model, sim)
@@ -484,60 +397,92 @@ def _build_macro_state(
     )
 
 
+@dataclass
+class JointRow:
+    """Joint program outcome of one macro step; ``joint.csv`` follows these
+    columns with the gating fractions b_i_h and target flows M_i_h."""
+
+    t_index: int
+    time_s: float
+    z: float
+    residual: float
+    feasible: bool
+    start_index: int
+
+
+@dataclass
+class FlowRow:
+    """Target, envelope and realized flow of one ordered boundary over one
+    macro step; a row of ``flows.csv``."""
+
+    t_index: int
+    time_s: float
+    from_region: str
+    to_region: str
+    active: bool
+    target: float
+    m_min: float
+    m_max: float
+    realized: float
+    fallback_steps: int
+
+
+def _header(row_type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
+def _cells(row, columns=None) -> list:
+    """A row dataclass as CSV cells in field order: floats exactly (repr),
+    flags as 0/1 and a missing value as an empty cell."""
+    cells = []
+    for f in columns or fields(row):
+        value = getattr(row, f.name)
+        if value is None:
+            cells.append("")
+        elif f.type.startswith("float"):
+            cells.append(_fmt(value))
+        elif f.type == "bool":
+            cells.append(int(value))
+        else:
+            cells.append(value)
+    return cells
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
 class _RunLogs:
     """Streaming CSV writers with stable schemas across strategies."""
 
     def __init__(self, out_dir: Path, scenario: Scenario):
         out_dir.mkdir(parents=True, exist_ok=True)
-        self.out_dir = out_dir
-        regions = scenario.partition.regions
-        boundaries = scenario.partition.ordered_boundaries()
-        self._obs_fh = open(out_dir / "observations.csv", "w", newline="")
-        self._obs = csv.writer(self._obs_fh)
-        self._obs.writerow(
-            ["step", "time_s"]
-            + [f"N_{r}" for r in regions]
-            + [f"m_{i}_{h}" for i, h in boundaries]
-            + ["queue_total", "entry_queue", "in_network", "completed", "throughput_cum"]
-        )
-        self._regions = regions
-        self._boundaries = boundaries
+        self._regions = regions = scenario.partition.regions
+        self._boundaries = boundaries = scenario.partition.ordered_boundaries()
+        with ExitStack() as files:
 
-        self._joint_fh = open(out_dir / "joint.csv", "w", newline="")
-        self._joint = csv.writer(self._joint_fh)
-        self._joint.writerow(
-            ["t_index", "time_s", "z", "residual", "feasible", "start_index"]
-            + [f"b_{i}_{h}" for i, h in boundaries]
-            + [f"M_{i}_{h}" for i, h in boundaries]
-        )
+            def open_csv(name: str, header: list[str]):
+                writer = csv.writer(files.enter_context(open(out_dir / name, "w", newline="")))
+                writer.writerow(header)
+                return writer
 
-        self._bound_fh = open(out_dir / "boundary.csv", "w", newline="")
-        self._bound = csv.writer(self._bound_fh)
-        self._bound.writerow(
-            [
-                "time_s", "boundary", "k", "plan", "fallback", "feasible_count",
-                "m_expected_fwd", "m_expected_rev", "est_fwd", "est_rev",
-                "ng_fwd", "ng_rev", "realized_fwd", "realized_rev",
-            ]
-        )
-
-        self._route_fh = open(out_dir / "routing.csv", "w", newline="")
-        self._route = csv.writer(self._route_fh)
-        self._route.writerow(
-            [
-                "time_s", "region", "dest_region", "next_region",
-                "target", "realized", "target_term", "homogeneity_term",
-            ]
-        )
-
-        self._flows_fh = open(out_dir / "flows.csv", "w", newline="")
-        self._flows = csv.writer(self._flows_fh)
-        self._flows.writerow(
-            [
-                "t_index", "time_s", "from_region", "to_region", "active",
-                "target", "m_min", "m_max", "realized", "fallback_steps",
-            ]
-        )
+            self._obs = open_csv(
+                "observations.csv",
+                ["step", "time_s"]
+                + [f"N_{r}" for r in regions]
+                + [f"m_{i}_{h}" for i, h in boundaries]
+                + ["queue_total", "entry_queue", "in_network", "completed", "throughput_cum"],
+            )
+            self._joint = open_csv(
+                "joint.csv",
+                _header(JointRow)
+                + [f"b_{i}_{h}" for i, h in boundaries]
+                + [f"M_{i}_{h}" for i, h in boundaries],
+            )
+            self._boundary = open_csv("boundary.csv", _header(BoundaryDecision))
+            self._routing = open_csv("routing.csv", _header(RoutingRow))
+            self._flows = open_csv("flows.csv", _header(FlowRow))
+            self.close = files.pop_all().close  # keep the files open past the with
 
     def observation(self, obs: MicroObservation, throughput_cum: int) -> None:
         self._obs.writerow(
@@ -547,54 +492,42 @@ class _RunLogs:
             + [obs.queue_total(), obs.entry_queue, obs.in_network, obs.completed, throughput_cum]
         )
 
-    def joint(self, row: dict | None) -> None:
-        if row is None:
-            return
-        self._joint.writerow(
-            [row["t_index"], _fmt(row["time_s"]), _fmt(row["z"]), _fmt(row["residual"]),
-             row["feasible"], row["start_index"]]
-            + [_fmt(row["b"].get((i, h), 1.0)) for i, h in self._boundaries]
-            + [_fmt(row["m"].get((i, h), 0.0)) for i, h in self._boundaries]
-        )
-
-    def boundary(self, rows) -> None:
-        for r in rows:
-            self._bound.writerow(
-                [
-                    _fmt(r["time_s"]), r["boundary"], r["k"], r["plan"], r["fallback"],
-                    r["feasible_count"], _fmt(r["m_expected_fwd"]), _fmt(r["m_expected_rev"]),
-                    _fmt(r["est_fwd"]), _fmt(r["est_rev"]), _fmt(r["ng_fwd"]), _fmt(r["ng_rev"]),
-                    _fmt(r.get("realized_fwd", 0.0)), _fmt(r.get("realized_rev", 0.0)),
-                ]
+    def macro_step(
+        self,
+        ctx: MacroContext,
+        rec: MacroRecord,
+        end_s: float,
+        realized: dict[tuple[str, str], float],
+    ) -> None:
+        """Rows of one finished macro step that started at ``ctx``."""
+        sol = rec.solution
+        if sol is not None:
+            self._joint.writerow(
+                _cells(
+                    JointRow(
+                        ctx.t_index, ctx.time_s, sol.z, sol.residual, sol.feasible, sol.start_index
+                    )
+                )
+                + [_fmt(sol.b.get(key, 1.0)) for key in self._boundaries]
+                + [_fmt(sol.m.get(key, 0.0)) for key in self._boundaries]
             )
-
-    def routing(self, rows) -> None:
-        for r in rows:
-            self._route.writerow(
-                [
-                    _fmt(r["time_s"]), r["region"], r["dest_region"], r["next_region"],
-                    _fmt(r["target"]), _fmt(r["realized"]),
-                    _fmt(r["target_term"]), _fmt(r["homogeneity_term"]),
-                ]
+        self._boundary.writerows(_cells(d) for d in rec.decisions)
+        self._routing.writerows(_cells(r) for r in rec.routing)
+        for i, h in self._boundaries:
+            m_min, m_max = rec.envelopes.get((i, h), (0.0, 0.0))
+            row = FlowRow(
+                t_index=ctx.t_index,
+                time_s=end_s,
+                from_region=i,
+                to_region=h,
+                active=ctx.active,
+                target=rec.targets.get((i, h), 0.0),
+                m_min=m_min,
+                m_max=m_max,
+                realized=realized.get((i, h), 0.0),
+                fallback_steps=rec.fallbacks.get(boundary_key(i, h), 0),
             )
-
-    def flows(self, records: list[BoundaryMacroRecord]) -> None:
-        for r in records:
-            self._flows.writerow(
-                [
-                    r.t_index, _fmt(r.time_s), r.direction[0], r.direction[1],
-                    int(r.active), _fmt(r.target), _fmt(r.m_min), _fmt(r.m_max),
-                    _fmt(r.realized), r.fallback_steps,
-                ]
-            )
-
-    def close(self) -> None:
-        for fh in (self._obs_fh, self._joint_fh, self._bound_fh, self._route_fh, self._flows_fh):
-            fh.close()
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+            self._flows.writerow(_cells(row))
 
 
 def run(
@@ -611,9 +544,8 @@ def run(
     dt = control.t_micro_s
     u = control.steps_per_macro
     sim = Simulator(scenario, seed=config.seed, demand_scale=config.demand_scale)
+    model = _require_mfd(scenario, model)
     strategy = make_strategy(config.strategy, scenario, model, sim)
-    needs_mfd = config.strategy != "default"
-    crit = _require_mfd(scenario, model) if needs_mfd else None
 
     warmup_s = config.warmup_s if config.warmup_s is not None else scenario.demand.warmup_s
     horizon = scenario.demand.horizon_s
@@ -623,164 +555,140 @@ def run(
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
         logs = _RunLogs(out_dir, scenario)
-        manifest = {
-            "scenario": scenario.name,
-            "strategy": config.strategy,
-            "seed": config.seed,
-            "demand_scale": config.demand_scale,
-            "warmup_s": warmup_s,
-            "cap_s": cap_s,
-            "t_macro_s": control.t_macro_s,
-            "t_micro_s": control.t_micro_s,
-            "sigma": control.sigma,
-            "activation_threshold": control.activation_threshold,
-        }
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-
-    obs = sim.initial_observation()
-    ttt = 0.0
-    metrics = RunMetrics(
-        strategy=config.strategy,
-        seed=config.seed,
-        total_travel_time_veh_s=0.0,
-        throughput_veh=0,
-        injected_veh=0,
-        clearance_time_s=math.nan,
-        truncated=False,
-        first_activation_s=None,
-    )
-
-    def after_step(o: MicroObservation) -> None:
-        nonlocal ttt
-        ttt += (o.in_network + o.entry_queue) * dt
+    try:
         if logs:
-            logs.observation(o, sim.completed_total)
+            manifest = {
+                "scenario": scenario.name,
+                "strategy": config.strategy,
+                "seed": config.seed,
+                "demand_scale": config.demand_scale,
+                "warmup_s": warmup_s,
+                "cap_s": cap_s,
+                "t_macro_s": control.t_macro_s,
+                "t_micro_s": control.t_micro_s,
+                "sigma": control.sigma,
+                "activation_threshold": control.activation_threshold,
+            }
+            with open(out_dir / "manifest.json", "w") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
 
-    warmup_steps = int(round(warmup_s / dt))
-    for _ in range(warmup_steps):
-        sim.inject_demand(sim.step_count)
-        obs = sim.advance({})
-        after_step(obs)
+        obs = sim.initial_observation()
+        ttt = 0.0
+        metrics = RunMetrics(
+            strategy=config.strategy,
+            seed=config.seed,
+            total_travel_time_veh_s=0.0,
+            throughput_veh=0,
+            injected_veh=0,
+            clearance_time_s=math.nan,
+            truncated=False,
+            first_activation_s=None,
+        )
 
-    prev_admitted: dict[tuple[str, str], float] = {}
-    realized_prev: dict[tuple[str, str], float] = {}
-    t_index = 0
-    cleared_at: float | None = None
+        def after_step(o: MicroObservation) -> None:
+            nonlocal ttt
+            ttt += (o.in_network + o.entry_queue) * dt
+            if logs:
+                logs.observation(o, sim.completed_total)
 
-    while True:
-        if control.demand_forecast == "known":
-            q = _expected_demand(
-                scenario, config.demand_scale, sim.time_s, sim.time_s + control.t_macro_s, dt
-            )
-        else:
-            q = dict(prev_admitted)
-        state = _build_macro_state(scenario, obs, t_index, q)
-        active = False
-        if crit is not None:
+        warmup_steps = int(round(warmup_s / dt))
+        for _ in range(warmup_steps):
+            sim.inject_demand(sim.step_count)
+            obs = sim.advance({})
+            after_step(obs)
+
+        prev_admitted: dict[tuple[str, str], float] = {}
+        realized_prev: dict[tuple[str, str], float] = {}
+        t_index = 0
+        cleared_at: float | None = None
+
+        while True:
+            if control.demand_forecast == "known":
+                q = _expected_demand(
+                    scenario, config.demand_scale, sim.time_s, sim.time_s + control.t_macro_s, dt
+                )
+            else:
+                q = dict(prev_admitted)
+            state = _build_macro_state(scenario, obs, t_index, q)
             active = any(
-                state.accumulation(r) > control.activation_threshold * crit.critical(r)
+                state.accumulation(r) > control.activation_threshold * model.critical(r)
                 for r in scenario.partition.regions
             )
-        if active and metrics.first_activation_s is None:
-            metrics.first_activation_s = sim.time_s
+            if active and metrics.first_activation_s is None:
+                metrics.first_activation_s = sim.time_s
 
-        ctx = MacroContext(
-            t_index=t_index,
-            time_s=sim.time_s,
-            state=state,
-            obs=obs,
-            active=active,
-            realized_prev=dict(realized_prev),
-            travel_times=sim.travel_time_estimates(),
-        )
-        strategy.begin_macro(ctx)
-        if logs:
-            logs.joint(strategy.joint_row())
-
-        window_admitted: dict[tuple[str, str], float] = {}
-        window_crossed: dict[tuple[str, str], float] = {}
-        for _ in range(u):
-            sim.inject_demand(sim.step_count)
-            plans = strategy.plans(obs)
-            assignments = strategy.routes(obs)
-            if assignments:
-                for vid in sorted(assignments):
-                    sim.set_route(vid, assignments[vid])
-            obs = sim.advance(plans)
-            strategy.record(obs)
-            after_step(obs)
-            for key, count in obs.admitted_od.items():
-                window_admitted[key] = window_admitted.get(key, 0.0) + count
-            for key, rate in obs.boundary_crossings.items():
-                window_crossed[key] = window_crossed.get(key, 0.0) + rate * dt
-            if (
-                cleared_at is None
-                and obs.in_network == 0
-                and obs.entry_queue == 0
-                and sim.time_s >= horizon
-            ):
-                cleared_at = sim.time_s
-        if logs:
-            logs.boundary(strategy.boundary_rows())
-            logs.routing(strategy.routing_rows())
-
-        if sim.created_total != sim.completed_total + obs.in_network + obs.entry_queue:
-            raise RuntimeError(
-                f"vehicle conservation broken at t={sim.time_s:.0f}s: "
-                f"created {sim.created_total} != completed {sim.completed_total}"
-                f" + in network {obs.in_network} + entry queue {obs.entry_queue}"
+            ctx = MacroContext(
+                t_index=t_index,
+                time_s=sim.time_s,
+                state=state,
+                obs=obs,
+                active=active,
+                realized_prev=dict(realized_prev),
+                travel_times=sim.travel_time_estimates(),
             )
+            strategy.begin_macro(ctx)
 
-        realized_prev = {
-            key: total / control.t_macro_s for key, total in window_crossed.items()
-        }
-        envelopes = strategy.envelopes()
-        targets = strategy.targets()
-        fallbacks = strategy.fallback_steps()
-        records = []
-        for i, h in scenario.partition.ordered_boundaries():
-            env = envelopes.get((i, h))
-            records.append(
-                BoundaryMacroRecord(
-                    t_index=t_index,
-                    time_s=sim.time_s,
-                    direction=(i, h),
-                    target=targets.get((i, h), 0.0),
-                    m_min=env[0] if env else 0.0,
-                    m_max=env[1] if env else 0.0,
-                    realized=realized_prev.get((i, h), 0.0),
-                    fallback_steps=fallbacks.get(boundary_key(i, h), 0),
-                    active=active,
+            window_admitted: dict[tuple[str, str], float] = {}
+            window_crossed: dict[tuple[str, str], float] = {}
+            for _ in range(u):
+                sim.inject_demand(sim.step_count)
+                plans = strategy.plans(obs)
+                assignments = strategy.routes(obs)
+                if assignments:
+                    for vid in sorted(assignments):
+                        sim.set_route(vid, assignments[vid])
+                obs = sim.advance(plans)
+                strategy.record(obs)
+                after_step(obs)
+                for key, count in obs.admitted_od.items():
+                    window_admitted[key] = window_admitted.get(key, 0.0) + count
+                for key, rate in obs.boundary_crossings.items():
+                    window_crossed[key] = window_crossed.get(key, 0.0) + rate * dt
+                if (
+                    cleared_at is None
+                    and obs.in_network == 0
+                    and obs.entry_queue == 0
+                    and sim.time_s >= horizon
+                ):
+                    cleared_at = sim.time_s
+
+            if sim.created_total != sim.completed_total + obs.in_network + obs.entry_queue:
+                raise RuntimeError(
+                    f"vehicle conservation broken at t={sim.time_s:.0f}s: "
+                    f"created {sim.created_total} != completed {sim.completed_total}"
+                    f" + in network {obs.in_network} + entry queue {obs.entry_queue}"
                 )
-            )
-        metrics.boundary_records.extend(records)
+
+            realized_prev = {
+                key: total / control.t_macro_s for key, total in window_crossed.items()
+            }
+            if logs:
+                logs.macro_step(ctx, strategy.macro, sim.time_s, realized_prev)
+            metrics.throughput_series.append((sim.time_s, sim.completed_total))
+
+            prev_admitted = window_admitted
+            t_index += 1
+            if cleared_at is not None:
+                break
+            if sim.time_s >= cap_s:
+                metrics.truncated = True
+                logger.warning(
+                    "%s seed %d: hit time cap %.0fs before clearance",
+                    config.strategy,
+                    config.seed,
+                    cap_s,
+                )
+                break
+
+        metrics.total_travel_time_veh_s = ttt
+        metrics.throughput_veh = sim.completed_total
+        metrics.injected_veh = sim.created_total
+        metrics.clearance_time_s = cleared_at if cleared_at is not None else sim.time_s
         if logs:
-            logs.flows(records)
-        metrics.accumulation_series.append((sim.time_s, dict(obs.accumulation)))
-        metrics.throughput_series.append((sim.time_s, sim.completed_total))
-
-        prev_admitted = window_admitted
-        t_index += 1
-        if cleared_at is not None:
-            break
-        if sim.time_s >= cap_s:
-            metrics.truncated = True
-            logger.warning(
-                "%s seed %d: hit time cap %.0fs before clearance",
-                config.strategy,
-                config.seed,
-                cap_s,
-            )
-            break
-
-    metrics.total_travel_time_veh_s = ttt
-    metrics.throughput_veh = sim.completed_total
-    metrics.injected_veh = sim.created_total
-    metrics.clearance_time_s = cleared_at if cleared_at is not None else sim.time_s
-    if logs:
-        _write_metrics_csv(Path(config.out_dir) / "metrics.csv", [metrics])
-        logs.close()
+            _write_metrics_csv(out_dir / "metrics.csv", [metrics])
+    finally:
+        if logs:
+            logs.close()
     return metrics
 
 
@@ -875,23 +783,40 @@ def compare(
 def _write_metrics_csv(path: Path, runs: list[RunMetrics]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "strategy", "seed", "total_travel_time_veh_s", "throughput_veh",
-                "injected_veh", "clearance_time_s", "truncated", "first_activation_s",
-            ]
-        )
-        for m in runs:
-            w.writerow(
-                [
-                    m.strategy, m.seed, _fmt(m.total_travel_time_veh_s), m.throughput_veh,
-                    m.injected_veh, _fmt(m.clearance_time_s), int(m.truncated),
-                    "" if m.first_activation_s is None else _fmt(m.first_activation_s),
-                ]
-            )
+        w.writerow([f.name for f in _METRIC_COLUMNS])
+        w.writerows(_cells(m, _METRIC_COLUMNS) for m in runs)
 
 
-def summarize(runs: list[RunMetrics]) -> list[dict]:
+def read_metrics_csv(path) -> list[RunMetrics]:
+    """Runs written to ``metrics.csv`` or ``comparison.csv``, without series."""
+    parse = {
+        "str": str,
+        "int": int,
+        "float": float,
+        "bool": lambda cell: bool(int(cell)),
+        "float | None": lambda cell: float(cell) if cell else None,
+    }
+    with open(path, newline="") as fh:
+        return [
+            RunMetrics(**{f.name: parse[f.type](row[f.name]) for f in _METRIC_COLUMNS})
+            for row in csv.DictReader(fh)
+        ]
+
+
+@dataclass
+class SummaryRow:
+    """Per-strategy spread of the headline metrics; a row of ``summary.csv``."""
+
+    strategy: str
+    runs: int
+    mean_total_travel_time_veh_s: float
+    std_total_travel_time_veh_s: float
+    mean_throughput_veh: float
+    std_throughput_veh: float
+    truncated_runs: int
+
+
+def summarize(runs: list[RunMetrics]) -> list[SummaryRow]:
     """Per-strategy mean and standard deviation of the headline metrics,
     sorted by mean total travel time."""
     by_strategy: dict[str, list[RunMetrics]] = {}
@@ -902,21 +827,21 @@ def summarize(runs: list[RunMetrics]) -> list[dict]:
         ttt = np.array([m.total_travel_time_veh_s for m in ms])
         thr = np.array([m.throughput_veh for m in ms], dtype=float)
         rows.append(
-            {
-                "strategy": strategy,
-                "runs": len(ms),
-                "mean_total_travel_time_veh_s": float(ttt.mean()),
-                "std_total_travel_time_veh_s": float(ttt.std()),
-                "mean_throughput_veh": float(thr.mean()),
-                "std_throughput_veh": float(thr.std()),
-                "truncated_runs": sum(m.truncated for m in ms),
-            }
+            SummaryRow(
+                strategy=strategy,
+                runs=len(ms),
+                mean_total_travel_time_veh_s=float(ttt.mean()),
+                std_total_travel_time_veh_s=float(ttt.std()),
+                mean_throughput_veh=float(thr.mean()),
+                std_throughput_veh=float(thr.std()),
+                truncated_runs=sum(m.truncated for m in ms),
+            )
         )
-    rows.sort(key=lambda r: r["mean_total_travel_time_veh_s"])
+    rows.sort(key=lambda r: r.mean_total_travel_time_veh_s)
     return rows
 
 
-def report(runs: list[RunMetrics], out_dir: str | Path) -> list[dict]:
+def report(runs: list[RunMetrics], out_dir: str | Path) -> list[SummaryRow]:
     """Comparison table plus plot-ready series with replication spread."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -925,21 +850,8 @@ def report(runs: list[RunMetrics], out_dir: str | Path) -> list[dict]:
     rows = summarize(runs)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            [
-                "strategy", "runs", "mean_total_travel_time_veh_s",
-                "std_total_travel_time_veh_s", "mean_throughput_veh",
-                "std_throughput_veh", "truncated_runs",
-            ]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    r["strategy"], r["runs"], _fmt(r["mean_total_travel_time_veh_s"]),
-                    _fmt(r["std_total_travel_time_veh_s"]), _fmt(r["mean_throughput_veh"]),
-                    _fmt(r["std_throughput_veh"]), r["truncated_runs"],
-                ]
-            )
+        w.writerow(_header(SummaryRow))
+        w.writerows(_cells(r) for r in rows)
 
     # Runs read back from comparison.csv carry no series; keep the file the
     # original comparison wrote.

@@ -64,7 +64,6 @@ def make_linear3() -> Scenario:
 def make_single_gate(
     sat_flow: float = 0.3,
     downstream_cap: int = 10,
-    downstream_queue: int = 0,
 ) -> Scenario:
     """One gating approach A (R1) crossing into B (R2), plus a reverse
     approach Rv (R2) into Rr (R1).  Four plans: both / fwd / rev / none."""
@@ -111,10 +110,7 @@ def make_single_gate(
         },
         "control": {},
     }
-    sc = scenario_from_dict(raw, name="single_gate")
-    if downstream_queue:
-        raise NotImplementedError
-    return sc
+    return scenario_from_dict(raw, name="single_gate")
 
 
 def _l(a: str, b: str, region: str, sat: float = 0.5, cap: int = 25, length: float = 250.0) -> dict:

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from msjc import cli
@@ -42,3 +43,81 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "gating_gain" in err
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    for needle in needles:
+        assert needle in err
+
+
+def test_missing_scenario_file_is_one_line_and_exit_2(tmp_path, capsys):
+    assert _run(tmp_path / "missing.yaml", tmp_path) == 2
+    _one_error_line(capsys, "missing.yaml", "cannot read scenario")
+
+
+def _corridor2_and_mfd(tmp_path, capsys):
+    scenario = tmp_path / "corridor2.yaml"
+    assert cli.main(["make-scenario", "corridor2", "-o", str(scenario)]) == 0
+    capsys.readouterr()
+    return scenario, yaml.safe_load(scenario.read_text())["mfd"]
+
+
+def _run_with_mfd(scenario, mfd_path, tmp_path):
+    mfd = [] if mfd_path is None else ["--mfd", str(mfd_path)]
+    return cli.main(
+        ["run", "--scenario", str(scenario), "--strategy", "bp", "--out", str(tmp_path / "run"),
+         "--cap", "300"] + mfd
+    )
+
+
+def test_missing_mfd_file_is_one_line_and_exit_2(tmp_path, capsys):
+    scenario, _ = _corridor2_and_mfd(tmp_path, capsys)
+    assert _run_with_mfd(scenario, tmp_path / "no_mfd.yaml", tmp_path) == 2
+    _one_error_line(capsys, "no_mfd.yaml", "cannot read MFD file")
+
+
+@pytest.mark.parametrize(
+    "edit, needles",
+    [
+        (lambda mfd: mfd["R2"].pop("b1"), ("region R2", "'b1' is missing")),
+        (lambda mfd: mfd["R1"].update(b3="x"), ("region R1", "'b3' is not a number")),
+        (lambda mfd: mfd.update(R7=dict(mfd["R1"])), ("unknown region 'R7'",)),
+    ],
+)
+def test_bad_mfd_file_is_one_line_and_exit_2(edit, needles, tmp_path, capsys):
+    scenario, mfd = _corridor2_and_mfd(tmp_path, capsys)
+    edit(mfd)
+    path = tmp_path / "mfd.yaml"
+    path.write_text(yaml.safe_dump({"mfd": mfd}))
+    assert _run_with_mfd(scenario, path, tmp_path) == 2
+    _one_error_line(capsys, "mfd.yaml", *needles)
+
+
+def test_bad_mfd_block_in_scenario_is_one_line_and_exit_2(tmp_path, capsys):
+    scenario, _ = _corridor2_and_mfd(tmp_path, capsys)
+    raw = yaml.safe_load(scenario.read_text())
+    del raw["mfd"]["R1"]["b1"]
+    scenario.write_text(yaml.safe_dump(raw))
+    assert _run(scenario, tmp_path) == 2
+    _one_error_line(capsys, "region R1", "'b1' is missing")
+
+
+def test_wrongly_typed_control_value_is_one_line_and_exit_2(tmp_path, capsys):
+    scenario, _ = _corridor2_and_mfd(tmp_path, capsys)
+    raw = yaml.safe_load(scenario.read_text())
+    raw["control"]["t_macro_s"] = "abc"
+    scenario.write_text(yaml.safe_dump(raw))
+    assert _run(scenario, tmp_path) == 2
+    _one_error_line(capsys, "t_macro_s", "'abc'")
+
+
+def test_saved_mfd_runs_like_the_embedded_block(tmp_path, capsys):
+    scenario, mfd = _corridor2_and_mfd(tmp_path, capsys)
+    path = tmp_path / "mfd.yaml"
+    path.write_text(yaml.safe_dump({"mfd": mfd}))
+    assert _run_with_mfd(scenario, path, tmp_path) == 0
+    with_file = capsys.readouterr().out
+    assert _run_with_mfd(scenario, None, tmp_path) == 0
+    assert capsys.readouterr().out == with_file

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msjc import fixtures
-from msjc.mesosim import Simulator, _Vehicle, classify_vehicles
+from msjc.mesosim import Simulator, _Vehicle
 from conftest import make_single_gate
 
 
@@ -219,40 +219,3 @@ class TestArrivalsProjection:
         # remaining 5 s <= dt: projected to join next step
         assert obs.queues["A_0"] == 0
         assert obs.arrivals["A_0"] == 3.0
-
-
-class TestClassify:
-    def test_all_running_vehicles_are_type3(self, single_gate):
-        sim = Simulator(single_gate, seed=0)
-        force_running(sim, 4, ("A", "B"), remaining=100.0)
-        obs = sim.advance({("R1", "R2"): "none"})
-        counts = classify_vehicles(obs, single_gate.network)
-        assert counts.by_region["R1"] == (0, 0, 4)
-
-    def test_boundary_queue_head_is_type1(self, single_gate):
-        sim = Simulator(single_gate, seed=0)
-        force_queued(sim, "A_0", 1, ("A", "B"))
-        obs = sim.advance({("R1", "R2"): "none"})
-        counts = classify_vehicles(obs, single_gate.network)
-        assert counts.by_region["R1"] == (1, 0, 0)
-
-    def test_on_destination_link_is_type2(self, single_gate):
-        sim = Simulator(single_gate, seed=0)
-        force_running(sim, 2, ("B",), remaining=100.0)
-        obs = sim.advance({("R1", "R2"): "none"})
-        counts = classify_vehicles(obs, single_gate.network)
-        assert counts.by_region["R2"] == (0, 2, 0)
-
-    def test_counts_partition_each_region(self):
-        sc = fixtures.grid6(horizon_s=600.0)
-        sim = Simulator(sc, seed=13)
-        for k in range(60):
-            sim.inject_demand(sim.step_count)
-            obs = sim.advance({})
-        assert obs.in_network >= 50
-        counts = classify_vehicles(obs, sc.network)
-        for region, acc in obs.accumulation.items():
-            got = counts.by_region.get(region, (0, 0, 0))
-            assert sum(got) == acc
-        by_od_total = sum(sum(v) for v in counts.by_od.values())
-        assert by_od_total == obs.in_network

@@ -146,5 +146,6 @@ def test_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "mfd.yaml"
     save_mfd(model, path)
-    again = load_mfd(path)
+    again = load_mfd(path, ("R1", "R2"))
+    assert again.params == model.params
     assert again.to_dict() == model.to_dict()

@@ -7,9 +7,9 @@ from msjc.netmodel import (
     boundary_key,
     candidate_hyper_path,
     load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    serialize_scenario,
 )
 
 MINIMAL = {
@@ -50,7 +50,6 @@ def test_minimal_two_region_scenario(tmp_path):
     assert sc.partition.regions == ("R1", "R2")
     assert sc.network.links["a"].region == "R1"
     assert sc.network.lanes["a_0"].output_lanes == ("b_0",)
-    assert sc.network.sink_links() == ("b",)
 
 
 def test_dangling_output_lane_rejected():
@@ -128,9 +127,8 @@ def test_every_lane_outputs_onto_downstream_links():
 @pytest.mark.parametrize("build", [fixtures.corridor2, fixtures.grid6])
 def test_scenario_round_trip(build, tmp_path):
     sc = build()
-    text = serialize_scenario(sc)
     path = tmp_path / "roundtrip.yaml"
-    path.write_text(text)
+    save_scenario(sc, path)
     sc2 = load_scenario(path)
     assert scenario_to_dict(sc2) == scenario_to_dict(sc)
     assert sc2 == sc
@@ -166,4 +164,69 @@ def test_unknown_control_key_rejected():
     raw = _raw()
     raw["control"] = {"route_beta": 5.0, "route_betta": 5.0}
     with pytest.raises(ScenarioError, match="route_betta"):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("t_macro_s", "abc"), ("sigma", [0.1]), ("activation_threshold", None)]
+)
+def test_wrongly_typed_control_value_rejected(key, value):
+    raw = _raw()
+    raw["control"] = {key: value}
+    with pytest.raises(ScenarioError, match=f"control: {key} must be a float"):
+        scenario_from_dict(raw)
+
+
+def test_control_values_take_their_declared_types():
+    raw = _raw()
+    raw["control"] = {"t_macro_s": 100, "t_micro_s": "10"}
+    control = scenario_from_dict(raw).control
+    assert control.t_macro_s == 100.0 and isinstance(control.t_macro_s, float)
+    assert control.t_micro_s == 10.0 and isinstance(control.t_micro_s, float)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("demand_forecast", "knwon"), ("completion_proxy", "inflow")]
+)
+def test_unknown_control_mode_rejected(key, value):
+    raw = _raw()
+    raw["control"] = {key: value}
+    with pytest.raises(ScenarioError, match=f"control: {key} must be one of .*{value}"):
+        scenario_from_dict(raw)
+
+
+MFD_R = {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 120.0}
+
+
+@pytest.mark.parametrize(
+    "mfd, message",
+    [
+        ({"R1": dict(MFD_R), "R2": {k: v for k, v in MFD_R.items() if k != "b1"}},
+         "region R2 field 'b1' is missing"),
+        ({"R1": dict(MFD_R), "R2": dict(MFD_R, n_crit="high")},
+         "region R2 field 'n_crit' is not a number"),
+        ({"R1": dict(MFD_R), "R2": dict(MFD_R), "R9": dict(MFD_R)}, "unknown region 'R9'"),
+        ({"R1": dict(MFD_R)}, "region R2 has no coefficients"),
+    ],
+)
+def test_bad_mfd_block_rejected(mfd, message):
+    raw = _raw()
+    raw["mfd"] = mfd
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(raw)
+
+
+def test_missing_scenario_file_names_the_path(tmp_path):
+    path = tmp_path / "nowhere.yaml"
+    with pytest.raises(ScenarioError, match="nowhere.yaml: cannot read scenario"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "control", [{"t_micro_s": 0.0}, {"t_macro_s": 0.0}, {"t_micro_s": 20.0, "t_macro_s": 10.0}]
+)
+def test_micro_step_must_be_positive_and_fit_the_macro_step(control):
+    raw = _raw()
+    raw["control"] = control
+    with pytest.raises(ScenarioError, match="0 < t_micro_s <= t_macro_s"):
         scenario_from_dict(raw)

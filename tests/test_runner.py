@@ -77,7 +77,7 @@ def test_golden_corridor2_writes_every_log(strategy, tmp_path):
             assert next(csv.reader(fh)) == header, name
 
 
-def test_broken_vehicle_balance_raises(monkeypatch):
+def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
     advance = mesosim.Simulator.advance
 
     def leaky_advance(self, plans):
@@ -85,9 +85,20 @@ def test_broken_vehicle_balance_raises(monkeypatch):
         self.completed_total += 1
         return obs
 
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
     monkeypatch.setattr(mesosim.Simulator, "advance", leaky_advance)
+    monkeypatch.setattr(runner, "open", tracked_open, raising=False)
     with pytest.raises(
         RuntimeError,
         match=r"created \d+ != completed \d+ \+ in network \d+ \+ entry queue \d+",
     ):
-        runner.run(fixtures.corridor2(), runner.RunConfig(strategy="bp", seed=0))
+        runner.run(
+            fixtures.corridor2(), runner.RunConfig(strategy="bp", seed=0, out_dir=tmp_path)
+        )
+    assert len(opened) == 6  # five CSV logs and the manifest
+    assert all(fh.closed for fh in opened)
