@@ -146,7 +146,7 @@ class ControlConfig:
 
 
 # The allowed values of the ControlConfig fields that name a mode.
-CONTROL_CHOICES = {
+_CONTROL_CHOICES = {
     "completion_proxy": ("outflow_plus_internal", "outflow"),
     "demand_forecast": ("previous", "known"),
 }
@@ -558,7 +558,7 @@ def _control_from_dict(raw: Mapping) -> ControlConfig:
             raise ScenarioError(
                 f"control: {f.name} must be a {f.type}, got {raw[f.name]!r}"
             ) from None
-        allowed = CONTROL_CHOICES.get(f.name)
+        allowed = _CONTROL_CHOICES.get(f.name)
         if allowed and values[f.name] not in allowed:
             raise ScenarioError(
                 f"control: {f.name} must be one of {', '.join(allowed)}, got {raw[f.name]!r}"

@@ -433,7 +433,8 @@ def _header(row_type) -> list[str]:
 
 def _cells(row, columns=None) -> list:
     """A row dataclass as CSV cells in field order: floats exactly (repr),
-    flags as 0/1 and a missing value as an empty cell."""
+    flags as 0/1 and a missing value as an empty cell.  The declared type
+    (annotation text) of each field picks the format."""
     cells = []
     for f in columns or fields(row):
         value = getattr(row, f.name)
