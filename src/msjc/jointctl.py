@@ -12,11 +12,11 @@ kept; ties in the objective break toward higher total boundary throughput.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from . import macrodyn
 from .macrodyn import CompletionModel, MacroState
@@ -82,29 +82,30 @@ def route_bounds(
 
 
 class _Problem:
-    """Index maps and vectorized constraint evaluation for one macro step."""
+    """One macro step's program as constant linear maps of the transfer vector.
+
+    Variables are x = (b, c, z).  Each split variable (i, h, j) moves
+    ``moved = b[(i, h)] * c[(i, h, j)] * kappa[(i, j)]`` vehicles, so the
+    overshoots are ``base + region_map @ moved``, the boundary flows are
+    ``flow_map @ moved`` and every Jacobian is one of these maps times
+    d(moved)/dx.
+    """
 
     def __init__(self, state: MacroState, mfd: CompletionModel, bounds: ControlBounds):
-        self.state = state
-        self.bounds = bounds
-        self.regions = list(state.regions)
-        self.region_index = {r: k for k, r in enumerate(self.regions)}
+        regions = list(state.regions)
+        region_index = {r: k for k, r in enumerate(regions)}
         acc = state.accumulations()
+        t = state.t_macro_s
 
         self.b_keys: list[BKey] = sorted(
             (i, h) for i in state.regions for h in state.adjacency[i]
         )
-        self.pinned_b = {
-            key: acc[key[0]] < _EMPTY_REGION_VEH for key in self.b_keys
-        }
-
         # ODs that move mass this step: sender occupied and stock present
         self.active_od = sorted(
             (i, j)
             for (i, j), stock in state.n.items()
             if i != j and stock > 0.0 and acc[i] >= _EMPTY_REGION_VEH
         )
-        self.od_index = {od: k for k, od in enumerate(self.active_od)}
         self.c_keys: list[TKey] = sorted(
             (i, h, j) for (i, j) in self.active_od for h in state.adjacency[i]
         )
@@ -115,121 +116,75 @@ class _Problem:
         self.zi = self.nv - 1
         self.b_index = {k: n for n, k in enumerate(self.b_keys)}
         self.c_index = {k: self.nb + n for n, k in enumerate(self.c_keys)}
+        od_index = {od: k for k, od in enumerate(self.active_od)}
 
-        kappa_od = {}
-        for (i, j) in self.active_od:
-            n_i = acc[i]
-            kappa_od[(i, j)] = (
-                state.n[(i, j)] / n_i * mfd.evaluate(i, n_i) * state.t_macro_s
-            )
-        self.c_kappa = np.array(
-            [kappa_od[(i, j)] for (i, h, j) in self.c_keys], dtype=float
-        )
-        self.c_b_col = np.array(
-            [self.b_index[(i, h)] for (i, h, j) in self.c_keys], dtype=int
-        )
-        self.c_out_region = np.array(
-            [self.region_index[i] for (i, h, j) in self.c_keys], dtype=int
-        )
-        self.c_in_region = np.array(
-            [self.region_index[h] for (i, h, j) in self.c_keys], dtype=int
-        )
+        kappa_od = {
+            (i, j): state.n[(i, j)] / acc[i] * mfd.evaluate(i, acc[i]) * t
+            for (i, j) in self.active_od
+        }
+        self.kappa = np.array([kappa_od[(i, j)] for (i, h, j) in self.c_keys])
+        self.c_b = np.array([self.b_index[(i, h)] for (i, h, j) in self.c_keys], dtype=int)
+        self.c_cols = np.arange(self.nb, self.nb + self.nc)
+        rows = np.arange(self.nc)
 
-        type2 = {}
-        for i in self.regions:
-            n_i = acc[i]
-            type2[i] = (
-                0.0
-                if n_i <= 0.0
-                else state.n.get((i, i), 0.0) / n_i * mfd.evaluate(i, n_i) * state.t_macro_s
-            )
+        self.region_map = np.zeros((len(regions), self.nc))
+        self.region_map[[region_index[i] for (i, h, j) in self.c_keys], rows] = -1.0
+        self.region_map[[region_index[h] for (i, h, j) in self.c_keys], rows] = 1.0
+        self.flow_map = np.zeros((self.nb, self.nc))
+        self.flow_map[self.c_b, rows] = 1.0 / t
+        self.split_sum = np.zeros((len(self.active_od), self.nv))
+        self.split_sum[[od_index[(i, j)] for (i, h, j) in self.c_keys], self.c_cols] = 1.0
+
+        type2 = {
+            i: state.n.get((i, i), 0.0) / acc[i] * mfd.evaluate(i, acc[i]) * t
+            if acc[i] > 0.0
+            else 0.0
+            for i in regions
+        }
         self.base = np.array(
             [
                 acc[i]
-                + sum(state.q.get((i, j), 0.0) for j in self.regions)
+                + sum(state.q.get((i, j), 0.0) for j in regions)
                 - type2[i]
-                for i in self.regions
-            ],
-            dtype=float,
-        )
-        self.crit = np.array([mfd.critical(i) for i in self.regions], dtype=float)
-
-        # flow-envelope rows, skipping boundaries whose sender is empty
-        self.flow_keys = [key for key in self.b_keys if not self.pinned_b[key]]
-        self.flow_cols: dict[BKey, np.ndarray] = {}
-        for key in self.flow_keys:
-            cols = [
-                self.c_index[(i, h, j)]
-                for (i, h, j) in self.c_keys
-                if (i, h) == key
+                - mfd.critical(i)
+                for i in regions
             ]
-            self.flow_cols[key] = np.array(cols, dtype=int)
+        )
 
-        self.m_min = np.array([bounds.m_min[k] for k in self.flow_keys])
-        self.m_max = np.array([bounds.m_max[k] for k in self.flow_keys])
-        self.c_lo = np.array([bounds.c_min[k] for k in self.c_keys])
-        self.c_hi = np.array([bounds.c_max[k] for k in self.c_keys])
+        # an empty sender's gate is pinned open and its flow envelope dropped
+        open_b = [acc[i] >= _EMPTY_REGION_VEH for (i, h) in self.b_keys]
+        self.env_rows = np.flatnonzero(open_b)
+        self.m_min = np.array([bounds.m_min[self.b_keys[n]] for n in self.env_rows])
+        self.m_max = np.array([bounds.m_max[self.b_keys[n]] for n in self.env_rows])
 
-    # -- transfers ---------------------------------------------------------
+        self.lb = np.concatenate(
+            [np.where(open_b, 0.0, 1.0), [bounds.c_min[k] for k in self.c_keys], [-np.inf]]
+        )
+        self.ub = np.concatenate(
+            [np.ones(self.nb), [bounds.c_max[k] for k in self.c_keys], [np.inf]]
+        )
+        self.c_lo = self.lb[self.c_cols]
+        self.c_hi = self.ub[self.c_cols]
+        self.od_cols = [np.flatnonzero(row) for row in self.split_sum]
 
-    def _bc(self, x: np.ndarray) -> np.ndarray:
-        """Per c-variable transferred vehicles b*c*kappa."""
-        if self.nc == 0:
-            return np.zeros(0)
-        return x[self.c_b_col] * x[self.nb : self.nb + self.nc] * self.c_kappa
+    def moved(self, x: np.ndarray) -> np.ndarray:
+        """Vehicles moved per split variable, b*c*kappa."""
+        return x[self.c_b] * x[self.c_cols] * self.kappa
 
-    def next_accumulation(self, x: np.ndarray) -> np.ndarray:
-        moved = self._bc(x)
-        out = np.zeros(len(self.regions))
-        np.add.at(out, self.c_out_region, -moved)
-        np.add.at(out, self.c_in_region, moved)
-        return self.base + out
+    def moved_jac(self, x: np.ndarray) -> np.ndarray:
+        rows = np.arange(self.nc)
+        jac = np.zeros((self.nc, self.nv))
+        jac[rows, self.c_b] = x[self.c_cols] * self.kappa
+        jac[rows, self.c_cols] = x[self.c_b] * self.kappa
+        return jac
 
     def g(self, x: np.ndarray) -> np.ndarray:
         """Overshoot of each region's predicted accumulation beyond critical."""
-        return self.next_accumulation(x) - self.crit
-
-    def g_jac(self, x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((len(self.regions), self.nv))
-        if self.nc:
-            b_vals = x[self.c_b_col]
-            c_vals = x[self.nb : self.nb + self.nc]
-            for n, (i, h, j) in enumerate(self.c_keys):
-                dc = b_vals[n] * self.c_kappa[n]
-                db = c_vals[n] * self.c_kappa[n]
-                col_c = self.nb + n
-                col_b = self.c_b_col[n]
-                r_out, r_in = self.c_out_region[n], self.c_in_region[n]
-                jac[r_out, col_c] -= dc
-                jac[r_in, col_c] += dc
-                jac[r_out, col_b] -= db
-                jac[r_in, col_b] += db
-        return jac
+        return self.base + self.region_map @ self.moved(x)
 
     def flows(self, x: np.ndarray) -> np.ndarray:
-        moved = self._bc(x)
-        return np.array(
-            [moved[self.flow_cols[k] - self.nb].sum() for k in self.flow_keys]
-        ) / self.state.t_macro_s
-
-    def flows_jac(self, x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((len(self.flow_keys), self.nv))
-        for row, key in enumerate(self.flow_keys):
-            for col in self.flow_cols[key]:
-                n = col - self.nb
-                jac[row, col] = x[self.c_b_col[n]] * self.c_kappa[n]
-                jac[row, self.c_b_col[n]] += x[col] * self.c_kappa[n]
-        return jac / self.state.t_macro_s
-
-    def all_flows(self, x: np.ndarray) -> dict[BKey, float]:
-        moved = self._bc(x)
-        out = {}
-        for key in self.b_keys:
-            cols = [
-                n for n, (i, h, j) in enumerate(self.c_keys) if (i, h) == key
-            ]
-            out[key] = float(moved[cols].sum()) / self.state.t_macro_s
-        return out
+        """Flow over every boundary in ``b_keys``, veh/s."""
+        return self.flow_map @ self.moved(x)
 
     # -- feasibility --------------------------------------------------------
 
@@ -237,105 +192,75 @@ class _Problem:
         """Clip b into its boxes and project each OD's c onto its bounded
         simplex; z is recomputed exactly afterwards by the caller."""
         y = x.copy()
-        for n, key in enumerate(self.b_keys):
-            lo = 1.0 if self.pinned_b[key] else 0.0
-            y[n] = min(1.0, max(lo, y[n]))
-        for od in self.active_od:
-            cols = [
-                self.nb + n for n, (i, h, j) in enumerate(self.c_keys) if (i, j) == od
-            ]
-            lo = np.array([self.c_lo[c - self.nb] for c in cols])
-            hi = np.array([self.c_hi[c - self.nb] for c in cols])
-            y[cols] = _project_capped_simplex(y[cols], lo, hi)
+        y[: self.nb] = np.clip(y[: self.nb], self.lb[: self.nb], self.ub[: self.nb])
+        for cols in self.od_cols:
+            y[cols] = _project_capped_simplex(y[cols], self.lb[cols], self.ub[cols])
         return y
 
     def residual(self, x: np.ndarray) -> float:
-        res = 0.0
-        if self.flow_keys:
-            m = self.flows(x)
-            res = max(
-                res,
-                float(np.max(self.m_min - m, initial=0.0)),
-                float(np.max(m - self.m_max, initial=0.0)),
-            )
-        if self.nc:
-            c = x[self.nb : self.nb + self.nc]
-            res = max(
-                res,
-                float(np.max(self.c_lo - c, initial=0.0)),
-                float(np.max(c - self.c_hi, initial=0.0)),
-            )
-            for od in self.active_od:
-                cols = [
-                    n for n, (i, h, j) in enumerate(self.c_keys) if (i, j) == od
-                ]
-                res = max(res, abs(float(c[cols].sum()) - 1.0))
-        return res
+        m = self.flows(x)[self.env_rows]
+        c = x[self.c_cols]
+        return max(
+            0.0,
+            float(np.max(self.m_min - m, initial=0.0)),
+            float(np.max(m - self.m_max, initial=0.0)),
+            float(np.max(self.c_lo - c, initial=0.0)),
+            float(np.max(c - self.c_hi, initial=0.0)),
+            float(np.max(np.abs(self.split_sum @ x - 1.0), initial=0.0)),
+        )
 
 
 def _project_capped_simplex(
     v: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Euclidean projection onto {lo <= x <= hi, sum x = 1} via bisection;
-    when the box itself cannot reach sum 1, return the nearest box corner."""
+    """Euclidean projection onto {lo <= x <= hi, sum x = 1}; when the box
+    itself cannot reach sum 1, return the nearest box corner.
+
+    The projection is clip(v + tau, lo, hi) for the tau at which its sum is 1.
+    That sum is piecewise linear in tau with breakpoints lo - v and hi - v,
+    so tau is interpolated exactly between the two breakpoints that bracket 1
+    (Held, Wolfe & Crowder 1974).
+    """
     if lo.sum() > 1.0:
         return lo.copy()
     if hi.sum() < 1.0:
         return hi.copy()
-    a, b = -2.0, 2.0
-    for _ in range(100):
-        tau = 0.5 * (a + b)
-        s = np.clip(v + tau, lo, hi).sum()
-        if s < 1.0:
-            a = tau
-        else:
-            b = tau
-    return np.clip(v + 0.5 * (a + b), lo, hi)
+    taus = np.sort(np.concatenate([lo - v, hi - v]))
+    sums = np.clip(v + taus[:, None], lo, hi).sum(axis=1)
+    return np.clip(v + np.interp(1.0, sums, taus), lo, hi)
 
 
 def _validate_bounds(problem: _Problem) -> str:
-    for od in problem.active_od:
-        cols = [
-            n for n, (i, h, j) in enumerate(problem.c_keys) if (i, j) == od
-        ]
-        lo = sum(problem.c_lo[c] for c in cols)
-        hi = sum(problem.c_hi[c] for c in cols)
+    split = problem.split_sum[:, problem.c_cols]
+    for od, lo, hi in zip(problem.active_od, split @ problem.c_lo, split @ problem.c_hi):
         if lo > 1.0 + 1e-12:
             return f"sum of c_min for OD {od} is {lo:.4f} > 1"
         if hi < 1.0 - 1e-12:
             return f"sum of c_max for OD {od} is {hi:.4f} < 1"
-    for key, lo in zip(problem.flow_keys, problem.m_min):
-        hi = problem.bounds.m_max[key]
+    for n, lo, hi in zip(problem.env_rows, problem.m_min, problem.m_max):
         if lo > hi + 1e-12:
-            return f"flow bounds for boundary {key} are inverted ({lo} > {hi})"
+            return f"flow bounds for boundary {problem.b_keys[n]} are inverted ({lo} > {hi})"
     return ""
 
 
 def _starts(problem: _Problem, extra: np.ndarray | None) -> list[np.ndarray]:
     rng = np.random.Generator(np.random.PCG64(20240601))
-    mid = 0.5 * (problem.c_lo + problem.c_hi) if problem.nc else np.zeros(0)
-    corners = [
-        (1.0, mid),
-        (0.0, mid),
-        (1.0, problem.c_hi.copy() if problem.nc else mid),
-        (0.0, problem.c_lo.copy() if problem.nc else mid),
-    ]
+    mid = 0.5 * (problem.c_lo + problem.c_hi)
+    corners = [(1.0, mid), (0.0, mid), (1.0, problem.c_hi), (0.0, problem.c_lo)]
     starts = []
     for b0, c0 in corners:
         x = np.zeros(problem.nv)
         x[: problem.nb] = b0
-        x[problem.nb : problem.nb + problem.nc] = c0
+        x[problem.c_cols] = c0
         starts.append(x)
     for _ in range(4):
         x = np.zeros(problem.nv)
         x[: problem.nb] = rng.uniform(0.0, 1.0, problem.nb)
         if problem.nc:
-            x[problem.nb : problem.nb + problem.nc] = rng.uniform(
-                problem.c_lo, problem.c_hi
-            )
+            x[problem.c_cols] = rng.uniform(problem.c_lo, problem.c_hi)
         starts.append(x)
     if extra is not None:
-        starts.append(extra.copy())
+        starts.append(extra)
     out = []
     for x in starts:
         y = problem.project(x)
@@ -345,96 +270,60 @@ def _starts(problem: _Problem, extra: np.ndarray | None) -> list[np.ndarray]:
 
 
 def _sqp(problem: _Problem, x0: np.ndarray, z_cap: float | None = None):
+    """SLSQP from x0.  Without ``z_cap`` it minimizes z; with it, it
+    maximizes total boundary flow subject to z <= z_cap."""
+    z_col = np.zeros(problem.nv)
+    z_col[problem.zi] = 1.0
+
+    def overshoot_jac(x):
+        jac = -problem.region_map @ problem.moved_jac(x)
+        jac[:, problem.zi] = 1.0
+        return jac
+
     cons = [
-        {
-            "type": "ineq",
-            "fun": lambda x: x[problem.zi] - problem.g(x),
-            "jac": lambda x: (
-                np.tile(_unit(problem.nv, problem.zi), (len(problem.regions), 1))
-                - problem.g_jac(x)
-            ),
-        }
+        {"type": "ineq", "fun": lambda x: x[problem.zi] - problem.g(x), "jac": overshoot_jac}
     ]
-    if problem.flow_keys:
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda x: np.concatenate(
-                    [problem.m_max - problem.flows(x), problem.flows(x) - problem.m_min]
-                ),
-                "jac": lambda x: np.vstack(
-                    [-problem.flows_jac(x), problem.flows_jac(x)]
-                ),
-            }
-        )
-    for od in problem.active_od:
-        cols = np.array(
-            [
-                problem.nb + n
-                for n, (i, h, j) in enumerate(problem.c_keys)
-                if (i, j) == od
-            ]
-        )
+    if len(problem.env_rows):
+        env_map = problem.flow_map[problem.env_rows]
+
+        def envelope(x):
+            m = env_map @ problem.moved(x)
+            return np.concatenate([problem.m_max - m, m - problem.m_min])
+
+        def envelope_jac(x):
+            jac = env_map @ problem.moved_jac(x)
+            return np.vstack([-jac, jac])
+
+        cons.append({"type": "ineq", "fun": envelope, "jac": envelope_jac})
+    if problem.active_od:
         cons.append(
             {
                 "type": "eq",
-                "fun": lambda x, cols=cols: np.array([x[cols].sum() - 1.0]),
-                "jac": lambda x, cols=cols: _row(problem.nv, cols),
-            }
-        )
-    if z_cap is not None:
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda x: np.array([z_cap - x[problem.zi]]),
-                "jac": lambda x: -_row(problem.nv, np.array([problem.zi])),
+                "fun": lambda x: problem.split_sum @ x - 1.0,
+                "jac": lambda x: problem.split_sum,
             }
         )
 
-    lb = np.zeros(problem.nv)
-    ub = np.ones(problem.nv)
-    for n, key in enumerate(problem.b_keys):
-        lb[n] = 1.0 if problem.pinned_b[key] else 0.0
-    if problem.nc:
-        lb[problem.nb : problem.nb + problem.nc] = problem.c_lo
-        ub[problem.nb : problem.nb + problem.nc] = problem.c_hi
-    lb[problem.zi], ub[problem.zi] = -np.inf, np.inf
-
+    ub = problem.ub
     if z_cap is None:
         fun = lambda x: x[problem.zi]
-        jac = lambda x: _unit(problem.nv, problem.zi)
+        jac = lambda x: z_col
     else:
-        scale = 1.0 / max(1.0, float(np.max(np.abs(problem.c_kappa), initial=1.0)))
-
-        def fun(x):
-            return -problem.flows(x).sum() * scale if problem.flow_keys else 0.0
-
-        def jac(x):
-            if not problem.flow_keys:
-                return np.zeros(problem.nv)
-            return -problem.flows_jac(x).sum(axis=0) * scale
+        ub = ub.copy()
+        ub[problem.zi] = z_cap
+        scale = 1.0 / max(1.0, float(np.max(np.abs(problem.kappa), initial=1.0)))
+        fun = lambda x: -problem.flows(x).sum() * scale
+        jac = lambda x: -problem.flow_map.sum(axis=0) @ problem.moved_jac(x) * scale
 
     return minimize(
         fun,
         x0,
         jac=jac,
-        bounds=list(zip(lb, ub)),
+        bounds=Bounds(problem.lb, ub),
         constraints=cons,
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-10},
     )
-
-
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
-def _row(n: int, cols: np.ndarray) -> np.ndarray:
-    r = np.zeros((1, n))
-    r[0, cols] = 1.0
-    return r
 
 
 def solve(
@@ -474,13 +363,7 @@ def solve(
             x = x0.copy()
         x[problem.zi] = float(np.max(problem.g(x)))
         candidates.append(
-            (
-                x[problem.zi],
-                -problem.flows(x).sum() if problem.flow_keys else 0.0,
-                idx,
-                problem.residual(x),
-                x,
-            )
+            (x[problem.zi], -problem.flows(x).sum(), idx, problem.residual(x), x)
         )
 
     feasible = [c for c in candidates if c[3] <= _FEASIBILITY_TOL]
@@ -489,7 +372,7 @@ def solve(
         pool, key=lambda c: (c[0], c[1], c[2])
     )
 
-    if feasible and problem.flow_keys:
+    if feasible and len(problem.env_rows):
         try:
             res = _sqp(problem, best.copy(), z_cap=z_val + 1e-9)
             y = problem.project(res.x)
@@ -505,18 +388,14 @@ def solve(
         except Exception as exc:
             logger.debug("throughput refinement skipped: %s", exc)
 
-    b_out = {key: float(best[problem.b_index[key]]) for key in problem.b_keys}
-    c_out: dict[TKey, float] = {}
-    for key in problem.c_keys:
-        c_out[key] = float(best[problem.c_index[key]])
+    c_out = {key: float(best[n]) for key, n in problem.c_index.items()}
     # inactive ODs: report the uniform split so downstream consumers always
     # see a full simplex per OD
-    for (i, j), stock in sorted(state.n.items()):
-        if i == j or (i, j) in problem.od_index:
-            continue
-        neighbors = state.adjacency[i]
-        for h in neighbors:
-            c_out[(i, h, j)] = 1.0 / len(neighbors)
+    for (i, j) in sorted(state.n):
+        if i != j and (i, j) not in problem.active_od:
+            neighbors = state.adjacency[i]
+            for h in neighbors:
+                c_out[(i, h, j)] = 1.0 / len(neighbors)
 
     if not feasible and not message:
         message = "no start reached the feasibility tolerance"
@@ -524,10 +403,10 @@ def solve(
         logger.warning("joint control infeasible: %s", message)
 
     return ControlSolution(
-        b=b_out,
+        b={key: float(best[n]) for key, n in problem.b_index.items()},
         c=c_out,
         z=float(z_val),
-        m=problem.all_flows(best),
+        m={key: float(m) for key, m in zip(problem.b_keys, problem.flows(best))},
         residual=float(residual),
         feasible=bool(feasible) and not message,
         start_index=start_idx,

@@ -10,7 +10,7 @@ hyper-path split fractions ``c``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 logger = logging.getLogger(__name__)

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from msjc import macrodyn
-from msjc.jointctl import ControlBounds, route_bounds, solve, targets
+from msjc.jointctl import (
+    ControlBounds,
+    _Problem,
+    _project_capped_simplex,
+    route_bounds,
+    solve,
+    targets,
+)
 from msjc.macrodyn import MacroState
 
 from oracles import FractionMfd, two_region_grid_search
 
 ADJ2 = {"R1": ("R2",), "R2": ("R1",)}
+ADJ3 = {"R1": ("R2", "R3"), "R2": ("R1", "R3"), "R3": ("R1", "R2")}
 
 
 def two_region_state(n, q=None):
@@ -60,6 +68,51 @@ def random_instance(rng):
                ("R2", "R1"): mid21 + (k21 - mid21) * float(rng.uniform(0.1, 1.0))},
         c_min={("R1", "R2", "R2"): 1.0, ("R2", "R1", "R1"): 1.0},
         c_max={("R1", "R2", "R2"): 1.0, ("R2", "R1", "R1"): 1.0},
+    )
+    return state, mfd, bounds
+
+
+def three_region_instance(rng):
+    # Three mutually adjacent regions: each boundary carries two destinations
+    # and every split is free inside a random box around a feasible point.
+    regions = ("R1", "R2", "R3")
+    pairs = [(i, j) for i in regions for j in regions]
+    state = MacroState(
+        t=0,
+        n={od: float(rng.uniform(5, 300)) for od in pairs},
+        q={od: float(rng.uniform(0, 30)) for od in pairs},
+        t_macro_s=100.0,
+        regions=regions,
+        adjacency=ADJ3,
+    )
+    mfd = FractionMfd(
+        {r: float(rng.uniform(0.1, 0.6)) for r in regions},
+        {r: float(rng.uniform(300, 900)) for r in regions},
+    )
+    c_min, c_max, c_ref = {}, {}, {}
+    for (i, j) in pairs:
+        if i == j:
+            continue
+        h1, h2 = ADJ3[i]
+        lo = rng.uniform(0.0, 0.4, 2)
+        hi = rng.uniform(0.6, 1.0, 2)
+        for h, a, b in zip((h1, h2), lo, hi):
+            c_min[(i, h, j)], c_max[(i, h, j)] = float(a), float(b)
+        share = float(rng.uniform(max(lo[0], 1 - hi[1]), min(hi[0], 1 - lo[1])))
+        c_ref[(i, h1, j)], c_ref[(i, h2, j)] = share, 1.0 - share
+    keys = [(i, h) for i in regions for h in ADJ3[i]]
+    b_ref = {k: float(rng.uniform(0.2, 0.8)) for k in keys}
+    ref = macrodyn.transfers(state, mfd, b_ref, c_ref).m_boundary
+    type1, _ = macrodyn.completion_split(state, mfd)
+    top = {  # widest flow: gate open, every split at its cap
+        (i, h): sum(c_max[(i, h, j)] * type1[(i, j)] for j in regions if j != i) / 100.0
+        for (i, h) in keys
+    }
+    bounds = ControlBounds(
+        m_min={k: ref[k] * float(rng.uniform(0, 0.9)) for k in keys},
+        m_max={k: ref[k] + (top[k] - ref[k]) * float(rng.uniform(0.1, 1.0)) for k in keys},
+        c_min=c_min,
+        c_max=c_max,
     )
     return state, mfd, bounds
 
@@ -129,13 +182,14 @@ class TestSolve:
     def test_objective_is_tight_max_overshoot(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            state, mfd, bounds = random_instance(rng)
-            sol = solve(state, mfd, bounds)
-            nxt = macrodyn.step(state, mfd, sol.b, sol.c, state.q)
-            overshoot = max(
-                nxt.accumulation(r) - mfd.critical(r) for r in state.regions
-            )
-            assert sol.z == pytest.approx(overshoot, abs=1e-9)
+            for instance in (random_instance, three_region_instance):
+                state, mfd, bounds = instance(rng)
+                sol = solve(state, mfd, bounds)
+                nxt = macrodyn.step(state, mfd, sol.b, sol.c, state.q)
+                overshoot = max(
+                    nxt.accumulation(r) - mfd.critical(r) for r in state.regions
+                )
+                assert sol.z == pytest.approx(overshoot, abs=1e-9)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(100)
@@ -237,11 +291,83 @@ class TestTargets:
     def test_targets_agree_with_solver_flows(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            state, mfd, bounds = random_instance(rng)
-            sol = solve(state, mfd, bounds)
-            m = targets(sol, state, mfd)
-            for key, value in sol.m.items():
-                assert value == pytest.approx(m[key], abs=1e-9)
-            for key in m:
-                assert m[key] >= bounds.m_min[key] - 1e-6
-                assert m[key] <= bounds.m_max[key] + 1e-6
+            for instance in (random_instance, three_region_instance):
+                state, mfd, bounds = instance(rng)
+                sol = solve(state, mfd, bounds)
+                m = targets(sol, state, mfd)
+                for key, value in sol.m.items():
+                    assert value == pytest.approx(m[key], abs=1e-9)
+                for key in m:
+                    assert m[key] >= bounds.m_min[key] - 1e-6
+                    assert m[key] <= bounds.m_max[key] + 1e-6
+
+
+class TestProblem:
+    def test_transfer_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(7)
+        problem = _Problem(*three_region_instance(rng))
+        x = rng.uniform(0.0, 1.0, problem.nv)
+        step = 1e-6
+        numeric = np.column_stack(
+            [
+                (problem.moved(x + step * e) - problem.moved(x - step * e)) / (2 * step)
+                for e in np.eye(problem.nv)
+            ]
+        )
+        assert np.allclose(problem.moved_jac(x), numeric, rtol=1e-7, atol=1e-6)
+
+
+def _kkt_tau_interval(x, v, lo, hi):
+    """The taus for which x == clip(v + tau, lo, hi) holds coordinatewise."""
+    low, high = -np.inf, np.inf
+    for xk, vk, a, b in zip(x, v, lo, hi):
+        if a == b:
+            continue  # fixed coordinate: any tau
+        if xk == a:
+            high = min(high, a - vk)
+        elif xk == b:
+            low = max(low, b - vk)
+        else:
+            low, high = max(low, xk - vk), min(high, xk - vk)
+    return low, high
+
+
+class TestCappedSimplexProjection:
+    def check(self, v, lo, hi):
+        x = _project_capped_simplex(v, lo, hi)
+        assert np.all(x >= lo) and np.all(x <= hi)
+        if lo.sum() > 1.0:
+            assert np.array_equal(x, lo)
+        elif hi.sum() < 1.0:
+            assert np.array_equal(x, hi)
+        else:
+            assert abs(x.sum() - 1.0) <= 1e-12
+            low, high = _kkt_tau_interval(x, v, lo, hi)
+            assert low <= high + 1e-12 * (1.0 + np.abs(v).max())
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 5))
+            lo = rng.uniform(0.0, 0.6, n) * (rng.random(n) < 0.7)
+            hi = lo + rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)  # some lo == hi
+            v = rng.uniform(-1.0, 1.0, n) * rng.choice([0.1, 1.0, 50.0])
+            self.check(v, lo, hi)
+
+    def test_pinned_coordinates(self):
+        lo = np.array([0.3, 0.0, 0.2])
+        hi = np.array([0.3, 1.0, 0.2])
+        x = _project_capped_simplex(np.array([5.0, -3.0, 0.0]), lo, hi)
+        assert np.allclose(x, [0.3, 0.5, 0.2], rtol=0.0, atol=1e-15)
+
+    def test_unreachable_sum_returns_corner(self):
+        v = np.array([0.9, -0.4, 0.2])
+        self.check(v, np.array([0.5, 0.4, 0.3]), np.ones(3))
+        self.check(v, np.zeros(3), np.array([0.3, 0.3, 0.3]))
+
+    def test_far_outside_the_box(self):
+        # the sum-1 shift lies beyond +-2, outside any fixed search bracket
+        v = np.array([-1.46, 1.29, -0.78, -0.69])
+        for w in (v, v - 3.0, v + 3.0, 100.0 * v):
+            self.check(w, np.zeros(4), np.ones(4))
+            self.check(w, np.full(4, 0.1), np.full(4, 0.4))
