@@ -28,6 +28,7 @@ TKey = tuple[str, str, str]
 
 _EMPTY_REGION_VEH = 1.0  # regions below this stock impose no flow constraint
 _FEASIBILITY_TOL = 1e-6
+_Z_TIE = 1e-9  # objective values this close are equal; throughput decides
 
 
 @dataclass(frozen=True)
@@ -335,11 +336,12 @@ def solve(
     """Solve the joint program for one macro step.
 
     Runs deterministic multi-start SQP, projects every candidate back onto
-    the exact feasible boxes/simplices, recomputes the objective exactly at
-    the projected point, and keeps the best by (z, -total flow, start index).
-    Among equal-z optima a refinement pass maximizes total boundary
-    throughput.  Infeasible instances return the least-infeasible point with
-    ``feasible=False`` and the binding constraint in ``message``.
+    the exact feasible boxes/simplices and recomputes the objective exactly
+    at the projected point.  Candidates within ``_Z_TIE`` of the best z are
+    tied; among them the highest total boundary flow wins, then the lowest
+    start index, and a refinement pass raises that flow further while z
+    stays within the tie.  Infeasible instances return the least-infeasible
+    point with ``feasible=False`` and the binding constraint in ``message``.
     """
     state.validate()
     problem = _Problem(state, mfd, bounds)
@@ -368,18 +370,21 @@ def solve(
 
     feasible = [c for c in candidates if c[3] <= _FEASIBILITY_TOL]
     pool = feasible if feasible else candidates
+    z_cap = min(c[0] for c in pool) + _Z_TIE
     z_val, _, start_idx, residual, best = min(
-        pool, key=lambda c: (c[0], c[1], c[2])
+        (c for c in pool if c[0] <= z_cap), key=lambda c: (c[1], c[2])
     )
 
     if feasible and len(problem.env_rows):
         try:
-            res = _sqp(problem, best.copy(), z_cap=z_val + 1e-9)
+            # half the band, so that rounding in the projection cannot lift
+            # the refined z out of it
+            res = _sqp(problem, best.copy(), z_cap=z_cap - 0.5 * _Z_TIE)
             y = problem.project(res.x)
             y[problem.zi] = float(np.max(problem.g(y)))
             if (
                 problem.residual(y) <= _FEASIBILITY_TOL
-                and y[problem.zi] <= z_val + 1e-9
+                and y[problem.zi] <= z_cap
                 and problem.flows(y).sum() > problem.flows(best).sum() + 1e-12
             ):
                 best = y

@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
-from msjc import macrodyn
+from msjc import fixtures, jointctl, macrodyn, runner
 from msjc.jointctl import (
     ControlBounds,
     _Problem,
     _project_capped_simplex,
+    _sqp,
+    _starts,
     route_bounds,
     solve,
     targets,
@@ -244,6 +248,33 @@ class TestSolve:
         assert not sol.feasible
         assert sol.residual > 1e-6
         assert sol.b[("R1", "R2")] == pytest.approx(1.0)  # pushed to the wall
+
+    def test_equal_z_starts_break_toward_throughput(self, monkeypatch):
+        # grid6's first msjc step: several starts reach the same z up to
+        # rounding while their total boundary flows differ several-fold.
+        calls = []
+
+        def recording(*args):
+            calls.append(copy.deepcopy(args))
+            return solve(*args)
+
+        monkeypatch.setattr(jointctl, "solve", recording)
+        runner.run(
+            fixtures.grid6(),
+            runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0),
+        )
+        [(state, mfd, bounds)] = calls
+        sol = solve(state, mfd, bounds)
+        problem = _Problem(state, mfd, bounds)
+        found = []
+        for x0 in _starts(problem, None):
+            x = problem.project(_sqp(problem, x0).x)
+            if problem.residual(x) <= 1e-6:
+                found.append((float(np.max(problem.g(x))), problem.flows(x).sum()))
+        z_best = min(z for z, _ in found)
+        tied = [flow for z, flow in found if z <= z_best + 1e-9]
+        assert len(tied) > 1
+        assert sum(sol.m.values()) >= max(tied) - 1e-9
 
     def test_inactive_od_reports_uniform_split(self):
         state = MacroState(
