@@ -6,7 +6,13 @@ triple) that minimize the worst next-step overshoot of any region's
 accumulation beyond its critical value, subject to boundary flow envelopes
 and per-OD split bounds.  The program is nonconvex (bilinear b*c terms), so
 it is solved by deterministic multi-start SQP and the best local optimum is
-kept; ties in the objective break toward higher total boundary throughput.
+kept; objective values within ``_Z_TIE`` of the best are ties, which break
+toward higher total boundary throughput.
+
+Everything but the bilinear transfer is linear: ``_Problem`` builds the
+region, flow and split-sum matrices and the variable bounds once per macro
+step, and every SQP iterate is projected back onto the split simplices with
+an exact breakpoint projection.
 """
 
 from __future__ import annotations
@@ -202,7 +208,6 @@ class _Problem:
         m = self.flows(x)[self.env_rows]
         c = x[self.c_cols]
         return max(
-            0.0,
             float(np.max(self.m_min - m, initial=0.0)),
             float(np.max(m - self.m_max, initial=0.0)),
             float(np.max(self.c_lo - c, initial=0.0)),
@@ -257,8 +262,7 @@ def _starts(problem: _Problem, extra: np.ndarray | None) -> list[np.ndarray]:
     for _ in range(4):
         x = np.zeros(problem.nv)
         x[: problem.nb] = rng.uniform(0.0, 1.0, problem.nb)
-        if problem.nc:
-            x[problem.c_cols] = rng.uniform(problem.c_lo, problem.c_hi)
+        x[problem.c_cols] = rng.uniform(problem.c_lo, problem.c_hi)
         starts.append(x)
     if extra is not None:
         starts.append(extra)
