@@ -1,7 +1,8 @@
 import pytest
 import yaml
 
-from msjc import cli
+from msjc import cli, mfd
+from test_runner import assert_grid6_calibrated
 
 
 def test_report_keeps_the_throughput_series(tmp_path):
@@ -121,3 +122,12 @@ def test_saved_mfd_runs_like_the_embedded_block(tmp_path, capsys):
     with_file = capsys.readouterr().out
     assert _run_with_mfd(scenario, None, tmp_path) == 0
     assert capsys.readouterr().out == with_file
+
+
+def test_calibrate_writes_an_mfd_file_that_reloads(tmp_path, capsys):
+    scenario = tmp_path / "grid6.yaml"
+    out = tmp_path / "mfd.yaml"
+    assert cli.main(["make-scenario", "grid6", "-o", str(scenario)]) == 0
+    assert cli.main(["calibrate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7  # "wrote", then one line per region
+    assert_grid6_calibrated(mfd.load_mfd(out, ("R1", "R2", "R3", "R4", "R5", "R6")))

@@ -14,6 +14,30 @@ GOLDEN = {
     "bp": (95_810.0, 1610.0),
 }
 
+# grid6, seed 0, bp-lr: total travel time (veh.s), throughput (veh) and the
+# time the network clears (s).
+GRID6_BP_LR = (223_990.0, 1379, 1730.0)
+
+# grid6, seed 0, default demand levels 0.25-1.25: calibrated MFD per region
+# as (b1, b2, b3, n_crit, n_max_fit).  The fit is a LAPACK least-squares
+# solve, so the last digits may depend on the BLAS build.
+GRID6_CALIBRATED = {
+    "R1": (0.014287266560945639, 0.0002071594284302518, -6.01203869851056e-06, 41.88435565644784, 49.4),
+    "R2": (0.015074075582016726, 3.2414138230207234e-05, -1.094603993118161e-06, 63.49999999999999, 63.49999999999999),
+    "R3": (0.013489451764349627, 0.00033320231657913004, -8.235353917096347e-06, 39.9, 39.9),
+    "R4": (0.017042646033313312, 9.37102157710419e-05, -5.973259495203592e-06, 36.50880280412692, 44.599999999999994),
+    "R5": (0.014921882348962546, 3.9853631816401504e-05, -1.3937074925773448e-06, 61.6, 61.6),
+    "R6": (0.015848235050762226, 0.00015264478755149755, -4.332874904574162e-06, 37.599999999999994, 37.599999999999994),
+}
+
+
+def assert_grid6_calibrated(model) -> None:
+    assert model.regions() == tuple(GRID6_CALIBRATED)
+    for region, expected in GRID6_CALIBRATED.items():
+        p = model.params[region]
+        assert (p.b1, p.b2, p.b3, p.n_crit, p.n_max_fit) == pytest.approx(expected, rel=1e-9)
+
+
 CSV_HEADERS = {
     "observations.csv": [
         "step", "time_s", "N_R1", "N_R2", "m_R1_R2", "m_R2_R1",
@@ -61,6 +85,16 @@ def test_golden_corridor2(strategy):
     assert _headline(m) == (ttt, 856, 856, clearance, False)
     again = runner.run(scenario, runner.RunConfig(strategy=strategy, seed=0))
     assert _headline(again) == _headline(m)
+
+
+def test_golden_grid6_bp_lr():
+    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="bp-lr", seed=0))
+    ttt, throughput, clearance = GRID6_BP_LR
+    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+
+
+def test_golden_grid6_calibration():
+    assert_grid6_calibrated(runner.calibrate(fixtures.grid6(), seed=0))
 
 
 @pytest.mark.parametrize("strategy", ["msjc", "bp"])
