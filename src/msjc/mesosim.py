@@ -45,7 +45,7 @@ class _Vehicle:
 
 @dataclass(frozen=True)
 class VehicleView:
-    """Read-only per-vehicle snapshot shipped with each observation."""
+    """Read-only per-vehicle snapshot built by ``Simulator.vehicle_views``."""
 
     id: int
     link: str
@@ -68,7 +68,8 @@ class MicroObservation:
     ``queues``/``arrivals`` describe the end-of-step state (the decision
     inputs for the next step); ``boundary_crossings`` are the exact counts of
     link transitions across each ordered region boundary during the step,
-    expressed in veh/s.
+    expressed in veh/s.  Per-vehicle state is not part of the observation:
+    ``Simulator.vehicle_views()`` builds it on demand.
     """
 
     step: int
@@ -85,7 +86,6 @@ class MicroObservation:
     admitted_od: dict[tuple[str, str], int]
     entry_queue: int
     in_network: int
-    vehicles: tuple[VehicleView, ...]
 
     def queue_total(self) -> int:
         return sum(self.queues.values())
@@ -183,6 +183,9 @@ class Simulator:
         entry queues.  Returns the new vehicle ids."""
         t = step * self.dt
         tt = self.travel_time_estimates()
+        # travel times are fixed within a call, so one route serves every
+        # vehicle of an OD
+        routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
         new_ids: list[int] = []
         for flow in self.scenario.demand.od:
             rate = flow.rate_at(t) * self.demand_scale
@@ -191,12 +194,17 @@ class Simulator:
             if rate <= 0.0:
                 continue
             count = int(self.demand_rng.poisson(rate * self.dt))
+            if count == 0:
+                continue
+            od = (flow.origin, flow.destination)
+            if od not in routes:
+                routes[od] = self.shortest_route(flow.origin, flow.destination, tt)
+            route = routes[od]
+            if route is None:
+                # unreachable ODs are rejected at load; defensive only
+                logger.error("no route %s->%s", flow.origin, flow.destination)
+                continue
             for _ in range(count):
-                route = self.shortest_route(flow.origin, flow.destination, tt)
-                if route is None:
-                    # unreachable ODs are rejected at load; defensive only
-                    logger.error("no route %s->%s", flow.origin, flow.destination)
-                    continue
                 vid = self._next_vid
                 self._next_vid += 1
                 self.vehicles[vid] = _Vehicle(
@@ -410,33 +418,13 @@ class Simulator:
             accumulation[link.region] += self._occupancy[link.id]
 
         od_counts: dict[tuple[str, str], int] = {}
-        views = []
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
+        in_network = 0
+        for v in self.vehicles.values():
             if v.entered_s is None:
                 continue  # still in an entry queue, outside the regions
-            region = self.net.link_region(v.current)
-            od_counts[(region, v.dest_region)] = (
-                od_counts.get((region, v.dest_region), 0) + 1
-            )
-            views.append(
-                VehicleView(
-                    id=vid,
-                    link=v.current,
-                    region=region,
-                    queued=v.queued,
-                    lane=v.lane,
-                    queue_index=(
-                        self._queues[v.lane].index(vid) if v.queued and v.lane else None
-                    ),
-                    remaining_s=v.remaining_s,
-                    route=v.route,
-                    origin=v.origin,
-                    destination=v.destination,
-                    dest_region=v.dest_region,
-                    entered_s=v.entered_s,
-                )
-            )
+            in_network += 1
+            od = (self.net.link_region(v.current), v.dest_region)
+            od_counts[od] = od_counts.get(od, 0) + 1
 
         boundary_rates = {}
         ng_rates = {}
@@ -459,7 +447,34 @@ class Simulator:
             completions_by_region=completions_by_region,
             admitted_od=admitted_od,
             entry_queue=self._entry_total,
-            in_network=len([v for v in self.vehicles.values() if v.entered_s is not None]),
-            vehicles=tuple(views),
+            in_network=in_network,
         )
 
+    def vehicle_views(self) -> tuple[VehicleView, ...]:
+        """Snapshot of every vehicle in the network, by id; vehicles still
+        in an entry queue are left out."""
+        queue_index = {
+            vid: k for queue in self._queues.values() for k, vid in enumerate(queue)
+        }
+        views = []
+        for vid in sorted(self.vehicles):
+            v = self.vehicles[vid]
+            if v.entered_s is None:
+                continue
+            views.append(
+                VehicleView(
+                    id=vid,
+                    link=v.current,
+                    region=self.net.link_region(v.current),
+                    queued=v.queued,
+                    lane=v.lane,
+                    queue_index=queue_index.get(vid),
+                    remaining_s=v.remaining_s,
+                    route=v.route,
+                    origin=v.origin,
+                    destination=v.destination,
+                    dest_region=v.dest_region,
+                    entered_s=v.entered_s,
+                )
+            )
+        return tuple(views)

@@ -180,6 +180,11 @@ class Network:
                 for out in self.lanes[lane_id].output_lanes:
                     nxt.add(self.lanes[out].link)
             self._succ[link.id] = tuple(sorted(nxt))
+        preds: dict[str, list[str]] = {l: [] for l in self.links}
+        for link_id, nxt in self._succ.items():
+            for out in nxt:
+                preds[out].append(link_id)
+        self._pred = {l: tuple(p) for l, p in preds.items()}
 
         # L^p_{i,h}: for each plan and ordered boundary direction, the approach
         # lanes the plan serves whose movement crosses that direction.
@@ -205,6 +210,9 @@ class Network:
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
+
+    def predecessors(self, link_id: str) -> tuple[str, ...]:
+        return self._pred[link_id]
 
     def plan_set(self, i: str, h: str) -> tuple[MultiPhasePlan, ...]:
         return self.plans[boundary_key(i, h)]

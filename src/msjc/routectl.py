@@ -63,10 +63,6 @@ def shortest_paths_to(
 ) -> dict[str, str]:
     """Next-link choice of the minimum-time route toward ``destination`` for
     every link that can reach it (label-setting on the reversed link graph)."""
-    preds: dict[str, list[str]] = {l: [] for l in net.links}
-    for link in net.links:
-        for nxt in net.successors(link):
-            preds[nxt].append(link)
     dist = {destination: travel_times[destination]}
     nxt_choice: dict[str, str] = {}
     heap = [(dist[destination], destination)]
@@ -74,7 +70,7 @@ def shortest_paths_to(
         d, link = heapq.heappop(heap)
         if d > dist.get(link, math.inf):
             continue
-        for prev in preds[link]:
+        for prev in net.predecessors(link):
             nd = d + travel_times[prev]
             better = nd < dist.get(prev, math.inf) - 1e-12
             tie = (

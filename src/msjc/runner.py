@@ -184,7 +184,7 @@ class MsjcStrategy(_TrackedStrategy):
         self._begin_boundaries(ctx)
 
         route_set = routectl.generate_routes(
-            ctx.obs.vehicles, self.net, ctx.travel_times, self.scenario.control.t_micro_s
+            self.sim.vehicle_views(), self.net, ctx.travel_times, self.scenario.control.t_micro_s
         )
         candidates = routectl.candidate_next_regions(route_set)
         c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
@@ -209,7 +209,7 @@ class MsjcStrategy(_TrackedStrategy):
         if not self.active or solution is None:
             return None
         route_set = routectl.generate_routes(
-            obs.vehicles,
+            self.sim.vehicle_views(),
             self.net,
             self.sim.travel_time_estimates(),
             self.scenario.control.t_micro_s,
@@ -289,7 +289,7 @@ class PiStrategy(_TrackedStrategy):
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
         if not self.active or not self.routing:
             return None
-        return _logit_routes(self, obs)
+        return _logit_routes(self)
 
 
 class BpStrategy:
@@ -318,18 +318,18 @@ class BpStrategy:
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
         if not self.active or not self.routing:
             return None
-        return _logit_routes(self, obs)
+        return _logit_routes(self)
 
     def record(self, obs: MicroObservation) -> None:
         pass
 
 
-def _logit_routes(strategy, obs: MicroObservation) -> dict[int, tuple[str, ...]]:
+def _logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     scenario: Scenario = strategy.scenario
     tt = strategy.sim.travel_time_estimates()
-    route_set = routectl.generate_routes(
-        obs.vehicles, strategy.net, tt, scenario.control.t_micro_s
-    )
+    # vehicles on or next to their destination link are pinned to their route
+    free = [v for v in strategy.sim.vehicle_views() if len(v.route) > 2]
+    route_set = routectl.generate_routes(free, strategy.net, tt, scenario.control.t_micro_s)
     assignments: dict[int, tuple[str, ...]] = {}
     for vr in sorted(route_set, key=lambda r: r.vid):
         if vr.pinned or len(vr.routes) == 1:

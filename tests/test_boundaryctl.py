@@ -32,7 +32,6 @@ def mkobs(queues=None, arrivals=None, ng=None, crossings=None, dt=10.0, step=1):
         admitted_od={},
         entry_queue=0,
         in_network=0,
-        vehicles=(),
     )
 
 

@@ -219,3 +219,52 @@ class TestArrivalsProjection:
         # remaining 5 s <= dt: projected to join next step
         assert obs.queues["A_0"] == 0
         assert obs.arrivals["A_0"] == 3.0
+
+
+class TestVehicleViews:
+    def test_staged_vehicles_are_left_out(self):
+        sc = fixtures.corridor2(east_rate=0.5, west_rate=0.5)
+        sim = Simulator(sc, seed=3)
+        staged = set(sim.inject_demand(0))
+        assert staged and sim.vehicle_views() == ()
+        sim.advance({})
+        admitted = {v.id for v in sim.vehicle_views()}
+        assert admitted == {vid for vid in staged if sim.vehicles[vid].entered_s is not None}
+        later = set(sim.inject_demand(sim.step_count))
+        assert later and not later & {v.id for v in sim.vehicle_views()}
+
+    def test_queue_index_is_the_position_in_the_lane(self, single_gate):
+        sim = Simulator(single_gate, seed=0)
+        force_queued(sim, "A_0", 8, ("A", "B"))
+        views = sim.vehicle_views()
+        assert [v.lane for v in views] == ["A_0"] * 8
+        assert [v.queue_index for v in views] == list(range(8))
+        sim.advance({("R1", "R2"): "fwd"})  # serves the first 3
+        assert [v.queue_index for v in sim.vehicle_views() if v.queued] == list(range(5))
+
+    def test_views_agree_with_the_observation_counts(self):
+        sc = fixtures.grid6(horizon_s=400.0)
+        sim = Simulator(sc, seed=6)
+        for _ in range(60):
+            sim.inject_demand(sim.step_count)
+            obs = sim.advance({})
+            views = sim.vehicle_views()
+            assert len(views) == obs.in_network == sum(obs.od_counts.values())
+            assert [v.id for v in views] == sorted(v.id for v in views)
+
+    def test_one_call_routes_every_vehicle_of_an_od_alike(self):
+        sc = fixtures.grid6(horizon_s=600.0)
+        sim = Simulator(sc, seed=6)
+        shared = 0
+        for _ in range(60):
+            tt = sim.travel_time_estimates()
+            by_od: dict[tuple[str, str], list[int]] = {}
+            for vid in sim.inject_demand(sim.step_count):
+                v = sim.vehicles[vid]
+                by_od.setdefault((v.origin, v.destination), []).append(vid)
+            for (origin, destination), vids in by_od.items():
+                route = sim.shortest_route(origin, destination, tt)
+                assert all(sim.vehicles[vid].route == route for vid in vids)
+                shared += len(vids) > 1
+            sim.advance({})
+        assert shared > 0

@@ -57,8 +57,8 @@ class TestGenerateRoutes:
     def test_single_path_network_keeps_one_route(self, single_gate):
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 1, ("A", "B"), remaining=100.0)
-        obs = sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(obs.vehicles, single_gate.network, sim.travel_time_estimates(), 10.0)
+        sim.advance({("R1", "R2"): "none"})
+        routes = generate_routes(sim.vehicle_views(), single_gate.network, sim.travel_time_estimates(), 10.0)
         assert len(routes) == 1
         # one link from the destination: pinned with the current route only
         assert routes[0].pinned
@@ -70,8 +70,8 @@ class TestGenerateRoutes:
         # vehicle heading east on the gated path; gated approach congested
         force_running(sim, 1, ("src1", "f_app", "f_exit", "snk2"), remaining=100.0)
         force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
-        obs = sim.advance({("R1", "R2"): "none"})
-        target = next(v for v in obs.vehicles if v.link == "src1")
+        sim.advance({("R1", "R2"): "none"})
+        target = next(v for v in sim.vehicle_views() if v.link == "src1")
         routes = generate_routes([target], sc.network, sim.travel_time_estimates(), 10.0)
         assert len(routes[0].routes) == 2
         alternative = routes[0].routes[1]
@@ -82,16 +82,16 @@ class TestGenerateRoutes:
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
-        obs = sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(obs.vehicles, sc.network, sim.travel_time_estimates(), 10.0)
+        sim.advance({("R1", "R2"): "none"})
+        routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates(), 10.0)
         assert all(r.routes[0].is_current for r in routes)
 
     def test_stationary_queued_vehicle_projects_to_its_own_link(self):
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
-        obs = sim.advance({("R1", "R2"): "none"})
-        deep = [v for v in obs.vehicles if (v.queue_index or 0) >= 5]
+        sim.advance({("R1", "R2"): "none"})
+        deep = [v for v in sim.vehicle_views() if (v.queue_index or 0) >= 5]
         routes = generate_routes(deep, sc.network, sim.travel_time_estimates(), 10.0)
         for r in routes:
             assert r.routes[0].projected_link == "f_app"
@@ -100,8 +100,8 @@ class TestGenerateRoutes:
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 3, ("f_app", "f_exit", "snk2"))
-        obs = sim.advance({("R1", "R2"): "none"})
-        head = [v for v in obs.vehicles if v.queue_index == 0]
+        sim.advance({("R1", "R2"): "none"})
+        head = [v for v in sim.vehicle_views() if v.queue_index == 0]
         routes = generate_routes(head, sc.network, sim.travel_time_estimates(), 10.0)
         # next link f_exit lies across the boundary: excluded from densities
         assert routes[0].routes[0].projected_link is None
