@@ -2,17 +2,17 @@
 
 Each macro step this module picks gating fractions b (one per ordered
 boundary) and hyper-path splits c (one per region/next-region/destination
-triple) that minimize the worst next-step overshoot of any region's
+triple) that minimize the worst next-step overshoot z of any region's
 accumulation beyond its critical value, subject to boundary flow envelopes
-and per-OD split bounds.  The program is nonconvex (bilinear b*c terms), so
-it is solved by deterministic multi-start SQP and the best local optimum is
-kept; objective values within ``_Z_TIE`` of the best are ties, which break
-toward higher total boundary throughput.
+and per-OD split bounds; among the minimizers it takes the one with the most
+total boundary flow.
 
-Everything but the bilinear transfer is linear: ``_Problem`` builds the
-region, flow and split-sum matrices and the variable bounds once per macro
-step, and every SQP iterate is projected back onto the split simplices with
-an exact breakpoint projection.
+Everything but the bilinear transfer b*c is linear: ``_Problem`` builds the
+linear maps and the variable bounds once per macro step.  With each product
+replaced by a variable held between McCormick's (1976) four planes, the
+program becomes an LP that HiGHS solves exactly.  Its bounds on z and on
+total flow certify the SQP point that ``solve`` returns; an infeasible LP
+certifies an infeasible program.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, OptimizeResult, linprog, minimize
 
-from . import macrodyn
 from .macrodyn import CompletionModel, MacroState
 
 logger = logging.getLogger(__name__)
@@ -34,7 +33,9 @@ TKey = tuple[str, str, str]
 
 _EMPTY_REGION_VEH = 1.0  # regions below this stock impose no flow constraint
 _FEASIBILITY_TOL = 1e-6
-_Z_TIE = 1e-9  # objective values this close are equal; throughput decides
+_Z_TIE = 1e-8  # z band traded for flow; SLSQP's throughput pass can fail in a 1e-9 band
+_Z_GAP_TOL = 1e-7  # times 1 + |z|
+_FLOW_GAP_TOL = 1e-9  # veh/s
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,17 @@ class ControlSolution:
     m: dict[BKey, float]
     residual: float
     feasible: bool
-    start_index: int
+    z_bound: float  # relaxation's minimum of z; NaN when it has no point
+    flow_bound: float  # relaxation's maximum total flow within half the z band
     message: str = ""
+
+    @property
+    def z_gap(self) -> float:
+        return self.z - self.z_bound
+
+    @property
+    def flow_gap(self) -> float:
+        return self.flow_bound - sum(self.m.values())
 
 
 def route_bounds(
@@ -174,6 +184,40 @@ class _Problem:
         self.c_hi = self.ub[self.c_cols]
         self.od_cols = [np.flatnonzero(row) for row in self.split_sum]
 
+        # The relaxation's variables are (b, c, z, w): w stands for moved and
+        # is held above the tangent planes of b*c*kappa at the box corners
+        # (lo, lo) and (hi, hi) and below those at the two mixed corners
+        # (McCormick 1976).
+        pick_w = np.hstack([np.zeros((self.nc, self.nv)), np.eye(self.nc)])
+        over = self.region_map @ pick_w
+        over[:, self.zi] = -1.0
+        env = self.flow_map[self.env_rows] @ pick_w
+        a_ub, b_ub = [over, env, -env], [-self.base, self.m_max, -self.m_min]
+        lo_hi = np.concatenate([self.lb[: self.nb], self.ub[self.nb :]])
+        hi_lo = np.concatenate([self.ub[: self.nb], self.lb[self.nb :]])
+        for sign, corner in ((1.0, self.lb), (1.0, self.ub), (-1.0, lo_hi), (-1.0, hi_lo)):
+            a_ub.append(sign * np.hstack([self.moved_jac(corner), -np.eye(self.nc)]))
+            b_ub.append(sign * self.moved(corner))
+        self.lp_ub = np.vstack(a_ub), np.concatenate(b_ub)
+        n_od = len(self.active_od)
+        self.lp_eq = np.hstack([self.split_sum, np.zeros((n_od, self.nc))]), np.ones(n_od)
+        self.lp_bounds = np.column_stack(
+            [np.append(self.lb, np.zeros(self.nc)), np.append(self.ub, np.full(self.nc, np.inf))]
+        )
+
+    def relaxation(self, z_cap: float | None = None) -> OptimizeResult:
+        """The McCormick LP, solved by HiGHS.  Without ``z_cap`` it minimizes
+        z; with it, it maximizes total boundary flow (``-fun``) subject to
+        z <= z_cap."""
+        cost = np.zeros(self.nv + self.nc)
+        bounds = self.lp_bounds.copy()
+        if z_cap is None:
+            cost[self.zi] = 1.0
+        else:
+            cost[self.nv :] = -self.flow_map.sum(axis=0)
+            bounds[self.zi, 1] = z_cap
+        return linprog(cost, *self.lp_ub, *self.lp_eq, bounds, method="highs")
+
     def moved(self, x: np.ndarray) -> np.ndarray:
         """Vehicles moved per split variable, b*c*kappa."""
         return x[self.c_b] * x[self.c_cols] * self.kappa
@@ -193,15 +237,14 @@ class _Problem:
         """Flow over every boundary in ``b_keys``, veh/s."""
         return self.flow_map @ self.moved(x)
 
-    # -- feasibility --------------------------------------------------------
-
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Clip b into its boxes and project each OD's c onto its bounded
-        simplex; z is recomputed exactly afterwards by the caller."""
+        """Clip b into its boxes, project each OD's c onto its bounded
+        simplex and recompute z exactly at the projected point."""
         y = x.copy()
         y[: self.nb] = np.clip(y[: self.nb], self.lb[: self.nb], self.ub[: self.nb])
         for cols in self.od_cols:
             y[cols] = _project_capped_simplex(y[cols], self.lb[cols], self.ub[cols])
+        y[self.zi] = float(np.max(self.g(y)))
         return y
 
     def residual(self, x: np.ndarray) -> float:
@@ -249,33 +292,9 @@ def _validate_bounds(problem: _Problem) -> str:
     return ""
 
 
-def _starts(problem: _Problem, extra: np.ndarray | None) -> list[np.ndarray]:
-    rng = np.random.Generator(np.random.PCG64(20240601))
-    mid = 0.5 * (problem.c_lo + problem.c_hi)
-    corners = [(1.0, mid), (0.0, mid), (1.0, problem.c_hi), (0.0, problem.c_lo)]
-    starts = []
-    for b0, c0 in corners:
-        x = np.zeros(problem.nv)
-        x[: problem.nb] = b0
-        x[problem.c_cols] = c0
-        starts.append(x)
-    for _ in range(4):
-        x = np.zeros(problem.nv)
-        x[: problem.nb] = rng.uniform(0.0, 1.0, problem.nb)
-        x[problem.c_cols] = rng.uniform(problem.c_lo, problem.c_hi)
-        starts.append(x)
-    if extra is not None:
-        starts.append(extra)
-    out = []
-    for x in starts:
-        y = problem.project(x)
-        y[problem.zi] = float(np.max(problem.g(y)))
-        out.append(y)
-    return out
-
-
-def _sqp(problem: _Problem, x0: np.ndarray, z_cap: float | None = None):
-    """SLSQP from x0.  Without ``z_cap`` it minimizes z; with it, it
+def _sqp(problem: _Problem, x0: np.ndarray, z_cap: float | None = None) -> np.ndarray:
+    """SLSQP from x0, its end point put back through ``project`` (x0 itself
+    if SLSQP fails).  Without ``z_cap`` it minimizes z; with it, it
     maximizes total boundary flow subject to z <= z_cap."""
     z_col = np.zeros(problem.nv)
     z_col[problem.zi] = 1.0
@@ -320,84 +339,72 @@ def _sqp(problem: _Problem, x0: np.ndarray, z_cap: float | None = None):
         fun = lambda x: -problem.flows(x).sum() * scale
         jac = lambda x: -problem.flow_map.sum(axis=0) @ problem.moved_jac(x) * scale
 
-    return minimize(
-        fun,
-        x0,
-        jac=jac,
-        bounds=Bounds(problem.lb, ub),
-        constraints=cons,
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-10},
-    )
+    try:
+        res = minimize(
+            fun,
+            x0,
+            jac=jac,
+            bounds=Bounds(problem.lb, ub),
+            constraints=cons,
+            method="SLSQP",
+            options={"maxiter": 200, "ftol": 1e-10},
+        )
+    except Exception as exc:  # solver hiccup: keep the start point
+        logger.warning("SLSQP failed: %s", exc)
+        return x0.copy()
+    return problem.project(res.x)
 
 
-def solve(
-    state: MacroState,
-    mfd: CompletionModel,
-    bounds: ControlBounds,
-    warm_start: ControlSolution | None = None,
-) -> ControlSolution:
+def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> ControlSolution:
     """Solve the joint program for one macro step.
 
-    Runs deterministic multi-start SQP, projects every candidate back onto
-    the exact feasible boxes/simplices and recomputes the objective exactly
-    at the projected point.  Candidates within ``_Z_TIE`` of the best z are
-    tied; among them the highest total boundary flow wins, then the lowest
-    start index, and a refinement pass raises that flow further while z
-    stays within the tie.  Infeasible instances return the least-infeasible
-    point with ``feasible=False`` and the binding constraint in ``message``.
+    The stage-1 McCormick LP gives ``z_bound`` and a start, its (b, c)
+    projected onto the exact boxes and simplices; one SQP descent from
+    there minimizes z.  The stage-2 LP (max total flow with z held within
+    half of ``_Z_TIE`` above that minimum) gives ``flow_bound``, and a
+    throughput SQP pass raises flow under the same cap, retried from the
+    stage-2 point while the flow gap is open.  A gap above tolerance logs a
+    warning.
+
+    When the relaxation is infeasible, so is the program: one descent from
+    the gates open and the splits at their box midpoints gives the returned
+    point, with ``feasible=False`` and the reason in ``message``.
     """
     state.validate()
     problem = _Problem(state, mfd, bounds)
     message = _validate_bounds(problem)
+    lp = problem.relaxation()
+    if lp.success:
+        x0 = lp.x[: problem.nv]
+    else:
+        message = message or f"McCormick relaxation: {lp.message}"
+        x0 = np.concatenate([np.ones(problem.nb), 0.5 * (problem.c_lo + problem.c_hi), [0.0]])
+    x = _sqp(problem, problem.project(x0))
+    if problem.residual(x) > _FEASIBILITY_TOL and not message:
+        message = "SQP did not reach the feasibility tolerance"
 
-    extra = None
-    if warm_start is not None:
-        extra = np.zeros(problem.nv)
-        for key, n in problem.b_index.items():
-            extra[n] = warm_start.b.get(key, 1.0)
-        for key, n in problem.c_index.items():
-            extra[n] = warm_start.c.get(key, 0.0)
-
-    candidates = []
-    for idx, x0 in enumerate(_starts(problem, extra)):
-        try:
-            res = _sqp(problem, x0)
-            x = problem.project(res.x)
-        except Exception as exc:  # solver hiccup: fall back to the start point
-            logger.warning("start %d failed: %s", idx, exc)
-            x = x0.copy()
-        x[problem.zi] = float(np.max(problem.g(x)))
-        candidates.append(
-            (x[problem.zi], -problem.flows(x).sum(), idx, problem.residual(x), x)
-        )
-
-    feasible = [c for c in candidates if c[3] <= _FEASIBILITY_TOL]
-    pool = feasible if feasible else candidates
-    z_cap = min(c[0] for c in pool) + _Z_TIE
-    z_val, _, start_idx, residual, best = min(
-        (c for c in pool if c[0] <= z_cap), key=lambda c: (c[1], c[2])
-    )
-
-    if feasible and len(problem.env_rows):
-        try:
-            # half the band, so that rounding in the projection cannot lift
-            # the refined z out of it
-            res = _sqp(problem, best.copy(), z_cap=z_cap - 0.5 * _Z_TIE)
-            y = problem.project(res.x)
-            y[problem.zi] = float(np.max(problem.g(y)))
+    z_bound = flow_bound = np.nan
+    if not message:
+        z_bound = lp.fun
+        # z may rise by half the band to gain flow; the other half absorbs
+        # rounding in the projection
+        z_cap = x[problem.zi] + 0.5 * _Z_TIE
+        stage2 = problem.relaxation(z_cap)
+        flow_bound = -stage2.fun if stage2.success else np.nan
+        # a throughput pass from the descent's point, then, while the flow
+        # gap is open, one from the stage-2 point
+        for start in (x, stage2.x):
+            if start is None or flow_bound - problem.flows(x).sum() <= _FLOW_GAP_TOL:
+                break
+            y = _sqp(problem, problem.project(start[: problem.nv]), z_cap)
             if (
                 problem.residual(y) <= _FEASIBILITY_TOL
-                and y[problem.zi] <= z_cap
-                and problem.flows(y).sum() > problem.flows(best).sum() + 1e-12
+                and y[problem.zi] <= z_cap + 0.5 * _Z_TIE
+                and problem.flows(y).sum() > problem.flows(x).sum() + 1e-12
             ):
-                best = y
-                z_val = y[problem.zi]
-                residual = problem.residual(y)
-        except Exception as exc:
-            logger.debug("throughput refinement skipped: %s", exc)
+                x = y
 
-    c_out = {key: float(best[n]) for key, n in problem.c_index.items()}
+    c_out = {key: float(x[n]) for key, n in problem.c_index.items()}
     # inactive ODs: report the uniform split so downstream consumers always
     # see a full simplex per OD
     for (i, j) in sorted(state.n):
@@ -406,27 +413,19 @@ def solve(
             for h in neighbors:
                 c_out[(i, h, j)] = 1.0 / len(neighbors)
 
-    if not feasible and not message:
-        message = "no start reached the feasibility tolerance"
-    if message:
-        logger.warning("joint control infeasible: %s", message)
-
-    return ControlSolution(
-        b={key: float(best[n]) for key, n in problem.b_index.items()},
+    sol = ControlSolution(
+        b={key: float(x[n]) for key, n in problem.b_index.items()},
         c=c_out,
-        z=float(z_val),
-        m={key: float(m) for key, m in zip(problem.b_keys, problem.flows(best))},
-        residual=float(residual),
-        feasible=bool(feasible) and not message,
-        start_index=start_idx,
+        z=float(x[problem.zi]),
+        m={key: float(m) for key, m in zip(problem.b_keys, problem.flows(x))},
+        residual=float(problem.residual(x)),
+        feasible=not message,
+        z_bound=float(z_bound),
+        flow_bound=float(flow_bound),
         message=message,
     )
-
-
-def targets(
-    solution: ControlSolution, state: MacroState, mfd: CompletionModel
-) -> dict[BKey, float]:
-    """Boundary flow targets implied by the returned controls, via the macro
-    transfer bookkeeping."""
-    est = macrodyn.transfers(state, mfd, solution.b, solution.c)
-    return dict(sorted(est.m_boundary.items()))
+    if message:
+        logger.warning("joint control infeasible: %s", message)
+    elif not (sol.z_gap <= _Z_GAP_TOL * (1.0 + abs(sol.z)) and sol.flow_gap <= _FLOW_GAP_TOL):
+        logger.warning("joint control gaps: z %.3g, flow %.3g", sol.z_gap, sol.flow_gap)
+    return sol

@@ -1,19 +1,16 @@
-"""Region-level discrete-time traffic dynamics and transfer bookkeeping.
+"""Region-level traffic state and transfer bookkeeping.
 
 State is kept per ordered region pair: ``n[(i, j)]`` counts vehicles in
-region i whose destination region is j (including i == j).  One macro step
-moves completion flow out of each region and transfers released vehicles to
-their chosen next region, scaled by the gating fractions ``b`` and the
-hyper-path split fractions ``c``.
+region i whose destination region is j (including i == j).  Over one macro
+step each region's completion flow is released, and the released vehicles
+move to their chosen next region, scaled by the gating fractions ``b`` and
+the hyper-path split fractions ``c``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Protocol
-
-logger = logging.getLogger(__name__)
 
 BKey = tuple[str, str]  # ordered (i, h)
 TKey = tuple[str, str, str]  # (i, h, j)
@@ -120,47 +117,3 @@ def transfers(
                 m_crossing[(i, h, j)] = moved / state.t_macro_s
                 m_boundary[(i, h)] += moved / state.t_macro_s
     return TransferEstimate(type1, type2, n_crossing, m_crossing, m_boundary)
-
-
-def step(
-    state: MacroState,
-    mfd: CompletionModel,
-    b: Mapping[BKey, float],
-    c: Mapping[TKey, float],
-    q: Mapping[tuple[str, str], float],
-) -> MacroState:
-    """One macro step of the region dynamics.
-
-    Negative stocks (possible when the completion flow overdraws a bucket at
-    a coarse step) are clamped at zero and logged.
-    """
-    est = transfers(state, mfd, b, c)
-    new_n: dict[tuple[str, str], float] = {}
-    clamped = 0
-    for i in state.regions:
-        for j in state.regions:
-            value = state.n.get((i, j), 0.0) + q.get((i, j), 0.0)
-            if i == j:
-                value -= est.type2[i]
-                for h in state.adjacency[i]:
-                    value += est.n_crossing.get((h, i, i), 0.0)
-            else:
-                for h in state.adjacency[i]:
-                    if h != j:
-                        value += est.n_crossing.get((h, i, j), 0.0)
-                    value -= est.n_crossing.get((i, h, j), 0.0)
-            if value < 0.0:
-                clamped += 1
-                logger.debug("clamped N[%s,%s] = %.6g to 0", i, j, value)
-                value = 0.0
-            new_n[(i, j)] = value
-    if clamped:
-        logger.warning("macro step %d clamped %d negative stocks", state.t, clamped)
-    return MacroState(
-        t=state.t + 1,
-        n=new_n,
-        q={},
-        t_macro_s=state.t_macro_s,
-        regions=state.regions,
-        adjacency=state.adjacency,
-    )

@@ -17,7 +17,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class _Vehicle:
         return self.route[0]
 
 
-@dataclass(frozen=True)
-class VehicleView:
+class VehicleView(NamedTuple):
     """Read-only per-vehicle snapshot built by ``Simulator.vehicle_views``."""
 
     id: int

@@ -400,14 +400,16 @@ def _build_macro_state(
 @dataclass
 class JointRow:
     """Joint program outcome of one macro step; ``joint.csv`` follows these
-    columns with the gating fractions b_i_h and target flows M_i_h."""
+    columns with the gating fractions b_i_h and target flows M_i_h.  The gaps
+    are the distances to the relaxation's bounds (``ControlSolution``)."""
 
     t_index: int
     time_s: float
     z: float
     residual: float
     feasible: bool
-    start_index: int
+    z_gap: float
+    flow_gap: float
 
 
 @dataclass
@@ -506,7 +508,13 @@ class _RunLogs:
             self._joint.writerow(
                 _cells(
                     JointRow(
-                        ctx.t_index, ctx.time_s, sol.z, sol.residual, sol.feasible, sol.start_index
+                        ctx.t_index,
+                        ctx.time_s,
+                        sol.z,
+                        sol.residual,
+                        sol.feasible,
+                        sol.z_gap,
+                        sol.flow_gap,
                     )
                 )
                 + [_fmt(sol.b.get(key, 1.0)) for key in self._boundaries]

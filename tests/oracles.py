@@ -2,12 +2,21 @@
 
 These re-derive expected values from first principles (dense grids,
 exhaustive scans) and deliberately share no code with the solvers they
-check.
+check.  ``step`` and ``targets`` replay the region dynamics and boundary
+targets through ``macrodyn``'s transfer bookkeeping, which the solvers do
+not call.
 """
 
 from __future__ import annotations
 
+import logging
+from typing import Mapping
+
 import numpy as np
+
+from msjc.macrodyn import BKey, CompletionModel, MacroState, TKey, transfers
+
+logger = logging.getLogger(__name__)
 
 
 class FractionMfd:
@@ -100,3 +109,54 @@ def route_choice_grid_search(objective, n_vars, resolution=1e-3):
         k = int(np.argmin(values))  # first minimum in row-major order
         return float(values.flat[k]), (float(xs.flat[k]), float(ys.flat[k]))
     raise ValueError("grid oracle supports at most two free vehicles")
+
+
+def step(
+    state: MacroState,
+    mfd: CompletionModel,
+    b: Mapping[BKey, float],
+    c: Mapping[TKey, float],
+    q: Mapping[tuple[str, str], float],
+) -> MacroState:
+    """One macro step of the region dynamics.
+
+    Negative stocks (possible when the completion flow overdraws a bucket at
+    a coarse step) are clamped at zero and logged.
+    """
+    est = transfers(state, mfd, b, c)
+    new_n: dict[tuple[str, str], float] = {}
+    clamped = 0
+    for i in state.regions:
+        for j in state.regions:
+            value = state.n.get((i, j), 0.0) + q.get((i, j), 0.0)
+            if i == j:
+                value -= est.type2[i]
+                for h in state.adjacency[i]:
+                    value += est.n_crossing.get((h, i, i), 0.0)
+            else:
+                for h in state.adjacency[i]:
+                    if h != j:
+                        value += est.n_crossing.get((h, i, j), 0.0)
+                    value -= est.n_crossing.get((i, h, j), 0.0)
+            if value < 0.0:
+                clamped += 1
+                logger.debug("clamped N[%s,%s] = %.6g to 0", i, j, value)
+                value = 0.0
+            new_n[(i, j)] = value
+    if clamped:
+        logger.warning("macro step %d clamped %d negative stocks", state.t, clamped)
+    return MacroState(
+        t=state.t + 1,
+        n=new_n,
+        q={},
+        t_macro_s=state.t_macro_s,
+        regions=state.regions,
+        adjacency=state.adjacency,
+    )
+
+
+def targets(solution, state: MacroState, mfd: CompletionModel) -> dict[BKey, float]:
+    """Boundary flow targets implied by a solution's controls, via the macro
+    transfer bookkeeping."""
+    est = transfers(state, mfd, solution.b, solution.c)
+    return dict(sorted(est.m_boundary.items()))

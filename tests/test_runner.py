@@ -44,7 +44,7 @@ CSV_HEADERS = {
         "queue_total", "entry_queue", "in_network", "completed", "throughput_cum",
     ],
     "joint.csv": [
-        "t_index", "time_s", "z", "residual", "feasible", "start_index",
+        "t_index", "time_s", "z", "residual", "feasible", "z_gap", "flow_gap",
         "b_R1_R2", "b_R2_R1", "M_R1_R2", "M_R2_R1",
     ],
     "boundary.csv": [
