@@ -18,6 +18,9 @@ GOLDEN = {
 # time the network clears (s).
 GRID6_BP_LR = (223_990.0, 1379, 1730.0)
 
+# grid6, seed 0, mspc-lr (PI gating with logit rerouting): the same three.
+GRID6_MSPC_LR = (325_830.0, 1379, 1870.0)
+
 # grid6, seed 0, default demand levels 0.25-1.25: calibrated MFD per region
 # as (b1, b2, b3, n_crit, n_max_fit).  The fit is a LAPACK least-squares
 # solve, so the last digits may depend on the BLAS build.
@@ -90,6 +93,12 @@ def test_golden_corridor2(strategy):
 def test_golden_grid6_bp_lr():
     m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="bp-lr", seed=0))
     ttt, throughput, clearance = GRID6_BP_LR
+    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+
+
+def test_golden_grid6_mspc_lr():
+    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="mspc-lr", seed=0))
+    ttt, throughput, clearance = GRID6_MSPC_LR
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
 
 
