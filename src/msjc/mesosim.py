@@ -138,18 +138,28 @@ class Simulator:
                     )
                 )
                 self._lane_for_move[(link.id, nxt)] = feasible
+        # constant terms of travel_time_estimates per link: free-flow time,
+        # lanes and summed saturation flow
+        self._tt_terms = [
+            (
+                link.id,
+                link.travel_time_s,
+                link.lanes,
+                sum(self.net.lanes[l].sat_flow_veh_s for l in link.lanes),
+            )
+            for link in self.net.links.values()
+        ]
 
     # ------------------------------------------------------------------
     # Demand
 
     def travel_time_estimates(self) -> dict[str, float]:
         """Instantaneous per-link travel time: free flow plus queue clearance."""
-        out = {}
-        for link in self.net.links.values():
-            queued = sum(len(self._queues[l]) for l in link.lanes)
-            service = sum(self.net.lanes[l].sat_flow_veh_s for l in link.lanes)
-            out[link.id] = link.travel_time_s + queued / service
-        return out
+        queues = self._queues
+        return {
+            link: free_s + sum(len(queues[l]) for l in lanes) / service
+            for link, free_s, lanes, service in self._tt_terms
+        }
 
     def shortest_route(
         self, origin: str, destination: str, travel_times: Mapping[str, float]

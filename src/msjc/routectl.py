@@ -1,12 +1,16 @@
 """Per-vehicle candidate routes and the intra-region route-choice program.
 
 Candidate generation keeps exactly the vehicle's current route and the
-instantaneously shortest route (deduplicated).  The per-region program picks
-route probabilities on each vehicle's simplex so that the realized
-next-region proportions match the hyper-path split targets while the
-predicted end-of-step link densities stay close to the region mean.  With
-at most two candidates per vehicle the program is a bounded-variable least
-squares problem, solved exactly.
+instantaneously shortest route (deduplicated); vehicles that share a start
+link and a destination share one shortest route.  Logit rerouting reads only
+those link candidates.  msjc's programs also need each candidate's upcoming
+region and the link the vehicle is projected to sit on at the end of the
+step; ``annotate_routes`` adds that hyper-path annotation.  The per-region
+program picks route probabilities on each vehicle's simplex so that the
+realized next-region proportions match the hyper-path split targets while
+the predicted end-of-step link densities stay close to the region mean.
+With at most two candidates per vehicle the program is a bounded-variable
+least squares problem, solved exactly.
 """
 
 from __future__ import annotations
@@ -16,28 +20,27 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .mesosim import MicroObservation, VehicleView
+from .mesosim import VehicleView
 from .netmodel import Network, next_region
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CandidateRoute:
+class CandidateRoute(NamedTuple):
     links: tuple[str, ...]
-    next_region: str
-    projected_link: str | None  # None: leaves the region this step (ignored
-    # for densities)
     is_current: bool
+    # hyper-path annotation, set by annotate_routes
+    next_region: str | None = None
+    projected_link: str | None = None  # None: leaves the region this step
+    # (ignored for densities)
 
 
-@dataclass(frozen=True)
-class VehicleRoutes:
+class VehicleRoutes(NamedTuple):
     vid: int
     region: str
     dest_region: str
@@ -68,16 +71,14 @@ def shortest_paths_to(
     heap = [(dist[destination], destination)]
     while heap:
         d, link = heapq.heappop(heap)
-        if d > dist.get(link, math.inf):
+        if d > dist[link]:
             continue
         for prev in net.predecessors(link):
             nd = d + travel_times[prev]
-            better = nd < dist.get(prev, math.inf) - 1e-12
-            tie = (
-                abs(nd - dist.get(prev, math.inf)) <= 1e-12
-                and link < nxt_choice.get(prev, "~")
-            )
-            if better or tie:
+            old = dist.get(prev, math.inf)
+            if nd < old - 1e-12 or (
+                abs(nd - old) <= 1e-12 and link < nxt_choice.get(prev, "~")
+            ):
                 dist[prev] = nd
                 nxt_choice[prev] = link
                 heapq.heappush(heap, (nd, prev))
@@ -100,28 +101,33 @@ def generate_routes(
     vehicles: Sequence[VehicleView],
     net: Network,
     travel_times: Mapping[str, float],
-    dt_s: float,
 ) -> list[VehicleRoutes]:
-    """Candidate route sets for the given vehicles.
+    """Link candidates for the given vehicles: the current route first, then
+    the shortest route when it differs.  The candidates carry no hyper-path
+    annotation (see ``annotate_routes``).
 
-    Vehicles on their destination link or one link away keep their current
-    route only (no routing freedom).  An unreachable destination also pins
-    the current route and is flagged.
+    Travel times are fixed within a call, so one shortest route serves every
+    vehicle with the same start link and destination.  Vehicles on their
+    destination link or one link away keep their current route only (no
+    routing freedom).  An unreachable destination also pins the current
+    route and is flagged.
     """
-    nxt_cache: dict[str, dict[str, str]] = {}
+    trees: dict[str, dict[str, str]] = {}
+    shortest: dict[tuple[str, str], tuple[str, ...] | None] = {}
     out: list[VehicleRoutes] = []
     for v in vehicles:
-        current = v.route
-        pinned = len(current) <= 2
+        routes = (CandidateRoute(v.route, True),)
         unreachable = False
-        candidates = [current]
-        if not pinned:
-            if v.destination not in nxt_cache:
-                nxt_cache[v.destination] = shortest_paths_to(
-                    net, v.destination, travel_times
-                )
-            shortest = _shortest_route(v.link, v.destination, nxt_cache[v.destination])
-            if shortest is None:
+        if len(v.route) > 2:
+            key = (v.link, v.destination)
+            if key not in shortest:
+                if v.destination not in trees:
+                    trees[v.destination] = shortest_paths_to(
+                        net, v.destination, travel_times
+                    )
+                shortest[key] = _shortest_route(v.link, v.destination, trees[v.destination])
+            best = shortest[key]
+            if best is None:
                 unreachable = True
                 logger.warning(
                     "vehicle %d: destination %s unreachable from %s",
@@ -129,28 +135,35 @@ def generate_routes(
                     v.destination,
                     v.link,
                 )
-            elif shortest != current:
-                candidates.append(shortest)
-        routes = tuple(
-            CandidateRoute(
-                links=r,
-                next_region=next_region(r, net),
-                projected_link=_projected_link(v, r, net, dt_s),
-                is_current=(r == current),
-            )
-            for r in candidates
-        )
+            elif best != v.route:
+                routes += (CandidateRoute(best, False),)
         out.append(
-            VehicleRoutes(
-                vid=v.id,
-                region=v.region,
-                dest_region=v.dest_region,
-                routes=routes,
-                pinned=pinned or unreachable or len(routes) == 1,
-                unreachable=unreachable,
-            )
+            VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1, unreachable)
         )
     return out
+
+
+def annotate_routes(
+    vehicles: Sequence[VehicleView],
+    route_set: Sequence[VehicleRoutes],
+    net: Network,
+    dt_s: float,
+) -> list[VehicleRoutes]:
+    """``route_set``, generated for ``vehicles`` in the same order, with each
+    candidate's upcoming region and projected end-of-step link filled in:
+    the inputs of ``candidate_next_regions`` and ``solve_probabilities``."""
+    return [
+        vr._replace(
+            routes=tuple(
+                r._replace(
+                    next_region=next_region(r.links, net),
+                    projected_link=_projected_link(v, r.links, net, dt_s),
+                )
+                for r in vr.routes
+            )
+        )
+        for v, vr in zip(vehicles, route_set, strict=True)
+    ]
 
 
 def _projected_link(

@@ -176,6 +176,11 @@ class _TrackedStrategy:
 class MsjcStrategy(_TrackedStrategy):
     """Joint gating/routing optimization on top of the tracking controller."""
 
+    def _annotated_routes(self, travel_times: Mapping[str, float]) -> list[routectl.VehicleRoutes]:
+        views = self.sim.vehicle_views()
+        route_set = routectl.generate_routes(views, self.net, travel_times)
+        return routectl.annotate_routes(views, route_set, self.net, self.scenario.control.t_micro_s)
+
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
         self.macro = MacroRecord()
@@ -183,10 +188,7 @@ class MsjcStrategy(_TrackedStrategy):
             return
         self._begin_boundaries(ctx)
 
-        route_set = routectl.generate_routes(
-            self.sim.vehicle_views(), self.net, ctx.travel_times, self.scenario.control.t_micro_s
-        )
-        candidates = routectl.candidate_next_regions(route_set)
+        candidates = routectl.candidate_next_regions(self._annotated_routes(ctx.travel_times))
         c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
         for (i, j) in list(ctx.state.n):
             if i == j:
@@ -208,12 +210,7 @@ class MsjcStrategy(_TrackedStrategy):
         solution = self.macro.solution
         if not self.active or solution is None:
             return None
-        route_set = routectl.generate_routes(
-            self.sim.vehicle_views(),
-            self.net,
-            self.sim.travel_time_estimates(),
-            self.scenario.control.t_micro_s,
-        )
+        route_set = self._annotated_routes(self.sim.travel_time_estimates())
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
             in_region = [vr for vr in route_set if vr.region == region]
@@ -329,10 +326,10 @@ def _logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     tt = strategy.sim.travel_time_estimates()
     # vehicles on or next to their destination link are pinned to their route
     free = [v for v in strategy.sim.vehicle_views() if len(v.route) > 2]
-    route_set = routectl.generate_routes(free, strategy.net, tt, scenario.control.t_micro_s)
+    route_set = routectl.generate_routes(free, strategy.net, tt)
     assignments: dict[int, tuple[str, ...]] = {}
     for vr in sorted(route_set, key=lambda r: r.vid):
-        if vr.pinned or len(vr.routes) == 1:
+        if vr.pinned:
             continue
         times = [route_travel_time(r.links, tt) for r in vr.routes]
         phi = logit_choice(times, scenario.control.logit_theta)

@@ -3,18 +3,25 @@
 These re-derive expected values from first principles (dense grids,
 exhaustive scans) and deliberately share no code with the solvers they
 check.  ``step`` and ``targets`` replay the region dynamics and boundary
-targets through ``macrodyn``'s transfer bookkeeping, which the solvers do
-not call.
+targets through the transfer bookkeeping below (``transfers``), which the
+solvers do not call.  ``per_vehicle_candidates`` rebuilds what
+``routectl.generate_routes`` shares across vehicles, one shortest-path tree
+and route per vehicle.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from msjc.macrodyn import BKey, CompletionModel, MacroState, TKey, transfers
+from msjc import routectl
+from msjc.jointctl import BKey, TKey
+from msjc.macrodyn import CompletionModel, MacroState
+from msjc.mesosim import VehicleView
+from msjc.netmodel import Network, next_region
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +118,81 @@ def route_choice_grid_search(objective, n_vars, resolution=1e-3):
     raise ValueError("grid oracle supports at most two free vehicles")
 
 
+@dataclass(frozen=True)
+class TransferEstimate:
+    type1: dict[tuple[str, str], float]  # released-at-boundary stock per (i, j)
+    type2: dict[str, float]  # internal completions per region
+    n_crossing: dict[TKey, float]  # veh transferred per (i, h, j)
+    m_crossing: dict[TKey, float]  # veh/s per (i, h, j)
+    m_boundary: dict[BKey, float]  # veh/s per ordered boundary
+
+
+def completion_split(
+    state: MacroState, mfd: CompletionModel
+) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
+    """Split each region's completion flow into boundary-ready stock per
+    destination (type I) and internal completions (type II), in vehicles per
+    macro step.  Empty regions contribute zero."""
+    type1: dict[tuple[str, str], float] = {}
+    type2: dict[str, float] = {}
+    for i in state.regions:
+        n_i = state.accumulation(i)
+        if n_i <= 0.0:
+            type2[i] = 0.0
+            for j in state.regions:
+                if j != i:
+                    type1[(i, j)] = 0.0
+            continue
+        total = mfd.evaluate(i, n_i) * state.t_macro_s
+        type2[i] = state.n.get((i, i), 0.0) / n_i * total
+        for j in state.regions:
+            if j != i:
+                type1[(i, j)] = state.n.get((i, j), 0.0) / n_i * total
+    return type1, type2
+
+
+def _check_controls(
+    state: MacroState, b: Mapping[BKey, float], c: Mapping[TKey, float]
+) -> None:
+    for key, value in b.items():
+        if not -1e-9 <= value <= 1.0 + 1e-9:
+            raise ValueError(f"b{key} = {value} outside [0, 1]")
+    sums: dict[tuple[str, str], float] = {}
+    for (i, h, j), value in c.items():
+        if value < -1e-9:
+            raise ValueError(f"c{(i, h, j)} = {value} negative")
+        sums[(i, j)] = sums.get((i, j), 0.0) + value
+    for (i, j), total in sums.items():
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"sum_h c[{i},h,{j}] = {total} != 1")
+
+
+def transfers(
+    state: MacroState,
+    mfd: CompletionModel,
+    b: Mapping[BKey, float],
+    c: Mapping[TKey, float],
+) -> TransferEstimate:
+    """Boundary transfers implied by controls (b, c) on the current state."""
+    _check_controls(state, b, c)
+    type1, type2 = completion_split(state, mfd)
+    n_crossing: dict[TKey, float] = {}
+    m_crossing: dict[TKey, float] = {}
+    m_boundary: dict[BKey, float] = {}
+    for i in state.regions:
+        for h in state.adjacency[i]:
+            m_boundary[(i, h)] = 0.0
+            for j in state.regions:
+                if j == i:
+                    continue
+                released = type1.get((i, j), 0.0)
+                moved = b.get((i, h), 0.0) * c.get((i, h, j), 0.0) * released
+                n_crossing[(i, h, j)] = moved
+                m_crossing[(i, h, j)] = moved / state.t_macro_s
+                m_boundary[(i, h)] += moved / state.t_macro_s
+    return TransferEstimate(type1, type2, n_crossing, m_crossing, m_boundary)
+
+
 def step(
     state: MacroState,
     mfd: CompletionModel,
@@ -160,3 +242,30 @@ def targets(solution, state: MacroState, mfd: CompletionModel) -> dict[BKey, flo
     transfer bookkeeping."""
     est = transfers(state, mfd, solution.b, solution.c)
     return dict(sorted(est.m_boundary.items()))
+
+
+def per_vehicle_candidates(
+    vehicles: Sequence[VehicleView],
+    net: Network,
+    travel_times: Mapping[str, float],
+    dt_s: float,
+) -> list[tuple[list[tuple], bool]]:
+    """Candidate routes of each vehicle with nothing shared between vehicles:
+    a fresh shortest-path tree and route per vehicle.  Per vehicle, returns
+    ([(links, is_current, next_region, projected_link), ...], pinned)."""
+    out = []
+    for v in vehicles:
+        candidates = [v.route]
+        unreachable = False
+        if len(v.route) > 2:
+            tree = routectl.shortest_paths_to(net, v.destination, travel_times)
+            best = routectl._shortest_route(v.link, v.destination, tree)
+            unreachable = best is None
+            if best is not None and best != v.route:
+                candidates.append(best)
+        annotated = [
+            (r, r == v.route, next_region(r, net), routectl._projected_link(v, r, net, dt_s))
+            for r in candidates
+        ]
+        out.append((annotated, unreachable or len(candidates) == 1))
+    return out

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from msjc import fixtures, jointctl, macrodyn, runner
+from msjc import fixtures, jointctl, runner
 from msjc.jointctl import ControlBounds, _Problem, _project_capped_simplex, route_bounds, solve
 from msjc.macrodyn import MacroState
 
-from oracles import FractionMfd, step, targets, two_region_grid_search
+from oracles import FractionMfd, completion_split, step, targets, transfers, two_region_grid_search
 
 ADJ2 = {"R1": ("R2",), "R2": ("R1",)}
 ADJ3 = {"R1": ("R2", "R3"), "R2": ("R1", "R3"), "R3": ("R1", "R2")}
@@ -95,8 +95,8 @@ def three_region_instance(rng):
         c_ref[(i, h1, j)], c_ref[(i, h2, j)] = share, 1.0 - share
     keys = [(i, h) for i in regions for h in ADJ3[i]]
     b_ref = {k: float(rng.uniform(0.2, 0.8)) for k in keys}
-    ref = macrodyn.transfers(state, mfd, b_ref, c_ref).m_boundary
-    type1, _ = macrodyn.completion_split(state, mfd)
+    ref = transfers(state, mfd, b_ref, c_ref).m_boundary
+    type1, _ = completion_split(state, mfd)
     top = {  # widest flow: gate open, every split at its cap
         (i, h): sum(c_max[(i, h, j)] * type1[(i, j)] for j in regions if j != i)
         / state.t_macro_s
@@ -136,7 +136,7 @@ def sample_feasible_controls(rng, state, mfd, bounds):
         c[(i, hs[0], j)] = float(rng.uniform(lo, hi))
         c[(i, hs[1], j)] = 1.0 - c[(i, hs[0], j)]
     gates = {(i, h): 1.0 for i in state.regions for h in state.adjacency[i]}
-    open_flow = macrodyn.transfers(state, mfd, gates, c).m_boundary
+    open_flow = transfers(state, mfd, gates, c).m_boundary
     b = {}
     for key, flow in open_flow.items():
         lo, hi = bounds.m_min[key] / flow, min(1.0, bounds.m_max[key] / flow)
@@ -335,7 +335,7 @@ class TestTargets:
         sol = solve(state, mfd, wide_bounds())
         sol.b = {k: 1.0 for k in sol.b}
         m = targets(sol, state, mfd)
-        type1, _ = macrodyn.completion_split(state, mfd)
+        type1, _ = completion_split(state, mfd)
         assert m[("R1", "R2")] == pytest.approx(type1[("R1", "R2")] / 100.0)
 
     def test_targets_agree_with_solver_flows(self):
@@ -370,7 +370,7 @@ class TestRelaxation:
                 for b, c in [s for s in samples if s is not None] + [(sol.b, sol.c)]:
                     nxt = step(state, mfd, b, c, state.q)
                     z = max(nxt.accumulation(r) - mfd.critical(r) for r in state.regions)
-                    flow = sum(macrodyn.transfers(state, mfd, b, c).m_boundary.values())
+                    flow = sum(transfers(state, mfd, b, c).m_boundary.values())
                     assert sol.z_bound <= z + 1e-9 * (1.0 + abs(z))
                     assert -problem.relaxation(z + 1e-9).fun >= flow - 1e-9
                     if z <= sol.z:

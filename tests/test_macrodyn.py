@@ -3,9 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from msjc.macrodyn import MacroState, completion_split, transfers
+from msjc.macrodyn import MacroState
 
-from oracles import step
+from oracles import completion_split, step, transfers
 
 
 class StubMfd:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from msjc.netmodel import scenario_from_dict
 from msjc.routectl import (
     CandidateRoute,
     VehicleRoutes,
+    annotate_routes,
     assign_routes,
     candidate_next_regions,
     density_fields,
@@ -15,7 +18,7 @@ from msjc.routectl import (
 from msjc import fixtures
 
 from conftest import make_single_gate
-from oracles import route_choice_grid_search
+from oracles import per_vehicle_candidates, route_choice_grid_search
 from test_mesosim import force_queued, force_running
 
 
@@ -58,7 +61,7 @@ class TestGenerateRoutes:
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 1, ("A", "B"), remaining=100.0)
         sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(sim.vehicle_views(), single_gate.network, sim.travel_time_estimates(), 10.0)
+        routes = generate_routes(sim.vehicle_views(), single_gate.network, sim.travel_time_estimates())
         assert len(routes) == 1
         # one link from the destination: pinned with the current route only
         assert routes[0].pinned
@@ -72,7 +75,7 @@ class TestGenerateRoutes:
         force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
         target = next(v for v in sim.vehicle_views() if v.link == "src1")
-        routes = generate_routes([target], sc.network, sim.travel_time_estimates(), 10.0)
+        routes = generate_routes([target], sc.network, sim.travel_time_estimates())
         assert len(routes[0].routes) == 2
         alternative = routes[0].routes[1]
         assert alternative.links == ("src1", "f_app_ng", "f_exit_ng", "snk2")
@@ -83,28 +86,44 @@ class TestGenerateRoutes:
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates(), 10.0)
+        routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates())
         assert all(r.routes[0].is_current for r in routes)
 
-    def test_stationary_queued_vehicle_projects_to_its_own_link(self):
+    def test_unreachable_destination_pins_flags_and_warns(self, caplog):
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
-        force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
-        sim.advance({("R1", "R2"): "none"})
-        deep = [v for v in sim.vehicle_views() if (v.queue_index or 0) >= 5]
-        routes = generate_routes(deep, sc.network, sim.travel_time_estimates(), 10.0)
-        for r in routes:
-            assert r.routes[0].projected_link == "f_app"
+        # src1 is a source link: no path leads into it
+        force_running(sim, 1, ("src2", "r_app", "src1"), remaining=100.0)
+        with caplog.at_level(logging.WARNING, logger="msjc.routectl"):
+            routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates())
+        assert routes[0].pinned and routes[0].unreachable
+        assert [r.links for r in routes[0].routes] == [("src2", "r_app", "src1")]
+        assert any("unreachable" in r.getMessage() for r in caplog.records)
 
-    def test_queue_head_crossing_is_ignored_for_density(self):
-        sc = fixtures.corridor2()
+    def test_candidates_match_a_per_vehicle_oracle_on_a_loaded_grid(self):
+        sc = fixtures.grid6()
         sim = Simulator(sc, seed=0)
-        force_queued(sim, "f_app_0", 3, ("f_app", "f_exit", "snk2"))
-        sim.advance({("R1", "R2"): "none"})
-        head = [v for v in sim.vehicle_views() if v.queue_index == 0]
-        routes = generate_routes(head, sc.network, sim.travel_time_estimates(), 10.0)
-        # next link f_exit lies across the boundary: excluded from densities
-        assert routes[0].routes[0].projected_link is None
+        while sim.time_s < 800.0:
+            sim.inject_demand(sim.step_count)
+            sim.advance({})
+        views = sim.vehicle_views()
+        tt = sim.travel_time_estimates()
+        expected = per_vehicle_candidates(views, sc.network, tt, sc.control.t_micro_s)
+        routes = generate_routes(views, sc.network, tt)
+        annotated = annotate_routes(views, routes, sc.network, sc.control.t_micro_s)
+        assert [vr.vid for vr in routes] == [v.id for v in views]
+        for vr, ar, (candidates, pinned) in zip(routes, annotated, expected):
+            assert [(r.links, r.is_current) for r in vr.routes] == [c[:2] for c in candidates]
+            assert vr.pinned == pinned and not vr.unreachable
+            assert [(r.next_region, r.projected_link) for r in ar.routes] == [
+                c[2:] for c in candidates
+            ]
+            assert ar._replace(routes=()) == vr._replace(routes=())
+        # the grid is loaded enough that routes are shared and rerouting has
+        # something to offer
+        free = [v for v in views if len(v.route) > 2]
+        assert len({(v.link, v.destination) for v in free}) < len(free)
+        assert any(len(vr.routes) == 2 for vr in routes)
 
     def test_candidate_next_regions_grouping(self):
         routes = [
@@ -114,6 +133,43 @@ class TestGenerateRoutes:
         ]
         cand = candidate_next_regions(routes)
         assert cand == {("R1", "R9"): [frozenset({"R2", "R3"}), frozenset({"R2"})]}
+
+
+class TestAnnotateRoutes:
+    def test_stationary_queued_vehicle_projects_to_its_own_link(self):
+        sc = fixtures.corridor2()
+        sim = Simulator(sc, seed=0)
+        force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
+        sim.advance({("R1", "R2"): "none"})
+        deep = [v for v in sim.vehicle_views() if (v.queue_index or 0) >= 5]
+        routes = generate_routes(deep, sc.network, sim.travel_time_estimates())
+        routes = annotate_routes(deep, routes, sc.network, 10.0)
+        for r in routes:
+            assert r.routes[0].projected_link == "f_app"
+
+    def test_queue_head_crossing_is_ignored_for_density(self):
+        sc = fixtures.corridor2()
+        sim = Simulator(sc, seed=0)
+        force_queued(sim, "f_app_0", 3, ("f_app", "f_exit", "snk2"))
+        sim.advance({("R1", "R2"): "none"})
+        head = [v for v in sim.vehicle_views() if v.queue_index == 0]
+        routes = generate_routes(head, sc.network, sim.travel_time_estimates())
+        routes = annotate_routes(head, routes, sc.network, 10.0)
+        # next link f_exit lies across the boundary: excluded from densities
+        assert routes[0].routes[0].projected_link is None
+
+    def test_each_candidate_projects_along_its_own_route(self):
+        sc = fixtures.corridor2()
+        sim = Simulator(sc, seed=0)
+        force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
+        force_queued(sim, "src1_0", 1, ("src1", "f_app", "f_exit", "snk2"))
+        head = [v for v in sim.vehicle_views() if v.link == "src1"]
+        routes = generate_routes(head, sc.network, sim.travel_time_estimates())
+        routes = annotate_routes(head, routes, sc.network, 10.0)
+        assert [(r.next_region, r.projected_link) for r in routes[0].routes] == [
+            ("R2", "f_app"),
+            ("R2", "f_app_ng"),
+        ]
 
 
 class TestDensityFields:
