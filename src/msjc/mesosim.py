@@ -138,17 +138,6 @@ class Simulator:
                     )
                 )
                 self._lane_for_move[(link.id, nxt)] = feasible
-        # constant terms of travel_time_estimates per link: free-flow time,
-        # lanes and summed saturation flow
-        self._tt_terms = [
-            (
-                link.id,
-                link.travel_time_s,
-                link.lanes,
-                sum(self.net.lanes[l].sat_flow_veh_s for l in link.lanes),
-            )
-            for link in self.net.links.values()
-        ]
 
     # ------------------------------------------------------------------
     # Demand
@@ -158,7 +147,7 @@ class Simulator:
         queues = self._queues
         return {
             link: free_s + sum(len(queues[l]) for l in lanes) / service
-            for link, free_s, lanes, service in self._tt_terms
+            for link, free_s, lanes, service in self.net.travel_time_terms
         }
 
     def shortest_route(

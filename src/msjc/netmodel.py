@@ -172,14 +172,22 @@ class Network:
         self.intersections = dict(sorted(intersections.items()))
         self.plans = {k: tuple(v) for k, v in sorted(plans.items())}
 
-        # Link successors via lane wiring (prunes movements the lanes forbid).
+        # Link successors via lane wiring (prunes movements the lanes forbid),
+        # and per link the constant terms of a travel-time estimate: id,
+        # free-flow time, lanes and summed lane saturation flow.
         self._succ: dict[str, tuple[str, ...]] = {}
+        travel_time_terms = []
         for link in self.links.values():
             nxt: set[str] = set()
+            service = 0.0
             for lane_id in link.lanes:
-                for out in self.lanes[lane_id].output_lanes:
+                lane = self.lanes[lane_id]
+                service += lane.sat_flow_veh_s
+                for out in lane.output_lanes:
                     nxt.add(self.lanes[out].link)
             self._succ[link.id] = tuple(sorted(nxt))
+            travel_time_terms.append((link.id, link.travel_time_s, link.lanes, service))
+        self.travel_time_terms = tuple(travel_time_terms)
         preds: dict[str, list[str]] = {l: [] for l in self.links}
         for link_id, nxt in self._succ.items():
             for out in nxt:
