@@ -100,6 +100,46 @@ class TestGenerateRoutes:
         assert [r.links for r in routes[0].routes] == [("src2", "r_app", "src1")]
         assert any("unreachable" in r.getMessage() for r in caplog.records)
 
+    def test_rerouting_keeps_the_injected_route_on_an_exact_tie(self):
+        # a -> b1 -> c1 -> d and a -> b2 -> c0 -> d cost the same; a is long
+        # enough that the vehicle is still on it after one step
+        links = {
+            "a": ("n0", "n1", 300.0),
+            "b1": ("n1", "n2", 100.0),
+            "b2": ("n1", "n3", 100.0),
+            "c1": ("n2", "n4", 100.0),
+            "c0": ("n3", "n4", 100.0),
+            "d": ("n4", "n5", 100.0),
+        }
+        raw = {
+            "regions": {"R1": {"neighbors": []}},
+            "links": {
+                k: {"from": f, "to": t, "region": "R1", "length_m": m, "lanes": 1}
+                for k, (f, t, m) in links.items()
+            },
+            "intersections": {},
+            "plans": {},
+            "demand": {
+                "horizon_s": 10.0,
+                "warmup_s": 0.0,
+                "od": [{"origin": "a", "destination": "d", "rate_veh_s": 0.1}],
+            },
+            "control": {},
+        }
+        sc = scenario_from_dict(raw)
+        sim = Simulator(sc, seed=0)
+        injected = []
+        while not injected:
+            injected = sim.inject_demand(0)
+        route = sim.vehicles[injected[0]].route
+        assert len(route) == 4
+        sim.advance({})
+        views = sim.vehicle_views()
+        assert [v.id for v in views] == injected and all(v.link == "a" for v in views)
+        for vr in generate_routes(views, sc.network, sim.travel_time_estimates()):
+            assert [r.links for r in vr.routes] == [route]
+            assert vr.pinned
+
     def test_candidates_match_a_per_vehicle_oracle_on_a_loaded_grid(self):
         sc = fixtures.grid6()
         sim = Simulator(sc, seed=0)
