@@ -4,8 +4,9 @@ Links are point queues: a vehicle traverses a link at free-flow speed, then
 waits in a vertical queue at the stop line until a lane serves it.  Service
 per lane and step is min(queued + arrived, saturation flow * dt, downstream
 space), with gating approaches served only when the activated multi-phase
-plan allows their lane.  Vehicles follow their routes link by link; blocked
-vehicles are never removed.
+plan allows their lane.  Vehicles enter on the shortest route by the search
+rerouting uses (``netmodel.shortest_paths_to``) and follow their routes link
+by link; blocked vehicles are never removed.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -13,7 +14,6 @@ produce an identical observation trace.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .netmodel import GATING, NON_GATING, MultiPhasePlan, Network, Scenario
+from .netmodel import route_from, shortest_paths_to
 
 logger = logging.getLogger(__name__)
 
@@ -114,30 +115,12 @@ class Simulator:
         self._running: dict[str, list[int]] = {l: [] for l in self.net.links}
         self._queues: dict[str, list[int]] = {l: [] for l in self.net.lanes}
         self._occupancy: dict[str, int] = {l: 0 for l in self.net.links}
-        self._storage = {
-            link.id: sum(self.net.lanes[l].capacity_veh for l in link.lanes)
-            for link in self.net.links.values()
-        }
         self._entry: dict[str, list[int]] = {}
         self._entry_total = 0
 
         self.created_total = 0
         self.admitted_total = 0
         self.completed_total = 0
-
-        # feasible lanes per (link, next link)
-        self._lane_for_move: dict[tuple[str, str], tuple[str, ...]] = {}
-        for link in self.net.links.values():
-            for nxt in self.net.successors(link.id):
-                feasible = tuple(
-                    lid
-                    for lid in link.lanes
-                    if any(
-                        self.net.lanes[out].link == nxt
-                        for out in self.net.lanes[lid].output_lanes
-                    )
-                )
-                self._lane_for_move[(link.id, nxt)] = feasible
 
     # ------------------------------------------------------------------
     # Demand
@@ -151,40 +134,20 @@ class Simulator:
         }
 
     def shortest_route(
-        self, origin: str, destination: str, travel_times: Mapping[str, float]
-    ) -> tuple[str, ...] | None:
-        """Minimum-travel-time link route from origin to destination
-        (label-setting over the link graph; deterministic tie-break)."""
-        dist = {origin: 0.0}
-        parent: dict[str, str] = {}
-        heap: list[tuple[float, str]] = [(0.0, origin)]
-        while heap:
-            d, link = heapq.heappop(heap)
-            if link == destination:
-                route = [link]
-                while link in parent:
-                    link = parent[link]
-                    route.append(link)
-                return tuple(reversed(route))
-            if d > dist.get(link, math.inf):
-                continue
-            for nxt in self.net.successors(link):
-                nd = d + travel_times[nxt]
-                if nd < dist.get(nxt, math.inf) - 1e-12:
-                    dist[nxt] = nd
-                    parent[nxt] = link
-                    heapq.heappush(heap, (nd, nxt))
-        return None
+        self, destination: str, origins: Sequence[str], travel_times: Mapping[str, float]
+    ) -> dict[str, tuple[str, ...] | None]:
+        """Minimum-travel-time link route from each of ``origins`` to
+        ``destination`` (None: unreachable), from one search stopped once the
+        origins are settled (``netmodel.shortest_paths_to``)."""
+        nxt_choice = shortest_paths_to(self.net, destination, travel_times, origins)
+        return {o: route_from(o, destination, nxt_choice) for o in origins}
 
     def inject_demand(self, step: int) -> list[int]:
         """Draw Poisson arrivals for micro step ``step`` and stage them in the
         entry queues.  Returns the new vehicle ids."""
         t = step * self.dt
         tt = self.travel_time_estimates()
-        # travel times are fixed within a call, so one route serves every
-        # vehicle of an OD
-        routes: dict[tuple[str, str], tuple[str, ...] | None] = {}
-        new_ids: list[int] = []
+        arriving = []
         for flow in self.scenario.demand.od:
             rate = flow.rate_at(t) * self.demand_scale
             if t >= self.scenario.demand.horizon_s:
@@ -192,12 +155,21 @@ class Simulator:
             if rate <= 0.0:
                 continue
             count = int(self.demand_rng.poisson(rate * self.dt))
-            if count == 0:
-                continue
-            od = (flow.origin, flow.destination)
-            if od not in routes:
-                routes[od] = self.shortest_route(flow.origin, flow.destination, tt)
-            route = routes[od]
+            if count > 0:
+                arriving.append((flow, count))
+        # travel times are fixed within a call, so one search per destination
+        # routes every vehicle of its ODs
+        origins: dict[str, list[str]] = {}
+        for flow, _ in arriving:
+            origins.setdefault(flow.destination, []).append(flow.origin)
+        routes = {
+            (origin, destination): route
+            for destination, starts in origins.items()
+            for origin, route in self.shortest_route(destination, starts, tt).items()
+        }
+        new_ids: list[int] = []
+        for flow, count in arriving:
+            route = routes[(flow.origin, flow.destination)]
             if route is None:
                 # unreachable ODs are rejected at load; defensive only
                 logger.error("no route %s->%s", flow.origin, flow.destination)
@@ -251,15 +223,10 @@ class Simulator:
                 by_node[node_id] = plan
         return by_node
 
-    def advance(
-        self, plans: Mapping[tuple[str, str], str], dt: float | None = None
-    ) -> MicroObservation:
+    def advance(self, plans: Mapping[tuple[str, str], str]) -> MicroObservation:
         """Advance one micro step under the activated plans (one plan id per
         canonical boundary key) and return the step's observation."""
-        if dt is None:
-            dt = self.dt
-        if abs(dt - self.dt) > 1e-9:
-            raise ValueError(f"dt {dt} != configured micro step {self.dt}")
+        dt = self.dt
         plan_by_node = self._active_lanes(plans)
         self.step_count += 1
         self.time_s += dt
@@ -273,7 +240,7 @@ class Simulator:
         # 1. admit staged vehicles while their origin link has storage
         for origin in sorted(self._entry):
             staged = self._entry[origin]
-            while staged and self._occupancy[origin] < self._storage[origin]:
+            while staged and self._occupancy[origin] < self.net.storage[origin]:
                 vid = staged.pop(0)
                 v = self.vehicles[vid]
                 v.entered_s = self.time_s - dt
@@ -342,7 +309,7 @@ class Simulator:
                     vid = queue[0]
                     v = self.vehicles[vid]
                     nxt = v.route[1]
-                    if self._occupancy[nxt] >= self._storage[nxt]:
+                    if self._occupancy[nxt] >= self.net.storage[nxt]:
                         break  # head blocked: FIFO lane stops discharging
                     queue.pop(0)
                     v.queued = False
@@ -369,7 +336,7 @@ class Simulator:
 
     def _pick_lane(self, v: _Vehicle) -> str | None:
         nxt = v.route[1]
-        feasible = self._lane_for_move.get((v.current, nxt), ())
+        feasible = self.net.lanes_to.get((v.current, nxt), ())
         best = None
         best_len = None
         for lane_id in feasible:
@@ -404,7 +371,7 @@ class Simulator:
                 v = self.vehicles[vid]
                 if v.remaining_s > dt or v.current == v.destination:
                     continue
-                feasible = self._lane_for_move.get((v.current, v.route[1]), ())
+                feasible = self.net.lanes_to.get((v.current, v.route[1]), ())
                 if not feasible:
                     continue
                 lane = min(feasible, key=lambda l: (lane_loads[l], l))

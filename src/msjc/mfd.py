@@ -7,7 +7,6 @@ critical accumulation maximizes the fitted cubic over the observed range.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,8 +15,6 @@ import numpy as np
 import yaml
 
 from .netmodel import MfdParams, ScenarioError, mfd_from_dict, mfd_to_dict, read_yaml
-
-logger = logging.getLogger(__name__)
 
 
 class MfdFitError(ValueError):
@@ -80,9 +77,9 @@ def critical_accumulation(
 ) -> float:
     """Argmax of the no-intercept cubic on [0, n_max].
 
-    Uses the closed-form roots of the derivative quadratic; falls back to a
-    dense scan when the closed form is degenerate or disagrees (non-unimodal
-    fits are reported as a warning).
+    The maximum of a cubic on [0, n_max] lies at a root of its derivative
+    quadratic (closed form) or at an end of the range, and the cubic is 0 at
+    n = 0, so the candidates are the interior roots and n_max.
     """
     candidates: list[float] = []
     # derivative: 3*b3*n^2 + 2*b2*n + b1
@@ -108,13 +105,6 @@ def critical_accumulation(
         candidates = [n for n in candidates if 0.0 < n < n_max] + [n_max]
         values = _cubic(b1, b2, b3, candidates)
         n_crit = float(candidates[int(np.argmax(values))])
-        scan = np.linspace(0.0, n_max, 4096)
-        scan_best = float(scan[int(np.argmax(_cubic(b1, b2, b3, scan)))])
-        if _cubic(b1, b2, b3, scan_best) > _cubic(b1, b2, b3, n_crit) + 1e-12:
-            logger.warning(
-                "non-unimodal cubic on [0, %.3g]; using scan argmax %.6g", n_max, scan_best
-            )
-            n_crit = scan_best
     if _cubic(b1, b2, b3, n_crit) <= 0.0:
         raise MfdFitError("fitted cubic is non-positive at its maximum")
     return float(n_crit)

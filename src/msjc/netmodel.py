@@ -11,9 +11,11 @@ across threads.
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import yaml
 
@@ -173,19 +175,27 @@ class Network:
         self.plans = {k: tuple(v) for k, v in sorted(plans.items())}
 
         # Link successors via lane wiring (prunes movements the lanes forbid),
-        # and per link the constant terms of a travel-time estimate: id,
-        # free-flow time, lanes and summed lane saturation flow.
+        # the lanes serving each (link, next link) move, link storage, and per
+        # link the constant terms of a travel-time estimate: id, free-flow
+        # time, lanes and summed lane saturation flow.
         self._succ: dict[str, tuple[str, ...]] = {}
+        self.lanes_to: dict[tuple[str, str], tuple[str, ...]] = {}
+        self.storage: dict[str, int] = {}
         travel_time_terms = []
         for link in self.links.values():
-            nxt: set[str] = set()
+            moves: dict[str, list[str]] = {}
             service = 0.0
+            storage = 0
             for lane_id in link.lanes:
                 lane = self.lanes[lane_id]
                 service += lane.sat_flow_veh_s
-                for out in lane.output_lanes:
-                    nxt.add(self.lanes[out].link)
-            self._succ[link.id] = tuple(sorted(nxt))
+                storage += lane.capacity_veh
+                for nxt in {self.lanes[out].link for out in lane.output_lanes}:
+                    moves.setdefault(nxt, []).append(lane_id)
+            self._succ[link.id] = tuple(sorted(moves))
+            for nxt, lanes in moves.items():
+                self.lanes_to[(link.id, nxt)] = tuple(lanes)
+            self.storage[link.id] = storage
             travel_time_terms.append((link.id, link.travel_time_s, link.lanes, service))
         self.travel_time_terms = tuple(travel_time_terms)
         preds: dict[str, list[str]] = {l: [] for l in self.links}
@@ -728,7 +738,53 @@ def save_scenario(sc: Scenario, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hyper-paths
+# Routes and hyper-paths
+
+
+def shortest_paths_to(
+    net: Network, destination: str, travel_times: Mapping[str, float], sources: Iterable[str]
+) -> dict[str, str]:
+    """Next-link choice of the minimum-time route toward ``destination``
+    (label-setting on the reversed link graph; ties within 1e-12 go to the
+    smallest next link).  The search stops once every link in ``sources`` is
+    settled: travel times are positive, so a tie or improvement of a label
+    comes from a link with a strictly smaller label, settled earlier, and the
+    route of every settled link is final."""
+    dist = {destination: travel_times[destination]}
+    nxt_choice: dict[str, str] = {}
+    pending = set(sources)
+    heap = [(dist[destination], destination)]
+    while heap:
+        d, link = heapq.heappop(heap)
+        if d > dist[link]:
+            continue
+        pending.discard(link)
+        if not pending:
+            break
+        for prev in net.predecessors(link):
+            nd = d + travel_times[prev]
+            old = dist.get(prev, math.inf)
+            if nd < old - 1e-12 or (
+                abs(nd - old) <= 1e-12 and link < nxt_choice.get(prev, "~")
+            ):
+                dist[prev] = nd
+                nxt_choice[prev] = link
+                heapq.heappush(heap, (nd, prev))
+    return nxt_choice
+
+
+def route_from(
+    origin: str, destination: str, nxt_choice: Mapping[str, str]
+) -> tuple[str, ...] | None:
+    """Link route from ``origin`` along ``shortest_paths_to``'s choices, or
+    None when ``destination`` cannot be reached from it."""
+    route = [origin]
+    while route[-1] != destination:
+        step = nxt_choice.get(route[-1])
+        if step is None or len(route) > len(nxt_choice) + 1:
+            return None
+        route.append(step)
+    return tuple(route)
 
 
 def candidate_hyper_path(route: Sequence[str], net: Network) -> list[str]:

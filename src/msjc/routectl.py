@@ -2,20 +2,20 @@
 
 Candidate generation keeps exactly the vehicle's current route and the
 instantaneously shortest route (deduplicated); vehicles that share a start
-link and a destination share one shortest route.  Logit rerouting reads only
-those link candidates.  msjc's programs also need each candidate's upcoming
-region and the link the vehicle is projected to sit on at the end of the
-step; ``annotate_routes`` adds that hyper-path annotation.  The per-region
-program picks route probabilities on each vehicle's simplex so that the
-realized next-region proportions match the hyper-path split targets while
-the predicted end-of-step link densities stay close to the region mean.
-With at most two candidates per vehicle the program is a bounded-variable
-least squares problem, solved exactly.
+link and a destination share one shortest route, found by the search that
+demand injection uses too (``netmodel.shortest_paths_to``).  Logit rerouting
+reads only those link candidates.  msjc's programs also need each
+candidate's upcoming region and the link the vehicle is projected to sit on
+at the end of the step; ``annotate_routes`` adds that hyper-path annotation.
+The per-region program picks route probabilities on each vehicle's simplex
+so that the realized next-region proportions match the hyper-path split
+targets while the predicted end-of-step link densities stay close to the
+region mean.  With at most two candidates per vehicle the program is a
+bounded-variable least squares problem, solved exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from collections import Counter
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .mesosim import VehicleView
-from .netmodel import Network, next_region
+from .netmodel import Network, next_region, route_from, shortest_paths_to
 
 logger = logging.getLogger(__name__)
 
@@ -61,42 +61,6 @@ class RouteProbabilities:
     iterations: int
 
 
-def shortest_paths_to(
-    net: Network, destination: str, travel_times: Mapping[str, float]
-) -> dict[str, str]:
-    """Next-link choice of the minimum-time route toward ``destination`` for
-    every link that can reach it (label-setting on the reversed link graph)."""
-    dist = {destination: travel_times[destination]}
-    nxt_choice: dict[str, str] = {}
-    heap = [(dist[destination], destination)]
-    while heap:
-        d, link = heapq.heappop(heap)
-        if d > dist[link]:
-            continue
-        for prev in net.predecessors(link):
-            nd = d + travel_times[prev]
-            old = dist.get(prev, math.inf)
-            if nd < old - 1e-12 or (
-                abs(nd - old) <= 1e-12 and link < nxt_choice.get(prev, "~")
-            ):
-                dist[prev] = nd
-                nxt_choice[prev] = link
-                heapq.heappush(heap, (nd, prev))
-    return nxt_choice
-
-
-def _shortest_route(
-    origin: str, destination: str, nxt_choice: Mapping[str, str]
-) -> tuple[str, ...] | None:
-    route = [origin]
-    while route[-1] != destination:
-        step = nxt_choice.get(route[-1])
-        if step is None or len(route) > len(nxt_choice) + 1:
-            return None
-        route.append(step)
-    return tuple(route)
-
-
 def generate_routes(
     vehicles: Sequence[VehicleView],
     net: Network,
@@ -106,27 +70,28 @@ def generate_routes(
     the shortest route when it differs.  The candidates carry no hyper-path
     annotation (see ``annotate_routes``).
 
-    Travel times are fixed within a call, so one shortest route serves every
-    vehicle with the same start link and destination.  Vehicles on their
-    destination link or one link away keep their current route only (no
-    routing freedom).  An unreachable destination also pins the current
-    route and is flagged.
+    Travel times are fixed within a call, so one search per destination,
+    stopped once the vehicles' start links are settled, gives one shortest
+    route per start link and destination.  Vehicles on their destination
+    link or one link away keep their current route only (no routing
+    freedom).  An unreachable destination also pins the current route and
+    is flagged.
     """
-    trees: dict[str, dict[str, str]] = {}
+    starts: dict[str, set[str]] = {}
+    for v in vehicles:
+        if len(v.route) > 2:
+            starts.setdefault(v.destination, set()).add(v.link)
     shortest: dict[tuple[str, str], tuple[str, ...] | None] = {}
+    for destination, links in starts.items():
+        nxt_choice = shortest_paths_to(net, destination, travel_times, links)
+        for link in links:
+            shortest[(link, destination)] = route_from(link, destination, nxt_choice)
     out: list[VehicleRoutes] = []
     for v in vehicles:
         routes = (CandidateRoute(v.route, True),)
         unreachable = False
         if len(v.route) > 2:
-            key = (v.link, v.destination)
-            if key not in shortest:
-                if v.destination not in trees:
-                    trees[v.destination] = shortest_paths_to(
-                        net, v.destination, travel_times
-                    )
-                shortest[key] = _shortest_route(v.link, v.destination, trees[v.destination])
-            best = shortest[key]
+            best = shortest[(v.link, v.destination)]
             if best is None:
                 unreachable = True
                 logger.warning(

@@ -5,13 +5,17 @@ exhaustive scans) and deliberately share no code with the solvers they
 check.  ``step`` and ``targets`` replay the region dynamics and boundary
 targets through the transfer bookkeeping below (``transfers``), which the
 solvers do not call.  ``per_vehicle_candidates`` rebuilds what
-``routectl.generate_routes`` shares across vehicles, one shortest-path tree
-and route per vehicle.
+``routectl.generate_routes`` shares across vehicles, one search and route
+per vehicle.  ``forward_shortest_route`` is the reference shortest-path
+search: a forward label-setting search from the origin, sharing no code with
+``netmodel.shortest_paths_to``.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,7 +25,7 @@ from msjc import routectl
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import VehicleView
-from msjc.netmodel import Network, next_region
+from msjc.netmodel import Network, next_region, route_from, shortest_paths_to
 
 logger = logging.getLogger(__name__)
 
@@ -251,15 +255,15 @@ def per_vehicle_candidates(
     dt_s: float,
 ) -> list[tuple[list[tuple], bool]]:
     """Candidate routes of each vehicle with nothing shared between vehicles:
-    a fresh shortest-path tree and route per vehicle.  Per vehicle, returns
+    a fresh search and route per vehicle.  Per vehicle, returns
     ([(links, is_current, next_region, projected_link), ...], pinned)."""
     out = []
     for v in vehicles:
         candidates = [v.route]
         unreachable = False
         if len(v.route) > 2:
-            tree = routectl.shortest_paths_to(net, v.destination, travel_times)
-            best = routectl._shortest_route(v.link, v.destination, tree)
+            nxt_choice = shortest_paths_to(net, v.destination, travel_times, (v.link,))
+            best = route_from(v.link, v.destination, nxt_choice)
             unreachable = best is None
             if best is not None and best != v.route:
                 candidates.append(best)
@@ -269,3 +273,30 @@ def per_vehicle_candidates(
         ]
         out.append((annotated, unreachable or len(candidates) == 1))
     return out
+
+
+def forward_shortest_route(
+    net: Network, origin: str, destination: str, travel_times: Mapping[str, float]
+) -> tuple[str, ...] | None:
+    """Minimum-travel-time link route from origin to destination
+    (label-setting over the link graph; deterministic tie-break)."""
+    dist = {origin: 0.0}
+    parent: dict[str, str] = {}
+    heap: list[tuple[float, str]] = [(0.0, origin)]
+    while heap:
+        d, link = heapq.heappop(heap)
+        if link == destination:
+            route = [link]
+            while link in parent:
+                link = parent[link]
+                route.append(link)
+            return tuple(reversed(route))
+        if d > dist.get(link, math.inf):
+            continue
+        for nxt in net.successors(link):
+            nd = d + travel_times[nxt]
+            if nd < dist.get(nxt, math.inf) - 1e-12:
+                dist[nxt] = nd
+                parent[nxt] = link
+                heapq.heappush(heap, (nd, nxt))
+    return None

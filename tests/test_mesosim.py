@@ -263,7 +263,7 @@ class TestVehicleViews:
                 v = sim.vehicles[vid]
                 by_od.setdefault((v.origin, v.destination), []).append(vid)
             for (origin, destination), vids in by_od.items():
-                route = sim.shortest_route(origin, destination, tt)
+                route = sim.shortest_route(destination, [origin], tt)[origin]
                 assert all(sim.vehicles[vid].route == route for vid in vids)
                 shared += len(vids) > 1
             sim.advance({})

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -7,10 +8,13 @@ from msjc.netmodel import (
     boundary_key,
     candidate_hyper_path,
     load_scenario,
+    route_from,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    shortest_paths_to,
 )
+from oracles import forward_shortest_route
 
 MINIMAL = {
     "regions": {"R1": {"neighbors": ["R2"]}, "R2": {"neighbors": ["R1"]}},
@@ -132,6 +136,42 @@ def test_scenario_round_trip(build, tmp_path):
     sc2 = load_scenario(path)
     assert scenario_to_dict(sc2) == scenario_to_dict(sc)
     assert sc2 == sc
+
+
+def test_stopped_search_routes_like_the_forward_reference():
+    net = fixtures.grid6().network
+    links = sorted(net.links)
+    rng = np.random.default_rng(0)
+    # random times leave no exact ties, so every route is unique
+    tt = {l: float(rng.uniform(5.0, 60.0)) for l in links}
+    several = links[::3]
+    routed = stopped_early = 0
+    for destination in links:
+        full = shortest_paths_to(net, destination, tt, links)
+        partial = shortest_paths_to(net, destination, tt, several)
+        for origin in links:
+            expected = forward_shortest_route(net, origin, destination, tt)
+            alone = shortest_paths_to(net, destination, tt, (origin,))
+            assert route_from(origin, destination, alone) == expected
+            assert route_from(origin, destination, full) == expected
+            if origin in several:
+                assert route_from(origin, destination, partial) == expected
+            routed += expected is not None and len(expected) > 2
+            stopped_early += len(alone) < len(full)
+    assert routed > 0 and stopped_early > 0
+
+
+def test_lane_and_storage_tables_follow_the_lane_wiring():
+    net = fixtures.grid6().network
+    for link in net.links.values():
+        assert net.storage[link.id] == sum(net.lanes[l].capacity_veh for l in link.lanes)
+        for nxt in net.successors(link.id):
+            assert net.lanes_to[(link.id, nxt)] == tuple(
+                l
+                for l in link.lanes
+                if any(net.lanes[out].link == nxt for out in net.lanes[l].output_lanes)
+            )
+    assert len(net.lanes_to) == sum(len(net.successors(l)) for l in net.links)
 
 
 def test_boundary_key_is_order_free():
