@@ -138,27 +138,47 @@ def test_scenario_round_trip(build, tmp_path):
     assert sc2 == sc
 
 
+def _stopped_and_full_routes(net, tt, several):
+    """Per (origin, destination): the routes of searches stopped at that
+    origin alone, at ``several`` (when the origin is among them) and at all
+    links, and whether the search stopped at the origin alone settled fewer
+    links than the full one."""
+    links = sorted(net.links)
+    for destination in links:
+        full = shortest_paths_to(net, destination, tt, links)
+        partial = shortest_paths_to(net, destination, tt, several)
+        for origin in links:
+            alone = shortest_paths_to(net, destination, tt, (origin,))
+            routes = [route_from(origin, destination, alone), route_from(origin, destination, full)]
+            if origin in several:
+                routes.append(route_from(origin, destination, partial))
+            yield origin, destination, routes, len(alone) < len(full)
+
+
 def test_stopped_search_routes_like_the_forward_reference():
     net = fixtures.grid6().network
     links = sorted(net.links)
     rng = np.random.default_rng(0)
     # random times leave no exact ties, so every route is unique
     tt = {l: float(rng.uniform(5.0, 60.0)) for l in links}
-    several = links[::3]
     routed = stopped_early = 0
-    for destination in links:
-        full = shortest_paths_to(net, destination, tt, links)
-        partial = shortest_paths_to(net, destination, tt, several)
-        for origin in links:
-            expected = forward_shortest_route(net, origin, destination, tt)
-            alone = shortest_paths_to(net, destination, tt, (origin,))
-            assert route_from(origin, destination, alone) == expected
-            assert route_from(origin, destination, full) == expected
-            if origin in several:
-                assert route_from(origin, destination, partial) == expected
-            routed += expected is not None and len(expected) > 2
-            stopped_early += len(alone) < len(full)
+    for origin, destination, routes, early in _stopped_and_full_routes(net, tt, links[::3]):
+        expected = forward_shortest_route(net, origin, destination, tt)
+        assert routes == [expected] * len(routes)
+        routed += expected is not None and len(expected) > 2
+        stopped_early += early
     assert routed > 0 and stopped_early > 0
+
+
+def test_stopped_search_breaks_near_ties_like_the_full_search():
+    net = fixtures.grid6().network
+    links = sorted(net.links)
+    rng = np.random.default_rng(1)
+    # equal times up to rounding noise: every tie is decided by the 1e-12
+    # rule, often after the first label was set
+    tt = {l: 20.0 + float(rng.uniform(0.0, 1e-13)) for l in links}
+    for _, _, routes, _ in _stopped_and_full_routes(net, tt, links[::3]):
+        assert routes == [routes[1]] * len(routes)
 
 
 def test_lane_and_storage_tables_follow_the_lane_wiring():
