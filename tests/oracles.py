@@ -279,7 +279,8 @@ def forward_shortest_route(
     net: Network, origin: str, destination: str, travel_times: Mapping[str, float]
 ) -> tuple[str, ...] | None:
     """Minimum-travel-time link route from origin to destination
-    (label-setting over the link graph; deterministic tie-break)."""
+    (label-setting over the link graph; the first parent found wins a tie,
+    unlike ``netmodel.shortest_paths_to``, so compare on tie-free times)."""
     dist = {origin: 0.0}
     parent: dict[str, str] = {}
     heap: list[tuple[float, str]] = [(0.0, origin)]
