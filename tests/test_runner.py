@@ -1,4 +1,5 @@
 import csv
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,17 @@ GRID6_BP_LR = (223_990.0, 1379, 1730.0)
 
 # grid6, seed 0, mspc-lr (PI gating with logit rerouting): the same three.
 GRID6_MSPC_LR = (325_830.0, 1379, 1870.0)
+
+# grid6, seed 0, mspc (PI gating): the same three.
+GRID6_MSPC = (325_670.0, 1379, 1870.0)
+
+# Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
+# sum of feasible_count).  They pin the boundary controller's plan choice.
+BOUNDARY_DECISIONS = {
+    ("grid6", "mspc"): (1120, 616, 792),
+    ("corridor2", "msjc"): (140, 92, 85),
+    ("corridor2", "mspc"): (140, 79, 102),
+}
 
 # grid6, seed 0, default demand levels 0.25-1.25: calibrated MFD per region
 # as (b1, b2, b3, n_crit, n_max_fit).  The fit is a LAPACK least-squares
@@ -70,6 +82,19 @@ CSV_HEADERS = {
 }
 
 
+def _boundary_rows(out_dir) -> list[dict]:
+    with open(out_dir / "boundary.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _decision_counts(rows: list[dict]) -> tuple[int, int, int]:
+    return (
+        len(rows),
+        sum(r["fallback"] == "1" for r in rows),
+        sum(int(r["feasible_count"]) for r in rows),
+    )
+
+
 def _headline(m: runner.RunMetrics) -> tuple:
     return (
         m.total_travel_time_veh_s,
@@ -100,6 +125,27 @@ def test_golden_grid6_mspc_lr():
     m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="mspc-lr", seed=0))
     ttt, throughput, clearance = GRID6_MSPC_LR
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+
+
+def test_golden_grid6_mspc(tmp_path):
+    m = runner.run(
+        fixtures.grid6(), runner.RunConfig(strategy="mspc", seed=0, out_dir=tmp_path)
+    )
+    ttt, throughput, clearance = GRID6_MSPC
+    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+    rows = _boundary_rows(tmp_path)
+    assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
+    assert Counter(r["plan"] for r in rows) == {"both": 383, "fwd": 349, "rev": 354, "none": 34}
+
+
+@pytest.mark.parametrize("strategy", ["msjc", "mspc"])
+def test_golden_corridor2_boundary_decisions(strategy, tmp_path):
+    runner.run(
+        fixtures.corridor2(),
+        runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path),
+    )
+    rows = _boundary_rows(tmp_path)
+    assert _decision_counts(rows) == BOUNDARY_DECISIONS[("corridor2", strategy)]
 
 
 def test_golden_grid6_calibration():
