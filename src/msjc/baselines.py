@@ -78,9 +78,6 @@ def route_travel_time(
 def bp_control(
     obs: MicroObservation, net: Network, boundary: tuple[str, str]
 ) -> str:
-    """Max-pressure plan over the full plan set (no flow-tracking filter)."""
-    plans = net.plan_set(*boundary)
-    order = [p.id for p in plans]
-    weights = {p.id: boundaryctl.plan_weight(p, obs, net) for p in plans}
-    plan_id, _ = boundaryctl.select_plan(order, weights, order)
-    return plan_id
+    """Max-pressure plan over the full plan set (no flow-tracking filter);
+    ties go to the earliest plan."""
+    return max(net.plan_set(*boundary), key=lambda p: boundaryctl.plan_weight(p, obs, net)).id

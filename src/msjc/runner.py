@@ -128,16 +128,8 @@ class _TrackedStrategy:
         self.net = scenario.network
         self.model = model
         self.sim = sim
-        control = scenario.control
         self.controllers = {
-            key: BoundaryController(
-                self.net,
-                key,
-                u=control.steps_per_macro,
-                sigma=control.sigma,
-                sigma_abs=control.sigma_abs_veh_s,
-                t_micro_s=control.t_micro_s,
-            )
+            key: BoundaryController(self.net, key, scenario.control)
             for key in scenario.partition.boundary_keys()
         }
         self.active = False

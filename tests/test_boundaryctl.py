@@ -1,18 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from msjc import boundaryctl, fixtures
 from msjc.boundaryctl import (
     BoundaryController,
-    BoundaryTracker,
-    expected_rate,
-    feasible_plans,
-    flow_bounds,
     phase_pressure,
     plan_flow,
     plan_weight,
-    select_plan,
 )
 from msjc.mesosim import MicroObservation
+from msjc.netmodel import ControlConfig
+
+from oracles import ReferenceController
+
+FWD, REV = ("R1", "R2"), ("R2", "R1")
 
 
 def mkobs(queues=None, arrivals=None, ng=None, crossings=None, dt=10.0, step=1):
@@ -35,35 +38,158 @@ def mkobs(queues=None, arrivals=None, ng=None, crossings=None, dt=10.0, step=1):
     )
 
 
-def tracker(target, u=10, k=1, observed=(), sigma=0.1, ng=0.0, boundary=("R1", "R2")):
-    t = BoundaryTracker(
-        boundary=boundary, target_veh_s=target, u=u, k=k,
-        observed=list(observed), sigma=sigma, sigma_abs=0.05, t_micro_s=10.0,
-    )
-    t.ng_rate = ng
-    return t
+@pytest.fixture
+def table_controller(monkeypatch):
+    """Controller factory for one boundary R1|R2 whose plans are the keys of
+    ``estimates``.  ``plan_flow`` reads (forward, reverse) flows from
+    ``estimates`` and ``plan_weight`` reads ``weights`` (default 0), so a
+    test sets exactly the numbers the plan rule sees.  ``history`` is a list
+    of realized (forward, reverse) flows recorded before the test's step."""
+
+    def make(estimates, weights=None, targets=(0.0, 0.0), history=(), control=ControlConfig()):
+        weights = weights or {}
+        plans = tuple(SimpleNamespace(id=pid) for pid in estimates)
+        net = SimpleNamespace(plan_set=lambda i, h: plans)
+        monkeypatch.setattr(
+            boundaryctl,
+            "plan_flow",
+            lambda plan, obs, net, d: estimates[plan.id][0 if d == FWD else 1],
+        )
+        monkeypatch.setattr(
+            boundaryctl, "plan_weight", lambda plan, obs, net: weights.get(plan.id, 0.0)
+        )
+        bc = BoundaryController(net, FWD, control)
+        bc.begin_macro(*targets)
+        for fwd, rev in history:
+            bc.control_step(mkobs())
+            bc.record_realized(mkobs(crossings={FWD: fwd, REV: rev}))
+        return bc
+
+    return make
+
+
+def inside_band(make, estimates, obs, **kwargs):
+    """Plans the controller counts as inside the band, found one plan at a
+    time; the full plan set must count as many."""
+    inside = []
+    for pid, est in estimates.items():
+        bc = make({pid: est}, **kwargs)
+        bc.control_step(obs)
+        if not bc.last_decision.fallback:
+            inside.append(pid)
+    bc = make(estimates, **kwargs)
+    bc.control_step(obs)
+    assert bc.last_decision.feasible_count == len(inside)
+    assert bc.last_decision.fallback == (not inside)
+    return inside
 
 
 class TestExpectedRate:
-    def test_first_step_equals_macro_target(self):
-        assert expected_rate(tracker(0.5)) == pytest.approx(0.5)
+    def expected_after(self, make, target, history):
+        bc = make({"only": (0.0, 0.0)}, targets=(target, 0.0), history=history)
+        bc.control_step(mkobs())
+        assert bc.last_decision.k == len(history) + 1
+        return bc.last_decision.m_expected_fwd
 
-    def test_compensation_arithmetic(self):
+    def test_first_step_equals_macro_target(self, table_controller):
+        assert self.expected_after(table_controller, 0.5, []) == pytest.approx(0.5)
+
+    def test_compensation_arithmetic(self, table_controller):
         # target 0.5 veh/s, first step realized 1.0 -> (50 - 10) / 90
-        t = tracker(0.5, k=2, observed=[1.0])
-        assert expected_rate(t) == pytest.approx(40.0 / 90.0)
+        m = self.expected_after(table_controller, 0.5, [(1.0, 0.0)])
+        assert m == pytest.approx(40.0 / 90.0)
 
-    def test_on_track_history_keeps_rate_constant(self):
-        t = tracker(0.5)
+    def test_on_track_history_keeps_rate_constant(self, table_controller):
+        bc = table_controller({"only": (0.0, 0.0)}, targets=(0.5, 0.0))
         for k in range(1, 11):
-            rate = expected_rate(t)
+            bc.control_step(mkobs())
+            rate = bc.last_decision.m_expected_fwd
+            assert bc.last_decision.k == k
             assert rate == pytest.approx(0.5)
-            t.record(rate, 0.0)
+            bc.record_realized(mkobs(crossings={FWD: rate}))
 
-    def test_overshoot_floors_at_zero(self):
-        t = tracker(0.1, k=3, observed=[0.6, 0.6])
-        assert expected_rate(t) == 0.0
-        assert t.floored
+    def test_overshoot_floors_at_zero(self, table_controller):
+        # (10 - 12) / 80 < 0: nothing more is expected this macro step
+        m = self.expected_after(table_controller, 0.1, [(0.6, 0.0), (0.6, 0.0)])
+        assert m == 0.0
+
+
+class TestFeasiblePlans:
+    def test_band_arithmetic_at_last_step(self, table_controller):
+        # u = k = 10 -> tolerance 1 * sigma = 0.125; m = 0.5, ng = 0.125, so
+        # the estimate must lie strictly inside (0.3125, 0.4375).  Every
+        # number is exact in binary, so the edges are exactly on the band.
+        estimates = {
+            "low": (0.0, 0.0),
+            "edge_lo": (0.3125, 0.0),
+            "just_in_lo": (0.3126, 0.0),
+            "center": (0.375, 0.0),
+            "just_in_hi": (0.4374, 0.0),
+            "edge_hi": (0.4375, 0.0),
+            "high": (0.6, 0.0),
+        }
+        got = inside_band(
+            table_controller,
+            estimates,
+            mkobs(ng={FWD: 0.125}),
+            targets=(0.5, 0.0),
+            history=[(0.5, 0.0)] * 9,
+            control=ControlConfig(sigma=0.125),
+        )
+        assert got == ["just_in_lo", "center", "just_in_hi"]
+
+    def test_first_step_tolerance_is_total(self, table_controller):
+        # (u-k+1)*sigma = 1.0: anything strictly inside (0, 2m) passes
+        estimates = {
+            "zero": (0.0, 0.0),
+            "tiny": (0.01, 0.0),
+            "double": (0.99, 0.0),
+            "twice": (1.0, 0.0),
+        }
+        got = inside_band(table_controller, estimates, mkobs(), targets=(0.5, 0.0))
+        assert got == ["tiny", "double"]
+
+    def test_nothing_expected_admits_flows_below_sigma_abs(self, table_controller):
+        # with m = 0 the band is flow < sigma_abs = 0.05, edge excluded, in
+        # either direction
+        estimates = {
+            "idle": (0.0, 0.0),
+            "trickle": (0.0499, 0.0),
+            "edge": (0.05, 0.0),
+            "trickle_rev": (0.0, 0.0499),
+            "edge_rev": (0.0, 0.05),
+        }
+        got = inside_band(table_controller, estimates, mkobs())
+        assert got == ["idle", "trickle", "trickle_rev"]
+
+    def test_exact_estimates_make_every_plan_feasible(self, table_controller):
+        estimates = {f"s{i}": (0.4, 0.2) for i in range(4)}
+        bc = table_controller(estimates, targets=(0.4, 0.2), history=[(0.4, 0.2)] * 4)
+        assert bc.control_step(mkobs()) == "s0"
+        assert not bc.last_decision.fallback
+        assert bc.last_decision.feasible_count == 4
+
+    def test_reverse_direction_must_pass_too(self, table_controller):
+        estimates = {"ok": (0.4, 0.0), "pushy": (0.4, 0.3)}
+        bc = table_controller(estimates, weights={"pushy": 5.0}, targets=(0.4, 0.0))
+        assert bc.control_step(mkobs()) == "ok"
+        assert bc.last_decision.feasible_count == 1
+
+
+class TestFlowBounds:
+    def test_envelope_arithmetic(self, table_controller):
+        bc = table_controller({"a": (0.2, 0.1), "b": (0.6, 0.0)})
+        fwd, rev = bc.macro_flow_bounds(mkobs(ng={FWD: 0.1, REV: 0.05}))
+        assert fwd == (pytest.approx(0.3), pytest.approx(0.7))
+        assert rev == (pytest.approx(0.05), pytest.approx(0.15))
+
+    def test_single_plan_collapses(self, table_controller):
+        (lo, hi), _ = table_controller({"only": (0.4, 0.0)}).macro_flow_bounds(mkobs())
+        assert lo == hi == pytest.approx(0.4)
+
+    def test_all_zero_traffic(self, single_gate):
+        bc = BoundaryController(single_gate.network, FWD, ControlConfig())
+        assert bc.macro_flow_bounds(mkobs()) == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestPlanFlow:
@@ -106,58 +232,6 @@ class TestPlanFlow:
             assert more_q <= base + 1e-12
 
 
-class TestFeasiblePlans:
-    def test_band_arithmetic_at_last_step(self):
-        # u=10, k=10 -> tolerance 0.1; m=0.5, ng=0.1 -> est in (0.35, 0.45)
-        fwd = tracker(0.5, k=10, observed=[0.5] * 9, ng=0.1)
-        rev = tracker(0.0, k=10, observed=[0.0] * 9)
-        estimates = {
-            "low": (0.0, 0.0),
-            "edge_lo": (0.35, 0.0),
-            "just_in_lo": (0.351, 0.0),
-            "center": (0.4, 0.0),
-            "just_in_hi": (0.449, 0.0),
-            "edge_hi": (0.45, 0.0),
-            "high": (0.6, 0.0),
-        }
-        got = feasible_plans(fwd, rev, estimates, list(estimates))
-        assert got == ["just_in_lo", "center", "just_in_hi"]
-
-    def test_first_step_tolerance_is_total(self):
-        # (u-k+1)*sigma = 1.0: anything strictly inside (0, 2m) passes
-        fwd = tracker(0.5)
-        rev = tracker(0.0)
-        estimates = {"zero": (0.0, 0.0), "tiny": (0.01, 0.0), "double": (0.99, 0.0)}
-        got = feasible_plans(fwd, rev, estimates, list(estimates))
-        assert got == ["tiny", "double"]
-
-    def test_exact_estimates_make_every_plan_feasible(self):
-        fwd = tracker(0.4, k=5, observed=[0.4] * 4)
-        rev = tracker(0.2, k=5, observed=[0.2] * 4)
-        estimates = {f"s{i}": (0.4, 0.2) for i in range(4)}
-        got = feasible_plans(fwd, rev, estimates, sorted(estimates))
-        assert got == sorted(estimates)
-
-    def test_reverse_direction_must_pass_too(self):
-        fwd = tracker(0.4)
-        rev = tracker(0.0)
-        estimates = {"ok": (0.4, 0.0), "pushy": (0.4, 0.3)}
-        got = feasible_plans(fwd, rev, estimates, ["ok", "pushy"])
-        assert got == ["ok"]
-
-
-class TestFlowBounds:
-    def test_envelope_arithmetic(self):
-        assert flow_bounds({"a": 0.2, "b": 0.6}, 0.1) == (pytest.approx(0.3), pytest.approx(0.7))
-
-    def test_single_plan_collapses(self):
-        lo, hi = flow_bounds({"only": 0.4}, 0.0)
-        assert lo == hi == pytest.approx(0.4)
-
-    def test_all_zero_traffic(self):
-        assert flow_bounds({"a": 0.0, "b": 0.0}, 0.0) == (0.0, 0.0)
-
-
 class TestPressure:
     def test_zero_queues_zero_weight(self, single_gate):
         net = single_gate.network
@@ -181,42 +255,54 @@ class TestPressure:
 
 
 class TestSelectPlan:
-    def test_singleton_feasible_set(self):
-        plan, fallback = select_plan(["s1"], {"s1": -3.0, "s2": 5.0}, ["s0", "s1", "s2"])
-        assert plan == "s1" and not fallback
+    # With target 0.4 forward and 0 reverse at k = 1, a plan is inside the
+    # band with estimates IN and outside with OUT (forward deviation 2).
+    IN, OUT = (0.4, 0.0), (1.2, 0.0)
 
-    def test_matches_brute_force_argmax(self):
+    def test_singleton_feasible_set(self, table_controller):
+        estimates = {"s0": self.OUT, "s1": self.IN, "s2": self.OUT}
+        bc = table_controller(estimates, weights={"s1": -3.0, "s2": 5.0}, targets=(0.4, 0.0))
+        assert bc.control_step(mkobs()) == "s1"
+        assert not bc.last_decision.fallback
+        assert bc.last_decision.feasible_count == 1
+
+    def test_matches_brute_force_argmax(self, table_controller):
         rng = np.random.default_rng(8)
         for _ in range(300):
             n = int(rng.integers(1, 9))
             order = [f"s{i}" for i in range(n)]
             weights = {pid: float(rng.integers(-3, 4)) for pid in order}
             feasible = [pid for pid in order if rng.random() < 0.7] or order
+            estimates = {pid: self.IN if pid in feasible else self.OUT for pid in order}
             # independent oracle: linear scan keeping the first maximum
             best = None
             for pid in feasible:
                 if best is None or weights[pid] > weights[best]:
                     best = pid
-            got, fallback = select_plan(feasible, weights, order)
-            assert not fallback
+            bc = table_controller(estimates, weights=weights, targets=(0.4, 0.0))
+            got = bc.control_step(mkobs())
+            assert not bc.last_decision.fallback
+            assert bc.last_decision.feasible_count == len(feasible)
             assert got == best
 
-    def test_tie_breaks_toward_earliest_plan(self):
-        plan, _ = select_plan(["s2", "s1"], {"s1": 1.0, "s2": 1.0}, ["s0", "s1", "s2"])
-        assert plan == "s1"
+    def test_tie_breaks_toward_earliest_plan(self, table_controller):
+        estimates = {"s0": self.OUT, "s1": self.IN, "s2": self.IN}
+        bc = table_controller(estimates, weights={"s1": 1.0, "s2": 1.0}, targets=(0.4, 0.0))
+        assert bc.control_step(mkobs()) == "s1"
 
-    def test_empty_set_falls_back_to_least_deviating(self):
-        plan, fallback = select_plan(
-            [], {"s0": 0.0, "s1": 0.0}, ["s0", "s1"], deviations={"s0": 2.0, "s1": 0.5}
-        )
-        assert fallback and plan == "s1"
+    def test_empty_set_falls_back_to_least_deviating(self, table_controller):
+        # summed relative deviations: s0 0 + 0.3/0.05 = 6, s1 1 + 2 = 3,
+        # s2 1 + 2 = 3; s1 and s2 tie and the earlier one wins
+        estimates = {"s0": (0.4, 0.3), "s1": (0.8, 0.1), "s2": (0.0, 0.1)}
+        bc = table_controller(estimates, weights={"s0": 9.0, "s2": 9.0}, targets=(0.4, 0.0))
+        assert bc.control_step(mkobs()) == "s1"
+        assert bc.last_decision.fallback
+        assert bc.last_decision.feasible_count == 0
 
 
 class TestControlStep:
     def make_controller(self, single_gate, target_fwd, target_rev):
-        bc = BoundaryController(
-            single_gate.network, ("R1", "R2"), u=10, sigma=0.1, sigma_abs=0.05, t_micro_s=10.0
-        )
+        bc = BoundaryController(single_gate.network, ("R1", "R2"), ControlConfig())
         bc.begin_macro(target_fwd, target_rev)
         return bc
 
@@ -268,17 +354,18 @@ class TestControlStep:
 
 
 class TestTelescoping:
-    def test_cumulative_error_bounded_by_sigma_budget(self):
+    def test_cumulative_error_bounded_by_sigma_budget(self, table_controller):
         # Adversarial realized flows that stay inside every step's band still
         # land the macro-step total within sigma * M * T of the target.
         rng = np.random.default_rng(42)
         u, dt, sigma = 10, 10.0, 0.1
         for _ in range(300):
             target = float(rng.uniform(0.1, 2.0))
-            t = tracker(target, sigma=sigma)
+            bc = table_controller({"only": (0.0, 0.0)}, targets=(target, 0.0))
             realized = []
             for k in range(1, u + 1):
-                m = expected_rate(t)
+                bc.control_step(mkobs())
+                m = bc.last_decision.m_expected_fwd
                 if m <= 0.0:
                     flow = float(rng.uniform(0.0, 0.0499))
                 else:
@@ -286,6 +373,76 @@ class TestTelescoping:
                     flow = m * (1.0 + float(rng.uniform(-0.999, 0.999)) * tol)
                     flow = max(flow, 0.0)
                 realized.append(flow)
-                t.record(flow, 0.0)
+                bc.record_realized(mkobs(crossings={FWD: flow}))
             total = sum(realized) * dt
             assert abs(total - target * u * dt) <= sigma * target * u * dt + 1e-9
+
+
+def random_obs(rng, net, ordered, step):
+    """Random queues, arrivals and non-gated crossings on every lane and
+    direction of ``net``; about one non-gated flow in three is zero."""
+    queues = {lid: int(rng.integers(0, lane.capacity_veh + 1)) for lid, lane in net.lanes.items()}
+    arrivals = {
+        lid: float(rng.uniform(0.0, 1.5 * lane.sat_flow_veh_s * 10.0))
+        for lid, lane in net.lanes.items()
+    }
+    ng = {d: float(rng.uniform(0.0, 0.3)) * (rng.random() < 0.67) for d in ordered}
+    return mkobs(queues=queues, arrivals=arrivals, ng=ng, step=step)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("build, macro_steps", [(fixtures.corridor2, 200), (fixtures.grid6, 30)])
+    def test_controller_matches_the_reference_rule(self, build, macro_steps):
+        """Random steps on a fixture's boundaries, with targets of zero,
+        inside the start-of-step envelope and out of reach, give the
+        reference's decision field for field."""
+        sc = build()
+        net, control = sc.network, sc.control
+        u = control.steps_per_macro
+        ordered = sc.partition.ordered_boundaries()
+        pairs = [
+            (
+                BoundaryController(net, key, control),
+                ReferenceController(
+                    net, key, u, control.sigma, control.sigma_abs_veh_s, control.t_micro_s
+                ),
+            )
+            for key in sc.partition.boundary_keys()
+        ]
+        rng = np.random.default_rng(2024)
+        seen = {"steps": 0, "fallback": 0, "inside": 0, "nothing_expected": 0}
+        step = 0
+        for _ in range(macro_steps):
+            obs = random_obs(rng, net, ordered, step)
+            for bc, ref in pairs:
+                envelope = bc.macro_flow_bounds(obs)
+                assert envelope == ref.macro_flow_bounds(obs)
+                targets = []
+                for lo, hi in envelope:
+                    kind = rng.integers(3)
+                    if kind == 0:
+                        targets.append(0.0)
+                    elif kind == 1:
+                        targets.append(float(rng.uniform(lo, hi)))
+                    else:
+                        targets.append(hi * float(rng.uniform(1.5, 3.0)) + 0.1)
+                bc.begin_macro(*targets)
+                ref.begin_macro(*targets)
+            for _ in range(u):
+                step += 1
+                obs = random_obs(rng, net, ordered, step)
+                crossings = {d: float(rng.uniform(0.0, 0.6)) for d in ordered}
+                after = mkobs(crossings=crossings, step=step)
+                for bc, ref in pairs:
+                    assert bc.control_step(obs) == ref.control_step(obs)
+                    assert bc.last_decision == ref.last_decision
+                    bc.record_realized(after)
+                    ref.record_realized(after)
+                    assert bc.last_decision == ref.last_decision
+                    d = bc.last_decision
+                    seen["steps"] += 1
+                    seen["fallback"] += d.fallback
+                    seen["inside"] += d.feasible_count
+                    seen["nothing_expected"] += d.m_expected_fwd == 0.0 or d.m_expected_rev == 0.0
+        assert seen["steps"] >= 2000
+        assert min(seen.values()) > 0, seen
