@@ -52,8 +52,6 @@ class VehicleRoutes(NamedTuple):
 @dataclass
 class RouteProbabilities:
     phi: dict[int, np.ndarray]
-    densities: dict[str, float]
-    mean_density: float
     objective: float
     target_term: float
     homogeneity_term: float
@@ -163,33 +161,6 @@ def candidate_next_regions(
     return out
 
 
-def density_fields(
-    routes: Sequence[VehicleRoutes],
-    phi: Mapping[int, np.ndarray],
-    net: Network,
-    region: str,
-    accumulation: float,
-) -> tuple[dict[str, float], float]:
-    """Expected end-of-step link densities (veh/m/lane) and the region mean."""
-    region_links = sorted(
-        l.id for l in net.links.values() if l.region == region
-    )
-    area = {
-        l: net.links[l].lane_count * net.links[l].length_m for l in region_links
-    }
-    mass = {l: 0.0 for l in region_links}
-    for vr in routes:
-        if vr.region != region:
-            continue
-        weights = phi[vr.vid]
-        for r, w in zip(vr.routes, weights):
-            if r.projected_link is not None and r.projected_link in mass:
-                mass[r.projected_link] += float(w)
-    densities = {l: mass[l] / area[l] for l in region_links}
-    mean = accumulation / sum(area.values()) if region_links else 0.0
-    return densities, mean
-
-
 def solve_probabilities(
     routes: Sequence[VehicleRoutes],
     targets: Mapping[tuple[str, str, str], float],
@@ -253,14 +224,11 @@ def solve_probabilities(
     phi = {vr.vid: np.ones(1) for vr in in_region}
     for vr, xk in zip(free, x):
         phi[vr.vid] = np.array([xk, 1.0 - xk])
-    densities, mean = density_fields(in_region, phi, net, region, accumulation)
     value = base + m_mat @ x
     target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
     homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
     return RouteProbabilities(
         phi=phi,
-        densities=densities,
-        mean_density=mean,
         objective=target_term + homog_term,
         target_term=target_term,
         homogeneity_term=homog_term,

@@ -11,14 +11,13 @@ from msjc.routectl import (
     annotate_routes,
     assign_routes,
     candidate_next_regions,
-    density_fields,
     generate_routes,
     solve_probabilities,
 )
 from msjc import fixtures
 
 from conftest import make_single_gate
-from oracles import per_vehicle_candidates, route_choice_grid_search
+from oracles import density_fields, per_vehicle_candidates, route_choice_grid_search
 from test_mesosim import force_queued, force_running
 
 
@@ -346,14 +345,15 @@ class TestSolveProbabilities:
             ]
             t2 = float(rng.uniform(0, 1))
             targets = {("R1", "R2", "R9"): t2, ("R1", "R3", "R9"): 1 - t2}
-            out = solve_probabilities(routes, targets, net, "R1", float(rng.uniform(0, 10)), 10.0, ADJ)
+            accumulation = float(rng.uniform(0, 10))
+            out = solve_probabilities(routes, targets, net, "R1", accumulation, 10.0, ADJ)
             nv = [len(r.routes) for r in routes]
             uniform = {r.vid: np.full(n, 1.0 / n) for r, n in zip(routes, nv)}
-            dens, mean = density_fields(routes, uniform, net, "R1", out.mean_density * 450.0)
-            # recompute the uniform objective with the module's own pieces
+            dens, mean = density_fields(routes, uniform, net, "R1", accumulation)
+            # recompute the uniform objective independently of the solve
             prop2 = sum(u[0] for u in uniform.values()) / len(routes)
             target_term = 10.0 * ((prop2 - t2) ** 2 + ((1 - prop2) - (1 - t2)) ** 2)
-            homog = sum((dens[l] - out.mean_density) ** 2 for l in dens)
+            homog = sum((dens[l] - mean) ** 2 for l in dens)
             assert out.objective <= target_term + homog + 1e-12
 
     def test_high_beta_attains_feasible_targets(self):
