@@ -703,20 +703,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
             for f in sc.demand.od
         ],
     }
-    control = {
-        "t_macro_s": float(sc.control.t_macro_s),
-        "t_micro_s": float(sc.control.t_micro_s),
-        "sigma": float(sc.control.sigma),
-        "sigma_abs_veh_s": float(sc.control.sigma_abs_veh_s),
-        "activation_threshold": float(sc.control.activation_threshold),
-        "route_beta": float(sc.control.route_beta),
-        "logit_theta": float(sc.control.logit_theta),
-        "pi_kp": float(sc.control.pi_kp),
-        "pi_ki": float(sc.control.pi_ki),
-        "completion_proxy": sc.control.completion_proxy,
-        "demand_forecast": sc.control.demand_forecast,
-        "cap_factor": float(sc.control.cap_factor),
-    }
+    control = {}
+    for f in fields(ControlConfig):
+        value = getattr(sc.control, f.name)
+        control[f.name] = float(value) if f.type == "float" else value
     out = {
         "meta": {"name": sc.name},
         "regions": {r: {"neighbors": list(sc.partition.adjacency[r])} for r in sc.partition.regions},

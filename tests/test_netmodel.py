@@ -1,9 +1,12 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import yaml
 
 from msjc import fixtures
 from msjc.netmodel import (
+    ControlConfig,
     ScenarioError,
     boundary_key,
     candidate_hyper_path,
@@ -136,6 +139,29 @@ def test_scenario_round_trip(build, tmp_path):
     sc2 = load_scenario(path)
     assert scenario_to_dict(sc2) == scenario_to_dict(sc)
     assert sc2 == sc
+
+
+def test_every_control_setting_survives_save_and_load(tmp_path):
+    control = ControlConfig(
+        t_macro_s=120.0,
+        t_micro_s=12.0,
+        sigma=0.2,
+        sigma_abs_veh_s=0.07,
+        activation_threshold=0.4,
+        route_beta=3.0,
+        logit_theta=0.02,
+        pi_kp=0.06,
+        pi_ki=0.03,
+        completion_proxy="outflow",
+        demand_forecast="known",
+        cap_factor=2.5,
+    )
+    default = ControlConfig()
+    assert all(getattr(control, f.name) != getattr(default, f.name) for f in fields(ControlConfig))
+    path = tmp_path / "control.yaml"
+    save_scenario(replace(fixtures.corridor2(), control=control), path)
+    assert list(yaml.safe_load(path.read_text())["control"]) == [f.name for f in fields(ControlConfig)]
+    assert load_scenario(path).control == control
 
 
 def _stopped_and_full_routes(net, tt, several):
