@@ -1,12 +1,18 @@
-"""Every name perfbench's timers wrap still exists and is callable.
+"""perfbench's timers wrap names that still exist, and its counters read
+what the runs did.
 
 ``perfbench/workloads.bind_layers`` replaces package attributes by name; a
 renamed function only shows up there as a failed wrapper self-check after a
-full benchmark run.  This binds the hooks with a stub tracer instead, which
-runs nothing.
+full benchmark run.  The first test binds the hooks with a stub tracer,
+which runs nothing.  The second binds the real tracer around three short
+corridor2 runs and checks the boundary fallback counter against the runs'
+own ``boundary.csv``.
 """
 
+import csv
 from pathlib import Path
+
+from msjc import fixtures, runner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +35,27 @@ def test_every_perfbench_hook_names_a_callable(monkeypatch):
     assert len(tracer.names) == len(set(tracer.names)) >= 20
     for workload in workloads.WORKLOADS:
         assert workloads.EXPECTED_BUSY[workload] <= set(tracer.names)
+
+
+def test_boundary_counters_match_the_runs_logs(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from layers import Tracer
+
+    decisions = fallbacks = 0
+    with Tracer() as tracer:
+        workloads.bind_layers(tracer)
+        for strategy in ("msjc", "mspc-lr", "bp-lr"):
+            out = tmp_path / strategy
+            runner.run(fixtures.corridor2(), runner.RunConfig(strategy, seed=0, out_dir=out))
+            with open(out / "boundary.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            decisions += len(rows)
+            fallbacks += sum(r["fallback"] == "1" for r in rows)
+    metrics = workloads.layer_metrics(tracer.layers)
+    step = "boundaryctl.BoundaryController.control_step"
+    assert fallbacks > 0
+    assert metrics[f"{step}.calls"] == decisions
+    assert metrics[f"{step}.fallback"] == fallbacks
+    assert metrics["boundaryctl.fallback_ratio"] == fallbacks / decisions
+    assert metrics["baselines.bp_control.calls"] > 0
