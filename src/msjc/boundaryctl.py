@@ -125,21 +125,22 @@ class BoundaryController:
         return bounds[0], bounds[1]
 
     def control_step(self, obs: MicroObservation) -> str:
-        """Rank every plan and activate the first.  A plan is inside the band
+        """Rank every plan and activate the least.  A plan is inside the band
         when, in both directions, its relative deviation from the expected
         rate is below (u - k + 1)·sigma (below 1 with the absolute scale
         sigma_abs when nothing more is expected)."""
         c = self.control
         u, dt = c.steps_per_macro, c.t_micro_s
         k = len(self.realized[0]) + 1
+        remaining = u - k + 1
         # the rate that would still meet the macro target, floored at zero
         expected = [
-            max((target * (u * dt) - sum(done) * dt) / ((u - k + 1) * dt), 0.0)
+            max((target * (u * dt) - sum(done) * dt) / (remaining * dt), 0.0)
             for target, done in zip(self.targets, self.realized)
         ]
         ng = [obs.non_gating_crossings.get(d, 0.0) for d in self.directions]
         scale = [m if m > 0.0 else c.sigma_abs_veh_s for m in expected]
-        band = [(u - k + 1) * c.sigma if m > 0.0 else 1.0 for m in expected]
+        band = [remaining * c.sigma if m > 0.0 else 1.0 for m in expected]
 
         ranks, estimates = [], []
         for index, plan in enumerate(self.plans):
@@ -151,10 +152,9 @@ class BoundaryController:
                 ranks.append((1, dev[0] + dev[1], index))
             estimates.append(est)
         fallback, _, index = min(ranks)
-        i, h = self.key
         self.last_decision = BoundaryDecision(
             time_s=obs.time_s,
-            boundary=f"{i}|{h}",
+            boundary="|".join(self.key),
             k=k,
             plan=self.plans[index].id,
             fallback=bool(fallback),
