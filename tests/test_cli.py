@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from msjc import cli, mfd
+from msjc import cli, fixtures, mfd, netmodel
 from test_runner import assert_grid6_calibrated
 
 
@@ -46,6 +46,50 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
     assert "gating_gain" in err
 
 
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        (lambda raw: raw["control"], "completion_proxy", "outflow"),
+        (lambda raw: raw["control"], "demand_forecast", "known"),
+        (lambda raw: raw["intersections"]["ng"], "service_rate_veh_s", 0.3),
+    ],
+)
+def test_removed_scenario_key_is_one_line_and_exit_2(where, key, value, tmp_path, capsys):
+    scenario, raw = _corridor2(tmp_path, capsys)
+    where(raw)[key] = value
+    scenario.write_text(yaml.safe_dump(raw))
+    assert _run(scenario, tmp_path) == 2
+    _one_error_line(capsys, key)
+
+
+@pytest.mark.parametrize("key", ["sigma", "sigma_abs_veh_s"])
+def test_non_positive_band_width_is_one_line_and_exit_2(key, tmp_path, capsys):
+    scenario, raw = _corridor2(tmp_path, capsys)
+    raw["control"][key] = 0.0
+    scenario.write_text(yaml.safe_dump(raw))
+    code = cli.main(
+        ["run", "--scenario", str(scenario), "--strategy", "mspc", "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    _one_error_line(capsys, key)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
+@pytest.mark.parametrize("with_mfd", [True, False])
+def test_made_scenario_loads_as_the_fixture(name, with_mfd, tmp_path):
+    path = tmp_path / f"{name}.yaml"
+    flags = [] if with_mfd else ["--without-mfd"]
+    assert cli.main(["make-scenario", name, "-o", str(path)] + flags) == 0
+    assert netmodel.load_scenario(path) == fixtures.BUILTIN[name](with_mfd=with_mfd)
+
+
+def _corridor2(tmp_path, capsys):
+    scenario = tmp_path / "corridor2.yaml"
+    assert cli.main(["make-scenario", "corridor2", "-o", str(scenario)]) == 0
+    capsys.readouterr()
+    return scenario, yaml.safe_load(scenario.read_text())
+
+
 def _one_error_line(capsys, *needles):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
@@ -59,10 +103,8 @@ def test_missing_scenario_file_is_one_line_and_exit_2(tmp_path, capsys):
 
 
 def _corridor2_and_mfd(tmp_path, capsys):
-    scenario = tmp_path / "corridor2.yaml"
-    assert cli.main(["make-scenario", "corridor2", "-o", str(scenario)]) == 0
-    capsys.readouterr()
-    return scenario, yaml.safe_load(scenario.read_text())["mfd"]
+    scenario, raw = _corridor2(tmp_path, capsys)
+    return scenario, raw["mfd"]
 
 
 def _run_with_mfd(scenario, mfd_path, tmp_path):

@@ -253,6 +253,37 @@ def test_unknown_control_key_rejected():
         scenario_from_dict(raw)
 
 
+# One misspelt or removed key per section; the control block has its own
+# test above.
+@pytest.mark.parametrize(
+    "section, where, key",
+    [
+        ("scenario", lambda raw: raw, "controls"),
+        ("region R1", lambda raw: raw["regions"]["R1"], "neighbours"),
+        ("link a", lambda raw: raw["links"]["a"], "free_sped_mps"),
+        ("lane a_0", lambda raw: raw.setdefault("lanes", {"a_0": {}})["a_0"], "output_lane"),
+        ("intersection g", lambda raw: raw["intersections"]["g"], "service_rate_veh_s"),
+        ("plan s0", lambda raw: raw["plans"]["R1|R2"][0], "phase"),
+        ("demand", lambda raw: raw["demand"], "horizon"),
+        ("demand od a->b", lambda raw: raw["demand"]["od"][0], "rate_veh"),
+    ],
+)
+def test_unknown_key_rejected_in_every_section(section, where, key):
+    raw = _raw()
+    where(raw)[key] = 1.0
+    with pytest.raises(ScenarioError, match=f"^{section}.*: unknown key\\(s\\) {key}$"):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("key", ["sigma", "sigma_abs_veh_s"])
+@pytest.mark.parametrize("value", [0.0, -0.05])
+def test_band_widths_must_be_positive(key, value):
+    raw = _raw()
+    raw["control"] = {key: value}
+    with pytest.raises(ScenarioError, match=f"control: {key} must be > 0"):
+        scenario_from_dict(raw)
+
+
 @pytest.mark.parametrize(
     "key, value", [("t_macro_s", "abc"), ("sigma", [0.1]), ("activation_threshold", None)]
 )
