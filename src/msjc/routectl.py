@@ -52,7 +52,6 @@ class VehicleRoutes(NamedTuple):
 @dataclass
 class RouteProbabilities:
     phi: dict[int, np.ndarray]
-    objective: float
     target_term: float
     homogeneity_term: float
     realized: dict[tuple[str, str, str], float]
@@ -229,7 +228,6 @@ def solve_probabilities(
     homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
     return RouteProbabilities(
         phi=phi,
-        objective=target_term + homog_term,
         target_term=target_term,
         homogeneity_term=homog_term,
         realized={key: float(v) for key, v in zip(keys, value)},
