@@ -40,7 +40,6 @@ GRID6_MFD = {
 
 def corridor2(
     horizon_s: float = 1500.0,
-    warmup_s: float = 200.0,
     east_rate: float = 0.35,
     west_rate: float = 0.2,
     with_mfd: bool = True,
@@ -90,7 +89,7 @@ def corridor2(
     }
     demand = {
         "horizon_s": horizon_s,
-        "warmup_s": warmup_s,
+        "warmup_s": 200.0,
         "seed": 1,
         "od": [
             {"origin": "src1", "destination": "snk2", "rate_veh_s": east_rate},
@@ -112,12 +111,7 @@ def corridor2(
     return scenario_from_dict(raw, name="corridor2")
 
 
-def grid6(
-    horizon_s: float = 1500.0,
-    warmup_s: float = 200.0,
-    demand_scale: float = 1.0,
-    with_mfd: bool = True,
-) -> Scenario:
+def grid6(horizon_s: float = 1500.0, with_mfd: bool = True) -> Scenario:
     regions = {r: {"neighbors": sorted(n)} for r, n in GRID6_ADJACENCY.items()}
     links: dict[str, dict] = {}
     lanes: dict[str, dict] = {}
@@ -170,14 +164,14 @@ def grid6(
         {
             "origin": f"src_{a}",
             "destination": f"snk_{b}",
-            "rate_veh_s": rate * demand_scale,
+            "rate_veh_s": rate,
         }
         for a, b, rate in base
     ] + [
         {
             "origin": f"src_{r}",
             "destination": f"snk_{r}",
-            "rate_veh_s": 0.03 * demand_scale,
+            "rate_veh_s": 0.03,
         }
         for r in sorted(GRID6_ADJACENCY)
     ]
@@ -190,7 +184,7 @@ def grid6(
         "plans": plans,
         "demand": {
             "horizon_s": horizon_s,
-            "warmup_s": warmup_s,
+            "warmup_s": 200.0,
             "seed": 1,
             "od": od,
         },

@@ -110,11 +110,11 @@ def critical_accumulation(
     return float(n_crit)
 
 
-def fit(samples: list[MfdSample], range_factor: float = 1.2) -> MfdModel:
+def fit(samples: list[MfdSample]) -> MfdModel:
     """Least-squares cubic through the origin, per region.
 
     Requires at least 10 samples per region spanning a nonzero accumulation
-    range; the critical accumulation is located on [0, range_factor * max N].
+    range; the critical accumulation is located on [0, 1.2 * max N].
     """
     by_region: dict[str, list[MfdSample]] = {}
     for s in samples:
@@ -141,7 +141,7 @@ def fit(samples: list[MfdSample], range_factor: float = 1.2) -> MfdModel:
         if rank < 3:
             raise MfdFitError(f"region {region}: rank-deficient sample set")
         b1, b2, b3 = coef[0] / scale, coef[1] / scale**2, coef[2] / scale**3
-        hi = range_factor * float(n.max())
+        hi = 1.2 * float(n.max())
         n_crit = critical_accumulation(float(b1), float(b2), float(b3), hi)
         params[region] = MfdParams(float(b1), float(b2), float(b3), n_crit, hi)
     return MfdModel(params)
