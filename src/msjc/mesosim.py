@@ -282,11 +282,6 @@ class Simulator:
             self._running[link_id] = still_running
 
         # 3. queue service
-        node_budget: dict[str, int] = {}
-        for node in self.net.intersections.values():
-            if node.kind == NON_GATING and node.service_rate_veh_s is not None:
-                node_budget[node.id] = int(math.floor(node.service_rate_veh_s * dt + 1e-9))
-
         for link_id in sorted(self.net.links):
             link = self.net.links[link_id]
             node = self.net.intersections.get(link.to_node)
@@ -303,9 +298,6 @@ class Simulator:
                             budget = 0
                 queue = self._queues[lane_id]
                 while budget > 0 and queue:
-                    if node is not None and node.id in node_budget:
-                        if node_budget[node.id] <= 0:
-                            break
                     vid = queue[0]
                     v = self.vehicles[vid]
                     nxt = v.route[1]
@@ -320,8 +312,6 @@ class Simulator:
                     self._occupancy[nxt] += 1
                     self._running[nxt].append(vid)
                     budget -= 1
-                    if node is not None and node.id in node_budget:
-                        node_budget[node.id] -= 1
                     from_region = link.region
                     to_region = self.net.link_region(nxt)
                     if from_region != to_region:

@@ -2,8 +2,10 @@
 
 A scenario is a YAML document with sections ``regions``, ``links``,
 ``lanes`` (optional overrides), ``intersections``, ``plans``, ``demand``,
-``control`` and an optional ``mfd`` block written by calibration.  All rates
-are veh/s, lengths meters, times seconds.  Identifiers are strings.
+``control``, an optional ``mfd`` block written by calibration and an optional
+free-form ``meta`` block whose ``name`` names the scenario.  Every section
+but ``meta`` rejects a key it does not define, naming the key.  All rates are
+veh/s, lengths meters, times seconds.  Identifiers are strings.
 
 Everything loaded here is immutable after validation and safe to share
 across threads.
@@ -67,7 +69,6 @@ class Intersection:
     kind: str
     phases: tuple[Phase, ...] = ()
     boundary: tuple[str, str] | None = None
-    service_rate_veh_s: float | None = None
 
     def phase(self, phase_id: str) -> Phase:
         for p in self.phases:
@@ -138,20 +139,11 @@ class ControlConfig:
     logit_theta: float = 0.01
     pi_kp: float = 0.05
     pi_ki: float = 0.01
-    completion_proxy: str = "outflow_plus_internal"
-    demand_forecast: str = "previous"
     cap_factor: float = 4.0
 
     @property
     def steps_per_macro(self) -> int:
         return int(round(self.t_macro_s / self.t_micro_s))
-
-
-# The allowed values of the ControlConfig fields that name a mode.
-_CONTROL_CHOICES = {
-    "completion_proxy": ("outflow_plus_internal", "outflow"),
-    "demand_forecast": ("previous", "known"),
-}
 
 
 def boundary_key(i: str, h: str) -> tuple[str, str]:
@@ -279,6 +271,16 @@ def _require(mapping: Mapping, key: str, ctx: str):
     return mapping[key]
 
 
+def _check_keys(spec, allowed: Iterable[str], ctx: str) -> None:
+    """Reject a section that is not a mapping or names a key outside
+    ``allowed``."""
+    if not isinstance(spec, Mapping):
+        raise ScenarioError(f"{ctx}: must be a mapping, got {spec!r}")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{ctx}: unknown key(s) {', '.join(unknown)}")
+
+
 def read_yaml(path, what: str):
     """Parse a YAML file; an unreadable file or bad YAML raises ScenarioError
     naming the path."""
@@ -303,6 +305,11 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
+    _check_keys(
+        raw,
+        ("meta", "regions", "links", "lanes", "intersections", "plans", "demand", "control", "mfd"),
+        "scenario",
+    )
     regions_raw = _require(raw, "regions", "scenario")
     links_raw = _require(raw, "links", "scenario")
     inter_raw = _require(raw, "intersections", "scenario")
@@ -315,6 +322,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     adjacency: dict[str, tuple[str, ...]] = {}
     for r in regions:
         spec = regions_raw[r] or {}
+        _check_keys(spec, ("neighbors",), f"region {r}")
         adjacency[r] = tuple(sorted(spec.get("neighbors", [])))
     for r, nbrs in adjacency.items():
         for h in nbrs:
@@ -330,6 +338,11 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     for link_id in sorted(links_raw):
         spec = links_raw[link_id]
         ctx = f"link {link_id}"
+        _check_keys(
+            spec,
+            ("from", "to", "region", "length_m", "lanes", "sat_flow_veh_s", "capacity_veh", "free_speed_mps"),
+            ctx,
+        )
         region = _require(spec, "region", ctx)
         if region not in adjacency:
             raise ScenarioError(f"{ctx}: unknown region '{region}'")
@@ -375,6 +388,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         spec = lanes_raw[lid] or {}
         if lid not in lanes:
             raise ScenarioError(f"lane override '{lid}': no such lane")
+        _check_keys(spec, ("output_lanes", "sat_flow_veh_s", "capacity_veh"), f"lane {lid}")
         override = lanes[lid]
         if "output_lanes" in spec:
             override = replace(override, output_lanes=tuple(spec["output_lanes"]))
@@ -407,6 +421,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     for node_id in sorted(inter_raw):
         spec = inter_raw[node_id] or {}
         ctx = f"intersection {node_id}"
+        _check_keys(spec, ("kind", "boundary", "phases"), ctx)
         kind = spec.get("kind", INTERIOR)
         if kind not in (GATING, NON_GATING, INTERIOR):
             raise ScenarioError(f"{ctx}: unknown kind '{kind}'")
@@ -447,11 +462,6 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
             kind=kind,
             phases=tuple(phases),
             boundary=boundary,
-            service_rate_veh_s=(
-                float(spec["service_rate_veh_s"])
-                if "service_rate_veh_s" in spec
-                else None
-            ),
         )
 
     # Every cross-region link transition must happen at a declared boundary
@@ -487,6 +497,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         nodes = sorted(gating_nodes.get(key, []))
         for spec in plans_raw[pair_raw]:
             ctx = f"plan {spec.get('id', '?')} of boundary {key}"
+            _check_keys(spec, ("id", "phases"), ctx)
             pid = str(_require(spec, "id", ctx))
             phase_map = _require(spec, "phases", ctx)
             if sorted(phase_map) != nodes:
@@ -517,6 +528,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"boundary {key} has no multi-phase plan")
 
     ctx = "demand"
+    _check_keys(demand_raw, ("horizon_s", "warmup_s", "seed", "od"), ctx)
     horizon = float(_require(demand_raw, "horizon_s", ctx))
     warmup = float(demand_raw.get("warmup_s", 0.0))
     if not warmup < horizon:
@@ -524,6 +536,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     od_flows = []
     for spec in demand_raw.get("od", []):
         octx = f"demand od {spec.get('origin')}->{spec.get('destination')}"
+        _check_keys(spec, ("origin", "destination", "rate_veh_s", "profile"), octx)
         origin = str(_require(spec, "origin", octx))
         dest = str(_require(spec, "destination", octx))
         for lid in (origin, dest):
@@ -552,6 +565,9 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         raise ScenarioError("control: t_macro_s must be a multiple of t_micro_s")
     if not 0 < control.activation_threshold < 1:
         raise ScenarioError("control: activation_threshold must lie in (0, 1)")
+    for key in ("sigma", "sigma_abs_veh_s"):
+        if not getattr(control, key) > 0:
+            raise ScenarioError(f"control: {key} must be > 0")
 
     link_region = {l.id: l.region for l in links.values()}
     partition = RegionPartition(regions, adjacency, link_region)
@@ -569,26 +585,14 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
 
 
 def _control_from_dict(raw: Mapping) -> ControlConfig:
-    """ControlConfig from a ``control`` block, each value converted to its
-    field's declared type."""
-    unknown = sorted(set(raw) - {f.name for f in fields(ControlConfig)})
-    if unknown:
-        raise ScenarioError(f"control: unknown key(s) {', '.join(unknown)}")
+    """ControlConfig from a ``control`` block; every value is a float."""
+    _check_keys(raw, (f.name for f in fields(ControlConfig)), "control")
     values = {}
-    for f in fields(ControlConfig):
-        if f.name not in raw:
-            continue
+    for key, value in raw.items():
         try:
-            values[f.name] = float(raw[f.name]) if f.type == "float" else str(raw[f.name])
+            values[key] = float(value)
         except (TypeError, ValueError):
-            raise ScenarioError(
-                f"control: {f.name} must be a {f.type}, got {raw[f.name]!r}"
-            ) from None
-        allowed = _CONTROL_CHOICES.get(f.name)
-        if allowed and values[f.name] not in allowed:
-            raise ScenarioError(
-                f"control: {f.name} must be one of {', '.join(allowed)}, got {raw[f.name]!r}"
-            )
+            raise ScenarioError(f"control: {key} must be a float, got {value!r}") from None
     return ControlConfig(**values)
 
 
@@ -606,6 +610,7 @@ def mfd_from_dict(raw, regions: Sequence[str]) -> dict[str, MfdParams]:
         spec = raw.get(r)
         if not isinstance(spec, Mapping):
             raise ScenarioError(f"mfd: region {r} has no coefficients")
+        _check_keys(spec, (f.name for f in fields(MfdParams)), f"mfd: region {r}")
         values = {}
         for f in fields(MfdParams):
             value = spec.get(f.name)
@@ -680,8 +685,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
             spec["boundary"] = list(node.boundary)
         if node.phases:
             spec["phases"] = {p.id: sorted(p.allowed_lanes) for p in node.phases}
-        if node.service_rate_veh_s is not None:
-            spec["service_rate_veh_s"] = float(node.service_rate_veh_s)
         intersections[node.id] = spec
     plans = {
         f"{key[0]}|{key[1]}": [
@@ -703,10 +706,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
             for f in sc.demand.od
         ],
     }
-    control = {}
-    for f in fields(ControlConfig):
-        value = getattr(sc.control, f.name)
-        control[f.name] = float(value) if f.type == "float" else value
+    control = {f.name: float(getattr(sc.control, f.name)) for f in fields(ControlConfig)}
     out = {
         "meta": {"name": sc.name},
         "regions": {r: {"neighbors": list(sc.partition.adjacency[r])} for r in sc.partition.regions},

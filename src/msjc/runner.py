@@ -182,12 +182,6 @@ class MsjcStrategy(_TrackedStrategy):
 
         candidates = routectl.candidate_next_regions(self._annotated_routes(ctx.travel_times))
         c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
-        for (i, j) in list(ctx.state.n):
-            if i == j:
-                continue
-            for h in self.scenario.partition.adjacency[i]:
-                c_min.setdefault((i, h, j), 0.0)
-                c_max.setdefault((i, h, j), 1.0)
         envelopes = self.macro.envelopes
         bounds = ControlBounds(
             m_min={k: v[0] for k, v in envelopes.items()},
@@ -350,23 +344,6 @@ def make_strategy(
 
 # ---------------------------------------------------------------------------
 # Run loop
-
-
-def _expected_demand(
-    scenario: Scenario, scale: float, t0: float, t1: float, dt: float
-) -> dict[tuple[str, str], float]:
-    out: dict[tuple[str, str], float] = {}
-    net = scenario.network
-    steps = int(round((t1 - t0) / dt))
-    for flow in scenario.demand.od:
-        key = (net.link_region(flow.origin), net.link_region(flow.destination))
-        total = 0.0
-        for k in range(steps):
-            t = t0 + k * dt
-            if t < scenario.demand.horizon_s:
-                total += flow.rate_at(t) * scale * dt
-        out[key] = out.get(key, 0.0) + total
-    return out
 
 
 def _build_macro_state(
@@ -601,13 +578,7 @@ def run(
         cleared_at: float | None = None
 
         while True:
-            if control.demand_forecast == "known":
-                q = _expected_demand(
-                    scenario, config.demand_scale, sim.time_s, sim.time_s + control.t_macro_s, dt
-                )
-            else:
-                q = dict(prev_admitted)
-            state = _build_macro_state(scenario, obs, t_index, q)
+            state = _build_macro_state(scenario, obs, t_index, prev_admitted)
             active = any(
                 state.accumulation(r) > control.activation_threshold * model.critical(r)
                 for r in scenario.partition.regions
@@ -726,10 +697,7 @@ def calibrate(
                     obs.boundary_crossings.get((r, h), 0.0) * dt
                     for h in scenario.partition.adjacency[r]
                 )
-                if control.completion_proxy == "outflow":
-                    flow[r] += outflow
-                else:
-                    flow[r] += outflow + internal
+                flow[r] += outflow + internal
             steps_in_window += 1
             if steps_in_window == window_steps:
                 for r in regions:

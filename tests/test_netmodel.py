@@ -152,8 +152,6 @@ def test_every_control_setting_survives_save_and_load(tmp_path):
         logit_theta=0.02,
         pi_kp=0.06,
         pi_ki=0.03,
-        completion_proxy="outflow",
-        demand_forecast="known",
         cap_factor=2.5,
     )
     default = ControlConfig()
@@ -302,16 +300,6 @@ def test_control_values_take_their_declared_types():
     assert control.t_micro_s == 10.0 and isinstance(control.t_micro_s, float)
 
 
-@pytest.mark.parametrize(
-    "key, value", [("demand_forecast", "knwon"), ("completion_proxy", "inflow")]
-)
-def test_unknown_control_mode_rejected(key, value):
-    raw = _raw()
-    raw["control"] = {key: value}
-    with pytest.raises(ScenarioError, match=f"control: {key} must be one of .*{value}"):
-        scenario_from_dict(raw)
-
-
 MFD_R = {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 120.0}
 
 
@@ -324,6 +312,8 @@ MFD_R = {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 1
          "region R2 field 'n_crit' is not a number"),
         ({"R1": dict(MFD_R), "R2": dict(MFD_R), "R9": dict(MFD_R)}, "unknown region 'R9'"),
         ({"R1": dict(MFD_R)}, "region R2 has no coefficients"),
+        ({"R1": dict(MFD_R, n_crit_veh=40.0), "R2": dict(MFD_R)},
+         "region R1: unknown key\\(s\\) n_crit_veh"),
     ],
 )
 def test_bad_mfd_block_rejected(mfd, message):
