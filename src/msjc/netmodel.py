@@ -17,7 +17,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import yaml
 
@@ -271,13 +271,13 @@ def _require(mapping: Mapping, key: str, ctx: str):
     return mapping[key]
 
 
-def _check_keys(spec, allowed: Iterable[str], ctx: str) -> None:
+def _check_keys(spec, allowed: set[str], ctx: str) -> None:
     """Reject a section that is not a mapping or names a key outside
     ``allowed``."""
     if not isinstance(spec, Mapping):
         raise ScenarioError(f"{ctx}: must be a mapping, got {spec!r}")
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
+    if not spec.keys() <= allowed:
+        unknown = sorted(spec.keys() - allowed)
         raise ScenarioError(f"{ctx}: unknown key(s) {', '.join(unknown)}")
 
 
@@ -307,7 +307,7 @@ def load_scenario(path) -> Scenario:
 def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     _check_keys(
         raw,
-        ("meta", "regions", "links", "lanes", "intersections", "plans", "demand", "control", "mfd"),
+        {"meta", "regions", "links", "lanes", "intersections", "plans", "demand", "control", "mfd"},
         "scenario",
     )
     regions_raw = _require(raw, "regions", "scenario")
@@ -322,7 +322,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     adjacency: dict[str, tuple[str, ...]] = {}
     for r in regions:
         spec = regions_raw[r] or {}
-        _check_keys(spec, ("neighbors",), f"region {r}")
+        _check_keys(spec, {"neighbors"}, f"region {r}")
         adjacency[r] = tuple(sorted(spec.get("neighbors", [])))
     for r, nbrs in adjacency.items():
         for h in nbrs:
@@ -340,7 +340,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         ctx = f"link {link_id}"
         _check_keys(
             spec,
-            ("from", "to", "region", "length_m", "lanes", "sat_flow_veh_s", "capacity_veh", "free_speed_mps"),
+            {"from", "to", "region", "length_m", "lanes", "sat_flow_veh_s", "capacity_veh", "free_speed_mps"},
             ctx,
         )
         region = _require(spec, "region", ctx)
@@ -388,7 +388,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         spec = lanes_raw[lid] or {}
         if lid not in lanes:
             raise ScenarioError(f"lane override '{lid}': no such lane")
-        _check_keys(spec, ("output_lanes", "sat_flow_veh_s", "capacity_veh"), f"lane {lid}")
+        _check_keys(spec, {"output_lanes", "sat_flow_veh_s", "capacity_veh"}, f"lane {lid}")
         override = lanes[lid]
         if "output_lanes" in spec:
             override = replace(override, output_lanes=tuple(spec["output_lanes"]))
@@ -421,7 +421,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     for node_id in sorted(inter_raw):
         spec = inter_raw[node_id] or {}
         ctx = f"intersection {node_id}"
-        _check_keys(spec, ("kind", "boundary", "phases"), ctx)
+        _check_keys(spec, {"kind", "boundary", "phases"}, ctx)
         kind = spec.get("kind", INTERIOR)
         if kind not in (GATING, NON_GATING, INTERIOR):
             raise ScenarioError(f"{ctx}: unknown kind '{kind}'")
@@ -497,7 +497,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         nodes = sorted(gating_nodes.get(key, []))
         for spec in plans_raw[pair_raw]:
             ctx = f"plan {spec.get('id', '?')} of boundary {key}"
-            _check_keys(spec, ("id", "phases"), ctx)
+            _check_keys(spec, {"id", "phases"}, ctx)
             pid = str(_require(spec, "id", ctx))
             phase_map = _require(spec, "phases", ctx)
             if sorted(phase_map) != nodes:
@@ -528,7 +528,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"boundary {key} has no multi-phase plan")
 
     ctx = "demand"
-    _check_keys(demand_raw, ("horizon_s", "warmup_s", "seed", "od"), ctx)
+    _check_keys(demand_raw, {"horizon_s", "warmup_s", "seed", "od"}, ctx)
     horizon = float(_require(demand_raw, "horizon_s", ctx))
     warmup = float(demand_raw.get("warmup_s", 0.0))
     if not warmup < horizon:
@@ -536,7 +536,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     od_flows = []
     for spec in demand_raw.get("od", []):
         octx = f"demand od {spec.get('origin')}->{spec.get('destination')}"
-        _check_keys(spec, ("origin", "destination", "rate_veh_s", "profile"), octx)
+        _check_keys(spec, {"origin", "destination", "rate_veh_s", "profile"}, octx)
         origin = str(_require(spec, "origin", octx))
         dest = str(_require(spec, "destination", octx))
         for lid in (origin, dest):
@@ -586,7 +586,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
 
 def _control_from_dict(raw: Mapping) -> ControlConfig:
     """ControlConfig from a ``control`` block; every value is a float."""
-    _check_keys(raw, (f.name for f in fields(ControlConfig)), "control")
+    _check_keys(raw, {f.name for f in fields(ControlConfig)}, "control")
     values = {}
     for key, value in raw.items():
         try:
@@ -610,7 +610,7 @@ def mfd_from_dict(raw, regions: Sequence[str]) -> dict[str, MfdParams]:
         spec = raw.get(r)
         if not isinstance(spec, Mapping):
             raise ScenarioError(f"mfd: region {r} has no coefficients")
-        _check_keys(spec, (f.name for f in fields(MfdParams)), f"mfd: region {r}")
+        _check_keys(spec, {f.name for f in fields(MfdParams)}, f"mfd: region {r}")
         values = {}
         for f in fields(MfdParams):
             value = spec.get(f.name)
