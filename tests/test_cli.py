@@ -46,31 +46,23 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
     assert "gating_gain" in err
 
 
+# Keys removed from the scenario format, and band widths that would divide
+# by zero in the boundary controller.
 @pytest.mark.parametrize(
     "where, key, value",
     [
         (lambda raw: raw["control"], "completion_proxy", "outflow"),
         (lambda raw: raw["control"], "demand_forecast", "known"),
         (lambda raw: raw["intersections"]["ng"], "service_rate_veh_s", 0.3),
+        (lambda raw: raw["control"], "sigma", 0.0),
+        (lambda raw: raw["control"], "sigma_abs_veh_s", 0.0),
     ],
 )
-def test_removed_scenario_key_is_one_line_and_exit_2(where, key, value, tmp_path, capsys):
+def test_rejected_scenario_setting_is_one_line_and_exit_2(where, key, value, tmp_path, capsys):
     scenario, raw = _corridor2(tmp_path, capsys)
     where(raw)[key] = value
     scenario.write_text(yaml.safe_dump(raw))
     assert _run(scenario, tmp_path) == 2
-    _one_error_line(capsys, key)
-
-
-@pytest.mark.parametrize("key", ["sigma", "sigma_abs_veh_s"])
-def test_non_positive_band_width_is_one_line_and_exit_2(key, tmp_path, capsys):
-    scenario, raw = _corridor2(tmp_path, capsys)
-    raw["control"][key] = 0.0
-    scenario.write_text(yaml.safe_dump(raw))
-    code = cli.main(
-        ["run", "--scenario", str(scenario), "--strategy", "mspc", "--out", str(tmp_path / "run")]
-    )
-    assert code == 2
     _one_error_line(capsys, key)
 
 
