@@ -46,8 +46,9 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
     assert "gating_gain" in err
 
 
-# Keys removed from the scenario format, and band widths that would divide
-# by zero in the boundary controller.
+# Keys removed from the scenario format, band widths that would divide by
+# zero in the boundary controller, a wrongly typed number and container, and
+# a plan naming a phase its intersection lacks.
 @pytest.mark.parametrize(
     "where, key, value",
     [
@@ -56,6 +57,10 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
         (lambda raw: raw["intersections"]["ng"], "service_rate_veh_s", 0.3),
         (lambda raw: raw["control"], "sigma", 0.0),
         (lambda raw: raw["control"], "sigma_abs_veh_s", 0.0),
+        (lambda raw: raw["links"]["src1"], "length_m", "abc"),
+        (lambda raw: raw, "meta", "corridor two"),
+        (lambda raw: raw, "regions", ["R1", "R2"]),
+        (lambda raw: raw["plans"]["R1|R2"][0], "phases", {"g": "p_nosuch"}),
     ],
 )
 def test_rejected_scenario_setting_is_one_line_and_exit_2(where, key, value, tmp_path, capsys):
@@ -117,7 +122,7 @@ def test_missing_mfd_file_is_one_line_and_exit_2(tmp_path, capsys):
     "edit, needles",
     [
         (lambda mfd: mfd["R2"].pop("b1"), ("region R2", "'b1' is missing")),
-        (lambda mfd: mfd["R1"].update(b3="x"), ("region R1", "'b3' is not a number")),
+        (lambda mfd: mfd["R1"].update(b3="x"), ("region R1", "b3 must be a float")),
         (lambda mfd: mfd.update(R7=dict(mfd["R1"])), ("unknown region 'R7'",)),
     ],
 )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from msjc.mfd import MfdFitError, MfdModel, MfdSample, critical_accumulation, fit, load_mfd, save_mfd
+from msjc.netmodel import MfdParams
 
 # Published per-region cubic coefficients used as anchors: (b1, b2, b3, n_crit)
 REGION_CUBICS = {
@@ -14,6 +15,11 @@ REGION_CUBICS = {
     "r5": (4.31e-3, -9.18e-7, -2.59e-10, 1454.0),
     "r6": (4.95e-3, -1.49e-6, -7.38e-10, 967.0),
 }
+
+
+def _model(**cubics):
+    """Model from (b1, b2, b3, n_crit) per region."""
+    return MfdModel({r: MfdParams(*c) for r, c in cubics.items()})
 
 
 def _cubic(b1, b2, b3, n):
@@ -111,23 +117,22 @@ class TestCritical:
 
 class TestEvaluate:
     def test_zero_accumulation_gives_zero(self):
-        model = MfdModel.from_coefficients({"R1": REGION_CUBICS["r1"][:3]})
+        model = _model(R1=REGION_CUBICS["r1"])
         assert model.evaluate("R1", 0.0) == 0.0
 
     def test_region1_anchor_value(self):
-        b1, b2, b3, _ = REGION_CUBICS["r1"]
-        model = MfdModel.from_coefficients({"R1": (b1, b2, b3)})
+        model = _model(R1=REGION_CUBICS["r1"])
         assert model.evaluate("R1", 1000.0) == pytest.approx(3.034, abs=1e-9)
 
     def test_negative_tail_clamped(self):
         b1, b2, b3, _ = REGION_CUBICS["r5"]
-        model = MfdModel.from_coefficients({"R1": (b1, b2, b3)})
+        model = _model(R1=REGION_CUBICS["r5"])
         assert _cubic(b1, b2, b3, 5000.0) < 0.0
         assert model.evaluate("R1", 5000.0) == 0.0
 
     def test_continuity_near_clamp(self):
         b1, b2, b3, _ = REGION_CUBICS["r5"]
-        model = MfdModel.from_coefficients({"R1": (b1, b2, b3)})
+        model = _model(R1=REGION_CUBICS["r5"])
         root = 3500.0
         while _cubic(b1, b2, b3, root) > 0:
             root += 1.0
@@ -135,15 +140,13 @@ class TestEvaluate:
         assert abs(model.evaluate("R1", root - eps) - model.evaluate("R1", root + eps)) < 1e-3
 
     def test_unknown_region_rejected(self):
-        model = MfdModel.from_coefficients({"R1": REGION_CUBICS["r1"][:3]})
+        model = _model(R1=REGION_CUBICS["r1"])
         with pytest.raises(KeyError):
             model.evaluate("R9", 10.0)
 
 
 def test_save_load_round_trip(tmp_path):
-    model = MfdModel.from_coefficients(
-        {"R1": REGION_CUBICS["r1"][:3], "R2": REGION_CUBICS["r5"][:3]}
-    )
+    model = _model(R1=REGION_CUBICS["r1"], R2=REGION_CUBICS["r5"])
     path = tmp_path / "mfd.yaml"
     save_mfd(model, path)
     again = load_mfd(path, ("R1", "R2"))

@@ -1,3 +1,5 @@
+import copy
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -309,7 +311,7 @@ MFD_R = {"b1": 0.08, "b2": -1.2e-3, "b3": 4.0e-6, "n_crit": 42.0, "n_max_fit": 1
         ({"R1": dict(MFD_R), "R2": {k: v for k, v in MFD_R.items() if k != "b1"}},
          "region R2 field 'b1' is missing"),
         ({"R1": dict(MFD_R), "R2": dict(MFD_R, n_crit="high")},
-         "region R2 field 'n_crit' is not a number"),
+         "region R2: n_crit must be a float"),
         ({"R1": dict(MFD_R), "R2": dict(MFD_R), "R9": dict(MFD_R)}, "unknown region 'R9'"),
         ({"R1": dict(MFD_R)}, "region R2 has no coefficients"),
         ({"R1": dict(MFD_R, n_crit_veh=40.0), "R2": dict(MFD_R)},
@@ -336,4 +338,67 @@ def test_micro_step_must_be_positive_and_fit_the_macro_step(control):
     raw = _raw()
     raw["control"] = control
     with pytest.raises(ScenarioError, match="0 < t_micro_s <= t_macro_s"):
+        scenario_from_dict(raw)
+
+
+# Each field has one rule wherever it is set (on a link, a lane override or
+# an od entry), and a value a run cannot use fails the load: a zero speed or
+# service rate divides by zero, and a negative seed stops the simulator.
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        (lambda raw: raw["links"]["a"], "free_speed_mps", 0, "link a: free_speed_mps must be > 0"),
+        (lambda raw: raw["links"]["a"], "free_speed_mps", -5, "link a: free_speed_mps must be > 0"),
+        (lambda raw: raw.setdefault("lanes", {"a_0": {}})["a_0"], "sat_flow_veh_s", 0,
+         "lane a_0: sat_flow_veh_s must be > 0"),
+        (lambda raw: raw.setdefault("lanes", {"a_0": {}})["a_0"], "capacity_veh", 0,
+         "lane a_0: capacity_veh must be >= 1"),
+        (lambda raw: raw["links"]["a"], "lanes", 1.5, "link a: lanes must be an int, got 1.5"),
+        (lambda raw: raw["demand"], "seed", -1, "demand: seed must be >= 0"),
+        (lambda raw: raw["demand"]["od"][0], "profile", [[0.0, 0.1]],
+         "demand od a->b: set exactly one of rate_veh_s and profile"),
+    ],
+)
+def test_a_field_has_one_rule_wherever_it_is_set(where, key, value, message):
+    raw = _raw()
+    where(raw)[key] = value
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_dict(raw)
+
+
+BAD_VALUES = ("abc", [], {}, None, -1, 0, 1.5, ["x"], {"k": 1}, [[1, 2, 3]], True)
+
+
+def _nodes(tree, path=()):
+    """(container, key, path) of every value below ``tree``, depth first."""
+    for key, value in list(tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        yield tree, key, path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def test_no_mutation_escapes_as_a_traceback():
+    """Swapping any one value of a saved scenario for a bad one either loads
+    or raises ScenarioError, never another exception."""
+    raw = scenario_to_dict(fixtures.corridor2())
+    escaped = []
+    for container, key, path in list(_nodes(raw)):
+        original = container[key]
+        for bad in BAD_VALUES:
+            container[key] = copy.deepcopy(bad)
+            try:
+                scenario_from_dict(raw)
+            except ScenarioError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{'.'.join(map(str, path))} = {bad!r}: {exc!r}")
+        container[key] = original
+    assert not escaped, f"{len(escaped)} escaped, e.g. " + "; ".join(escaped[:5])
+
+
+@pytest.mark.parametrize("section", ["regions", "links", "intersections", "plans"])
+def test_an_id_key_must_be_a_string(section):
+    raw = _raw()
+    raw[section][1] = next(iter(raw[section].values()))
+    with pytest.raises(ScenarioError, match=f"scenario: {section} keys must be strings, got 1"):
         scenario_from_dict(raw)
