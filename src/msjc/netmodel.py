@@ -3,9 +3,13 @@
 A scenario is a YAML document with sections ``regions``, ``links``,
 ``lanes`` (optional overrides), ``intersections``, ``plans``, ``demand``,
 ``control``, an optional ``mfd`` block written by calibration and an optional
-free-form ``meta`` block whose ``name`` names the scenario.  Every section
-but ``meta`` rejects a key it does not define, naming the key.  All rates are
-veh/s, lengths meters, times seconds.  Identifiers are strings.
+free-form ``meta`` block whose ``meta.name`` names the scenario.  Every
+section but ``meta`` rejects a key it does not define, naming the key, and
+every value is type-checked: a count must be a whole number, and a wrongly
+typed value raises ScenarioError naming its section and key.  ``null`` means
+"not set" for a key without a default and reads as empty for a list or
+mapping.  All rates are veh/s, lengths meters, times seconds.  Identifiers
+are strings.
 
 Everything loaded here is immutable after validation and safe to share
 across threads.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from collections.abc import Iterable, Mapping, Sequence
 
 import yaml
@@ -94,7 +98,6 @@ class MultiPhasePlan:
 class RegionPartition:
     regions: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
-    link_region: dict[str, str]
 
     def ordered_boundaries(self) -> list[tuple[str, str]]:
         return [(i, h) for i in self.regions for h in self.adjacency[i]]
@@ -264,23 +267,132 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Loading
 
+_REQUIRED = object()
+_KIND_NAMES = {float: "a float", int: "an int", str: "a string", list: "a list", dict: "a mapping"}
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_NOT_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_KIND = (lambda v: v in (GATING, NON_GATING, INTERIOR), "must be gating, non_gating or interior")
 
-def _require(mapping: Mapping, key: str, ctx: str):
-    if key not in mapping:
-        raise ScenarioError(f"{ctx}: missing required field '{key}'")
-    return mapping[key]
+# One table per section: key -> (kind, default, check).  A default of
+# _REQUIRED makes the key mandatory; a default of None leaves it unset, as
+# does a null value.  A check is (predicate, text) or None.
+_SCENARIO = {
+    "meta": (dict, {}, None),
+    "regions": (dict, _REQUIRED, None),
+    "links": (dict, _REQUIRED, None),
+    "lanes": (dict, {}, None),
+    "intersections": (dict, _REQUIRED, None),
+    "plans": (dict, _REQUIRED, None),
+    "demand": (dict, _REQUIRED, None),
+    "control": (dict, {}, None),
+    "mfd": (dict, {}, None),
+}
+_REGION = {"neighbors": (list, [], None)}
+_LINK = {
+    "from": (str, _REQUIRED, None),
+    "to": (str, _REQUIRED, None),
+    "region": (str, _REQUIRED, None),
+    "length_m": (float, _REQUIRED, _POSITIVE),
+    "lanes": (int, 1, _AT_LEAST_ONE),
+    "sat_flow_veh_s": (float, 0.5, _POSITIVE),
+    "capacity_veh": (int, None, _AT_LEAST_ONE),  # unset: one vehicle per 7 m
+    "free_speed_mps": (float, 10.0, _POSITIVE),
+}
+# A lane override replaces its link's values, under the link's rules.
+_LANE = {
+    "output_lanes": (list, None, None),
+    "sat_flow_veh_s": (float, None, _POSITIVE),
+    "capacity_veh": (int, None, _AT_LEAST_ONE),
+}
+_INTERSECTION = {
+    "kind": (str, INTERIOR, _KIND),
+    "boundary": (list, None, None),
+    "phases": (dict, {}, None),
+}
+_PLAN = {"id": (str, _REQUIRED, None), "phases": (dict, _REQUIRED, None)}
+_DEMAND = {
+    "horizon_s": (float, _REQUIRED, None),
+    "warmup_s": (float, 0.0, None),
+    "seed": (int, 0, _NOT_NEGATIVE),
+    "od": (list, [], None),
+}
+_OD = {
+    "origin": (str, _REQUIRED, None),
+    "destination": (str, _REQUIRED, None),
+    "rate_veh_s": (float, None, _NOT_NEGATIVE),
+    "profile": (list, None, None),
+}
+_CONTROL_CHECKS = {
+    "sigma": _POSITIVE,
+    "sigma_abs_veh_s": _POSITIVE,
+    "activation_threshold": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+}
+_CONTROL = {f.name: (float, f.default, _CONTROL_CHECKS.get(f.name)) for f in fields(ControlConfig)}
+_MFD_REGION = dict.fromkeys(("b1", "b2", "b3", "n_crit"), (float, _REQUIRED, None))
+_MFD_REGION["n_max_fit"] = (float, None, None)
 
 
-def _check_keys(spec, allowed: set[str], ctx: str) -> None:
-    """Reject a section that is not a mapping or names a key outside
-    ``allowed``.  YAML mappings load as dicts, and a dict type check costs a
-    tenth of an abstract ``Mapping`` check in a loader that makes over a
-    hundred of them per grid6 build."""
-    if not isinstance(spec, dict):
+def _value(kind: type, value, ctx: str, key: str):
+    """``value`` read as ``kind``: a number or numeric string as a float, a
+    whole one as an int, a number as a string, null as an empty list or
+    mapping.  Anything else raises ScenarioError naming ``ctx`` and ``key``."""
+    if type(value) is kind:
+        return value
+    try:
+        if kind is float:
+            return float(value)
+        if kind is int and float(value).is_integer():
+            return int(float(value))
+        if kind is str and isinstance(value, (str, int, float)):
+            return str(value)
+        if value is None and (kind is list or kind is dict):
+            return kind()
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{ctx}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _names(value, ctx: str, key: str) -> tuple[str, ...]:
+    """A list of identifiers, each read as a string."""
+    return tuple(
+        v if type(v) is str else _value(str, v, ctx, f"{key} entry")
+        for v in (value if type(value) is list else _value(list, value, ctx, key))
+    )
+
+
+def _ids(mapping: dict, ctx: str, key: str) -> list[str]:
+    """The keys of an id-keyed mapping, sorted; each must be a string."""
+    for k in mapping:
+        if type(k) is not str:
+            raise ScenarioError(f"{ctx}: {key} keys must be strings, got {k!r}")
+    return sorted(mapping)
+
+
+def _section(spec, table: Mapping, ctx: str) -> dict:
+    """Every key of ``table`` from one section, converted, defaulted and
+    checked.  The section must be a dict, or null for an empty one, with no
+    key outside the table.  YAML mappings load as dicts, and a dict type check
+    costs a tenth of an abstract ``Mapping`` check."""
+    if spec is None:
+        spec = {}
+    elif type(spec) is not dict:
         raise ScenarioError(f"{ctx}: must be a mapping, got {spec!r}")
-    if not spec.keys() <= allowed:
-        unknown = sorted(spec.keys() - allowed)
+    if not spec.keys() <= table.keys():
+        unknown = sorted(map(str, spec.keys() - table.keys()))
         raise ScenarioError(f"{ctx}: unknown key(s) {', '.join(unknown)}")
+    out = {}
+    for key, (kind, default, check) in table.items():
+        value = spec.get(key, default)
+        if value is _REQUIRED:
+            raise ScenarioError(f"{ctx} field '{key}' is missing")
+        if value is not None or default is not None:
+            if type(value) is not kind:
+                value = _value(kind, value, ctx, key)
+            if check is not None and not check[0](value):
+                raise ScenarioError(f"{ctx}: {key} {check[1]}")
+        out[key] = value
+    return out
 
 
 def read_yaml(path, what: str):
@@ -296,36 +408,25 @@ def read_yaml(path, what: str):
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario file.
-
-    Raises ScenarioError naming the offending field or the violated rule.
-    """
-    raw = read_yaml(path, "scenario")
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
-    return scenario_from_dict(raw, name=str(raw.get("meta", {}).get("name", path)))
+    """Load and validate a scenario file, named by its ``meta.name`` or else
+    its path.  Raises ScenarioError naming the offending field or rule."""
+    return scenario_from_dict(read_yaml(path, "scenario"), name=str(path))
 
 
 def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
-    _check_keys(
-        raw,
-        {"meta", "regions", "links", "lanes", "intersections", "plans", "demand", "control", "mfd"},
-        "scenario",
-    )
-    regions_raw = _require(raw, "regions", "scenario")
-    links_raw = _require(raw, "links", "scenario")
-    inter_raw = _require(raw, "intersections", "scenario")
-    plans_raw = _require(raw, "plans", "scenario")
-    demand_raw = _require(raw, "demand", "scenario")
-    control_raw = raw.get("control", {}) or {}
-    lanes_raw = raw.get("lanes", {}) or {}
+    """Build a scenario from a parsed document, named by its ``meta.name`` or
+    else by ``name``."""
+    top = _section(raw, _SCENARIO, "scenario")
+    if top["meta"].get("name") is not None:
+        name = _value(str, top["meta"]["name"], "meta", "name")
 
-    regions = tuple(sorted(regions_raw))
+    regions_raw = top["regions"]
+    regions = tuple(_ids(regions_raw, "scenario", "regions"))
     adjacency: dict[str, tuple[str, ...]] = {}
     for r in regions:
-        spec = regions_raw[r] or {}
-        _check_keys(spec, {"neighbors"}, f"region {r}")
-        adjacency[r] = tuple(sorted(spec.get("neighbors", [])))
+        ctx = f"region {r}"
+        nbrs = _section(regions_raw[r], _REGION, ctx)["neighbors"]
+        adjacency[r] = tuple(sorted(_names(nbrs, ctx, "neighbors")))
     for r, nbrs in adjacency.items():
         for h in nbrs:
             if h not in adjacency:
@@ -334,79 +435,49 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 raise ScenarioError(f"adjacency not symmetric: {r}->{h} but not {h}->{r}")
             if h == r:
                 raise ScenarioError(f"region {r} lists itself as neighbor")
+    partition = RegionPartition(regions, adjacency)
 
     links: dict[str, Link] = {}
-    lanes: dict[str, Lane] = {}
-    for link_id in sorted(links_raw):
-        spec = links_raw[link_id]
-        ctx = f"link {link_id}"
-        _check_keys(
-            spec,
-            {"from", "to", "region", "length_m", "lanes", "sat_flow_veh_s", "capacity_veh", "free_speed_mps"},
-            ctx,
-        )
-        region = _require(spec, "region", ctx)
-        if region not in adjacency:
-            raise ScenarioError(f"{ctx}: unknown region '{region}'")
-        length = float(_require(spec, "length_m", ctx))
-        if length <= 0:
-            raise ScenarioError(f"{ctx}: length_m must be > 0")
-        n_lanes = int(spec.get("lanes", 1))
-        if n_lanes < 1:
-            raise ScenarioError(f"{ctx}: lanes must be >= 1")
-        sat = float(spec.get("sat_flow_veh_s", 0.5))
-        cap = int(spec.get("capacity_veh", max(1, int(length / 7.0))))
-        if sat <= 0:
-            raise ScenarioError(f"{ctx}: sat_flow_veh_s must be > 0")
-        if cap < 1:
-            raise ScenarioError(f"{ctx}: capacity_veh must be >= 1")
-        lane_ids = tuple(f"{link_id}_{i}" for i in range(n_lanes))
-        links[link_id] = Link(
-            id=link_id,
-            from_node=str(_require(spec, "from", ctx)),
-            to_node=str(_require(spec, "to", ctx)),
-            length_m=length,
-            lane_count=n_lanes,
-            region=region,
-            lanes=lane_ids,
-            free_speed_mps=float(spec.get("free_speed_mps", 10.0)),
-        )
-        for lid in lane_ids:
-            lanes[lid] = Lane(lid, link_id, sat, cap, ())
-
+    link_specs: dict[str, dict] = {}
     out_links: dict[str, list[str]] = {}
-    for link in links.values():
-        out_links.setdefault(link.from_node, []).append(link.id)
+    links_raw = top["links"]
+    for link_id in _ids(links_raw, "scenario", "links"):
+        ctx = f"link {link_id}"
+        spec = link_specs[link_id] = _section(links_raw[link_id], _LINK, ctx)
+        if spec["region"] not in adjacency:
+            raise ScenarioError(f"{ctx}: unknown region '{spec['region']}'")
+        lane_ids = tuple(f"{link_id}_{i}" for i in range(spec["lanes"]))
+        links[link_id] = Link(
+            link_id, spec["from"], spec["to"], spec["length_m"], spec["lanes"], spec["region"],
+            lane_ids, spec["free_speed_mps"]
+        )
+        out_links.setdefault(spec["from"], []).append(link_id)
 
     # Default wiring: every lane feeds all lanes of all downstream links;
     # the optional ``lanes`` section overrides individual lanes.
-    for lid, lane in list(lanes.items()):
-        downstream = sorted(out_links.get(links[lane.link].to_node, []))
+    lanes: dict[str, Lane] = {}
+    lanes_raw = top["lanes"]
+    for link in links.values():
+        spec = link_specs[link.id]
+        cap = spec["capacity_veh"] or max(1, int(link.length_m / 7.0))
         default_out = tuple(
-            out_lane for nxt in downstream for out_lane in links[nxt].lanes
+            out for nxt in sorted(out_links.get(link.to_node, ())) for out in links[nxt].lanes
         )
-        lanes[lid] = replace(lane, output_lanes=default_out)
-    for lid in sorted(lanes_raw):
-        spec = lanes_raw[lid] or {}
-        if lid not in lanes:
-            raise ScenarioError(f"lane override '{lid}': no such lane")
-        _check_keys(spec, {"output_lanes", "sat_flow_veh_s", "capacity_veh"}, f"lane {lid}")
-        override = lanes[lid]
-        if "output_lanes" in spec:
-            override = replace(override, output_lanes=tuple(spec["output_lanes"]))
-        if "sat_flow_veh_s" in spec:
-            override = replace(override, sat_flow_veh_s=float(spec["sat_flow_veh_s"]))
-        if "capacity_veh" in spec:
-            override = replace(override, capacity_veh=int(spec["capacity_veh"]))
-        lanes[lid] = override
+        for lid in link.lanes:
+            override = _section(lanes_raw.get(lid), _LANE, f"lane {lid}")
+            out = override["output_lanes"]
+            out = default_out if out is None else _names(out, f"lane {lid}", "output_lanes")
+            sat = override["sat_flow_veh_s"] or spec["sat_flow_veh_s"]
+            lanes[lid] = Lane(lid, link.id, sat, override["capacity_veh"] or cap, out)
+    unknown = sorted(map(str, lanes_raw.keys() - lanes.keys()))
+    if unknown:
+        raise ScenarioError(f"lane override '{unknown[0]}': no such lane")
 
     for lane in lanes.values():
         link = links[lane.link]
         for out in lane.output_lanes:
             if out not in lanes:
-                raise ScenarioError(
-                    f"lane {lane.id}: output lane '{out}' does not exist"
-                )
+                raise ScenarioError(f"lane {lane.id}: output lane '{out}' does not exist")
             out_link = links[lanes[out].link]
             if out_link.from_node != link.to_node:
                 raise ScenarioError(
@@ -420,51 +491,36 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
             )
 
     intersections: dict[str, Intersection] = {}
-    for node_id in sorted(inter_raw):
-        spec = inter_raw[node_id] or {}
+    gating_nodes: dict[tuple[str, str], list[str]] = {}
+    inter_raw = top["intersections"]
+    for node_id in _ids(inter_raw, "scenario", "intersections"):
         ctx = f"intersection {node_id}"
-        _check_keys(spec, {"kind", "boundary", "phases"}, ctx)
-        kind = spec.get("kind", INTERIOR)
-        if kind not in (GATING, NON_GATING, INTERIOR):
-            raise ScenarioError(f"{ctx}: unknown kind '{kind}'")
-        boundary = spec.get("boundary")
+        spec = _section(inter_raw[node_id], _INTERSECTION, ctx)
+        kind, boundary = spec["kind"], spec["boundary"]
         if kind == INTERIOR and boundary is not None:
             raise ScenarioError(f"{ctx}: interior intersections carry no boundary")
         if kind != INTERIOR:
             if boundary is None:
                 raise ScenarioError(f"{ctx}: {kind} intersections require a boundary")
-            boundary = tuple(boundary)
+            boundary = _names(boundary, ctx, "boundary")
             if len(boundary) != 2 or any(b not in adjacency for b in boundary):
                 raise ScenarioError(f"{ctx}: boundary must name two known regions")
             if boundary[1] not in adjacency[boundary[0]]:
-                raise ScenarioError(
-                    f"{ctx}: regions {boundary[0]} and {boundary[1]} are not adjacent"
-                )
-        approach = {
-            lid
-            for link in links.values()
-            if link.to_node == node_id
-            for lid in link.lanes
-        }
+                raise ScenarioError(f"{ctx}: regions {' and '.join(boundary)} are not adjacent")
         phases = []
-        for pid in sorted(spec.get("phases", {}) or {}):
-            lane_list = spec["phases"][pid] or []
-            for lid in lane_list:
+        for pid in _ids(spec["phases"], ctx, "phases"):
+            lane_ids = _names(spec["phases"][pid], ctx, f"phase {pid}")
+            for lid in lane_ids:
                 if lid not in lanes:
                     raise ScenarioError(f"{ctx} phase {pid}: unknown lane '{lid}'")
-                if lid not in approach:
-                    raise ScenarioError(
-                        f"{ctx} phase {pid}: lane {lid} does not approach this node"
-                    )
-            phases.append(Phase(pid, frozenset(lane_list)))
-        if kind == GATING and len(phases) < 2:
-            raise ScenarioError(f"{ctx}: gating intersections need >= 2 phases")
-        intersections[node_id] = Intersection(
-            id=node_id,
-            kind=kind,
-            phases=tuple(phases),
-            boundary=boundary,
-        )
+                if links[lanes[lid].link].to_node != node_id:
+                    raise ScenarioError(f"{ctx} phase {pid}: lane {lid} does not approach this node")
+            phases.append(Phase(pid, frozenset(lane_ids)))
+        if kind == GATING:
+            if len(phases) < 2:
+                raise ScenarioError(f"{ctx}: gating intersections need >= 2 phases")
+            gating_nodes.setdefault(boundary_key(*boundary), []).append(node_id)
+        intersections[node_id] = Intersection(node_id, kind, tuple(phases), boundary)
 
     # Every cross-region link transition must happen at a declared boundary
     # intersection for that boundary, so crossings can be attributed exactly.
@@ -487,94 +543,66 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                         )
 
     plans: dict[tuple[str, str], list[MultiPhasePlan]] = {}
-    gating_nodes: dict[tuple[str, str], list[str]] = {}
-    for node in intersections.values():
-        if node.kind == GATING and node.boundary is not None:
-            gating_nodes.setdefault(boundary_key(*node.boundary), []).append(node.id)
-    for pair_raw in sorted(plans_raw):
+    plans_raw = top["plans"]
+    for pair_raw in _ids(plans_raw, "scenario", "plans"):
         i, _, h = pair_raw.partition("|")
         if not h or i not in adjacency or h not in adjacency:
             raise ScenarioError(f"plans: bad boundary key '{pair_raw}' (want 'R1|R2')")
         key = boundary_key(i, h)
         nodes = sorted(gating_nodes.get(key, []))
-        for spec in plans_raw[pair_raw]:
-            ctx = f"plan {spec.get('id', '?')} of boundary {key}"
-            _check_keys(spec, {"id", "phases"}, ctx)
-            pid = str(_require(spec, "id", ctx))
-            phase_map = _require(spec, "phases", ctx)
-            if sorted(phase_map) != nodes:
+        for spec in _value(list, plans_raw[pair_raw], "plans", pair_raw):
+            ctx = f"plan {spec.get('id', '?') if type(spec) is dict else '?'} of boundary {key}"
+            spec = _section(spec, _PLAN, ctx)
+            phase_map = spec["phases"]
+            if _ids(phase_map, ctx, "phases") != nodes:
                 raise ScenarioError(
                     f"{ctx}: must assign exactly one phase to each gating "
                     f"intersection {nodes}, got {sorted(phase_map)}"
                 )
-            for node_id, phase_id in phase_map.items():
-                intersections[node_id].phase(str(phase_id))  # raises KeyError
-            plans.setdefault(key, []).append(
-                MultiPhasePlan(
-                    id=pid,
-                    boundary=key,
-                    phase_by_intersection=tuple(sorted(phase_map.items())),
-                )
-            )
+            chosen = []
+            for node_id in nodes:
+                phase_id = _value(str, phase_map[node_id], ctx, "phases")
+                if all(p.id != phase_id for p in intersections[node_id].phases):
+                    raise ScenarioError(
+                        f"{ctx}: phases: intersection {node_id} has no phase '{phase_id}'"
+                    )
+                chosen.append((node_id, phase_id))
+            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], key, tuple(chosen)))
 
-    seen_pairs = set()
-    for i in regions:
-        for h in adjacency[i]:
-            key = boundary_key(i, h)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            if not gating_nodes.get(key):
-                raise ScenarioError(f"boundary {key} has no gating intersection")
-            if not plans.get(key):
-                raise ScenarioError(f"boundary {key} has no multi-phase plan")
+    for key in partition.boundary_keys():
+        if not gating_nodes.get(key):
+            raise ScenarioError(f"boundary {key} has no gating intersection")
+        if not plans.get(key):
+            raise ScenarioError(f"boundary {key} has no multi-phase plan")
 
-    ctx = "demand"
-    _check_keys(demand_raw, {"horizon_s", "warmup_s", "seed", "od"}, ctx)
-    horizon = float(_require(demand_raw, "horizon_s", ctx))
-    warmup = float(demand_raw.get("warmup_s", 0.0))
-    if not warmup < horizon:
-        raise ScenarioError(f"{ctx}: warmup_s must be < horizon_s")
+    demand_spec = _section(top["demand"], _DEMAND, "demand")
+    if not demand_spec["warmup_s"] < demand_spec["horizon_s"]:
+        raise ScenarioError("demand: warmup_s must be < horizon_s")
     od_flows = []
-    for spec in demand_raw.get("od", []):
-        octx = f"demand od {spec.get('origin')}->{spec.get('destination')}"
-        _check_keys(spec, {"origin", "destination", "rate_veh_s", "profile"}, octx)
-        origin = str(_require(spec, "origin", octx))
-        dest = str(_require(spec, "destination", octx))
-        for lid in (origin, dest):
+    for spec in demand_spec["od"]:
+        ctx = "demand od"
+        if type(spec) is dict:
+            ctx += f" {spec.get('origin')}->{spec.get('destination')}"
+        spec = _section(spec, _OD, ctx)
+        for lid in (spec["origin"], spec["destination"]):
             if lid not in links:
-                raise ScenarioError(f"{octx}: unknown link '{lid}'")
-        if "rate_veh_s" in spec:
-            profile = ((0.0, float(spec["rate_veh_s"])),)
+                raise ScenarioError(f"{ctx}: unknown link '{lid}'")
+        if (spec["rate_veh_s"] is None) == (spec["profile"] is None):
+            raise ScenarioError(f"{ctx}: set exactly one of rate_veh_s and profile")
+        if spec["profile"] is None:
+            profile = ((0.0, spec["rate_veh_s"]),)
         else:
-            profile = tuple(
-                (float(a), float(b)) for a, b in _require(spec, "profile", octx)
-            )
-        if any(rate < 0 for _, rate in profile):
-            raise ScenarioError(f"{octx}: rates must be >= 0")
-        od_flows.append(OdFlow(origin, dest, profile))
-    demand = DemandScenario(
-        horizon_s=horizon,
-        warmup_s=warmup,
-        seed=int(demand_raw.get("seed", 0)),
-        od=tuple(od_flows),
-    )
+            profile = tuple(_profile_step(step, ctx) for step in spec["profile"])
+        od_flows.append(OdFlow(spec["origin"], spec["destination"], profile))
+    demand = DemandScenario(**dict(demand_spec, od=tuple(od_flows)))
 
-    control = _control_from_dict(control_raw)
+    control = ControlConfig(**_section(top["control"], _CONTROL, "control"))
     if not 0 < control.t_micro_s <= control.t_macro_s:
         raise ScenarioError("control: need 0 < t_micro_s <= t_macro_s")
     if abs(control.t_macro_s - control.steps_per_macro * control.t_micro_s) > 1e-9:
         raise ScenarioError("control: t_macro_s must be a multiple of t_micro_s")
-    if not 0 < control.activation_threshold < 1:
-        raise ScenarioError("control: activation_threshold must lie in (0, 1)")
-    for key in ("sigma", "sigma_abs_veh_s"):
-        if not getattr(control, key) > 0:
-            raise ScenarioError(f"control: {key} must be > 0")
 
-    link_region = {l.id: l.region for l in links.values()}
-    partition = RegionPartition(regions, adjacency, link_region)
     network = Network(links, lanes, intersections, plans)
-
     # Reachability: every OD pair must admit at least one route.
     for flow in demand.od:
         if _route_exists(network, flow.origin, flow.destination) is False:
@@ -582,49 +610,34 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 f"demand od {flow.origin}->{flow.destination}: destination unreachable"
             )
 
-    mfd = mfd_from_dict(raw["mfd"], regions) if raw.get("mfd") else None
+    mfd = mfd_from_dict(top["mfd"], regions) if top["mfd"] else None
     return Scenario(name, network, partition, demand, control, mfd)
 
 
-def _control_from_dict(raw: Mapping) -> ControlConfig:
-    """ControlConfig from a ``control`` block; every value is a float."""
-    _check_keys(raw, {f.name for f in fields(ControlConfig)}, "control")
-    values = {}
-    for key, value in raw.items():
-        try:
-            values[key] = float(value)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"control: {key} must be a float, got {value!r}") from None
-    return ControlConfig(**values)
+def _profile_step(step, ctx: str) -> tuple[float, float]:
+    """One ``[start_s, rate_veh_s]`` entry of an od profile."""
+    if type(step) is not list or len(step) != 2:
+        raise ScenarioError(f"{ctx}: profile entries must be [start_s, rate_veh_s], got {step!r}")
+    start, rate = (_value(float, v, ctx, "profile entry") for v in step)
+    if not rate >= 0:
+        raise ScenarioError(f"{ctx}: profile rates must be >= 0")
+    return start, rate
 
 
 def mfd_from_dict(raw, regions: Sequence[str]) -> dict[str, MfdParams]:
     """Read an ``mfd`` block: per region, the coefficients b1, b2, b3, n_crit
     and an optional n_max_fit.  The block must cover exactly the network's
     ``regions``."""
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict:
         raise ScenarioError("mfd: must map each region to its coefficients")
-    unknown = sorted(set(raw) - set(regions))
+    unknown = sorted(map(str, raw.keys() - set(regions)))
     if unknown:
         raise ScenarioError(f"mfd: unknown region '{unknown[0]}'")
     params = {}
     for r in sorted(regions):
-        spec = raw.get(r)
-        if not isinstance(spec, Mapping):
+        if raw.get(r) is None:
             raise ScenarioError(f"mfd: region {r} has no coefficients")
-        _check_keys(spec, {f.name for f in fields(MfdParams)}, f"mfd: region {r}")
-        values = {}
-        for f in fields(MfdParams):
-            value = spec.get(f.name)
-            if value is None and f.default is None:
-                values[f.name] = None
-                continue
-            try:
-                values[f.name] = float(value)
-            except (TypeError, ValueError):
-                what = "missing" if value is None else f"not a number ({value!r})"
-                raise ScenarioError(f"mfd: region {r} field '{f.name}' is {what}") from None
-        params[r] = MfdParams(**values)
+        params[r] = MfdParams(**_section(raw[r], _MFD_REGION, f"mfd: region {r}"))
     return params
 
 
