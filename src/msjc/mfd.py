@@ -49,20 +49,6 @@ class MfdModel:
         value = ((p.b3 * n + p.b2) * n + p.b1) * n
         return max(0.0, value)
 
-    @classmethod
-    def from_coefficients(
-        cls, coefficients: dict[str, tuple[float, float, float]], n_max: dict[str, float] | None = None
-    ) -> "MfdModel":
-        """Build a model from (b1, b2, b3) per region; the critical
-        accumulation is located on [0, n_max] (default: the cubic's own
-        interior maximum)."""
-        params = {}
-        for region, (b1, b2, b3) in coefficients.items():
-            hi = None if n_max is None else n_max.get(region)
-            n_crit = critical_accumulation(b1, b2, b3, hi)
-            params[region] = MfdParams(b1, b2, b3, n_crit, hi)
-        return cls(params)
-
     def to_dict(self) -> dict:
         return mfd_to_dict(self.params)
 
