@@ -9,10 +9,13 @@ total boundary flow.
 
 Everything but the bilinear transfer b*c is linear: ``_Problem`` builds the
 linear maps and the variable bounds once per macro step.  With each product
-replaced by a variable held between McCormick's (1976) four planes, the
-program becomes an LP that HiGHS solves exactly.  Its bounds on z and on
-total flow certify the SQP point that ``solve`` returns; an infeasible LP
-certifies an infeasible program.
+replaced by a variable held between McCormick's (1976) four planes over a
+box, the program becomes an LP that HiGHS solves exactly.  Over the full box
+that LP bounds z and total flow from below and above; an infeasible LP
+certifies an infeasible program.  Over a box that pins c (or b) the planes
+are exact, so fixing one side and solving for the other gives feasible
+points, and ``solve`` returns such a point.  No iterative local solver is
+involved, so results do not depend on BLAS threading.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, OptimizeResult, linprog, minimize
+from scipy.optimize import OptimizeResult, linprog
 
 from .macrodyn import CompletionModel, MacroState
 
@@ -33,7 +36,7 @@ TKey = tuple[str, str, str]
 
 _EMPTY_REGION_VEH = 1.0  # regions below this stock impose no flow constraint
 _FEASIBILITY_TOL = 1e-6
-_Z_TIE = 1e-8  # z band traded for flow; SLSQP's throughput pass can fail in a 1e-9 band
+_Z_TIE = 1e-9  # z that stage 2 may add to stage 1's: LP rounding
 _Z_GAP_TOL = 1e-7  # times 1 + |z|
 _FLOW_GAP_TOL = 1e-9  # veh/s
 
@@ -55,7 +58,7 @@ class ControlSolution:
     residual: float
     feasible: bool
     z_bound: float  # relaxation's minimum of z; NaN when it has no point
-    flow_bound: float  # relaxation's maximum total flow within half the z band
+    flow_bound: float  # relaxation's maximum total flow with z capped at z + _Z_TIE
     message: str = ""
 
     @property
@@ -103,9 +106,8 @@ class _Problem:
 
     Variables are x = (b, c, z).  Each split variable (i, h, j) moves
     ``moved = b[(i, h)] * c[(i, h, j)] * kappa[(i, j)]`` vehicles, so the
-    overshoots are ``base + region_map @ moved``, the boundary flows are
-    ``flow_map @ moved`` and every Jacobian is one of these maps times
-    d(moved)/dx.
+    overshoots are ``base + region_map @ moved`` and the boundary flows are
+    ``flow_map @ moved``.
     """
 
     def __init__(self, state: MacroState, mfd: CompletionModel, bounds: ControlBounds):
@@ -182,41 +184,50 @@ class _Problem:
         )
         self.c_lo = self.lb[self.c_cols]
         self.c_hi = self.ub[self.c_cols]
-        self.od_cols = [np.flatnonzero(row) for row in self.split_sum]
 
-        # The relaxation's variables are (b, c, z, w): w stands for moved and
-        # is held above the tangent planes of b*c*kappa at the box corners
-        # (lo, lo) and (hi, hi) and below those at the two mixed corners
-        # (McCormick 1976).
-        pick_w = np.hstack([np.zeros((self.nc, self.nv)), np.eye(self.nc)])
+        # The relaxation's variables are (b, c, z, w, s): w stands for moved
+        # and s is a slack on the envelope rows.
+        self.w_block = np.hstack([np.eye(self.nc), np.zeros((self.nc, 1))])
+        pick_w = np.hstack([np.zeros((self.nc, self.nv)), self.w_block])
         over = self.region_map @ pick_w
         over[:, self.zi] = -1.0
         env = self.flow_map[self.env_rows] @ pick_w
-        a_ub, b_ub = [over, env, -env], [-self.base, self.m_max, -self.m_min]
-        lo_hi = np.concatenate([self.lb[: self.nb], self.ub[self.nb :]])
-        hi_lo = np.concatenate([self.ub[: self.nb], self.lb[self.nb :]])
-        for sign, corner in ((1.0, self.lb), (1.0, self.ub), (-1.0, lo_hi), (-1.0, hi_lo)):
-            a_ub.append(sign * np.hstack([self.moved_jac(corner), -np.eye(self.nc)]))
-            b_ub.append(sign * self.moved(corner))
-        self.lp_ub = np.vstack(a_ub), np.concatenate(b_ub)
+        env[:, -1] = -1.0
+        self.lp_ub = [over, env, -env], [-self.base, self.m_max, -self.m_min]
         n_od = len(self.active_od)
-        self.lp_eq = np.hstack([self.split_sum, np.zeros((n_od, self.nc))]), np.ones(n_od)
-        self.lp_bounds = np.column_stack(
-            [np.append(self.lb, np.zeros(self.nc)), np.append(self.ub, np.full(self.nc, np.inf))]
-        )
+        self.lp_eq = np.hstack([self.split_sum, np.zeros((n_od, self.nc + 1))]), np.ones(n_od)
 
-    def relaxation(self, z_cap: float | None = None) -> OptimizeResult:
-        """The McCormick LP, solved by HiGHS.  Without ``z_cap`` it minimizes
-        z; with it, it maximizes total boundary flow (``-fun``) subject to
-        z <= z_cap."""
-        cost = np.zeros(self.nv + self.nc)
-        bounds = self.lp_bounds.copy()
-        if z_cap is None:
+    def relaxation(
+        self, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
+    ) -> OptimizeResult:
+        """The McCormick LP over the box ``lb <= (b, c, z) <= ub``, solved by
+        HiGHS.  Without ``z_cap`` it minimizes z; with it, it maximizes total
+        boundary flow (``-fun``) subject to z <= z_cap.  ``elastic`` frees the
+        envelope slack s and minimizes it instead.
+
+        w is held above the tangent planes of b*c*kappa at the box corners
+        (lo, lo) and (hi, hi) and below those at the two mixed corners
+        (McCormick 1976).  Where the box pins b or c to one value, these
+        planes are w = b*c*kappa and the LP is the program itself.
+        """
+        lo_hi = np.concatenate([lb[: self.nb], ub[self.nb :]])
+        hi_lo = np.concatenate([ub[: self.nb], lb[self.nb :]])
+        a_ub, b_ub = list(self.lp_ub[0]), list(self.lp_ub[1])
+        for sign, corner in ((1.0, lb), (1.0, ub), (-1.0, lo_hi), (-1.0, hi_lo)):
+            a_ub.append(sign * np.hstack([self.moved_jac(corner), -self.w_block]))
+            b_ub.append(sign * self.moved(corner))
+        cost = np.zeros(self.nv + self.nc + 1)
+        upper = np.concatenate([ub, np.full(self.nc, np.inf), [np.inf if elastic else 0.0]])
+        if elastic:
+            cost[-1] = 1.0
+        elif z_cap is None:
             cost[self.zi] = 1.0
         else:
-            cost[self.nv :] = -self.flow_map.sum(axis=0)
-            bounds[self.zi, 1] = z_cap
-        return linprog(cost, *self.lp_ub, *self.lp_eq, bounds, method="highs")
+            cost[self.nv : -1] = -self.flow_map.sum(axis=0)
+            upper[self.zi] = z_cap
+        bounds = np.column_stack([np.append(lb, np.zeros(self.nc + 1)), upper])
+        a_ub, b_ub = np.vstack(a_ub), np.concatenate(b_ub)
+        return linprog(cost, a_ub, b_ub, *self.lp_eq, bounds, method="highs")
 
     def moved(self, x: np.ndarray) -> np.ndarray:
         """Vehicles moved per split variable, b*c*kappa."""
@@ -237,13 +248,9 @@ class _Problem:
         """Flow over every boundary in ``b_keys``, veh/s."""
         return self.flow_map @ self.moved(x)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Clip b into its boxes, project each OD's c onto its bounded
-        simplex and recompute z exactly at the projected point."""
-        y = x.copy()
-        y[: self.nb] = np.clip(y[: self.nb], self.lb[: self.nb], self.ub[: self.nb])
-        for cols in self.od_cols:
-            y[cols] = _project_capped_simplex(y[cols], self.lb[cols], self.ub[cols])
+    def point(self, x: np.ndarray) -> np.ndarray:
+        """x's (b, c) clipped into the box, with z the exact worst overshoot."""
+        y = np.clip(x[: self.nv], self.lb, self.ub)
         y[self.zi] = float(np.max(self.g(y)))
         return y
 
@@ -259,26 +266,6 @@ class _Problem:
         )
 
 
-def _project_capped_simplex(
-    v: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Euclidean projection onto {lo <= x <= hi, sum x = 1}; when the box
-    itself cannot reach sum 1, return the nearest box corner.
-
-    The projection is clip(v + tau, lo, hi) for the tau at which its sum is 1.
-    That sum is piecewise linear in tau with breakpoints lo - v and hi - v,
-    so tau is interpolated exactly between the two breakpoints that bracket 1
-    (Held, Wolfe & Crowder 1974).
-    """
-    if lo.sum() > 1.0:
-        return lo.copy()
-    if hi.sum() < 1.0:
-        return hi.copy()
-    taus = np.sort(np.concatenate([lo - v, hi - v]))
-    sums = np.clip(v + taus[:, None], lo, hi).sum(axis=1)
-    return np.clip(v + np.interp(1.0, sums, taus), lo, hi)
-
-
 def _validate_bounds(problem: _Problem) -> str:
     split = problem.split_sum[:, problem.c_cols]
     for od, lo, hi in zip(problem.active_od, split @ problem.c_lo, split @ problem.c_hi):
@@ -292,117 +279,65 @@ def _validate_bounds(problem: _Problem) -> str:
     return ""
 
 
-def _sqp(problem: _Problem, x0: np.ndarray, z_cap: float | None = None) -> np.ndarray:
-    """SLSQP from x0, its end point put back through ``project`` (x0 itself
-    if SLSQP fails).  Without ``z_cap`` it minimizes z; with it, it
-    maximizes total boundary flow subject to z <= z_cap."""
-    z_col = np.zeros(problem.nv)
-    z_col[problem.zi] = 1.0
-
-    def overshoot_jac(x):
-        jac = -problem.region_map @ problem.moved_jac(x)
-        jac[:, problem.zi] = 1.0
-        return jac
-
-    cons = [
-        {"type": "ineq", "fun": lambda x: x[problem.zi] - problem.g(x), "jac": overshoot_jac}
-    ]
-    if len(problem.env_rows):
-        env_map = problem.flow_map[problem.env_rows]
-
-        def envelope(x):
-            m = env_map @ problem.moved(x)
-            return np.concatenate([problem.m_max - m, m - problem.m_min])
-
-        def envelope_jac(x):
-            jac = env_map @ problem.moved_jac(x)
-            return np.vstack([-jac, jac])
-
-        cons.append({"type": "ineq", "fun": envelope, "jac": envelope_jac})
-    if problem.active_od:
-        cons.append(
-            {
-                "type": "eq",
-                "fun": lambda x: problem.split_sum @ x - 1.0,
-                "jac": lambda x: problem.split_sum,
-            }
-        )
-
-    ub = problem.ub
-    if z_cap is None:
-        fun = lambda x: x[problem.zi]
-        jac = lambda x: z_col
-    else:
-        ub = ub.copy()
-        ub[problem.zi] = z_cap
-        scale = 1.0 / max(1.0, float(np.max(np.abs(problem.kappa), initial=1.0)))
-        fun = lambda x: -problem.flows(x).sum() * scale
-        jac = lambda x: -problem.flow_map.sum(axis=0) @ problem.moved_jac(x) * scale
-
-    try:
-        res = minimize(
-            fun,
-            x0,
-            jac=jac,
-            bounds=Bounds(problem.lb, ub),
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-10},
-        )
-    except Exception as exc:  # solver hiccup: keep the start point
-        logger.warning("SLSQP failed: %s", exc)
-        return x0.copy()
-    return problem.project(res.x)
+def _exact_point(
+    problem: _Problem, x: np.ndarray, z_cap: float | None = None
+) -> np.ndarray | None:
+    """Fix c at x's c, clipped into its box, and solve the exact LP in b;
+    then fix b at that point and solve the exact LP in c.  The first LP's
+    point is feasible in the second, so the second is never worse.  None
+    when either LP fails."""
+    for fixed in (problem.c_cols, slice(problem.nb)):
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        lb[fixed] = ub[fixed] = np.clip(x[fixed], lb[fixed], ub[fixed])
+        lp = problem.relaxation(lb, ub, z_cap)
+        if not lp.success:
+            return None
+        x = lp.x
+    return problem.point(x)
 
 
 def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> ControlSolution:
     """Solve the joint program for one macro step.
 
-    The stage-1 McCormick LP gives ``z_bound`` and a start, its (b, c)
-    projected onto the exact boxes and simplices; one SQP descent from
-    there minimizes z.  The stage-2 LP (max total flow with z held within
-    half of ``_Z_TIE`` above that minimum) gives ``flow_bound``, and a
-    throughput SQP pass raises flow under the same cap, retried from the
-    stage-2 point while the flow gap is open.  A gap above tolerance logs a
-    warning.
+    Stage 1 minimizes z and stage 2 maximizes total flow with z capped at
+    stage 1's z plus ``_Z_TIE``.  Each stage solves three LPs: the McCormick
+    LP over the full box, which gives ``z_bound`` or ``flow_bound``, then
+    the exact LP in b with c fixed at that LP's c, then the exact LP in c
+    with b fixed at the point found (``_exact_point``).  If stage 2 finds no
+    point, stage 1's point stands.  A gap above tolerance logs a warning.
 
-    When the relaxation is infeasible, so is the program: one descent from
-    the gates open and the splits at their box midpoints gives the returned
-    point, with ``feasible=False`` and the reason in ``message``.
+    When the relaxation is infeasible, so is the program: the returned point
+    is that of the same LP with one slack on the envelope rows, minimized,
+    with ``feasible=False`` and the reason in ``message``.
     """
     state.validate()
     problem = _Problem(state, mfd, bounds)
     message = _validate_bounds(problem)
-    lp = problem.relaxation()
-    if lp.success:
-        x0 = lp.x[: problem.nv]
-    else:
+    box = problem.lb, problem.ub
+    lp = problem.relaxation(*box)
+    if not lp.success:
         message = message or f"McCormick relaxation: {lp.message}"
-        x0 = np.concatenate([np.ones(problem.nb), 0.5 * (problem.c_lo + problem.c_hi), [0.0]])
-    x = _sqp(problem, problem.project(x0))
-    if problem.residual(x) > _FEASIBILITY_TOL and not message:
-        message = "SQP did not reach the feasibility tolerance"
+        lp = problem.relaxation(*box, elastic=True)
+    # the elastic LP fails too when split bounds cannot sum to 1: then the
+    # gates are open and the splits at their caps
+    x = problem.point(lp.x if lp.success else problem.ub)
 
     z_bound = flow_bound = np.nan
     if not message:
         z_bound = lp.fun
-        # z may rise by half the band to gain flow; the other half absorbs
-        # rounding in the projection
-        z_cap = x[problem.zi] + 0.5 * _Z_TIE
-        stage2 = problem.relaxation(z_cap)
-        flow_bound = -stage2.fun if stage2.success else np.nan
-        # a throughput pass from the descent's point, then, while the flow
-        # gap is open, one from the stage-2 point
-        for start in (x, stage2.x):
-            if start is None or flow_bound - problem.flows(x).sum() <= _FLOW_GAP_TOL:
-                break
-            y = _sqp(problem, problem.project(start[: problem.nv]), z_cap)
-            if (
-                problem.residual(y) <= _FEASIBILITY_TOL
-                and y[problem.zi] <= z_cap + 0.5 * _Z_TIE
-                and problem.flows(y).sum() > problem.flows(x).sum() + 1e-12
-            ):
-                x = y
+        exact = _exact_point(problem, x)
+        if exact is not None:
+            x = exact
+        if problem.residual(x) > _FEASIBILITY_TOL:
+            message = "the exact LPs found no point within the feasibility tolerance"
+    if not message:
+        z_cap = x[problem.zi] + _Z_TIE
+        stage2 = problem.relaxation(*box, z_cap)
+        if stage2.success:
+            flow_bound = -stage2.fun
+            exact = _exact_point(problem, stage2.x, z_cap)
+            if exact is not None:
+                x = exact
 
     c_out = {key: float(x[n]) for key, n in problem.c_index.items()}
     # inactive ODs: report the uniform split so downstream consumers always

@@ -6,7 +6,8 @@ A scenario is a YAML document with sections ``regions``, ``links``,
 free-form ``meta`` block whose ``meta.name`` names the scenario.  Every
 section but ``meta`` rejects a key it does not define, naming the key, and
 every value is type-checked: a count must be a whole number, and a wrongly
-typed value raises ScenarioError naming its section and key.  ``null`` means
+typed value or an ``inf``/``nan`` raises ScenarioError naming its section
+and key.  Plan ids are unique within a boundary.  ``null`` means
 "not set" for a key without a default and reads as empty for a list or
 mapping.  All rates are veh/s, lengths meters, times seconds.  Identifiers
 are strings.
@@ -389,6 +390,8 @@ def _section(spec, table: Mapping, ctx: str) -> dict:
         if value is not None or default is not None:
             if type(value) is not kind:
                 value = _value(kind, value, ctx, key)
+            if kind is float and not math.isfinite(value):
+                raise ScenarioError(f"{ctx}: {key} must be finite, got {value!r}")
             if check is not None and not check[0](value):
                 raise ScenarioError(f"{ctx}: {key} {check[1]}")
         out[key] = value
@@ -559,6 +562,8 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                     f"{ctx}: must assign exactly one phase to each gating "
                     f"intersection {nodes}, got {sorted(phase_map)}"
                 )
+            if any(p.id == spec["id"] for p in plans.get(key, ())):
+                raise ScenarioError(f"boundary {key}: duplicate plan id '{spec['id']}'")
             chosen = []
             for node_id in nodes:
                 phase_id = _value(str, phase_map[node_id], ctx, "phases")
@@ -619,6 +624,8 @@ def _profile_step(step, ctx: str) -> tuple[float, float]:
     if type(step) is not list or len(step) != 2:
         raise ScenarioError(f"{ctx}: profile entries must be [start_s, rate_veh_s], got {step!r}")
     start, rate = (_value(float, v, ctx, "profile entry") for v in step)
+    if not (math.isfinite(start) and math.isfinite(rate)):
+        raise ScenarioError(f"{ctx}: profile entry must be finite, got {step!r}")
     if not rate >= 0:
         raise ScenarioError(f"{ctx}: profile rates must be >= 0")
     return start, rate

@@ -402,3 +402,39 @@ def test_an_id_key_must_be_a_string(section):
     raw[section][1] = next(iter(raw[section].values()))
     with pytest.raises(ScenarioError, match=f"scenario: {section} keys must be strings, got 1"):
         scenario_from_dict(raw)
+
+
+# YAML reads .inf and .nan as floats; a run cannot use either (an infinite
+# horizon is a run with no time cap).
+@pytest.mark.parametrize("bad", [".inf", "-.inf", ".nan", "'inf'"])
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        (lambda raw: raw["demand"], "horizon_s", "demand: horizon_s must be finite"),
+        (lambda raw: raw["links"]["a"], "length_m", "link a: length_m must be finite"),
+        (lambda raw: raw.setdefault("control", {}), "sigma", "control: sigma must be finite"),
+        (lambda raw: raw.setdefault("mfd", {"R1": dict(MFD_R), "R2": dict(MFD_R)})["R2"], "b1",
+         "mfd: region R2: b1 must be finite"),
+    ],
+)
+def test_non_finite_number_rejected(where, key, message, bad):
+    raw = _raw()
+    where(raw)[key] = yaml.safe_load(bad)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize("step", ["[0.0, .inf]", "[.nan, 0.1]", "['-inf', 0.1]"])
+def test_non_finite_profile_entry_rejected(step):
+    raw = _raw()
+    raw["demand"]["od"][0] = {"origin": "a", "destination": "b", "profile": [yaml.safe_load(step)]}
+    with pytest.raises(ScenarioError, match="demand od a->b: profile entry must be finite"):
+        scenario_from_dict(raw)
+
+
+def test_duplicate_plan_id_within_a_boundary_rejected():
+    raw = scenario_to_dict(fixtures.corridor2())
+    [plan] = [p for p in raw["plans"]["R1|R2"] if p["id"] == "east"]
+    plan["id"] = "both"
+    with pytest.raises(ScenarioError, match="boundary \\('R1', 'R2'\\): duplicate plan id 'both'"):
+        scenario_from_dict(raw)

@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +196,30 @@ def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
         )
     assert len(opened) == 6  # five CSV logs and the manifest
     assert all(fh.closed for fh in opened)
+
+
+def test_results_do_not_depend_on_blas_threads(tmp_path):
+    # numpy fixes its BLAS thread count at import, so each run gets its own
+    # interpreter.  grid6 msjc seed 0 to 1300 s is the shortest run that once
+    # differed between 1 and 2 threads.
+    program = (
+        "import sys\n"
+        "from msjc import fixtures, runner\n"
+        "runner.run(fixtures.grid6(), runner.RunConfig('msjc', seed=0, cap_s=1300.0, out_dir=sys.argv[1]))\n"
+    )
+    src = str(Path(runner.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=src,
+        )
+        out = tmp_path / f"threads{threads}"
+        runs[out] = subprocess.Popen([sys.executable, "-c", program, str(out)], env=env)
+    for proc in runs.values():
+        assert proc.wait(timeout=300) == 0
+    one, two = runs
+    for name in ("joint.csv", "metrics.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
