@@ -186,14 +186,14 @@ class _Problem:
         self.c_hi = self.ub[self.c_cols]
 
         # The relaxation's variables are (b, c, z, w, s): w stands for moved
-        # and s is a slack on the envelope rows.
+        # and s relieves the envelope rows, m_min - s <= flow <= m_max + s.
         self.w_block = np.hstack([np.eye(self.nc), np.zeros((self.nc, 1))])
         pick_w = np.hstack([np.zeros((self.nc, self.nv)), self.w_block])
         over = self.region_map @ pick_w
         over[:, self.zi] = -1.0
         env = self.flow_map[self.env_rows] @ pick_w
-        env[:, -1] = -1.0
-        self.lp_ub = [over, env, -env], [-self.base, self.m_max, -self.m_min]
+        s = np.eye(1, self.nv + self.nc + 1, self.nv + self.nc)
+        self.lp_ub = [over, env - s, -env - s], [-self.base, self.m_max, -self.m_min]
         n_od = len(self.active_od)
         self.lp_eq = np.hstack([self.split_sum, np.zeros((n_od, self.nc + 1))]), np.ones(n_od)
 
@@ -304,11 +304,14 @@ def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> Con
     LP over the full box, which gives ``z_bound`` or ``flow_bound``, then
     the exact LP in b with c fixed at that LP's c, then the exact LP in c
     with b fixed at the point found (``_exact_point``).  If stage 2 finds no
-    point, stage 1's point stands.  A gap above tolerance logs a warning.
+    point, or one with less total flow, stage 1's point stands.  A gap above
+    tolerance logs a warning.
 
     When the relaxation is infeasible, so is the program: the returned point
-    is that of the same LP with one slack on the envelope rows, minimized,
-    with ``feasible=False`` and the reason in ``message``.
+    is that of the same LP with one slack s on the envelope rows
+    (m_min - s <= flow <= m_max + s), minimized, with ``feasible=False`` and
+    the reason in ``message``.  If split bounds cannot sum to 1, the gates
+    are open and each OD is split evenly.
     """
     state.validate()
     problem = _Problem(state, mfd, bounds)
@@ -318,9 +321,13 @@ def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> Con
     if not lp.success:
         message = message or f"McCormick relaxation: {lp.message}"
         lp = problem.relaxation(*box, elastic=True)
-    # the elastic LP fails too when split bounds cannot sum to 1: then the
-    # gates are open and the splits at their caps
-    x = problem.point(lp.x if lp.success else problem.ub)
+    if lp.success:
+        x = problem.point(lp.x)
+    else:  # only split bounds that cannot sum to 1 defeat the elastic LP
+        split = problem.split_sum[:, problem.c_cols]
+        x = problem.ub.copy()  # gates open, each OD split evenly
+        x[problem.c_cols] = split.T @ (1.0 / split.sum(axis=1))
+        x[problem.zi] = float(np.max(problem.g(x)))
 
     z_bound = flow_bound = np.nan
     if not message:
@@ -335,8 +342,9 @@ def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> Con
         stage2 = problem.relaxation(*box, z_cap)
         if stage2.success:
             flow_bound = -stage2.fun
+            # stage 1's point need not be feasible with c fixed at stage 2's
             exact = _exact_point(problem, stage2.x, z_cap)
-            if exact is not None:
+            if exact is not None and problem.flows(exact).sum() >= problem.flows(x).sum():
                 x = exact
 
     c_out = {key: float(x[n]) for key, n in problem.c_index.items()}
@@ -344,9 +352,7 @@ def solve(state: MacroState, mfd: CompletionModel, bounds: ControlBounds) -> Con
     # see a full simplex per OD
     for (i, j) in sorted(state.n):
         if i != j and (i, j) not in problem.active_od:
-            neighbors = state.adjacency[i]
-            for h in neighbors:
-                c_out[(i, h, j)] = 1.0 / len(neighbors)
+            c_out.update({(i, h, j): 1.0 / len(state.adjacency[i]) for h in state.adjacency[i]})
 
     sol = ControlSolution(
         b={key: float(x[n]) for key, n in problem.b_index.items()},

@@ -256,6 +256,7 @@ class TestSolve:
         sol = solve(state, mfd, bounds)
         assert not sol.feasible
         assert "c_min" in sol.message or "> 1" in sol.message
+        assert sol.c[("R1", "R2", "R2")] == 1.0  # a valid split, outside the box
 
     def test_unattainable_flow_floor_returns_least_infeasible(self):
         state = two_region_state({("R1", "R2"): 10.0, ("R2", "R1"): 10.0})
@@ -272,10 +273,29 @@ class TestSolve:
         assert sol.residual > 1e-6
         assert sol.b[("R1", "R2")] == pytest.approx(1.0)  # pushed to the wall
 
+    def test_unattainable_flow_floor_with_free_splits(self):
+        # R1 -> R2 can carry at most all of R1's outbound completions, gate
+        # open and every split of R1 sent to R2; its floor is twice that.
+        state, mfd, bounds = three_region_instance(np.random.default_rng(23))
+        type1, _ = completion_split(state, mfd)
+        top = sum(type1[("R1", j)] for j in ("R2", "R3")) / state.t_macro_s
+        keys = list(bounds.m_min)
+        bounds = ControlBounds(
+            m_min={k: 2.0 * top if k == ("R1", "R2") else 0.0 for k in keys},
+            m_max={k: 1e9 for k in keys},
+            c_min={k: 0.0 for k in bounds.c_min},
+            c_max={k: 1.0 for k in bounds.c_max},
+        )
+        sol = solve(state, mfd, bounds)
+        assert not sol.feasible
+        for (i, j) in state.n:
+            if i != j:
+                assert sum(sol.c[(i, h, j)] for h in ADJ3[i]) == pytest.approx(1.0)
+        assert sol.residual == pytest.approx(top, rel=1e-6)
+
     # (0, 400) and (1, 400) are grid6's first msjc steps, where many
     # gatings share the minimal z while their total flows differ
-    # several-fold.  (7001, 800), (7011, 400) and (24, 1400) are steps on
-    # which a local descent from a poor start stops below the flow bound.
+    # several-fold.
     @pytest.mark.parametrize(
         "seed, warmup_s", [(0, 400.0), (1, 400.0), (7001, 800.0), (7011, 400.0), (24, 1400.0)]
     )
