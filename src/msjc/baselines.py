@@ -25,32 +25,28 @@ class PiController:
     """Velocity-form PI regulator driving the receiving region's
     accumulation toward its critical value."""
 
-    boundary: tuple[str, str]  # ordered (i, h); setpoint is region h's
     kp: float
     ki: float
     setpoint: float
     m_prev: float = 0.0
-    n_prev: float | None = None
-    active: bool = False
+    n_prev: float | None = None  # None until reset, and again once deactivated
 
     def reset(self, m_init: float, n_now: float) -> None:
         self.m_prev = m_init
         self.n_prev = n_now
-        self.active = True
 
     def deactivate(self) -> None:
-        self.active = False
         self.n_prev = None
 
 
 def pi_target(
     controller: PiController, n_h: float, m_min: float, m_max: float
 ) -> float:
-    """Next macro-step flow target, clamped to the feasible envelope."""
-    n_prev = controller.n_prev if controller.n_prev is not None else n_h
+    """Next macro-step flow target, clamped to the feasible envelope.  The
+    controller must have been reset since it was last deactivated."""
     raw = (
         controller.m_prev
-        - controller.kp * (n_h - n_prev)
+        - controller.kp * (n_h - controller.n_prev)
         - controller.ki * (n_h - controller.setpoint)
     )
     target = min(m_max, max(m_min, raw))

@@ -45,11 +45,12 @@ def plan_flow(
     return total / obs.dt_s
 
 
-def phase_pressure(phase_lanes, obs: MicroObservation, net: Network) -> float:
-    """Backpressure weight of one phase: served queue minus mean downstream
-    queue, scaled by each lane's saturation flow."""
+def plan_weight(plan: MultiPhasePlan, obs: MicroObservation, net: Network) -> float:
+    """Backpressure weight of a plan: over the lanes it turns green, served
+    queue minus mean downstream queue, scaled by each lane's saturation
+    flow."""
     w = 0.0
-    for lane_id in sorted(phase_lanes):
+    for lane_id in sorted(plan.green):
         lane = net.lanes[lane_id]
         q_l = obs.queues.get(lane_id, 0)
         if lane.output_lanes:
@@ -60,16 +61,6 @@ def phase_pressure(phase_lanes, obs: MicroObservation, net: Network) -> float:
             downstream = 0.0
         w += (q_l - downstream) * lane.sat_flow_veh_s
     return w
-
-
-def plan_weight(
-    plan: MultiPhasePlan, obs: MicroObservation, net: Network
-) -> float:
-    total = 0.0
-    for node_id, phase_id in plan.phase_by_intersection:
-        phase = net.intersections[node_id].phase(phase_id)
-        total += phase_pressure(phase.allowed_lanes, obs, net)
-    return total
 
 
 @dataclass

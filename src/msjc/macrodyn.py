@@ -17,6 +17,8 @@ from typing import Mapping, Protocol
 class CompletionModel(Protocol):
     def evaluate(self, region: str, n: float) -> float: ...
 
+    def critical(self, region: str) -> float: ...
+
 
 @dataclass
 class MacroState:

@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .netmodel import GATING, NON_GATING, MultiPhasePlan, Network, Scenario
+from .netmodel import GATING, NON_GATING, Network, Scenario
 from .netmodel import route_from, shortest_paths_to
 
 logger = logging.getLogger(__name__)
@@ -53,12 +53,9 @@ class VehicleView(NamedTuple):
     queued: bool
     lane: str | None
     queue_index: int | None
-    remaining_s: float
     route: tuple[str, ...]
-    origin: str
     destination: str
     dest_region: str
-    entered_s: float
 
 
 @dataclass(frozen=True)
@@ -203,31 +200,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # Stepping
 
-    def _active_lanes(
-        self, plans: Mapping[tuple[str, str], str]
-    ) -> dict[str, MultiPhasePlan]:
-        """Resolve the activated plan object per gating intersection; missing
-        boundaries fall back to a fixed-cycle round robin."""
-        chosen: dict[tuple[str, str], MultiPhasePlan] = {}
-        for key, plan_list in self.net.plans.items():
-            plan_id = plans.get(key)
-            if plan_id is None:
-                plan = plan_list[self.step_count % len(plan_list)]
-            else:
-                by_id = {p.id: p for p in plan_list}
-                plan = by_id[plan_id]
-            chosen[key] = plan
-        by_node: dict[str, MultiPhasePlan] = {}
-        for key, plan in chosen.items():
-            for node_id, _ in plan.phase_by_intersection:
-                by_node[node_id] = plan
-        return by_node
-
     def advance(self, plans: Mapping[tuple[str, str], str]) -> MicroObservation:
         """Advance one micro step under the activated plans (one plan id per
         canonical boundary key) and return the step's observation."""
         dt = self.dt
-        plan_by_node = self._active_lanes(plans)
+        # lanes the activated plans turn green; a boundary without an
+        # activated plan runs a fixed-cycle round robin
+        green: set[str] = set()
+        for key, plan_list in self.net.plans.items():
+            plan_id = plans.get(key)
+            if plan_id is None:
+                green |= plan_list[self.step_count % len(plan_list)].green
+            else:
+                green |= {p.id: p for p in plan_list}[plan_id].green
         self.step_count += 1
         self.time_s += dt
 
@@ -288,14 +273,8 @@ class Simulator:
             for lane_id in link.lanes:
                 lane = self.net.lanes[lane_id]
                 budget = int(math.floor(lane.sat_flow_veh_s * dt + 1e-9))
-                if node is not None and node.kind == GATING:
-                    plan = plan_by_node.get(node.id)
-                    if plan is None:
-                        budget = 0
-                    else:
-                        phase = node.phase(plan.phase_of(node.id))
-                        if lane_id not in phase.allowed_lanes:
-                            budget = 0
+                if node is not None and node.kind == GATING and lane_id not in green:
+                    budget = 0
                 queue = self._queues[lane_id]
                 while budget > 0 and queue:
                     vid = queue[0]
@@ -424,12 +403,9 @@ class Simulator:
                     queued=v.queued,
                     lane=v.lane,
                     queue_index=queue_index.get(vid),
-                    remaining_s=v.remaining_s,
                     route=v.route,
-                    origin=v.origin,
                     destination=v.destination,
                     dest_region=v.dest_region,
-                    entered_s=v.entered_s,
                 )
             )
         return tuple(views)

@@ -75,24 +75,13 @@ class Intersection:
     phases: tuple[Phase, ...] = ()
     boundary: tuple[str, str] | None = None
 
-    def phase(self, phase_id: str) -> Phase:
-        for p in self.phases:
-            if p.id == phase_id:
-                return p
-        raise KeyError(f"intersection {self.id} has no phase {phase_id}")
-
 
 @dataclass(frozen=True)
 class MultiPhasePlan:
     id: str
     boundary: tuple[str, str]
     phase_by_intersection: tuple[tuple[str, str], ...]  # (intersection, phase)
-
-    def phase_of(self, intersection: str) -> str:
-        for node, phase in self.phase_by_intersection:
-            if node == intersection:
-                return phase
-        raise KeyError(f"plan {self.id} covers no intersection {intersection}")
+    green: frozenset[str]  # union of the lanes its phases serve
 
 
 @dataclass(frozen=True)
@@ -202,17 +191,13 @@ class Network:
 
         # L^p_{i,h}: for each plan and ordered boundary direction, the approach
         # lanes the plan serves whose movement crosses that direction.
-        self._plan_crossing: dict[tuple[str, str, str, str], tuple[str, ...]] = {}
+        self._plan_crossing: dict[tuple[str, str, str], tuple[str, ...]] = {}
         for key, plan_list in self.plans.items():
             for plan in plan_list:
                 for (i, h) in (key, (key[1], key[0])):
-                    crossing: list[str] = []
-                    for node_id, phase_id in plan.phase_by_intersection:
-                        phase = self.intersections[node_id].phase(phase_id)
-                        for lane_id in sorted(phase.allowed_lanes):
-                            if self._lane_crosses(lane_id, i, h):
-                                crossing.append(lane_id)
-                    self._plan_crossing[(plan.id, key[0], key[1], i)] = tuple(crossing)
+                    self._plan_crossing[(plan.id, i, h)] = tuple(
+                        l for l in sorted(plan.green) if self._lane_crosses(l, i, h)
+                    )
 
     def _lane_crosses(self, lane_id: str, i: str, h: str) -> bool:
         lane = self.lanes[lane_id]
@@ -232,8 +217,7 @@ class Network:
         return self.plans[boundary_key(i, h)]
 
     def crossing_lanes(self, plan: MultiPhasePlan, i: str, h: str) -> tuple[str, ...]:
-        key = boundary_key(i, h)
-        return self._plan_crossing[(plan.id, key[0], key[1], i)]
+        return self._plan_crossing[(plan.id, i, h)]
 
     def link_region(self, link_id: str) -> str:
         return self.links[link_id].region
@@ -564,15 +548,17 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 )
             if any(p.id == spec["id"] for p in plans.get(key, ())):
                 raise ScenarioError(f"boundary {key}: duplicate plan id '{spec['id']}'")
-            chosen = []
+            chosen, green = [], frozenset()
             for node_id in nodes:
                 phase_id = _value(str, phase_map[node_id], ctx, "phases")
-                if all(p.id != phase_id for p in intersections[node_id].phases):
+                phase = next((p for p in intersections[node_id].phases if p.id == phase_id), None)
+                if phase is None:
                     raise ScenarioError(
                         f"{ctx}: phases: intersection {node_id} has no phase '{phase_id}'"
                     )
                 chosen.append((node_id, phase_id))
-            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], key, tuple(chosen)))
+                green |= phase.allowed_lanes
+            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], key, tuple(chosen), green))
 
     for key in partition.boundary_keys():
         if not gating_nodes.get(key):
@@ -799,30 +785,12 @@ def route_from(
     return tuple(route)
 
 
-def candidate_hyper_path(route: Sequence[str], net: Network) -> list[str]:
-    """Region sequence of a link route, consecutive duplicates collapsed.
-
-    The first element is the region of the route's first link; re-entries
-    are preserved.  Raises ScenarioError on a disconnected route.
-    """
-    if not route:
-        raise ScenarioError("empty route")
-    prev = None
-    out: list[str] = []
-    for link_id in route:
-        if link_id not in net.links:
-            raise ScenarioError(f"route names unknown link '{link_id}'")
-        if prev is not None and net.links[link_id].from_node != net.links[prev].to_node:
-            raise ScenarioError(f"route disconnected between {prev} and {link_id}")
-        region = net.links[link_id].region
-        if not out or out[-1] != region:
-            out.append(region)
-        prev = link_id
-    return out
-
-
 def next_region(route: Sequence[str], net: Network) -> str:
-    """Upcoming region of a route: the second entry of its hyper-path, or the
-    current region when the route never leaves it."""
-    hp = candidate_hyper_path(route, net)
-    return hp[1] if len(hp) > 1 else hp[0]
+    """Region of the first link of a route outside its first link's region,
+    or that region when the route never leaves it."""
+    here = net.links[route[0]].region
+    for link_id in route[1:]:
+        region = net.links[link_id].region
+        if region != here:
+            return region
+    return here

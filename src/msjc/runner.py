@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import math
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -96,7 +97,6 @@ class MacroRecord:
 
     targets: dict[tuple[str, str], float] = field(default_factory=dict)
     envelopes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
-    fallbacks: dict[tuple[str, str], int] = field(default_factory=dict)  # per canonical key
     solution: ControlSolution | None = None
     decisions: list[BoundaryDecision] = field(default_factory=list)
     routing: list[RoutingRow] = field(default_factory=list)
@@ -136,7 +136,6 @@ class _TrackedStrategy:
         self.macro = MacroRecord()
 
     def _begin_boundaries(self, ctx: MacroContext) -> None:
-        self.macro.fallbacks = {key: 0 for key in self.controllers}
         for (i, h), bc in self.controllers.items():
             (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs)
             self.macro.envelopes[(i, h)] = (f_lo, f_hi)
@@ -150,12 +149,7 @@ class _TrackedStrategy:
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
         if not self.active:
             return {}
-        out = {}
-        for key, bc in self.controllers.items():
-            out[key] = bc.control_step(obs)
-            if bc.last_decision.fallback:
-                self.macro.fallbacks[key] += 1
-        return out
+        return {key: bc.control_step(obs) for key, bc in self.controllers.items()}
 
     def record(self, obs: MicroObservation) -> None:
         if not self.active:
@@ -244,7 +238,6 @@ class PiStrategy(_TrackedStrategy):
         control = scenario.control
         self.pi = {
             (i, h): PiController(
-                boundary=(i, h),
                 kp=control.pi_kp,
                 ki=control.pi_ki,
                 setpoint=model.critical(h),
@@ -263,7 +256,7 @@ class PiStrategy(_TrackedStrategy):
         targets = {}
         for (i, h), pi in sorted(self.pi.items()):
             n_h = ctx.state.accumulation(h)
-            if not pi.active:
+            if pi.n_prev is None:
                 pi.reset(ctx.realized_prev.get((i, h), 0.0), n_h)
             lo, hi = self.macro.envelopes[(i, h)]
             targets[(i, h)] = pi_target(pi, n_h, lo, hi)
@@ -488,6 +481,7 @@ class _RunLogs:
             )
         self._boundary.writerows(_cells(d) for d in rec.decisions)
         self._routing.writerows(_cells(r) for r in rec.routing)
+        fallbacks = Counter(d.boundary for d in rec.decisions if d.fallback)
         for i, h in self._boundaries:
             m_min, m_max = rec.envelopes.get((i, h), (0.0, 0.0))
             row = FlowRow(
@@ -500,7 +494,7 @@ class _RunLogs:
                 m_min=m_min,
                 m_max=m_max,
                 realized=realized.get((i, h), 0.0),
-                fallback_steps=rec.fallbacks.get(boundary_key(i, h), 0),
+                fallback_steps=fallbacks["|".join(boundary_key(i, h))],
             )
             self._flows.writerow(_cells(row))
 

@@ -113,6 +113,62 @@ def make_single_gate(
     return scenario_from_dict(raw, name="single_gate")
 
 
+def make_two_gate(sat_flow: float = 0.3) -> Scenario:
+    """One boundary R1|R2 with two gating intersections.  At g, approach A
+    (R1) crosses into B (R2) and Rv (R2) into Rr (R1); at k, C (R1) crosses
+    into D (R2) and Sv (R2) into Sr (R1).  Three plans: fwd (A and C), mixed
+    (A and Sv) and rev (Rv and Sv)."""
+    raw = {
+        "regions": {"R1": {"neighbors": ["R2"]}, "R2": {"neighbors": ["R1"]}},
+        "links": {
+            "A": _l("nA", "g", "R1", sat=sat_flow),
+            "B": _l("g", "nB", "R2"),
+            "Rv": _l("nB", "g", "R2", sat=sat_flow),
+            "Rr": _l("g", "nR", "R1"),
+            "C": _l("nC", "k", "R1", sat=sat_flow),
+            "D": _l("k", "nD", "R2"),
+            "Sv": _l("nD", "k", "R2", sat=sat_flow),
+            "Sr": _l("k", "nS", "R1"),
+        },
+        "lanes": {
+            "A_0": {"output_lanes": ["B_0"]},
+            "Rv_0": {"output_lanes": ["Rr_0"]},
+            "C_0": {"output_lanes": ["D_0"]},
+            "Sv_0": {"output_lanes": ["Sr_0"]},
+        },
+        "intersections": {
+            "g": {
+                "kind": "gating",
+                "boundary": ["R1", "R2"],
+                "phases": {"p_fwd": ["A_0"], "p_rev": ["Rv_0"]},
+            },
+            "k": {
+                "kind": "gating",
+                "boundary": ["R1", "R2"],
+                "phases": {"q_fwd": ["C_0"], "q_rev": ["Sv_0"]},
+            },
+        },
+        "plans": {
+            "R1|R2": [
+                {"id": "fwd", "phases": {"g": "p_fwd", "k": "q_fwd"}},
+                {"id": "mixed", "phases": {"g": "p_fwd", "k": "q_rev"}},
+                {"id": "rev", "phases": {"g": "p_rev", "k": "q_rev"}},
+            ]
+        },
+        "demand": {
+            "horizon_s": 600.0,
+            "warmup_s": 100.0,
+            "seed": 1,
+            "od": [
+                {"origin": "A", "destination": "B", "rate_veh_s": 0.1},
+                {"origin": "C", "destination": "D", "rate_veh_s": 0.1},
+            ],
+        },
+        "control": {},
+    }
+    return scenario_from_dict(raw, name="two_gate")
+
+
 def _l(a: str, b: str, region: str, sat: float = 0.5, cap: int = 25, length: float = 250.0) -> dict:
     return {
         "from": a,
@@ -134,3 +190,8 @@ def linear3() -> Scenario:
 @pytest.fixture
 def single_gate() -> Scenario:
     return make_single_gate()
+
+
+@pytest.fixture
+def two_gate() -> Scenario:
+    return make_two_gate()

@@ -6,7 +6,6 @@ import pytest
 from msjc import boundaryctl, fixtures
 from msjc.boundaryctl import (
     BoundaryController,
-    phase_pressure,
     plan_flow,
     plan_weight,
 )
@@ -232,26 +231,37 @@ class TestPlanFlow:
             assert more_q <= base + 1e-12
 
 
+def plan_named(net, plan_id):
+    return {p.id: p for p in net.plan_set("R1", "R2")}[plan_id]
+
+
 class TestPressure:
     def test_zero_queues_zero_weight(self, single_gate):
         net = single_gate.network
-        assert phase_pressure({"A_0"}, mkobs(), net) == 0.0
+        assert plan_weight(plan_named(net, "fwd"), mkobs(), net) == 0.0
 
     def test_pressure_arithmetic(self, single_gate):
         net = single_gate.network
         obs = mkobs(queues={"A_0": 5, "B_0": 2})
-        assert phase_pressure({"A_0"}, obs, net) == pytest.approx((5 - 2) * 0.3)
+        assert plan_weight(plan_named(net, "fwd"), obs, net) == pytest.approx((5 - 2) * 0.3)
 
     def test_congested_downstream_goes_negative(self, single_gate):
         net = single_gate.network
         obs = mkobs(queues={"A_0": 1, "B_0": 9})
-        assert phase_pressure({"A_0"}, obs, net) == pytest.approx((1 - 9) * 0.3)
+        assert plan_weight(plan_named(net, "fwd"), obs, net) == pytest.approx((1 - 9) * 0.3)
 
     def test_plan_weight_sums_phases(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["both"]
         obs = mkobs(queues={"A_0": 5, "Rv_0": 3})
-        assert plan_weight(plan, obs, net) == pytest.approx(5 * 0.3 + 3 * 0.3)
+        assert plan_weight(plan_named(net, "both"), obs, net) == pytest.approx(5 * 0.3 + 3 * 0.3)
+
+    def test_plan_weight_counts_both_gating_nodes(self, two_gate):
+        net = two_gate.network
+        obs = mkobs(queues={"A_0": 5, "C_0": 4, "Rv_0": 3, "Sv_0": 2, "D_0": 1})
+        weights = {p.id: plan_weight(p, obs, net) for p in net.plan_set("R1", "R2")}
+        assert weights == pytest.approx(
+            {"fwd": (5 + 4 - 1) * 0.3, "mixed": (5 + 2) * 0.3, "rev": (3 + 2) * 0.3}
+        )
 
 
 class TestSelectPlan:

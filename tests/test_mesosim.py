@@ -115,6 +115,19 @@ class TestAdvance:
         assert obs.queues["A_0"] == 5
         assert obs.boundary_crossings[("R1", "R2")] == 0.0
 
+    @pytest.mark.parametrize(
+        "plan_id, green",
+        [("fwd", {"A_0", "C_0"}), ("mixed", {"A_0", "Sv_0"}), ("rev", {"Rv_0", "Sv_0"})],
+    )
+    def test_two_gating_nodes_discharge_exactly_the_green_lanes(self, two_gate, plan_id, green):
+        # 5 queued per approach; a green lane serves its budget of 3
+        routes = {"A_0": ("A", "B"), "C_0": ("C", "D"), "Rv_0": ("Rv", "Rr"), "Sv_0": ("Sv", "Sr")}
+        sim = Simulator(two_gate, seed=0)
+        for lane_id, route in routes.items():
+            force_queued(sim, lane_id, 5, route)
+        obs = sim.advance({("R1", "R2"): plan_id})
+        assert {l: obs.queues[l] for l in routes} == {l: 2 if l in green else 5 for l in routes}
+
     def test_queue_and_discharge_caps_hold_throughout_a_run(self):
         sc = fixtures.corridor2(horizon_s=400.0, east_rate=0.6, west_rate=0.4)
         sim = Simulator(sc, seed=5)

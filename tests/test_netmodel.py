@@ -11,8 +11,8 @@ from msjc.netmodel import (
     ControlConfig,
     ScenarioError,
     boundary_key,
-    candidate_hyper_path,
     load_scenario,
+    next_region,
     route_from,
     save_scenario,
     scenario_from_dict,
@@ -225,25 +225,42 @@ def test_boundary_key_is_order_free():
     assert boundary_key("R1", "R2") == ("R1", "R2")
 
 
-class TestCandidateHyperPath:
+class TestNextRegion:
     def test_single_region_route(self, linear3):
-        assert candidate_hyper_path(["a1", "a2"], linear3.network) == ["R1"]
+        assert next_region(["a1", "a2"], linear3.network) == "R1"
 
-    def test_consecutive_duplicates_collapse(self, linear3):
-        route = ["a1", "a2", "b1", "b2", "c1"]
-        assert candidate_hyper_path(route, linear3.network) == ["R1", "R2", "R3"]
+    def test_first_region_left_into(self, linear3):
+        assert next_region(["a1", "a2", "b1", "b2", "c1"], linear3.network) == "R2"
 
-    def test_reentry_preserved(self, linear3):
-        route = ["a2", "b1", "rb", "ra"]
-        assert candidate_hyper_path(route, linear3.network) == ["R1", "R2", "R1"]
+    def test_reentry_route(self, linear3):
+        assert next_region(["a2", "b1", "rb", "ra"], linear3.network) == "R2"
 
-    def test_disconnected_route_rejected(self, linear3):
-        with pytest.raises(ScenarioError, match="disconnected"):
-            candidate_hyper_path(["a1", "b1"], linear3.network)
 
-    def test_unknown_link_rejected(self, linear3):
-        with pytest.raises(ScenarioError, match="unknown link"):
-            candidate_hyper_path(["a1", "zz"], linear3.network)
+class TestTwoGatingNodes:
+    def test_green_is_the_union_of_both_nodes_phases(self, two_gate):
+        plans = two_gate.network.plan_set("R1", "R2")
+        assert {p.id: p.green for p in plans} == {
+            "fwd": {"A_0", "C_0"},
+            "mixed": {"A_0", "Sv_0"},
+            "rev": {"Rv_0", "Sv_0"},
+        }
+
+    def test_crossing_lanes_count_both_nodes(self, two_gate):
+        net = two_gate.network
+        lanes = {
+            p.id: (net.crossing_lanes(p, "R1", "R2"), net.crossing_lanes(p, "R2", "R1"))
+            for p in net.plan_set("R1", "R2")
+        }
+        assert lanes == {
+            "fwd": (("A_0", "C_0"), ()),
+            "mixed": (("A_0",), ("Sv_0",)),
+            "rev": ((), ("Rv_0", "Sv_0")),
+        }
+
+    def test_green_is_not_written(self, two_gate):
+        raw = scenario_to_dict(two_gate)
+        assert raw["plans"]["R1|R2"][1] == {"id": "mixed", "phases": {"g": "p_fwd", "k": "q_rev"}}
+        assert scenario_from_dict(raw).network.plans == two_gate.network.plans
 
 
 def test_unknown_control_key_rejected():
