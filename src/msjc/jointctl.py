@@ -78,22 +78,14 @@ def route_bounds(
 
     The upper bound for next region h is the fraction of the OD's vehicles
     that could go via h at all; the lower bound is the fraction that has no
-    other option.  ODs without vehicles get the vacuous (0, 1) box.
+    other option.  Every OD has at least one vehicle, each with a non-empty
+    set (``routectl.candidate_next_regions``).
     """
     c_min: dict[TKey, float] = {}
     c_max: dict[TKey, float] = {}
     for (i, j), vehicle_sets in candidates.items():
-        neighbors = adjacency[i]
         n = len(vehicle_sets)
-        if n == 0:
-            for h in neighbors:
-                c_min[(i, h, j)] = 0.0
-                c_max[(i, h, j)] = 1.0
-            continue
-        for sets in vehicle_sets:
-            if not sets:
-                raise ValueError(f"OD {(i, j)}: vehicle with empty candidate set")
-        for h in neighbors:
+        for h in adjacency[i]:
             could = sum(1 for s in vehicle_sets if h in s)
             must = sum(1 for s in vehicle_sets if set(s) == {h})
             c_min[(i, h, j)] = must / n

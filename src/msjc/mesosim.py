@@ -8,14 +8,20 @@ plan allows their lane.  Vehicles enter on the shortest route by the search
 rerouting uses (``netmodel.shortest_paths_to``) and follow their routes link
 by link; blocked vehicles are never removed.
 
+A new vehicle waits in its origin's entry queue until the origin link has
+storage; ``Simulator.vehicles`` holds exactly the vehicles in the network.
+Every route is drivable: each link is followed by one of its successors,
+and a queued vehicle's next link is one its lane serves (``set_route``
+rejects any other route).
+
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -24,20 +30,15 @@ import numpy as np
 from .netmodel import GATING, NON_GATING, Network, Scenario
 from .netmodel import route_from, shortest_paths_to
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class _Vehicle:
     id: int
-    origin: str
     destination: str
     dest_region: str
     route: tuple[str, ...]  # route[0] is always the current link
     remaining_s: float = 0.0
-    queued: bool = False
-    lane: str | None = None
-    entered_s: float | None = None
+    lane: str | None = None  # the lane it queues in at the stop line
 
     @property
     def current(self) -> str:
@@ -45,12 +46,12 @@ class _Vehicle:
 
 
 class VehicleView(NamedTuple):
-    """Read-only per-vehicle snapshot built by ``Simulator.vehicle_views``."""
+    """Read-only per-vehicle snapshot built by ``Simulator.vehicle_views``;
+    ``lane`` and ``queue_index`` are None unless the vehicle is queued."""
 
     id: int
     link: str
     region: str
-    queued: bool
     lane: str | None
     queue_index: int | None
     route: tuple[str, ...]
@@ -66,7 +67,8 @@ class MicroObservation:
     inputs for the next step); ``boundary_crossings`` are the exact counts of
     link transitions across each ordered region boundary during the step,
     expressed in veh/s.  Per-vehicle state is not part of the observation:
-    ``Simulator.vehicle_views()`` builds it on demand.
+    ``Simulator.vehicle_views()`` and ``Simulator.od_counts()`` build it on
+    demand.
     """
 
     step: int
@@ -77,7 +79,6 @@ class MicroObservation:
     boundary_crossings: dict[tuple[str, str], float]
     non_gating_crossings: dict[tuple[str, str], float]
     accumulation: dict[str, int]
-    od_counts: dict[tuple[str, str], int]
     completed: int
     completions_by_region: dict[str, int]
     admitted_od: dict[tuple[str, str], int]
@@ -106,17 +107,14 @@ class Simulator:
 
         self.step_count = 0
         self.time_s = 0.0
-        self.vehicles: dict[int, _Vehicle] = {}
-        self._next_vid = 0
+        self.vehicles: dict[int, _Vehicle] = {}  # in the network, by id
 
         self._running: dict[str, list[int]] = {l: [] for l in self.net.links}
         self._queues: dict[str, list[int]] = {l: [] for l in self.net.lanes}
         self._occupancy: dict[str, int] = {l: 0 for l in self.net.links}
-        self._entry: dict[str, list[int]] = {}
-        self._entry_total = 0
+        self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
-        self.created_total = 0
-        self.admitted_total = 0
+        self.created_total = 0  # also the next vehicle id
         self.completed_total = 0
 
     # ------------------------------------------------------------------
@@ -164,38 +162,39 @@ class Simulator:
             for destination, starts in origins.items()
             for origin, route in self.shortest_route(destination, starts, tt).items()
         }
-        new_ids: list[int] = []
+        # every OD is reachable (checked at load), so every route is found
+        first = self.created_total
         for flow, count in arriving:
             route = routes[(flow.origin, flow.destination)]
-            if route is None:
-                # unreachable ODs are rejected at load; defensive only
-                logger.error("no route %s->%s", flow.origin, flow.destination)
-                continue
-            for _ in range(count):
-                vid = self._next_vid
-                self._next_vid += 1
-                self.vehicles[vid] = _Vehicle(
-                    id=vid,
-                    origin=flow.origin,
-                    destination=flow.destination,
-                    dest_region=self.net.link_region(flow.destination),
-                    route=route,
-                )
-                self._entry.setdefault(flow.origin, []).append(vid)
-                self._entry_total += 1
-                self.created_total += 1
-                new_ids.append(vid)
-        return new_ids
+            dest_region = self.net.link_region(flow.destination)
+            self._entry.setdefault(flow.origin, []).extend(
+                _Vehicle(self.created_total + k, flow.destination, dest_region, route)
+                for k in range(count)
+            )
+            self.created_total += count
+        return list(range(first, self.created_total))
 
     def set_route(self, vid: int, route: Sequence[str]) -> None:
+        """Replace a vehicle's route.  Raises ValueError unless the route
+        starts at the vehicle's current link, ends at its destination and
+        moves from each link to one of its successors; a queued vehicle's
+        lane must also serve the route's first move."""
         v = self.vehicles[vid]
+        route = tuple(route)
         if route[0] != v.current:
             raise ValueError(
                 f"vehicle {vid}: route must start at current link {v.current}"
             )
         if route[-1] != v.destination:
             raise ValueError(f"vehicle {vid}: route must end at {v.destination}")
-        v.route = tuple(route)
+        for move in zip(route, route[1:]):
+            if move not in self.net.lanes_to:
+                raise ValueError(f"vehicle {vid}: no move {move[0]} -> {move[1]}")
+        if v.lane is not None and v.lane not in self.net.lanes_to[route[:2]]:
+            raise ValueError(
+                f"vehicle {vid}: lane {v.lane} does not serve {route[0]} -> {route[1]}"
+            )
+        v.route = route
 
     # ------------------------------------------------------------------
     # Stepping
@@ -226,14 +225,11 @@ class Simulator:
         for origin in sorted(self._entry):
             staged = self._entry[origin]
             while staged and self._occupancy[origin] < self.net.storage[origin]:
-                vid = staged.pop(0)
-                v = self.vehicles[vid]
-                v.entered_s = self.time_s - dt
+                v = staged.pop(0)
                 v.remaining_s = self.net.links[origin].travel_time_s
+                self.vehicles[v.id] = v
                 self._occupancy[origin] += 1
-                self._running[origin].append(vid)
-                self._entry_total -= 1
-                self.admitted_total += 1
+                self._running[origin].append(v.id)
                 od = (self.net.link_region(origin), v.dest_region)
                 admitted_od[od] = admitted_od.get(od, 0) + 1
 
@@ -261,7 +257,6 @@ class Simulator:
                 if lane is None:
                     still_running.append(vid)  # all feasible lanes full; hold
                     continue
-                v.queued = True
                 v.lane = lane
                 self._queues[lane].append(vid)
             self._running[link_id] = still_running
@@ -283,7 +278,6 @@ class Simulator:
                     if self._occupancy[nxt] >= self.net.storage[nxt]:
                         break  # head blocked: FIFO lane stops discharging
                     queue.pop(0)
-                    v.queued = False
                     v.lane = None
                     v.route = v.route[1:]
                     v.remaining_s = self.net.links[nxt].travel_time_s
@@ -340,9 +334,7 @@ class Simulator:
                 v = self.vehicles[vid]
                 if v.remaining_s > dt or v.current == v.destination:
                     continue
-                feasible = self.net.lanes_to.get((v.current, v.route[1]), ())
-                if not feasible:
-                    continue
+                feasible = self.net.lanes_to[v.route[:2]]
                 lane = min(feasible, key=lambda l: (lane_loads[l], l))
                 lane_loads[lane] += 1
                 arrivals[lane] += 1.0
@@ -350,15 +342,6 @@ class Simulator:
         accumulation = {r: 0 for r in self.partition.regions}
         for link in self.net.links.values():
             accumulation[link.region] += self._occupancy[link.id]
-
-        od_counts: dict[tuple[str, str], int] = {}
-        in_network = 0
-        for v in self.vehicles.values():
-            if v.entered_s is None:
-                continue  # still in an entry queue, outside the regions
-            in_network += 1
-            od = (self.net.link_region(v.current), v.dest_region)
-            od_counts[od] = od_counts.get(od, 0) + 1
 
         boundary_rates = {}
         ng_rates = {}
@@ -376,36 +359,34 @@ class Simulator:
             boundary_crossings=boundary_rates,
             non_gating_crossings=ng_rates,
             accumulation=accumulation,
-            od_counts=od_counts,
             completed=completed,
             completions_by_region=completions_by_region,
             admitted_od=admitted_od,
-            entry_queue=self._entry_total,
-            in_network=in_network,
+            entry_queue=sum(map(len, self._entry.values())),
+            in_network=len(self.vehicles),
+        )
+
+    def od_counts(self) -> Counter[tuple[str, str]]:
+        """Vehicles in the network per (current region, destination region)."""
+        return Counter(
+            (self.net.link_region(v.current), v.dest_region) for v in self.vehicles.values()
         )
 
     def vehicle_views(self) -> tuple[VehicleView, ...]:
-        """Snapshot of every vehicle in the network, by id; vehicles still
-        in an entry queue are left out."""
+        """Snapshot of every vehicle in the network, by id."""
         queue_index = {
             vid: k for queue in self._queues.values() for k, vid in enumerate(queue)
         }
-        views = []
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
-            if v.entered_s is None:
-                continue
-            views.append(
-                VehicleView(
-                    id=vid,
-                    link=v.current,
-                    region=self.net.link_region(v.current),
-                    queued=v.queued,
-                    lane=v.lane,
-                    queue_index=queue_index.get(vid),
-                    route=v.route,
-                    destination=v.destination,
-                    dest_region=v.dest_region,
-                )
+        return tuple(
+            VehicleView(
+                id=vid,
+                link=v.current,
+                region=self.net.link_region(v.current),
+                lane=v.lane,
+                queue_index=queue_index.get(vid),
+                route=v.route,
+                destination=v.destination,
+                dest_region=v.dest_region,
             )
-        return tuple(views)
+            for vid, v in sorted(self.vehicles.items())
+        )

@@ -26,7 +26,6 @@ class MfdSample:
     region: str
     accumulation_veh: float
     completion_veh_s: float
-    window: int
 
 
 class MfdModel:

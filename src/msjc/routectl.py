@@ -1,7 +1,8 @@
 """Per-vehicle candidate routes and the intra-region route-choice program.
 
 Candidate generation keeps exactly the vehicle's current route and the
-instantaneously shortest route (deduplicated); vehicles that share a start
+instantaneously shortest route (deduplicated, and for a queued vehicle only
+if its lane serves that route's next link); vehicles that share a start
 link and a destination share one shortest route, found by the search that
 demand injection uses too (``netmodel.shortest_paths_to``).  Logit rerouting
 reads only those link candidates.  msjc's programs also need each
@@ -16,7 +17,6 @@ bounded-variable least squares problem, solved exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +27,6 @@ from scipy.optimize import lsq_linear
 
 from .mesosim import VehicleView
 from .netmodel import Network, next_region, route_from, shortest_paths_to
-
-logger = logging.getLogger(__name__)
 
 
 class CandidateRoute(NamedTuple):
@@ -46,7 +44,6 @@ class VehicleRoutes(NamedTuple):
     dest_region: str
     routes: tuple[CandidateRoute, ...]
     pinned: bool
-    unreachable: bool = False
 
 
 @dataclass
@@ -71,14 +68,15 @@ def generate_routes(
     stopped once the vehicles' start links are settled, gives one shortest
     route per start link and destination.  Vehicles on their destination
     link or one link away keep their current route only (no routing
-    freedom).  An unreachable destination also pins the current route and
-    is flagged.
+    freedom).  A queued vehicle is offered the shortest route only when its
+    lane serves that route's next link.
     """
     starts: dict[str, set[str]] = {}
     for v in vehicles:
         if len(v.route) > 2:
             starts.setdefault(v.destination, set()).add(v.link)
-    shortest: dict[tuple[str, str], tuple[str, ...] | None] = {}
+    # a vehicle's current route proves its destination reachable
+    shortest: dict[tuple[str, str], tuple[str, ...]] = {}
     for destination, links in starts.items():
         nxt_choice = shortest_paths_to(net, destination, travel_times, links)
         for link in links:
@@ -86,22 +84,11 @@ def generate_routes(
     out: list[VehicleRoutes] = []
     for v in vehicles:
         routes = (CandidateRoute(v.route, True),)
-        unreachable = False
         if len(v.route) > 2:
             best = shortest[(v.link, v.destination)]
-            if best is None:
-                unreachable = True
-                logger.warning(
-                    "vehicle %d: destination %s unreachable from %s",
-                    v.id,
-                    v.destination,
-                    v.link,
-                )
-            elif best != v.route:
+            if best != v.route and (v.lane is None or v.lane in net.lanes_to[best[:2]]):
                 routes += (CandidateRoute(best, False),)
-        out.append(
-            VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1, unreachable)
-        )
+        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1))
     return out
 
 
@@ -136,7 +123,7 @@ def _projected_link(
     next link, everyone else stays put.  Links outside the vehicle's current
     region are reported as None (ignored in densities)."""
     link = v.link
-    if v.queued and v.lane is not None and len(route) > 1:
+    if v.lane is not None:
         budget = net.lanes[v.lane].sat_flow_veh_s * dt_s
         if (v.queue_index or 0) < budget:
             link = route[1]

@@ -72,7 +72,6 @@ class MacroContext:
     obs: MicroObservation
     active: bool
     realized_prev: dict[tuple[str, str], float]
-    travel_times: dict[str, float]
 
 
 @dataclass
@@ -162,9 +161,9 @@ class _TrackedStrategy:
 class MsjcStrategy(_TrackedStrategy):
     """Joint gating/routing optimization on top of the tracking controller."""
 
-    def _annotated_routes(self, travel_times: Mapping[str, float]) -> list[routectl.VehicleRoutes]:
+    def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
         views = self.sim.vehicle_views()
-        route_set = routectl.generate_routes(views, self.net, travel_times)
+        route_set = routectl.generate_routes(views, self.net, self.sim.travel_time_estimates())
         return routectl.annotate_routes(views, route_set, self.net, self.scenario.control.t_micro_s)
 
     def begin_macro(self, ctx: MacroContext) -> None:
@@ -174,7 +173,7 @@ class MsjcStrategy(_TrackedStrategy):
             return
         self._begin_boundaries(ctx)
 
-        candidates = routectl.candidate_next_regions(self._annotated_routes(ctx.travel_times))
+        candidates = routectl.candidate_next_regions(self._annotated_routes())
         c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
         envelopes = self.macro.envelopes
         bounds = ControlBounds(
@@ -190,7 +189,7 @@ class MsjcStrategy(_TrackedStrategy):
         solution = self.macro.solution
         if not self.active or solution is None:
             return None
-        route_set = self._annotated_routes(self.sim.travel_time_estimates())
+        route_set = self._annotated_routes()
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
             in_region = [vr for vr in route_set if vr.region == region]
@@ -340,12 +339,12 @@ def make_strategy(
 
 
 def _build_macro_state(
-    scenario: Scenario, obs: MicroObservation, t_index: int, q: Mapping
+    scenario: Scenario, od_counts: Mapping[tuple[str, str], int], t_index: int, q: Mapping
 ) -> MacroState:
     n = {}
     for i in scenario.partition.regions:
         for j in scenario.partition.regions:
-            n[(i, j)] = float(obs.od_counts.get((i, j), 0))
+            n[(i, j)] = float(od_counts.get((i, j), 0))
     return MacroState(
         t=t_index,
         n=n,
@@ -572,7 +571,7 @@ def run(
         cleared_at: float | None = None
 
         while True:
-            state = _build_macro_state(scenario, obs, t_index, prev_admitted)
+            state = _build_macro_state(scenario, sim.od_counts(), t_index, prev_admitted)
             active = any(
                 state.accumulation(r) > control.activation_threshold * model.critical(r)
                 for r in scenario.partition.regions
@@ -587,7 +586,6 @@ def run(
                 obs=obs,
                 active=active,
                 realized_prev=dict(realized_prev),
-                travel_times=sim.travel_time_estimates(),
             )
             strategy.begin_macro(ctx)
 
@@ -675,7 +673,6 @@ def calibrate(
     cap_s = control.cap_factor * scenario.demand.horizon_s
     regions = scenario.partition.regions
     samples: list[MfdSample] = []
-    window_index = 0
     for li, level in enumerate(sorted(levels)):
         sim = Simulator(scenario, seed=seed + li, demand_scale=level)
         acc_sum = {r: 0.0 for r in regions}
@@ -700,10 +697,8 @@ def calibrate(
                             region=r,
                             accumulation_veh=acc_sum[r] / window_steps,
                             completion_veh_s=flow[r] / window_s,
-                            window=window_index,
                         )
                     )
-                window_index += 1
                 acc_sum = {r: 0.0 for r in regions}
                 flow = {r: 0.0 for r in regions}
                 steps_in_window = 0

@@ -169,6 +169,36 @@ def make_two_gate(sat_flow: float = 0.3) -> Scenario:
     return scenario_from_dict(raw, name="two_gate")
 
 
+def make_turn_lanes() -> Scenario:
+    """One region.  Link A has two lanes with their own turns: A_0 feeds
+    only X and A_1 only Y.  Both branches rejoin at D:
+    A -> X -> Xd -> D and A -> Y -> Yd -> D."""
+    raw = {
+        "regions": {"R1": {"neighbors": []}},
+        "links": {
+            "A": {**_l("nA", "n1", "R1"), "lanes": 2},
+            "X": _l("n1", "nX", "R1"),
+            "Y": _l("n1", "nY", "R1"),
+            "Xd": _l("nX", "n2", "R1"),
+            "Yd": _l("nY", "n2", "R1"),
+            "D": _l("n2", "nD", "R1"),
+        },
+        "lanes": {
+            "A_0": {"output_lanes": ["X_0"]},
+            "A_1": {"output_lanes": ["Y_0"]},
+        },
+        "intersections": {},
+        "plans": {},
+        "demand": {
+            "horizon_s": 600.0,
+            "warmup_s": 0.0,
+            "od": [{"origin": "A", "destination": "D", "rate_veh_s": 0.0}],
+        },
+        "control": {},
+    }
+    return scenario_from_dict(raw, name="turn_lanes")
+
+
 def _l(a: str, b: str, region: str, sat: float = 0.5, cap: int = 25, length: float = 250.0) -> dict:
     return {
         "from": a,
@@ -195,3 +225,8 @@ def single_gate() -> Scenario:
 @pytest.fixture
 def two_gate() -> Scenario:
     return make_two_gate()
+
+
+@pytest.fixture
+def turn_lanes() -> Scenario:
+    return make_turn_lanes()

@@ -261,23 +261,25 @@ def per_vehicle_candidates(
     dt_s: float,
 ) -> list[tuple[list[tuple], bool]]:
     """Candidate routes of each vehicle with nothing shared between vehicles:
-    a fresh search and route per vehicle.  Per vehicle, returns
+    a fresh search and route per vehicle; a queued vehicle gets the shortest
+    route only if its lane feeds that route's next link.  Per vehicle, returns
     ([(links, is_current, next_region, projected_link), ...], pinned)."""
     out = []
     for v in vehicles:
         candidates = [v.route]
-        unreachable = False
         if len(v.route) > 2:
             nxt_choice = shortest_paths_to(net, v.destination, travel_times, (v.link,))
             best = route_from(v.link, v.destination, nxt_choice)
-            unreachable = best is None
-            if best is not None and best != v.route:
+            feeds = v.lane is None or any(
+                net.lanes[out].link == best[1] for out in net.lanes[v.lane].output_lanes
+            )
+            if best != v.route and feeds:
                 candidates.append(best)
         annotated = [
             (r, r == v.route, next_region(r, net), routectl._projected_link(v, r, net, dt_s))
             for r in candidates
         ]
-        out.append((annotated, unreachable or len(candidates) == 1))
+        out.append((annotated, len(candidates) == 1))
     return out
 
 

@@ -28,7 +28,6 @@ def mkobs(queues=None, arrivals=None, ng=None, crossings=None, dt=10.0, step=1):
         boundary_crossings=dict(crossings or {}),
         non_gating_crossings=dict(ng or {}),
         accumulation={},
-        od_counts={},
         completed=0,
         completions_by_region={},
         admitted_od={},

@@ -162,15 +162,6 @@ class TestRouteBounds:
         assert c_max[("i", "g", "j")] == pytest.approx(0.4)
         assert c_min[("i", "g", "j")] == pytest.approx(0.1)
 
-    def test_empty_od_gets_vacuous_box(self):
-        c_min, c_max = route_bounds({("i", "j"): []}, {"i": ("g", "h")})
-        assert c_min[("i", "h", "j")] == 0.0
-        assert c_max[("i", "h", "j")] == 1.0
-
-    def test_empty_candidate_set_rejected(self):
-        with pytest.raises(ValueError, match="empty candidate"):
-            route_bounds({("i", "j"): [frozenset()]}, {"i": ("h",)})
-
 
 class TestSolve:
     def test_empty_network_hits_spare_capacity_of_largest_region(self):

@@ -6,47 +6,33 @@ from msjc.mesosim import Simulator, _Vehicle
 from conftest import make_single_gate
 
 
-def force_queued(sim: Simulator, lane_id: str, count: int, route: tuple[str, ...]):
+def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
+    vid = sim.created_total
+    sim.created_total += 1
+    sim.vehicles[vid] = _Vehicle(
+        id=vid,
+        destination=route[-1],
+        dest_region=sim.net.link_region(route[-1]),
+        route=tuple(route),
+        **state,
+    )
+    sim._occupancy[route[0]] += 1
+    return vid
+
+
+def force_queued(sim: Simulator, lane_id: str, count: int, route: tuple[str, ...]) -> list[int]:
     """Drop vehicles straight into a lane queue (white-box test helper)."""
-    link = route[0]
-    for _ in range(count):
-        vid = sim._next_vid
-        sim._next_vid += 1
-        sim.vehicles[vid] = _Vehicle(
-            id=vid,
-            origin=link,
-            destination=route[-1],
-            dest_region=sim.net.link_region(route[-1]),
-            route=tuple(route),
-            remaining_s=0.0,
-            queued=True,
-            lane=lane_id,
-            entered_s=0.0,
-        )
-        sim._queues[lane_id].append(vid)
-        sim._occupancy[link] += 1
-        sim.created_total += 1
-        sim.admitted_total += 1
+    vids = [_new_vehicle(sim, route, lane=lane_id) for _ in range(count)]
+    sim._queues[lane_id].extend(vids)
+    return vids
 
 
-def force_running(sim: Simulator, count: int, route: tuple[str, ...], remaining: float):
-    link = route[0]
-    for _ in range(count):
-        vid = sim._next_vid
-        sim._next_vid += 1
-        sim.vehicles[vid] = _Vehicle(
-            id=vid,
-            origin=link,
-            destination=route[-1],
-            dest_region=sim.net.link_region(route[-1]),
-            route=tuple(route),
-            remaining_s=remaining,
-            entered_s=0.0,
-        )
-        sim._running[link].append(vid)
-        sim._occupancy[link] += 1
-        sim.created_total += 1
-        sim.admitted_total += 1
+def force_running(
+    sim: Simulator, count: int, route: tuple[str, ...], remaining: float
+) -> list[int]:
+    vids = [_new_vehicle(sim, route, remaining_s=remaining) for _ in range(count)]
+    sim._running[route[0]].extend(vids)
+    return vids
 
 
 class TestInjectDemand:
@@ -75,12 +61,50 @@ class TestInjectDemand:
     def test_new_vehicles_get_shortest_route(self):
         sc = fixtures.corridor2(east_rate=0.5, west_rate=0.0)
         sim = Simulator(sc, seed=3)
-        ids = []
         for k in range(10):
-            ids += sim.inject_demand(k)
-        v = sim.vehicles[ids[0]]
+            sim.inject_demand(k)
+        v = sim._entry["src1"][0]
         assert v.route[0] == "src1"
         assert v.route[-1] == "snk2"
+
+
+class TestSetRoute:
+    VIA_X = ("A", "X", "Xd", "D")
+    VIA_Y = ("A", "Y", "Yd", "D")
+
+    def test_accepts_a_path_to_the_destination(self, turn_lanes):
+        sim = Simulator(turn_lanes, seed=0)
+        [vid] = force_running(sim, 1, self.VIA_X, remaining=100.0)
+        sim.set_route(vid, self.VIA_Y)
+        assert sim.vehicles[vid].route == self.VIA_Y
+
+    @pytest.mark.parametrize("route", [("X", "Xd", "D"), ("A", "Y", "Yd")])
+    def test_rejects_a_route_from_elsewhere_or_to_elsewhere(self, turn_lanes, route):
+        sim = Simulator(turn_lanes, seed=0)
+        [vid] = force_running(sim, 1, self.VIA_X, remaining=100.0)
+        with pytest.raises(ValueError, match="route must"):
+            sim.set_route(vid, route)
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_rejects_a_route_that_skips_a_node(self, turn_lanes, queued):
+        # Xd starts where X ends, not where A ends
+        sim = Simulator(turn_lanes, seed=0)
+        if queued:
+            [vid] = force_queued(sim, "A_0", 1, self.VIA_X)
+        else:
+            [vid] = force_running(sim, 1, self.VIA_X, remaining=100.0)
+        with pytest.raises(ValueError, match="no move A -> Xd"):
+            sim.set_route(vid, ("A", "Xd", "D"))
+        assert sim.vehicles[vid].route == self.VIA_X
+
+    def test_rejects_a_next_link_the_queued_lane_does_not_serve(self, turn_lanes):
+        # A_0 feeds only X, so a vehicle queued there cannot turn to Y
+        sim = Simulator(turn_lanes, seed=0)
+        [vid] = force_queued(sim, "A_0", 1, self.VIA_X)
+        with pytest.raises(ValueError, match="lane A_0 does not serve A -> Y"):
+            sim.set_route(vid, self.VIA_Y)
+        sim.advance({})
+        assert sim.vehicles[vid].route == self.VIA_X[1:]
 
 
 class TestAdvance:
@@ -160,7 +184,6 @@ class TestAdvance:
             before = {
                 vid: sc.network.link_region(v.current)
                 for vid, v in sim.vehicles.items()
-                if v.entered_s is not None
             }
             obs = sim.advance({("R1", "R2"): plan_ids[rng.integers(len(plan_ids))]})
             counts = {}
@@ -198,18 +221,12 @@ class TestAdvance:
     def test_saturated_entry_holds_vehicles_outside(self, single_gate):
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 25, ("A", "B"), remaining=1e9)  # A full (cap 25)
-        staged = sim._next_vid
-        sim.vehicles[staged] = _Vehicle(
-            id=staged, origin="A", destination="B",
-            dest_region="R2", route=("A", "B"),
-        )
-        sim._next_vid += 1
-        sim._entry.setdefault("A", []).append(staged)
-        sim._entry_total += 1
+        staged = _Vehicle(id=sim.created_total, destination="B", dest_region="R2", route=("A", "B"))
         sim.created_total += 1
+        sim._entry["A"] = [staged]
         obs = sim.advance({})
         assert obs.entry_queue == 1
-        assert sim.vehicles[staged].entered_s is None
+        assert sim._entry["A"] == [staged] and staged.id not in sim.vehicles
 
 
 class TestArrivalsProjection:
@@ -242,7 +259,7 @@ class TestVehicleViews:
         assert staged and sim.vehicle_views() == ()
         sim.advance({})
         admitted = {v.id for v in sim.vehicle_views()}
-        assert admitted == {vid for vid in staged if sim.vehicles[vid].entered_s is not None}
+        assert admitted == staged - {v.id for queue in sim._entry.values() for v in queue}
         later = set(sim.inject_demand(sim.step_count))
         assert later and not later & {v.id for v in sim.vehicle_views()}
 
@@ -253,7 +270,7 @@ class TestVehicleViews:
         assert [v.lane for v in views] == ["A_0"] * 8
         assert [v.queue_index for v in views] == list(range(8))
         sim.advance({("R1", "R2"): "fwd"})  # serves the first 3
-        assert [v.queue_index for v in sim.vehicle_views() if v.queued] == list(range(5))
+        assert [v.queue_index for v in sim.vehicle_views() if v.lane is not None] == list(range(5))
 
     def test_views_agree_with_the_observation_counts(self):
         sc = fixtures.grid6(horizon_s=400.0)
@@ -262,7 +279,7 @@ class TestVehicleViews:
             sim.inject_demand(sim.step_count)
             obs = sim.advance({})
             views = sim.vehicle_views()
-            assert len(views) == obs.in_network == sum(obs.od_counts.values())
+            assert len(views) == obs.in_network == sum(sim.od_counts().values())
             assert [v.id for v in views] == sorted(v.id for v in views)
 
     def test_one_call_routes_every_vehicle_of_an_od_alike(self):
@@ -271,13 +288,16 @@ class TestVehicleViews:
         shared = 0
         for _ in range(60):
             tt = sim.travel_time_estimates()
-            by_od: dict[tuple[str, str], list[int]] = {}
-            for vid in sim.inject_demand(sim.step_count):
-                v = sim.vehicles[vid]
-                by_od.setdefault((v.origin, v.destination), []).append(vid)
-            for (origin, destination), vids in by_od.items():
+            new = set(sim.inject_demand(sim.step_count))
+            by_od: dict[tuple[str, str], list[_Vehicle]] = {}
+            for origin, staged in sim._entry.items():
+                for v in staged:
+                    if v.id in new:
+                        by_od.setdefault((origin, v.destination), []).append(v)
+            assert sum(map(len, by_od.values())) == len(new)
+            for (origin, destination), vehicles in by_od.items():
                 route = sim.shortest_route(destination, [origin], tt)[origin]
-                assert all(sim.vehicles[vid].route == route for vid in vids)
-                shared += len(vids) > 1
+                assert all(v.route == route for v in vehicles)
+                shared += len(vehicles) > 1
             sim.advance({})
         assert shared > 0

@@ -28,11 +28,11 @@ def _cubic(b1, b2, b3, n):
 
 def _samples(b1, b2, b3, n_values, region="R1", noise=None, rng=None):
     out = []
-    for w, n in enumerate(n_values):
+    for n in n_values:
         g = _cubic(b1, b2, b3, n)
         if noise is not None:
             g *= 1.0 + noise * rng.standard_normal()
-        out.append(MfdSample(region, float(n), float(g), w))
+        out.append(MfdSample(region, float(n), float(g)))
     return out
 
 
@@ -55,8 +55,8 @@ class TestFit:
         assert np.max(np.abs(fitted - truth) / np.abs(truth)) <= 1e-8
 
     def test_degenerate_samples_rejected(self):
-        samples = [MfdSample("R1", 0.0, 0.0, w) for w in range(10)]
-        samples.append(MfdSample("R1", 100.0, 0.4, 10))
+        samples = [MfdSample("R1", 0.0, 0.0)] * 10
+        samples.append(MfdSample("R1", 100.0, 0.4))
         with pytest.raises(MfdFitError, match="rank-deficient"):
             fit(samples)
 

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -93,16 +91,23 @@ class TestGenerateRoutes:
         routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates())
         assert all(r.routes[0].is_current for r in routes)
 
-    def test_unreachable_destination_pins_flags_and_warns(self, caplog):
-        sc = fixtures.corridor2()
-        sim = Simulator(sc, seed=0)
-        # src1 is a source link: no path leads into it
-        force_running(sim, 1, ("src2", "r_app", "src1"), remaining=100.0)
-        with caplog.at_level(logging.WARNING, logger="msjc.routectl"):
-            routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates())
-        assert routes[0].pinned and routes[0].unreachable
-        assert [r.links for r in routes[0].routes] == [("src2", "r_app", "src1")]
-        assert any("unreachable" in r.getMessage() for r in caplog.records)
+    def test_queued_vehicle_is_offered_only_moves_its_lane_serves(self, turn_lanes):
+        # X is congested, so the shortest route from A turns to Y.  A_0 feeds
+        # only X: the vehicle queued there keeps its route, while one still
+        # running on A may take the detour.
+        net = turn_lanes.network
+        sim = Simulator(turn_lanes, seed=0)
+        force_queued(sim, "X_0", 20, ("X", "Xd", "D"))
+        [queued] = force_queued(sim, "A_0", 1, ("A", "X", "Xd", "D"))
+        [running] = force_running(sim, 1, ("A", "X", "Xd", "D"), remaining=100.0)
+        on_a = [v for v in sim.vehicle_views() if v.link == "A"]
+        routes = {vr.vid: vr for vr in generate_routes(on_a, net, sim.travel_time_estimates())}
+        assert [r.links for r in routes[running].routes] == [
+            ("A", "X", "Xd", "D"),
+            ("A", "Y", "Yd", "D"),
+        ]
+        assert [r.links for r in routes[queued].routes] == [("A", "X", "Xd", "D")]
+        assert routes[queued].pinned
 
     def test_rerouting_keeps_the_injected_route_on_an_exact_tie(self):
         # a -> b1 -> c1 -> d and a -> b2 -> c0 -> d cost the same; a is long
@@ -135,7 +140,7 @@ class TestGenerateRoutes:
         injected = []
         while not injected:
             injected = sim.inject_demand(0)
-        route = sim.vehicles[injected[0]].route
+        route = sim._entry["a"][0].route
         assert len(route) == 4
         sim.advance({})
         views = sim.vehicle_views()
@@ -158,7 +163,7 @@ class TestGenerateRoutes:
         assert [vr.vid for vr in routes] == [v.id for v in views]
         for vr, ar, (candidates, pinned) in zip(routes, annotated, expected):
             assert [(r.links, r.is_current) for r in vr.routes] == [c[:2] for c in candidates]
-            assert vr.pinned == pinned and not vr.unreachable
+            assert vr.pinned == pinned
             assert [(r.next_region, r.projected_link) for r in ar.routes] == [
                 c[2:] for c in candidates
             ]

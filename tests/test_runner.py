@@ -23,6 +23,9 @@ GOLDEN = {
 # time the network clears (s).
 GRID6_BP_LR = (223_990.0, 1379, 1730.0)
 
+# grid6, seed 0, bp (backpressure without rerouting): the same three.
+GRID6_BP = (223_970.0, 1379, 1730.0)
+
 # grid6, seed 0, mspc-lr (PI gating with logit rerouting): the same three.
 GRID6_MSPC_LR = (325_830.0, 1379, 1870.0)
 
@@ -125,6 +128,12 @@ def test_golden_grid6_bp_lr():
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
 
 
+def test_golden_grid6_bp():
+    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="bp", seed=0))
+    ttt, throughput, clearance = GRID6_BP
+    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+
+
 def test_golden_grid6_mspc_lr():
     m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="mspc-lr", seed=0))
     ttt, throughput, clearance = GRID6_MSPC_LR
@@ -223,3 +232,6 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
     one, two = runs
     for name in ("joint.csv", "metrics.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    # the headline of that run: 984 of 1211 vehicles delivered by the cap
+    [m] = runner.read_metrics_csv(one / "metrics.csv")
+    assert _headline(m) == (256_180.0, 984, 1211, 1300.0, True)
