@@ -14,13 +14,18 @@ Every route is drivable: each link is followed by one of its successors,
 and a queued vehicle's next link is one its lane serves (``set_route``
 rejects any other route).
 
+One step runs from static tables built once per network
+(``Network.service_order``, ``region_of``, ``plan_green``,
+``gating_approaches``) and per-lane discharge budgets built once per
+simulator.  The observation's ``arrivals`` covers only the lanes that feed a
+gating intersection, the only lanes boundary control reads.
+
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -64,9 +69,15 @@ class MicroObservation:
     """State snapshot after one micro step plus the flows realized during it.
 
     ``queues``/``arrivals`` describe the end-of-step state (the decision
-    inputs for the next step); ``boundary_crossings`` are the exact counts of
-    link transitions across each ordered region boundary during the step,
-    expressed in veh/s.  Per-vehicle state is not part of the observation:
+    inputs for the next step).  ``queues`` covers every lane.  ``arrivals``
+    covers only the lanes that feed a gating intersection: per lane, its
+    queue plus the running vehicles within one step of the stop line, each
+    projected onto the serving lane with the least (load, lane id), with no
+    capacity check.  That projection is not ``Simulator._pick_lane`` (the
+    shortest queue below capacity); changing it moves plan decisions.
+    ``boundary_crossings`` are the exact counts of link transitions across
+    each ordered region boundary during the step, expressed in veh/s.
+    Per-vehicle state is not part of the observation:
     ``Simulator.vehicle_views()`` and ``Simulator.od_counts()`` build it on
     demand.
     """
@@ -111,11 +122,17 @@ class Simulator:
 
         self._running: dict[str, list[int]] = {l: [] for l in self.net.links}
         self._queues: dict[str, list[int]] = {l: [] for l in self.net.lanes}
-        self._occupancy: dict[str, int] = {l: 0 for l in self.net.links}
+        self._occupancy: dict[str, int] = dict.fromkeys(self.net.links, 0)
         self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
         self.created_total = 0  # also the next vehicle id
         self.completed_total = 0
+        # vehicles a lane may discharge per step, at most: the floor of
+        # sat_flow * dt (int() floors a positive number)
+        dt = self.dt
+        self._budget = {
+            l: int(lane.sat_flow_veh_s * dt + 1e-9) for l, lane in self.net.lanes.items()
+        }
 
     # ------------------------------------------------------------------
     # Demand
@@ -141,7 +158,6 @@ class Simulator:
         """Draw Poisson arrivals for micro step ``step`` and stage them in the
         entry queues.  Returns the new vehicle ids."""
         t = step * self.dt
-        tt = self.travel_time_estimates()
         arriving = []
         for flow in self.scenario.demand.od:
             rate = flow.rate_at(t) * self.demand_scale
@@ -152,8 +168,11 @@ class Simulator:
             count = int(self.demand_rng.poisson(rate * self.dt))
             if count > 0:
                 arriving.append((flow, count))
+        if not arriving:
+            return []
         # travel times are fixed within a call, so one search per destination
         # routes every vehicle of its ODs
+        tt = self.travel_time_estimates()
         origins: dict[str, list[str]] = {}
         for flow, _ in arriving:
             origins.setdefault(flow.destination, []).append(flow.origin)
@@ -166,7 +185,7 @@ class Simulator:
         first = self.created_total
         for flow, count in arriving:
             route = routes[(flow.origin, flow.destination)]
-            dest_region = self.net.link_region(flow.destination)
+            dest_region = self.net.region_of[flow.destination]
             self._entry.setdefault(flow.origin, []).extend(
                 _Vehicle(self.created_total + k, flow.destination, dest_region, route)
                 for k in range(count)
@@ -203,15 +222,23 @@ class Simulator:
         """Advance one micro step under the activated plans (one plan id per
         canonical boundary key) and return the step's observation."""
         dt = self.dt
+        net = self.net
+        region_of = net.region_of
+        storage = net.storage
+        free_flow_s = net.free_flow_s
+        vehicles = self.vehicles
+        occupancy = self._occupancy
+        running = self._running
         # lanes the activated plans turn green; a boundary without an
         # activated plan runs a fixed-cycle round robin
         green: set[str] = set()
-        for key, plan_list in self.net.plans.items():
+        for key, green_of in net.plan_green.items():
             plan_id = plans.get(key)
             if plan_id is None:
+                plan_list = net.plans[key]
                 green |= plan_list[self.step_count % len(plan_list)].green
             else:
-                green |= {p.id: p for p in plan_list}[plan_id].green
+                green |= green_of[plan_id]
         self.step_count += 1
         self.time_s += dt
 
@@ -224,31 +251,36 @@ class Simulator:
         # 1. admit staged vehicles while their origin link has storage
         for origin in sorted(self._entry):
             staged = self._entry[origin]
-            while staged and self._occupancy[origin] < self.net.storage[origin]:
+            while staged and occupancy[origin] < storage[origin]:
                 v = staged.pop(0)
-                v.remaining_s = self.net.links[origin].travel_time_s
-                self.vehicles[v.id] = v
-                self._occupancy[origin] += 1
-                self._running[origin].append(v.id)
-                od = (self.net.link_region(origin), v.dest_region)
+                v.remaining_s = free_flow_s[origin]
+                vehicles[v.id] = v
+                occupancy[origin] += 1
+                running[origin].append(v.id)
+                od = (region_of[origin], v.dest_region)
                 admitted_od[od] = admitted_od.get(od, 0) + 1
 
         # 2. free-flow progress; vehicles reaching the stop line join a lane
         #    queue (shortest feasible) or complete their trip
-        for link_id in sorted(self._running):
+        for link_id, on_link in running.items():
+            if not on_link:
+                continue
             still_running: list[int] = []
-            for vid in self._running[link_id]:
-                v = self.vehicles[vid]
-                v.remaining_s = max(0.0, v.remaining_s - dt)
-                if v.remaining_s > 0.0:
+            for vid in on_link:
+                v = vehicles[vid]
+                remaining = v.remaining_s
+                if remaining > dt:
+                    v.remaining_s = remaining - dt
                     still_running.append(vid)
                     continue
-                if v.current == v.destination:
-                    self._occupancy[link_id] -= 1
-                    del self.vehicles[vid]
+                if remaining:
+                    v.remaining_s = 0.0
+                if v.route[0] == v.destination:
+                    occupancy[link_id] -= 1
+                    del vehicles[vid]
                     completed += 1
                     self.completed_total += 1
-                    region = self.net.link_region(link_id)
+                    region = region_of[link_id]
                     completions_by_region[region] = (
                         completions_by_region.get(region, 0) + 1
                     )
@@ -259,38 +291,34 @@ class Simulator:
                     continue
                 v.lane = lane
                 self._queues[lane].append(vid)
-            self._running[link_id] = still_running
+            running[link_id] = still_running
 
         # 3. queue service
-        for link_id in sorted(self.net.links):
-            link = self.net.links[link_id]
-            node = self.net.intersections.get(link.to_node)
-            for lane_id in link.lanes:
-                lane = self.net.lanes[lane_id]
-                budget = int(math.floor(lane.sat_flow_veh_s * dt + 1e-9))
-                if node is not None and node.kind == GATING and lane_id not in green:
-                    budget = 0
+        for link_id, from_region, kind, lanes in net.service_order:
+            for lane_id in lanes:
                 queue = self._queues[lane_id]
+                if not queue or (kind == GATING and lane_id not in green):
+                    continue
+                budget = self._budget[lane_id]
                 while budget > 0 and queue:
                     vid = queue[0]
-                    v = self.vehicles[vid]
+                    v = vehicles[vid]
                     nxt = v.route[1]
-                    if self._occupancy[nxt] >= self.net.storage[nxt]:
+                    if occupancy[nxt] >= storage[nxt]:
                         break  # head blocked: FIFO lane stops discharging
                     queue.pop(0)
                     v.lane = None
                     v.route = v.route[1:]
-                    v.remaining_s = self.net.links[nxt].travel_time_s
-                    self._occupancy[link_id] -= 1
-                    self._occupancy[nxt] += 1
-                    self._running[nxt].append(vid)
+                    v.remaining_s = free_flow_s[nxt]
+                    occupancy[link_id] -= 1
+                    occupancy[nxt] += 1
+                    running[nxt].append(vid)
                     budget -= 1
-                    from_region = link.region
-                    to_region = self.net.link_region(nxt)
+                    to_region = region_of[nxt]
                     if from_region != to_region:
                         key = (from_region, to_region)
                         crossings[key] = crossings.get(key, 0) + 1
-                        if node is not None and node.kind == NON_GATING:
+                        if kind == NON_GATING:
                             ng_crossings[key] = ng_crossings.get(key, 0) + 1
 
         return self._build_observation(
@@ -327,21 +355,24 @@ class Simulator:
     ) -> MicroObservation:
         queues = {lane: len(q) for lane, q in self._queues.items()}
 
-        arrivals = {lane: float(len(q)) for lane, q in self._queues.items()}
-        for link_id in sorted(self._running):
-            lane_loads = {l: queues[l] for l in self.net.links[link_id].lanes}
+        # queued plus imminent joiners, projected onto the least loaded
+        # serving lane (lowest id on a tie), on lanes that feed a gating node
+        arrivals: dict[str, float] = {}
+        for link_id, lanes in self.net.gating_approaches:
+            lane_loads = {l: queues[l] for l in lanes}
             for vid in self._running[link_id]:
                 v = self.vehicles[vid]
-                if v.remaining_s > dt or v.current == v.destination:
+                if v.remaining_s > dt or v.route[0] == v.destination:
                     continue
                 feasible = self.net.lanes_to[v.route[:2]]
                 lane = min(feasible, key=lambda l: (lane_loads[l], l))
                 lane_loads[lane] += 1
-                arrivals[lane] += 1.0
+            for lane_id, load in lane_loads.items():
+                arrivals[lane_id] = float(load)
 
         accumulation = {r: 0 for r in self.partition.regions}
-        for link in self.net.links.values():
-            accumulation[link.region] += self._occupancy[link.id]
+        for link_id, region in self.net.region_of.items():
+            accumulation[region] += self._occupancy[link_id]
 
         boundary_rates = {}
         ng_rates = {}
@@ -368,8 +399,9 @@ class Simulator:
 
     def od_counts(self) -> Counter[tuple[str, str]]:
         """Vehicles in the network per (current region, destination region)."""
+        region_of = self.net.region_of
         return Counter(
-            (self.net.link_region(v.current), v.dest_region) for v in self.vehicles.values()
+            (region_of[v.route[0]], v.dest_region) for v in self.vehicles.values()
         )
 
     def vehicle_views(self) -> tuple[VehicleView, ...]:
@@ -377,16 +409,16 @@ class Simulator:
         queue_index = {
             vid: k for queue in self._queues.values() for k, vid in enumerate(queue)
         }
-        return tuple(
-            VehicleView(
-                id=vid,
-                link=v.current,
-                region=self.net.link_region(v.current),
-                lane=v.lane,
-                queue_index=queue_index.get(vid),
-                route=v.route,
-                destination=v.destination,
-                dest_region=v.dest_region,
+        region_of = self.net.region_of
+        vehicles = self.vehicles
+        views = []
+        for vid in sorted(vehicles):
+            v = vehicles[vid]
+            link = v.route[0]
+            views.append(
+                VehicleView(
+                    vid, link, region_of[link], v.lane, queue_index.get(vid),
+                    v.route, v.destination, v.dest_region,
+                )
             )
-            for vid, v in sorted(self.vehicles.items())
-        )
+        return tuple(views)

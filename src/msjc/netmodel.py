@@ -162,11 +162,20 @@ class Network:
         # Link successors via lane wiring (prunes movements the lanes forbid),
         # the lanes serving each (link, next link) move, link storage, and per
         # link the constant terms of a travel-time estimate: id, free-flow
-        # time, lanes and summed lane saturation flow.
+        # time, lanes and summed lane saturation flow.  Static tables of one
+        # simulator step: each link's region and free-flow time; the queue
+        # service order (per link in id order: its region, the kind of its
+        # downstream node, None for a plain node, and its lanes); each
+        # boundary's plan id -> green lanes; and the links, with their lanes,
+        # that feed a gating intersection.
         self._succ: dict[str, tuple[str, ...]] = {}
         self.lanes_to: dict[tuple[str, str], tuple[str, ...]] = {}
         self.storage: dict[str, int] = {}
+        self.region_of: dict[str, str] = {}
+        self.free_flow_s: dict[str, float] = {}
         travel_time_terms = []
+        service_order = []
+        gating_approaches = []
         for link in self.links.values():
             moves: dict[str, list[str]] = {}
             service = 0.0
@@ -181,8 +190,22 @@ class Network:
             for nxt, lanes in moves.items():
                 self.lanes_to[(link.id, nxt)] = tuple(lanes)
             self.storage[link.id] = storage
-            travel_time_terms.append((link.id, link.travel_time_s, link.lanes, service))
+            free_s = link.travel_time_s
+            travel_time_terms.append((link.id, free_s, link.lanes, service))
+            self.region_of[link.id] = link.region
+            self.free_flow_s[link.id] = free_s
+            node = self.intersections.get(link.to_node)
+            kind = node.kind if node is not None else None
+            service_order.append((link.id, link.region, kind, link.lanes))
+            if kind == GATING:
+                gating_approaches.append((link.id, link.lanes))
         self.travel_time_terms = tuple(travel_time_terms)
+        self.service_order = tuple(service_order)
+        self.gating_approaches = tuple(gating_approaches)
+        self.plan_green = {
+            key: {p.id: p.green for p in plan_list} for key, plan_list in self.plans.items()
+        }
+
         preds: dict[str, list[str]] = {l: [] for l in self.links}
         for link_id, nxt in self._succ.items():
             for out in nxt:
@@ -190,22 +213,24 @@ class Network:
         self._pred = {l: tuple(p) for l, p in preds.items()}
 
         # L^p_{i,h}: for each plan and ordered boundary direction, the approach
-        # lanes the plan serves whose movement crosses that direction.
+        # lanes the plan serves whose movement crosses that direction.  Plans
+        # turn green only lanes that feed a gating intersection.
+        crosses: dict[str, set[tuple[str, str]]] = {}
+        for link_id, lanes in self.gating_approaches:
+            region = self.region_of[link_id]
+            for l in lanes:
+                crosses[l] = {
+                    (region, self.region_of[self.lanes[out].link])
+                    for out in self.lanes[l].output_lanes
+                }
         self._plan_crossing: dict[tuple[str, str, str], tuple[str, ...]] = {}
         for key, plan_list in self.plans.items():
             for plan in plan_list:
-                for (i, h) in (key, (key[1], key[0])):
+                green = sorted(plan.green)
+                for i, h in (key, (key[1], key[0])):
                     self._plan_crossing[(plan.id, i, h)] = tuple(
-                        l for l in sorted(plan.green) if self._lane_crosses(l, i, h)
+                        l for l in green if (i, h) in crosses[l]
                     )
-
-    def _lane_crosses(self, lane_id: str, i: str, h: str) -> bool:
-        lane = self.lanes[lane_id]
-        if self.links[lane.link].region != i:
-            return False
-        return any(
-            self.links[self.lanes[out].link].region == h for out in lane.output_lanes
-        )
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
@@ -218,9 +243,6 @@ class Network:
 
     def crossing_lanes(self, plan: MultiPhasePlan, i: str, h: str) -> tuple[str, ...]:
         return self._plan_crossing[(plan.id, i, h)]
-
-    def link_region(self, link_id: str) -> str:
-        return self.links[link_id].region
 
 
 @dataclass(frozen=True)

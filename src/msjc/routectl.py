@@ -127,7 +127,7 @@ def _projected_link(
         budget = net.lanes[v.lane].sat_flow_veh_s * dt_s
         if (v.queue_index or 0) < budget:
             link = route[1]
-    if net.link_region(link) != v.region:
+    if net.region_of[link] != v.region:
         return None
     return link
 

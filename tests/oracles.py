@@ -13,6 +13,9 @@ plan rule as three separate steps (expected rate, feasible set, selection)
 over ``boundaryctl``'s flow and pressure estimates, the reference for the
 controller's single ranking.  ``density_fields`` recomputes the expected
 end-of-step link densities that the route-choice solve fits.
+``reference_arrivals`` and ``reference_vehicle_views`` are the simulator's
+observation and vehicle snapshot as first written: a projection over every
+running vehicle of every link, and one keyword-built view per vehicle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from msjc import routectl
 from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
-from msjc.mesosim import MicroObservation, VehicleView
+from msjc.mesosim import MicroObservation, Simulator, VehicleView
 from msjc.netmodel import Network, boundary_key, next_region, route_from, shortest_paths_to
 from msjc.routectl import VehicleRoutes
 
@@ -309,6 +312,47 @@ def forward_shortest_route(
                 parent[nxt] = link
                 heapq.heappush(heap, (nd, nxt))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Simulator observation and vehicle snapshot, walking every vehicle
+
+
+def reference_arrivals(sim: Simulator) -> dict[str, float]:
+    """Queued plus imminent joiners on every lane of the network: each
+    running vehicle within one step of its stop line and not at its
+    destination is put on the least loaded lane serving its next move, the
+    lowest lane id on a tie, with no capacity check."""
+    dt = sim.dt
+    arrivals = {lane: float(len(q)) for lane, q in sim._queues.items()}
+    for link_id in sorted(sim._running):
+        loads = {l: len(sim._queues[l]) for l in sim.net.links[link_id].lanes}
+        for vid in sim._running[link_id]:
+            v = sim.vehicles[vid]
+            if v.remaining_s > dt or v.current == v.destination:
+                continue
+            lane = min(sim.net.lanes_to[v.route[:2]], key=lambda l: (loads[l], l))
+            loads[lane] += 1
+            arrivals[lane] += 1.0
+    return arrivals
+
+
+def reference_vehicle_views(sim: Simulator) -> tuple[VehicleView, ...]:
+    """One keyword-built view per vehicle in the network, by id."""
+    queue_index = {vid: k for queue in sim._queues.values() for k, vid in enumerate(queue)}
+    return tuple(
+        VehicleView(
+            id=vid,
+            link=v.current,
+            region=sim.net.links[v.current].region,
+            lane=v.lane,
+            queue_index=queue_index.get(vid),
+            route=v.route,
+            destination=v.destination,
+            dest_region=v.dest_region,
+        )
+        for vid, v in sorted(sim.vehicles.items())
+    )
 
 
 # ---------------------------------------------------------------------------

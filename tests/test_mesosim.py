@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from msjc import fixtures
+from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
-from conftest import make_single_gate
+from msjc.netmodel import GATING, scenario_from_dict, scenario_to_dict
+from conftest import make_single_gate, make_two_gate
+from oracles import reference_arrivals, reference_vehicle_views
 
 
 def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
@@ -12,7 +15,7 @@ def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
     sim.vehicles[vid] = _Vehicle(
         id=vid,
         destination=route[-1],
-        dest_region=sim.net.link_region(route[-1]),
+        dest_region=sim.net.region_of[route[-1]],
         route=tuple(route),
         **state,
     )
@@ -182,7 +185,7 @@ class TestAdvance:
         for k in range(80):
             sim.inject_demand(sim.step_count)
             before = {
-                vid: sc.network.link_region(v.current)
+                vid: sc.network.region_of[v.current]
                 for vid, v in sim.vehicles.items()
             }
             obs = sim.advance({("R1", "R2"): plan_ids[rng.integers(len(plan_ids))]})
@@ -191,7 +194,7 @@ class TestAdvance:
                 v = sim.vehicles.get(vid)
                 if v is None:
                     continue  # completed inside its region, no crossing
-                now = sc.network.link_region(v.current)
+                now = sc.network.region_of[v.current]
                 if now != region:
                     counts[(region, now)] = counts.get((region, now), 0) + 1
             for key, rate in obs.boundary_crossings.items():
@@ -251,6 +254,80 @@ class TestArrivalsProjection:
         assert obs.arrivals["A_0"] == 3.0
 
 
+    def test_a_trip_ending_on_the_approach_is_not_projected(self, single_gate):
+        sim = Simulator(single_gate, seed=0)
+        force_running(sim, 2, ("A",), remaining=15.0)
+        force_running(sim, 1, ("A", "B"), remaining=15.0)
+        obs = sim.advance({("R1", "R2"): "none"})
+        assert obs.arrivals["A_0"] == 1.0 == reference_arrivals(sim)["A_0"]
+
+    def test_two_lane_approach_fills_the_least_loaded_lane_with_no_capacity_check(self):
+        raw = scenario_to_dict(make_single_gate())
+        raw["links"]["A"]["lanes"] = 2
+        raw["lanes"]["A_1"] = {**raw["lanes"]["A_0"], "capacity_veh": 1}
+        for phase in ("p_both", "p_fwd"):
+            raw["intersections"]["g"]["phases"][phase].append("A_1")
+        sim = Simulator(scenario_from_dict(raw), seed=0)
+        force_queued(sim, "A_0", 3, ("A", "B"))
+        force_running(sim, 4, ("A", "B"), remaining=15.0)
+        obs = sim.advance({("R1", "R2"): "none"})
+        # three joiners bring A_1 level with A_0, whose lower id takes the
+        # fourth; A_1 is shown three although it holds one
+        assert obs.arrivals == {"A_0": 4.0, "A_1": 3.0, "Rv_0": 0.0}
+        assert obs.arrivals == {l: reference_arrivals(sim)[l] for l in obs.arrivals}
+
+    @pytest.mark.parametrize("control", ["uncontrolled", "bp"])
+    def test_gating_lanes_match_the_full_walk_on_a_loaded_grid(self, control):
+        sc = fixtures.grid6(horizon_s=1500.0)
+        sim = Simulator(sc, seed=6)
+        obs = sim.initial_observation()
+        joiners = 0.0
+        for _ in range(150):
+            sim.inject_demand(sim.step_count)
+            plans = {}
+            if control == "bp":
+                plans = {
+                    key: bp_control(obs, sc.network, key)
+                    for key in sc.partition.boundary_keys()
+                }
+            obs = sim.advance(plans)
+            reference = reference_arrivals(sim)
+            assert set(obs.arrivals) == _gating_approach_lanes(sc.network)
+            assert obs.arrivals == {l: reference[l] for l in obs.arrivals}
+            joiners += sum(obs.arrivals[l] - obs.queues[l] for l in obs.arrivals)
+        assert joiners > 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [fixtures.grid6, fixtures.corridor2, make_single_gate, make_two_gate],
+        ids=["grid6", "corridor2", "single_gate", "two_gate"],
+    )
+    def test_keys_are_the_gating_approach_lanes_and_hold_every_crossing_lane(self, build):
+        sc = build()
+        net = sc.network
+        crossing = {
+            l
+            for key, plan_list in net.plans.items()
+            for plan in plan_list
+            for i, h in (key, key[::-1])
+            for l in net.crossing_lanes(plan, i, h)
+        }
+        assert crossing
+        sim = Simulator(sc, seed=0)
+        for obs in (sim.initial_observation(), sim.advance({})):
+            assert set(obs.arrivals) == _gating_approach_lanes(net)
+            assert crossing <= set(obs.arrivals)
+
+
+def _gating_approach_lanes(net) -> set[str]:
+    lanes = set()
+    for link in net.links.values():
+        node = net.intersections.get(link.to_node)
+        if node is not None and node.kind == GATING:
+            lanes.update(link.lanes)
+    return lanes
+
+
 class TestVehicleViews:
     def test_staged_vehicles_are_left_out(self):
         sc = fixtures.corridor2(east_rate=0.5, west_rate=0.5)
@@ -281,6 +358,19 @@ class TestVehicleViews:
             views = sim.vehicle_views()
             assert len(views) == obs.in_network == sum(sim.od_counts().values())
             assert [v.id for v in views] == sorted(v.id for v in views)
+
+    def test_views_equal_the_keyword_built_reference(self):
+        sc = fixtures.grid6(horizon_s=1500.0)
+        sim = Simulator(sc, seed=6)
+        queued = 0
+        for k in range(150):
+            sim.inject_demand(sim.step_count)
+            sim.advance({})
+            if k % 10 == 9:
+                views = sim.vehicle_views()
+                assert views == reference_vehicle_views(sim)
+                queued += sum(v.lane is not None for v in views)
+        assert queued > 0
 
     def test_one_call_routes_every_vehicle_of_an_od_alike(self):
         sc = fixtures.grid6(horizon_s=600.0)

@@ -220,6 +220,20 @@ def test_lane_and_storage_tables_follow_the_lane_wiring():
     assert len(net.lanes_to) == sum(len(net.successors(l)) for l in net.links)
 
 
+@pytest.mark.parametrize("build", [fixtures.grid6, fixtures.corridor2])
+def test_service_order_serves_each_lane_once_in_link_id_order(build):
+    net = build().network
+    assert [link_id for link_id, *_ in net.service_order] == sorted(net.links)
+    lanes = [l for *_, link_lanes in net.service_order for l in link_lanes]
+    assert len(lanes) == len(set(lanes)) and set(lanes) == set(net.lanes)
+    for link_id, region, kind, link_lanes in net.service_order:
+        link = net.links[link_id]
+        node = net.intersections.get(link.to_node)
+        assert (region, kind, link_lanes) == (
+            link.region, node.kind if node else None, link.lanes
+        )
+
+
 def test_boundary_key_is_order_free():
     assert boundary_key("R2", "R1") == ("R1", "R2")
     assert boundary_key("R1", "R2") == ("R1", "R2")
