@@ -4,9 +4,16 @@ Links are point queues: a vehicle traverses a link at free-flow speed, then
 waits in a vertical queue at the stop line until a lane serves it.  Service
 per lane and step is min(queued + arrived, saturation flow * dt, downstream
 space), with gating approaches served only when the activated multi-phase
-plan allows their lane.  Vehicles enter on the shortest route by the search
-rerouting uses (``netmodel.shortest_paths_to``) and follow their routes link
-by link; blocked vehicles are never removed.
+plan allows their lane.  Vehicles enter on the shortest route and follow
+their routes link by link; blocked vehicles are never removed.
+
+Routing reads one snapshot per step: ``travel_time_estimates`` builds the
+per-link times (free flow plus queue clearance) on its first call after
+``advance``, the only code that changes a lane queue, and returns that same
+snapshot until the next ``advance``.  The snapshot holds one resumable
+search per destination (``netmodel.shortest_paths_to``), so demand
+injection and rerouting in one step extend the same search and get the
+same route from the same start link.
 
 A new vehicle waits in its origin's entry queue until the origin link has
 storage; ``Simulator.vehicles`` holds exactly the vehicles in the network.
@@ -33,7 +40,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .netmodel import GATING, NON_GATING, Network, Scenario
-from .netmodel import route_from, shortest_paths_to
+from .netmodel import TravelTimes, shortest_paths_to
 
 
 @dataclass
@@ -125,6 +132,7 @@ class Simulator:
         self._occupancy: dict[str, int] = dict.fromkeys(self.net.links, 0)
         self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
+        self._snapshot: TravelTimes | None = None  # this step's, until advance
         self.created_total = 0  # also the next vehicle id
         self.completed_total = 0
         # vehicles a lane may discharge per step, at most: the floor of
@@ -137,22 +145,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # Demand
 
-    def travel_time_estimates(self) -> dict[str, float]:
-        """Instantaneous per-link travel time: free flow plus queue clearance."""
-        queues = self._queues
-        return {
-            link: free_s + sum(len(queues[l]) for l in lanes) / service
-            for link, free_s, lanes, service in self.net.travel_time_terms
-        }
+    def travel_time_estimates(self) -> TravelTimes:
+        """This step's per-link travel times, free flow plus queue clearance,
+        with the route searches run on them: built on the first call after
+        ``advance``, then the same snapshot until the next ``advance``."""
+        if self._snapshot is None:
+            queue = self._queues.__getitem__
+            self._snapshot = TravelTimes(
+                self.net,
+                [
+                    free_s + sum(map(len, map(queue, lanes))) / service
+                    for free_s, lanes, service in self.net.travel_time_terms
+                ],
+            )
+        return self._snapshot
 
     def shortest_route(
-        self, destination: str, origins: Sequence[str], travel_times: Mapping[str, float]
+        self, destination: str, origins: Sequence[str], travel_times: TravelTimes
     ) -> dict[str, tuple[str, ...] | None]:
         """Minimum-travel-time link route from each of ``origins`` to
-        ``destination`` (None: unreachable), from one search stopped once the
-        origins are settled (``netmodel.shortest_paths_to``)."""
-        nxt_choice = shortest_paths_to(self.net, destination, travel_times, origins)
-        return {o: route_from(o, destination, nxt_choice) for o in origins}
+        ``destination`` (None: unreachable), from the snapshot's search for
+        ``destination`` (``netmodel.shortest_paths_to``)."""
+        return shortest_paths_to(travel_times, destination, origins)
 
     def inject_demand(self, step: int) -> list[int]:
         """Draw Poisson arrivals for micro step ``step`` and stage them in the
@@ -170,7 +184,7 @@ class Simulator:
                 arriving.append((flow, count))
         if not arriving:
             return []
-        # travel times are fixed within a call, so one search per destination
+        # travel times are fixed within a step, so one search per destination
         # routes every vehicle of its ODs
         tt = self.travel_time_estimates()
         origins: dict[str, list[str]] = {}
@@ -221,6 +235,7 @@ class Simulator:
     def advance(self, plans: Mapping[tuple[str, str], str]) -> MicroObservation:
         """Advance one micro step under the activated plans (one plan id per
         canonical boundary key) and return the step's observation."""
+        self._snapshot = None  # the step moves the queues
         dt = self.dt
         net = self.net
         region_of = net.region_of

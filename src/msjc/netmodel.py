@@ -161,14 +161,18 @@ class Network:
 
         # Link successors via lane wiring (prunes movements the lanes forbid),
         # the lanes serving each (link, next link) move, link storage, and per
-        # link the constant terms of a travel-time estimate: id, free-flow
-        # time, lanes and summed lane saturation flow.  Static tables of one
-        # simulator step: each link's region and free-flow time; the queue
-        # service order (per link in id order: its region, the kind of its
-        # downstream node, None for a plain node, and its lanes); each
+        # link in ``link_ids`` order the constant terms of a travel-time
+        # estimate: free-flow time, lanes and summed lane saturation flow.
+        # The route search runs on link indices: ``link_ids`` in id order,
+        # ``link_index`` and each link's predecessor indices.  Static tables
+        # of one simulator step: each link's region and free-flow time; the
+        # queue service order (per link in id order: its region, the kind of
+        # its downstream node, None for a plain node, and its lanes); each
         # boundary's plan id -> green lanes; and the links, with their lanes,
         # that feed a gating intersection.
         self._succ: dict[str, tuple[str, ...]] = {}
+        self.link_ids = tuple(self.links)
+        self.link_index = {l: k for k, l in enumerate(self.link_ids)}
         self.lanes_to: dict[tuple[str, str], tuple[str, ...]] = {}
         self.storage: dict[str, int] = {}
         self.region_of: dict[str, str] = {}
@@ -191,7 +195,7 @@ class Network:
                 self.lanes_to[(link.id, nxt)] = tuple(lanes)
             self.storage[link.id] = storage
             free_s = link.travel_time_s
-            travel_time_terms.append((link.id, free_s, link.lanes, service))
+            travel_time_terms.append((free_s, link.lanes, service))
             self.region_of[link.id] = link.region
             self.free_flow_s[link.id] = free_s
             node = self.intersections.get(link.to_node)
@@ -206,11 +210,11 @@ class Network:
             key: {p.id: p.green for p in plan_list} for key, plan_list in self.plans.items()
         }
 
-        preds: dict[str, list[str]] = {l: [] for l in self.links}
-        for link_id, nxt in self._succ.items():
-            for out in nxt:
-                preds[out].append(link_id)
-        self._pred = {l: tuple(p) for l, p in preds.items()}
+        preds: list[list[int]] = [[] for _ in self.link_ids]
+        for k, link_id in enumerate(self.link_ids):
+            for out in self._succ[link_id]:
+                preds[self.link_index[out]].append(k)
+        self.pred_index = tuple(map(tuple, preds))
 
         # L^p_{i,h}: for each plan and ordered boundary direction, the approach
         # lanes the plan serves whose movement crosses that direction.  Plans
@@ -234,9 +238,6 @@ class Network:
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
-
-    def predecessors(self, link_id: str) -> tuple[str, ...]:
-        return self._pred[link_id]
 
     def plan_set(self, i: str, h: str) -> tuple[MultiPhasePlan, ...]:
         return self.plans[boundary_key(i, h)]
@@ -761,50 +762,95 @@ def save_scenario(sc: Scenario, path) -> None:
 # Routes and hyper-paths
 
 
+class TravelTimes(dict):
+    """Per-link travel times (link id -> s) fixed for one step, and the
+    route searches run on them.  ``shortest_paths_to`` keeps one resumable
+    search per destination in ``searches``, so every caller that routes on
+    the same times extends the same search.  Read-only: a search assumes
+    the times it started on."""
+
+    def __init__(self, net: Network, times: Sequence[float]):
+        """``times`` in ``net.link_ids`` order."""
+        super().__init__(zip(net.link_ids, times))
+        self.net = net
+        self.by_index = times
+        self.searches: dict[str, _Search] = {}
+
+
+class _Search:
+    """Label-setting state of one destination: per link index its label
+    (time to the destination, its own link included), its next link (the
+    link count when unset), whether it is settled, the heap of labels still
+    to settle, and the routes already walked, by start link."""
+
+    __slots__ = ("target", "dist", "nxt", "done", "heap", "routes")
+
+    def __init__(self, times: TravelTimes, destination: str):
+        n = len(times.net.link_ids)
+        self.target = times.net.link_index[destination]
+        self.dist = [math.inf] * n
+        self.dist[self.target] = times.by_index[self.target]
+        self.nxt = [n] * n
+        self.done = bytearray(n)
+        self.heap = [(self.dist[self.target], self.target)]
+        self.routes: dict[str, tuple[str, ...] | None] = {}
+
+
 def shortest_paths_to(
-    net: Network, destination: str, travel_times: Mapping[str, float], sources: Iterable[str]
-) -> dict[str, str]:
-    """Next-link choice of the minimum-time route toward ``destination``
-    (label-setting on the reversed link graph; ties within 1e-12 go to the
-    smallest next link).  The search stops once every link in ``sources`` is
-    settled: travel times are positive, so a tie or improvement of a label
-    comes from a link with a strictly smaller label, settled earlier, and the
-    route of every settled link is final."""
-    dist = {destination: travel_times[destination]}
-    nxt_choice: dict[str, str] = {}
-    pending = set(sources)
-    heap = [(dist[destination], destination)]
-    while heap:
-        d, link = heapq.heappop(heap)
+    times: TravelTimes, destination: str, starts: Iterable[str]
+) -> dict[str, tuple[str, ...] | None]:
+    """Minimum-time link route from each of ``starts`` to ``destination``
+    (None: unreachable) on ``times``.
+
+    Label-setting on the reversed link graph, over link indices; ties within
+    1e-12 go to the smallest next link (index order is id order).  The
+    destination's search lives on ``times`` and runs only until every start
+    is settled; a later call resumes it.  Travel times are positive, so a
+    tie or improvement of a label comes from a link with a strictly smaller
+    label, settled earlier: a settled link's route is final, and a search
+    resumed any number of times settles the same routes as one run to the
+    end."""
+    search = times.searches.get(destination)
+    if search is None:
+        search = times.searches[destination] = _Search(times, destination)
+    net = times.net
+    index = net.link_index
+    starts = tuple(starts)
+    dist, nxt, done, heap = search.dist, search.nxt, search.done, search.heap
+    pending = {k for k in map(index.__getitem__, starts) if not done[k]}
+    t = times.by_index
+    preds = net.pred_index
+    pop, push = heapq.heappop, heapq.heappush
+    while pending and heap:
+        d, link = pop(heap)
         if d > dist[link]:
             continue
+        done[link] = 1
         pending.discard(link)
-        if not pending:
-            break
-        for prev in net.predecessors(link):
-            nd = d + travel_times[prev]
-            old = dist.get(prev, math.inf)
-            if nd < old - 1e-12 or (
-                abs(nd - old) <= 1e-12 and link < nxt_choice.get(prev, "~")
-            ):
+        for prev in preds[link]:
+            nd = d + t[prev]
+            old = dist[prev]
+            if nd < old - 1e-12 or (link < nxt[prev] and abs(nd - old) <= 1e-12):
                 dist[prev] = nd
-                nxt_choice[prev] = link
-                heapq.heappush(heap, (nd, prev))
-    return nxt_choice
-
-
-def route_from(
-    origin: str, destination: str, nxt_choice: Mapping[str, str]
-) -> tuple[str, ...] | None:
-    """Link route from ``origin`` along ``shortest_paths_to``'s choices, or
-    None when ``destination`` cannot be reached from it."""
-    route = [origin]
-    while route[-1] != destination:
-        step = nxt_choice.get(route[-1])
-        if step is None or len(route) > len(nxt_choice) + 1:
-            return None
-        route.append(step)
-    return tuple(route)
+                nxt[prev] = link
+                push(heap, (nd, prev))
+    # a start left unsettled emptied the heap: it cannot reach the destination
+    routes = search.routes
+    ids = net.link_ids
+    out = {}
+    for start in starts:
+        if start not in routes:
+            k = index[start]
+            route = None
+            if done[k]:
+                route = [start]
+                while k != search.target:
+                    k = nxt[k]
+                    route.append(ids[k])
+                route = tuple(route)
+            routes[start] = route
+        out[start] = routes[start]
+    return out
 
 
 def next_region(route: Sequence[str], net: Network) -> str:

@@ -2,10 +2,13 @@
 
 Candidate generation keeps exactly the vehicle's current route and the
 instantaneously shortest route (deduplicated, and for a queued vehicle only
-if its lane serves that route's next link); vehicles that share a start
-link and a destination share one shortest route, found by the search that
-demand injection uses too (``netmodel.shortest_paths_to``).  Logit rerouting
-reads only those link candidates.  msjc's programs also need each
+if its lane serves that route's next link).  The shortest routes come from
+the step's travel-time snapshot (``Simulator.travel_time_estimates``): its
+search per destination (``netmodel.shortest_paths_to``) is the one demand
+injection started in the same step, so rerouting only extends it.  Every
+vehicle with the same start link and destination gets one route, the one
+a vehicle injected there in the same step got.  Logit rerouting reads only
+those link candidates.  msjc's programs also need each
 candidate's upcoming region and the link the vehicle is projected to sit on
 at the end of the step; ``annotate_routes`` adds that hyper-path annotation.
 The per-region program picks route probabilities on each vehicle's simplex
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .mesosim import VehicleView
-from .netmodel import Network, next_region, route_from, shortest_paths_to
+from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 
 
 class CandidateRoute(NamedTuple):
@@ -58,29 +61,28 @@ class RouteProbabilities:
 def generate_routes(
     vehicles: Sequence[VehicleView],
     net: Network,
-    travel_times: Mapping[str, float],
+    travel_times: TravelTimes,
 ) -> list[VehicleRoutes]:
     """Link candidates for the given vehicles: the current route first, then
     the shortest route when it differs.  The candidates carry no hyper-path
     annotation (see ``annotate_routes``).
 
-    Travel times are fixed within a call, so one search per destination,
-    stopped once the vehicles' start links are settled, gives one shortest
-    route per start link and destination.  Vehicles on their destination
-    link or one link away keep their current route only (no routing
-    freedom).  A queued vehicle is offered the shortest route only when its
-    lane serves that route's next link.
+    One call per destination to ``shortest_paths_to`` on ``travel_times``
+    gives one shortest route per start link and destination.  Vehicles on
+    their destination link or one link away keep their current route only
+    (no routing freedom).  A queued vehicle is offered the shortest route
+    only when its lane serves that route's next link.
     """
     starts: dict[str, set[str]] = {}
     for v in vehicles:
         if len(v.route) > 2:
             starts.setdefault(v.destination, set()).add(v.link)
     # a vehicle's current route proves its destination reachable
-    shortest: dict[tuple[str, str], tuple[str, ...]] = {}
-    for destination, links in starts.items():
-        nxt_choice = shortest_paths_to(net, destination, travel_times, links)
-        for link in links:
-            shortest[(link, destination)] = route_from(link, destination, nxt_choice)
+    shortest = {
+        (link, destination): route
+        for destination, links in starts.items()
+        for link, route in shortest_paths_to(travel_times, destination, links).items()
+    }
     out: list[VehicleRoutes] = []
     for v in vehicles:
         routes = (CandidateRoute(v.route, True),)

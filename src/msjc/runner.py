@@ -159,7 +159,11 @@ class _TrackedStrategy:
 
 
 class MsjcStrategy(_TrackedStrategy):
-    """Joint gating/routing optimization on top of the tracking controller."""
+    """Joint gating/routing optimization on top of the tracking controller.
+
+    ``begin_macro`` keeps the route set it builds for the first micro step's
+    ``routes``: demand injection and plan selection in between change
+    neither the network vehicles nor the queues."""
 
     def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
         views = self.sim.vehicle_views()
@@ -169,11 +173,13 @@ class MsjcStrategy(_TrackedStrategy):
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
         self.macro = MacroRecord()
+        self._route_set: list[routectl.VehicleRoutes] | None = None
         if not ctx.active:
             return
         self._begin_boundaries(ctx)
 
-        candidates = routectl.candidate_next_regions(self._annotated_routes())
+        self._route_set = self._annotated_routes()
+        candidates = routectl.candidate_next_regions(self._route_set)
         c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
         envelopes = self.macro.envelopes
         bounds = ControlBounds(
@@ -189,7 +195,8 @@ class MsjcStrategy(_TrackedStrategy):
         solution = self.macro.solution
         if not self.active or solution is None:
             return None
-        route_set = self._annotated_routes()
+        route_set = self._route_set or self._annotated_routes()
+        self._route_set = None
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
             in_region = [vr for vr in route_set if vr.region == region]

@@ -33,7 +33,7 @@ from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import MicroObservation, Simulator, VehicleView
-from msjc.netmodel import Network, boundary_key, next_region, route_from, shortest_paths_to
+from msjc.netmodel import Network, TravelTimes, boundary_key, next_region, shortest_paths_to
 from msjc.routectl import VehicleRoutes
 
 logger = logging.getLogger(__name__)
@@ -264,15 +264,16 @@ def per_vehicle_candidates(
     dt_s: float,
 ) -> list[tuple[list[tuple], bool]]:
     """Candidate routes of each vehicle with nothing shared between vehicles:
-    a fresh search and route per vehicle; a queued vehicle gets the shortest
+    a fresh search, on a fresh copy of the travel times, and route per
+    vehicle; a queued vehicle gets the shortest
     route only if its lane feeds that route's next link.  Per vehicle, returns
     ([(links, is_current, next_region, projected_link), ...], pinned)."""
     out = []
     for v in vehicles:
         candidates = [v.route]
         if len(v.route) > 2:
-            nxt_choice = shortest_paths_to(net, v.destination, travel_times, (v.link,))
-            best = route_from(v.link, v.destination, nxt_choice)
+            fresh = TravelTimes(net, [travel_times[l] for l in net.link_ids])
+            best = shortest_paths_to(fresh, v.destination, (v.link,))[v.link]
             feeds = v.lane is None or any(
                 net.lanes[out].link == best[1] for out in net.lanes[v.lane].output_lanes
             )

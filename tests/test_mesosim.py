@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msjc import fixtures
+from msjc import fixtures, routectl
 from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
 from msjc.netmodel import GATING, scenario_from_dict, scenario_to_dict
@@ -391,3 +391,36 @@ class TestVehicleViews:
                 shared += len(vehicles) > 1
             sim.advance({})
         assert shared > 0
+
+
+class TestTravelTimeSnapshot:
+    def test_one_snapshot_per_step_shared_by_injection_and_rerouting(self):
+        sc = fixtures.grid6(horizon_s=600.0)
+        net = sc.network
+        sim = Simulator(sc, seed=6)
+        previous = None
+        queued = rerouted = shared = 0
+        for _ in range(60):
+            sim.inject_demand(sim.step_count)
+            snapshot = sim.travel_time_estimates()
+            assert snapshot is not previous
+            assert snapshot == {
+                link.id: link.travel_time_s
+                + sum(len(sim._queues[l]) for l in link.lanes)
+                / sum(net.lanes[l].sat_flow_veh_s for l in link.lanes)
+                for link in net.links.values()
+            }
+            queued += any(sim._queues.values())
+            started = dict(snapshot.searches)
+            route_set = routectl.generate_routes(sim.vehicle_views(), net, snapshot)
+            for vr in route_set[::2]:
+                if len(vr.routes) == 2:
+                    sim.set_route(vr.vid, vr.routes[1].links)
+                    rerouted += 1
+            assert sim.travel_time_estimates() is snapshot
+            # rerouting extended the searches injection started
+            assert all(snapshot.searches[d] is search for d, search in started.items())
+            shared += bool(started.keys() & {v.destination for v in sim.vehicle_views()})
+            previous = snapshot
+            sim.advance({})
+        assert queued > 0 and rerouted > 0 and shared > 0

@@ -10,10 +10,10 @@ from msjc import fixtures
 from msjc.netmodel import (
     ControlConfig,
     ScenarioError,
+    TravelTimes,
     boundary_key,
     load_scenario,
     next_region,
-    route_from,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -164,6 +164,11 @@ def test_every_control_setting_survives_save_and_load(tmp_path):
     assert load_scenario(path).control == control
 
 
+def _fresh(net, tt):
+    """``tt`` as travel times with no search run on them yet."""
+    return TravelTimes(net, [tt[l] for l in net.link_ids])
+
+
 def _stopped_and_full_routes(net, tt, several):
     """Per (origin, destination): the routes of searches stopped at that
     origin alone, at ``several`` (when the origin is among them) and at all
@@ -171,14 +176,15 @@ def _stopped_and_full_routes(net, tt, several):
     links than the full one."""
     links = sorted(net.links)
     for destination in links:
-        full = shortest_paths_to(net, destination, tt, links)
-        partial = shortest_paths_to(net, destination, tt, several)
+        full = shortest_paths_to(_fresh(net, tt), destination, links)
+        partial = shortest_paths_to(_fresh(net, tt), destination, several)
         for origin in links:
-            alone = shortest_paths_to(net, destination, tt, (origin,))
-            routes = [route_from(origin, destination, alone), route_from(origin, destination, full)]
+            times = _fresh(net, tt)
+            alone = shortest_paths_to(times, destination, (origin,))
+            routes = [alone[origin], full[origin]]
             if origin in several:
-                routes.append(route_from(origin, destination, partial))
-            yield origin, destination, routes, len(alone) < len(full)
+                routes.append(partial[origin])
+            yield origin, destination, routes, sum(times.searches[destination].done) < len(links)
 
 
 def test_stopped_search_routes_like_the_forward_reference():
@@ -205,6 +211,60 @@ def test_stopped_search_breaks_near_ties_like_the_full_search():
     tt = {l: 20.0 + float(rng.uniform(0.0, 1e-13)) for l in links}
     for _, _, routes, _ in _stopped_and_full_routes(net, tt, links[::3]):
         assert routes == [routes[1]] * len(routes)
+
+
+@pytest.mark.parametrize("kind", ["tie-free", "whole seconds"])
+def test_a_search_extended_over_several_calls_routes_like_a_fresh_one(kind):
+    net = fixtures.grid6().network
+    links = sorted(net.links)
+    rng = np.random.default_rng(2)
+    if kind == "tie-free":
+        tt = {l: float(rng.uniform(5.0, 60.0)) for l in links}
+    else:
+        # 20 or 21 s per link: routes of equal cost tie exactly
+        tt = {l: float(rng.integers(20, 22)) for l in links}
+    fresh = {
+        (origin, destination): shortest_paths_to(_fresh(net, tt), destination, (origin,))[origin]
+        for destination in links
+        for origin in links
+    }
+
+    def cost(route):
+        return sum(map(tt.get, route))
+
+    tied = 0  # links with two next links on equally short routes
+    for (origin, destination), route in fresh.items():
+        expected = forward_shortest_route(net, origin, destination, tt)
+        assert (route is None) == (expected is None)
+        if route is None or origin == destination:
+            continue
+        assert cost(route) == cost(expected)
+        if kind == "tie-free":
+            assert route == expected
+        best = [
+            s
+            for s in net.successors(origin)
+            if fresh[(s, destination)] is not None
+            and tt[origin] + cost(fresh[(s, destination)]) == cost(route)
+        ]
+        if kind == "whole seconds":  # sums of whole seconds are exact
+            assert route[1] == min(best)
+        tied += len(best) > 1
+    assert (tied > 0) == (kind == "whole seconds")
+    extended = 0
+    for _ in range(4):
+        times = _fresh(net, tt)
+        for destination in links:
+            starts = [links[k] for k in rng.permutation(len(links))]
+            cuts = sorted(rng.choice(range(1, len(links)), size=3, replace=False))
+            for lo, hi in zip([0, *cuts], [*cuts, len(links)]):
+                chunk = starts[lo:hi]
+                search = times.searches.get(destination)
+                settled = sum(search.done) if search else 0
+                routes = shortest_paths_to(times, destination, chunk)
+                assert routes == {o: fresh[(o, destination)] for o in chunk}
+                extended += 0 < settled < sum(times.searches[destination].done)
+    assert extended > 0
 
 
 def test_lane_and_storage_tables_follow_the_lane_wiring():

@@ -6,7 +6,8 @@ renamed function only shows up there as a failed wrapper self-check after a
 full benchmark run.  The first test binds the hooks with a stub tracer,
 which runs nothing.  The second binds the real tracer around three short
 corridor2 runs and checks the boundary fallback counter against the runs'
-own ``boundary.csv``.
+own ``boundary.csv``, and that injection and rerouting still reach the
+route search through the names the timers wrap.
 """
 
 import csv
@@ -59,3 +60,10 @@ def test_boundary_counters_match_the_runs_logs(monkeypatch, tmp_path):
     assert metrics[f"{step}.fallback"] == fallbacks
     assert metrics["boundaryctl.fallback_ratio"] == fallbacks / decisions
     assert metrics["baselines.bp_control.calls"] > 0
+    for layer in (
+        "mesosim.Simulator.shortest_route",
+        "mesosim.Simulator.travel_time_estimates",
+        "routectl.generate_routes",
+        "routectl.shortest_paths_to",
+    ):
+        assert metrics[f"{layer}.calls"] > 0, layer

@@ -180,6 +180,26 @@ def test_golden_corridor2_writes_every_log(strategy, tmp_path):
             assert next(csv.reader(fh)) == header, name
 
 
+def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
+    # begin_macro's route set serves the first micro step's routes
+    calls = Counter()
+    generate, routes = runner.routectl.generate_routes, runner.MsjcStrategy.routes
+
+    def counted_generate(*args):
+        calls["generate"] += 1
+        return generate(*args)
+
+    def counted_routes(self, obs):
+        calls["routed"] += self.active
+        return routes(self, obs)
+
+    monkeypatch.setattr(runner.routectl, "generate_routes", counted_generate)
+    monkeypatch.setattr(runner.MsjcStrategy, "routes", counted_routes)
+    metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
+    assert (metrics.total_travel_time_veh_s, metrics.clearance_time_s) == GOLDEN["msjc"]
+    assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
+
+
 def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
     advance = mesosim.Simulator.advance
 
