@@ -22,7 +22,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, fields
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -762,28 +762,36 @@ def save_scenario(sc: Scenario, path) -> None:
 # Routes and hyper-paths
 
 
-class TravelTimes(dict):
+class TravelTimes(Mapping[str, float]):
     """Per-link travel times (link id -> s) fixed for one step, and the
     route searches run on them.  ``shortest_paths_to`` keeps one resumable
     search per destination in ``searches``, so every caller that routes on
-    the same times extends the same search.  Read-only: a search assumes
-    the times it started on."""
+    the same times extends the same search.  Read-only: the id view and the
+    searches read the same tuple, ``by_index``."""
 
-    def __init__(self, net: Network, times: Sequence[float]):
+    def __init__(self, net: Network, times: Iterable[float]):
         """``times`` in ``net.link_ids`` order."""
-        super().__init__(zip(net.link_ids, times))
         self.net = net
-        self.by_index = times
+        self.by_index = tuple(times)
         self.searches: dict[str, _Search] = {}
+
+    def __getitem__(self, link: str) -> float:
+        return self.by_index[self.net.link_index[link]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.net.link_ids)
+
+    def __len__(self) -> int:
+        return len(self.by_index)
 
 
 class _Search:
     """Label-setting state of one destination: per link index its label
     (time to the destination, its own link included), its next link (the
-    link count when unset), whether it is settled, the heap of labels still
-    to settle, and the routes already walked, by start link."""
+    link count when unset), whether it is settled, and the heap of labels
+    still to settle."""
 
-    __slots__ = ("target", "dist", "nxt", "done", "heap", "routes")
+    __slots__ = ("target", "dist", "nxt", "done", "heap")
 
     def __init__(self, times: TravelTimes, destination: str):
         n = len(times.net.link_ids)
@@ -793,7 +801,6 @@ class _Search:
         self.nxt = [n] * n
         self.done = bytearray(n)
         self.heap = [(self.dist[self.target], self.target)]
-        self.routes: dict[str, tuple[str, ...] | None] = {}
 
 
 def shortest_paths_to(
@@ -835,21 +842,19 @@ def shortest_paths_to(
                 nxt[prev] = link
                 push(heap, (nd, prev))
     # a start left unsettled emptied the heap: it cannot reach the destination
-    routes = search.routes
     ids = net.link_ids
+    target = search.target
     out = {}
     for start in starts:
-        if start not in routes:
-            k = index[start]
-            route = None
-            if done[k]:
-                route = [start]
-                while k != search.target:
-                    k = nxt[k]
-                    route.append(ids[k])
-                route = tuple(route)
-            routes[start] = route
-        out[start] = routes[start]
+        k = index[start]
+        route = None
+        if done[k]:
+            route = [start]
+            while k != target:
+                k = nxt[k]
+                route.append(ids[k])
+            route = tuple(route)
+        out[start] = route
     return out
 
 

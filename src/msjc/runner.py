@@ -165,6 +165,11 @@ class MsjcStrategy(_TrackedStrategy):
     ``routes``: demand injection and plan selection in between change
     neither the network vehicles nor the queues."""
 
+    def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
+        super().__init__(scenario, model, sim)
+        # begin_macro's route set, until the first micro step's routes
+        self._route_set: list[routectl.VehicleRoutes] | None = None
+
     def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
         views = self.sim.vehicle_views()
         route_set = routectl.generate_routes(views, self.net, self.sim.travel_time_estimates())
@@ -173,7 +178,7 @@ class MsjcStrategy(_TrackedStrategy):
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
         self.macro = MacroRecord()
-        self._route_set: list[routectl.VehicleRoutes] | None = None
+        self._route_set = None
         if not ctx.active:
             return
         self._begin_boundaries(ctx)
@@ -195,7 +200,9 @@ class MsjcStrategy(_TrackedStrategy):
         solution = self.macro.solution
         if not self.active or solution is None:
             return None
-        route_set = self._route_set or self._annotated_routes()
+        route_set = self._route_set
+        if route_set is None:
+            route_set = self._annotated_routes()
         self._route_set = None
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:

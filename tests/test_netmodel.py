@@ -176,7 +176,9 @@ def _stopped_and_full_routes(net, tt, several):
     links than the full one."""
     links = sorted(net.links)
     for destination in links:
-        full = shortest_paths_to(_fresh(net, tt), destination, links)
+        full_times = _fresh(net, tt)
+        full = shortest_paths_to(full_times, destination, links)
+        settled_by_full = sum(full_times.searches[destination].done)
         partial = shortest_paths_to(_fresh(net, tt), destination, several)
         for origin in links:
             times = _fresh(net, tt)
@@ -184,7 +186,7 @@ def _stopped_and_full_routes(net, tt, several):
             routes = [alone[origin], full[origin]]
             if origin in several:
                 routes.append(partial[origin])
-            yield origin, destination, routes, sum(times.searches[destination].done) < len(links)
+            yield origin, destination, routes, sum(times.searches[destination].done) < settled_by_full
 
 
 def test_stopped_search_routes_like_the_forward_reference():
