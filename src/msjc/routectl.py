@@ -1,16 +1,17 @@
-"""Per-vehicle candidate routes and the intra-region route-choice program.
+"""Alternative routes for rerouting and the intra-region route-choice program.
 
-Candidate generation keeps exactly the vehicle's current route and the
-instantaneously shortest route (deduplicated, and for a queued vehicle only
-if its lane serves that route's next link).  The shortest routes come from
-the step's travel-time snapshot (``Simulator.travel_time_estimates``): its
-search per destination (``netmodel.shortest_paths_to``) is the one demand
+``generate_routes`` maps each vehicle that has a choice to its one
+alternative: the instantaneously shortest route, when it differs from the
+current one (for a queued vehicle, only if its lane serves that route's next
+link; never within one link of the destination).  The shortest routes come
+from the step's travel-time snapshot (``Simulator.travel_time_estimates``):
+its search per destination (``netmodel.shortest_paths_to``) is the one demand
 injection started in the same step, so rerouting only extends it.  Every
-vehicle with the same start link and destination gets one route, the one
-a vehicle injected there in the same step got.  Logit rerouting reads only
-those link candidates.  msjc's programs also need each
-candidate's upcoming region and the link the vehicle is projected to sit on
-at the end of the step; ``annotate_routes`` adds that hyper-path annotation.
+vehicle with the same start link and destination gets one route, the one a
+vehicle injected there in the same step got.  Logit rerouting reads only
+that map.  msjc's programs also need each candidate's upcoming region and the
+link the vehicle is projected to sit on at the end of the step;
+``annotate_routes`` builds the candidate set with that hyper-path annotation.
 The per-region program picks route probabilities on each vehicle's simplex
 so that the realized next-region proportions match the hyper-path split
 targets while the predicted end-of-step link densities stay close to the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -35,9 +36,8 @@ from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 class CandidateRoute(NamedTuple):
     links: tuple[str, ...]
     is_current: bool
-    # hyper-path annotation, set by annotate_routes
-    next_region: str | None = None
-    projected_link: str | None = None  # None: leaves the region this step
+    next_region: str
+    projected_link: str | None  # None: leaves the region this step
     # (ignored for densities)
 
 
@@ -59,62 +59,59 @@ class RouteProbabilities:
 
 
 def generate_routes(
-    vehicles: Sequence[VehicleView],
+    vehicles: Collection,
     net: Network,
     travel_times: TravelTimes,
-) -> list[VehicleRoutes]:
-    """Link candidates for the given vehicles: the current route first, then
-    the shortest route when it differs.  The candidates carry no hyper-path
-    annotation (see ``annotate_routes``).
+) -> dict[int, tuple[str, ...]]:
+    """Vehicle id -> shortest route, for each vehicle whose shortest route
+    differs from its current one.  ``vehicles`` holds records with ``id``,
+    ``route`` (``route[0]`` is the current link), ``destination`` and
+    ``lane``: ``VehicleView``s or ``Simulator.vehicles.values()``.
 
     One call per destination to ``shortest_paths_to`` on ``travel_times``
     gives one shortest route per start link and destination.  Vehicles on
-    their destination link or one link away keep their current route only
-    (no routing freedom).  A queued vehicle is offered the shortest route
-    only when its lane serves that route's next link.
+    their destination link or one link away have no alternative (no routing
+    freedom).  A queued vehicle has one only when its lane serves the
+    shortest route's next link.
     """
+    free = [v for v in vehicles if len(v.route) > 2]
     starts: dict[str, set[str]] = {}
-    for v in vehicles:
-        if len(v.route) > 2:
-            starts.setdefault(v.destination, set()).add(v.link)
+    for v in free:
+        starts.setdefault(v.destination, set()).add(v.route[0])
     # a vehicle's current route proves its destination reachable
     shortest = {
         (link, destination): route
         for destination, links in starts.items()
         for link, route in shortest_paths_to(travel_times, destination, links).items()
     }
-    out: list[VehicleRoutes] = []
-    for v in vehicles:
-        routes = (CandidateRoute(v.route, True),)
-        if len(v.route) > 2:
-            best = shortest[(v.link, v.destination)]
-            if best != v.route and (v.lane is None or v.lane in net.lanes_to[best[:2]]):
-                routes += (CandidateRoute(best, False),)
-        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1))
-    return out
+    alternatives: dict[int, tuple[str, ...]] = {}
+    for v in free:
+        best = shortest[(v.route[0], v.destination)]
+        if best != v.route and (v.lane is None or v.lane in net.lanes_to[best[:2]]):
+            alternatives[v.id] = best
+    return alternatives
 
 
 def annotate_routes(
     vehicles: Sequence[VehicleView],
-    route_set: Sequence[VehicleRoutes],
+    alternatives: Mapping[int, tuple[str, ...]],
     net: Network,
     dt_s: float,
 ) -> list[VehicleRoutes]:
-    """``route_set``, generated for ``vehicles`` in the same order, with each
-    candidate's upcoming region and projected end-of-step link filled in:
-    the inputs of ``candidate_next_regions`` and ``solve_probabilities``."""
-    return [
-        vr._replace(
-            routes=tuple(
-                r._replace(
-                    next_region=next_region(r.links, net),
-                    projected_link=_projected_link(v, r.links, net, dt_s),
-                )
-                for r in vr.routes
-            )
+    """The candidate set of each of ``vehicles``, in order: the current route
+    first, then the vehicle's entry in ``alternatives`` (see
+    ``generate_routes``) if it has one.  Each candidate carries its upcoming
+    region and projected end-of-step link: the inputs of
+    ``candidate_next_regions`` and ``solve_probabilities``."""
+    out: list[VehicleRoutes] = []
+    for v in vehicles:
+        links = (v.route, alternatives[v.id]) if v.id in alternatives else (v.route,)
+        routes = tuple(
+            CandidateRoute(r, k == 0, next_region(r, net), _projected_link(v, r, net, dt_s))
+            for k, r in enumerate(links)
         )
-        for v, vr in zip(vehicles, route_set, strict=True)
-    ]
+        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1))
+    return out
 
 
 def _projected_link(

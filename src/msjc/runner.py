@@ -172,8 +172,8 @@ class MsjcStrategy(_TrackedStrategy):
 
     def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
         views = self.sim.vehicle_views()
-        route_set = routectl.generate_routes(views, self.net, self.sim.travel_time_estimates())
-        return routectl.annotate_routes(views, route_set, self.net, self.scenario.control.t_micro_s)
+        alternatives = routectl.generate_routes(views, self.net, self.sim.travel_time_estimates())
+        return routectl.annotate_routes(views, alternatives, self.net, self.scenario.control.t_micro_s)
 
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
@@ -314,20 +314,18 @@ class BpStrategy:
 
 
 def _logit_routes(strategy) -> dict[int, tuple[str, ...]]:
-    scenario: Scenario = strategy.scenario
-    tt = strategy.sim.travel_time_estimates()
-    # vehicles on or next to their destination link are pinned to their route
-    free = [v for v in strategy.sim.vehicle_views() if len(v.route) > 2]
-    route_set = routectl.generate_routes(free, strategy.net, tt)
+    """One logit draw per vehicle that has an alternative, in id order."""
+    sim: Simulator = strategy.sim
+    tt = sim.travel_time_estimates()
+    theta = strategy.scenario.control.logit_theta
+    alternatives = routectl.generate_routes(sim.vehicles.values(), strategy.net, tt)
     assignments: dict[int, tuple[str, ...]] = {}
-    for vr in sorted(route_set, key=lambda r: r.vid):
-        if vr.pinned:
-            continue
-        times = [route_travel_time(r.links, tt) for r in vr.routes]
-        phi = logit_choice(times, scenario.control.logit_theta)
-        idx = int(strategy.sim.routing_rng.choice(len(phi), p=phi))
-        if not vr.routes[idx].is_current:
-            assignments[vr.vid] = vr.routes[idx].links
+    for vid in sorted(alternatives):
+        best = alternatives[vid]
+        times = [route_travel_time(sim.vehicles[vid].route, tt), route_travel_time(best, tt)]
+        phi = logit_choice(times, theta)
+        if int(sim.routing_rng.choice(len(phi), p=phi)) == 1:
+            assignments[vid] = best
     return assignments
 
 

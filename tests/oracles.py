@@ -4,9 +4,12 @@ These re-derive expected values from first principles (dense grids,
 exhaustive scans) and deliberately share no code with the solvers they
 check.  ``step`` and ``targets`` replay the region dynamics and boundary
 targets through the transfer bookkeeping below (``transfers``), which the
-solvers do not call.  ``per_vehicle_candidates`` rebuilds what
-``routectl.generate_routes`` shares across vehicles, one search and route
-per vehicle.  ``forward_shortest_route`` is the reference shortest-path
+solvers do not call.  ``per_vehicle_candidates`` rebuilds the candidate
+sets of ``routectl.annotate_routes`` over ``routectl.generate_routes``'
+alternatives with nothing shared across vehicles, one search and route per
+vehicle.  ``reference_logit_routes`` is logit rerouting as first written:
+one candidate set per vehicle view, then one draw per unpinned vehicle in
+id order.  ``forward_shortest_route`` is the reference shortest-path
 search: a forward label-setting search from the origin, sharing no code with
 ``netmodel.shortest_paths_to``.  ``ReferenceController`` is the boundary
 plan rule as three separate steps (expected rate, feasible set, selection)
@@ -29,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from msjc import routectl
+from msjc.baselines import logit_choice, route_travel_time
 from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
@@ -265,9 +269,12 @@ def per_vehicle_candidates(
 ) -> list[tuple[list[tuple], bool]]:
     """Candidate routes of each vehicle with nothing shared between vehicles:
     a fresh search, on a fresh copy of the travel times, and route per
-    vehicle; a queued vehicle gets the shortest
-    route only if its lane feeds that route's next link.  Per vehicle, returns
-    ([(links, is_current, next_region, projected_link), ...], pinned)."""
+    vehicle; a queued vehicle gets the shortest route only if its lane feeds
+    that route's next link.  Per vehicle, returns
+    ([(links, is_current, next_region, projected_link), ...], pinned): what
+    ``routectl.annotate_routes`` builds for the vehicle from
+    ``routectl.generate_routes``' map, in which a vehicle has an entry, its
+    second candidate's links, exactly when it is not pinned."""
     out = []
     for v in vehicles:
         candidates = [v.route]
@@ -285,6 +292,38 @@ def per_vehicle_candidates(
         ]
         out.append((annotated, len(candidates) == 1))
     return out
+
+
+def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
+    """Logit rerouting of a ``-lr`` strategy as first written: every vehicle
+    view gets a ``VehicleRoutes`` (its current route, then its fresh-search
+    shortest route when that differs and its lane serves it), the set is
+    sorted by id, and each unpinned vehicle draws once from
+    ``sim.routing_rng``."""
+    sim: Simulator = strategy.sim
+    tt = sim.travel_time_estimates()
+    views = [v for v in sim.vehicle_views() if len(v.route) > 2]
+    candidates = per_vehicle_candidates(views, sim.net, tt, sim.dt)
+    route_set = [
+        VehicleRoutes(
+            v.id,
+            v.region,
+            v.dest_region,
+            tuple(routectl.CandidateRoute(*c) for c in cands),
+            pinned,
+        )
+        for v, (cands, pinned) in zip(views, candidates)
+    ]
+    assignments: dict[int, tuple[str, ...]] = {}
+    for vr in sorted(route_set, key=lambda r: r.vid):
+        if vr.pinned:
+            continue
+        times = [route_travel_time(r.links, tt) for r in vr.routes]
+        phi = logit_choice(times, strategy.scenario.control.logit_theta)
+        idx = int(sim.routing_rng.choice(len(phi), p=phi))
+        if not vr.routes[idx].is_current:
+            assignments[vr.vid] = vr.routes[idx].links
+    return assignments
 
 
 def forward_shortest_route(

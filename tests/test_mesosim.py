@@ -412,10 +412,11 @@ class TestTravelTimeSnapshot:
             }
             queued += any(sim._queues.values())
             started = dict(snapshot.searches)
-            route_set = routectl.generate_routes(sim.vehicle_views(), net, snapshot)
-            for vr in route_set[::2]:
-                if len(vr.routes) == 2:
-                    sim.set_route(vr.vid, vr.routes[1].links)
+            views = sim.vehicle_views()
+            alternatives = routectl.generate_routes(views, net, snapshot)
+            for v in views[::2]:
+                if v.id in alternatives:
+                    sim.set_route(v.id, alternatives[v.id])
                     rerouted += 1
             assert sim.travel_time_estimates() is snapshot
             # rerouting extended the searches injection started

@@ -63,11 +63,14 @@ class TestGenerateRoutes:
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 1, ("A", "B"), remaining=100.0)
         sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(sim.vehicle_views(), single_gate.network, sim.travel_time_estimates())
-        assert len(routes) == 1
+        views = sim.vehicle_views()
+        alternatives = generate_routes(views, single_gate.network, sim.travel_time_estimates())
+        assert len(views) == 1
         # one link from the destination: pinned with the current route only
-        assert routes[0].pinned
-        assert routes[0].routes[0].links == ("A", "B")
+        assert alternatives == {}
+        [routes] = annotate_routes(views, alternatives, single_gate.network, 10.0)
+        assert routes.pinned
+        assert routes.routes[0].links == ("A", "B")
 
     def test_congestion_reveals_the_detour(self):
         sc = fixtures.corridor2()
@@ -77,9 +80,11 @@ class TestGenerateRoutes:
         force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
         target = next(v for v in sim.vehicle_views() if v.link == "src1")
-        routes = generate_routes([target], sc.network, sim.travel_time_estimates())
-        assert len(routes[0].routes) == 2
-        alternative = routes[0].routes[1]
+        alternatives = generate_routes([target], sc.network, sim.travel_time_estimates())
+        assert alternatives == {target.id: ("src1", "f_app_ng", "f_exit_ng", "snk2")}
+        [routes] = annotate_routes([target], alternatives, sc.network, 10.0)
+        assert len(routes.routes) == 2
+        alternative = routes.routes[1]
         assert alternative.links == ("src1", "f_app_ng", "f_exit_ng", "snk2")
         assert not alternative.is_current
 
@@ -88,8 +93,12 @@ class TestGenerateRoutes:
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        routes = generate_routes(sim.vehicle_views(), sc.network, sim.travel_time_estimates())
-        assert all(r.routes[0].is_current for r in routes)
+        views = sim.vehicle_views()
+        alternatives = generate_routes(views, sc.network, sim.travel_time_estimates())
+        assert all(alternatives[v.id] != v.route for v in views if v.id in alternatives)
+        routes = annotate_routes(views, alternatives, sc.network, 10.0)
+        assert routes and all(r.routes[0].is_current for r in routes)
+        assert [r.routes[0].links for r in routes] == [v.route for v in views]
 
     def test_queued_vehicle_is_offered_only_moves_its_lane_serves(self, turn_lanes):
         # X is congested, so the shortest route from A turns to Y.  A_0 feeds
@@ -101,7 +110,9 @@ class TestGenerateRoutes:
         [queued] = force_queued(sim, "A_0", 1, ("A", "X", "Xd", "D"))
         [running] = force_running(sim, 1, ("A", "X", "Xd", "D"), remaining=100.0)
         on_a = [v for v in sim.vehicle_views() if v.link == "A"]
-        routes = {vr.vid: vr for vr in generate_routes(on_a, net, sim.travel_time_estimates())}
+        alternatives = generate_routes(on_a, net, sim.travel_time_estimates())
+        assert alternatives == {running: ("A", "Y", "Yd", "D")}
+        routes = {vr.vid: vr for vr in annotate_routes(on_a, alternatives, net, 10.0)}
         assert [r.links for r in routes[running].routes] == [
             ("A", "X", "Xd", "D"),
             ("A", "Y", "Yd", "D"),
@@ -145,7 +156,9 @@ class TestGenerateRoutes:
         sim.advance({})
         views = sim.vehicle_views()
         assert [v.id for v in views] == injected and all(v.link == "a" for v in views)
-        for vr in generate_routes(views, sc.network, sim.travel_time_estimates()):
+        alternatives = generate_routes(views, sc.network, sim.travel_time_estimates())
+        assert alternatives == {}
+        for vr in annotate_routes(views, alternatives, sc.network, 10.0):
             assert [r.links for r in vr.routes] == [route]
             assert vr.pinned
 
@@ -158,21 +171,40 @@ class TestGenerateRoutes:
         views = sim.vehicle_views()
         tt = sim.travel_time_estimates()
         expected = per_vehicle_candidates(views, sc.network, tt, sc.control.t_micro_s)
-        routes = generate_routes(views, sc.network, tt)
-        annotated = annotate_routes(views, routes, sc.network, sc.control.t_micro_s)
-        assert [vr.vid for vr in routes] == [v.id for v in views]
-        for vr, ar, (candidates, pinned) in zip(routes, annotated, expected):
-            assert [(r.links, r.is_current) for r in vr.routes] == [c[:2] for c in candidates]
-            assert vr.pinned == pinned
+        alternatives = generate_routes(views, sc.network, tt)
+        annotated = annotate_routes(views, alternatives, sc.network, sc.control.t_micro_s)
+        assert [ar.vid for ar in annotated] == [v.id for v in views]
+        for v, ar, (candidates, pinned) in zip(views, annotated, expected):
+            assert [(r.links, r.is_current) for r in ar.routes] == [c[:2] for c in candidates]
+            assert ar.pinned == pinned
             assert [(r.next_region, r.projected_link) for r in ar.routes] == [
                 c[2:] for c in candidates
             ]
-            assert ar._replace(routes=()) == vr._replace(routes=())
+            assert (ar.region, ar.dest_region) == (v.region, v.dest_region)
         # the grid is loaded enough that routes are shared and rerouting has
         # something to offer
         free = [v for v in views if len(v.route) > 2]
         assert len({(v.link, v.destination) for v in free}) < len(free)
-        assert any(len(vr.routes) == 2 for vr in routes)
+        assert any(len(ar.routes) == 2 for ar in annotated)
+
+    def test_records_and_views_get_the_map_of_the_per_vehicle_oracle(self):
+        sc = fixtures.grid6()
+        sim = Simulator(sc, seed=0)
+        while sim.time_s < 800.0:
+            sim.inject_demand(sim.step_count)
+            sim.advance({})
+        views = sim.vehicle_views()
+        tt = sim.travel_time_estimates()
+        expected = {
+            v.id: candidates[1][0]
+            for v, (candidates, pinned) in zip(
+                views, per_vehicle_candidates(views, sc.network, tt, sc.control.t_micro_s)
+            )
+            if not pinned
+        }
+        from_records = generate_routes(sim.vehicles.values(), sc.network, tt)
+        assert from_records == generate_routes(views, sc.network, tt) == expected
+        assert expected and len(expected) < len(views)
 
     def test_candidate_next_regions_grouping(self):
         routes = [

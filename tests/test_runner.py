@@ -9,6 +9,8 @@ import pytest
 
 from msjc import fixtures, mesosim, runner
 
+from oracles import reference_logit_routes
+
 # corridor2, seed 0: every strategy injects and completes 856 vehicles.
 # Per strategy: total travel time (veh.s) and the time the network clears (s).
 GOLDEN = {
@@ -198,6 +200,33 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
     assert (metrics.total_travel_time_veh_s, metrics.clearance_time_s) == GOLDEN["msjc"]
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
+
+
+@pytest.mark.parametrize("strategy", ["bp-lr", "mspc-lr"])
+def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
+    # Per routed step, the reference runs first; the routing generator is then
+    # put back, and the strategy's own rerouting must make the same
+    # assignments with the same draws, in the same order.
+    logit_routes = runner._logit_routes
+    seen = Counter()
+
+    def checked(strat):
+        rng = strat.sim.routing_rng
+        before = rng.bit_generator.state
+        expected = reference_logit_routes(strat)
+        after = rng.bit_generator.state
+        rng.bit_generator.state = before
+        assignments = logit_routes(strat)
+        assert assignments == expected
+        assert rng.bit_generator.state == after
+        seen["steps"] += 1
+        seen["drawn"] += after != before
+        seen["rerouted"] += len(assignments)
+        return assignments
+
+    monkeypatch.setattr(runner, "_logit_routes", checked)
+    runner.run(fixtures.grid6(), runner.RunConfig(strategy, seed=0, cap_s=1000.0))
+    assert seen["steps"] >= 60 and seen["drawn"] > 0 and seen["rerouted"] > 0
 
 
 def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
