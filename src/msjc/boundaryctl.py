@@ -14,6 +14,7 @@ fallback.  Ties go to the earliest plan in the configured order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .mesosim import MicroObservation
 from .netmodel import ControlConfig, MultiPhasePlan, Network, boundary_key
@@ -22,17 +23,19 @@ from .netmodel import ControlConfig, MultiPhasePlan, Network, boundary_key
 def plan_flow(
     plan: MultiPhasePlan,
     obs: MicroObservation,
+    arrivals: Mapping[str, float],
     net: Network,
     direction: tuple[str, str],
 ) -> float:
     """Estimated flow (veh/s) the plan would pass across ``direction`` this
     step: per served crossing lane, min(arrivals, saturation, downstream
-    space), divided by the step length."""
+    space), divided by the step length, with ``arrivals`` from
+    ``Simulator.arrivals()`` at the state ``obs`` describes."""
     i, h = direction
     total = 0.0
     for lane_id in net.crossing_lanes(plan, i, h):
         lane = net.lanes[lane_id]
-        arriving = obs.arrivals.get(lane_id, 0.0)
+        arriving = arrivals.get(lane_id, 0.0)
         saturation = lane.sat_flow_veh_s * obs.dt_s
         terms = [arriving, saturation]
         if lane.output_lanes:
@@ -104,18 +107,18 @@ class BoundaryController:
         self.realized = ([], [])
 
     def macro_flow_bounds(
-        self, obs: MicroObservation
+        self, obs: MicroObservation, arrivals: Mapping[str, float]
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """(min, max) start-of-macro-step flow envelope for both directions:
         the plans' estimated flows plus the non-gated flow."""
         bounds = []
         for d in self.directions:
-            est = [plan_flow(p, obs, self.net, d) for p in self.plans]
+            est = [plan_flow(p, obs, arrivals, self.net, d) for p in self.plans]
             ng = obs.non_gating_crossings.get(d, 0.0)
             bounds.append((min(est) + ng, max(est) + ng))
         return bounds[0], bounds[1]
 
-    def control_step(self, obs: MicroObservation) -> str:
+    def control_step(self, obs: MicroObservation, arrivals: Mapping[str, float]) -> str:
         """Rank every plan and activate the least.  A plan is inside the band
         when, in both directions, its relative deviation from the expected
         rate is below (u - k + 1)·sigma (below 1 with the absolute scale
@@ -135,7 +138,7 @@ class BoundaryController:
 
         ranks, estimates = [], []
         for index, plan in enumerate(self.plans):
-            est = [plan_flow(plan, obs, self.net, d) for d in self.directions]
+            est = [plan_flow(plan, obs, arrivals, self.net, d) for d in self.directions]
             dev = [abs(e + n - m) / s for e, n, m, s in zip(est, ng, expected, scale)]
             if dev[0] < band[0] and dev[1] < band[1]:
                 ranks.append((0, -plan_weight(plan, obs, self.net), index))

@@ -22,10 +22,9 @@ and a queued vehicle's next link is one its lane serves (``set_route``
 rejects any other route).
 
 One step runs from static tables built once per network
-(``Network.service_order``, ``region_of``, ``plan_green``,
-``gating_approaches``) and per-lane discharge budgets built once per
-simulator.  The observation's ``arrivals`` covers only the lanes that feed a
-gating intersection, the only lanes boundary control reads.
+(``Network.service_order``, ``region_of``, ``plan_green``) and per-lane
+discharge budgets built once per simulator.  Boundary control's projected
+arrivals are built on demand (``Simulator.arrivals``), not by a step.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -75,25 +74,17 @@ class VehicleView(NamedTuple):
 class MicroObservation:
     """State snapshot after one micro step plus the flows realized during it.
 
-    ``queues``/``arrivals`` describe the end-of-step state (the decision
-    inputs for the next step).  ``queues`` covers every lane.  ``arrivals``
-    covers only the lanes that feed a gating intersection: per lane, its
-    queue plus the running vehicles within one step of the stop line, each
-    projected onto the serving lane with the least (load, lane id), with no
-    capacity check.  That projection is not ``Simulator._pick_lane`` (the
-    shortest queue below capacity); changing it moves plan decisions.
-    ``boundary_crossings`` are the exact counts of link transitions across
-    each ordered region boundary during the step, expressed in veh/s.
-    Per-vehicle state is not part of the observation:
-    ``Simulator.vehicle_views()`` and ``Simulator.od_counts()`` build it on
-    demand.
+    ``queues`` is the end-of-step queue of every lane (a decision input for
+    the next step).  ``boundary_crossings`` are the exact counts of link
+    transitions across each ordered region boundary during the step, in
+    veh/s.  ``Simulator.vehicle_views()``, ``od_counts()`` and ``arrivals()``
+    build per-vehicle state and the projected arrivals on demand.
     """
 
     step: int
     time_s: float
     dt_s: float
     queues: dict[str, int]
-    arrivals: dict[str, float]
     boundary_crossings: dict[tuple[str, str], float]
     non_gating_crossings: dict[tuple[str, str], float]
     accumulation: dict[str, int]
@@ -370,21 +361,6 @@ class Simulator:
     ) -> MicroObservation:
         queues = {lane: len(q) for lane, q in self._queues.items()}
 
-        # queued plus imminent joiners, projected onto the least loaded
-        # serving lane (lowest id on a tie), on lanes that feed a gating node
-        arrivals: dict[str, float] = {}
-        for link_id, lanes in self.net.gating_approaches:
-            lane_loads = {l: queues[l] for l in lanes}
-            for vid in self._running[link_id]:
-                v = self.vehicles[vid]
-                if v.remaining_s > dt or v.route[0] == v.destination:
-                    continue
-                feasible = self.net.lanes_to[v.route[:2]]
-                lane = min(feasible, key=lambda l: (lane_loads[l], l))
-                lane_loads[lane] += 1
-            for lane_id, load in lane_loads.items():
-                arrivals[lane_id] = float(load)
-
         accumulation = {r: 0 for r in self.partition.regions}
         for link_id, region in self.net.region_of.items():
             accumulation[region] += self._occupancy[link_id]
@@ -401,7 +377,6 @@ class Simulator:
             time_s=self.time_s,
             dt_s=dt,
             queues=queues,
-            arrivals=arrivals,
             boundary_crossings=boundary_rates,
             non_gating_crossings=ng_rates,
             accumulation=accumulation,
@@ -411,6 +386,26 @@ class Simulator:
             entry_queue=sum(map(len, self._entry.values())),
             in_network=len(self.vehicles),
         )
+
+    def arrivals(self) -> dict[str, float]:
+        """Projected arrivals on the lanes that feed a gating intersection,
+        the only lanes boundary control reads: per lane, its queue plus the
+        running vehicles within one step of the stop line, each put on the
+        serving lane with the least (load, lane id), with no capacity check,
+        unlike ``_pick_lane``; changing the rule moves plan decisions.  It
+        reads the vehicles' current routes, so read it before ``set_route``."""
+        arrivals: dict[str, float] = {}
+        for link_id, lanes in self.net.gating_approaches:
+            lane_loads = {l: len(self._queues[l]) for l in lanes}
+            for vid in self._running[link_id]:
+                v = self.vehicles[vid]
+                if v.remaining_s > self.dt or v.route[0] == v.destination:
+                    continue
+                lane = min(self.net.lanes_to[v.route[:2]], key=lambda l: (lane_loads[l], l))
+                lane_loads[lane] += 1
+            for lane_id, load in lane_loads.items():
+                arrivals[lane_id] = float(load)
+        return arrivals
 
     def od_counts(self) -> Counter[tuple[str, str]]:
         """Vehicles in the network per (current region, destination region)."""

@@ -35,7 +35,6 @@ from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 
 class CandidateRoute(NamedTuple):
     links: tuple[str, ...]
-    is_current: bool
     next_region: str
     projected_link: str | None  # None: leaves the region this step
     # (ignored for densities)
@@ -45,8 +44,7 @@ class VehicleRoutes(NamedTuple):
     vid: int
     region: str
     dest_region: str
-    routes: tuple[CandidateRoute, ...]
-    pinned: bool
+    routes: tuple[CandidateRoute, ...]  # the current route first; one: no choice
 
 
 @dataclass
@@ -107,10 +105,10 @@ def annotate_routes(
     for v in vehicles:
         links = (v.route, alternatives[v.id]) if v.id in alternatives else (v.route,)
         routes = tuple(
-            CandidateRoute(r, k == 0, next_region(r, net), _projected_link(v, r, net, dt_s))
-            for k, r in enumerate(links)
+            CandidateRoute(r, next_region(r, net), _projected_link(v, r, net, dt_s))
+            for r in links
         )
-        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes, len(routes) == 1))
+        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes))
     return out
 
 

@@ -116,6 +116,8 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 # macro step, then per micro step ``plans(obs)`` (plan id per boundary key),
 # ``routes(obs)`` (new routes by vehicle id, or None) and, after the
 # simulator stepped, ``record(obs)``.  ``macro`` holds the current MacroRecord.
+# ``begin_macro`` and ``plans`` may read ``sim.arrivals()``: both run before
+# the step's new routes are set, on the state the previous step left.
 
 
 class _TrackedStrategy:
@@ -135,8 +137,9 @@ class _TrackedStrategy:
         self.macro = MacroRecord()
 
     def _begin_boundaries(self, ctx: MacroContext) -> None:
+        arrivals = self.sim.arrivals()
         for (i, h), bc in self.controllers.items():
-            (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs)
+            (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs, arrivals)
             self.macro.envelopes[(i, h)] = (f_lo, f_hi)
             self.macro.envelopes[(h, i)] = (r_lo, r_hi)
 
@@ -148,7 +151,8 @@ class _TrackedStrategy:
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
         if not self.active:
             return {}
-        return {key: bc.control_step(obs) for key, bc in self.controllers.items()}
+        arrivals = self.sim.arrivals()
+        return {key: bc.control_step(obs, arrivals) for key, bc in self.controllers.items()}
 
     def record(self, obs: MicroObservation) -> None:
         if not self.active:

@@ -17,8 +17,8 @@ over ``boundaryctl``'s flow and pressure estimates, the reference for the
 controller's single ranking.  ``density_fields`` recomputes the expected
 end-of-step link densities that the route-choice solve fits.
 ``reference_arrivals`` and ``reference_vehicle_views`` are the simulator's
-observation and vehicle snapshot as first written: a projection over every
-running vehicle of every link, and one keyword-built view per vehicle.
+arrivals projection and vehicle snapshot as first written: a projection over
+every running vehicle of every link, and one keyword-built view per vehicle.
 """
 
 from __future__ import annotations
@@ -271,10 +271,12 @@ def per_vehicle_candidates(
     a fresh search, on a fresh copy of the travel times, and route per
     vehicle; a queued vehicle gets the shortest route only if its lane feeds
     that route's next link.  Per vehicle, returns
-    ([(links, is_current, next_region, projected_link), ...], pinned): what
-    ``routectl.annotate_routes`` builds for the vehicle from
-    ``routectl.generate_routes``' map, in which a vehicle has an entry, its
-    second candidate's links, exactly when it is not pinned."""
+    ([(links, is_current, next_region, projected_link), ...], pinned).
+    ``routectl.annotate_routes`` builds the vehicle's candidates as
+    (links, next_region, projected_link), with the current route first and
+    one candidate exactly when the vehicle is pinned; in
+    ``routectl.generate_routes``' map a vehicle has an entry, its second
+    candidate's links, exactly when it is not pinned."""
     out = []
     for v in vehicles:
         candidates = [v.route]
@@ -296,33 +298,23 @@ def per_vehicle_candidates(
 
 def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     """Logit rerouting of a ``-lr`` strategy as first written: every vehicle
-    view gets a ``VehicleRoutes`` (its current route, then its fresh-search
-    shortest route when that differs and its lane serves it), the set is
+    view gets its candidate set (its current route, then its fresh-search
+    shortest route when that differs and its lane serves it), the sets are
     sorted by id, and each unpinned vehicle draws once from
     ``sim.routing_rng``."""
     sim: Simulator = strategy.sim
     tt = sim.travel_time_estimates()
     views = [v for v in sim.vehicle_views() if len(v.route) > 2]
     candidates = per_vehicle_candidates(views, sim.net, tt, sim.dt)
-    route_set = [
-        VehicleRoutes(
-            v.id,
-            v.region,
-            v.dest_region,
-            tuple(routectl.CandidateRoute(*c) for c in cands),
-            pinned,
-        )
-        for v, (cands, pinned) in zip(views, candidates)
-    ]
     assignments: dict[int, tuple[str, ...]] = {}
-    for vr in sorted(route_set, key=lambda r: r.vid):
-        if vr.pinned:
+    for v, (cands, pinned) in sorted(zip(views, candidates), key=lambda vc: vc[0].id):
+        if pinned:
             continue
-        times = [route_travel_time(r.links, tt) for r in vr.routes]
+        times = [route_travel_time(links, tt) for links, *_ in cands]
         phi = logit_choice(times, strategy.scenario.control.logit_theta)
-        idx = int(sim.routing_rng.choice(len(phi), p=phi))
-        if not vr.routes[idx].is_current:
-            assignments[vr.vid] = vr.routes[idx].links
+        links, is_current, _, _ = cands[int(sim.routing_rng.choice(len(phi), p=phi))]
+        if not is_current:
+            assignments[v.id] = links
     return assignments
 
 
@@ -355,7 +347,7 @@ def forward_shortest_route(
 
 
 # ---------------------------------------------------------------------------
-# Simulator observation and vehicle snapshot, walking every vehicle
+# Simulator arrivals projection and vehicle snapshot, walking every vehicle
 
 
 def reference_arrivals(sim: Simulator) -> dict[str, float]:
@@ -536,17 +528,17 @@ class ReferenceController:
         self.rev.begin_macro(target_rev)
 
     def macro_flow_bounds(
-        self, obs: MicroObservation
+        self, obs: MicroObservation, arrivals: Mapping[str, float]
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """(min, max) start-of-macro-step flow envelope for both directions."""
         i, h = self.key
-        est_fwd = {p.id: plan_flow(p, obs, self.net, (i, h)) for p in self.plans}
-        est_rev = {p.id: plan_flow(p, obs, self.net, (h, i)) for p in self.plans}
+        est_fwd = {p.id: plan_flow(p, obs, arrivals, self.net, (i, h)) for p in self.plans}
+        est_rev = {p.id: plan_flow(p, obs, arrivals, self.net, (h, i)) for p in self.plans}
         ng_fwd = obs.non_gating_crossings.get((i, h), 0.0)
         ng_rev = obs.non_gating_crossings.get((h, i), 0.0)
         return flow_bounds(est_fwd, ng_fwd), flow_bounds(est_rev, ng_rev)
 
-    def control_step(self, obs: MicroObservation) -> str:
+    def control_step(self, obs: MicroObservation, arrivals: Mapping[str, float]) -> str:
         """Steps 1-5 of the per-boundary control loop for one micro step."""
         i, h = self.key
         self.fwd.ng_rate = obs.non_gating_crossings.get((i, h), 0.0)
@@ -556,8 +548,8 @@ class ReferenceController:
         m_rev = expected_rate(self.rev)
         estimates = {
             p.id: (
-                plan_flow(p, obs, self.net, (i, h)),
-                plan_flow(p, obs, self.net, (h, i)),
+                plan_flow(p, obs, arrivals, self.net, (i, h)),
+                plan_flow(p, obs, arrivals, self.net, (h, i)),
             )
             for p in self.plans
         }

@@ -17,14 +17,12 @@ from oracles import ReferenceController
 FWD, REV = ("R1", "R2"), ("R2", "R1")
 
 
-def mkobs(queues=None, arrivals=None, ng=None, crossings=None, dt=10.0, step=1):
-    queues = queues or {}
+def mkobs(queues=None, ng=None, crossings=None, dt=10.0, step=1):
     return MicroObservation(
         step=step,
         time_s=step * dt,
         dt_s=dt,
-        queues=dict(queues),
-        arrivals=dict(arrivals if arrivals is not None else queues),
+        queues=dict(queues or {}),
         boundary_crossings=dict(crossings or {}),
         non_gating_crossings=dict(ng or {}),
         accumulation={},
@@ -51,7 +49,7 @@ def table_controller(monkeypatch):
         monkeypatch.setattr(
             boundaryctl,
             "plan_flow",
-            lambda plan, obs, net, d: estimates[plan.id][0 if d == FWD else 1],
+            lambda plan, obs, arrivals, net, d: estimates[plan.id][0 if d == FWD else 1],
         )
         monkeypatch.setattr(
             boundaryctl, "plan_weight", lambda plan, obs, net: weights.get(plan.id, 0.0)
@@ -59,7 +57,7 @@ def table_controller(monkeypatch):
         bc = BoundaryController(net, FWD, control)
         bc.begin_macro(*targets)
         for fwd, rev in history:
-            bc.control_step(mkobs())
+            bc.control_step(mkobs(), {})
             bc.record_realized(mkobs(crossings={FWD: fwd, REV: rev}))
         return bc
 
@@ -72,11 +70,11 @@ def inside_band(make, estimates, obs, **kwargs):
     inside = []
     for pid, est in estimates.items():
         bc = make({pid: est}, **kwargs)
-        bc.control_step(obs)
+        bc.control_step(obs, {})
         if not bc.last_decision.fallback:
             inside.append(pid)
     bc = make(estimates, **kwargs)
-    bc.control_step(obs)
+    bc.control_step(obs, {})
     assert bc.last_decision.feasible_count == len(inside)
     assert bc.last_decision.fallback == (not inside)
     return inside
@@ -85,7 +83,7 @@ def inside_band(make, estimates, obs, **kwargs):
 class TestExpectedRate:
     def expected_after(self, make, target, history):
         bc = make({"only": (0.0, 0.0)}, targets=(target, 0.0), history=history)
-        bc.control_step(mkobs())
+        bc.control_step(mkobs(), {})
         assert bc.last_decision.k == len(history) + 1
         return bc.last_decision.m_expected_fwd
 
@@ -100,7 +98,7 @@ class TestExpectedRate:
     def test_on_track_history_keeps_rate_constant(self, table_controller):
         bc = table_controller({"only": (0.0, 0.0)}, targets=(0.5, 0.0))
         for k in range(1, 11):
-            bc.control_step(mkobs())
+            bc.control_step(mkobs(), {})
             rate = bc.last_decision.m_expected_fwd
             assert bc.last_decision.k == k
             assert rate == pytest.approx(0.5)
@@ -163,58 +161,56 @@ class TestFeasiblePlans:
     def test_exact_estimates_make_every_plan_feasible(self, table_controller):
         estimates = {f"s{i}": (0.4, 0.2) for i in range(4)}
         bc = table_controller(estimates, targets=(0.4, 0.2), history=[(0.4, 0.2)] * 4)
-        assert bc.control_step(mkobs()) == "s0"
+        assert bc.control_step(mkobs(), {}) == "s0"
         assert not bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 4
 
     def test_reverse_direction_must_pass_too(self, table_controller):
         estimates = {"ok": (0.4, 0.0), "pushy": (0.4, 0.3)}
         bc = table_controller(estimates, weights={"pushy": 5.0}, targets=(0.4, 0.0))
-        assert bc.control_step(mkobs()) == "ok"
+        assert bc.control_step(mkobs(), {}) == "ok"
         assert bc.last_decision.feasible_count == 1
 
 
 class TestFlowBounds:
     def test_envelope_arithmetic(self, table_controller):
         bc = table_controller({"a": (0.2, 0.1), "b": (0.6, 0.0)})
-        fwd, rev = bc.macro_flow_bounds(mkobs(ng={FWD: 0.1, REV: 0.05}))
+        fwd, rev = bc.macro_flow_bounds(mkobs(ng={FWD: 0.1, REV: 0.05}), {})
         assert fwd == (pytest.approx(0.3), pytest.approx(0.7))
         assert rev == (pytest.approx(0.05), pytest.approx(0.15))
 
     def test_single_plan_collapses(self, table_controller):
-        (lo, hi), _ = table_controller({"only": (0.4, 0.0)}).macro_flow_bounds(mkobs())
+        (lo, hi), _ = table_controller({"only": (0.4, 0.0)}).macro_flow_bounds(mkobs(), {})
         assert lo == hi == pytest.approx(0.4)
 
     def test_all_zero_traffic(self, single_gate):
         bc = BoundaryController(single_gate.network, FWD, ControlConfig())
-        assert bc.macro_flow_bounds(mkobs()) == ((0.0, 0.0), (0.0, 0.0))
+        assert bc.macro_flow_bounds(mkobs(), {}) == ((0.0, 0.0), (0.0, 0.0))
 
 
 class TestPlanFlow:
     def test_min_rule_downstream_space_binds(self, single_gate):
         net = single_gate.network
         plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
-        obs = mkobs(queues={"A_0": 4, "B_0": 7}, arrivals={"A_0": 4.0})
+        obs = mkobs(queues={"A_0": 4, "B_0": 7})
         # min(e=4, sat 0.3*10=3 -> 3? no: min(4, 3, 10-7=3) = 3 -> 0.3
-        assert plan_flow(plan, obs, net, ("R1", "R2")) == pytest.approx(0.3)
+        assert plan_flow(plan, obs, {"A_0": 4.0}, net, ("R1", "R2")) == pytest.approx(0.3)
 
     def test_min_rule_arrivals_bind(self, single_gate):
         net = single_gate.network
         plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
-        obs = mkobs(queues={"B_0": 7}, arrivals={"A_0": 2.0})
-        assert plan_flow(plan, obs, net, ("R1", "R2")) == pytest.approx(0.2)
+        obs = mkobs(queues={"B_0": 7})
+        assert plan_flow(plan, obs, {"A_0": 2.0}, net, ("R1", "R2")) == pytest.approx(0.2)
 
     def test_plan_without_crossing_lanes_estimates_zero(self, single_gate):
         net = single_gate.network
         plan = {p.id: p for p in net.plan_set("R1", "R2")}["rev"]
-        obs = mkobs(arrivals={"A_0": 5.0})
-        assert plan_flow(plan, obs, net, ("R1", "R2")) == 0.0
+        assert plan_flow(plan, mkobs(), {"A_0": 5.0}, net, ("R1", "R2")) == 0.0
 
     def test_saturation_caps_huge_arrivals(self, single_gate):
         net = single_gate.network
         plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
-        obs = mkobs(arrivals={"A_0": 500.0})
-        assert plan_flow(plan, obs, net, ("R1", "R2")) == pytest.approx(0.3)
+        assert plan_flow(plan, mkobs(), {"A_0": 500.0}, net, ("R1", "R2")) == pytest.approx(0.3)
 
     def test_monotone_in_arrivals_and_downstream_queues(self, single_gate):
         net = single_gate.network
@@ -223,9 +219,9 @@ class TestPlanFlow:
         for _ in range(100):
             e = float(rng.uniform(0, 6))
             q = int(rng.integers(0, 10))
-            base = plan_flow(plan, mkobs(queues={"B_0": q}, arrivals={"A_0": e}), net, ("R1", "R2"))
-            more_e = plan_flow(plan, mkobs(queues={"B_0": q}, arrivals={"A_0": e + 1}), net, ("R1", "R2"))
-            more_q = plan_flow(plan, mkobs(queues={"B_0": q + 1}, arrivals={"A_0": e}), net, ("R1", "R2"))
+            base = plan_flow(plan, mkobs(queues={"B_0": q}), {"A_0": e}, net, ("R1", "R2"))
+            more_e = plan_flow(plan, mkobs(queues={"B_0": q}), {"A_0": e + 1}, net, ("R1", "R2"))
+            more_q = plan_flow(plan, mkobs(queues={"B_0": q + 1}), {"A_0": e}, net, ("R1", "R2"))
             assert more_e >= base - 1e-12
             assert more_q <= base + 1e-12
 
@@ -271,7 +267,7 @@ class TestSelectPlan:
     def test_singleton_feasible_set(self, table_controller):
         estimates = {"s0": self.OUT, "s1": self.IN, "s2": self.OUT}
         bc = table_controller(estimates, weights={"s1": -3.0, "s2": 5.0}, targets=(0.4, 0.0))
-        assert bc.control_step(mkobs()) == "s1"
+        assert bc.control_step(mkobs(), {}) == "s1"
         assert not bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 1
 
@@ -289,7 +285,7 @@ class TestSelectPlan:
                 if best is None or weights[pid] > weights[best]:
                     best = pid
             bc = table_controller(estimates, weights=weights, targets=(0.4, 0.0))
-            got = bc.control_step(mkobs())
+            got = bc.control_step(mkobs(), {})
             assert not bc.last_decision.fallback
             assert bc.last_decision.feasible_count == len(feasible)
             assert got == best
@@ -297,14 +293,14 @@ class TestSelectPlan:
     def test_tie_breaks_toward_earliest_plan(self, table_controller):
         estimates = {"s0": self.OUT, "s1": self.IN, "s2": self.IN}
         bc = table_controller(estimates, weights={"s1": 1.0, "s2": 1.0}, targets=(0.4, 0.0))
-        assert bc.control_step(mkobs()) == "s1"
+        assert bc.control_step(mkobs(), {}) == "s1"
 
     def test_empty_set_falls_back_to_least_deviating(self, table_controller):
         # summed relative deviations: s0 0 + 0.3/0.05 = 6, s1 1 + 2 = 3,
         # s2 1 + 2 = 3; s1 and s2 tie and the earlier one wins
         estimates = {"s0": (0.4, 0.3), "s1": (0.8, 0.1), "s2": (0.0, 0.1)}
         bc = table_controller(estimates, weights={"s0": 9.0, "s2": 9.0}, targets=(0.4, 0.0))
-        assert bc.control_step(mkobs()) == "s1"
+        assert bc.control_step(mkobs(), {}) == "s1"
         assert bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 0
 
@@ -316,34 +312,34 @@ class TestControlStep:
         return bc
 
     def test_three_step_hand_trace(self, single_gate):
-        # Hand-simulated: target 0.3 east, 0.0 west.
+        # Hand-simulated: target 0.3 east, 0.0 west.  Nothing is running,
+        # so the arrivals are the queues.
         bc = self.make_controller(single_gate, 0.3, 0.0)
 
         # k=1: west queue 2 makes 'both' violate the west zero-band; only
         # 'fwd' satisfies both directions.
-        obs = mkobs(queues={"A_0": 5, "Rv_0": 2})
-        assert bc.control_step(obs) == "fwd"
+        queues = {"A_0": 5, "Rv_0": 2}
+        assert bc.control_step(mkobs(queues=queues), queues) == "fwd"
         assert not bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 1
         bc.record_realized(mkobs(crossings={("R1", "R2"): 0.3, ("R2", "R1"): 0.0}))
 
         # k=2: on-track history keeps the expected rate at 0.3.
-        obs = mkobs(queues={"A_0": 4, "Rv_0": 2})
-        assert bc.control_step(obs) == "fwd"
+        queues = {"A_0": 4, "Rv_0": 2}
+        assert bc.control_step(mkobs(queues=queues), queues) == "fwd"
         assert bc.last_decision.m_expected_fwd == pytest.approx(0.3)
         bc.record_realized(mkobs(crossings={("R1", "R2"): 0.2, ("R2", "R1"): 0.0}))
 
         # k=3: expected rises to (30-5)/80 = 0.3125; west queue cleared, so
         # 'both' and 'fwd' tie on weight and the earlier plan wins.
-        obs = mkobs(queues={"A_0": 6, "B_0": 8, "Rv_0": 0})
-        assert bc.control_step(obs) == "both"
+        queues = {"A_0": 6, "B_0": 8, "Rv_0": 0}
+        assert bc.control_step(mkobs(queues=queues), queues) == "both"
         assert bc.last_decision.m_expected_fwd == pytest.approx(0.3125)
         assert bc.last_decision.feasible_count == 2
 
     def test_zero_traffic_zero_target_picks_first_plan(self, single_gate):
         bc = self.make_controller(single_gate, 0.0, 0.0)
-        obs = mkobs()
-        assert bc.control_step(obs) == "both"
+        assert bc.control_step(mkobs(), {}) == "both"
         assert not bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 4
 
@@ -351,8 +347,7 @@ class TestControlStep:
         bc = self.make_controller(single_gate, 2.0, 0.0)
         fallbacks = []
         for k in range(10):
-            obs = mkobs(queues={"A_0": 5}, arrivals={"A_0": 5.0})
-            plan = bc.control_step(obs)
+            plan = bc.control_step(mkobs(queues={"A_0": 5}), {"A_0": 5.0})
             fallbacks.append(bc.last_decision.fallback)
             if bc.last_decision.fallback:
                 assert plan == "both"  # earliest among max-flow plans
@@ -373,7 +368,7 @@ class TestTelescoping:
             bc = table_controller({"only": (0.0, 0.0)}, targets=(target, 0.0))
             realized = []
             for k in range(1, u + 1):
-                bc.control_step(mkobs())
+                bc.control_step(mkobs(), {})
                 m = bc.last_decision.m_expected_fwd
                 if m <= 0.0:
                     flow = float(rng.uniform(0.0, 0.0499))
@@ -388,15 +383,16 @@ class TestTelescoping:
 
 
 def random_obs(rng, net, ordered, step):
-    """Random queues, arrivals and non-gated crossings on every lane and
-    direction of ``net``; about one non-gated flow in three is zero."""
+    """Random queues and non-gated crossings on every lane and direction of
+    ``net``, and random arrivals on every lane; about one non-gated flow in
+    three is zero.  Returns the observation and the arrivals."""
     queues = {lid: int(rng.integers(0, lane.capacity_veh + 1)) for lid, lane in net.lanes.items()}
     arrivals = {
         lid: float(rng.uniform(0.0, 1.5 * lane.sat_flow_veh_s * 10.0))
         for lid, lane in net.lanes.items()
     }
     ng = {d: float(rng.uniform(0.0, 0.3)) * (rng.random() < 0.67) for d in ordered}
-    return mkobs(queues=queues, arrivals=arrivals, ng=ng, step=step)
+    return mkobs(queues=queues, ng=ng, step=step), arrivals
 
 
 class TestAgainstReference:
@@ -422,10 +418,10 @@ class TestAgainstReference:
         seen = {"steps": 0, "fallback": 0, "inside": 0, "nothing_expected": 0}
         step = 0
         for _ in range(macro_steps):
-            obs = random_obs(rng, net, ordered, step)
+            obs, arrivals = random_obs(rng, net, ordered, step)
             for bc, ref in pairs:
-                envelope = bc.macro_flow_bounds(obs)
-                assert envelope == ref.macro_flow_bounds(obs)
+                envelope = bc.macro_flow_bounds(obs, arrivals)
+                assert envelope == ref.macro_flow_bounds(obs, arrivals)
                 targets = []
                 for lo, hi in envelope:
                     kind = rng.integers(3)
@@ -439,11 +435,11 @@ class TestAgainstReference:
                 ref.begin_macro(*targets)
             for _ in range(u):
                 step += 1
-                obs = random_obs(rng, net, ordered, step)
+                obs, arrivals = random_obs(rng, net, ordered, step)
                 crossings = {d: float(rng.uniform(0.0, 0.6)) for d in ordered}
                 after = mkobs(crossings=crossings, step=step)
                 for bc, ref in pairs:
-                    assert bc.control_step(obs) == ref.control_step(obs)
+                    assert bc.control_step(obs, arrivals) == ref.control_step(obs, arrivals)
                     assert bc.last_decision == ref.last_decision
                     bc.record_realized(after)
                     ref.record_realized(after)

@@ -236,14 +236,14 @@ class TestArrivalsProjection:
     def test_vehicles_within_one_step_count_as_arrivals(self, single_gate):
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 2, ("A", "B"), remaining=30.0)
-        obs = sim.advance({("R1", "R2"): "none"})
+        sim.advance({("R1", "R2"): "none"})
         # after one step remaining is 20 s: not yet arriving
-        assert obs.arrivals["A_0"] == 0.0
-        obs = sim.advance({("R1", "R2"): "none"})
+        assert sim.arrivals()["A_0"] == 0.0
+        sim.advance({("R1", "R2"): "none"})
         obs = sim.advance({("R1", "R2"): "none"})
         # remaining hit 0: both queued now
         assert obs.queues["A_0"] == 2
-        assert obs.arrivals["A_0"] == 2.0
+        assert sim.arrivals()["A_0"] == 2.0
 
     def test_projection_counts_imminent_joiners(self, single_gate):
         sim = Simulator(single_gate, seed=0)
@@ -251,15 +251,15 @@ class TestArrivalsProjection:
         obs = sim.advance({("R1", "R2"): "none"})
         # remaining 5 s <= dt: projected to join next step
         assert obs.queues["A_0"] == 0
-        assert obs.arrivals["A_0"] == 3.0
+        assert sim.arrivals()["A_0"] == 3.0
 
 
     def test_a_trip_ending_on_the_approach_is_not_projected(self, single_gate):
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 2, ("A",), remaining=15.0)
         force_running(sim, 1, ("A", "B"), remaining=15.0)
-        obs = sim.advance({("R1", "R2"): "none"})
-        assert obs.arrivals["A_0"] == 1.0 == reference_arrivals(sim)["A_0"]
+        sim.advance({("R1", "R2"): "none"})
+        assert sim.arrivals()["A_0"] == 1.0 == reference_arrivals(sim)["A_0"]
 
     def test_two_lane_approach_fills_the_least_loaded_lane_with_no_capacity_check(self):
         raw = scenario_to_dict(make_single_gate())
@@ -270,20 +270,24 @@ class TestArrivalsProjection:
         sim = Simulator(scenario_from_dict(raw), seed=0)
         force_queued(sim, "A_0", 3, ("A", "B"))
         force_running(sim, 4, ("A", "B"), remaining=15.0)
-        obs = sim.advance({("R1", "R2"): "none"})
+        sim.advance({("R1", "R2"): "none"})
+        arrivals = sim.arrivals()
         # three joiners bring A_1 level with A_0, whose lower id takes the
         # fourth; A_1 is shown three although it holds one
-        assert obs.arrivals == {"A_0": 4.0, "A_1": 3.0, "Rv_0": 0.0}
-        assert obs.arrivals == {l: reference_arrivals(sim)[l] for l in obs.arrivals}
+        assert arrivals == {"A_0": 4.0, "A_1": 3.0, "Rv_0": 0.0}
+        assert arrivals == {l: reference_arrivals(sim)[l] for l in arrivals}
 
     @pytest.mark.parametrize("control", ["uncontrolled", "bp"])
     def test_gating_lanes_match_the_full_walk_on_a_loaded_grid(self, control):
+        # the run loop reads the projection after the next step's demand is
+        # injected; injection only stages vehicles outside the network, so
+        # the projection must not move
         sc = fixtures.grid6(horizon_s=1500.0)
         sim = Simulator(sc, seed=6)
         obs = sim.initial_observation()
         joiners = 0.0
+        staged = len(sim.inject_demand(sim.step_count))
         for _ in range(150):
-            sim.inject_demand(sim.step_count)
             plans = {}
             if control == "bp":
                 plans = {
@@ -291,11 +295,14 @@ class TestArrivalsProjection:
                     for key in sc.partition.boundary_keys()
                 }
             obs = sim.advance(plans)
+            arrivals = sim.arrivals()
             reference = reference_arrivals(sim)
-            assert set(obs.arrivals) == _gating_approach_lanes(sc.network)
-            assert obs.arrivals == {l: reference[l] for l in obs.arrivals}
-            joiners += sum(obs.arrivals[l] - obs.queues[l] for l in obs.arrivals)
-        assert joiners > 0
+            assert set(arrivals) == _gating_approach_lanes(sc.network)
+            assert arrivals == {l: reference[l] for l in arrivals}
+            joiners += sum(arrivals[l] - obs.queues[l] for l in arrivals)
+            staged += len(sim.inject_demand(sim.step_count))
+            assert sim.arrivals() == arrivals
+        assert joiners > 0 and staged > 0
 
     @pytest.mark.parametrize(
         "build",
@@ -314,9 +321,11 @@ class TestArrivalsProjection:
         }
         assert crossing
         sim = Simulator(sc, seed=0)
-        for obs in (sim.initial_observation(), sim.advance({})):
-            assert set(obs.arrivals) == _gating_approach_lanes(net)
-            assert crossing <= set(obs.arrivals)
+        for _ in range(2):
+            keys = set(sim.arrivals())
+            assert keys == _gating_approach_lanes(net)
+            assert crossing <= keys
+            sim.advance({})
 
 
 def _gating_approach_lanes(net) -> set[str]:

@@ -45,12 +45,12 @@ def one_region_net(n_links=2, lanes=2, length=100.0):
     return scenario_from_dict(raw).network
 
 
-def vr(vid, region, dest, routes, pinned=False):
-    return VehicleRoutes(vid=vid, region=region, dest_region=dest, routes=tuple(routes), pinned=pinned)
+def vr(vid, region, dest, routes):
+    return VehicleRoutes(vid=vid, region=region, dest_region=dest, routes=tuple(routes))
 
 
-def cr(next_region, projected, links=("L0",), is_current=True):
-    return CandidateRoute(links=tuple(links), next_region=next_region, projected_link=projected, is_current=is_current)
+def cr(next_region, projected, links=("L0",)):
+    return CandidateRoute(links=tuple(links), next_region=next_region, projected_link=projected)
 
 
 def objective_of(out):
@@ -66,11 +66,10 @@ class TestGenerateRoutes:
         views = sim.vehicle_views()
         alternatives = generate_routes(views, single_gate.network, sim.travel_time_estimates())
         assert len(views) == 1
-        # one link from the destination: pinned with the current route only
+        # one link from the destination: the current route only
         assert alternatives == {}
         [routes] = annotate_routes(views, alternatives, single_gate.network, 10.0)
-        assert routes.pinned
-        assert routes.routes[0].links == ("A", "B")
+        assert [r.links for r in routes.routes] == [("A", "B")]
 
     def test_congestion_reveals_the_detour(self):
         sc = fixtures.corridor2()
@@ -84,11 +83,11 @@ class TestGenerateRoutes:
         assert alternatives == {target.id: ("src1", "f_app_ng", "f_exit_ng", "snk2")}
         [routes] = annotate_routes([target], alternatives, sc.network, 10.0)
         assert len(routes.routes) == 2
-        alternative = routes.routes[1]
+        current, alternative = routes.routes
         assert alternative.links == ("src1", "f_app_ng", "f_exit_ng", "snk2")
-        assert not alternative.is_current
+        assert current.links == target.route != alternative.links
 
-    def test_current_route_first_and_flagged(self):
+    def test_current_route_first_and_only_there(self):
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
@@ -97,8 +96,8 @@ class TestGenerateRoutes:
         alternatives = generate_routes(views, sc.network, sim.travel_time_estimates())
         assert all(alternatives[v.id] != v.route for v in views if v.id in alternatives)
         routes = annotate_routes(views, alternatives, sc.network, 10.0)
-        assert routes and all(r.routes[0].is_current for r in routes)
-        assert [r.routes[0].links for r in routes] == [v.route for v in views]
+        assert routes and [r.routes[0].links for r in routes] == [v.route for v in views]
+        assert all(r.links != v.route for vr, v in zip(routes, views) for r in vr.routes[1:])
 
     def test_queued_vehicle_is_offered_only_moves_its_lane_serves(self, turn_lanes):
         # X is congested, so the shortest route from A turns to Y.  A_0 feeds
@@ -118,7 +117,6 @@ class TestGenerateRoutes:
             ("A", "Y", "Yd", "D"),
         ]
         assert [r.links for r in routes[queued].routes] == [("A", "X", "Xd", "D")]
-        assert routes[queued].pinned
 
     def test_rerouting_keeps_the_injected_route_on_an_exact_tie(self):
         # a -> b1 -> c1 -> d and a -> b2 -> c0 -> d cost the same; a is long
@@ -160,7 +158,6 @@ class TestGenerateRoutes:
         assert alternatives == {}
         for vr in annotate_routes(views, alternatives, sc.network, 10.0):
             assert [r.links for r in vr.routes] == [route]
-            assert vr.pinned
 
     def test_candidates_match_a_per_vehicle_oracle_on_a_loaded_grid(self):
         sc = fixtures.grid6()
@@ -175,8 +172,11 @@ class TestGenerateRoutes:
         annotated = annotate_routes(views, alternatives, sc.network, sc.control.t_micro_s)
         assert [ar.vid for ar in annotated] == [v.id for v in views]
         for v, ar, (candidates, pinned) in zip(views, annotated, expected):
-            assert [(r.links, r.is_current) for r in ar.routes] == [c[:2] for c in candidates]
-            assert ar.pinned == pinned
+            assert [r.links for r in ar.routes] == [c[0] for c in candidates]
+            # the current route comes first and only there; a pinned
+            # vehicle has no other
+            assert [c[1] for c in candidates] == [k == 0 for k in range(len(ar.routes))]
+            assert (len(ar.routes) == 1) == pinned
             assert [(r.next_region, r.projected_link) for r in ar.routes] == [
                 c[2:] for c in candidates
             ]
@@ -208,7 +208,7 @@ class TestGenerateRoutes:
 
     def test_candidate_next_regions_grouping(self):
         routes = [
-            vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0", is_current=False)]),
+            vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")]),
             vr(2, "R1", "R9", [cr("R2", "L0")]),
             vr(3, "R1", "R1", [cr("R1", "L0")]),  # intra: not an OD
         ]
@@ -300,8 +300,8 @@ class TestSolveProbabilities:
     def test_two_vehicle_fixture_matches_grid_oracle(self):
         net = one_region_net(n_links=2, lanes=1, length=100.0)
         routes = [
-            vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1", is_current=False)]),
-            vr(2, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1", is_current=False)]),
+            vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1")]),
+            vr(2, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1")]),
         ]
         targets = {("R1", "R2", "R9"): 0.8, ("R1", "R3", "R9"): 0.2}
         beta = 10.0
@@ -335,8 +335,8 @@ class TestSolveProbabilities:
             targets = {("R1", "R2", "R9"): t2, ("R1", "R3", "R9"): 1 - t2}
             proj = [rng.choice(["L0", "L1", "L2"]) for _ in range(4)]
             routes = [
-                vr(1, "R1", "R9", [cr("R2", proj[0]), cr("R3", proj[1], is_current=False)]),
-                vr(2, "R1", "R9", [cr("R2", proj[2]), cr("R3", proj[3], is_current=False)]),
+                vr(1, "R1", "R9", [cr("R2", proj[0]), cr("R3", proj[1])]),
+                vr(2, "R1", "R9", [cr("R2", proj[2]), cr("R3", proj[3])]),
             ]
             beta = float(rng.uniform(1, 20))
             acc = float(rng.uniform(0, 6))
@@ -360,7 +360,7 @@ class TestSolveProbabilities:
         rng = np.random.default_rng(5)
         net = one_region_net(n_links=2, lanes=1)
         routes = [
-            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1", is_current=False)])
+            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L1")])
             for k in range(20)
         ]
         targets = {("R1", "R2", "R9"): 0.37, ("R1", "R3", "R9"): 0.63}
@@ -380,7 +380,7 @@ class TestSolveProbabilities:
                     "R9",
                     [
                         cr("R2", str(rng.choice(["L0", "L1", "L2"]))),
-                        cr("R3", str(rng.choice(["L0", "L1", "L2"])), is_current=False),
+                        cr("R3", str(rng.choice(["L0", "L1", "L2"]))),
                     ],
                 )
                 for k in range(int(rng.integers(1, 8)))
@@ -401,7 +401,7 @@ class TestSolveProbabilities:
     def test_high_beta_attains_feasible_targets(self):
         net = one_region_net(n_links=2, lanes=1)
         routes = [
-            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0", is_current=False)])
+            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")])
             for k in range(10)
         ]
         targets = {("R1", "R2", "R9"): 0.7, ("R1", "R3", "R9"): 0.3}
@@ -414,8 +414,8 @@ class TestSolveProbabilities:
         routes = [
             vr(1, "R1", "R9", [
                 cr("R2", "L0"),
-                cr("R3", "L1", is_current=False),
-                cr("R2", "L2", is_current=False),
+                cr("R3", "L1"),
+                cr("R2", "L2"),
             ])
         ]
         with pytest.raises(ValueError, match="3 candidate routes"):
@@ -436,7 +436,7 @@ class TestSolveProbabilities:
         ]
         pinned = [(100, "R9", [("R2", "L0")]), (101, "R8", [("R3", "L1")])]
         routes = [
-            vr(k, "R1", dest, [cr(h, link, is_current=(n == 0)) for n, (h, link) in enumerate(cands)])
+            vr(k, "R1", dest, [cr(h, link) for h, link in cands])
             for k, dest, cands in spec + pinned
         ]
         targets = {("R1", "R2", "R9"): 0.35, ("R1", "R3", "R9"): 0.65,
@@ -480,7 +480,7 @@ class TestSolveProbabilities:
 
 class TestAssignRoutes:
     def test_certain_probability_always_picks_first(self):
-        routes = [vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0", is_current=False)])]
+        routes = [vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")])]
         rng = np.random.default_rng(0)
         for _ in range(20):
             chosen = assign_routes(routes, {1: np.array([1.0, 0.0])}, rng)
@@ -489,7 +489,7 @@ class TestAssignRoutes:
     def test_sampling_marginals_match_probabilities(self):
         routes = [
             vr(1, "R1", "R9", [cr("R2", "L0", links=("L0",)),
-                               cr("R3", "L1", links=("L0", "L1"), is_current=False)])
+                               cr("R3", "L1", links=("L0", "L1"))])
         ]
         rng = np.random.default_rng(123)
         firsts = 0
@@ -502,7 +502,7 @@ class TestAssignRoutes:
 
     def test_fixed_seed_reproduces_assignment(self):
         routes = [
-            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0", is_current=False)])
+            vr(k, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")])
             for k in range(30)
         ]
         probs = {k: np.array([0.3, 0.7]) for k in range(30)}

@@ -229,6 +229,68 @@ def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
     assert seen["steps"] >= 60 and seen["drawn"] > 0 and seen["rerouted"] > 0
 
 
+def _count_arrivals(monkeypatch) -> list[float]:
+    """Wrap ``Simulator.arrivals``; the list gets the simulator time of every
+    call."""
+    calls = []
+    arrivals = mesosim.Simulator.arrivals
+
+    def counted(self):
+        calls.append(self.time_s)
+        return arrivals(self)
+
+    monkeypatch.setattr(mesosim.Simulator, "arrivals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["bp", "bp-lr"])
+def test_untracked_strategies_never_project_arrivals(monkeypatch, strategy):
+    calls = _count_arrivals(monkeypatch)
+    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy, seed=0, cap_s=600.0))
+    assert m.first_activation_s is not None
+    assert calls == []
+
+
+def test_calibration_never_projects_arrivals(monkeypatch):
+    calls = _count_arrivals(monkeypatch)
+    runner.calibrate(fixtures.grid6(), levels=(0.25, 0.5))
+    assert calls == []
+
+
+@pytest.mark.parametrize("strategy", ["msjc", "mspc", "mspc-lr"])
+def test_tracked_strategies_project_arrivals_once_per_active_step(
+    monkeypatch, tmp_path, strategy
+):
+    # one projection per active micro step (plans) and one more at the start
+    # of each active macro step (the flow envelopes); none while warming up
+    # or in an inactive macro step, and none after a step's new routes are
+    # set (the projection reads the routes)
+    calls = _count_arrivals(monkeypatch)
+    routed = []
+    set_route = mesosim.Simulator.set_route
+
+    def recorded(self, vid, route):
+        routed.append((self.time_s, len(calls)))
+        return set_route(self, vid, route)
+
+    monkeypatch.setattr(mesosim.Simulator, "set_route", recorded)
+    scenario = fixtures.grid6()
+    m = runner.run(scenario, runner.RunConfig(strategy, seed=0, cap_s=1900.0, out_dir=tmp_path))
+    with open(tmp_path / "flows.csv", newline="") as fh:
+        active = {r["t_index"]: r["active"] for r in csv.DictReader(fh)}
+    assert "0" in active.values() and m.first_activation_s == scenario.demand.warmup_s
+    # every boundary decides in every active micro step; count one of them
+    one = "|".join(scenario.partition.boundary_keys()[0])
+    rows = [r for r in _boundary_rows(tmp_path) if r["boundary"] == one]
+    micro = Counter(float(r["time_s"]) for r in rows)
+    macro = Counter(float(r["time_s"]) for r in rows if r["k"] == "1")
+    assert len(macro) == list(active.values()).count("1")
+    assert Counter(calls) == micro + macro
+    assert min(calls) == scenario.demand.warmup_s
+    assert bool(routed) == (strategy != "mspc")
+    assert all(t not in calls[n:] for t, n in routed)
+
+
 def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
     advance = mesosim.Simulator.advance
 
