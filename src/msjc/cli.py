@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``make-scenario``, ``calibrate``, ``run``, ``compare``,
-``report``.  Set MSJC_LOG=debug|info|warning to control verbosity.
+Subcommands: ``make-scenario`` (writes a bundled scenario's document from
+``fixtures``), ``calibrate``, ``run``, ``compare``, ``report``.  A scenario
+that fails to load or an MFD that cannot be fitted ends in one error line on
+stderr and exit status 2.  Set MSJC_LOG=debug|info|warning to control
+verbosity.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import logging
 import os
 import sys
 from pathlib import Path
+
+import yaml
 
 from . import fixtures, mfd as mfdmod, netmodel, runner
 
@@ -38,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("make-scenario", help="write a bundled synthetic scenario")
     p.add_argument("name", choices=sorted(fixtures.BUILTIN))
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--without-mfd", action="store_true", help="omit the calibrated MFD block")
+    p.add_argument("--without-mfd", action="store_true", help="omit the MFD block")
 
     p = sub.add_parser("calibrate", help="fit per-region MFDs from a demand sweep")
     _add_scenario_arg(p)
@@ -68,15 +73,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _execute(args)
-    except netmodel.ScenarioError as exc:
+    except (netmodel.ScenarioError, mfdmod.MfdFitError) as exc:
         print("msjc: error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 
 
 def _execute(args: argparse.Namespace) -> int:
     if args.command == "make-scenario":
-        scenario = fixtures.BUILTIN[args.name](with_mfd=not args.without_mfd)
-        netmodel.save_scenario(scenario, args.out)
+        document = fixtures.BUILTIN[args.name](with_mfd=not args.without_mfd)
+        with open(args.out, "w") as fh:
+            yaml.safe_dump(document, fh, sort_keys=False)
         print(f"wrote {args.out}")
         return 0
 

@@ -1,5 +1,10 @@
 """Bundled synthetic scenarios.
 
+Each scenario is written as a scenario document (the format that
+``netmodel`` reads): ``corridor2_document`` and ``grid6_document`` build it,
+and ``corridor2`` and ``grid6`` load it.  ``BUILTIN`` maps each name to its
+document builder; ``msjc make-scenario`` writes that document out.
+
 ``corridor2``: two regions joined by one gating and one non-gating
 intersection, with opposing through demand.  Small enough for oracle tests.
 
@@ -44,6 +49,19 @@ def corridor2(
     west_rate: float = 0.2,
     with_mfd: bool = True,
 ) -> Scenario:
+    return scenario_from_dict(corridor2_document(horizon_s, east_rate, west_rate, with_mfd))
+
+
+def grid6(horizon_s: float = 1500.0, with_mfd: bool = True) -> Scenario:
+    return scenario_from_dict(grid6_document(horizon_s, with_mfd))
+
+
+def corridor2_document(
+    horizon_s: float = 1500.0,
+    east_rate: float = 0.35,
+    west_rate: float = 0.2,
+    with_mfd: bool = True,
+) -> dict:
     links = {
         "src1": _link("s1", "a", "R1", length=300, cap=30),
         "f_app": _link("a", "g", "R1"),
@@ -107,11 +125,11 @@ def corridor2(
         "control": {},
     }
     if with_mfd:
-        raw["mfd"] = CORRIDOR2_MFD
-    return scenario_from_dict(raw, name="corridor2")
+        raw["mfd"] = {r: dict(p) for r, p in CORRIDOR2_MFD.items()}
+    return raw
 
 
-def grid6(horizon_s: float = 1500.0, with_mfd: bool = True) -> Scenario:
+def grid6_document(horizon_s: float = 1500.0, with_mfd: bool = True) -> dict:
     regions = {r: {"neighbors": sorted(n)} for r, n in GRID6_ADJACENCY.items()}
     links: dict[str, dict] = {}
     lanes: dict[str, dict] = {}
@@ -191,8 +209,8 @@ def grid6(horizon_s: float = 1500.0, with_mfd: bool = True) -> Scenario:
         "control": {},
     }
     if with_mfd:
-        raw["mfd"] = GRID6_MFD
-    return scenario_from_dict(raw, name="grid6")
+        raw["mfd"] = {r: dict(p) for r, p in GRID6_MFD.items()}
+    return raw
 
 
 def _link(
@@ -217,4 +235,4 @@ def _link(
     }
 
 
-BUILTIN = {"corridor2": corridor2, "grid6": grid6}
+BUILTIN = {"corridor2": corridor2_document, "grid6": grid6_document}

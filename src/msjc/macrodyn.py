@@ -22,7 +22,6 @@ class CompletionModel(Protocol):
 
 @dataclass
 class MacroState:
-    t: int
     n: dict[tuple[str, str], float]  # (region, destination region) -> veh
     q: dict[tuple[str, str], float]  # fresh demand per macro step, veh
     t_macro_s: float

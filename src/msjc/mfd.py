@@ -18,7 +18,8 @@ from .netmodel import MfdParams, ScenarioError, mfd_from_dict, mfd_to_dict, read
 
 
 class MfdFitError(ValueError):
-    """Raised when sample data cannot support a cubic fit."""
+    """Raised when a calibration cannot sample, or its samples cannot support,
+    a cubic fit."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ def fit(samples: list[MfdSample]) -> MfdModel:
     by_region: dict[str, list[MfdSample]] = {}
     for s in samples:
         by_region.setdefault(s.region, []).append(s)
+    if not by_region:
+        raise MfdFitError("no samples to fit")
 
     params: dict[str, MfdParams] = {}
     for region in sorted(by_region):

@@ -12,6 +12,11 @@ and key.  Plan ids are unique within a boundary.  ``null`` means
 mapping.  All rates are veh/s, lengths meters, times seconds.  Identifiers
 are strings.
 
+The key tables below (``_SCENARIO`` to ``_MFD_REGION``) are the one
+description of the format; ``fixtures`` builds the bundled documents in it.
+Phases and boundaries are read only to check the network and resolve each
+plan to its green lanes, so the network keeps just each intersection's kind.
+
 Everything loaded here is immutable after validation and safe to share
 across threads.
 """
@@ -49,10 +54,8 @@ class Lane:
 @dataclass(frozen=True)
 class Link:
     id: str
-    from_node: str
     to_node: str
     length_m: float
-    lane_count: int
     region: str
     lanes: tuple[str, ...]
     free_speed_mps: float = 10.0
@@ -63,24 +66,8 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Phase:
-    id: str
-    allowed_lanes: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Intersection:
-    id: str
-    kind: str
-    phases: tuple[Phase, ...] = ()
-    boundary: tuple[str, str] | None = None
-
-
-@dataclass(frozen=True)
 class MultiPhasePlan:
     id: str
-    boundary: tuple[str, str]
-    phase_by_intersection: tuple[tuple[str, str], ...]  # (intersection, phase)
     green: frozenset[str]  # union of the lanes its phases serve
 
 
@@ -151,12 +138,12 @@ class Network:
         self,
         links: Mapping[str, Link],
         lanes: Mapping[str, Lane],
-        intersections: Mapping[str, Intersection],
+        node_kind: Mapping[str, str],
         plans: Mapping[tuple[str, str], tuple[MultiPhasePlan, ...]],
     ):
         self.links = dict(sorted(links.items()))
         self.lanes = dict(sorted(lanes.items()))
-        self.intersections = dict(sorted(intersections.items()))
+        self.node_kind = dict(sorted(node_kind.items()))  # intersection -> kind
         self.plans = {k: tuple(v) for k, v in sorted(plans.items())}
 
         # Link successors via lane wiring (prunes movements the lanes forbid),
@@ -198,8 +185,7 @@ class Network:
             travel_time_terms.append((free_s, link.lanes, service))
             self.region_of[link.id] = link.region
             self.free_flow_s[link.id] = free_s
-            node = self.intersections.get(link.to_node)
-            kind = node.kind if node is not None else None
+            kind = self.node_kind.get(link.to_node)
             service_order.append((link.id, link.region, kind, link.lanes))
             if kind == GATING:
                 gating_approaches.append((link.id, link.lanes))
@@ -257,7 +243,7 @@ class MfdParams:
     n_max_fit: float | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     name: str
     network: Network
@@ -265,11 +251,6 @@ class Scenario:
     demand: DemandScenario
     control: ControlConfig
     mfd: dict[str, MfdParams] | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return scenario_to_dict(self) == scenario_to_dict(other)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +439,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"{ctx}: unknown region '{spec['region']}'")
         lane_ids = tuple(f"{link_id}_{i}" for i in range(spec["lanes"]))
         links[link_id] = Link(
-            link_id, spec["from"], spec["to"], spec["length_m"], spec["lanes"], spec["region"],
-            lane_ids, spec["free_speed_mps"]
+            link_id, spec["to"], spec["length_m"], spec["region"], lane_ids, spec["free_speed_mps"]
         )
         out_links.setdefault(spec["from"], []).append(link_id)
 
@@ -489,7 +469,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
             if out not in lanes:
                 raise ScenarioError(f"lane {lane.id}: output lane '{out}' does not exist")
             out_link = links[lanes[out].link]
-            if out_link.from_node != link.to_node:
+            if link_specs[out_link.id]["from"] != link.to_node:
                 raise ScenarioError(
                     f"lane {lane.id}: output lane {out} is on link {out_link.id} "
                     f"which does not start at node {link.to_node}"
@@ -500,7 +480,9 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 "has outgoing links (only sink lanes may have none)"
             )
 
-    intersections: dict[str, Intersection] = {}
+    node_kind: dict[str, str] = {}
+    node_boundary: dict[str, tuple[str, ...]] = {}
+    node_phases: dict[str, dict[str, frozenset[str]]] = {}
     gating_nodes: dict[tuple[str, str], list[str]] = {}
     inter_raw = top["intersections"]
     for node_id in _ids(inter_raw, "scenario", "intersections"):
@@ -512,12 +494,12 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         if kind != INTERIOR:
             if boundary is None:
                 raise ScenarioError(f"{ctx}: {kind} intersections require a boundary")
-            boundary = _names(boundary, ctx, "boundary")
+            boundary = node_boundary[node_id] = _names(boundary, ctx, "boundary")
             if len(boundary) != 2 or any(b not in adjacency for b in boundary):
                 raise ScenarioError(f"{ctx}: boundary must name two known regions")
             if boundary[1] not in adjacency[boundary[0]]:
                 raise ScenarioError(f"{ctx}: regions {' and '.join(boundary)} are not adjacent")
-        phases = []
+        phases = node_phases[node_id] = {}
         for pid in _ids(spec["phases"], ctx, "phases"):
             lane_ids = _names(spec["phases"][pid], ctx, f"phase {pid}")
             for lid in lane_ids:
@@ -525,12 +507,12 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                     raise ScenarioError(f"{ctx} phase {pid}: unknown lane '{lid}'")
                 if links[lanes[lid].link].to_node != node_id:
                     raise ScenarioError(f"{ctx} phase {pid}: lane {lid} does not approach this node")
-            phases.append(Phase(pid, frozenset(lane_ids)))
+            phases[pid] = frozenset(lane_ids)
         if kind == GATING:
             if len(phases) < 2:
                 raise ScenarioError(f"{ctx}: gating intersections need >= 2 phases")
             gating_nodes.setdefault(boundary_key(*boundary), []).append(node_id)
-        intersections[node_id] = Intersection(node_id, kind, tuple(phases), boundary)
+        node_kind[node_id] = kind
 
     # Every cross-region link transition must happen at a declared boundary
     # intersection for that boundary, so crossings can be attributed exactly.
@@ -539,17 +521,17 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
             for out in lanes[lane_id].output_lanes:
                 nxt = links[lanes[out].link]
                 if nxt.region != link.region:
-                    node = intersections.get(link.to_node)
+                    boundary = node_boundary.get(link.to_node)
                     key = boundary_key(link.region, nxt.region)
-                    if node is None or node.boundary is None:
+                    if boundary is None:
                         raise ScenarioError(
                             f"links {link.id}->{nxt.id} cross {key} at node "
                             f"{link.to_node} which is not a boundary intersection"
                         )
-                    if boundary_key(*node.boundary) != key:
+                    if boundary_key(*boundary) != key:
                         raise ScenarioError(
                             f"node {link.to_node} is declared for boundary "
-                            f"{node.boundary} but carries a {key} movement"
+                            f"{boundary} but carries a {key} movement"
                         )
 
     plans: dict[tuple[str, str], list[MultiPhasePlan]] = {}
@@ -571,17 +553,15 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                 )
             if any(p.id == spec["id"] for p in plans.get(key, ())):
                 raise ScenarioError(f"boundary {key}: duplicate plan id '{spec['id']}'")
-            chosen, green = [], frozenset()
+            green = frozenset()
             for node_id in nodes:
                 phase_id = _value(str, phase_map[node_id], ctx, "phases")
-                phase = next((p for p in intersections[node_id].phases if p.id == phase_id), None)
-                if phase is None:
+                if phase_id not in node_phases[node_id]:
                     raise ScenarioError(
                         f"{ctx}: phases: intersection {node_id} has no phase '{phase_id}'"
                     )
-                chosen.append((node_id, phase_id))
-                green |= phase.allowed_lanes
-            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], key, tuple(chosen), green))
+                green |= node_phases[node_id][phase_id]
+            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], green))
 
     for key in partition.boundary_keys():
         if not gating_nodes.get(key):
@@ -616,7 +596,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     if abs(control.t_macro_s - control.steps_per_macro * control.t_micro_s) > 1e-9:
         raise ScenarioError("control: t_macro_s must be a multiple of t_micro_s")
 
-    network = Network(links, lanes, intersections, plans)
+    network = Network(links, lanes, node_kind, plans)
     # Reachability: every OD pair must admit at least one route.
     for flow in demand.od:
         if _route_exists(network, flow.origin, flow.destination) is False:
@@ -680,82 +660,6 @@ def _route_exists(net: Network, origin: str, destination: str) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return False
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    net = sc.network
-    links = {}
-    lanes = {}
-    for link in net.links.values():
-        first = net.lanes[link.lanes[0]]
-        links[link.id] = {
-            "from": link.from_node,
-            "to": link.to_node,
-            "region": link.region,
-            "length_m": float(link.length_m),
-            "lanes": link.lane_count,
-            "free_speed_mps": float(link.free_speed_mps),
-            "sat_flow_veh_s": float(first.sat_flow_veh_s),
-            "capacity_veh": int(first.capacity_veh),
-        }
-        for lid in link.lanes:
-            lane = net.lanes[lid]
-            lanes[lid] = {
-                "output_lanes": list(lane.output_lanes),
-                "sat_flow_veh_s": float(lane.sat_flow_veh_s),
-                "capacity_veh": int(lane.capacity_veh),
-            }
-    intersections = {}
-    for node in net.intersections.values():
-        spec: dict = {"kind": node.kind}
-        if node.boundary is not None:
-            spec["boundary"] = list(node.boundary)
-        if node.phases:
-            spec["phases"] = {p.id: sorted(p.allowed_lanes) for p in node.phases}
-        intersections[node.id] = spec
-    plans = {
-        f"{key[0]}|{key[1]}": [
-            {"id": p.id, "phases": dict(p.phase_by_intersection)}
-            for p in plan_list
-        ]
-        for key, plan_list in net.plans.items()
-    }
-    demand = {
-        "horizon_s": float(sc.demand.horizon_s),
-        "warmup_s": float(sc.demand.warmup_s),
-        "seed": int(sc.demand.seed),
-        "od": [
-            {
-                "origin": f.origin,
-                "destination": f.destination,
-                "profile": [[float(a), float(b)] for a, b in f.profile],
-            }
-            for f in sc.demand.od
-        ],
-    }
-    control = {f.name: float(getattr(sc.control, f.name)) for f in fields(ControlConfig)}
-    out = {
-        "meta": {"name": sc.name},
-        "regions": {r: {"neighbors": list(sc.partition.adjacency[r])} for r in sc.partition.regions},
-        "links": links,
-        "lanes": lanes,
-        "intersections": intersections,
-        "plans": plans,
-        "demand": demand,
-        "control": control,
-    }
-    if sc.mfd is not None:
-        out["mfd"] = mfd_to_dict(sc.mfd)
-    return out
-
-
-def save_scenario(sc: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def solve_probabilities(
     key_row = {key: k for k, key in enumerate(keys)}
     region_links = sorted(l.id for l in net.links.values() if l.region == region)
     link_row = {l: len(keys) + k for k, l in enumerate(region_links)}
-    area = {l: net.links[l].lane_count * net.links[l].length_m for l in region_links}
+    area = {l: len(net.links[l].lanes) * net.links[l].length_m for l in region_links}
     d_bar = accumulation / sum(area.values())
 
     def column(vr: VehicleRoutes, r: CandidateRoute) -> np.ndarray:

@@ -27,7 +27,7 @@ from .boundaryctl import BoundaryController, BoundaryDecision
 from .jointctl import ControlBounds, ControlSolution
 from .macrodyn import MacroState
 from .mesosim import MicroObservation, Simulator
-from .mfd import MfdModel, MfdSample
+from .mfd import MfdFitError, MfdModel, MfdSample
 from .netmodel import Scenario, boundary_key
 
 logger = logging.getLogger(__name__)
@@ -355,14 +355,13 @@ def make_strategy(
 
 
 def _build_macro_state(
-    scenario: Scenario, od_counts: Mapping[tuple[str, str], int], t_index: int, q: Mapping
+    scenario: Scenario, od_counts: Mapping[tuple[str, str], int], q: Mapping
 ) -> MacroState:
     n = {}
     for i in scenario.partition.regions:
         for j in scenario.partition.regions:
             n[(i, j)] = float(od_counts.get((i, j), 0))
     return MacroState(
-        t=t_index,
         n=n,
         q=dict(q),
         t_macro_s=scenario.control.t_macro_s,
@@ -587,7 +586,7 @@ def run(
         cleared_at: float | None = None
 
         while True:
-            state = _build_macro_state(scenario, sim.od_counts(), t_index, prev_admitted)
+            state = _build_macro_state(scenario, sim.od_counts(), prev_admitted)
             active = any(
                 state.accumulation(r) > control.activation_threshold * model.critical(r)
                 for r in scenario.partition.regions
@@ -680,12 +679,18 @@ def calibrate(
     window_s: float = 120.0,
 ) -> MfdModel:
     """Uncontrolled demand sweep; samples accumulation and completion flow
-    per aggregation window and fits the per-region cubics."""
+    per aggregation window and fits the per-region cubics.  Raises
+    MfdFitError for a demand level <= 0, for a window that is not a positive
+    whole number of micro steps, and when the samples cannot be fitted."""
+    if not all(level > 0 for level in levels):
+        raise MfdFitError(f"calibration levels must be > 0, got {list(levels)}")
     if len(levels) < 2:
         logger.warning("calibration with %d demand level(s): narrow accumulation range", len(levels))
     control = scenario.control
     dt = control.t_micro_s
-    window_steps = int(round(window_s / dt))
+    window_steps = int(round(window_s / dt)) if math.isfinite(window_s) else 0
+    if window_steps < 1 or abs(window_s - window_steps * dt) > 1e-9:
+        raise MfdFitError(f"calibration window {window_s} s must be a positive multiple of {dt} s")
     cap_s = control.cap_factor * scenario.demand.horizon_s
     regions = scenario.partition.regions
     samples: list[MfdSample] = []

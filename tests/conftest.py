@@ -65,9 +65,13 @@ def make_single_gate(
     sat_flow: float = 0.3,
     downstream_cap: int = 10,
 ) -> Scenario:
+    return scenario_from_dict(single_gate_document(sat_flow, downstream_cap), name="single_gate")
+
+
+def single_gate_document(sat_flow: float = 0.3, downstream_cap: int = 10) -> dict:
     """One gating approach A (R1) crossing into B (R2), plus a reverse
     approach Rv (R2) into Rr (R1).  Four plans: both / fwd / rev / none."""
-    raw = {
+    return {
         "regions": {"R1": {"neighbors": ["R2"]}, "R2": {"neighbors": ["R1"]}},
         "links": {
             "A": _l("nA", "g", "R1", sat=sat_flow),
@@ -110,7 +114,6 @@ def make_single_gate(
         },
         "control": {},
     }
-    return scenario_from_dict(raw, name="single_gate")
 
 
 def make_two_gate(sat_flow: float = 0.3) -> Scenario:

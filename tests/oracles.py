@@ -243,9 +243,8 @@ def step(
                 value = 0.0
             new_n[(i, j)] = value
     if clamped:
-        logger.warning("macro step %d clamped %d negative stocks", state.t, clamped)
+        logger.warning("macro step clamped %d negative stocks", clamped)
     return MacroState(
-        t=state.t + 1,
         n=new_n,
         q={},
         t_macro_s=state.t_macro_s,
@@ -611,7 +610,7 @@ def density_fields(
         l.id for l in net.links.values() if l.region == region
     )
     area = {
-        l: net.links[l].lane_count * net.links[l].length_m for l in region_links
+        l: len(net.links[l].lanes) * net.links[l].length_m for l in region_links
     }
     mass = {l: 0.0 for l in region_links}
     for vr in routes:

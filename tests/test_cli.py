@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -73,11 +78,31 @@ def test_rejected_scenario_setting_is_one_line_and_exit_2(where, key, value, tmp
 
 @pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
 @pytest.mark.parametrize("with_mfd", [True, False])
-def test_made_scenario_loads_as_the_fixture(name, with_mfd, tmp_path):
+def test_made_scenario_is_the_fixture_document(name, with_mfd, tmp_path):
     path = tmp_path / f"{name}.yaml"
     flags = [] if with_mfd else ["--without-mfd"]
     assert cli.main(["make-scenario", name, "-o", str(path)] + flags) == 0
-    assert netmodel.load_scenario(path) == fixtures.BUILTIN[name](with_mfd=with_mfd)
+    assert yaml.safe_load(path.read_text()) == fixtures.BUILTIN[name](with_mfd=with_mfd)
+    loaded = netmodel.load_scenario(path)
+    fixture = getattr(fixtures, name)(with_mfd=with_mfd)
+    assert vars(loaded.network) == vars(fixture.network)
+    for part in ("partition", "demand", "control", "mfd", "name"):
+        assert getattr(loaded, part) == getattr(fixture, part)
+    assert (loaded.mfd is None) == (not with_mfd)
+
+
+def test_package_entry_point_writes_a_loadable_scenario(tmp_path):
+    path = tmp_path / "grid6.yaml"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "msjc", "make-scenario", "grid6", "-o", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert netmodel.load_scenario(path).name == "grid6"
 
 
 def _corridor2(tmp_path, capsys):
@@ -170,3 +195,22 @@ def test_calibrate_writes_an_mfd_file_that_reloads(tmp_path, capsys):
     assert cli.main(["calibrate", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 7  # "wrote", then one line per region
     assert_grid6_calibrated(mfd.load_mfd(out, ("R1", "R2", "R3", "R4", "R5", "R6")))
+
+
+# corridor2 has 10 s micro steps.  A window under one step never closes, and
+# one off the step grid would divide whole steps of flow by the wrong time.
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--window", "5"], "window 5.0 s"),
+        (["--window", "125"], "window 125.0 s"),
+        (["--levels", "-1"], "levels must be > 0"),
+        (["--levels", "0.0001"], "rank-deficient"),  # raised by the fit
+    ],
+)
+def test_calibration_that_cannot_fit_is_one_line_and_exit_2(flags, needle, tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    out = tmp_path / "mfd.yaml"
+    assert cli.main(["calibrate", "--scenario", str(scenario), "--out", str(out)] + flags) == 2
+    _one_error_line(capsys, needle)
+    assert not out.exists()

@@ -13,7 +13,7 @@ ADJ3 = {"R1": ("R2", "R3"), "R2": ("R1", "R3"), "R3": ("R1", "R2")}
 
 def two_region_state(n, q=None):
     return MacroState(
-        t=0, n=dict(n), q=dict(q or {}), t_macro_s=100.0,
+        n=dict(n), q=dict(q or {}), t_macro_s=100.0,
         regions=("R1", "R2"), adjacency=ADJ2,
     )
 
@@ -71,7 +71,6 @@ def three_region_instance(rng):
     regions = ("R1", "R2", "R3")
     pairs = [(i, j) for i in regions for j in regions]
     state = MacroState(
-        t=0,
         n={od: float(rng.uniform(5, 300)) for od in pairs},
         q={od: float(rng.uniform(0, 30)) for od in pairs},
         t_macro_s=100.0,
@@ -307,7 +306,6 @@ class TestSolve:
 
     def test_inactive_od_reports_uniform_split(self):
         state = MacroState(
-            t=0,
             n={("R1", "R3"): 0.0, ("R1", "R1"): 50.0, ("R2", "R2"): 10.0},
             q={},
             t_macro_s=100.0,

@@ -34,7 +34,6 @@ REGION1 = (4.46e-3, -1.57e-6, 1.44e-10)
 
 def two_region_state(n, q=None, t_macro=100.0):
     return MacroState(
-        t=0,
         n=dict(n),
         q=dict(q or {}),
         t_macro_s=t_macro,
@@ -86,7 +85,6 @@ class TestTransfers:
     def test_arithmetic_anchor(self):
         # released 40 veh, b = 0.5, c = 0.25 -> 5 veh, 0.05 veh/s at T = 100
         state = MacroState(
-            t=0,
             n={("R1", "R2"): 80.0},
             q={},
             t_macro_s=100.0,
@@ -106,7 +104,6 @@ class TestTransfers:
 
     def test_boundary_flow_sums_over_destinations(self):
         state = MacroState(
-            t=0,
             n={("R1", "R2"): 100.0, ("R1", "R3"): 100.0},
             q={},
             t_macro_s=100.0,
@@ -140,7 +137,6 @@ class TestStep:
         state = two_region_state({})
         nxt = step(state, StubMfd({"R1": 0.5, "R2": 0.5}), {}, {}, {})
         assert all(v == 0.0 for v in nxt.n.values())
-        assert nxt.t == 1
 
     def test_two_region_transfer_arithmetic(self):
         # Sender releases 10 veh toward its destination region; they leave
@@ -168,7 +164,7 @@ class TestStep:
                 for j in regions
             }
             q = {(i, j): float(rng.uniform(0, 20)) for i in regions for j in regions}
-            state = MacroState(0, n, q, 100.0, regions, adjacency)
+            state = MacroState(n, q, 100.0, regions, adjacency)
             frac = {r: float(rng.uniform(0.05, 0.9)) for r in regions}
             mfd = StubMfd(frac)
             b = {(i, h): float(rng.uniform(0, 1)) for i in regions for h in adjacency[i]}
@@ -191,7 +187,6 @@ class TestStep:
 
     def test_product_rescaling_leaves_step_unchanged(self):
         state = MacroState(
-            t=0,
             n={("R1", "R3"): 120.0},
             q={},
             t_macro_s=100.0,

@@ -4,8 +4,8 @@ import pytest
 from msjc import fixtures, routectl
 from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
-from msjc.netmodel import GATING, scenario_from_dict, scenario_to_dict
-from conftest import make_single_gate, make_two_gate
+from msjc.netmodel import GATING, scenario_from_dict
+from conftest import make_single_gate, make_two_gate, single_gate_document
 from oracles import reference_arrivals, reference_vehicle_views
 
 
@@ -262,7 +262,7 @@ class TestArrivalsProjection:
         assert sim.arrivals()["A_0"] == 1.0 == reference_arrivals(sim)["A_0"]
 
     def test_two_lane_approach_fills_the_least_loaded_lane_with_no_capacity_check(self):
-        raw = scenario_to_dict(make_single_gate())
+        raw = single_gate_document()
         raw["links"]["A"]["lanes"] = 2
         raw["lanes"]["A_1"] = {**raw["lanes"]["A_0"], "capacity_veh": 1}
         for phase in ("p_both", "p_fwd"):
@@ -331,8 +331,7 @@ class TestArrivalsProjection:
 def _gating_approach_lanes(net) -> set[str]:
     lanes = set()
     for link in net.links.values():
-        node = net.intersections.get(link.to_node)
-        if node is not None and node.kind == GATING:
+        if net.node_kind.get(link.to_node) == GATING:
             lanes.update(link.lanes)
     return lanes
 

@@ -60,6 +60,10 @@ class TestFit:
         with pytest.raises(MfdFitError, match="rank-deficient"):
             fit(samples)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(MfdFitError, match="no samples"):
+            fit([])
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(MfdFitError, match=">= 10"):
             fit(_samples(5e-3, -1e-6, -1e-10, np.linspace(100, 500, 5)))

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from msjc import fixtures, mesosim, runner
+from msjc.mfd import MfdFitError
 
 from oracles import reference_logit_routes
 
@@ -165,6 +167,25 @@ def test_golden_corridor2_boundary_decisions(strategy, tmp_path):
 
 def test_golden_grid6_calibration():
     assert_grid6_calibrated(runner.calibrate(fixtures.grid6(), seed=0))
+
+
+# corridor2 has 10 s micro steps: a window must be a positive whole number
+# of them, so that every sample closes and divides its own length.
+@pytest.mark.parametrize("window_s", [5.0, 0.0, -10.0, 125.0, math.nan, math.inf])
+def test_calibration_window_off_the_micro_step_grid_rejected(window_s):
+    with pytest.raises(MfdFitError, match=f"calibration window {window_s} s must be"):
+        runner.calibrate(fixtures.corridor2(), window_s=window_s)
+
+
+@pytest.mark.parametrize("levels", [(-1.0,), (0.5, 0.0), (math.nan, 1.0)])
+def test_calibration_level_not_above_zero_rejected(levels):
+    with pytest.raises(MfdFitError, match="calibration levels must be > 0"):
+        runner.calibrate(fixtures.corridor2(), levels=levels)
+
+
+def test_calibration_window_of_whole_micro_steps_fits_every_region():
+    model = runner.calibrate(fixtures.corridor2(), window_s=240.0)
+    assert model.regions() == ("R1", "R2")
 
 
 @pytest.mark.parametrize("strategy", ["msjc", "bp"])
