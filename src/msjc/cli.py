@@ -3,14 +3,16 @@
 Subcommands: ``make-scenario`` (writes a bundled scenario's document from
 ``fixtures``), ``calibrate``, ``run``, ``compare``, ``report``.  A scenario
 that fails to load or an MFD that cannot be fitted ends in one error line on
-stderr and exit status 2.  Set MSJC_LOG=debug|info|warning to control
-verbosity.
+stderr and exit status 2, as does a negative seed, a non-positive count,
+demand scale or cap, or an unknown strategy (argparse's usage error).  Set
+MSJC_LOG=debug|info|warning to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,6 +25,21 @@ from . import fixtures, mfd as mfdmod, netmodel, runner
 def _add_scenario_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario YAML path")
     p.add_argument("--mfd", default=None, help="calibrated MFD YAML (overrides the scenario's block)")
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert``, then reject a value failing ``ok``."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, "must be >= 0")
+_COUNT = _checked(int, lambda v: v >= 1, "must be >= 1")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
 
 
 def _load(args) -> tuple[netmodel.Scenario, mfdmod.MfdModel | None]:
@@ -49,22 +66,22 @@ def main(argv: list[str] | None = None) -> int:
     _add_scenario_arg(p)
     p.add_argument("--out", required=True, help="output MFD YAML")
     p.add_argument("--levels", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 1.25])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--window", type=float, default=120.0)
 
     p = sub.add_parser("run", help="one closed-loop run")
     _add_scenario_arg(p)
     p.add_argument("--strategy", required=True, choices=runner.STRATEGIES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--demand-scale", type=float, default=1.0)
-    p.add_argument("--cap", type=float, default=None, help="hard stop (seconds)")
+    p.add_argument("--demand-scale", type=_POSITIVE, default=1.0)
+    p.add_argument("--cap", type=_POSITIVE, default=None, help="hard stop (seconds)")
 
     p = sub.add_parser("compare", help="run several strategies x seeds and summarize")
     _add_scenario_arg(p)
-    p.add_argument("--strategies", nargs="+", default=list(runner.STRATEGIES))
-    p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--reps", type=int, default=1, help="replications per strategy")
+    p.add_argument("--strategies", nargs="+", choices=runner.STRATEGIES, default=list(runner.STRATEGIES))
+    p.add_argument("--seed", type=_SEED, default=0, help="first seed")
+    p.add_argument("--reps", type=_COUNT, default=1, help="replications per strategy")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="re-summarize a comparison directory")

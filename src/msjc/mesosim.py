@@ -16,7 +16,9 @@ injection and rerouting in one step extend the same search and get the
 same route from the same start link.
 
 A new vehicle waits in its origin's entry queue until the origin link has
-storage; ``Simulator.vehicles`` holds exactly the vehicles in the network.
+storage; ``Simulator.vehicles``, the only per-vehicle record, holds exactly
+the vehicles in the network, and ``queue_heads`` the queued ones the next
+step may discharge.
 Every route is drivable: each link is followed by one of its successors,
 and a queued vehicle's next link is one its lane serves (``set_route``
 rejects any other route).
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,20 +58,6 @@ class _Vehicle:
         return self.route[0]
 
 
-class VehicleView(NamedTuple):
-    """Read-only per-vehicle snapshot built by ``Simulator.vehicle_views``;
-    ``lane`` and ``queue_index`` are None unless the vehicle is queued."""
-
-    id: int
-    link: str
-    region: str
-    lane: str | None
-    queue_index: int | None
-    route: tuple[str, ...]
-    destination: str
-    dest_region: str
-
-
 @dataclass(frozen=True)
 class MicroObservation:
     """State snapshot after one micro step plus the flows realized during it.
@@ -77,8 +65,9 @@ class MicroObservation:
     ``queues`` is the end-of-step queue of every lane (a decision input for
     the next step).  ``boundary_crossings`` are the exact counts of link
     transitions across each ordered region boundary during the step, in
-    veh/s.  ``Simulator.vehicle_views()``, ``od_counts()`` and ``arrivals()``
-    build per-vehicle state and the projected arrivals on demand.
+    veh/s.  ``Simulator.od_counts()``, ``queue_heads()`` and ``arrivals()``
+    build the OD counts, the next step's queue heads and the projected
+    arrivals on demand.
     """
 
     step: int
@@ -159,10 +148,10 @@ class Simulator:
         ``destination`` (``netmodel.shortest_paths_to``)."""
         return shortest_paths_to(travel_times, destination, origins)
 
-    def inject_demand(self, step: int) -> list[int]:
-        """Draw Poisson arrivals for micro step ``step`` and stage them in the
+    def inject_demand(self) -> list[int]:
+        """Draw the current step's Poisson arrivals and stage them in the
         entry queues.  Returns the new vehicle ids."""
-        t = step * self.dt
+        t = self.step_count * self.dt
         arriving = []
         for flow in self.scenario.demand.od:
             rate = flow.rate_at(t) * self.demand_scale
@@ -414,21 +403,8 @@ class Simulator:
             (region_of[v.route[0]], v.dest_region) for v in self.vehicles.values()
         )
 
-    def vehicle_views(self) -> tuple[VehicleView, ...]:
-        """Snapshot of every vehicle in the network, by id."""
-        queue_index = {
-            vid: k for queue in self._queues.values() for k, vid in enumerate(queue)
-        }
-        region_of = self.net.region_of
-        vehicles = self.vehicles
-        views = []
-        for vid in sorted(vehicles):
-            v = vehicles[vid]
-            link = v.route[0]
-            views.append(
-                VehicleView(
-                    vid, link, region_of[link], v.lane, queue_index.get(vid),
-                    v.route, v.destination, v.dest_region,
-                )
-            )
-        return tuple(views)
+    def queue_heads(self) -> set[int]:
+        """Queued vehicles the next step may discharge: the first
+        floor(sat_flow * dt) of each lane's queue, the budget ``advance`` serves."""
+        budget = self._budget
+        return {vid for lane, queue in self._queues.items() for vid in queue[: budget[lane]]}

@@ -100,7 +100,8 @@ def fit(samples: list[MfdSample]) -> MfdModel:
     """Least-squares cubic through the origin, per region.
 
     Requires at least 10 samples per region spanning a nonzero accumulation
-    range; the critical accumulation is located on [0, 1.2 * max N].
+    range, and a fitted flow positive on (0, 1.2 * max N], the range on which
+    the critical accumulation is located.
     """
     by_region: dict[str, list[MfdSample]] = {}
     for s in samples:
@@ -130,6 +131,10 @@ def fit(samples: list[MfdSample]) -> MfdModel:
             raise MfdFitError(f"region {region}: rank-deficient sample set")
         b1, b2, b3 = coef[0] / scale, coef[1] / scale**2, coef[2] / scale**3
         hi = 1.2 * float(n.max())
+        # G(N) / N = b1 + b2 N + b3 N^2 > 0 on (0, hi]: check both ends and the vertex
+        ends = [0.0, hi] + ([-b2 / (2 * b3)] if b3 > 0 and 0 < -b2 / (2 * b3) < hi else [])
+        if min(b1 + (b2 + b3 * m) * m for m in ends) <= 0:
+            raise MfdFitError(f"region {region}: fitted flow is not positive on (0, {hi:.1f}] veh")
         n_crit = critical_accumulation(float(b1), float(b2), float(b3), hi)
         params[region] = MfdParams(float(b1), float(b2), float(b3), n_crit, hi)
     return MfdModel(params)

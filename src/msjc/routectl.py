@@ -10,8 +10,11 @@ injection started in the same step, so rerouting only extends it.  Every
 vehicle with the same start link and destination gets one route, the one a
 vehicle injected there in the same step got.  Logit rerouting reads only
 that map.  msjc's programs also need each candidate's upcoming region and the
-link the vehicle is projected to sit on at the end of the step;
-``annotate_routes`` builds the candidate set with that hyper-path annotation.
+link the vehicle is projected to sit on at the end of the step: the route's
+next link for a vehicle the step may discharge (``Simulator.queue_heads``),
+its current link otherwise.  ``annotate_routes`` builds the candidate set
+with that hyper-path annotation.  Both functions read the simulator's own
+vehicle records, ``Simulator.vehicles``.
 The per-region program picks route probabilities on each vehicle's simplex
 so that the realized next-region proportions match the hyper-path split
 targets while the predicted end-of-step link densities stay close to the
@@ -29,7 +32,6 @@ from typing import Collection, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .mesosim import VehicleView
 from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 
 
@@ -62,9 +64,8 @@ def generate_routes(
     travel_times: TravelTimes,
 ) -> dict[int, tuple[str, ...]]:
     """Vehicle id -> shortest route, for each vehicle whose shortest route
-    differs from its current one.  ``vehicles`` holds records with ``id``,
-    ``route`` (``route[0]`` is the current link), ``destination`` and
-    ``lane``: ``VehicleView``s or ``Simulator.vehicles.values()``.
+    differs from its current one.  ``vehicles`` holds ``Simulator.vehicles``
+    records (``route[0]`` is the current link).
 
     One call per destination to ``shortest_paths_to`` on ``travel_times``
     gives one shortest route per start link and destination.  Vehicles on
@@ -91,42 +92,29 @@ def generate_routes(
 
 
 def annotate_routes(
-    vehicles: Sequence[VehicleView],
+    vehicles: Sequence,
     alternatives: Mapping[int, tuple[str, ...]],
     net: Network,
-    dt_s: float,
+    heads: Collection[int],
 ) -> list[VehicleRoutes]:
-    """The candidate set of each of ``vehicles``, in order: the current route
-    first, then the vehicle's entry in ``alternatives`` (see
-    ``generate_routes``) if it has one.  Each candidate carries its upcoming
-    region and projected end-of-step link: the inputs of
-    ``candidate_next_regions`` and ``solve_probabilities``."""
+    """The candidate set of each of ``vehicles`` (``Simulator.vehicles``
+    records), in order: the current route first, then its entry in
+    ``alternatives`` (``generate_routes``) if any.  Each candidate carries its
+    upcoming region and projected end-of-step link: ``route[1]`` for a vehicle
+    in ``heads`` (``Simulator.queue_heads()``), else ``route[0]``; None outside
+    the vehicle's region (ignored in densities)."""
+    region_of = net.region_of
     out: list[VehicleRoutes] = []
     for v in vehicles:
+        region = region_of[v.route[0]]
+        k = 1 if v.id in heads else 0
         links = (v.route, alternatives[v.id]) if v.id in alternatives else (v.route,)
         routes = tuple(
-            CandidateRoute(r, next_region(r, net), _projected_link(v, r, net, dt_s))
+            CandidateRoute(r, next_region(r, net), r[k] if region_of[r[k]] == region else None)
             for r in links
         )
-        out.append(VehicleRoutes(v.id, v.region, v.dest_region, routes))
+        out.append(VehicleRoutes(v.id, region, v.dest_region, routes))
     return out
-
-
-def _projected_link(
-    v: VehicleView, route: tuple[str, ...], net: Network, dt_s: float
-) -> str | None:
-    """Link where the vehicle is expected to sit at the end of the step:
-    queued vehicles within this step's service budget advance to the route's
-    next link, everyone else stays put.  Links outside the vehicle's current
-    region are reported as None (ignored in densities)."""
-    link = v.link
-    if v.lane is not None:
-        budget = net.lanes[v.lane].sat_flow_veh_s * dt_s
-        if (v.queue_index or 0) < budget:
-            link = route[1]
-    if net.region_of[link] != v.region:
-        return None
-    return link
 
 
 def candidate_next_regions(

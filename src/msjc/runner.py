@@ -175,9 +175,11 @@ class MsjcStrategy(_TrackedStrategy):
         self._route_set: list[routectl.VehicleRoutes] | None = None
 
     def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
-        views = self.sim.vehicle_views()
-        alternatives = routectl.generate_routes(views, self.net, self.sim.travel_time_estimates())
-        return routectl.annotate_routes(views, alternatives, self.net, self.scenario.control.t_micro_s)
+        sim = self.sim
+        # id order fixes the solve's columns and the routing draws
+        vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
+        alternatives = routectl.generate_routes(vehicles, self.net, sim.travel_time_estimates())
+        return routectl.annotate_routes(vehicles, alternatives, self.net, sim.queue_heads())
 
     def begin_macro(self, ctx: MacroContext) -> None:
         self.active = ctx.active
@@ -357,15 +359,12 @@ def make_strategy(
 def _build_macro_state(
     scenario: Scenario, od_counts: Mapping[tuple[str, str], int], q: Mapping
 ) -> MacroState:
-    n = {}
-    for i in scenario.partition.regions:
-        for j in scenario.partition.regions:
-            n[(i, j)] = float(od_counts.get((i, j), 0))
+    regions = scenario.partition.regions
     return MacroState(
-        n=n,
+        n={(i, j): float(od_counts.get((i, j), 0)) for i in regions for j in regions},
         q=dict(q),
         t_macro_s=scenario.control.t_macro_s,
-        regions=scenario.partition.regions,
+        regions=regions,
         adjacency=scenario.partition.adjacency,
     )
 
@@ -576,7 +575,7 @@ def run(
 
         warmup_steps = int(round(warmup_s / dt))
         for _ in range(warmup_steps):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             obs = sim.advance({})
             after_step(obs)
 
@@ -607,7 +606,7 @@ def run(
             window_admitted: dict[tuple[str, str], float] = {}
             window_crossed: dict[tuple[str, str], float] = {}
             for _ in range(u):
-                sim.inject_demand(sim.step_count)
+                sim.inject_demand()
                 plans = strategy.plans(obs)
                 assignments = strategy.routes(obs)
                 if assignments:
@@ -700,7 +699,7 @@ def calibrate(
         flow = {r: 0.0 for r in regions}
         steps_in_window = 0
         while True:
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             obs = sim.advance({})
             for r in regions:
                 acc_sum[r] += obs.accumulation[r]
@@ -745,9 +744,7 @@ def compare(
     runs = []
     for strategy in strategies:
         for seed in seeds:
-            sub = None
-            if out_dir is not None:
-                sub = Path(out_dir) / f"{strategy}_seed{seed}"
+            sub = None if out_dir is None else Path(out_dir) / f"{strategy}_seed{seed}"
             cfg = RunConfig(strategy=strategy, seed=seed, out_dir=sub)
             logger.info("running %s seed %d", strategy, seed)
             runs.append(run(scenario, cfg, model=model))
@@ -840,18 +837,9 @@ def report(runs: list[RunMetrics], out_dir: str | Path) -> list[SummaryRow]:
         w = csv.writer(fh)
         w.writerow(["strategy", "time_s", "mean_throughput_cum", "std_throughput_cum"])
         for strategy in sorted(by_strategy):
-            ms = by_strategy[strategy]
-            length = max(len(m.throughput_series) for m in ms)
-            times = max(
-                (m.throughput_series for m in ms), key=len
-            )
-            for idx in range(length):
-                vals = []
-                for m in ms:
-                    series = m.throughput_series
-                    vals.append(series[min(idx, len(series) - 1)][1])
-                arr = np.array(vals, dtype=float)
-                w.writerow(
-                    [strategy, _fmt(times[idx][0]), _fmt(arr.mean()), _fmt(arr.std())]
-                )
+            series = [m.throughput_series for m in by_strategy[strategy]]
+            # a run that cleared early holds its final count
+            for idx, (time_s, _) in enumerate(max(series, key=len)):
+                arr = np.array([s[min(idx, len(s) - 1)][1] for s in series], dtype=float)
+                w.writerow([strategy, _fmt(time_s), _fmt(arr.mean()), _fmt(arr.std())])
     return rows

@@ -7,18 +7,18 @@ targets through the transfer bookkeeping below (``transfers``), which the
 solvers do not call.  ``per_vehicle_candidates`` rebuilds the candidate
 sets of ``routectl.annotate_routes`` over ``routectl.generate_routes``'
 alternatives with nothing shared across vehicles, one search and route per
-vehicle.  ``reference_logit_routes`` is logit rerouting as first written:
-one candidate set per vehicle view, then one draw per unpinned vehicle in
-id order.  ``forward_shortest_route`` is the reference shortest-path
+vehicle, and its own queue-position rule for the projected link.
+``reference_logit_routes`` is logit rerouting as first written: one
+candidate set per vehicle record, then one draw per unpinned vehicle in id
+order.  ``forward_shortest_route`` is the reference shortest-path
 search: a forward label-setting search from the origin, sharing no code with
 ``netmodel.shortest_paths_to``.  ``ReferenceController`` is the boundary
 plan rule as three separate steps (expected rate, feasible set, selection)
 over ``boundaryctl``'s flow and pressure estimates, the reference for the
 controller's single ranking.  ``density_fields`` recomputes the expected
 end-of-step link densities that the route-choice solve fits.
-``reference_arrivals`` and ``reference_vehicle_views`` are the simulator's
-arrivals projection and vehicle snapshot as first written: a projection over
-every running vehicle of every link, and one keyword-built view per vehicle.
+``reference_arrivals`` is the simulator's arrivals projection as first
+written: a projection over every running vehicle of every link.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from msjc import routectl
 from msjc.baselines import logit_choice, route_travel_time
 from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
-from msjc.mesosim import MicroObservation, Simulator, VehicleView
+from msjc.mesosim import MicroObservation, Simulator
 from msjc.netmodel import Network, TravelTimes, boundary_key, next_region, shortest_paths_to
 from msjc.routectl import VehicleRoutes
 
@@ -261,52 +260,62 @@ def targets(solution, state: MacroState, mfd: CompletionModel) -> dict[BKey, flo
 
 
 def per_vehicle_candidates(
-    vehicles: Sequence[VehicleView],
-    net: Network,
-    travel_times: Mapping[str, float],
-    dt_s: float,
+    sim: Simulator, vehicles: Sequence, travel_times: Mapping[str, float]
 ) -> list[tuple[list[tuple], bool]]:
-    """Candidate routes of each vehicle with nothing shared between vehicles:
-    a fresh search, on a fresh copy of the travel times, and route per
-    vehicle; a queued vehicle gets the shortest route only if its lane feeds
-    that route's next link.  Per vehicle, returns
+    """Candidate routes of each of ``vehicles`` (``sim.vehicles`` records)
+    with nothing shared between vehicles: a fresh search, on a fresh copy of
+    the travel times, and route per vehicle; a queued vehicle gets the
+    shortest route only if its lane feeds that route's next link.  A queued
+    vehicle is projected onto its route's next link when it clears the stop
+    line within the step at its lane's saturation headway, its current link
+    otherwise, and to None outside its region.  Per vehicle, returns
     ([(links, is_current, next_region, projected_link), ...], pinned).
     ``routectl.annotate_routes`` builds the vehicle's candidates as
     (links, next_region, projected_link), with the current route first and
     one candidate exactly when the vehicle is pinned; in
     ``routectl.generate_routes``' map a vehicle has an entry, its second
     candidate's links, exactly when it is not pinned."""
+    net = sim.net
     out = []
     for v in vehicles:
+        link = v.route[0]
+        moves = False
+        if v.lane is not None:
+            position = sim._queues[v.lane].index(v.id)
+            headway_s = 1.0 / net.lanes[v.lane].sat_flow_veh_s
+            moves = (position + 1) * headway_s <= sim.dt + 1e-6
         candidates = [v.route]
         if len(v.route) > 2:
             fresh = TravelTimes(net, [travel_times[l] for l in net.link_ids])
-            best = shortest_paths_to(fresh, v.destination, (v.link,))[v.link]
+            best = shortest_paths_to(fresh, v.destination, (link,))[link]
             feeds = v.lane is None or any(
                 net.lanes[out].link == best[1] for out in net.lanes[v.lane].output_lanes
             )
             if best != v.route and feeds:
                 candidates.append(best)
-        annotated = [
-            (r, r == v.route, next_region(r, net), routectl._projected_link(v, r, net, dt_s))
-            for r in candidates
-        ]
+        region = net.links[link].region
+        annotated = []
+        for r in candidates:
+            projected = r[1] if moves else r[0]
+            if net.links[projected].region != region:
+                projected = None
+            annotated.append((r, r == v.route, next_region(r, net), projected))
         out.append((annotated, len(candidates) == 1))
     return out
 
 
 def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     """Logit rerouting of a ``-lr`` strategy as first written: every vehicle
-    view gets its candidate set (its current route, then its fresh-search
+    record gets its candidate set (its current route, then its fresh-search
     shortest route when that differs and its lane serves it), the sets are
     sorted by id, and each unpinned vehicle draws once from
     ``sim.routing_rng``."""
     sim: Simulator = strategy.sim
     tt = sim.travel_time_estimates()
-    views = [v for v in sim.vehicle_views() if len(v.route) > 2]
-    candidates = per_vehicle_candidates(views, sim.net, tt, sim.dt)
+    records = [v for v in sim.vehicles.values() if len(v.route) > 2]
+    candidates = per_vehicle_candidates(sim, records, tt)
     assignments: dict[int, tuple[str, ...]] = {}
-    for v, (cands, pinned) in sorted(zip(views, candidates), key=lambda vc: vc[0].id):
+    for v, (cands, pinned) in sorted(zip(records, candidates), key=lambda vc: vc[0].id):
         if pinned:
             continue
         times = [route_travel_time(links, tt) for links, *_ in cands]
@@ -346,7 +355,7 @@ def forward_shortest_route(
 
 
 # ---------------------------------------------------------------------------
-# Simulator arrivals projection and vehicle snapshot, walking every vehicle
+# Simulator arrivals projection, walking every vehicle
 
 
 def reference_arrivals(sim: Simulator) -> dict[str, float]:
@@ -366,24 +375,6 @@ def reference_arrivals(sim: Simulator) -> dict[str, float]:
             loads[lane] += 1
             arrivals[lane] += 1.0
     return arrivals
-
-
-def reference_vehicle_views(sim: Simulator) -> tuple[VehicleView, ...]:
-    """One keyword-built view per vehicle in the network, by id."""
-    queue_index = {vid: k for queue in sim._queues.values() for k, vid in enumerate(queue)}
-    return tuple(
-        VehicleView(
-            id=vid,
-            link=v.current,
-            region=sim.net.links[v.current].region,
-            lane=v.lane,
-            queue_index=queue_index.get(vid),
-            route=v.route,
-            destination=v.destination,
-            dest_region=v.dest_region,
-        )
-        for vid, v in sorted(sim.vehicles.items())
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,7 @@ def test_calibrate_writes_an_mfd_file_that_reloads(tmp_path, capsys):
         (["--window", "125"], "window 125.0 s"),
         (["--levels", "-1"], "levels must be > 0"),
         (["--levels", "0.0001"], "rank-deficient"),  # raised by the fit
+        (["--levels", "0.01"], "region R2: fitted flow is not positive"),
     ],
 )
 def test_calibration_that_cannot_fit_is_one_line_and_exit_2(flags, needle, tmp_path, capsys):
@@ -213,4 +214,32 @@ def test_calibration_that_cannot_fit_is_one_line_and_exit_2(flags, needle, tmp_p
     out = tmp_path / "mfd.yaml"
     assert cli.main(["calibrate", "--scenario", str(scenario), "--out", str(out)] + flags) == 2
     _one_error_line(capsys, needle)
+    assert not out.exists()
+
+
+# Each of these once ended in a traceback (numpy's negative seed, a NaN
+# demand scale, an unknown strategy) or in a run that did nothing useful
+# (an empty network, no replication, one macro step reported truncated).
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["run", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["compare", "--seed", "-2"], "argument --seed: must be >= 0, got -2"),
+        (["calibrate", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["run", "--demand-scale", "nan"], "argument --demand-scale: must be finite and > 0"),
+        (["run", "--demand-scale", "-1"], "argument --demand-scale: must be finite and > 0"),
+        (["compare", "--strategies", "foo"], "argument --strategies: invalid choice: 'foo'"),
+        (["compare", "--reps", "0"], "argument --reps: must be >= 1, got 0"),
+        (["run", "--cap", "-5"], "argument --cap: must be finite and > 0, got -5"),
+    ],
+)
+def test_out_of_range_input_is_a_usage_error(argv, needle, tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    out = tmp_path / "out"
+    strategy = ["--strategy", "bp"] if argv[0] == "run" else []
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--scenario", str(scenario), "--out", str(out)] + strategy)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert needle in err.splitlines()[-1] and "Traceback" not in err
     assert not out.exists()

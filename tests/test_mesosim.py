@@ -6,7 +6,7 @@ from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
 from msjc.netmodel import GATING, scenario_from_dict
 from conftest import make_single_gate, make_two_gate, single_gate_document
-from oracles import reference_arrivals, reference_vehicle_views
+from oracles import reference_arrivals
 
 
 def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
@@ -42,13 +42,13 @@ class TestInjectDemand:
     def test_zero_rate_creates_nothing(self):
         sc = fixtures.corridor2(east_rate=0.0, west_rate=0.0)
         sim = Simulator(sc, seed=1)
-        assert sim.inject_demand(0) == []
+        assert sim.inject_demand() == []
 
     def test_poisson_mean_within_three_sigma(self):
         sc = fixtures.corridor2(horizon_s=200000.0, east_rate=0.2, west_rate=0.0)
         sim = Simulator(sc, seed=2)
         steps = 10000
-        total = sum(len(sim.inject_demand(k)) for k in range(steps))
+        total = sum(len(sim.inject_demand()) for _ in range(steps))
         mean = total / steps
         sigma = np.sqrt(2.0 / steps)
         assert abs(mean - 2.0) <= 3.0 * sigma
@@ -57,15 +57,25 @@ class TestInjectDemand:
         sc = fixtures.corridor2()
         a = Simulator(sc, seed=9)
         b = Simulator(sc, seed=9)
-        trace_a = [tuple(a.inject_demand(k)) for k in range(50)]
-        trace_b = [tuple(b.inject_demand(k)) for k in range(50)]
+        trace_a = [tuple(a.inject_demand()) for _ in range(50)]
+        trace_b = [tuple(b.inject_demand()) for _ in range(50)]
         assert trace_a == trace_b
+
+    def test_draws_for_the_current_step(self):
+        # no demand from the 310 s horizon on: steps 0-30 draw, 31-39 do not
+        sc = fixtures.corridor2(horizon_s=310.0, east_rate=0.5, west_rate=0.5)
+        sim = Simulator(sc, seed=4)
+        drawn = []
+        for _ in range(40):
+            drawn.append(len(sim.inject_demand()))
+            sim.advance({})
+        assert all(drawn[:31]) and not any(drawn[31:])
 
     def test_new_vehicles_get_shortest_route(self):
         sc = fixtures.corridor2(east_rate=0.5, west_rate=0.0)
         sim = Simulator(sc, seed=3)
-        for k in range(10):
-            sim.inject_demand(k)
+        for _ in range(10):
+            sim.inject_demand()
         v = sim._entry["src1"][0]
         assert v.route[0] == "src1"
         assert v.route[-1] == "snk2"
@@ -160,7 +170,7 @@ class TestAdvance:
         sim = Simulator(sc, seed=5)
         prev_queues = sim.initial_observation().queues
         for k in range(120):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             obs = sim.advance({})
             for lane_id, lane in sc.network.lanes.items():
                 assert obs.queues[lane_id] <= lane.capacity_veh
@@ -170,7 +180,7 @@ class TestAdvance:
         sc = fixtures.grid6(horizon_s=400.0)
         sim = Simulator(sc, seed=6)
         for k in range(100):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             obs = sim.advance({})
             assert (
                 sim.created_total
@@ -183,7 +193,7 @@ class TestAdvance:
         rng = np.random.default_rng(0)
         plan_ids = [p.id for p in sc.network.plan_set("R1", "R2")]
         for k in range(80):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             before = {
                 vid: sc.network.region_of[v.current]
                 for vid, v in sim.vehicles.items()
@@ -207,7 +217,7 @@ class TestAdvance:
             sim = Simulator(sc, seed=11)
             rows = []
             for k in range(60):
-                sim.inject_demand(sim.step_count)
+                sim.inject_demand()
                 obs = sim.advance({})
                 rows.append(
                     (
@@ -286,7 +296,7 @@ class TestArrivalsProjection:
         sim = Simulator(sc, seed=6)
         obs = sim.initial_observation()
         joiners = 0.0
-        staged = len(sim.inject_demand(sim.step_count))
+        staged = len(sim.inject_demand())
         for _ in range(150):
             plans = {}
             if control == "bp":
@@ -300,7 +310,7 @@ class TestArrivalsProjection:
             assert set(arrivals) == _gating_approach_lanes(sc.network)
             assert arrivals == {l: reference[l] for l in arrivals}
             joiners += sum(arrivals[l] - obs.queues[l] for l in arrivals)
-            staged += len(sim.inject_demand(sim.step_count))
+            staged += len(sim.inject_demand())
             assert sim.arrivals() == arrivals
         assert joiners > 0 and staged > 0
 
@@ -336,49 +346,52 @@ def _gating_approach_lanes(net) -> set[str]:
     return lanes
 
 
-class TestVehicleViews:
+class TestVehicleRecords:
     def test_staged_vehicles_are_left_out(self):
         sc = fixtures.corridor2(east_rate=0.5, west_rate=0.5)
         sim = Simulator(sc, seed=3)
-        staged = set(sim.inject_demand(0))
-        assert staged and sim.vehicle_views() == ()
+        staged = set(sim.inject_demand())
+        assert staged and sim.vehicles == {}
         sim.advance({})
-        admitted = {v.id for v in sim.vehicle_views()}
+        admitted = set(sim.vehicles)
         assert admitted == staged - {v.id for queue in sim._entry.values() for v in queue}
-        later = set(sim.inject_demand(sim.step_count))
-        assert later and not later & {v.id for v in sim.vehicle_views()}
+        later = set(sim.inject_demand())
+        assert later and not later & set(sim.vehicles)
 
-    def test_queue_index_is_the_position_in_the_lane(self, single_gate):
+    def test_queue_heads_are_the_first_budget_of_each_lane(self, single_gate):
         sim = Simulator(single_gate, seed=0)
-        force_queued(sim, "A_0", 8, ("A", "B"))
-        views = sim.vehicle_views()
-        assert [v.lane for v in views] == ["A_0"] * 8
-        assert [v.queue_index for v in views] == list(range(8))
+        queued = force_queued(sim, "A_0", 8, ("A", "B"))
+        force_running(sim, 2, ("A", "B"), remaining=100.0)
+        assert sim.queue_heads() == set(queued[:3])  # a budget of 3 per step
         sim.advance({("R1", "R2"): "fwd"})  # serves the first 3
-        assert [v.queue_index for v in sim.vehicle_views() if v.lane is not None] == list(range(5))
+        assert sim.queue_heads() == set(queued[3:6])
 
-    def test_views_agree_with_the_observation_counts(self):
+    def test_queue_heads_hold_every_vehicle_a_step_discharges(self):
+        sc = fixtures.grid6(horizon_s=1500.0)
+        sim = Simulator(sc, seed=6)
+        discharged = held = 0
+        for _ in range(150):
+            sim.inject_demand()
+            heads = sim.queue_heads()
+            queued = {vid: v.current for vid, v in sim.vehicles.items() if v.lane is not None}
+            assert heads <= queued.keys()
+            sim.advance({})  # fixed-cycle plans: the queues build up
+            moved = {vid for vid, link in queued.items() if sim.vehicles[vid].current != link}
+            assert moved <= heads
+            discharged += len(moved)
+            held += len(heads - moved)
+        # the grid is loaded: heads are discharged, and some are held back
+        # by red lights or full downstream links
+        assert discharged > 0 and held > 0
+
+    def test_records_agree_with_the_observation_counts(self):
         sc = fixtures.grid6(horizon_s=400.0)
         sim = Simulator(sc, seed=6)
         for _ in range(60):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             obs = sim.advance({})
-            views = sim.vehicle_views()
-            assert len(views) == obs.in_network == sum(sim.od_counts().values())
-            assert [v.id for v in views] == sorted(v.id for v in views)
-
-    def test_views_equal_the_keyword_built_reference(self):
-        sc = fixtures.grid6(horizon_s=1500.0)
-        sim = Simulator(sc, seed=6)
-        queued = 0
-        for k in range(150):
-            sim.inject_demand(sim.step_count)
-            sim.advance({})
-            if k % 10 == 9:
-                views = sim.vehicle_views()
-                assert views == reference_vehicle_views(sim)
-                queued += sum(v.lane is not None for v in views)
-        assert queued > 0
+            assert len(sim.vehicles) == obs.in_network == sum(sim.od_counts().values())
+            assert all(vid == v.id for vid, v in sim.vehicles.items())
 
     def test_one_call_routes_every_vehicle_of_an_od_alike(self):
         sc = fixtures.grid6(horizon_s=600.0)
@@ -386,7 +399,7 @@ class TestVehicleViews:
         shared = 0
         for _ in range(60):
             tt = sim.travel_time_estimates()
-            new = set(sim.inject_demand(sim.step_count))
+            new = set(sim.inject_demand())
             by_od: dict[tuple[str, str], list[_Vehicle]] = {}
             for origin, staged in sim._entry.items():
                 for v in staged:
@@ -409,7 +422,7 @@ class TestTravelTimeSnapshot:
         previous = None
         queued = rerouted = shared = 0
         for _ in range(60):
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             snapshot = sim.travel_time_estimates()
             assert snapshot is not previous
             assert snapshot == {
@@ -420,16 +433,16 @@ class TestTravelTimeSnapshot:
             }
             queued += any(sim._queues.values())
             started = dict(snapshot.searches)
-            views = sim.vehicle_views()
-            alternatives = routectl.generate_routes(views, net, snapshot)
-            for v in views[::2]:
+            records = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
+            alternatives = routectl.generate_routes(records, net, snapshot)
+            for v in records[::2]:
                 if v.id in alternatives:
                     sim.set_route(v.id, alternatives[v.id])
                     rerouted += 1
             assert sim.travel_time_estimates() is snapshot
             # rerouting extended the searches injection started
             assert all(snapshot.searches[d] is search for d, search in started.items())
-            shared += bool(started.keys() & {v.destination for v in sim.vehicle_views()})
+            shared += bool(started.keys() & {v.destination for v in sim.vehicles.values()})
             previous = snapshot
             sim.advance({})
         assert queued > 0 and rerouted > 0 and shared > 0

@@ -60,6 +60,18 @@ class TestFit:
         with pytest.raises(MfdFitError, match="rank-deficient"):
             fit(samples)
 
+    @pytest.mark.parametrize("c, positive", [(1.9, True), (2.1, False)])
+    def test_flow_must_stay_positive_on_the_fit_range(self, c, positive):
+        # G(N) = N q(N), q = 1e-2 (1 - c x + x^2) with x = N / 100, is
+        # positive at both ends of the fit range (0, 300]; its vertex, at
+        # x = c / 2, dips below zero for c = 2.1 only
+        samples = _samples(1e-2, -c * 1e-4, 1e-6, np.linspace(10, 250, 25))
+        if positive:
+            assert fit(samples).params["R1"].n_max_fit == 300.0
+        else:
+            with pytest.raises(MfdFitError, match=r"R1: fitted flow is not positive on \(0, 300.0\]"):
+                fit(samples)
+
     def test_no_samples_rejected(self):
         with pytest.raises(MfdFitError, match="no samples"):
             fit([])

@@ -7,7 +7,9 @@ full benchmark run.  The first test binds the hooks with a stub tracer,
 which runs nothing.  The second binds the real tracer around three short
 corridor2 runs and checks the boundary fallback counter against the runs'
 own ``boundary.csv``, and that injection and rerouting still reach the
-route search through the names the timers wrap.
+route search through the names the timers wrap.  The third runs corridor2
+under the hooks of an untraced run (``workloads.Watch``) and checks their
+step times and travel time against the run's own.
 """
 
 import csv
@@ -67,3 +69,18 @@ def test_boundary_counters_match_the_runs_logs(monkeypatch, tmp_path):
         "routectl.shortest_paths_to",
     ):
         assert metrics[f"{layer}.calls"] > 0, layer
+
+
+def test_untraced_hooks_time_every_active_step(monkeypatch):
+    # an untraced benchmark run times only the strategy hooks that
+    # workloads.Watch puts around runner.make_strategy's strategy
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    scenario = fixtures.corridor2()
+    with workloads.Watch() as watch:
+        metrics = runner.run(scenario, runner.RunConfig("msjc", seed=0))
+    assert watch.macro_ms
+    assert len(watch.micro_ms) == scenario.control.steps_per_macro * len(watch.macro_ms)
+    ttt = sum(rec.ttt_veh_s for rec in watch.sims.values())
+    assert ttt == metrics.total_travel_time_veh_s

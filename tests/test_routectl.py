@@ -63,12 +63,12 @@ class TestGenerateRoutes:
         sim = Simulator(single_gate, seed=0)
         force_running(sim, 1, ("A", "B"), remaining=100.0)
         sim.advance({("R1", "R2"): "none"})
-        views = sim.vehicle_views()
-        alternatives = generate_routes(views, single_gate.network, sim.travel_time_estimates())
-        assert len(views) == 1
+        vehicles = list(sim.vehicles.values())
+        alternatives = generate_routes(vehicles, single_gate.network, sim.travel_time_estimates())
+        assert len(vehicles) == 1
         # one link from the destination: the current route only
         assert alternatives == {}
-        [routes] = annotate_routes(views, alternatives, single_gate.network, 10.0)
+        [routes] = annotate_routes(vehicles, alternatives, single_gate.network, sim.queue_heads())
         assert [r.links for r in routes.routes] == [("A", "B")]
 
     def test_congestion_reveals_the_detour(self):
@@ -78,10 +78,10 @@ class TestGenerateRoutes:
         force_running(sim, 1, ("src1", "f_app", "f_exit", "snk2"), remaining=100.0)
         force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        target = next(v for v in sim.vehicle_views() if v.link == "src1")
+        target = next(v for v in sim.vehicles.values() if v.current == "src1")
         alternatives = generate_routes([target], sc.network, sim.travel_time_estimates())
         assert alternatives == {target.id: ("src1", "f_app_ng", "f_exit_ng", "snk2")}
-        [routes] = annotate_routes([target], alternatives, sc.network, 10.0)
+        [routes] = annotate_routes([target], alternatives, sc.network, sim.queue_heads())
         assert len(routes.routes) == 2
         current, alternative = routes.routes
         assert alternative.links == ("src1", "f_app_ng", "f_exit_ng", "snk2")
@@ -92,12 +92,12 @@ class TestGenerateRoutes:
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        views = sim.vehicle_views()
-        alternatives = generate_routes(views, sc.network, sim.travel_time_estimates())
-        assert all(alternatives[v.id] != v.route for v in views if v.id in alternatives)
-        routes = annotate_routes(views, alternatives, sc.network, 10.0)
-        assert routes and [r.routes[0].links for r in routes] == [v.route for v in views]
-        assert all(r.links != v.route for vr, v in zip(routes, views) for r in vr.routes[1:])
+        vehicles = list(sim.vehicles.values())
+        alternatives = generate_routes(vehicles, sc.network, sim.travel_time_estimates())
+        assert all(alternatives[v.id] != v.route for v in vehicles if v.id in alternatives)
+        routes = annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads())
+        assert routes and [r.routes[0].links for r in routes] == [v.route for v in vehicles]
+        assert all(r.links != v.route for vr, v in zip(routes, vehicles) for r in vr.routes[1:])
 
     def test_queued_vehicle_is_offered_only_moves_its_lane_serves(self, turn_lanes):
         # X is congested, so the shortest route from A turns to Y.  A_0 feeds
@@ -108,10 +108,10 @@ class TestGenerateRoutes:
         force_queued(sim, "X_0", 20, ("X", "Xd", "D"))
         [queued] = force_queued(sim, "A_0", 1, ("A", "X", "Xd", "D"))
         [running] = force_running(sim, 1, ("A", "X", "Xd", "D"), remaining=100.0)
-        on_a = [v for v in sim.vehicle_views() if v.link == "A"]
+        on_a = [v for v in sim.vehicles.values() if v.current == "A"]
         alternatives = generate_routes(on_a, net, sim.travel_time_estimates())
         assert alternatives == {running: ("A", "Y", "Yd", "D")}
-        routes = {vr.vid: vr for vr in annotate_routes(on_a, alternatives, net, 10.0)}
+        routes = {vr.vid: vr for vr in annotate_routes(on_a, alternatives, net, sim.queue_heads())}
         assert [r.links for r in routes[running].routes] == [
             ("A", "X", "Xd", "D"),
             ("A", "Y", "Yd", "D"),
@@ -148,30 +148,30 @@ class TestGenerateRoutes:
         sim = Simulator(sc, seed=0)
         injected = []
         while not injected:
-            injected = sim.inject_demand(0)
+            injected = sim.inject_demand()
         route = sim._entry["a"][0].route
         assert len(route) == 4
         sim.advance({})
-        views = sim.vehicle_views()
-        assert [v.id for v in views] == injected and all(v.link == "a" for v in views)
-        alternatives = generate_routes(views, sc.network, sim.travel_time_estimates())
+        vehicles = list(sim.vehicles.values())
+        assert sorted(sim.vehicles) == injected and all(v.current == "a" for v in vehicles)
+        alternatives = generate_routes(vehicles, sc.network, sim.travel_time_estimates())
         assert alternatives == {}
-        for vr in annotate_routes(views, alternatives, sc.network, 10.0):
+        for vr in annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads()):
             assert [r.links for r in vr.routes] == [route]
 
     def test_candidates_match_a_per_vehicle_oracle_on_a_loaded_grid(self):
         sc = fixtures.grid6()
         sim = Simulator(sc, seed=0)
         while sim.time_s < 800.0:
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             sim.advance({})
-        views = sim.vehicle_views()
+        vehicles = list(sim.vehicles.values())
         tt = sim.travel_time_estimates()
-        expected = per_vehicle_candidates(views, sc.network, tt, sc.control.t_micro_s)
-        alternatives = generate_routes(views, sc.network, tt)
-        annotated = annotate_routes(views, alternatives, sc.network, sc.control.t_micro_s)
-        assert [ar.vid for ar in annotated] == [v.id for v in views]
-        for v, ar, (candidates, pinned) in zip(views, annotated, expected):
+        expected = per_vehicle_candidates(sim, vehicles, tt)
+        alternatives = generate_routes(vehicles, sc.network, tt)
+        annotated = annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads())
+        assert [ar.vid for ar in annotated] == [v.id for v in vehicles]
+        for v, ar, (candidates, pinned) in zip(vehicles, annotated, expected):
             assert [r.links for r in ar.routes] == [c[0] for c in candidates]
             # the current route comes first and only there; a pinned
             # vehicle has no other
@@ -180,31 +180,31 @@ class TestGenerateRoutes:
             assert [(r.next_region, r.projected_link) for r in ar.routes] == [
                 c[2:] for c in candidates
             ]
-            assert (ar.region, ar.dest_region) == (v.region, v.dest_region)
+            assert (ar.region, ar.dest_region) == (sc.network.links[v.current].region, v.dest_region)
         # the grid is loaded enough that routes are shared and rerouting has
         # something to offer
-        free = [v for v in views if len(v.route) > 2]
-        assert len({(v.link, v.destination) for v in free}) < len(free)
+        free = [v for v in vehicles if len(v.route) > 2]
+        assert len({(v.current, v.destination) for v in free}) < len(free)
         assert any(len(ar.routes) == 2 for ar in annotated)
+        # the oracle's queue-position rule is met both ways
+        heads = sim.queue_heads()
+        assert heads and any(v.lane is not None and v.id not in heads for v in vehicles)
 
-    def test_records_and_views_get_the_map_of_the_per_vehicle_oracle(self):
+    def test_records_get_the_map_of_the_per_vehicle_oracle(self):
         sc = fixtures.grid6()
         sim = Simulator(sc, seed=0)
         while sim.time_s < 800.0:
-            sim.inject_demand(sim.step_count)
+            sim.inject_demand()
             sim.advance({})
-        views = sim.vehicle_views()
+        vehicles = list(sim.vehicles.values())
         tt = sim.travel_time_estimates()
         expected = {
             v.id: candidates[1][0]
-            for v, (candidates, pinned) in zip(
-                views, per_vehicle_candidates(views, sc.network, tt, sc.control.t_micro_s)
-            )
+            for v, (candidates, pinned) in zip(vehicles, per_vehicle_candidates(sim, vehicles, tt))
             if not pinned
         }
-        from_records = generate_routes(sim.vehicles.values(), sc.network, tt)
-        assert from_records == generate_routes(views, sc.network, tt) == expected
-        assert expected and len(expected) < len(views)
+        assert generate_routes(vehicles, sc.network, tt) == expected
+        assert expected and len(expected) < len(vehicles)
 
     def test_candidate_next_regions_grouping(self):
         routes = [
@@ -222,9 +222,10 @@ class TestAnnotateRoutes:
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        deep = [v for v in sim.vehicle_views() if (v.queue_index or 0) >= 5]
+        deep = [sim.vehicles[vid] for vid in sim._queues["f_app_0"][5:]]
         routes = generate_routes(deep, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(deep, routes, sc.network, 10.0)
+        routes = annotate_routes(deep, routes, sc.network, sim.queue_heads())
+        assert len(routes) == 3
         for r in routes:
             assert r.routes[0].projected_link == "f_app"
 
@@ -233,20 +234,34 @@ class TestAnnotateRoutes:
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 3, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
-        head = [v for v in sim.vehicle_views() if v.queue_index == 0]
+        head = [sim.vehicles[sim._queues["f_app_0"][0]]]
         routes = generate_routes(head, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(head, routes, sc.network, 10.0)
+        routes = annotate_routes(head, routes, sc.network, sim.queue_heads())
         # next link f_exit lies across the boundary: excluded from densities
         assert routes[0].routes[0].projected_link is None
+
+    def test_projects_the_vehicles_one_green_step_discharges(self):
+        # 0.35 veh/s over a 10 s step: the lane discharges floor(3.5) = 3
+        sc = make_single_gate(sat_flow=0.35)
+        sim = Simulator(sc, seed=0)
+        queued = force_queued(sim, "A_0", 8, ("A", "B"))
+        vehicles = [sim.vehicles[vid] for vid in queued]
+        routes = annotate_routes(vehicles, {}, sc.network, sim.queue_heads())
+        # B lies across the boundary, so a vehicle projected onto it reads None
+        projected = [vr.vid for vr in routes if vr.routes[0].projected_link is None]
+        assert [vr.routes[0].projected_link for vr in routes[3:]] == ["A"] * 5
+        sim.advance({("R1", "R2"): "fwd"})
+        discharged = [vid for vid in queued if sim.vehicles[vid].current == "B"]
+        assert projected == discharged == queued[:3]
 
     def test_each_candidate_projects_along_its_own_route(self):
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
         force_queued(sim, "src1_0", 1, ("src1", "f_app", "f_exit", "snk2"))
-        head = [v for v in sim.vehicle_views() if v.link == "src1"]
+        head = [v for v in sim.vehicles.values() if v.current == "src1"]
         routes = generate_routes(head, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(head, routes, sc.network, 10.0)
+        routes = annotate_routes(head, routes, sc.network, sim.queue_heads())
         assert [(r.next_region, r.projected_link) for r in routes[0].routes] == [
             ("R2", "f_app"),
             ("R2", "f_app_ng"),

@@ -183,6 +183,13 @@ def test_calibration_level_not_above_zero_rejected(levels):
         runner.calibrate(fixtures.corridor2(), levels=levels)
 
 
+def test_calibration_whose_flow_dips_below_zero_rejected():
+    # at 1% demand corridor2's R2 fits b1 = -0.0756 veh/s per veh: negative
+    # completion flow near N = 0
+    with pytest.raises(MfdFitError, match="region R2: fitted flow is not positive"):
+        runner.calibrate(fixtures.corridor2(), levels=(0.01,))
+
+
 def test_calibration_window_of_whole_micro_steps_fits_every_region():
     model = runner.calibrate(fixtures.corridor2(), window_s=240.0)
     assert model.regions() == ("R1", "R2")
@@ -221,6 +228,25 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
     assert (metrics.total_travel_time_veh_s, metrics.clearance_time_s) == GOLDEN["msjc"]
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
+
+
+def test_msjc_route_set_is_in_vehicle_id_order(monkeypatch):
+    # Simulator.vehicles is in admission order, not id order; the route set,
+    # and so the route-choice columns and the routing draws, is in id order
+    seen = Counter()
+    annotated_routes = runner.MsjcStrategy._annotated_routes
+
+    def checked(self):
+        route_set = annotated_routes(self)
+        assert [vr.vid for vr in route_set] == sorted(self.sim.vehicles)
+        seen["sets"] += 1
+        seen["unordered"] += list(self.sim.vehicles) != sorted(self.sim.vehicles)
+        return route_set
+
+    monkeypatch.setattr(runner.MsjcStrategy, "_annotated_routes", checked)
+    # one macro step of msjc on the loaded grid, as in the benchmark's windows
+    runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0))
+    assert seen["sets"] > 0 and seen["unordered"] > 0
 
 
 @pytest.mark.parametrize("strategy", ["bp-lr", "mspc-lr"])
