@@ -96,7 +96,6 @@ class Simulator:
         self.partition = scenario.partition
         self.dt = scenario.control.t_micro_s
         self.demand_scale = demand_scale
-        self.seed = seed
 
         seq = np.random.SeedSequence([seed, scenario.demand.seed])
         demand_seq, routing_seq = seq.spawn(2)

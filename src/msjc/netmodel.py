@@ -599,7 +599,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
     network = Network(links, lanes, node_kind, plans)
     # Reachability: every OD pair must admit at least one route.
     for flow in demand.od:
-        if _route_exists(network, flow.origin, flow.destination) is False:
+        if not _route_exists(network, flow.origin, flow.destination):
             raise ScenarioError(
                 f"demand od {flow.origin}->{flow.destination}: destination unreachable"
             )

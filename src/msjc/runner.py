@@ -113,16 +113,19 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 
 # ---------------------------------------------------------------------------
 # Strategies.  Each has the same four methods: ``begin_macro(ctx)`` once per
-# macro step, then per micro step ``plans(obs)`` (plan id per boundary key),
-# ``routes(obs)`` (new routes by vehicle id, or None) and, after the
-# simulator stepped, ``record(obs)``.  ``macro`` holds the current MacroRecord.
-# ``begin_macro`` and ``plans`` may read ``sim.arrivals()``: both run before
-# the step's new routes are set, on the state the previous step left.
+# macro step, then, only in an active macro step, per micro step
+# ``plans(obs)`` (plan id per boundary key), ``routes(obs)`` (new routes by
+# vehicle id, or None) and, after the simulator stepped, ``record(obs)``.
+# ``macro`` holds the current MacroRecord.  ``begin_macro`` and ``plans`` may
+# read ``sim.arrivals()``: both run before the step's new routes are set, on
+# the state the previous step left, so what ``begin_macro`` builds from it
+# serves the first micro step (demand injection only stages vehicles).
 
 
 class _TrackedStrategy:
     """Shared plumbing for strategies that realize macro flow targets
-    through the boundary flow-tracking controller."""
+    through the boundary flow-tracking controller.  The projection that
+    sets the flow envelopes in ``begin_macro`` serves the first ``plans``."""
 
     def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
         self.scenario = scenario
@@ -133,13 +136,14 @@ class _TrackedStrategy:
             key: BoundaryController(self.net, key, scenario.control)
             for key in scenario.partition.boundary_keys()
         }
-        self.active = False
         self.macro = MacroRecord()
+        # begin_macro's projection, until the first micro step's plans
+        self._arrivals: dict[str, float] | None = None
 
     def _begin_boundaries(self, ctx: MacroContext) -> None:
-        arrivals = self.sim.arrivals()
+        self._arrivals = self.sim.arrivals()
         for (i, h), bc in self.controllers.items():
-            (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs, arrivals)
+            (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs, self._arrivals)
             self.macro.envelopes[(i, h)] = (f_lo, f_hi)
             self.macro.envelopes[(h, i)] = (r_lo, r_hi)
 
@@ -149,14 +153,11 @@ class _TrackedStrategy:
             bc.begin_macro(targets.get((i, h), 0.0), targets.get((h, i), 0.0))
 
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
-        if not self.active:
-            return {}
-        arrivals = self.sim.arrivals()
+        arrivals = self._arrivals if self._arrivals is not None else self.sim.arrivals()
+        self._arrivals = None
         return {key: bc.control_step(obs, arrivals) for key, bc in self.controllers.items()}
 
     def record(self, obs: MicroObservation) -> None:
-        if not self.active:
-            return
         for bc in self.controllers.values():
             bc.record_realized(obs)
             self.macro.decisions.append(bc.last_decision)
@@ -166,8 +167,9 @@ class MsjcStrategy(_TrackedStrategy):
     """Joint gating/routing optimization on top of the tracking controller.
 
     ``begin_macro`` keeps the route set it builds for the first micro step's
-    ``routes``: demand injection and plan selection in between change
-    neither the network vehicles nor the queues."""
+    ``routes``, as it keeps its projection for the first ``plans``: demand
+    injection and plan selection in between change neither the network
+    vehicles nor the queues."""
 
     def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
         super().__init__(scenario, model, sim)
@@ -182,9 +184,7 @@ class MsjcStrategy(_TrackedStrategy):
         return routectl.annotate_routes(vehicles, alternatives, self.net, sim.queue_heads())
 
     def begin_macro(self, ctx: MacroContext) -> None:
-        self.active = ctx.active
         self.macro = MacroRecord()
-        self._route_set = None
         if not ctx.active:
             return
         self._begin_boundaries(ctx)
@@ -204,8 +204,6 @@ class MsjcStrategy(_TrackedStrategy):
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
         solution = self.macro.solution
-        if not self.active or solution is None:
-            return None
         route_set = self._route_set
         if route_set is None:
             route_set = self._annotated_routes()
@@ -265,7 +263,6 @@ class PiStrategy(_TrackedStrategy):
         }
 
     def begin_macro(self, ctx: MacroContext) -> None:
-        self.active = ctx.active
         self.macro = MacroRecord()
         if not ctx.active:
             for pi in self.pi.values():
@@ -282,9 +279,7 @@ class PiStrategy(_TrackedStrategy):
         self._set_targets(targets)
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        if not self.active or not self.routing:
-            return None
-        return _logit_routes(self)
+        return _logit_routes(self) if self.routing else None
 
 
 class BpStrategy:
@@ -296,24 +291,19 @@ class BpStrategy:
         self.net = scenario.network
         self.sim = sim
         self.routing = routing
-        self.active = False
         self.macro = MacroRecord()
 
     def begin_macro(self, ctx: MacroContext) -> None:
-        self.active = ctx.active
+        pass
 
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
-        if not self.active:
-            return {}
         return {
             key: bp_control(obs, self.net, key)
             for key in self.scenario.partition.boundary_keys()
         }
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        if not self.active or not self.routing:
-            return None
-        return _logit_routes(self)
+        return _logit_routes(self) if self.routing else None
 
     def record(self, obs: MicroObservation) -> None:
         pass
@@ -339,16 +329,13 @@ def make_strategy(
     name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator
 ):
     model = _require_mfd(scenario, model)
+    routing = name.endswith("-lr")
     if name == "msjc":
         return MsjcStrategy(scenario, model, sim)
-    if name == "mspc-lr":
-        return PiStrategy(scenario, model, sim, routing=True)
-    if name == "mspc":
-        return PiStrategy(scenario, model, sim, routing=False)
-    if name == "bp-lr":
-        return BpStrategy(scenario, sim, routing=True)
-    if name == "bp":
-        return BpStrategy(scenario, sim, routing=False)
+    if name in ("mspc", "mspc-lr"):
+        return PiStrategy(scenario, model, sim, routing)
+    if name in ("bp", "bp-lr"):
+        return BpStrategy(scenario, sim, routing)
     raise ValueError(f"unknown strategy '{name}' (choose from {STRATEGIES})")
 
 
@@ -556,16 +543,8 @@ def run(
 
         obs = sim.initial_observation()
         ttt = 0.0
-        metrics = RunMetrics(
-            strategy=config.strategy,
-            seed=config.seed,
-            total_travel_time_veh_s=0.0,
-            throughput_veh=0,
-            injected_veh=0,
-            clearance_time_s=math.nan,
-            truncated=False,
-            first_activation_s=None,
-        )
+        first_activation_s: float | None = None
+        throughput_series: list[tuple[float, int]] = []
 
         def after_step(o: MicroObservation) -> None:
             nonlocal ttt
@@ -590,8 +569,8 @@ def run(
                 state.accumulation(r) > control.activation_threshold * model.critical(r)
                 for r in scenario.partition.regions
             )
-            if active and metrics.first_activation_s is None:
-                metrics.first_activation_s = sim.time_s
+            if active and first_activation_s is None:
+                first_activation_s = sim.time_s
 
             ctx = MacroContext(
                 t_index=t_index,
@@ -599,7 +578,7 @@ def run(
                 state=state,
                 obs=obs,
                 active=active,
-                realized_prev=dict(realized_prev),
+                realized_prev=realized_prev,
             )
             strategy.begin_macro(ctx)
 
@@ -607,13 +586,16 @@ def run(
             window_crossed: dict[tuple[str, str], float] = {}
             for _ in range(u):
                 sim.inject_demand()
-                plans = strategy.plans(obs)
-                assignments = strategy.routes(obs)
-                if assignments:
-                    for vid in sorted(assignments):
-                        sim.set_route(vid, assignments[vid])
-                obs = sim.advance(plans)
-                strategy.record(obs)
+                if active:
+                    plans = strategy.plans(obs)
+                    assignments = strategy.routes(obs)
+                    if assignments:
+                        for vid in sorted(assignments):
+                            sim.set_route(vid, assignments[vid])
+                    obs = sim.advance(plans)
+                    strategy.record(obs)
+                else:
+                    obs = sim.advance({})
                 after_step(obs)
                 for key, count in obs.admitted_od.items():
                     window_admitted[key] = window_admitted.get(key, 0.0) + count
@@ -639,14 +621,13 @@ def run(
             }
             if logs:
                 logs.macro_step(ctx, strategy.macro, sim.time_s, realized_prev)
-            metrics.throughput_series.append((sim.time_s, sim.completed_total))
+            throughput_series.append((sim.time_s, sim.completed_total))
 
             prev_admitted = window_admitted
             t_index += 1
             if cleared_at is not None:
                 break
             if sim.time_s >= cap_s:
-                metrics.truncated = True
                 logger.warning(
                     "%s seed %d: hit time cap %.0fs before clearance",
                     config.strategy,
@@ -655,10 +636,17 @@ def run(
                 )
                 break
 
-        metrics.total_travel_time_veh_s = ttt
-        metrics.throughput_veh = sim.completed_total
-        metrics.injected_veh = sim.created_total
-        metrics.clearance_time_s = cleared_at if cleared_at is not None else sim.time_s
+        metrics = RunMetrics(
+            strategy=config.strategy,
+            seed=config.seed,
+            total_travel_time_veh_s=ttt,
+            throughput_veh=sim.completed_total,
+            injected_veh=sim.created_total,
+            clearance_time_s=cleared_at if cleared_at is not None else sim.time_s,
+            truncated=cleared_at is None,
+            first_activation_s=first_activation_s,
+            throughput_series=throughput_series,
+        )
         if logs:
             _write_metrics_csv(out_dir / "metrics.csv", [metrics])
     finally:

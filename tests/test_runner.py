@@ -23,18 +23,15 @@ GOLDEN = {
     "bp": (95_810.0, 1610.0),
 }
 
-# grid6, seed 0, bp-lr: total travel time (veh.s), throughput (veh) and the
-# time the network clears (s).
-GRID6_BP_LR = (223_990.0, 1379, 1730.0)
-
-# grid6, seed 0, bp (backpressure without rerouting): the same three.
-GRID6_BP = (223_970.0, 1379, 1730.0)
-
-# grid6, seed 0, mspc-lr (PI gating with logit rerouting): the same three.
-GRID6_MSPC_LR = (325_830.0, 1379, 1870.0)
-
-# grid6, seed 0, mspc (PI gating): the same three.
-GRID6_MSPC = (325_670.0, 1379, 1870.0)
+# grid6, seed 0, per strategy: total travel time (veh.s), throughput (veh)
+# and the time the network clears (s).
+GRID6_GOLDEN = {
+    "msjc": (336_170.0, 1379, 1870.0),
+    "mspc-lr": (325_830.0, 1379, 1870.0),
+    "bp-lr": (223_990.0, 1379, 1730.0),
+    "mspc": (325_670.0, 1379, 1870.0),
+    "bp": (223_970.0, 1379, 1730.0),
+}
 
 # Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
 # sum of feasible_count).  They pin the boundary controller's plan choice.
@@ -126,33 +123,17 @@ def test_golden_corridor2(strategy):
     assert _headline(again) == _headline(m)
 
 
-def test_golden_grid6_bp_lr():
-    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="bp-lr", seed=0))
-    ttt, throughput, clearance = GRID6_BP_LR
-    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
-
-
-def test_golden_grid6_bp():
-    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="bp", seed=0))
-    ttt, throughput, clearance = GRID6_BP
-    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
-
-
-def test_golden_grid6_mspc_lr():
-    m = runner.run(fixtures.grid6(), runner.RunConfig(strategy="mspc-lr", seed=0))
-    ttt, throughput, clearance = GRID6_MSPC_LR
-    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
-
-
-def test_golden_grid6_mspc(tmp_path):
+@pytest.mark.parametrize("strategy", runner.STRATEGIES)
+def test_golden_grid6(strategy, tmp_path):
     m = runner.run(
-        fixtures.grid6(), runner.RunConfig(strategy="mspc", seed=0, out_dir=tmp_path)
+        fixtures.grid6(), runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path)
     )
-    ttt, throughput, clearance = GRID6_MSPC
+    ttt, throughput, clearance = GRID6_GOLDEN[strategy]
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
-    rows = _boundary_rows(tmp_path)
-    assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
-    assert Counter(r["plan"] for r in rows) == {"both": 383, "fwd": 349, "rev": 354, "none": 34}
+    if strategy == "mspc":
+        rows = _boundary_rows(tmp_path)
+        assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
+        assert Counter(r["plan"] for r in rows) == {"both": 383, "fwd": 349, "rev": 354, "none": 34}
 
 
 @pytest.mark.parametrize("strategy", ["msjc", "mspc"])
@@ -220,7 +201,7 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
         return generate(*args)
 
     def counted_routes(self, obs):
-        calls["routed"] += self.active
+        calls["routed"] += 1
         return routes(self, obs)
 
     monkeypatch.setattr(runner.routectl, "generate_routes", counted_generate)
@@ -276,6 +257,41 @@ def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
     assert seen["steps"] >= 60 and seen["drawn"] > 0 and seen["rerouted"] > 0
 
 
+@pytest.mark.parametrize("strategy", runner.STRATEGIES)
+def test_strategies_act_only_in_active_macro_steps(monkeypatch, tmp_path, strategy):
+    # plans, routes and record run in every micro step of an active macro
+    # step and in no other: not while warming up, not in an inactive one
+    calls = []
+    make_strategy = runner.make_strategy
+
+    def watched(*args):
+        strat = make_strategy(*args)
+        for name in ("plans", "routes", "record"):
+
+            def called(obs, name=name, method=getattr(strat, name)):
+                calls.append((name, obs.time_s))
+                return method(obs)
+
+            setattr(strat, name, called)
+        return strat
+
+    monkeypatch.setattr(runner, "make_strategy", watched)
+    scenario = fixtures.corridor2()
+    runner.run(scenario, runner.RunConfig(strategy, seed=0, out_dir=tmp_path))
+    with open(tmp_path / "flows.csv", newline="") as fh:
+        macro = {r["t_index"]: (float(r["time_s"]), r["active"]) for r in csv.DictReader(fh)}
+    assert {active for _, active in macro.values()} == {"0", "1"}
+    dt, u = scenario.control.t_micro_s, scenario.control.steps_per_macro
+    # a micro step's start time; record sees the state at its end
+    steps = [
+        end - (u - k) * dt for end, active in macro.values() if active == "1" for k in range(u)
+    ]
+    assert steps[0] == scenario.demand.warmup_s
+    assert [t for name, t in calls if name == "plans"] == steps
+    assert [t for name, t in calls if name == "routes"] == steps
+    assert [t - dt for name, t in calls if name == "record"] == steps
+
+
 def _count_arrivals(monkeypatch) -> list[float]:
     """Wrap ``Simulator.arrivals``; the list gets the simulator time of every
     call."""
@@ -308,10 +324,10 @@ def test_calibration_never_projects_arrivals(monkeypatch):
 def test_tracked_strategies_project_arrivals_once_per_active_step(
     monkeypatch, tmp_path, strategy
 ):
-    # one projection per active micro step (plans) and one more at the start
-    # of each active macro step (the flow envelopes); none while warming up
-    # or in an inactive macro step, and none after a step's new routes are
-    # set (the projection reads the routes)
+    # one projection per active micro step: the one that sets a macro step's
+    # flow envelopes serves its first plans; none while warming up or in an
+    # inactive macro step, and none after a step's new routes are set (the
+    # projection reads the routes)
     calls = _count_arrivals(monkeypatch)
     routed = []
     set_route = mesosim.Simulator.set_route
@@ -332,7 +348,7 @@ def test_tracked_strategies_project_arrivals_once_per_active_step(
     micro = Counter(float(r["time_s"]) for r in rows)
     macro = Counter(float(r["time_s"]) for r in rows if r["k"] == "1")
     assert len(macro) == list(active.values()).count("1")
-    assert Counter(calls) == micro + macro
+    assert Counter(calls) == micro
     assert min(calls) == scenario.demand.warmup_s
     assert bool(routed) == (strategy != "mspc")
     assert all(t not in calls[n:] for t, n in routed)
