@@ -2,8 +2,9 @@
 
 Subcommands: ``make-scenario`` (writes a bundled scenario's document from
 ``fixtures``), ``calibrate``, ``run``, ``compare``, ``report``.  A scenario
-that fails to load or an MFD that cannot be fitted ends in one error line on
-stderr and exit status 2, as does a negative seed, a non-positive count,
+that fails to load, a run with no MFD (neither the scenario's block nor
+``--mfd``) or an MFD that cannot be fitted ends in one error line on stderr
+and exit status 2, as does a negative seed, a non-positive count,
 demand scale or cap, or an unknown strategy (argparse's usage error).  Set
 MSJC_LOG=debug|info|warning to control verbosity.
 """

@@ -10,12 +10,15 @@ total boundary flow.
 Everything but the bilinear transfer b*c is linear: ``_Problem`` builds the
 linear maps and the variable bounds once per macro step.  With each product
 replaced by a variable held between McCormick's (1976) four planes over a
-box, the program becomes an LP that HiGHS solves exactly.  Over the full box
-that LP bounds z and total flow from below and above; an infeasible LP
-certifies an infeasible program.  Over a box that pins c (or b) the planes
-are exact, so fixing one side and solving for the other gives feasible
-points, and ``solve`` returns such a point.  No iterative local solver is
-involved, so results do not depend on BLAS threading.
+box, the program becomes an LP that HiGHS solves exactly, through scipy's
+``milp`` with no integrality.  ``_Problem`` also builds the LP's rows once;
+each LP fills in only the four McCormick blocks' b and c coefficients, by
+index.  Over the full box that LP bounds z and total flow
+from below and above; an infeasible LP certifies an infeasible program.
+Over a box that pins c (or b) the planes are exact, so fixing one side and
+solving for the other gives feasible points, and ``solve`` returns such a
+point.  No iterative local solver is involved, so results do not depend on
+BLAS threading.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import LinearConstraint, OptimizeResult, milp
 
 from .macrodyn import CompletionModel, MacroState
 
@@ -39,6 +42,7 @@ _FEASIBILITY_TOL = 1e-6
 _Z_TIE = 1e-9  # z that stage 2 may add to stage 1's: LP rounding
 _Z_GAP_TOL = 1e-7  # times 1 + |z|
 _FLOW_GAP_TOL = 1e-9  # veh/s
+_MC_SIGNS = (1.0, 1.0, -1.0, -1.0)  # McCormick blocks: above, above, below, below
 
 
 @dataclass(frozen=True)
@@ -179,35 +183,61 @@ class _Problem:
 
         # The relaxation's variables are (b, c, z, w, s): w stands for moved
         # and s relieves the envelope rows, m_min - s <= flow <= m_max + s.
-        self.w_block = np.hstack([np.eye(self.nc), np.zeros((self.nc, 1))])
-        pick_w = np.hstack([np.zeros((self.nc, self.nv)), self.w_block])
-        over = self.region_map @ pick_w
-        over[:, self.zi] = -1.0
-        env = self.flow_map[self.env_rows] @ pick_w
-        s = np.eye(1, self.nv + self.nc + 1, self.nv + self.nc)
-        self.lp_ub = [over, env - s, -env - s], [-self.base, self.m_max, -self.m_min]
-        n_od = len(self.active_od)
-        self.lp_eq = np.hstack([self.split_sum, np.zeros((n_od, self.nc + 1))]), np.ones(n_od)
+        # Its rows, lp_lo <= lp_a @ (b, c, z, w, s) <= lp_hi: overshoot <= z,
+        # the two envelope rows, four McCormick blocks of one row per split
+        # variable, then the split sums.  Only the McCormick blocks' b and c
+        # coefficients and bounds depend on the box (``constraints``).
+        n_region, n_env, n_od = len(regions), len(self.env_rows), len(self.active_od)
+        w_cols = np.arange(self.nv, self.nv + self.nc)
+        s_col = self.nv + self.nc
+        mc_row0 = n_region + 2 * n_env
+        n_ub = mc_row0 + 4 * self.nc
+        a = np.zeros((n_ub + n_od, s_col + 1))
+        a[:n_region, w_cols] = self.region_map
+        a[:n_region, self.zi] = -1.0
+        env = self.flow_map[self.env_rows]
+        a[n_region : n_region + n_env, w_cols] = env
+        a[n_region + n_env : mc_row0, w_cols] = -env
+        a[n_region:mc_row0, s_col] = -1.0
+        self.mc_rows = mc_row0 + np.arange(4 * self.nc)
+        a[self.mc_rows, np.tile(w_cols, 4)] = -np.repeat(_MC_SIGNS, self.nc)
+        a[n_ub:, : self.nv] = self.split_sum
+        self.lp_a = a
+        self.lp_lo = np.concatenate([np.full(n_ub, -np.inf), np.ones(n_od)])
+        self.lp_hi = np.concatenate(
+            [-self.base, self.m_max, -self.m_min, np.zeros(4 * self.nc), np.ones(n_od)]
+        )
+
+    def constraints(self, lb: np.ndarray, ub: np.ndarray) -> LinearConstraint:
+        """The relaxation's rows over the box ``lb <= (b, c, z) <= ub``.
+
+        Block k holds w above (sign +1) or below (sign -1) the tangent plane
+        of b*c*kappa at one box corner, (lo, lo), (hi, hi), (lo, hi) and
+        (hi, lo) in turn (McCormick 1976): per split row n, the partials
+        c*kappa and b*kappa at the corner on b[c_b[n]] and c[n], and -1 on
+        w[n].  Where the box pins b or c to one value, these planes are
+        w = b*c*kappa.
+        """
+        lo_hi = np.concatenate([lb[: self.nb], ub[self.nb :]])
+        hi_lo = np.concatenate([ub[: self.nb], lb[self.nb :]])
+        a, hi = self.lp_a.copy(), self.lp_hi.copy()
+        for k, (sign, corner) in enumerate(zip(_MC_SIGNS, (lb, ub, lo_hi, hi_lo))):
+            block = self.mc_rows[k * self.nc : (k + 1) * self.nc]
+            a[block, self.c_b] = sign * (corner[self.c_cols] * self.kappa)
+            a[block, self.c_cols] = sign * (corner[self.c_b] * self.kappa)
+            hi[block] = sign * self.moved(corner)
+        return LinearConstraint(a, self.lp_lo, hi)
 
     def relaxation(
         self, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
     ) -> OptimizeResult:
         """The McCormick LP over the box ``lb <= (b, c, z) <= ub``, solved by
-        HiGHS.  Without ``z_cap`` it minimizes z; with it, it maximizes total
-        boundary flow (``-fun``) subject to z <= z_cap.  ``elastic`` frees the
-        envelope slack s and minimizes it instead.
-
-        w is held above the tangent planes of b*c*kappa at the box corners
-        (lo, lo) and (hi, hi) and below those at the two mixed corners
-        (McCormick 1976).  Where the box pins b or c to one value, these
-        planes are w = b*c*kappa and the LP is the program itself.
+        HiGHS through ``milp`` with no integrality.  Without ``z_cap`` it
+        minimizes z; with it, it maximizes total boundary flow (``-fun``)
+        subject to z <= z_cap.  ``elastic`` frees the envelope slack s and
+        minimizes it instead.  Where the box pins b or c to one value, the
+        LP is the program itself.
         """
-        lo_hi = np.concatenate([lb[: self.nb], ub[self.nb :]])
-        hi_lo = np.concatenate([ub[: self.nb], lb[self.nb :]])
-        a_ub, b_ub = list(self.lp_ub[0]), list(self.lp_ub[1])
-        for sign, corner in ((1.0, lb), (1.0, ub), (-1.0, lo_hi), (-1.0, hi_lo)):
-            a_ub.append(sign * np.hstack([self.moved_jac(corner), -self.w_block]))
-            b_ub.append(sign * self.moved(corner))
         cost = np.zeros(self.nv + self.nc + 1)
         upper = np.concatenate([ub, np.full(self.nc, np.inf), [np.inf if elastic else 0.0]])
         if elastic:
@@ -217,20 +247,12 @@ class _Problem:
         else:
             cost[self.nv : -1] = -self.flow_map.sum(axis=0)
             upper[self.zi] = z_cap
-        bounds = np.column_stack([np.append(lb, np.zeros(self.nc + 1)), upper])
-        a_ub, b_ub = np.vstack(a_ub), np.concatenate(b_ub)
-        return linprog(cost, a_ub, b_ub, *self.lp_eq, bounds, method="highs")
+        lower = np.append(lb, np.zeros(self.nc + 1))
+        return milp(cost, bounds=(lower, upper), constraints=self.constraints(lb, ub))
 
     def moved(self, x: np.ndarray) -> np.ndarray:
         """Vehicles moved per split variable, b*c*kappa."""
         return x[self.c_b] * x[self.c_cols] * self.kappa
-
-    def moved_jac(self, x: np.ndarray) -> np.ndarray:
-        rows = np.arange(self.nc)
-        jac = np.zeros((self.nc, self.nv))
-        jac[rows, self.c_b] = x[self.c_cols] * self.kappa
-        jac[rows, self.c_cols] = x[self.c_b] * self.kappa
-        return jac
 
     def g(self, x: np.ndarray) -> np.ndarray:
         """Overshoot of each region's predicted accumulation beyond critical."""

@@ -155,8 +155,9 @@ class Network:
         # of one simulator step: each link's region and free-flow time; the
         # queue service order (per link in id order: its region, the kind of
         # its downstream node, None for a plain node, and its lanes); each
-        # boundary's plan id -> green lanes; and the links, with their lanes,
-        # that feed a gating intersection.
+        # boundary's plan id -> green lanes; the links, with their lanes,
+        # that feed a gating intersection; and per region its links in id
+        # order -> lane area (lanes times length).
         self._succ: dict[str, tuple[str, ...]] = {}
         self.link_ids = tuple(self.links)
         self.link_index = {l: k for k, l in enumerate(self.link_ids)}
@@ -167,6 +168,7 @@ class Network:
         travel_time_terms = []
         service_order = []
         gating_approaches = []
+        self.region_links: dict[str, dict[str, float]] = {}
         for link in self.links.values():
             moves: dict[str, list[str]] = {}
             service = 0.0
@@ -189,6 +191,9 @@ class Network:
             service_order.append((link.id, link.region, kind, link.lanes))
             if kind == GATING:
                 gating_approaches.append((link.id, link.lanes))
+            self.region_links.setdefault(link.region, {})[link.id] = (
+                len(link.lanes) * link.length_m
+            )
         self.travel_time_terms = tuple(travel_time_terms)
         self.service_order = tuple(service_order)
         self.gating_approaches = tuple(gating_approaches)

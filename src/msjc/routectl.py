@@ -19,7 +19,10 @@ The per-region program picks route probabilities on each vehicle's simplex
 so that the realized next-region proportions match the hyper-path split
 targets while the predicted end-of-step link densities stay close to the
 region mean.  With at most two candidates per vehicle the program is a
-bounded-variable least squares problem, solved exactly.
+bounded-variable least squares problem, solved exactly.  Its constant part
+counts every vehicle's last candidate (``Network.region_links`` gives the
+region's links and lane areas), and it has one column per vehicle with two
+candidates; only those vehicles get probabilities and draw a route.
 """
 
 from __future__ import annotations
@@ -142,49 +145,53 @@ def solve_probabilities(
     adjacency: Mapping[str, tuple[str, ...]],
 ) -> RouteProbabilities:
     """Minimize beta * (proportion mismatch)^2 + (density spread)^2 over the
-    route probabilities of the region's vehicles, exactly.
+    route probabilities of ``routes``, the vehicles in ``region``, exactly.
 
     A vehicle has one or two candidates, so its probabilities are (1,) or
     (x, 1 - x).  The program is then min ||M x - c||^2 over x in [0, 1]^n,
     one column per two-candidate vehicle, solved by bounded-variable least
-    squares.  Raises ValueError for a vehicle with more than two candidates.
+    squares.  At x = 0 every vehicle takes its last candidate, so the constant
+    part of each row counts those candidates' hits.  ``phi`` holds the
+    two-candidate vehicles only.  Raises ValueError for a vehicle with more
+    than two candidates.
     """
-    in_region = [vr for vr in routes if vr.region == region]
-    if not in_region:
+    if not routes:
         raise ValueError(f"no vehicles to route in region {region}")
-    for vr in in_region:
+    for vr in routes:
         if len(vr.routes) > 2:
             raise ValueError(
                 f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, at most 2 supported"
             )
 
-    od_counts = Counter(vr.dest_region for vr in in_region if vr.dest_region != region)
+    od_counts = Counter(vr.dest_region for vr in routes if vr.dest_region != region)
     keys = [(region, h, j) for j in sorted(od_counts) for h in adjacency[region]]
     key_row = {key: k for k, key in enumerate(keys)}
-    region_links = sorted(l.id for l in net.links.values() if l.region == region)
-    link_row = {l: len(keys) + k for k, l in enumerate(region_links)}
-    area = {l: len(net.links[l].lanes) * net.links[l].length_m for l in region_links}
-    d_bar = accumulation / sum(area.values())
-
-    def column(vr: VehicleRoutes, r: CandidateRoute) -> np.ndarray:
-        """Realized proportions and link densities of one vehicle certainly
-        on route ``r``."""
-        col = np.zeros(len(keys) + len(region_links))
-        row = key_row.get((region, r.next_region, vr.dest_region))
-        if row is not None:
-            col[row] = 1.0 / od_counts[vr.dest_region]
-        if r.projected_link in link_row:
-            col[link_row[r.projected_link]] = 1.0 / area[r.projected_link]
-        return col
+    link_area = net.region_links[region]
+    link_row = {l: len(keys) + k for k, l in enumerate(link_area)}
+    d_bar = accumulation / sum(link_area.values())
 
     # At x = 0 every vehicle takes its last candidate.
-    free = [vr for vr in in_region if len(vr.routes) == 2]
-    base = sum(column(vr, vr.routes[-1]) for vr in in_region)
-    m_mat = np.zeros((len(base), len(free)))
+    n_rows = len(keys) + len(link_area)
+    base = np.zeros(n_rows)
+    last_keys = Counter((vr.routes[-1].next_region, vr.dest_region) for vr in routes)
+    last_links = Counter(vr.routes[-1].projected_link for vr in routes)
+    for (_, h, j), row in key_row.items():
+        base[row] = _running_sum(1.0 / od_counts[j], last_keys[(h, j)])
+    for l, row in link_row.items():
+        base[row] = _running_sum(1.0 / link_area[l], last_links[l])
+    # one column per two-candidate vehicle: its first candidate's hits less
+    # its last one's
+    free = [vr for vr in routes if len(vr.routes) == 2]
+    m_mat = np.zeros((n_rows, len(free)))
     for k, vr in enumerate(free):
-        m_mat[:, k] = column(vr, vr.routes[0]) - column(vr, vr.routes[1])
-    goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(region_links))
-    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(region_links))
+        for sign, r in zip((1.0, -1.0), vr.routes):
+            row = key_row.get((region, r.next_region, vr.dest_region))
+            if row is not None:
+                m_mat[row, k] += sign * (1.0 / od_counts[vr.dest_region])
+            if r.projected_link in link_row:
+                m_mat[link_row[r.projected_link], k] += sign * (1.0 / link_area[r.projected_link])
+    goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(link_area))
+    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(link_area))
     x, iterations = np.zeros(0), 0
     if free:
         sol = lsq_linear(
@@ -192,19 +199,25 @@ def solve_probabilities(
         )
         x, iterations = sol.x, sol.nit
 
-    phi = {vr.vid: np.ones(1) for vr in in_region}
-    for vr, xk in zip(free, x):
-        phi[vr.vid] = np.array([xk, 1.0 - xk])
     value = base + m_mat @ x
     target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
     homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
     return RouteProbabilities(
-        phi=phi,
+        phi={vr.vid: np.array([xk, 1.0 - xk]) for vr, xk in zip(free, x)},
         target_term=target_term,
         homogeneity_term=homog_term,
         realized={key: float(v) for key, v in zip(keys, value)},
         iterations=iterations,
     )
+
+
+def _running_sum(value: float, count: int) -> float:
+    """``value`` added ``count`` times in sequence: the bits of a running sum
+    over the vehicles, which ``count * value`` need not match."""
+    total = 0.0
+    for _ in range(count):
+        total += value
+    return total
 
 
 def assign_routes(
@@ -213,16 +226,14 @@ def assign_routes(
     rng: np.random.Generator,
 ) -> dict[int, tuple[str, ...]]:
     """Sample one committed route per vehicle from its probabilities.
+    ``routes`` holds vehicles with a choice, each with an entry in
+    ``probabilities`` (``solve_probabilities``' phi); each draws once.
 
     Iteration is ordered by vehicle id, so a fixed seed reproduces the exact
     assignment."""
     chosen: dict[int, tuple[str, ...]] = {}
     for vr in sorted(routes, key=lambda r: r.vid):
-        phi = np.asarray(probabilities[vr.vid], dtype=float)
-        if len(vr.routes) == 1:
-            chosen[vr.vid] = vr.routes[0].links
-            continue
-        phi = np.clip(phi, 0.0, None)
+        phi = np.clip(np.asarray(probabilities[vr.vid], dtype=float), 0.0, None)
         phi = phi / phi.sum()
         idx = int(rng.choice(len(vr.routes), p=phi))
         chosen[vr.vid] = vr.routes[idx].links

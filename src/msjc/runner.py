@@ -28,7 +28,7 @@ from .jointctl import ControlBounds, ControlSolution
 from .macrodyn import MacroState
 from .mesosim import MicroObservation, Simulator
 from .mfd import MfdFitError, MfdModel, MfdSample
-from .netmodel import Scenario, boundary_key
+from .netmodel import Scenario, ScenarioError, boundary_key
 
 logger = logging.getLogger(__name__)
 
@@ -106,8 +106,9 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
         return model
     if scenario.mfd is not None:
         return MfdModel(scenario.mfd)
-    raise ValueError(
-        "no calibrated MFD: embed an 'mfd' block in the scenario or run calibrate"
+    raise ScenarioError(
+        "no calibrated MFD: embed an 'mfd' block in the scenario, or fit one with "
+        "calibrate and pass it (--mfd)"
     )
 
 
@@ -208,9 +209,12 @@ class MsjcStrategy(_TrackedStrategy):
         if route_set is None:
             route_set = self._annotated_routes()
         self._route_set = None
+        by_region: dict[str, list[routectl.VehicleRoutes]] = {}
+        for vr in route_set:
+            by_region.setdefault(vr.region, []).append(vr)
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
-            in_region = [vr for vr in route_set if vr.region == region]
+            in_region = by_region.get(region)
             if not in_region:
                 continue
             probs = routectl.solve_probabilities(
@@ -222,11 +226,12 @@ class MsjcStrategy(_TrackedStrategy):
                 self.scenario.control.route_beta,
                 self.scenario.partition.adjacency,
             )
-            chosen = routectl.assign_routes(in_region, probs.phi, self.sim.routing_rng)
-            current = {vr.vid: vr.routes[0].links for vr in in_region}
-            for vid, route in chosen.items():
-                if route != current[vid]:
-                    assignments[vid] = route
+            # only vehicles with a choice draw, in id order
+            free = [vr for vr in in_region if len(vr.routes) > 1]
+            chosen = routectl.assign_routes(free, probs.phi, self.sim.routing_rng)
+            for vr in free:
+                if chosen[vr.vid] != vr.routes[0].links:
+                    assignments[vr.vid] = chosen[vr.vid]
             for (i, h, j), realized in sorted(probs.realized.items()):
                 self.macro.routing.append(
                     RoutingRow(

@@ -19,6 +19,10 @@ controller's single ranking.  ``density_fields`` recomputes the expected
 end-of-step link densities that the route-choice solve fits.
 ``reference_arrivals`` is the simulator's arrivals projection as first
 written: a projection over every running vehicle of every link.
+``dense_route_probabilities`` is the route-choice solve as first written,
+one dense column per vehicle candidate.  ``linprog_relaxation`` is the
+joint program's McCormick LP as first written: its rows stacked densely
+from the transfer Jacobian at each box corner, solved by ``linprog``.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import OptimizeResult, linprog, lsq_linear
 
 from msjc.baselines import logit_choice, route_travel_time
 from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
@@ -37,7 +43,7 @@ from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import MicroObservation, Simulator
 from msjc.netmodel import Network, TravelTimes, boundary_key, next_region, shortest_paths_to
-from msjc.routectl import VehicleRoutes
+from msjc.routectl import CandidateRoute, RouteProbabilities, VehicleRoutes
 
 logger = logging.getLogger(__name__)
 
@@ -614,3 +620,120 @@ def density_fields(
     densities = {l: mass[l] / area[l] for l in region_links}
     mean = accumulation / sum(area.values()) if region_links else 0.0
     return densities, mean
+
+
+def dense_route_probabilities(
+    routes: Sequence[VehicleRoutes],
+    targets: Mapping[tuple[str, str, str], float],
+    net: Network,
+    region: str,
+    accumulation: float,
+    beta: float,
+    adjacency: Mapping[str, tuple[str, ...]],
+) -> RouteProbabilities:
+    """``routectl.solve_probabilities`` as first written: a dense column of
+    realized proportions and link densities for every candidate of every
+    vehicle in ``region``, the constant part summed over all vehicles'
+    last candidates column by column, and ``phi`` for every vehicle (``[1.0]``
+    for one with a single candidate)."""
+    in_region = [vr for vr in routes if vr.region == region]
+    if not in_region:
+        raise ValueError(f"no vehicles to route in region {region}")
+    for vr in in_region:
+        if len(vr.routes) > 2:
+            raise ValueError(
+                f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, at most 2 supported"
+            )
+
+    od_counts = Counter(vr.dest_region for vr in in_region if vr.dest_region != region)
+    keys = [(region, h, j) for j in sorted(od_counts) for h in adjacency[region]]
+    key_row = {key: k for k, key in enumerate(keys)}
+    region_links = sorted(l.id for l in net.links.values() if l.region == region)
+    link_row = {l: len(keys) + k for k, l in enumerate(region_links)}
+    area = {l: len(net.links[l].lanes) * net.links[l].length_m for l in region_links}
+    d_bar = accumulation / sum(area.values())
+
+    def column(vr: VehicleRoutes, r: CandidateRoute) -> np.ndarray:
+        """Realized proportions and link densities of one vehicle certainly
+        on route ``r``."""
+        col = np.zeros(len(keys) + len(region_links))
+        row = key_row.get((region, r.next_region, vr.dest_region))
+        if row is not None:
+            col[row] = 1.0 / od_counts[vr.dest_region]
+        if r.projected_link in link_row:
+            col[link_row[r.projected_link]] = 1.0 / area[r.projected_link]
+        return col
+
+    # At x = 0 every vehicle takes its last candidate.
+    free = [vr for vr in in_region if len(vr.routes) == 2]
+    base = sum(column(vr, vr.routes[-1]) for vr in in_region)
+    m_mat = np.zeros((len(base), len(free)))
+    for k, vr in enumerate(free):
+        m_mat[:, k] = column(vr, vr.routes[0]) - column(vr, vr.routes[1])
+    goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(region_links))
+    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(region_links))
+    x, iterations = np.zeros(0), 0
+    if free:
+        sol = lsq_linear(
+            weight[:, None] * m_mat, weight * (goal - base), bounds=(0.0, 1.0), method="bvls"
+        )
+        x, iterations = sol.x, sol.nit
+
+    phi = {vr.vid: np.ones(1) for vr in in_region}
+    for vr, xk in zip(free, x):
+        phi[vr.vid] = np.array([xk, 1.0 - xk])
+    value = base + m_mat @ x
+    target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
+    homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
+    return RouteProbabilities(
+        phi=phi,
+        target_term=target_term,
+        homogeneity_term=homog_term,
+        realized={key: float(v) for key, v in zip(keys, value)},
+        iterations=iterations,
+    )
+
+
+def linprog_relaxation(
+    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
+) -> OptimizeResult:
+    """``jointctl._Problem.relaxation`` as first written: every row of the
+    McCormick LP stacked densely, the four corner blocks from the dense
+    Jacobian of b*c*kappa, and the LP handed to ``linprog``."""
+    nb, nc, nv = problem.nb, problem.nc, problem.nv
+    rows = np.arange(nc)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        jac = np.zeros((nc, nv))
+        jac[rows, problem.c_b] = x[problem.c_cols] * problem.kappa
+        jac[rows, problem.c_cols] = x[problem.c_b] * problem.kappa
+        return jac
+
+    w_block = np.hstack([np.eye(nc), np.zeros((nc, 1))])
+    pick_w = np.hstack([np.zeros((nc, nv)), w_block])
+    over = problem.region_map @ pick_w
+    over[:, problem.zi] = -1.0
+    env = problem.flow_map[problem.env_rows] @ pick_w
+    s = np.eye(1, nv + nc + 1, nv + nc)
+    a_ub = [over, env - s, -env - s]
+    b_ub = [-problem.base, problem.m_max, -problem.m_min]
+    lo_hi = np.concatenate([lb[:nb], ub[nb:]])
+    hi_lo = np.concatenate([ub[:nb], lb[nb:]])
+    for sign, corner in ((1.0, lb), (1.0, ub), (-1.0, lo_hi), (-1.0, hi_lo)):
+        a_ub.append(sign * np.hstack([jacobian(corner), -w_block]))
+        b_ub.append(sign * problem.moved(corner))
+    n_od = len(problem.active_od)
+    a_eq = np.hstack([problem.split_sum, np.zeros((n_od, nc + 1))])
+    cost = np.zeros(nv + nc + 1)
+    upper = np.concatenate([ub, np.full(nc, np.inf), [np.inf if elastic else 0.0]])
+    if elastic:
+        cost[-1] = 1.0
+    elif z_cap is None:
+        cost[problem.zi] = 1.0
+    else:
+        cost[nv:-1] = -problem.flow_map.sum(axis=0)
+        upper[problem.zi] = z_cap
+    bounds = np.column_stack([np.append(lb, np.zeros(nc + 1)), upper])
+    return linprog(
+        cost, np.vstack(a_ub), np.concatenate(b_ub), a_eq, np.ones(n_od), bounds, method="highs"
+    )

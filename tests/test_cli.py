@@ -169,6 +169,18 @@ def test_bad_mfd_block_in_scenario_is_one_line_and_exit_2(tmp_path, capsys):
     _one_error_line(capsys, "region R1", "'b1' is missing")
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_scenario_without_mfd_is_one_line_and_exit_2(command, tmp_path, capsys):
+    scenario = tmp_path / "grid6.yaml"
+    assert cli.main(["make-scenario", "grid6", "-o", str(scenario), "--without-mfd"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    strategy = ["--strategy", "msjc"] if command == "run" else []
+    assert cli.main([command, "--scenario", str(scenario), "--out", str(out)] + strategy) == 2
+    _one_error_line(capsys, "no calibrated MFD", "--mfd")
+    assert not out.exists()
+
+
 def test_wrongly_typed_control_value_is_one_line_and_exit_2(tmp_path, capsys):
     scenario, _ = _corridor2_and_mfd(tmp_path, capsys)
     raw = yaml.safe_load(scenario.read_text())

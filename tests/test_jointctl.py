@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,15 @@ from msjc import fixtures, jointctl, runner
 from msjc.jointctl import ControlBounds, _Problem, route_bounds, solve
 from msjc.macrodyn import MacroState
 
-from oracles import FractionMfd, completion_split, step, targets, transfers, two_region_grid_search
+from oracles import (
+    FractionMfd,
+    completion_split,
+    linprog_relaxation,
+    step,
+    targets,
+    transfers,
+    two_region_grid_search,
+)
 
 ADJ2 = {"R1": ("R2",), "R2": ("R1",)}
 ADJ3 = {"R1": ("R2", "R3"), "R2": ("R1", "R3"), "R3": ("R1", "R2")}
@@ -110,12 +120,77 @@ def three_region_instance(rng):
     return state, mfd, bounds
 
 
+def unattainable_floor_instance():
+    """A three-region instance with free splits whose R1 -> R2 flow floor
+    is twice ``top``, the most R1 can send that way: gate open and every
+    split of R1 sent to R2."""
+    state, mfd, bounds = three_region_instance(np.random.default_rng(23))
+    type1, _ = completion_split(state, mfd)
+    top = sum(type1[("R1", j)] for j in ("R2", "R3")) / state.t_macro_s
+    bounds = ControlBounds(
+        m_min={k: 2.0 * top if k == ("R1", "R2") else 0.0 for k in bounds.m_min},
+        m_max={k: 1e9 for k in bounds.m_max},
+        c_min={k: 0.0 for k in bounds.c_min},
+        c_max={k: 1.0 for k in bounds.c_max},
+    )
+    return state, mfd, bounds, top
+
+
 def assert_certified(sol):
     """The solution attains the relaxation's bounds: no feasible point has
     a lower z, and none within the z band has more total flow."""
     assert sol.feasible
     assert sol.z <= sol.z_bound + 1e-7 * (1.0 + abs(sol.z))
     assert sum(sol.m.values()) >= sol.flow_bound - 1e-9
+
+
+# (0, 400) and (1, 400) are grid6's first msjc steps, where many gatings
+# share the minimal z while their total flows differ several-fold.
+GRID6_WINDOWS = [(0, 400.0), (1, 400.0), (7001, 800.0), (7011, 400.0), (24, 1400.0)]
+
+
+@functools.cache
+def grid6_window(seed, warmup_s):
+    """The arguments of the one joint solve in a grid6 msjc run of one
+    macro step after ``warmup_s``."""
+    calls = []
+    solve_ = jointctl.solve
+
+    def recording(*args):
+        calls.append(args)
+        return solve_(*args)
+
+    jointctl.solve = recording
+    try:
+        runner.run(
+            fixtures.grid6(),
+            runner.RunConfig("msjc", seed=seed, warmup_s=warmup_s, cap_s=warmup_s + 100.0),
+        )
+    finally:
+        jointctl.solve = solve_
+    [args] = calls
+    return args
+
+
+def assert_relaxations_match_linprog(monkeypatch, state, mfd, bounds) -> list[bool]:
+    """Solve, checking every LP that ``solve`` hands to HiGHS against the
+    same LP through ``linprog``; the LPs' ``elastic`` flags."""
+    relaxation = _Problem.relaxation
+    elastic_flags = []
+
+    def checked(problem, lb, ub, z_cap=None, elastic=False):
+        got = relaxation(problem, lb, ub, z_cap, elastic)
+        want = linprog_relaxation(problem, lb, ub, z_cap, elastic)
+        assert (got.success, got.message, got.fun) == (want.success, want.message, want.fun)
+        assert (got.x is None) == (want.x is None)
+        assert got.x is None or np.array_equal(got.x, want.x)
+        elastic_flags.append(elastic)
+        return got
+
+    monkeypatch.setattr(_Problem, "relaxation", checked)
+    solve(state, mfd, bounds)
+    assert elastic_flags
+    return elastic_flags
 
 
 def sample_feasible_controls(rng, state, mfd, bounds):
@@ -264,18 +339,7 @@ class TestSolve:
         assert sol.b[("R1", "R2")] == pytest.approx(1.0)  # pushed to the wall
 
     def test_unattainable_flow_floor_with_free_splits(self):
-        # R1 -> R2 can carry at most all of R1's outbound completions, gate
-        # open and every split of R1 sent to R2; its floor is twice that.
-        state, mfd, bounds = three_region_instance(np.random.default_rng(23))
-        type1, _ = completion_split(state, mfd)
-        top = sum(type1[("R1", j)] for j in ("R2", "R3")) / state.t_macro_s
-        keys = list(bounds.m_min)
-        bounds = ControlBounds(
-            m_min={k: 2.0 * top if k == ("R1", "R2") else 0.0 for k in keys},
-            m_max={k: 1e9 for k in keys},
-            c_min={k: 0.0 for k in bounds.c_min},
-            c_max={k: 1.0 for k in bounds.c_max},
-        )
+        state, mfd, bounds, top = unattainable_floor_instance()
         sol = solve(state, mfd, bounds)
         assert not sol.feasible
         for (i, j) in state.n:
@@ -283,26 +347,9 @@ class TestSolve:
                 assert sum(sol.c[(i, h, j)] for h in ADJ3[i]) == pytest.approx(1.0)
         assert sol.residual == pytest.approx(top, rel=1e-6)
 
-    # (0, 400) and (1, 400) are grid6's first msjc steps, where many
-    # gatings share the minimal z while their total flows differ
-    # several-fold.
-    @pytest.mark.parametrize(
-        "seed, warmup_s", [(0, 400.0), (1, 400.0), (7001, 800.0), (7011, 400.0), (24, 1400.0)]
-    )
-    def test_grid6_window_reaches_both_bounds(self, monkeypatch, seed, warmup_s):
-        solutions = []
-
-        def recording(*args):
-            solutions.append(solve(*args))
-            return solutions[-1]
-
-        monkeypatch.setattr(jointctl, "solve", recording)
-        runner.run(
-            fixtures.grid6(),
-            runner.RunConfig("msjc", seed=seed, warmup_s=warmup_s, cap_s=warmup_s + 100.0),
-        )
-        [sol] = solutions
-        assert_certified(sol)
+    @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
+    def test_grid6_window_reaches_both_bounds(self, seed, warmup_s):
+        assert_certified(solve(*grid6_window(seed, warmup_s)))
 
     def test_inactive_od_reports_uniform_split(self):
         state = MacroState(
@@ -386,15 +433,55 @@ class TestRelaxation:
 
 
 class TestProblem:
-    def test_transfer_jacobian_matches_central_differences(self):
+    def test_mccormick_coefficients_match_central_differences(self):
+        # Block k bounds w by the tangent plane of b*c*kappa at one corner
+        # of the box: sign * (its partials on b and c, -1 on w) and
+        # sign * b*c*kappa as the bound, signs (+, +, -, -).
         rng = np.random.default_rng(7)
         problem = _Problem(*three_region_instance(rng))
-        x = rng.uniform(0.0, 1.0, problem.nv)
-        step = 1e-6
-        numeric = np.column_stack(
-            [
-                (problem.moved(x + step * e) - problem.moved(x - step * e)) / (2 * step)
-                for e in np.eye(problem.nv)
-            ]
+        nb, nc, nv = problem.nb, problem.nc, problem.nv
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        lb[: nv - 1] = rng.uniform(0.05, 0.5, nv - 1)
+        ub[: nv - 1] = rng.uniform(0.5, 1.0, nv - 1)
+        rows = problem.constraints(lb, ub)
+        a = rows.A
+        corners = (
+            (1.0, lb),
+            (1.0, ub),
+            (-1.0, np.concatenate([lb[:nb], ub[nb:]])),
+            (-1.0, np.concatenate([ub[:nb], lb[nb:]])),
         )
-        assert np.allclose(problem.moved_jac(x), numeric, rtol=1e-7, atol=1e-6)
+        step = 1e-6
+        for k, (sign, corner) in enumerate(corners):
+            block = problem.mc_rows[k * nc : (k + 1) * nc]
+            numeric = np.column_stack(
+                [
+                    (problem.moved(corner + step * e) - problem.moved(corner - step * e))
+                    / (2 * step)
+                    for e in np.eye(nv)
+                ]
+            )
+            assert np.allclose(a[block, :nv], sign * numeric, rtol=1e-7, atol=1e-6)
+            assert np.array_equal(a[block, nv : nv + nc], -sign * np.eye(nc))
+            assert not a[block, nv + nc].any()
+            assert np.array_equal(rows.ub[block], sign * problem.moved(corner))
+
+
+class TestHighsCall:
+    """``_Problem.relaxation`` gives HiGHS, through ``milp``, the LP that
+    ``linprog`` was given: the same point, objective, status and message."""
+
+    def test_random_instances(self, monkeypatch):
+        for instance, seed, count in ((random_instance, 61, 4), (three_region_instance, 62, 10)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                assert_relaxations_match_linprog(monkeypatch, *instance(rng))
+
+    def test_elastic_instance(self, monkeypatch):
+        # the McCormick LP is infeasible and the elastic LP takes over
+        state, mfd, bounds, _ = unattainable_floor_instance()
+        assert assert_relaxations_match_linprog(monkeypatch, state, mfd, bounds) == [False, True]
+
+    @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
+    def test_grid6_window(self, monkeypatch, seed, warmup_s):
+        assert len(assert_relaxations_match_linprog(monkeypatch, *grid6_window(seed, warmup_s))) == 6

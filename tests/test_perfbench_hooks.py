@@ -7,15 +7,17 @@ full benchmark run.  The first test binds the hooks with a stub tracer,
 which runs nothing.  The second binds the real tracer around three short
 corridor2 runs and checks the boundary fallback counter against the runs'
 own ``boundary.csv``, and that injection and rerouting still reach the
-route search through the names the timers wrap.  The third runs corridor2
-under the hooks of an untraced run (``workloads.Watch``) and checks their
-step times and travel time against the run's own.
+route search through the names the timers wrap.  The third checks msjc's
+solve counters against what the solves themselves returned and against the
+run's ``joint.csv``.  The last runs corridor2 under the hooks of an
+untraced run (``workloads.Watch``) and checks their step times and travel
+time against the run's own.
 """
 
 import csv
 from pathlib import Path
 
-from msjc import fixtures, runner
+from msjc import fixtures, routectl, runner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,6 +71,34 @@ def test_boundary_counters_match_the_runs_logs(monkeypatch, tmp_path):
         "routectl.shortest_paths_to",
     ):
         assert metrics[f"{layer}.calls"] > 0, layer
+
+
+def test_msjc_solve_counters_match_the_solves(monkeypatch, tmp_path):
+    # corridor2 at seed 5 has one infeasible joint solve
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from layers import Tracer
+
+    with_choice = []
+    solve_probabilities = routectl.solve_probabilities
+
+    def counting(*args):
+        out = solve_probabilities(*args)
+        with_choice.append(len(out.phi))  # one entry per two-candidate vehicle
+        return out
+
+    monkeypatch.setattr(routectl, "solve_probabilities", counting)
+    with Tracer() as tracer:
+        workloads.bind_layers(tracer)
+        runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=5, out_dir=tmp_path))
+    with open(tmp_path / "joint.csv", newline="") as fh:
+        feasible = [row["feasible"] for row in csv.DictReader(fh)]
+    metrics = workloads.layer_metrics(tracer.layers)
+    assert sum(with_choice) > 0 and "0" in feasible
+    assert metrics["routectl.solve_probabilities.calls"] == len(with_choice)
+    assert metrics["routectl.solve_probabilities.free_variables"] == 2 * sum(with_choice)
+    assert metrics["jointctl.solve.calls"] == len(feasible)
+    assert metrics["jointctl.solve.infeasible"] == feasible.count("0")
 
 
 def test_untraced_hooks_time_every_active_step(monkeypatch):

@@ -15,7 +15,12 @@ from msjc.routectl import (
 from msjc import fixtures
 
 from conftest import make_single_gate
-from oracles import density_fields, per_vehicle_candidates, route_choice_grid_search
+from oracles import (
+    dense_route_probabilities,
+    density_fields,
+    per_vehicle_candidates,
+    route_choice_grid_search,
+)
 from test_mesosim import force_queued, force_running
 
 
@@ -297,7 +302,8 @@ class TestSolveProbabilities:
         net = one_region_net()
         routes = [vr(1, "R1", "R9", [cr("R2", "L0")])]
         out = solve_probabilities(routes, {("R1", "R2", "R9"): 0.0}, net, "R1", 1.0, 10.0, ADJ)
-        assert out.phi[1].tolist() == [1.0]
+        assert out.phi == {}  # no choice: no probabilities, no draw
+        assert out.iterations == 0
 
     def test_disjoint_fixed_vehicles_leave_only_homogeneity(self):
         net = one_region_net(n_links=2, lanes=1, length=100.0)
@@ -307,8 +313,7 @@ class TestSolveProbabilities:
         ]
         targets = {("R1", "R2", "R9"): 0.5, ("R1", "R3", "R9"): 0.5}
         out = solve_probabilities(routes, targets, net, "R1", 2.0, 10.0, ADJ)
-        assert out.phi[1].tolist() == [1.0]
-        assert out.phi[2].tolist() == [1.0]
+        assert out.phi == {}
         assert out.target_term == pytest.approx(0.0, abs=1e-12)
         assert objective_of(out) == pytest.approx(out.homogeneity_term)
 
@@ -491,6 +496,57 @@ class TestSolveProbabilities:
         assert np.all(np.abs(grad[inside]) <= 1e-7)
         assert np.all(grad[at_lower] >= -1e-7)
         assert np.all(grad[at_upper] <= 1e-7)
+
+
+def assert_matches_dense_reference(routes, targets, net, region, acc, beta, adjacency):
+    """The solve agrees bit for bit with the dense-column reference, whose
+    ``phi`` also lists the one-candidate vehicles as ``[1.0]``."""
+    out = solve_probabilities(routes, targets, net, region, acc, beta, adjacency)
+    ref = dense_route_probabilities(routes, targets, net, region, acc, beta, adjacency)
+    assert out.realized == ref.realized
+    assert (out.target_term, out.homogeneity_term) == (ref.target_term, ref.homogeneity_term)
+    assert out.iterations == ref.iterations
+    assert list(out.phi) == [vr.vid for vr in routes if len(vr.routes) == 2]
+    for vr in routes:
+        if vr.vid in out.phi:
+            assert np.array_equal(out.phi[vr.vid], ref.phi[vr.vid])
+        else:
+            assert ref.phi[vr.vid].tolist() == [1.0]
+    return out
+
+
+class TestDenseReference:
+    def test_random_instances(self):
+        rng = np.random.default_rng(41)
+        net = one_region_net(n_links=4, lanes=2, length=80.0)
+        links = ["L0", "L1", "L2", "L3", None]
+        for _ in range(40):
+            routes = []
+            for vid in sorted(rng.choice(1000, int(rng.integers(1, 40)), replace=False)):
+                dest = str(rng.choice(["R1", "R8", "R9"]))
+                cands = [
+                    cr("R1" if dest == "R1" else str(rng.choice(["R2", "R3"])), rng.choice(links))
+                    for _ in range(int(rng.integers(1, 3)))
+                ]
+                routes.append(vr(int(vid), "R1", dest, cands))
+            targets = {
+                ("R1", h, j): float(rng.uniform()) for h in ("R2", "R3") for j in ("R8", "R9")
+            }
+            acc = float(rng.uniform(0, 40))
+            beta = float(rng.uniform(0.5, 20))
+            assert_matches_dense_reference(routes, targets, net, "R1", acc, beta, ADJ)
+
+    def test_running_sum_keeps_every_bit(self):
+        # ten one-candidate vehicles of one OD each add 1/10 to its realized
+        # share: ten additions of 0.1 give 0.9999999999999999, not 10 * 0.1
+        net = one_region_net(n_links=2, lanes=1, length=100.0)
+        fixed = [vr(k, "R1", "R9", [cr("R2", "L0")]) for k in range(10)]
+        targets = {("R1", "R2", "R9"): 1.0, ("R1", "R3", "R9"): 0.0}
+        out = assert_matches_dense_reference(fixed, targets, net, "R1", 10.0, 10.0, ADJ)
+        assert out.realized[("R1", "R2", "R9")] == 0.9999999999999999 != 10 * 0.1
+        # with a vehicle that has a choice the fixed ones still sum that way
+        free = vr(10, "R1", "R9", [cr("R3", "L1"), cr("R2", "L0")])
+        assert_matches_dense_reference(fixed + [free], targets, net, "R1", 11.0, 10.0, ADJ)
 
 
 class TestAssignRoutes:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -31,6 +32,13 @@ GRID6_GOLDEN = {
     "bp-lr": (223_990.0, 1379, 1730.0),
     "mspc": (325_670.0, 1379, 1870.0),
     "bp": (223_970.0, 1379, 1730.0),
+}
+
+# grid6, seed 0: SHA-256 of msjc's joint and routing logs.  A TTT golden
+# survives a one-ulp move in a gating fraction or a split; these do not.
+GRID6_MSJC_LOGS = {
+    "joint.csv": "e8b9062c1dadf9d067a2eba69dcc485e0131b14a84f88db56733b6284fb7e918",
+    "routing.csv": "1093727fcce83067fb76a44c69b27d67f3f96606d6e1f05c33221d2cb937e8df",
 }
 
 # Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
@@ -130,6 +138,9 @@ def test_golden_grid6(strategy, tmp_path):
     )
     ttt, throughput, clearance = GRID6_GOLDEN[strategy]
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+    if strategy == "msjc":
+        for name, digest in GRID6_MSJC_LOGS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     if strategy == "mspc":
         rows = _boundary_rows(tmp_path)
         assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
