@@ -15,7 +15,7 @@ import numpy as np
 
 from . import boundaryctl
 from .mesosim import MicroObservation
-from .netmodel import Network
+from .netmodel import Network, boundary_key
 
 logger = logging.getLogger(__name__)
 
@@ -76,4 +76,5 @@ def bp_control(
 ) -> str:
     """Max-pressure plan over the full plan set (no flow-tracking filter);
     ties go to the earliest plan."""
-    return max(net.plan_set(*boundary), key=lambda p: boundaryctl.plan_weight(p, obs, net)).id
+    weights = boundaryctl.plan_weights(net.plan_lanes[boundary_key(*boundary)], obs, net)
+    return net.plan_set(*boundary)[weights.index(max(weights))].id

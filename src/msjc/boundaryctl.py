@@ -8,62 +8,58 @@ single ranking: plans whose gated plus non-gated flow stays inside a
 shrinking tolerance band around the expected rate (both directions at once)
 come first, by highest backpressure weight; when no plan is inside, the
 plan with the least summed relative deviation is taken and flagged as a
-fallback.  Ties go to the earliest plan in the configured order.
+fallback.  Ties go to the earliest plan in the configured order.  Each
+lane's flow and pressure terms are computed once per step; a plan's flow
+and weight sum its lanes' terms in lane id order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .mesosim import MicroObservation
-from .netmodel import ControlConfig, MultiPhasePlan, Network, boundary_key
+from .netmodel import ControlConfig, Network, PlanLanes, boundary_key
 
 
-def plan_flow(
-    plan: MultiPhasePlan,
-    obs: MicroObservation,
-    arrivals: Mapping[str, float],
-    net: Network,
-    direction: tuple[str, str],
-) -> float:
-    """Estimated flow (veh/s) the plan would pass across ``direction`` this
-    step: per served crossing lane, min(arrivals, saturation, downstream
-    space), divided by the step length, with ``arrivals`` from
-    ``Simulator.arrivals()`` at the state ``obs`` describes."""
-    i, h = direction
-    total = 0.0
-    for lane_id in net.crossing_lanes(plan, i, h):
+def lane_flows(
+    lanes: Iterable[str], obs: MicroObservation, arrivals: Mapping[str, float], net: Network
+) -> dict[str, float]:
+    """Vehicles each of ``lanes`` could pass this step if served: min(arrivals
+    from ``Simulator.arrivals()`` at the state ``obs`` describes, saturation,
+    mean space on its output lanes), floored at zero."""
+    out = {}
+    for lane_id in lanes:
         lane = net.lanes[lane_id]
-        arriving = arrivals.get(lane_id, 0.0)
-        saturation = lane.sat_flow_veh_s * obs.dt_s
-        terms = [arriving, saturation]
-        if lane.output_lanes:
-            space = sum(
-                net.lanes[out].capacity_veh - obs.queues.get(out, 0)
-                for out in lane.output_lanes
-            ) / len(lane.output_lanes)
+        outs = lane.output_lanes
+        terms = [arrivals.get(lane_id, 0.0), lane.sat_flow_veh_s * obs.dt_s]
+        if outs:
+            space = sum(net.lanes[o].capacity_veh - obs.queues.get(o, 0) for o in outs) / len(outs)
             terms.append(max(0.0, space))
-        total += max(0.0, min(terms))
-    return total / obs.dt_s
+        out[lane_id] = max(0.0, min(terms))
+    return out
 
 
-def plan_weight(plan: MultiPhasePlan, obs: MicroObservation, net: Network) -> float:
-    """Backpressure weight of a plan: over the lanes it turns green, served
-    queue minus mean downstream queue, scaled by each lane's saturation
-    flow."""
-    w = 0.0
-    for lane_id in sorted(plan.green):
+def plan_weights(lanes: PlanLanes, obs: MicroObservation, net: Network) -> list[float]:
+    """Backpressure weight of each of a boundary's plans: over the lanes it
+    turns green, queue minus the mean queue of the lane's output lanes,
+    scaled by the lane's saturation flow; each lane's term computed once."""
+    pressure = {}
+    for lane_id in lanes.all_green:
         lane = net.lanes[lane_id]
-        q_l = obs.queues.get(lane_id, 0)
-        if lane.output_lanes:
-            downstream = sum(
-                obs.queues.get(out, 0) for out in lane.output_lanes
-            ) / len(lane.output_lanes)
-        else:
-            downstream = 0.0
-        w += (q_l - downstream) * lane.sat_flow_veh_s
-    return w
+        outs = lane.output_lanes
+        downstream = sum(obs.queues.get(o, 0) for o in outs) / len(outs) if outs else 0.0
+        pressure[lane_id] = (obs.queues.get(lane_id, 0) - downstream) * lane.sat_flow_veh_s
+    return [_in_order(pressure, green) for green in lanes.green]
+
+
+def _in_order(terms: Mapping[str, float], lanes: Iterable[str]) -> float:
+    """The terms of ``lanes`` added one by one in that order, so that a
+    plan's sum has the same bits however the terms were computed."""
+    total = 0.0
+    for lane_id in lanes:
+        total += terms[lane_id]
+    return total
 
 
 @dataclass
@@ -98,6 +94,7 @@ class BoundaryController:
         self.directions = ((i, h), (h, i))
         self.control = control
         self.plans = list(net.plan_set(i, h))
+        self.plan_lanes = net.plan_lanes[self.key]
         self.targets = (0.0, 0.0)  # veh/s, forward and reverse
         self.realized: tuple[list[float], list[float]] = ([], [])
         self.last_decision: BoundaryDecision | None = None
@@ -106,14 +103,24 @@ class BoundaryController:
         self.targets = (target_fwd, target_rev)
         self.realized = ([], [])
 
+    def plan_flows(
+        self, obs: MicroObservation, arrivals: Mapping[str, float]
+    ) -> list[tuple[float, float]]:
+        """Estimated (forward, reverse) flow (veh/s) of each plan this step:
+        what its crossing lanes could pass (``lane_flows``, one term per
+        lane), divided by the step length."""
+        lanes = self.plan_lanes
+        flows = lane_flows(lanes.all_crossing, obs, arrivals, self.net)
+        dt = obs.dt_s
+        return [(_in_order(flows, f) / dt, _in_order(flows, r) / dt) for f, r in lanes.crossing]
+
     def macro_flow_bounds(
         self, obs: MicroObservation, arrivals: Mapping[str, float]
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """(min, max) start-of-macro-step flow envelope for both directions:
         the plans' estimated flows plus the non-gated flow."""
         bounds = []
-        for d in self.directions:
-            est = [plan_flow(p, obs, arrivals, self.net, d) for p in self.plans]
+        for est, d in zip(zip(*self.plan_flows(obs, arrivals)), self.directions):
             ng = obs.non_gating_crossings.get(d, 0.0)
             bounds.append((min(est) + ng, max(est) + ng))
         return bounds[0], bounds[1]
@@ -136,15 +143,17 @@ class BoundaryController:
         scale = [m if m > 0.0 else c.sigma_abs_veh_s for m in expected]
         band = [remaining * c.sigma if m > 0.0 else 1.0 for m in expected]
 
-        ranks, estimates = [], []
-        for index, plan in enumerate(self.plans):
-            est = [plan_flow(plan, obs, arrivals, self.net, d) for d in self.directions]
+        estimates = self.plan_flows(obs, arrivals)
+        weights = None  # priced only once a plan is inside the band
+        ranks = []
+        for index, est in enumerate(estimates):
             dev = [abs(e + n - m) / s for e, n, m, s in zip(est, ng, expected, scale)]
             if dev[0] < band[0] and dev[1] < band[1]:
-                ranks.append((0, -plan_weight(plan, obs, self.net), index))
+                if weights is None:
+                    weights = plan_weights(self.plan_lanes, obs, self.net)
+                ranks.append((0, -weights[index], index))
             else:
                 ranks.append((1, dev[0] + dev[1], index))
-            estimates.append(est)
         fallback, _, index = min(ranks)
         self.last_decision = BoundaryDecision(
             time_s=obs.time_s,

@@ -24,8 +24,9 @@ BLAS threading.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import LinearConstraint, OptimizeResult, milp
@@ -75,25 +76,27 @@ class ControlSolution:
 
 
 def route_bounds(
-    candidates: Mapping[tuple[str, str], Sequence[Collection[str]]],
+    set_counts: Mapping[tuple[str, str, frozenset[str]], int],
     adjacency: Mapping[str, tuple[str, ...]],
 ) -> tuple[dict[TKey, float], dict[TKey, float]]:
-    """Split bounds from the vehicles' candidate next-region sets.
+    """Split bounds from the vehicles counted per (origin region,
+    destination region, candidate next-region set)
+    (``routectl.RouteTables.next_sets``).
 
     The upper bound for next region h is the fraction of the OD's vehicles
-    that could go via h at all; the lower bound is the fraction that has no
-    other option.  Every OD has at least one vehicle, each with a non-empty
-    set (``routectl.candidate_next_regions``).
+    that could go via h at all; the lower bound is the fraction whose set is
+    h alone (also when both candidates go via h).  Counts are integers, so
+    each bound is one exact division.
     """
-    c_min: dict[TKey, float] = {}
-    c_max: dict[TKey, float] = {}
-    for (i, j), vehicle_sets in candidates.items():
-        n = len(vehicle_sets)
-        for h in adjacency[i]:
-            could = sum(1 for s in vehicle_sets if h in s)
-            must = sum(1 for s in vehicle_sets if set(s) == {h})
-            c_min[(i, h, j)] = must / n
-            c_max[(i, h, j)] = could / n
+    totals, could, must = Counter(), Counter(), Counter()
+    for (i, j, hs), n in set_counts.items():
+        totals[(i, j)] += n
+        for h in hs:
+            could[(i, h, j)] += n
+            must[(i, h, j)] += n if len(hs) == 1 else 0
+    keys = [(i, h, j, n) for (i, j), n in totals.items() for h in adjacency[i]]
+    c_min = {(i, h, j): must[(i, h, j)] / n for i, h, j, n in keys}
+    c_max = {(i, h, j): could[(i, h, j)] / n for i, h, j, n in keys}
     return c_min, c_max
 
 

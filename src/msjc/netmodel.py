@@ -28,6 +28,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 import yaml
 
@@ -126,6 +127,17 @@ class ControlConfig:
         return int(round(self.t_macro_s / self.t_micro_s))
 
 
+class PlanLanes(NamedTuple):
+    """The lanes of one boundary's plans, for its key (i, h), in plan order
+    and each in lane id order: per plan, the lanes crossing i -> h and
+    h -> i and the lanes it turns green; then every lane of either kind."""
+
+    crossing: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    green: tuple[tuple[str, ...], ...]
+    all_crossing: tuple[str, ...]
+    all_green: tuple[str, ...]
+
+
 def boundary_key(i: str, h: str) -> tuple[str, str]:
     """Canonical (unordered) key for the boundary between two regions."""
     return (i, h) if i <= h else (h, i)
@@ -207,9 +219,10 @@ class Network:
                 preds[self.link_index[out]].append(k)
         self.pred_index = tuple(map(tuple, preds))
 
-        # L^p_{i,h}: for each plan and ordered boundary direction, the approach
-        # lanes the plan serves whose movement crosses that direction.  Plans
-        # turn green only lanes that feed a gating intersection.
+        # Per boundary, its plans' lanes (``PlanLanes``), among them L^p_{i,h}:
+        # for each plan and ordered boundary direction, the approach lanes the
+        # plan serves whose movement crosses that direction.  Plans turn green
+        # only lanes that feed a gating intersection.
         crosses: dict[str, set[tuple[str, str]]] = {}
         for link_id, lanes in self.gating_approaches:
             region = self.region_of[link_id]
@@ -218,23 +231,26 @@ class Network:
                     (region, self.region_of[self.lanes[out].link])
                     for out in self.lanes[l].output_lanes
                 }
-        self._plan_crossing: dict[tuple[str, str, str], tuple[str, ...]] = {}
+        self.plan_lanes: dict[tuple[str, str], PlanLanes] = {}
         for key, plan_list in self.plans.items():
-            for plan in plan_list:
-                green = sorted(plan.green)
-                for i, h in (key, (key[1], key[0])):
-                    self._plan_crossing[(plan.id, i, h)] = tuple(
-                        l for l in green if (i, h) in crosses[l]
-                    )
+            rev = (key[1], key[0])
+            green = [tuple(sorted(plan.green)) for plan in plan_list]
+            crossing = [
+                (
+                    tuple(l for l in lanes if key in crosses[l]),
+                    tuple(l for l in lanes if rev in crosses[l]),
+                )
+                for lanes in green
+            ]
+            all_green = tuple(sorted(set().union(*green)))
+            all_crossing = tuple(l for l in all_green if key in crosses[l] or rev in crosses[l])
+            self.plan_lanes[key] = PlanLanes(tuple(crossing), tuple(green), all_crossing, all_green)
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
 
     def plan_set(self, i: str, h: str) -> tuple[MultiPhasePlan, ...]:
         return self.plans[boundary_key(i, h)]
-
-    def crossing_lanes(self, plan: MultiPhasePlan, i: str, h: str) -> tuple[str, ...]:
-        return self._plan_crossing[(plan.id, i, h)]
 
 
 @dataclass(frozen=True)
@@ -770,9 +786,9 @@ def shortest_paths_to(
 def next_region(route: Sequence[str], net: Network) -> str:
     """Region of the first link of a route outside its first link's region,
     or that region when the route never leaves it."""
-    here = net.links[route[0]].region
-    for link_id in route[1:]:
-        region = net.links[link_id].region
+    here = net.region_of[route[0]]
+    for link_id in route:
+        region = net.region_of[link_id]
         if region != here:
             return region
     return here

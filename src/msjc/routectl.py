@@ -12,17 +12,23 @@ vehicle injected there in the same step got.  Logit rerouting reads only
 that map.  msjc's programs also need each candidate's upcoming region and the
 link the vehicle is projected to sit on at the end of the step: the route's
 next link for a vehicle the step may discharge (``Simulator.queue_heads``),
-its current link otherwise.  ``annotate_routes`` builds the candidate set
-with that hyper-path annotation.  Both functions read the simulator's own
-vehicle records, ``Simulator.vehicles``.
+its current link otherwise.  ``route_tables`` makes one pass over the
+vehicles in id order.  Per region it counts every vehicle by its last
+candidate (its alternative if it has one, else its current route): per
+destination region, per (next region, destination) and per projected link.
+Per OD it counts the vehicles by candidate next-region set, the input to
+the split bounds (``jointctl.route_bounds``).  Only a vehicle with an
+alternative gets its candidate set (``VehicleRoutes``).  Both functions read
+the simulator's own vehicle records, ``Simulator.vehicles``.
 The per-region program picks route probabilities on each vehicle's simplex
 so that the realized next-region proportions match the hyper-path split
 targets while the predicted end-of-step link densities stay close to the
 region mean.  With at most two candidates per vehicle the program is a
 bounded-variable least squares problem, solved exactly.  Its constant part
-counts every vehicle's last candidate (``Network.region_links`` gives the
-region's links and lane areas), and it has one column per vehicle with two
-candidates; only those vehicles get probabilities and draw a route.
+comes from the region's counts (``Network.region_links`` gives the region's
+links and lane areas), and it has one column per vehicle with a choice; only
+those vehicles get probabilities and draw a route, and a region without one
+has nothing to solve.
 """
 
 from __future__ import annotations
@@ -41,15 +47,33 @@ from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 class CandidateRoute(NamedTuple):
     links: tuple[str, ...]
     next_region: str
-    projected_link: str | None  # None: leaves the region this step
-    # (ignored for densities)
+    projected_link: str | None  # None: leaves the region (ignored for densities)
 
 
 class VehicleRoutes(NamedTuple):
     vid: int
     region: str
     dest_region: str
-    routes: tuple[CandidateRoute, ...]  # the current route first; one: no choice
+    routes: tuple[CandidateRoute, ...]  # the current route, then the alternative
+
+
+class RouteCounts(NamedTuple):
+    """One region's vehicles counted by their last candidate (their only
+    one without a choice)."""
+
+    destinations: Counter[str]  # vehicles per destination region
+    next_keys: Counter[tuple[str, str]]  # per (next region, destination)
+    links: Counter[str | None]  # per projected link
+
+
+class RouteTables(NamedTuple):
+    """The step's route guidance input (``route_tables``): per region, its
+    vehicles with a choice in id order and its counts; and the vehicles per
+    (region, destination outside it, candidate next-region set)."""
+
+    choices: dict[str, list[VehicleRoutes]]
+    counts: dict[str, RouteCounts]
+    next_sets: Counter[tuple[str, str, frozenset[str]]]
 
 
 @dataclass
@@ -94,49 +118,51 @@ def generate_routes(
     return alternatives
 
 
-def annotate_routes(
+def route_tables(
     vehicles: Sequence,
     alternatives: Mapping[int, tuple[str, ...]],
     net: Network,
     heads: Collection[int],
-) -> list[VehicleRoutes]:
-    """The candidate set of each of ``vehicles`` (``Simulator.vehicles``
-    records), in order: the current route first, then its entry in
-    ``alternatives`` (``generate_routes``) if any.  Each candidate carries its
-    upcoming region and projected end-of-step link: ``route[1]`` for a vehicle
-    in ``heads`` (``Simulator.queue_heads()``), else ``route[0]``; None outside
-    the vehicle's region (ignored in densities)."""
+) -> RouteTables:
+    """One pass over ``vehicles`` (``Simulator.vehicles`` records, in id
+    order) and their ``alternatives`` (``generate_routes``).  A vehicle's
+    candidates are its current route, then its alternative if any, each with
+    its upcoming region and projected end-of-step link: ``route[1]`` for a
+    vehicle in ``heads`` (``Simulator.queue_heads()``), else ``route[0]``;
+    None outside the vehicle's region.  Every vehicle is counted; only one
+    with an alternative gets a ``VehicleRoutes``."""
     region_of = net.region_of
-    out: list[VehicleRoutes] = []
+    rows: dict[str, list[tuple[str, str, str | None]]] = {}
+    choices: dict[str, list[VehicleRoutes]] = {}
+    next_sets: list[tuple[str, str, frozenset[str]]] = []
     for v in vehicles:
-        region = region_of[v.route[0]]
+        route, dest = v.route, v.dest_region
+        region = region_of[route[0]]
         k = 1 if v.id in heads else 0
-        links = (v.route, alternatives[v.id]) if v.id in alternatives else (v.route,)
-        routes = tuple(
-            CandidateRoute(r, next_region(r, net), r[k] if region_of[r[k]] == region else None)
-            for r in links
-        )
-        out.append(VehicleRoutes(v.id, region, v.dest_region, routes))
-    return out
-
-
-def candidate_next_regions(
-    routes: Sequence[VehicleRoutes],
-) -> dict[tuple[str, str], list[frozenset[str]]]:
-    """Per-OD candidate next-region sets, the input to the split bounds."""
-    out: dict[tuple[str, str], list[frozenset[str]]] = {}
-    for vr in routes:
-        if vr.dest_region == vr.region:
-            continue
-        key = (vr.region, vr.dest_region)
-        out.setdefault(key, []).append(
-            frozenset(r.next_region for r in vr.routes)
-        )
-    return out
+        alternative = alternatives.get(v.id)
+        last = route if alternative is None else alternative
+        h = next_region(last, net)
+        link = last[k] if region_of[last[k]] == region else None
+        rows.setdefault(region, []).append((dest, h, link))
+        hs = (h,)
+        if alternative is not None:
+            h0 = next_region(route, net)
+            current = CandidateRoute(route, h0, route[k] if region_of[route[k]] == region else None)
+            routes = (current, CandidateRoute(alternative, h, link))
+            choices.setdefault(region, []).append(VehicleRoutes(v.id, region, dest, routes))
+            hs = (h0, h)
+        if dest != region:
+            next_sets.append((region, dest, frozenset(hs)))
+    counts = {}
+    for region, region_rows in rows.items():
+        dests, nexts, links = zip(*region_rows)
+        counts[region] = RouteCounts(Counter(dests), Counter(zip(nexts, dests)), Counter(links))
+    return RouteTables(choices, counts, Counter(next_sets))
 
 
 def solve_probabilities(
-    routes: Sequence[VehicleRoutes],
+    choices: Sequence[VehicleRoutes],
+    counts: RouteCounts,
     targets: Mapping[tuple[str, str, str], float],
     net: Network,
     region: str,
@@ -145,65 +171,55 @@ def solve_probabilities(
     adjacency: Mapping[str, tuple[str, ...]],
 ) -> RouteProbabilities:
     """Minimize beta * (proportion mismatch)^2 + (density spread)^2 over the
-    route probabilities of ``routes``, the vehicles in ``region``, exactly.
+    route probabilities of the vehicles in ``region``, exactly.
 
-    A vehicle has one or two candidates, so its probabilities are (1,) or
-    (x, 1 - x).  The program is then min ||M x - c||^2 over x in [0, 1]^n,
-    one column per two-candidate vehicle, solved by bounded-variable least
-    squares.  At x = 0 every vehicle takes its last candidate, so the constant
-    part of each row counts those candidates' hits.  ``phi`` holds the
-    two-candidate vehicles only.  Raises ValueError for a vehicle with more
-    than two candidates.
+    ``counts`` covers every vehicle in the region by its last candidate;
+    ``choices`` are those with two candidates, in id order, with route
+    probabilities (x, 1 - x).  The program is then min ||M x - c||^2 over x
+    in [0, 1]^n, one column per choice vehicle, solved by bounded-variable
+    least squares; at x = 0 every vehicle takes its last candidate, so the
+    counts give each row's constant part.  ``phi`` holds the choice vehicles
+    only; with none there is nothing to solve.  Raises ValueError for a
+    choice vehicle without exactly two candidates.
     """
-    if not routes:
-        raise ValueError(f"no vehicles to route in region {region}")
-    for vr in routes:
-        if len(vr.routes) > 2:
-            raise ValueError(
-                f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, at most 2 supported"
-            )
+    for vr in choices:
+        if len(vr.routes) != 2:
+            raise ValueError(f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, not 2")
 
-    od_counts = Counter(vr.dest_region for vr in routes if vr.dest_region != region)
+    od_counts = {j: n for j, n in counts.destinations.items() if j != region}
     keys = [(region, h, j) for j in sorted(od_counts) for h in adjacency[region]]
-    key_row = {key: k for k, key in enumerate(keys)}
     link_area = net.region_links[region]
-    link_row = {l: len(keys) + k for k, l in enumerate(link_area)}
     d_bar = accumulation / sum(link_area.values())
 
     # At x = 0 every vehicle takes its last candidate.
-    n_rows = len(keys) + len(link_area)
-    base = np.zeros(n_rows)
-    last_keys = Counter((vr.routes[-1].next_region, vr.dest_region) for vr in routes)
-    last_links = Counter(vr.routes[-1].projected_link for vr in routes)
-    for (_, h, j), row in key_row.items():
-        base[row] = _running_sum(1.0 / od_counts[j], last_keys[(h, j)])
-    for l, row in link_row.items():
-        base[row] = _running_sum(1.0 / link_area[l], last_links[l])
-    # one column per two-candidate vehicle: its first candidate's hits less
-    # its last one's
-    free = [vr for vr in routes if len(vr.routes) == 2]
-    m_mat = np.zeros((n_rows, len(free)))
-    for k, vr in enumerate(free):
-        for sign, r in zip((1.0, -1.0), vr.routes):
-            row = key_row.get((region, r.next_region, vr.dest_region))
-            if row is not None:
-                m_mat[row, k] += sign * (1.0 / od_counts[vr.dest_region])
-            if r.projected_link in link_row:
-                m_mat[link_row[r.projected_link], k] += sign * (1.0 / link_area[r.projected_link])
+    base = [_running_sum(1.0 / od_counts[j], counts.next_keys[(h, j)]) for _, h, j in keys]
+    base += [_running_sum(1.0 / area, counts.links[l]) for l, area in link_area.items()]
     goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(link_area))
-    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(link_area))
-    x, iterations = np.zeros(0), 0
-    if free:
+    x, iterations, value = (), 0, np.array(base)
+    if choices:
+        key_row = {key: k for k, key in enumerate(keys)}
+        link_row = {l: len(keys) + k for k, l in enumerate(link_area)}
+        # one column per choice vehicle: its first candidate's hits less its last's
+        m_mat = np.zeros((len(base), len(choices)))
+        for k, vr in enumerate(choices):
+            for sign, r in zip((1.0, -1.0), vr.routes):
+                row = key_row.get((region, r.next_region, vr.dest_region))
+                if row is not None:
+                    m_mat[row, k] += sign * (1.0 / od_counts[vr.dest_region])
+                link = r.projected_link
+                if link in link_row:
+                    m_mat[link_row[link], k] += sign * (1.0 / link_area[link])
+        weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(link_area))
         sol = lsq_linear(
-            weight[:, None] * m_mat, weight * (goal - base), bounds=(0.0, 1.0), method="bvls"
+            weight[:, None] * m_mat, weight * (goal - value), bounds=(0.0, 1.0), method="bvls"
         )
         x, iterations = sol.x, sol.nit
+        value = value + m_mat @ x
 
-    value = base + m_mat @ x
     target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
     homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
     return RouteProbabilities(
-        phi={vr.vid: np.array([xk, 1.0 - xk]) for vr, xk in zip(free, x)},
+        phi={vr.vid: np.array([xk, 1.0 - xk]) for vr, xk in zip(choices, x)},
         target_term=target_term,
         homogeneity_term=homog_term,
         realized={key: float(v) for key, v in zip(keys, value)},

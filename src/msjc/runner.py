@@ -167,22 +167,22 @@ class _TrackedStrategy:
 class MsjcStrategy(_TrackedStrategy):
     """Joint gating/routing optimization on top of the tracking controller.
 
-    ``begin_macro`` keeps the route set it builds for the first micro step's
-    ``routes``, as it keeps its projection for the first ``plans``: demand
-    injection and plan selection in between change neither the network
-    vehicles nor the queues."""
+    ``begin_macro`` keeps the route tables it builds for the first micro
+    step's ``routes``, as it keeps its projection for the first ``plans``:
+    demand injection and plan selection in between change neither the
+    network vehicles nor the queues."""
 
     def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
         super().__init__(scenario, model, sim)
-        # begin_macro's route set, until the first micro step's routes
-        self._route_set: list[routectl.VehicleRoutes] | None = None
+        # begin_macro's route tables, until the first micro step's routes
+        self._tables: routectl.RouteTables | None = None
 
-    def _annotated_routes(self) -> list[routectl.VehicleRoutes]:
+    def _route_tables(self) -> routectl.RouteTables:
         sim = self.sim
         # id order fixes the solve's columns and the routing draws
         vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
         alternatives = routectl.generate_routes(vehicles, self.net, sim.travel_time_estimates())
-        return routectl.annotate_routes(vehicles, alternatives, self.net, sim.queue_heads())
+        return routectl.route_tables(vehicles, alternatives, self.net, sim.queue_heads())
 
     def begin_macro(self, ctx: MacroContext) -> None:
         self.macro = MacroRecord()
@@ -190,35 +190,29 @@ class MsjcStrategy(_TrackedStrategy):
             return
         self._begin_boundaries(ctx)
 
-        self._route_set = self._annotated_routes()
-        candidates = routectl.candidate_next_regions(self._route_set)
-        c_min, c_max = jointctl.route_bounds(candidates, self.scenario.partition.adjacency)
+        self._tables = self._route_tables()
         envelopes = self.macro.envelopes
         bounds = ControlBounds(
-            m_min={k: v[0] for k, v in envelopes.items()},
-            m_max={k: v[1] for k, v in envelopes.items()},
-            c_min=c_min,
-            c_max=c_max,
+            {k: v[0] for k, v in envelopes.items()},
+            {k: v[1] for k, v in envelopes.items()},
+            *jointctl.route_bounds(self._tables.next_sets, self.scenario.partition.adjacency),
         )
         self.macro.solution = jointctl.solve(ctx.state, self.model, bounds)
         self._set_targets(dict(self.macro.solution.m))
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
         solution = self.macro.solution
-        route_set = self._route_set
-        if route_set is None:
-            route_set = self._annotated_routes()
-        self._route_set = None
-        by_region: dict[str, list[routectl.VehicleRoutes]] = {}
-        for vr in route_set:
-            by_region.setdefault(vr.region, []).append(vr)
+        tables = self._tables if self._tables is not None else self._route_tables()
+        self._tables = None
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
-            in_region = by_region.get(region)
-            if not in_region:
+            counts = tables.counts.get(region)
+            if counts is None:
                 continue
+            choices = tables.choices.get(region, [])
             probs = routectl.solve_probabilities(
-                in_region,
+                choices,
+                counts,
                 solution.c,
                 self.net,
                 region,
@@ -227,24 +221,17 @@ class MsjcStrategy(_TrackedStrategy):
                 self.scenario.partition.adjacency,
             )
             # only vehicles with a choice draw, in id order
-            free = [vr for vr in in_region if len(vr.routes) > 1]
-            chosen = routectl.assign_routes(free, probs.phi, self.sim.routing_rng)
-            for vr in free:
+            chosen = routectl.assign_routes(choices, probs.phi, self.sim.routing_rng)
+            for vr in choices:
                 if chosen[vr.vid] != vr.routes[0].links:
                     assignments[vr.vid] = chosen[vr.vid]
-            for (i, h, j), realized in sorted(probs.realized.items()):
-                self.macro.routing.append(
-                    RoutingRow(
-                        time_s=obs.time_s,
-                        region=region,
-                        dest_region=j,
-                        next_region=h,
-                        target=solution.c.get((i, h, j), 0.0),
-                        realized=realized,
-                        target_term=probs.target_term,
-                        homogeneity_term=probs.homogeneity_term,
-                    )
+            self.macro.routing.extend(
+                RoutingRow(
+                    obs.time_s, region, j, h, solution.c.get((i, h, j), 0.0), realized,
+                    probs.target_term, probs.homogeneity_term,
                 )
+                for (i, h, j), realized in sorted(probs.realized.items())
+            )
         return assignments
 
 

@@ -4,19 +4,25 @@ These re-derive expected values from first principles (dense grids,
 exhaustive scans) and deliberately share no code with the solvers they
 check.  ``step`` and ``targets`` replay the region dynamics and boundary
 targets through the transfer bookkeeping below (``transfers``), which the
-solvers do not call.  ``per_vehicle_candidates`` rebuilds the candidate
-sets of ``routectl.annotate_routes`` over ``routectl.generate_routes``'
-alternatives with nothing shared across vehicles, one search and route per
-vehicle, and its own queue-position rule for the projected link.
+solvers do not call.  ``annotate_routes`` is route guidance's
+per-vehicle candidate sets as first written, ``candidate_next_regions`` and
+``reference_route_bounds`` the split bounds over them, and
+``counted_routes`` rebuilds ``routectl.route_tables``' count tables from
+those sets.  ``per_vehicle_candidates`` rebuilds the candidate sets over
+``routectl.generate_routes``' alternatives with nothing shared across
+vehicles, one search and route per vehicle, and its own queue-position rule
+for the projected link.
 ``reference_logit_routes`` is logit rerouting as first written: one
 candidate set per vehicle record, then one draw per unpinned vehicle in id
 order.  ``forward_shortest_route`` is the reference shortest-path
 search: a forward label-setting search from the origin, sharing no code with
 ``netmodel.shortest_paths_to``.  ``ReferenceController`` is the boundary
 plan rule as three separate steps (expected rate, feasible set, selection)
-over ``boundaryctl``'s flow and pressure estimates, the reference for the
-controller's single ranking.  ``density_fields`` recomputes the expected
-end-of-step link densities that the route-choice solve fits.
+over per-plan flow and pressure estimates as first written (``plan_flow``,
+``plan_weight``: every lane term computed anew for each plan), the
+reference for the controller's single ranking over per-step lane terms.
+``density_fields`` recomputes the expected end-of-step link densities that
+the route-choice solve fits.
 ``reference_arrivals`` is the simulator's arrivals projection as first
 written: a projection over every running vehicle of every link.
 ``dense_route_probabilities`` is the route-choice solve as first written,
@@ -32,18 +38,31 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog, lsq_linear
 
 from msjc.baselines import logit_choice, route_travel_time
-from msjc.boundaryctl import BoundaryDecision, plan_flow, plan_weight
+from msjc.boundaryctl import BoundaryDecision
 from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import MicroObservation, Simulator
-from msjc.netmodel import Network, TravelTimes, boundary_key, next_region, shortest_paths_to
-from msjc.routectl import CandidateRoute, RouteProbabilities, VehicleRoutes
+from msjc.netmodel import (
+    MultiPhasePlan,
+    Network,
+    TravelTimes,
+    boundary_key,
+    next_region,
+    shortest_paths_to,
+)
+from msjc.routectl import (
+    CandidateRoute,
+    RouteCounts,
+    RouteProbabilities,
+    RouteTables,
+    VehicleRoutes,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -276,7 +295,7 @@ def per_vehicle_candidates(
     line within the step at its lane's saturation headway, its current link
     otherwise, and to None outside its region.  Per vehicle, returns
     ([(links, is_current, next_region, projected_link), ...], pinned).
-    ``routectl.annotate_routes`` builds the vehicle's candidates as
+    ``annotate_routes`` builds the vehicle's candidates as
     (links, next_region, projected_link), with the current route first and
     one candidate exactly when the vehicle is pinned; in
     ``routectl.generate_routes``' map a vehicle has an entry, its second
@@ -308,6 +327,87 @@ def per_vehicle_candidates(
             annotated.append((r, r == v.route, next_region(r, net), projected))
         out.append((annotated, len(candidates) == 1))
     return out
+
+
+def annotate_routes(
+    vehicles: Sequence,
+    alternatives: Mapping[int, tuple[str, ...]],
+    net: Network,
+    heads: Collection[int],
+) -> list[VehicleRoutes]:
+    """The candidate set of every one of ``vehicles``, as route guidance
+    first built it: the current route first, then its entry in
+    ``alternatives`` if any, each with its upcoming region and projected
+    end-of-step link (``route[1]`` for a vehicle in ``heads``, else
+    ``route[0]``; None outside the vehicle's region)."""
+    region_of = net.region_of
+    out: list[VehicleRoutes] = []
+    for v in vehicles:
+        region = region_of[v.route[0]]
+        k = 1 if v.id in heads else 0
+        links = (v.route, alternatives[v.id]) if v.id in alternatives else (v.route,)
+        routes = tuple(
+            CandidateRoute(r, next_region(r, net), r[k] if region_of[r[k]] == region else None)
+            for r in links
+        )
+        out.append(VehicleRoutes(v.id, region, v.dest_region, routes))
+    return out
+
+
+def candidate_next_regions(
+    routes: Sequence[VehicleRoutes],
+) -> dict[tuple[str, str], list[frozenset[str]]]:
+    """Per-OD candidate next-region sets, one per vehicle, as the split
+    bounds first read them."""
+    out: dict[tuple[str, str], list[frozenset[str]]] = {}
+    for vr in routes:
+        if vr.dest_region == vr.region:
+            continue
+        key = (vr.region, vr.dest_region)
+        out.setdefault(key, []).append(frozenset(r.next_region for r in vr.routes))
+    return out
+
+
+def reference_route_bounds(
+    candidates: Mapping[tuple[str, str], Sequence[Collection[str]]],
+    adjacency: Mapping[str, tuple[str, ...]],
+) -> tuple[dict[TKey, float], dict[TKey, float]]:
+    """``jointctl.route_bounds`` as first written, one vehicle's set at a
+    time: per OD, the share of vehicles that could go via h, and the share
+    whose set is h alone."""
+    c_min: dict[TKey, float] = {}
+    c_max: dict[TKey, float] = {}
+    for (i, j), vehicle_sets in candidates.items():
+        n = len(vehicle_sets)
+        for h in adjacency[i]:
+            could = sum(1 for s in vehicle_sets if h in s)
+            must = sum(1 for s in vehicle_sets if set(s) == {h})
+            c_min[(i, h, j)] = must / n
+            c_max[(i, h, j)] = could / n
+    return c_min, c_max
+
+
+def counted_routes(routes: Sequence[VehicleRoutes]) -> RouteTables:
+    """``routectl.route_tables``' output rebuilt from per-vehicle candidate
+    sets (``annotate_routes``) with ``Counter``s: per region its vehicles
+    with two candidates, and its vehicles counted by last candidate; per
+    (region, destination, candidate next-region set) its vehicles."""
+    choices: dict[str, list[VehicleRoutes]] = {}
+    counts: dict[str, RouteCounts] = {}
+    for region in dict.fromkeys(vr.region for vr in routes):
+        mine = [vr for vr in routes if vr.region == region]
+        with_choice = [vr for vr in mine if len(vr.routes) == 2]
+        if with_choice:
+            choices[region] = with_choice
+        counts[region] = RouteCounts(
+            Counter(vr.dest_region for vr in mine),
+            Counter((vr.routes[-1].next_region, vr.dest_region) for vr in mine),
+            Counter(vr.routes[-1].projected_link for vr in mine),
+        )
+    next_sets = Counter(
+        (i, j, s) for (i, j), sets in candidate_next_regions(routes).items() for s in sets
+    )
+    return RouteTables(choices, counts, next_sets)
 
 
 def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
@@ -412,6 +512,59 @@ class BoundaryTracker:
         self.observed.append(realized_veh_s)
         self.ng_rate = ng_veh_s
         self.k += 1
+
+
+def plan_flow(
+    plan: MultiPhasePlan,
+    obs: MicroObservation,
+    arrivals: Mapping[str, float],
+    net: Network,
+    direction: tuple[str, str],
+) -> float:
+    """A plan's estimated flow (veh/s) across ``direction`` as first
+    written, every lane term computed for this plan alone: per served
+    crossing lane, min(arrivals, saturation, downstream space), divided by
+    the step length.  A served lane crosses i -> h when it lies in i and one
+    of its output lanes in h."""
+    i, h = direction
+
+    def region(lane_id: str) -> str:
+        return net.links[net.lanes[lane_id].link].region
+
+    total = 0.0
+    for lane_id in sorted(plan.green):
+        lane = net.lanes[lane_id]
+        if region(lane_id) != i or all(region(out) != h for out in lane.output_lanes):
+            continue
+        arriving = arrivals.get(lane_id, 0.0)
+        saturation = lane.sat_flow_veh_s * obs.dt_s
+        terms = [arriving, saturation]
+        if lane.output_lanes:
+            space = sum(
+                net.lanes[out].capacity_veh - obs.queues.get(out, 0)
+                for out in lane.output_lanes
+            ) / len(lane.output_lanes)
+            terms.append(max(0.0, space))
+        total += max(0.0, min(terms))
+    return total / obs.dt_s
+
+
+def plan_weight(plan: MultiPhasePlan, obs: MicroObservation, net: Network) -> float:
+    """A plan's backpressure weight as first written: over the lanes it
+    turns green, in id order, served queue minus mean downstream queue,
+    scaled by each lane's saturation flow."""
+    w = 0.0
+    for lane_id in sorted(plan.green):
+        lane = net.lanes[lane_id]
+        q_l = obs.queues.get(lane_id, 0)
+        if lane.output_lanes:
+            downstream = sum(
+                obs.queues.get(out, 0) for out in lane.output_lanes
+            ) / len(lane.output_lanes)
+        else:
+            downstream = 0.0
+        w += (q_l - downstream) * lane.sat_flow_veh_s
+    return w
 
 
 def expected_rate(tracker: BoundaryTracker) -> float:

@@ -1,18 +1,15 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from msjc import boundaryctl, fixtures
-from msjc.boundaryctl import (
-    BoundaryController,
-    plan_flow,
-    plan_weight,
-)
+from msjc.boundaryctl import BoundaryController, plan_weights
 from msjc.mesosim import MicroObservation
-from msjc.netmodel import ControlConfig
+from msjc.netmodel import ControlConfig, PlanLanes
 
-from oracles import ReferenceController
+from oracles import ReferenceController, plan_flow, plan_weight
 
 FWD, REV = ("R1", "R2"), ("R2", "R1")
 
@@ -35,24 +32,32 @@ def mkobs(queues=None, ng=None, crossings=None, dt=10.0, step=1):
 
 
 @pytest.fixture
-def table_controller(monkeypatch):
+def lane_controller(monkeypatch):
     """Controller factory for one boundary R1|R2 whose plans are the keys of
-    ``estimates``.  ``plan_flow`` reads (forward, reverse) flows from
-    ``estimates`` and ``plan_weight`` reads ``weights`` (default 0), so a
-    test sets exactly the numbers the plan rule sees.  ``history`` is a list
-    of realized (forward, reverse) flows recorded before the test's step."""
+    ``crossing``, each mapped to its (forward, reverse) crossing lanes.  The
+    per-step numbers are set outright: ``lane_flows`` gives each lane's flow
+    in ``flows`` (veh/s) times the step length, and ``plan_weights`` each
+    plan's entry in ``weights`` (default 0), so a test sets exactly what the
+    plan rule sums and ranks.  ``history`` is a list of realized (forward,
+    reverse) flows recorded before the test's step."""
 
-    def make(estimates, weights=None, targets=(0.0, 0.0), history=(), control=ControlConfig()):
+    def make(
+        crossing, flows, weights=None, targets=(0.0, 0.0), history=(), control=ControlConfig()
+    ):
         weights = weights or {}
-        plans = tuple(SimpleNamespace(id=pid) for pid in estimates)
-        net = SimpleNamespace(plan_set=lambda i, h: plans)
+        plans = tuple(SimpleNamespace(id=pid) for pid in crossing)
+        every = tuple(sorted({l for pair in crossing.values() for lanes in pair for l in lanes}))
+        lanes = PlanLanes(tuple(crossing.values()), ((),) * len(plans), every, ())
+        net = SimpleNamespace(plan_set=lambda i, h: plans, plan_lanes={FWD: lanes})
         monkeypatch.setattr(
             boundaryctl,
-            "plan_flow",
-            lambda plan, obs, arrivals, net, d: estimates[plan.id][0 if d == FWD else 1],
+            "lane_flows",
+            lambda lanes, obs, arrivals, net: {l: flows[l] * obs.dt_s for l in lanes},
         )
         monkeypatch.setattr(
-            boundaryctl, "plan_weight", lambda plan, obs, net: weights.get(plan.id, 0.0)
+            boundaryctl,
+            "plan_weights",
+            lambda lanes, obs, net: [weights.get(pid, 0.0) for pid in crossing],
         )
         bc = BoundaryController(net, FWD, control)
         bc.begin_macro(*targets)
@@ -60,6 +65,23 @@ def table_controller(monkeypatch):
             bc.control_step(mkobs(), {})
             bc.record_realized(mkobs(crossings={FWD: fwd, REV: rev}))
         return bc
+
+    return make
+
+
+@pytest.fixture
+def table_controller(lane_controller):
+    """Controller factory for one boundary R1|R2 whose plans are the keys of
+    ``estimates``: each plan crosses on one lane of its own per direction,
+    with the plan's (forward, reverse) flows, and weighs its entry in
+    ``weights`` (default 0)."""
+
+    def make(estimates, weights=None, **kwargs):
+        crossing = {pid: ((f"{pid}>",), (f"{pid}<",)) for pid in estimates}
+        flows = {}
+        for pid, (fwd, rev) in estimates.items():
+            flows[f"{pid}>"], flows[f"{pid}<"] = fwd, rev
+        return lane_controller(crossing, flows, weights, **kwargs)
 
     return make
 
@@ -188,73 +210,101 @@ class TestFlowBounds:
         assert bc.macro_flow_bounds(mkobs(), {}) == ((0.0, 0.0), (0.0, 0.0))
 
 
+def plan_named(net, plan_id):
+    return {p.id: p for p in net.plan_set("R1", "R2")}[plan_id]
+
+
+def flow_of(net, plan_id, obs, arrivals, direction=FWD):
+    """The controller's estimated flow of one plan across ``direction``."""
+    bc = BoundaryController(net, FWD, ControlConfig())
+    index = [p.id for p in bc.plans].index(plan_id)
+    return bc.plan_flows(obs, arrivals)[index][bc.directions.index(direction)]
+
+
+def weight_of(net, plan_id, obs):
+    """A plan's backpressure weight among its boundary's plans."""
+    index = [p.id for p in net.plan_set(*FWD)].index(plan_id)
+    return plan_weights(net.plan_lanes[FWD], obs, net)[index]
+
+
 class TestPlanFlow:
     def test_min_rule_downstream_space_binds(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
         obs = mkobs(queues={"A_0": 4, "B_0": 7})
-        # min(e=4, sat 0.3*10=3 -> 3? no: min(4, 3, 10-7=3) = 3 -> 0.3
-        assert plan_flow(plan, obs, {"A_0": 4.0}, net, ("R1", "R2")) == pytest.approx(0.3)
+        # min(arrivals 4, saturation 0.3 * 10 = 3, space 10 - 7 = 3) = 3 -> 0.3
+        assert flow_of(net, "fwd", obs, {"A_0": 4.0}) == pytest.approx(0.3)
 
     def test_min_rule_arrivals_bind(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
         obs = mkobs(queues={"B_0": 7})
-        assert plan_flow(plan, obs, {"A_0": 2.0}, net, ("R1", "R2")) == pytest.approx(0.2)
+        assert flow_of(net, "fwd", obs, {"A_0": 2.0}) == pytest.approx(0.2)
 
     def test_plan_without_crossing_lanes_estimates_zero(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["rev"]
-        assert plan_flow(plan, mkobs(), {"A_0": 5.0}, net, ("R1", "R2")) == 0.0
+        assert flow_of(net, "rev", mkobs(), {"A_0": 5.0}) == 0.0
 
     def test_saturation_caps_huge_arrivals(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
-        assert plan_flow(plan, mkobs(), {"A_0": 500.0}, net, ("R1", "R2")) == pytest.approx(0.3)
+        assert flow_of(net, "fwd", mkobs(), {"A_0": 500.0}) == pytest.approx(0.3)
 
     def test_monotone_in_arrivals_and_downstream_queues(self, single_gate):
         net = single_gate.network
-        plan = {p.id: p for p in net.plan_set("R1", "R2")}["fwd"]
         rng = np.random.default_rng(3)
         for _ in range(100):
             e = float(rng.uniform(0, 6))
             q = int(rng.integers(0, 10))
-            base = plan_flow(plan, mkobs(queues={"B_0": q}), {"A_0": e}, net, ("R1", "R2"))
-            more_e = plan_flow(plan, mkobs(queues={"B_0": q}), {"A_0": e + 1}, net, ("R1", "R2"))
-            more_q = plan_flow(plan, mkobs(queues={"B_0": q + 1}), {"A_0": e}, net, ("R1", "R2"))
+            base = flow_of(net, "fwd", mkobs(queues={"B_0": q}), {"A_0": e})
+            more_e = flow_of(net, "fwd", mkobs(queues={"B_0": q}), {"A_0": e + 1})
+            more_q = flow_of(net, "fwd", mkobs(queues={"B_0": q + 1}), {"A_0": e})
             assert more_e >= base - 1e-12
             assert more_q <= base + 1e-12
 
-
-def plan_named(net, plan_id):
-    return {p.id: p for p in net.plan_set("R1", "R2")}[plan_id]
+    def test_plans_sharing_a_lane_get_its_one_term(self, two_gate):
+        # every plan's flows, from one table of lane terms, are the
+        # per-plan reference's bit for bit
+        net = two_gate.network
+        rng = np.random.default_rng(11)
+        bc = BoundaryController(net, FWD, ControlConfig())
+        shared = Counter(l for pair in net.plan_lanes[FWD].crossing for ls in pair for l in ls)
+        assert max(shared.values()) > 1
+        for _ in range(50):
+            queues = {l: int(rng.integers(0, 12)) for l in net.lanes}
+            arrivals = {l: float(rng.uniform(0, 6)) for l in net.lanes}
+            obs = mkobs(queues=queues)
+            assert bc.plan_flows(obs, arrivals) == [
+                tuple(plan_flow(p, obs, arrivals, net, d) for d in bc.directions) for p in bc.plans
+            ]
+            assert plan_weights(net.plan_lanes[FWD], obs, net) == [
+                plan_weight(p, obs, net) for p in bc.plans
+            ]
 
 
 class TestPressure:
     def test_zero_queues_zero_weight(self, single_gate):
         net = single_gate.network
-        assert plan_weight(plan_named(net, "fwd"), mkobs(), net) == 0.0
+        assert weight_of(net, "fwd", mkobs()) == 0.0
 
     def test_pressure_arithmetic(self, single_gate):
         net = single_gate.network
         obs = mkobs(queues={"A_0": 5, "B_0": 2})
-        assert plan_weight(plan_named(net, "fwd"), obs, net) == pytest.approx((5 - 2) * 0.3)
+        assert weight_of(net, "fwd", obs) == pytest.approx((5 - 2) * 0.3)
 
     def test_congested_downstream_goes_negative(self, single_gate):
         net = single_gate.network
         obs = mkobs(queues={"A_0": 1, "B_0": 9})
-        assert plan_weight(plan_named(net, "fwd"), obs, net) == pytest.approx((1 - 9) * 0.3)
+        assert weight_of(net, "fwd", obs) == pytest.approx((1 - 9) * 0.3)
 
     def test_plan_weight_sums_phases(self, single_gate):
         net = single_gate.network
         obs = mkobs(queues={"A_0": 5, "Rv_0": 3})
-        assert plan_weight(plan_named(net, "both"), obs, net) == pytest.approx(5 * 0.3 + 3 * 0.3)
+        assert weight_of(net, "both", obs) == pytest.approx(5 * 0.3 + 3 * 0.3)
 
     def test_plan_weight_counts_both_gating_nodes(self, two_gate):
         net = two_gate.network
         obs = mkobs(queues={"A_0": 5, "C_0": 4, "Rv_0": 3, "Sv_0": 2, "D_0": 1})
-        weights = {p.id: plan_weight(p, obs, net) for p in net.plan_set("R1", "R2")}
-        assert weights == pytest.approx(
+        plans = net.plan_set("R1", "R2")
+        weights = plan_weights(net.plan_lanes[FWD], obs, net)
+        assert dict(zip((p.id for p in plans), weights)) == pytest.approx(
             {"fwd": (5 + 4 - 1) * 0.3, "mixed": (5 + 2) * 0.3, "rev": (3 + 2) * 0.3}
         )
 
@@ -303,6 +353,31 @@ class TestSelectPlan:
         assert bc.control_step(mkobs(), {}) == "s1"
         assert bc.last_decision.fallback
         assert bc.last_decision.feasible_count == 0
+
+
+    def test_plans_sharing_a_lane_sum_its_one_term(self, lane_controller, monkeypatch):
+        # "both" and "fwd" both cross forward on lane A, and "both" crosses
+        # back on B: each step prices A once and adds its term to both plans
+        crossing = {"both": (("A",), ("B",)), "fwd": (("A",), ()), "none": ((), ())}
+        flows = {"A": 0.4, "B": 0.04}
+        priced = []
+        for both_weight, chosen in ((3.0, "both"), (0.5, "fwd")):
+            weights = {"both": both_weight, "fwd": 2.0}
+            bc = lane_controller(crossing, flows, weights, targets=(0.4, 0.0))
+            table = boundaryctl.lane_flows
+            monkeypatch.setattr(
+                boundaryctl,
+                "lane_flows",
+                lambda lanes, *args: priced.append(list(lanes)) or table(lanes, *args),
+            )
+            # both and fwd are inside the band; the higher weight wins
+            assert bc.control_step(mkobs(), {}) == chosen
+            assert bc.last_decision.feasible_count == 2
+            assert bc.last_decision.est_fwd == pytest.approx(0.4)
+        assert priced == [["A", "B"]] * 2
+        assert bc.plan_flows(mkobs(), {}) == [
+            pytest.approx((0.4, 0.04)), pytest.approx((0.4, 0.0)), (0.0, 0.0)
+        ]
 
 
 class TestControlStep:

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     FractionMfd,
     completion_split,
     linprog_relaxation,
+    reference_route_bounds,
     step,
     targets,
     transfers,
@@ -222,19 +224,34 @@ def sample_feasible_controls(rng, state, mfd, bounds):
 
 class TestRouteBounds:
     def test_sole_next_region_pins_to_one(self):
-        c_min, c_max = route_bounds(
-            {("R1", "R3"): [frozenset({"R2"})] * 4}, {"R1": ("R2",)}
-        )
+        c_min, c_max = route_bounds({("R1", "R3", frozenset({"R2"})): 4}, {"R1": ("R2",)})
         assert c_min[("R1", "R2", "R3")] == 1.0
         assert c_max[("R1", "R2", "R3")] == 1.0
 
     def test_mixed_candidate_sets(self):
-        sets = [frozenset({"h"})] * 6 + [frozenset({"h", "g"})] * 3 + [frozenset({"g"})]
-        c_min, c_max = route_bounds({("i", "j"): sets}, {"i": ("g", "h")})
+        counts = {
+            ("i", "j", frozenset({"h"})): 6,
+            ("i", "j", frozenset({"h", "g"})): 3,
+            ("i", "j", frozenset({"g"})): 1,
+        }
+        c_min, c_max = route_bounds(counts, {"i": ("g", "h")})
         assert c_max[("i", "h", "j")] == pytest.approx(0.9)
         assert c_min[("i", "h", "j")] == pytest.approx(0.6)
         assert c_max[("i", "g", "j")] == pytest.approx(0.4)
         assert c_min[("i", "g", "j")] == pytest.approx(0.1)
+
+    def test_counts_match_the_per_vehicle_formula(self):
+        rng = np.random.default_rng(4)
+        adjacency = {"i": ("g", "h", "k"), "m": ("i", "k")}
+        for _ in range(50):
+            sets = {}
+            for _ in range(int(rng.integers(1, 40))):
+                i = str(rng.choice(["i", "m"]))
+                j = str(rng.choice(["x", "y"]))
+                hs = frozenset(rng.choice(adjacency[i], int(rng.integers(1, 3))))
+                sets.setdefault((i, j), []).append(hs)
+            counts = Counter((i, j, hs) for (i, j), od_sets in sets.items() for hs in od_sets)
+            assert route_bounds(counts, adjacency) == reference_route_bounds(sets, adjacency)
 
 
 class TestSolve:

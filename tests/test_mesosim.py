@@ -322,13 +322,7 @@ class TestArrivalsProjection:
     def test_keys_are_the_gating_approach_lanes_and_hold_every_crossing_lane(self, build):
         sc = build()
         net = sc.network
-        crossing = {
-            l
-            for key, plan_list in net.plans.items()
-            for plan in plan_list
-            for i, h in (key, key[::-1])
-            for l in net.crossing_lanes(plan, i, h)
-        }
+        crossing = {l for lanes in net.plan_lanes.values() for l in lanes.all_crossing}
         assert crossing
         sim = Simulator(sc, seed=0)
         for _ in range(2):

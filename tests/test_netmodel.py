@@ -313,15 +313,14 @@ class TestTwoGatingNodes:
 
     def test_crossing_lanes_count_both_nodes(self, two_gate):
         net = two_gate.network
-        lanes = {
-            p.id: (net.crossing_lanes(p, "R1", "R2"), net.crossing_lanes(p, "R2", "R1"))
-            for p in net.plan_set("R1", "R2")
-        }
-        assert lanes == {
+        lanes = net.plan_lanes[("R1", "R2")]
+        assert dict(zip((p.id for p in net.plan_set("R1", "R2")), lanes.crossing)) == {
             "fwd": (("A_0", "C_0"), ()),
             "mixed": (("A_0",), ("Sv_0",)),
             "rev": ((), ("Rv_0", "Sv_0")),
         }
+        assert lanes.green == (("A_0", "C_0"), ("A_0", "Sv_0"), ("Rv_0", "Sv_0"))
+        assert lanes.all_crossing == lanes.all_green == ("A_0", "C_0", "Rv_0", "Sv_0")
 
 
 def test_unknown_control_key_rejected():

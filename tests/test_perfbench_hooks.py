@@ -9,9 +9,10 @@ corridor2 runs and checks the boundary fallback counter against the runs'
 own ``boundary.csv``, and that injection and rerouting still reach the
 route search through the names the timers wrap.  The third checks msjc's
 solve counters against what the solves themselves returned and against the
-run's ``joint.csv``.  The last runs corridor2 under the hooks of an
-untraced run (``workloads.Watch``) and checks their step times and travel
-time against the run's own.
+run's ``joint.csv``.  The fourth pins the route-choice counters on a grid6
+msjc window and the call shapes they read.  The last runs corridor2 under
+the hooks of an untraced run (``workloads.Watch``) and checks their step
+times and travel time against the run's own.
 """
 
 import csv
@@ -99,6 +100,51 @@ def test_msjc_solve_counters_match_the_solves(monkeypatch, tmp_path):
     assert metrics["routectl.solve_probabilities.free_variables"] == 2 * sum(with_choice)
     assert metrics["jointctl.solve.calls"] == len(feasible)
     assert metrics["jointctl.solve.infeasible"] == feasible.count("0")
+
+
+def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
+    # perfbench's route-choice counters read the solve's first positional
+    # argument as the vehicles with a choice (``_count_route_choice``) and
+    # generate_routes' first as every vehicle (``_count_vehicles``); on one
+    # grid6 msjc window their values are the ones the per-vehicle candidate
+    # sets gave
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from layers import Tracer
+
+    seen = {"solves": 0, "vehicles": 0}
+    solve_probabilities, generate_routes = routectl.solve_probabilities, routectl.generate_routes
+
+    def solve_checked(*args):
+        assert len(args) == 8
+        choices = args[0]
+        assert all(len(vr.routes) == 2 for vr in choices)
+        assert [vr.vid for vr in choices] == sorted(vr.vid for vr in choices)
+        seen["solves"] += 1
+        return solve_probabilities(*args)
+
+    def generate_checked(*args):
+        [sim] = sims
+        assert sorted(v.id for v in args[0]) == sorted(sim.vehicles)
+        seen["vehicles"] += len(args[0])
+        return generate_routes(*args)
+
+    sims = []
+    make_strategy = runner.make_strategy
+    monkeypatch.setattr(
+        runner, "make_strategy", lambda *args: sims.append(args[3]) or make_strategy(*args)
+    )
+    monkeypatch.setattr(routectl, "solve_probabilities", solve_checked)
+    monkeypatch.setattr(routectl, "generate_routes", generate_checked)
+    with Tracer() as tracer:
+        workloads.bind_layers(tracer)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
+        runner.run(fixtures.grid6(), config)
+    metrics = workloads.layer_metrics(tracer.layers)
+    assert metrics["routectl.solve_probabilities.calls"] == seen["solves"] == 60
+    assert metrics["routectl.solve_probabilities.free_variables"] == 154
+    assert metrics["routectl.solve_probabilities.iterations"] == 10
+    assert metrics["routectl.generate_routes.vehicles"] == seen["vehicles"] == 1824
 
 
 def test_untraced_hooks_time_every_active_step(monkeypatch):

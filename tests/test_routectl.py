@@ -1,24 +1,31 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from msjc.jointctl import route_bounds
 from msjc.mesosim import Simulator
 from msjc.netmodel import scenario_from_dict
 from msjc.routectl import (
     CandidateRoute,
+    RouteCounts,
     VehicleRoutes,
-    annotate_routes,
     assign_routes,
-    candidate_next_regions,
     generate_routes,
+    route_tables,
     solve_probabilities,
 )
-from msjc import fixtures
+from msjc import fixtures, routectl, runner
 
 from conftest import make_single_gate
 from oracles import (
+    annotate_routes,
+    candidate_next_regions,
+    counted_routes,
     dense_route_probabilities,
     density_fields,
     per_vehicle_candidates,
+    reference_route_bounds,
     route_choice_grid_search,
 )
 from test_mesosim import force_queued, force_running
@@ -58,9 +65,58 @@ def cr(next_region, projected, links=("L0",)):
     return CandidateRoute(links=tuple(links), next_region=next_region, projected_link=projected)
 
 
+def tables_of(vehicles, alternatives, net, heads):
+    """``route_tables`` of ``vehicles`` in id order, checked against
+    ``Counter``s over the per-vehicle candidate sets."""
+    vehicles = sorted(vehicles, key=lambda v: v.id)
+    tables = route_tables(vehicles, alternatives, net, heads)
+    assert tables == counted_routes(annotate_routes(vehicles, alternatives, net, heads))
+    return tables
+
+
+def choices_of(tables):
+    """Vehicle id -> candidate routes of every vehicle with a choice."""
+    return {vr.vid: vr for region in tables.choices.values() for vr in region}
+
+
+def solve(routes, targets, net, region, accumulation, beta, adjacency):
+    """``solve_probabilities`` on the count tables and choice list of
+    ``routes``, candidate sets given per vehicle."""
+    tables = counted_routes(routes)
+    return solve_probabilities(
+        tables.choices.get(region, []),
+        tables.counts[region],
+        targets,
+        net,
+        region,
+        accumulation,
+        beta,
+        adjacency,
+    )
+
+
 def objective_of(out):
     """The route-choice objective the solve minimized."""
     return out.target_term + out.homogeneity_term
+
+
+def detour_off_the_gated_approach():
+    """corridor2 with the gated approach f_app congested: the one vehicle on
+    src1 may take the non-gated approach f_app_ng instead, and both routes
+    enter R2 next."""
+    sc = fixtures.corridor2()
+    sim = Simulator(sc, seed=0)
+    force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
+    force_queued(sim, "src1_0", 1, ("src1", "f_app", "f_exit", "snk2"))
+    head = [v for v in sim.vehicles.values() if v.current == "src1"]
+    alternatives = generate_routes(head, sc.network, sim.travel_time_estimates())
+    tables = tables_of(head, alternatives, sc.network, sim.queue_heads())
+    [vr] = choices_of(tables).values()
+    assert [(r.next_region, r.projected_link) for r in vr.routes] == [
+        ("R2", "f_app"),
+        ("R2", "f_app_ng"),
+    ]
+    return sc, sim, head, alternatives, tables
 
 
 class TestGenerateRoutes:
@@ -73,8 +129,10 @@ class TestGenerateRoutes:
         assert len(vehicles) == 1
         # one link from the destination: the current route only
         assert alternatives == {}
-        [routes] = annotate_routes(vehicles, alternatives, single_gate.network, sim.queue_heads())
-        assert [r.links for r in routes.routes] == [("A", "B")]
+        tables = tables_of(vehicles, alternatives, single_gate.network, sim.queue_heads())
+        assert tables.choices == {}
+        [counts] = tables.counts.values()
+        assert sum(counts.destinations.values()) == 1
 
     def test_congestion_reveals_the_detour(self):
         sc = fixtures.corridor2()
@@ -86,9 +144,8 @@ class TestGenerateRoutes:
         target = next(v for v in sim.vehicles.values() if v.current == "src1")
         alternatives = generate_routes([target], sc.network, sim.travel_time_estimates())
         assert alternatives == {target.id: ("src1", "f_app_ng", "f_exit_ng", "snk2")}
-        [routes] = annotate_routes([target], alternatives, sc.network, sim.queue_heads())
-        assert len(routes.routes) == 2
-        current, alternative = routes.routes
+        tables = tables_of([target], alternatives, sc.network, sim.queue_heads())
+        current, alternative = choices_of(tables)[target.id].routes
         assert alternative.links == ("src1", "f_app_ng", "f_exit_ng", "snk2")
         assert current.links == target.route != alternative.links
 
@@ -100,9 +157,11 @@ class TestGenerateRoutes:
         vehicles = list(sim.vehicles.values())
         alternatives = generate_routes(vehicles, sc.network, sim.travel_time_estimates())
         assert all(alternatives[v.id] != v.route for v in vehicles if v.id in alternatives)
-        routes = annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads())
-        assert routes and [r.routes[0].links for r in routes] == [v.route for v in vehicles]
-        assert all(r.links != v.route for vr, v in zip(routes, vehicles) for r in vr.routes[1:])
+        choices = choices_of(tables_of(vehicles, alternatives, sc.network, sim.queue_heads()))
+        assert sorted(choices) == sorted(alternatives)
+        for vid, vr in choices.items():
+            current, alternative = (r.links for r in vr.routes)
+            assert current == sim.vehicles[vid].route != alternative
 
     def test_queued_vehicle_is_offered_only_moves_its_lane_serves(self, turn_lanes):
         # X is congested, so the shortest route from A turns to Y.  A_0 feeds
@@ -116,12 +175,12 @@ class TestGenerateRoutes:
         on_a = [v for v in sim.vehicles.values() if v.current == "A"]
         alternatives = generate_routes(on_a, net, sim.travel_time_estimates())
         assert alternatives == {running: ("A", "Y", "Yd", "D")}
-        routes = {vr.vid: vr for vr in annotate_routes(on_a, alternatives, net, sim.queue_heads())}
-        assert [r.links for r in routes[running].routes] == [
+        choices = choices_of(tables_of(on_a, alternatives, net, sim.queue_heads()))
+        assert [r.links for r in choices[running].routes] == [
             ("A", "X", "Xd", "D"),
             ("A", "Y", "Yd", "D"),
         ]
-        assert [r.links for r in routes[queued].routes] == [("A", "X", "Xd", "D")]
+        assert queued not in choices
 
     def test_rerouting_keeps_the_injected_route_on_an_exact_tie(self):
         # a -> b1 -> c1 -> d and a -> b2 -> c0 -> d cost the same; a is long
@@ -161,36 +220,51 @@ class TestGenerateRoutes:
         assert sorted(sim.vehicles) == injected and all(v.current == "a" for v in vehicles)
         alternatives = generate_routes(vehicles, sc.network, sim.travel_time_estimates())
         assert alternatives == {}
-        for vr in annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads()):
-            assert [r.links for r in vr.routes] == [route]
+        assert tables_of(vehicles, alternatives, sc.network, sim.queue_heads()).choices == {}
 
     def test_candidates_match_a_per_vehicle_oracle_on_a_loaded_grid(self):
         sc = fixtures.grid6()
+        net = sc.network
         sim = Simulator(sc, seed=0)
         while sim.time_s < 800.0:
             sim.inject_demand()
             sim.advance({})
-        vehicles = list(sim.vehicles.values())
+        vehicles = sorted(sim.vehicles.values(), key=lambda v: v.id)
         tt = sim.travel_time_estimates()
         expected = per_vehicle_candidates(sim, vehicles, tt)
-        alternatives = generate_routes(vehicles, sc.network, tt)
-        annotated = annotate_routes(vehicles, alternatives, sc.network, sim.queue_heads())
-        assert [ar.vid for ar in annotated] == [v.id for v in vehicles]
-        for v, ar, (candidates, pinned) in zip(vehicles, annotated, expected):
-            assert [r.links for r in ar.routes] == [c[0] for c in candidates]
-            # the current route comes first and only there; a pinned
-            # vehicle has no other
-            assert [c[1] for c in candidates] == [k == 0 for k in range(len(ar.routes))]
-            assert (len(ar.routes) == 1) == pinned
-            assert [(r.next_region, r.projected_link) for r in ar.routes] == [
+        alternatives = generate_routes(vehicles, net, tt)
+        tables = tables_of(vehicles, alternatives, net, sim.queue_heads())
+        choices = choices_of(tables)
+        assert sorted(choices) == [v.id for v, (_, pinned) in zip(vehicles, expected) if not pinned]
+        rows: dict[str, list] = {}
+        for v, (candidates, pinned) in zip(vehicles, expected):
+            region = net.links[v.current].region
+            *_, h, link = candidates[-1]
+            rows.setdefault(region, []).append((v.dest_region, h, link))
+            if pinned:
+                continue
+            # the current route comes first and only there
+            assert [c[1] for c in candidates] == [True, False]
+            vr = choices[v.id]
+            assert [r.links for r in vr.routes] == [c[0] for c in candidates]
+            assert [(r.next_region, r.projected_link) for r in vr.routes] == [
                 c[2:] for c in candidates
             ]
-            assert (ar.region, ar.dest_region) == (sc.network.links[v.current].region, v.dest_region)
+            assert (vr.region, vr.dest_region) == (region, v.dest_region)
+        # every vehicle is counted by its last candidate
+        assert tables.counts == {
+            region: RouteCounts(
+                Counter(d for d, _, _ in r),
+                Counter((h, d) for d, h, _ in r),
+                Counter(link for *_, link in r),
+            )
+            for region, r in rows.items()
+        }
         # the grid is loaded enough that routes are shared and rerouting has
         # something to offer
         free = [v for v in vehicles if len(v.route) > 2]
         assert len({(v.current, v.destination) for v in free}) < len(free)
-        assert any(len(ar.routes) == 2 for ar in annotated)
+        assert choices
         # the oracle's queue-position rule is met both ways
         heads = sim.queue_heads()
         assert heads and any(v.lane is not None and v.id not in heads for v in vehicles)
@@ -211,28 +285,29 @@ class TestGenerateRoutes:
         assert generate_routes(vehicles, sc.network, tt) == expected
         assert expected and len(expected) < len(vehicles)
 
-    def test_candidate_next_regions_grouping(self):
-        routes = [
-            vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")]),
-            vr(2, "R1", "R9", [cr("R2", "L0")]),
-            vr(3, "R1", "R1", [cr("R1", "L0")]),  # intra: not an OD
-        ]
-        cand = candidate_next_regions(routes)
-        assert cand == {("R1", "R9"): [frozenset({"R2", "R3"}), frozenset({"R2"})]}
+    def test_two_candidates_through_one_next_region_count_as_must(self):
+        # the vehicle's candidate next-region set is {R2} alone
+        sc, sim, head, alternatives, tables = detour_off_the_gated_approach()
+        assert tables.next_sets == {("R1", "R2", frozenset({"R2"})): 1}
+        adjacency = sc.partition.adjacency
+        c_min, c_max = route_bounds(tables.next_sets, adjacency)
+        assert c_min[("R1", "R2", "R2")] == c_max[("R1", "R2", "R2")] == 1.0
+        annotated = annotate_routes(head, alternatives, sc.network, sim.queue_heads())
+        reference = reference_route_bounds(candidate_next_regions(annotated), adjacency)
+        assert (c_min, c_max) == reference
 
 
-class TestAnnotateRoutes:
+class TestRouteTables:
     def test_stationary_queued_vehicle_projects_to_its_own_link(self):
         sc = fixtures.corridor2()
         sim = Simulator(sc, seed=0)
         force_queued(sim, "f_app_0", 8, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
         deep = [sim.vehicles[vid] for vid in sim._queues["f_app_0"][5:]]
-        routes = generate_routes(deep, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(deep, routes, sc.network, sim.queue_heads())
-        assert len(routes) == 3
-        for r in routes:
-            assert r.routes[0].projected_link == "f_app"
+        alternatives = generate_routes(deep, sc.network, sim.travel_time_estimates())
+        tables = tables_of(deep, alternatives, sc.network, sim.queue_heads())
+        assert tables.choices == {}
+        assert tables.counts["R1"].links == {"f_app": 3}
 
     def test_queue_head_crossing_is_ignored_for_density(self):
         sc = fixtures.corridor2()
@@ -240,37 +315,34 @@ class TestAnnotateRoutes:
         force_queued(sim, "f_app_0", 3, ("f_app", "f_exit", "snk2"))
         sim.advance({("R1", "R2"): "none"})
         head = [sim.vehicles[sim._queues["f_app_0"][0]]]
-        routes = generate_routes(head, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(head, routes, sc.network, sim.queue_heads())
+        alternatives = generate_routes(head, sc.network, sim.travel_time_estimates())
+        tables = tables_of(head, alternatives, sc.network, sim.queue_heads())
         # next link f_exit lies across the boundary: excluded from densities
-        assert routes[0].routes[0].projected_link is None
+        assert tables.counts["R1"].links == {None: 1}
 
     def test_projects_the_vehicles_one_green_step_discharges(self):
         # 0.35 veh/s over a 10 s step: the lane discharges floor(3.5) = 3
         sc = make_single_gate(sat_flow=0.35)
         sim = Simulator(sc, seed=0)
         queued = force_queued(sim, "A_0", 8, ("A", "B"))
-        vehicles = [sim.vehicles[vid] for vid in queued]
-        routes = annotate_routes(vehicles, {}, sc.network, sim.queue_heads())
+        heads = sim.queue_heads()
+        tables = tables_of([sim.vehicles[vid] for vid in queued], {}, sc.network, heads)
         # B lies across the boundary, so a vehicle projected onto it reads None
-        projected = [vr.vid for vr in routes if vr.routes[0].projected_link is None]
-        assert [vr.routes[0].projected_link for vr in routes[3:]] == ["A"] * 5
+        assert tables.counts["R1"].links == {None: 3, "A": 5}
+        projected = [
+            vid
+            for vid in queued
+            if route_tables([sim.vehicles[vid]], {}, sc.network, heads).counts["R1"].links
+            == {None: 1}
+        ]
         sim.advance({("R1", "R2"): "fwd"})
         discharged = [vid for vid in queued if sim.vehicles[vid].current == "B"]
         assert projected == discharged == queued[:3]
 
     def test_each_candidate_projects_along_its_own_route(self):
-        sc = fixtures.corridor2()
-        sim = Simulator(sc, seed=0)
-        force_queued(sim, "f_app_0", 10, ("f_app", "f_exit", "snk2"))
-        force_queued(sim, "src1_0", 1, ("src1", "f_app", "f_exit", "snk2"))
-        head = [v for v in sim.vehicles.values() if v.current == "src1"]
-        routes = generate_routes(head, sc.network, sim.travel_time_estimates())
-        routes = annotate_routes(head, routes, sc.network, sim.queue_heads())
-        assert [(r.next_region, r.projected_link) for r in routes[0].routes] == [
-            ("R2", "f_app"),
-            ("R2", "f_app_ng"),
-        ]
+        *_, tables = detour_off_the_gated_approach()
+        # counted by its last candidate only
+        assert tables.counts["R1"].links == {"f_app_ng": 1}
 
 
 class TestDensityFields:
@@ -301,7 +373,7 @@ class TestSolveProbabilities:
     def test_single_vehicle_single_route_is_pinned(self):
         net = one_region_net()
         routes = [vr(1, "R1", "R9", [cr("R2", "L0")])]
-        out = solve_probabilities(routes, {("R1", "R2", "R9"): 0.0}, net, "R1", 1.0, 10.0, ADJ)
+        out = solve(routes, {("R1", "R2", "R9"): 0.0}, net, "R1", 1.0, 10.0, ADJ)
         assert out.phi == {}  # no choice: no probabilities, no draw
         assert out.iterations == 0
 
@@ -312,7 +384,7 @@ class TestSolveProbabilities:
             vr(2, "R1", "R9", [cr("R3", "L0")]),
         ]
         targets = {("R1", "R2", "R9"): 0.5, ("R1", "R3", "R9"): 0.5}
-        out = solve_probabilities(routes, targets, net, "R1", 2.0, 10.0, ADJ)
+        out = solve(routes, targets, net, "R1", 2.0, 10.0, ADJ)
         assert out.phi == {}
         assert out.target_term == pytest.approx(0.0, abs=1e-12)
         assert objective_of(out) == pytest.approx(out.homogeneity_term)
@@ -325,7 +397,7 @@ class TestSolveProbabilities:
         ]
         targets = {("R1", "R2", "R9"): 0.8, ("R1", "R3", "R9"): 0.2}
         beta = 10.0
-        out = solve_probabilities(routes, targets, net, "R1", 2.0, beta, ADJ)
+        out = solve(routes, targets, net, "R1", 2.0, beta, ADJ)
 
         area = 100.0
         d_bar = 2.0 / (2 * area)
@@ -360,7 +432,7 @@ class TestSolveProbabilities:
             ]
             beta = float(rng.uniform(1, 20))
             acc = float(rng.uniform(0, 6))
-            out = solve_probabilities(routes, targets, net, "R1", acc, beta, ADJ)
+            out = solve(routes, targets, net, "R1", acc, beta, ADJ)
             d_bar = acc / (3 * area)
 
             def objective(x, proj=proj, t2=t2, beta=beta, d_bar=d_bar):
@@ -384,7 +456,7 @@ class TestSolveProbabilities:
             for k in range(20)
         ]
         targets = {("R1", "R2", "R9"): 0.37, ("R1", "R3", "R9"): 0.63}
-        out = solve_probabilities(routes, targets, net, "R1", 20.0, 10.0, ADJ)
+        out = solve(routes, targets, net, "R1", 20.0, 10.0, ADJ)
         for phi in out.phi.values():
             assert phi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(phi >= -1e-15) and np.all(phi <= 1.0 + 1e-15)
@@ -408,7 +480,7 @@ class TestSolveProbabilities:
             t2 = float(rng.uniform(0, 1))
             targets = {("R1", "R2", "R9"): t2, ("R1", "R3", "R9"): 1 - t2}
             accumulation = float(rng.uniform(0, 10))
-            out = solve_probabilities(routes, targets, net, "R1", accumulation, 10.0, ADJ)
+            out = solve(routes, targets, net, "R1", accumulation, 10.0, ADJ)
             nv = [len(r.routes) for r in routes]
             uniform = {r.vid: np.full(n, 1.0 / n) for r, n in zip(routes, nv)}
             dens, mean = density_fields(routes, uniform, net, "R1", accumulation)
@@ -425,21 +497,19 @@ class TestSolveProbabilities:
             for k in range(10)
         ]
         targets = {("R1", "R2", "R9"): 0.7, ("R1", "R3", "R9"): 0.3}
-        out = solve_probabilities(routes, targets, net, "R1", 10.0, 1e4, ADJ)
+        out = solve(routes, targets, net, "R1", 10.0, 1e4, ADJ)
         assert out.realized[("R1", "R2", "R9")] == pytest.approx(0.7, abs=1e-3)
 
 
-    def test_three_candidates_rejected(self):
+    def test_choice_vehicles_need_exactly_two_candidates(self):
         net = one_region_net(n_links=3)
-        routes = [
-            vr(1, "R1", "R9", [
-                cr("R2", "L0"),
-                cr("R3", "L1"),
-                cr("R2", "L2"),
-            ])
-        ]
-        with pytest.raises(ValueError, match="3 candidate routes"):
-            solve_probabilities(routes, {("R1", "R2", "R9"): 1.0}, net, "R1", 1.0, 10.0, ADJ)
+        counts = RouteCounts(Counter({"R9": 1}), Counter({("R2", "R9"): 1}), Counter({"L2": 1}))
+        for candidates in ([cr("R2", "L0"), cr("R3", "L1"), cr("R2", "L2")], [cr("R2", "L2")]):
+            choice = vr(1, "R1", "R9", candidates)
+            with pytest.raises(ValueError, match=f"{len(candidates)} candidate routes"):
+                solve_probabilities(
+                    [choice], counts, {("R1", "R2", "R9"): 1.0}, net, "R1", 1.0, 10.0, ADJ
+                )
 
     def test_solution_meets_bound_constrained_kkt_conditions(self):
         rng = np.random.default_rng(21)
@@ -462,7 +532,7 @@ class TestSolveProbabilities:
         targets = {("R1", "R2", "R9"): 0.35, ("R1", "R3", "R9"): 0.65,
                    ("R1", "R2", "R8"): 0.8, ("R1", "R3", "R8"): 0.2}
         beta, acc = 4.0, 9.0
-        out = solve_probabilities(routes, targets, net, "R1", acc, beta, ADJ)
+        out = solve(routes, targets, net, "R1", acc, beta, ADJ)
 
         def objective(x):
             probs = [(xk, 1.0 - xk) for xk in x] + [(1.0,), (1.0,)]
@@ -501,7 +571,14 @@ class TestSolveProbabilities:
 def assert_matches_dense_reference(routes, targets, net, region, acc, beta, adjacency):
     """The solve agrees bit for bit with the dense-column reference, whose
     ``phi`` also lists the one-candidate vehicles as ``[1.0]``."""
-    out = solve_probabilities(routes, targets, net, region, acc, beta, adjacency)
+    out = solve(routes, targets, net, region, acc, beta, adjacency)
+    assert_same_as_dense(out, routes, targets, net, region, acc, beta, adjacency)
+    return out
+
+
+def assert_same_as_dense(out, routes, targets, net, region, acc, beta, adjacency):
+    """``out``, the solve for the vehicles ``routes`` of ``region``, is the
+    dense-column reference's solution bit for bit."""
     ref = dense_route_probabilities(routes, targets, net, region, acc, beta, adjacency)
     assert out.realized == ref.realized
     assert (out.target_term, out.homogeneity_term) == (ref.target_term, ref.homogeneity_term)
@@ -512,7 +589,6 @@ def assert_matches_dense_reference(routes, targets, net, region, acc, beta, adja
             assert np.array_equal(out.phi[vr.vid], ref.phi[vr.vid])
         else:
             assert ref.phi[vr.vid].tolist() == [1.0]
-    return out
 
 
 class TestDenseReference:
@@ -547,6 +623,43 @@ class TestDenseReference:
         # with a vehicle that has a choice the fixed ones still sum that way
         free = vr(10, "R1", "R9", [cr("R3", "L1"), cr("R2", "L0")])
         assert_matches_dense_reference(fixed + [free], targets, net, "R1", 11.0, 10.0, ADJ)
+
+
+class TestAgainstTheReferencePath:
+    def test_msjc_window_matches_the_per_vehicle_path(self, monkeypatch):
+        """Every routed step of a seeded grid6 msjc window: the count tables
+        and choice lists are ``Counter``s over the per-vehicle candidate
+        sets, and the split bounds and every route-choice solve match the
+        per-vehicle path bit for bit."""
+        adjacency = fixtures.grid6().partition.adjacency
+        tables_fn, solve_fn = routectl.route_tables, routectl.solve_probabilities
+        annotated = []
+        seen = Counter()
+
+        def checked_tables(vehicles, alternatives, net, heads):
+            tables = tables_fn(vehicles, alternatives, net, heads)
+            annotated[:] = annotate_routes(vehicles, alternatives, net, heads)
+            assert tables == counted_routes(annotated)
+            assert route_bounds(tables.next_sets, adjacency) == reference_route_bounds(
+                candidate_next_regions(annotated), adjacency
+            )
+            seen["tables"] += 1
+            return tables
+
+        def checked_solve(choices, counts, targets, net, region, acc, beta, adj):
+            out = solve_fn(choices, counts, targets, net, region, acc, beta, adj)
+            in_region = [vr for vr in annotated if vr.region == region]
+            assert_same_as_dense(out, in_region, targets, net, region, acc, beta, adj)
+            seen["solves"] += 1
+            seen["with_choice"] += bool(choices)
+            return out
+
+        monkeypatch.setattr(routectl, "route_tables", checked_tables)
+        monkeypatch.setattr(routectl, "solve_probabilities", checked_solve)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
+        runner.run(fixtures.grid6(), config)
+        assert seen["tables"] == 10 and seen["solves"] == 60
+        assert 0 < seen["with_choice"] < seen["solves"]
 
 
 class TestAssignRoutes:

@@ -41,6 +41,14 @@ GRID6_MSJC_LOGS = {
     "routing.csv": "1093727fcce83067fb76a44c69b27d67f3f96606d6e1f05c33221d2cb937e8df",
 }
 
+# grid6, seed 0: SHA-256 of the boundary.csv of msjc and mspc.  The decision
+# counts below survive a move in the last bit of a logged flow estimate
+# (est_fwd, est_rev: sums of lane terms); these do not.
+GRID6_BOUNDARY_LOGS = {
+    "msjc": "d4e3741238fb952f9406506b07223aba7a4de159f1da00a37b03691d95daa4b5",
+    "mspc": "40e4b12baef2c2bd7cfdcec7df685bdc4b3a2100e6586478c8d03379cb4886e6",
+}
+
 # Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
 # sum of feasible_count).  They pin the boundary controller's plan choice.
 BOUNDARY_DECISIONS = {
@@ -141,6 +149,9 @@ def test_golden_grid6(strategy, tmp_path):
     if strategy == "msjc":
         for name, digest in GRID6_MSJC_LOGS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    if strategy in GRID6_BOUNDARY_LOGS:
+        boundary_log = (tmp_path / "boundary.csv").read_bytes()
+        assert hashlib.sha256(boundary_log).hexdigest() == GRID6_BOUNDARY_LOGS[strategy]
     if strategy == "mspc":
         rows = _boundary_rows(tmp_path)
         assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
@@ -222,23 +233,34 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
 
 
-def test_msjc_route_set_is_in_vehicle_id_order(monkeypatch):
-    # Simulator.vehicles is in admission order, not id order; the route set,
-    # and so the route-choice columns and the routing draws, is in id order
+def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
+    # Simulator.vehicles is in admission order, not id order; route guidance
+    # reads every vehicle in id order, and so lists the route-choice columns
+    # and makes the routing draws in id order
     seen = Counter()
-    annotated_routes = runner.MsjcStrategy._annotated_routes
+    route_tables, strategy_tables = runner.routectl.route_tables, runner.MsjcStrategy._route_tables
 
-    def checked(self):
-        route_set = annotated_routes(self)
-        assert [vr.vid for vr in route_set] == sorted(self.sim.vehicles)
-        seen["sets"] += 1
-        seen["unordered"] += list(self.sim.vehicles) != sorted(self.sim.vehicles)
-        return route_set
+    def checked(vehicles, alternatives, net, heads):
+        ids = [v.id for v in vehicles]
+        assert ids == sorted(ids)
+        tables = route_tables(vehicles, alternatives, net, heads)
+        for choices in tables.choices.values():
+            assert [vr.vid for vr in choices] == sorted(vr.vid for vr in choices)
+        return tables
 
-    monkeypatch.setattr(runner.MsjcStrategy, "_annotated_routes", checked)
+    def counted(self):
+        tables = strategy_tables(self)
+        vehicles = self.sim.vehicles
+        assert sum(sum(c.destinations.values()) for c in tables.counts.values()) == len(vehicles)
+        seen["tables"] += 1
+        seen["unordered"] += list(vehicles) != sorted(vehicles)
+        return tables
+
+    monkeypatch.setattr(runner.routectl, "route_tables", checked)
+    monkeypatch.setattr(runner.MsjcStrategy, "_route_tables", counted)
     # one macro step of msjc on the loaded grid, as in the benchmark's windows
     runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0))
-    assert seen["sets"] > 0 and seen["unordered"] > 0
+    assert seen["tables"] > 0 and seen["unordered"] > 0
 
 
 @pytest.mark.parametrize("strategy", ["bp-lr", "mspc-lr"])
