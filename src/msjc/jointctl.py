@@ -10,11 +10,13 @@ total boundary flow.
 Everything but the bilinear transfer b*c is linear: ``_Problem`` builds the
 linear maps and the variable bounds once per macro step.  With each product
 replaced by a variable held between McCormick's (1976) four planes over a
-box, the program becomes an LP that HiGHS solves exactly, through scipy's
-``milp`` with no integrality.  ``_Problem`` also builds the LP's rows once;
-each LP fills in only the four McCormick blocks' b and c coefficients, by
-index.  Over the full box that LP bounds z and total flow
-from below and above; an infeasible LP certifies an infeasible program.
+box, the program becomes an LP that HiGHS solves exactly.  ``_Problem`` also
+fixes the LP's sparse pattern once; each LP writes its bounds and the four
+McCormick blocks' b and c coefficients into it, by index, and goes straight
+to ``scipy.optimize._highspy._core``, the HiGHS module ``milp`` calls: the
+Python layer of ``milp`` around it cost as much as the solve.  Over the full
+box that LP bounds z and total flow from below and above; an infeasible LP
+certifies an infeasible program.
 Over a box that pins c (or b) the planes are exact, so fixing one side and
 solving for the other gives feasible points, and ``solve`` returns such a
 point.  No iterative local solver is involved, so results do not depend on
@@ -29,7 +31,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import LinearConstraint, OptimizeResult, milp
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .macrodyn import CompletionModel, MacroState
 
@@ -43,7 +47,7 @@ _FEASIBILITY_TOL = 1e-6
 _Z_TIE = 1e-9  # z that stage 2 may add to stage 1's: LP rounding
 _Z_GAP_TOL = 1e-7  # times 1 + |z|
 _FLOW_GAP_TOL = 1e-9  # veh/s
-_MC_SIGNS = (1.0, 1.0, -1.0, -1.0)  # McCormick blocks: above, above, below, below
+_MC_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # McCormick blocks: above, above, below, below
 
 
 @dataclass(frozen=True)
@@ -186,10 +190,11 @@ class _Problem:
 
         # The relaxation's variables are (b, c, z, w, s): w stands for moved
         # and s relieves the envelope rows, m_min - s <= flow <= m_max + s.
-        # Its rows, lp_lo <= lp_a @ (b, c, z, w, s) <= lp_hi: overshoot <= z,
+        # Its rows, row_lower_ <= A @ (b, c, z, w, s) <= lp_hi: overshoot <= z,
         # the two envelope rows, four McCormick blocks of one row per split
         # variable, then the split sums.  Only the McCormick blocks' b and c
-        # coefficients and bounds depend on the box (``constraints``).
+        # coefficients and bounds depend on the box (``constraints``), so
+        # ``lp`` fixes A's CSC pattern here, once per macro step.
         n_region, n_env, n_od = len(regions), len(self.env_rows), len(self.active_od)
         w_cols = np.arange(self.nv, self.nv + self.nc)
         s_col = self.nv + self.nc
@@ -205,14 +210,24 @@ class _Problem:
         self.mc_rows = mc_row0 + np.arange(4 * self.nc)
         a[self.mc_rows, np.tile(w_cols, 4)] = -np.repeat(_MC_SIGNS, self.nc)
         a[n_ub:, : self.nv] = self.split_sum
-        self.lp_a = a
-        self.lp_lo = np.concatenate([np.full(n_ub, -np.inf), np.ones(n_od)])
+        mc_b, mc_c = (self.mc_rows, np.tile(self.c_b, 4)), (self.mc_rows, np.tile(self.c_cols, 4))
+        a[mc_b] = a[mc_c] = np.nan  # set per LP; in the pattern even where 0 (closed gate, c_min 0)
+        cols, rows = np.nonzero(a.T)  # column by column, rows ascending
+        self.lp_values = a[rows, cols]
+        slot = np.zeros(a.shape, dtype=int)  # slot[r, k]: A[r, k]'s index in lp_values
+        slot[rows, cols] = np.arange(len(rows))
+        self.mc_b_slots, self.mc_c_slots = slot[mc_b], slot[mc_c]
         self.lp_hi = np.concatenate(
             [-self.base, self.m_max, -self.m_min, np.zeros(4 * self.nc), np.ones(n_od)]
         )
+        self.lp = highs.HighsLp()  # ``relaxation`` sets A's values, row_upper_ and the columns
+        matrix = self.lp.a_matrix_
+        self.lp.num_row_, self.lp.num_col_ = matrix.num_row_, matrix.num_col_ = a.shape
+        matrix.start_, matrix.index_ = np.searchsorted(cols, np.arange(a.shape[1] + 1)), rows
+        self.lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), np.ones(n_od)])
 
-    def constraints(self, lb: np.ndarray, ub: np.ndarray) -> LinearConstraint:
-        """The relaxation's rows over the box ``lb <= (b, c, z) <= ub``.
+    def constraints(self, lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A's values in ``lp``'s pattern and row_upper_ over the box ``lb <= (b, c, z) <= ub``.
 
         Block k holds w above (sign +1) or below (sign -1) the tangent plane
         of b*c*kappa at one box corner, (lo, lo), (hi, hi), (lo, hi) and
@@ -223,23 +238,23 @@ class _Problem:
         """
         lo_hi = np.concatenate([lb[: self.nb], ub[self.nb :]])
         hi_lo = np.concatenate([ub[: self.nb], lb[self.nb :]])
-        a, hi = self.lp_a.copy(), self.lp_hi.copy()
-        for k, (sign, corner) in enumerate(zip(_MC_SIGNS, (lb, ub, lo_hi, hi_lo))):
-            block = self.mc_rows[k * self.nc : (k + 1) * self.nc]
-            a[block, self.c_b] = sign * (corner[self.c_cols] * self.kappa)
-            a[block, self.c_cols] = sign * (corner[self.c_b] * self.kappa)
-            hi[block] = sign * self.moved(corner)
-        return LinearConstraint(a, self.lp_lo, hi)
+        corners = np.array([lb, ub, lo_hi, hi_lo])
+        b, c = corners[:, self.c_b], corners[:, self.c_cols]
+        values, hi = self.lp_values.copy(), self.lp_hi.copy()
+        values[self.mc_b_slots] = (_MC_SIGNS * (c * self.kappa)).ravel()
+        values[self.mc_c_slots] = (_MC_SIGNS * (b * self.kappa)).ravel()
+        hi[self.mc_rows] = (_MC_SIGNS * (b * c * self.kappa)).ravel()
+        return values, hi
 
     def relaxation(
         self, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
     ) -> OptimizeResult:
         """The McCormick LP over the box ``lb <= (b, c, z) <= ub``, solved by
-        HiGHS through ``milp`` with no integrality.  Without ``z_cap`` it
-        minimizes z; with it, it maximizes total boundary flow (``-fun``)
-        subject to z <= z_cap.  ``elastic`` frees the envelope slack s and
-        minimizes it instead.  Where the box pins b or c to one value, the
-        LP is the program itself.
+        a new HiGHS as ``milp`` would, with ``milp``'s success, x, fun and
+        message.  Without ``z_cap`` it minimizes z; with it, it maximizes
+        total boundary flow (``-fun``) subject to z <= z_cap.  ``elastic``
+        frees the envelope slack s and minimizes it instead.  Where the box
+        pins b or c to one value, the LP is the program itself.
         """
         cost = np.zeros(self.nv + self.nc + 1)
         upper = np.concatenate([ub, np.full(self.nc, np.inf), [np.inf if elastic else 0.0]])
@@ -251,7 +266,24 @@ class _Problem:
             cost[self.nv : -1] = -self.flow_map.sum(axis=0)
             upper[self.zi] = z_cap
         lower = np.append(lb, np.zeros(self.nc + 1))
-        return milp(cost, bounds=(lower, upper), constraints=self.constraints(lb, ub))
+        lp, solver = self.lp, highs._Highs()
+        lp.a_matrix_.value_, lp.row_upper_ = self.constraints(lb, ub)
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+        solver.setOptionValue("log_to_console", False)  # the one option ``milp`` sets
+        if solver.passModel(lp) == highs.HighsStatus.kError:  # e.g. a NaN; run() would crash
+            ran, status = highs.HighsStatus.kError, highs.HighsModelStatus.kModelError
+        else:
+            ran, status = solver.run(), solver.getModelStatus()
+        info = solver.getInfo()
+        res = OptimizeResult(success=status == highs.HighsModelStatus.kOptimal, x=None, fun=None)
+        detail = solver.modelStatusToString(status)
+        if res.success:
+            res.x, res.fun = np.array(solver.getSolution().col_value), info.objective_function_value
+        elif ran != highs.HighsStatus.kError:
+            primal = solver.solutionStatusToString(info.primal_solution_status)
+            detail = f"model_status is {detail}; primal_status is {primal}"
+        res.message = _highs_to_scipy_status_message(status, detail)[1]
+        return res
 
     def moved(self, x: np.ndarray) -> np.ndarray:
         """Vehicles moved per split variable, b*c*kappa."""

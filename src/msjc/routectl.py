@@ -43,6 +43,8 @@ from scipy.optimize import lsq_linear
 
 from .netmodel import Network, TravelTimes, next_region, shortest_paths_to
 
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)  # Generator.choice's tolerance on sum(p)
+
 
 class CandidateRoute(NamedTuple):
     links: tuple[str, ...]
@@ -242,7 +244,7 @@ def assign_routes(
     rng: np.random.Generator,
 ) -> dict[int, tuple[str, ...]]:
     """Sample one committed route per vehicle from its probabilities.
-    ``routes`` holds vehicles with a choice, each with an entry in
+    ``routes`` holds vehicles with a choice of two, each with an entry in
     ``probabilities`` (``solve_probabilities``' phi); each draws once.
 
     Iteration is ordered by vehicle id, so a fixed seed reproduces the exact
@@ -250,7 +252,14 @@ def assign_routes(
     chosen: dict[int, tuple[str, ...]] = {}
     for vr in sorted(routes, key=lambda r: r.vid):
         phi = np.clip(np.asarray(probabilities[vr.vid], dtype=float), 0.0, None)
-        phi = phi / phi.sum()
-        idx = int(rng.choice(len(vr.routes), p=phi))
-        chosen[vr.vid] = vr.routes[idx].links
+        chosen[vr.vid] = vr.routes[draw_two(phi / phi.sum(), rng)].links
     return chosen
+
+
+def draw_two(p: Sequence[float], rng: np.random.Generator) -> int:
+    """``int(rng.choice(2, p=p))`` without its overhead: the same checks, and
+    the same index from one ``rng.random()`` against cumsum(p) / its last."""
+    p0, p1 = map(float, p)
+    if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= _CHOICE_ATOL):
+        raise ValueError(f"probabilities ({p0}, {p1}) are not non-negative or do not sum to 1")
+    return int(rng.random() >= p0 / (p0 + p1))

@@ -311,8 +311,7 @@ def _logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     for vid in sorted(alternatives):
         best = alternatives[vid]
         times = [route_travel_time(sim.vehicles[vid].route, tt), route_travel_time(best, tt)]
-        phi = logit_choice(times, theta)
-        if int(sim.routing_rng.choice(len(phi), p=phi)) == 1:
+        if routectl.draw_two(logit_choice(times, theta), sim.routing_rng):
             assignments[vid] = best
     return assignments
 

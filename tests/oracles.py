@@ -26,9 +26,11 @@ the route-choice solve fits.
 ``reference_arrivals`` is the simulator's arrivals projection as first
 written: a projection over every running vehicle of every link.
 ``dense_route_probabilities`` is the route-choice solve as first written,
-one dense column per vehicle candidate.  ``linprog_relaxation`` is the
+one dense column per vehicle candidate.  ``dense_relaxation`` is the
 joint program's McCormick LP as first written: its rows stacked densely
-from the transfer Jacobian at each box corner, solved by ``linprog``.
+from the transfer Jacobian at each box corner.  ``linprog_relaxation``
+solves it by ``linprog`` and ``milp_relaxation`` by ``milp``, the call
+``jointctl`` made before it passed its sparse LP to HiGHS itself.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog, lsq_linear
+from scipy.optimize import LinearConstraint, OptimizeResult, linprog, lsq_linear, milp
 
 from msjc.baselines import logit_choice, route_travel_time
 from msjc.boundaryctl import BoundaryDecision
@@ -847,12 +849,14 @@ def dense_route_probabilities(
     )
 
 
-def linprog_relaxation(
+def dense_relaxation(
     problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
-) -> OptimizeResult:
-    """``jointctl._Problem.relaxation`` as first written: every row of the
-    McCormick LP stacked densely, the four corner blocks from the dense
-    Jacobian of b*c*kappa, and the LP handed to ``linprog``."""
+) -> tuple[np.ndarray, ...]:
+    """``jointctl._Problem.relaxation``'s LP as first written: every row of
+    the McCormick LP stacked densely, the four corner blocks from the dense
+    Jacobian of b*c*kappa.  Returns the cost, the inequality rows and their
+    upper bounds, the split-sum rows (each equal to 1) and the variable
+    bounds."""
     nb, nc, nv = problem.nb, problem.nc, problem.nv
     rows = np.arange(nc)
 
@@ -886,7 +890,30 @@ def linprog_relaxation(
     else:
         cost[nv:-1] = -problem.flow_map.sum(axis=0)
         upper[problem.zi] = z_cap
-    bounds = np.column_stack([np.append(lb, np.zeros(nc + 1)), upper])
-    return linprog(
-        cost, np.vstack(a_ub), np.concatenate(b_ub), a_eq, np.ones(n_od), bounds, method="highs"
+    lower = np.append(lb, np.zeros(nc + 1))
+    return cost, np.vstack(a_ub), np.concatenate(b_ub), a_eq, lower, upper
+
+
+def linprog_relaxation(
+    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
+) -> OptimizeResult:
+    """``dense_relaxation``'s LP handed to ``linprog``."""
+    cost, a_ub, b_ub, a_eq, lower, upper = dense_relaxation(problem, lb, ub, z_cap, elastic)
+    bounds = np.column_stack([lower, upper])
+    return linprog(cost, a_ub, b_ub, a_eq, np.ones(len(a_eq)), bounds, method="highs")
+
+
+def milp_relaxation(
+    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
+) -> OptimizeResult:
+    """``dense_relaxation``'s LP handed to ``milp`` with no integrality, as
+    one dense ``LinearConstraint``: the call ``jointctl`` made before it
+    passed its sparse LP to HiGHS itself."""
+    cost, a_ub, b_ub, a_eq, lower, upper = dense_relaxation(problem, lb, ub, z_cap, elastic)
+    n_eq = len(a_eq)
+    rows = LinearConstraint(
+        np.vstack([a_ub, a_eq]),
+        np.concatenate([np.full(len(b_ub), -np.inf), np.ones(n_eq)]),
+        np.concatenate([b_ub, np.ones(n_eq)]),
     )
+    return milp(cost, bounds=(lower, upper), constraints=rows)

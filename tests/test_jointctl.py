@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from msjc import fixtures, jointctl, runner
 from msjc.jointctl import ControlBounds, _Problem, route_bounds, solve
@@ -11,7 +12,9 @@ from msjc.macrodyn import MacroState
 from oracles import (
     FractionMfd,
     completion_split,
+    dense_relaxation,
     linprog_relaxation,
+    milp_relaxation,
     reference_route_bounds,
     step,
     targets,
@@ -174,15 +177,15 @@ def grid6_window(seed, warmup_s):
     return args
 
 
-def assert_relaxations_match_linprog(monkeypatch, state, mfd, bounds) -> list[bool]:
+def assert_relaxations_match(monkeypatch, oracle, state, mfd, bounds) -> list[bool]:
     """Solve, checking every LP that ``solve`` hands to HiGHS against the
-    same LP through ``linprog``; the LPs' ``elastic`` flags."""
+    same LP through ``oracle``; the LPs' ``elastic`` flags."""
     relaxation = _Problem.relaxation
     elastic_flags = []
 
     def checked(problem, lb, ub, z_cap=None, elastic=False):
         got = relaxation(problem, lb, ub, z_cap, elastic)
-        want = linprog_relaxation(problem, lb, ub, z_cap, elastic)
+        want = oracle(problem, lb, ub, z_cap, elastic)
         assert (got.success, got.message, got.fun) == (want.success, want.message, want.fun)
         assert (got.x is None) == (want.x is None)
         assert got.x is None or np.array_equal(got.x, want.x)
@@ -193,6 +196,17 @@ def assert_relaxations_match_linprog(monkeypatch, state, mfd, bounds) -> list[bo
     solve(state, mfd, bounds)
     assert elastic_flags
     return elastic_flags
+
+
+def assert_relaxations_match_linprog(monkeypatch, state, mfd, bounds) -> list[bool]:
+    return assert_relaxations_match(monkeypatch, linprog_relaxation, state, mfd, bounds)
+
+
+def lp_matrix(problem, values):
+    """The relaxation's A, dense, from ``values`` in ``problem.lp``'s pattern."""
+    matrix = problem.lp.a_matrix_
+    shape = (problem.lp.num_row_, problem.lp.num_col_)
+    return sparse.csc_array((values, matrix.index_, matrix.start_), shape=shape).toarray()
 
 
 def sample_feasible_controls(rng, state, mfd, bounds):
@@ -460,8 +474,8 @@ class TestProblem:
         lb, ub = problem.lb.copy(), problem.ub.copy()
         lb[: nv - 1] = rng.uniform(0.05, 0.5, nv - 1)
         ub[: nv - 1] = rng.uniform(0.5, 1.0, nv - 1)
-        rows = problem.constraints(lb, ub)
-        a = rows.A
+        values, hi = problem.constraints(lb, ub)
+        a = lp_matrix(problem, values)
         corners = (
             (1.0, lb),
             (1.0, ub),
@@ -481,12 +495,40 @@ class TestProblem:
             assert np.allclose(a[block, :nv], sign * numeric, rtol=1e-7, atol=1e-6)
             assert np.array_equal(a[block, nv : nv + nc], -sign * np.eye(nc))
             assert not a[block, nv + nc].any()
-            assert np.array_equal(rows.ub[block], sign * problem.moved(corner))
+            assert np.array_equal(hi[block], sign * problem.moved(corner))
+
+    def test_fixed_pattern_matches_dense_rows(self):
+        # Gates that may close and c_min = 0 put box corners at 0, so some
+        # McCormick coefficients are 0.  Their positions stay in the pattern,
+        # and the matrix built by index equals the dense rows of the LP as
+        # first written, with the same upper bounds.
+        rng = np.random.default_rng(8)
+        state, mfd, bounds = three_region_instance(rng)
+        bounds = ControlBounds(
+            bounds.m_min, bounds.m_max, {k: 0.0 for k in bounds.c_min}, bounds.c_max
+        )
+        problem = _Problem(state, mfd, bounds)
+        nb, nv = problem.nb, problem.nv
+        mc_b = problem.mc_rows, np.tile(problem.c_b, 4)
+        mc_c = problem.mc_rows, np.tile(problem.c_cols, 4)
+        for _ in range(10):
+            lb, ub = problem.lb.copy(), problem.ub.copy()
+            lb[:nb] = np.where(rng.random(nb) < 0.5, 0.0, rng.uniform(0.0, 0.5, nb))
+            ub[: nv - 1] = np.maximum(lb[: nv - 1], rng.uniform(0.5, 1.0, nv - 1))
+            values, hi = problem.constraints(lb, ub)
+            _, a_ub, b_ub, a_eq, *_ = dense_relaxation(problem, lb, ub)
+            dense = np.vstack([a_ub, a_eq])
+            assert (dense[mc_b] == 0.0).any() and (dense[mc_c] == 0.0).any()
+            assert np.array_equal(lp_matrix(problem, values), dense)
+            assert np.array_equal(hi, np.concatenate([b_ub, np.ones(len(a_eq))]))
+            pattern = lp_matrix(problem, np.ones(len(values)))
+            assert pattern[mc_b].all() and pattern[mc_c].all()
 
 
 class TestHighsCall:
-    """``_Problem.relaxation`` gives HiGHS, through ``milp``, the LP that
-    ``linprog`` was given: the same point, objective, status and message."""
+    """``_Problem.relaxation`` hands HiGHS, through scipy's ``_highspy._core``,
+    the LP that ``linprog`` was given, and the LP that ``milp`` was given
+    before: the same point, objective, status and message."""
 
     def test_random_instances(self, monkeypatch):
         for instance, seed, count in ((random_instance, 61, 4), (three_region_instance, 62, 10)):
@@ -502,3 +544,23 @@ class TestHighsCall:
     @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
     def test_grid6_window(self, monkeypatch, seed, warmup_s):
         assert len(assert_relaxations_match_linprog(monkeypatch, *grid6_window(seed, warmup_s))) == 6
+
+    @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
+    def test_grid6_window_matches_milp(self, monkeypatch, seed, warmup_s):
+        args = grid6_window(seed, warmup_s)
+        assert len(assert_relaxations_match(monkeypatch, milp_relaxation, *args)) == 6
+
+    def test_elastic_instance_matches_milp(self, monkeypatch):
+        state, mfd, bounds, _ = unattainable_floor_instance()
+        flags = assert_relaxations_match(monkeypatch, milp_relaxation, state, mfd, bounds)
+        assert flags == [False, True]
+
+    def test_refused_model_matches_milp(self):
+        # HiGHS refuses a model with a NaN bound; it is reported as ``milp``
+        # reports it, not run
+        problem = _Problem(*three_region_instance(np.random.default_rng(5)))
+        lb = problem.lb.copy()
+        lb[0] = np.nan
+        got, want = problem.relaxation(lb, problem.ub), milp_relaxation(problem, lb, problem.ub)
+        assert (want.success, want.x, want.fun) == (False, None, None)
+        assert (got.success, got.message, got.x, got.fun) == (False, want.message, None, None)

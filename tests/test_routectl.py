@@ -693,3 +693,41 @@ class TestAssignRoutes:
         a = assign_routes(routes, probs, np.random.default_rng(9))
         b = assign_routes(routes, probs, np.random.default_rng(9))
         assert a == b
+
+
+class TestDrawTwo:
+    """``draw_two`` draws what ``Generator.choice(2, p=p)`` draws, from the
+    same stream, and refuses what it refuses."""
+
+    @staticmethod
+    def assert_same_as_choice(p, seed):
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert routectl.draw_two(p, ours) == int(numpy.choice(2, p=p))
+        assert ours.bit_generator.state == numpy.bit_generator.state
+
+    def test_random_shares(self):
+        rng = np.random.default_rng(3)
+        for seed in range(2000):
+            x = float(rng.random())
+            p = np.array([x, 1.0 - x])
+            if seed % 2:  # off 1 by less than Generator.choice's tolerance
+                p = p * (1.0 + float(rng.uniform(-1e-9, 1e-9)))
+            self.assert_same_as_choice(p, seed)
+
+    def test_edge_shares(self):
+        tiny = np.nextafter(0.0, 1.0)
+        below_one = np.nextafter(1.0, 0.0)
+        for p in ([1.0, 0.0], [0.0, 1.0], [tiny, 1.0 - tiny], [below_one, 1.0 - below_one],
+                  [1.0 - below_one, below_one], [1.0 - tiny, tiny]):
+            for seed in range(200):
+                self.assert_same_as_choice(np.array(p), seed)
+
+    def test_refuses_what_choice_refuses(self):
+        for p in ([np.nan, 1.0], [np.inf, 0.0], [-np.inf, np.inf], [-0.1, 1.1], [1.1, -0.1],
+                  [0.0, 0.0], [0.5, 0.5 + 2e-8], [0.5, 0.5 - 2e-8]):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(2, p=p)
+            with pytest.raises(ValueError):
+                routectl.draw_two(p, np.random.default_rng(0))
+        self.assert_same_as_choice([0.5, 0.5 + 1e-8], 0)  # within tolerance
