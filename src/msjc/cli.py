@@ -3,10 +3,13 @@
 Subcommands: ``make-scenario`` (writes a bundled scenario's document from
 ``fixtures``), ``calibrate``, ``run``, ``compare``, ``report``.  A scenario
 that fails to load, a run with no MFD (neither the scenario's block nor
-``--mfd``) or an MFD that cannot be fitted ends in one error line on stderr
-and exit status 2, as does a negative seed, a non-positive count,
-demand scale or cap, or an unknown strategy (argparse's usage error).  Set
-MSJC_LOG=debug|info|warning to control verbosity.
+``--mfd``), an MFD that cannot be fitted, an output path that cannot be
+written, or a ``comparison.csv`` that is missing, lacks a column, holds a
+bad cell or holds no run ends in one error line on stderr and exit status
+2, as does a negative seed, a non-positive count, a demand scale, cap or
+calibration level that is not finite and > 0, or an unknown strategy
+(argparse's usage error).  Set MSJC_LOG=debug|info|warning to control
+verbosity.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("calibrate", help="fit per-region MFDs from a demand sweep")
     _add_scenario_arg(p)
     p.add_argument("--out", required=True, help="output MFD YAML")
-    p.add_argument("--levels", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 1.25])
+    p.add_argument("--levels", type=_POSITIVE, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 1.25])
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--window", type=float, default=120.0)
 
@@ -93,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         return _execute(args)
     except (netmodel.ScenarioError, mfdmod.MfdFitError) as exc:
         print("msjc: error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
+    except OSError as exc:  # a failed read raises ScenarioError: this is a write
+        path = exc.filename or "output"
+        print(f"msjc: error: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
 
 
@@ -128,12 +135,17 @@ def _execute(args: argparse.Namespace) -> int:
             cap_s=args.cap,
         )
         metrics = runner.run(scenario, cfg, model=model)
+        if metrics.truncated:
+            end = (
+                f"stopped at {metrics.clearance_time_s:.0f} s by the "
+                f"{cfg.time_cap_s(scenario):.0f} s time cap, not cleared"
+            )
+        else:
+            end = f"cleared at {metrics.clearance_time_s:.0f} s"
         print(
             f"{metrics.strategy} seed {metrics.seed}: "
             f"TTT {metrics.total_travel_time_veh_s:.0f} veh*s, "
-            f"throughput {metrics.throughput_veh}/{metrics.injected_veh} veh, "
-            f"cleared at {metrics.clearance_time_s:.0f} s"
-            + (" (truncated)" if metrics.truncated else "")
+            f"throughput {metrics.throughput_veh}/{metrics.injected_veh} veh, {end}"
         )
         return 0
 
@@ -153,11 +165,12 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "report":
-        path = Path(args.out) / "comparison.csv"
-        if not path.exists():
-            print(f"no comparison.csv under {args.out}", file=sys.stderr)
-            return 1
-        for row in runner.report(runner.read_metrics_csv(path), args.out):
+        try:
+            runs = runner.read_metrics_csv(Path(args.out) / "comparison.csv")
+        except ValueError as exc:
+            print(f"msjc: error: {exc}", file=sys.stderr)
+            return 2
+        for row in runner.report(runs, args.out):
             print(
                 f"{row.strategy:8s} TTT {row.mean_total_travel_time_veh_s:12.0f}"
                 f" +- {row.std_total_travel_time_veh_s:8.0f} veh*s"

@@ -7,13 +7,17 @@ space), with gating approaches served only when the activated multi-phase
 plan allows their lane.  Vehicles enter on the shortest route and follow
 their routes link by link; blocked vehicles are never removed.
 
-Routing reads one snapshot per step: ``travel_time_estimates`` builds the
+Routing reads one snapshot per step.  ``travel_time_estimates`` fixes the
 per-link times (free flow plus queue clearance) on its first call after
 ``advance``, the only code that changes a lane queue, and returns that same
 snapshot until the next ``advance``.  The snapshot holds one resumable
 search per destination (``netmodel.shortest_paths_to``), so demand
 injection and rerouting in one step extend the same search and get the
-same route from the same start link.
+same route from the same start link.  A step that finds every lane queue
+empty has free-flow times, and every such step gets the simulator's one
+free-flow snapshot: its searches resume across those steps, so once they
+have settled, routing on an empty network only walks routes.  A route
+depends only on the times, so sharing the snapshot moves no route.
 
 A new vehicle waits in its origin's entry queue until the origin link has
 storage; ``Simulator.vehicles``, the only per-vehicle record, holds exactly
@@ -112,6 +116,7 @@ class Simulator:
         self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
         self._snapshot: TravelTimes | None = None  # this step's, until advance
+        self._free_flow: TravelTimes | None = None  # every empty-queue step's
         self.created_total = 0  # also the next vehicle id
         self.completed_total = 0
         # vehicles a lane may discharge per step, at most: the floor of
@@ -126,17 +131,26 @@ class Simulator:
 
     def travel_time_estimates(self) -> TravelTimes:
         """This step's per-link travel times, free flow plus queue clearance,
-        with the route searches run on them: built on the first call after
-        ``advance``, then the same snapshot until the next ``advance``."""
+        with the route searches run on them: fixed on the first call after
+        ``advance``, then the same snapshot until the next ``advance``.  A
+        step with every lane queue empty gets the simulator's one free-flow
+        snapshot, whose searches every such step extends; any other step
+        gets a new snapshot."""
         if self._snapshot is None:
-            queue = self._queues.__getitem__
-            self._snapshot = TravelTimes(
-                self.net,
-                [
-                    free_s + sum(map(len, map(queue, lanes))) / service
-                    for free_s, lanes, service in self.net.travel_time_terms
-                ],
-            )
+            empty = not any(self._queues.values())
+            if empty and self._free_flow is not None:
+                self._snapshot = self._free_flow
+            else:
+                queue = self._queues.__getitem__
+                self._snapshot = TravelTimes(
+                    self.net,
+                    [
+                        free_s + sum(map(len, map(queue, lanes))) / service
+                        for free_s, lanes, service in self.net.travel_time_terms
+                    ],
+                )
+                if empty:
+                    self._free_flow = self._snapshot
         return self._snapshot
 
     def shortest_route(

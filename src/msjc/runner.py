@@ -44,6 +44,13 @@ class RunConfig:
     cap_s: float | None = None  # default: control.cap_factor * demand horizon
     warmup_s: float | None = None  # default: scenario warmup
 
+    def time_cap_s(self, scenario: Scenario) -> float:
+        """The run's hard stop: ``cap_s``, or the scenario's cap factor times
+        its demand horizon."""
+        if self.cap_s is not None:
+            return self.cap_s
+        return scenario.control.cap_factor * scenario.demand.horizon_s
+
 
 @dataclass
 class RunMetrics:
@@ -509,7 +516,7 @@ def run(
 
     warmup_s = config.warmup_s if config.warmup_s is not None else scenario.demand.warmup_s
     horizon = scenario.demand.horizon_s
-    cap_s = config.cap_s if config.cap_s is not None else control.cap_factor * horizon
+    cap_s = config.time_cap_s(scenario)
 
     logs = None
     if config.out_dir is not None:
@@ -658,10 +665,11 @@ def calibrate(
 ) -> MfdModel:
     """Uncontrolled demand sweep; samples accumulation and completion flow
     per aggregation window and fits the per-region cubics.  Raises
-    MfdFitError for a demand level <= 0, for a window that is not a positive
-    whole number of micro steps, and when the samples cannot be fitted."""
-    if not all(level > 0 for level in levels):
-        raise MfdFitError(f"calibration levels must be > 0, got {list(levels)}")
+    MfdFitError for a demand level that is not finite and > 0, for a window
+    that is not a positive whole number of micro steps, and when the samples
+    cannot be fitted."""
+    if not all(0 < level < math.inf for level in levels):
+        raise MfdFitError(f"calibration levels must be > 0 and finite, got {list(levels)}")
     if len(levels) < 2:
         logger.warning("calibration with %d demand level(s): narrow accumulation range", len(levels))
     control = scenario.control
@@ -740,7 +748,9 @@ def _write_metrics_csv(path: Path, runs: list[RunMetrics]) -> None:
 
 
 def read_metrics_csv(path) -> list[RunMetrics]:
-    """Runs written to ``metrics.csv`` or ``comparison.csv``, without series."""
+    """Runs written to ``metrics.csv`` or ``comparison.csv``, without series.
+    Raises ValueError, naming the file, when it cannot be read, lacks a
+    column, holds a cell that does not parse or holds no run."""
     parse = {
         "str": str,
         "int": int,
@@ -748,11 +758,32 @@ def read_metrics_csv(path) -> list[RunMetrics]:
         "bool": lambda cell: bool(int(cell)),
         "float | None": lambda cell: float(cell) if cell else None,
     }
-    with open(path, newline="") as fh:
-        return [
-            RunMetrics(**{f.name: parse[f.type](row[f.name]) for f in _METRIC_COLUMNS})
-            for row in csv.DictReader(fh)
-        ]
+    runs = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [f.name for f in _METRIC_COLUMNS if f.name not in header]
+            if missing:
+                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"{path}, line {reader.line_num}: too few cells")
+                values = {}
+                for f in _METRIC_COLUMNS:
+                    cell = row[f.name]
+                    try:
+                        values[f.name] = parse[f.type](cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}, line {reader.line_num}: bad {f.name} cell {cell!r}"
+                        ) from None
+                runs.append(RunMetrics(**values))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    if not runs:
+        raise ValueError(f"{path}: no runs")
+    return runs
 
 
 @dataclass

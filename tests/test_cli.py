@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
-from msjc import cli, fixtures, mfd, netmodel
+from msjc import cli, fixtures, mfd, netmodel, runner
 from test_runner import assert_grid6_calibrated
 
 
@@ -209,14 +210,15 @@ def test_calibrate_writes_an_mfd_file_that_reloads(tmp_path, capsys):
     assert_grid6_calibrated(mfd.load_mfd(out, ("R1", "R2", "R3", "R4", "R5", "R6")))
 
 
-# corridor2 has 10 s micro steps.  A window under one step never closes, and
-# one off the step grid would divide whole steps of flow by the wrong time.
+# corridor2 has 10 s micro steps.  A window under one step (or NaN) never
+# closes, and one off the step grid would divide whole steps of flow by the
+# wrong time.
 @pytest.mark.parametrize(
     "flags, needle",
     [
         (["--window", "5"], "window 5.0 s"),
         (["--window", "125"], "window 125.0 s"),
-        (["--levels", "-1"], "levels must be > 0"),
+        (["--window", "nan"], "window nan s"),
         (["--levels", "0.0001"], "rank-deficient"),  # raised by the fit
         (["--levels", "0.01"], "region R2: fitted flow is not positive"),
     ],
@@ -230,8 +232,9 @@ def test_calibration_that_cannot_fit_is_one_line_and_exit_2(flags, needle, tmp_p
 
 
 # Each of these once ended in a traceback (numpy's negative seed, a NaN
-# demand scale, an unknown strategy) or in a run that did nothing useful
-# (an empty network, no replication, one macro step reported truncated).
+# demand scale, an unknown strategy, an infinite calibration level) or in a
+# run that did nothing useful (an empty network, no replication, one macro
+# step reported truncated).
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -243,6 +246,9 @@ def test_calibration_that_cannot_fit_is_one_line_and_exit_2(flags, needle, tmp_p
         (["compare", "--strategies", "foo"], "argument --strategies: invalid choice: 'foo'"),
         (["compare", "--reps", "0"], "argument --reps: must be >= 1, got 0"),
         (["run", "--cap", "-5"], "argument --cap: must be finite and > 0, got -5"),
+        (["calibrate", "--levels", "-1"], "argument --levels: must be finite and > 0, got -1"),
+        (["calibrate", "--levels", "0.5", "inf"],
+         "argument --levels: must be finite and > 0, got inf"),
     ],
 )
 def test_out_of_range_input_is_a_usage_error(argv, needle, tmp_path, capsys):
@@ -255,3 +261,61 @@ def test_out_of_range_input_is_a_usage_error(argv, needle, tmp_path, capsys):
     err = capsys.readouterr().err
     assert needle in err.splitlines()[-1] and "Traceback" not in err
     assert not out.exists()
+
+
+# Each of these once ended in an OSError traceback; calibrate's only after
+# its whole sweep.
+@pytest.mark.parametrize(
+    "argv, out, needle",
+    [
+        (["make-scenario", "corridor2", "-o"], "nodir/x.yaml", "No such file or directory"),
+        (["calibrate", "--scenario", "{scenario}", "--out"], "dir", "Is a directory"),
+        (["run", "--scenario", "{scenario}", "--strategy", "bp", "--out"], "file", "File exists"),
+        (["compare", "--scenario", "{scenario}", "--strategies", "bp", "--out"], "file",
+         "Not a directory"),
+    ],
+    ids=["make-scenario", "calibrate", "run", "compare"],
+)
+def test_unwritable_output_is_one_line_and_exit_2(argv, out, needle, tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(scenario=scenario) for arg in argv] + [str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    _one_error_line(capsys, "msjc: error: cannot write", str(tmp_path / out), needle)
+    assert (tmp_path / "file").read_text() == ""
+
+
+_HEADER = ",".join(f.name for f in fields(runner.RunMetrics) if f.name != "throughput_series")
+
+
+# Each of these once ended in a KeyError traceback, printed nothing and
+# exited 0, or exited 1 without the error prefix.
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        (None, "cannot read"),
+        ("run,ttt\nbp,1.0\n", "missing column(s) strategy, seed"),
+        (_HEADER + "\n", "no runs"),
+        (_HEADER + "\nbp,0,abc,1,1,10.0,0,\n", "line 2: bad total_travel_time_veh_s cell 'abc'"),
+        (_HEADER + "\nbp,0,1.0,1\n", "line 2: too few cells"),
+    ],
+    ids=["missing", "other-columns", "header-only", "bad-cell", "short-row"],
+)
+def test_unreadable_comparison_is_one_line_and_exit_2(content, needle, tmp_path, capsys):
+    if content is not None:
+        (tmp_path / "comparison.csv").write_text(content)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 2
+    _one_error_line(capsys, "msjc: error:", str(tmp_path / "comparison.csv"), needle)
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_truncated_run_names_the_stop_time_and_the_cap(tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    argv = ["run", "--scenario", str(scenario), "--strategy", "bp", "--out", str(tmp_path / "run")]
+    assert cli.main(argv + ["--cap", "5"]) == 0
+    printed = capsys.readouterr().out
+    [metrics] = runner.read_metrics_csv(tmp_path / "run" / "metrics.csv")
+    assert metrics.truncated and "cleared at" not in printed
+    stopped = f"stopped at {metrics.clearance_time_s:.0f} s by the 5 s time cap, not cleared"
+    assert printed.endswith(stopped + "\n")

@@ -4,7 +4,7 @@ import pytest
 from msjc import fixtures, routectl
 from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
-from msjc.netmodel import GATING, scenario_from_dict
+from msjc.netmodel import GATING, TravelTimes, scenario_from_dict, shortest_paths_to
 from conftest import make_single_gate, make_two_gate, single_gate_document
 from oracles import reference_arrivals
 
@@ -414,11 +414,14 @@ class TestTravelTimeSnapshot:
         net = sc.network
         sim = Simulator(sc, seed=6)
         previous = None
+        was_empty = False
         queued = rerouted = shared = 0
         for _ in range(60):
             sim.inject_demand()
+            empty = not any(sim._queues.values())
             snapshot = sim.travel_time_estimates()
-            assert snapshot is not previous
+            # a new snapshot after advance, unless both steps saw no queue
+            assert (snapshot is previous) == (empty and was_empty)
             assert snapshot == {
                 link.id: link.travel_time_s
                 + sum(len(sim._queues[l]) for l in link.lanes)
@@ -437,6 +440,36 @@ class TestTravelTimeSnapshot:
             # rerouting extended the searches injection started
             assert all(snapshot.searches[d] is search for d, search in started.items())
             shared += bool(started.keys() & {v.destination for v in sim.vehicles.values()})
-            previous = snapshot
+            previous, was_empty = snapshot, empty
             sim.advance({})
         assert queued > 0 and rerouted > 0 and shared > 0
+
+    def test_empty_network_steps_share_one_free_flow_snapshot(self):
+        sc = fixtures.grid6(horizon_s=300.0)
+        net = sc.network
+        sim = Simulator(sc, seed=6)
+        free_flow = tuple(free_s + 0 / service for free_s, _, service in net.travel_time_terms)
+        shared: TravelTimes | None = None
+        seen: list[TravelTimes] = []
+        empty_steps = []
+        for step in range(60):
+            empty = not any(sim._queues.values())
+            snapshot = sim.travel_time_estimates()
+            if empty:
+                shared = shared or snapshot
+                assert snapshot is shared and snapshot.by_index == free_flow
+                empty_steps.append(step)
+            else:
+                assert all(snapshot is not old for old in seen)
+            seen.append(snapshot)
+            new = set(sim.inject_demand())
+            # injection routes on the shared snapshot are those of a fresh
+            # search on the same times
+            fresh = TravelTimes(net, snapshot.by_index)
+            staged = [(o, v) for o, vs in sim._entry.items() for v in vs if v.id in new]
+            assert len(staged) == len(new)
+            for origin, v in staged:
+                assert v.route == shortest_paths_to(fresh, v.destination, [origin])[origin]
+            sim.advance({})
+        # empty steps at the start, and again once the first queues cleared
+        assert any(b - a > 1 for a, b in zip(empty_steps, empty_steps[1:]))

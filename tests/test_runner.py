@@ -180,7 +180,7 @@ def test_calibration_window_off_the_micro_step_grid_rejected(window_s):
         runner.calibrate(fixtures.corridor2(), window_s=window_s)
 
 
-@pytest.mark.parametrize("levels", [(-1.0,), (0.5, 0.0), (math.nan, 1.0)])
+@pytest.mark.parametrize("levels", [(-1.0,), (0.5, 0.0), (math.nan, 1.0), (0.5, math.inf)])
 def test_calibration_level_not_above_zero_rejected(levels):
     with pytest.raises(MfdFitError, match="calibration levels must be > 0"):
         runner.calibrate(fixtures.corridor2(), levels=levels)
