@@ -41,12 +41,39 @@ GRID6_MSJC_LOGS = {
     "routing.csv": "1093727fcce83067fb76a44c69b27d67f3f96606d6e1f05c33221d2cb937e8df",
 }
 
-# grid6, seed 0: SHA-256 of the boundary.csv of msjc and mspc.  The decision
-# counts below survive a move in the last bit of a logged flow estimate
-# (est_fwd, est_rev: sums of lane terms); these do not.
+# grid6, seed 0: SHA-256 of the boundary.csv of the tracked strategies.  The
+# decision counts below survive a move in the last bit of a logged flow
+# estimate (est_fwd, est_rev: sums of lane terms); these do not.
 GRID6_BOUNDARY_LOGS = {
     "msjc": "d4e3741238fb952f9406506b07223aba7a4de159f1da00a37b03691d95daa4b5",
+    "mspc-lr": "daf7b89d29d07cb73bbd60aec926b72e7bb44de4522dd50d326e01141c5c8942",
     "mspc": "40e4b12baef2c2bd7cfdcec7df685bdc4b3a2100e6586478c8d03379cb4886e6",
+}
+
+# grid6, seed 0: SHA-256 of every strategy's observations.csv and flows.csv.
+# They pin each micro step's state and each macro step's targets, envelopes
+# and realized flows, so a strategy's decisions cannot drift unseen.
+GRID6_STEP_LOGS = {
+    "msjc": (
+        "9b9b863564e27628d5dbd59ad1683e38e850340b9ab459c11a1d7a379884854c",
+        "e964ef5f2cc2b6b38525f577c2a09de279d7438a7dd6e0749bf795c139f37689",
+    ),
+    "mspc-lr": (
+        "c619192945cf039f0a9c5ab715b2cd7a9852a80a1bf80232ea47094c8f23d9de",
+        "29e1f381fd7b87a390b9244ca65b78caf85328242ff994880998a15f1193d86b",
+    ),
+    "bp-lr": (
+        "1dce199de973ff407c0a2cf2d19976c50e1ec909e65d9c5d740785f4cf8394ae",
+        "db49ba3b69586f4274318c20faa0ecd6d504e4a7255c917db506e98355212b00",
+    ),
+    "mspc": (
+        "19e745b85650c298b4b31007640f7436d42b16217ba0464973e45cf57a4d4e7d",
+        "7a24da63087c8774d8d64a0cbe3ebe9a1079c52fba8a2922e58315a985aad299",
+    ),
+    "bp": (
+        "ef4b160a4794b660ad530055d6e8e809ec8e4f9345c6825ffe1f07d4314cfbb1",
+        "e16929f8b9479d9dcf6627d7d9c35f6929c69fb6b22ea8ac4c2670232cbac574",
+    ),
 }
 
 # Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
@@ -146,6 +173,8 @@ def test_golden_grid6(strategy, tmp_path):
     )
     ttt, throughput, clearance = GRID6_GOLDEN[strategy]
     assert _headline(m) == (ttt, throughput, throughput, clearance, False)
+    for name, digest in zip(("observations.csv", "flows.csv"), GRID6_STEP_LOGS[strategy]):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     if strategy == "msjc":
         for name, digest in GRID6_MSJC_LOGS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
