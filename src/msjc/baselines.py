@@ -1,13 +1,10 @@
-"""Comparison strategies: PI-based gating targets, logit route choice, and
-pure backpressure plan selection over the full plan set.
-
-These compose the same boundary realization and candidate-route machinery as
-the joint strategy, so swapping strategies changes no simulator code.
+"""The comparison strategies' parts: PI gating targets, logit route
+choice, and backpressure plan selection over the full plan set.
+``runner.STRATEGIES`` combines them with the joint program's parts.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,8 +13,6 @@ import numpy as np
 from . import boundaryctl
 from .mesosim import MicroObservation
 from .netmodel import Network, boundary_key
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass

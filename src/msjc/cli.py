@@ -15,6 +15,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import math
 import os
@@ -52,6 +53,18 @@ def _load(args) -> tuple[netmodel.Scenario, mfdmod.MfdModel | None]:
     if getattr(args, "mfd", None):
         model = mfdmod.load_mfd(args.mfd, scenario.partition.regions)
     return scenario, model
+
+
+def _check_output_file(path: str) -> None:
+    """Raise the OSError of writing ``path`` when it is a directory or its
+    directory does not exist, without creating it."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,6 +126,7 @@ def _execute(args: argparse.Namespace) -> int:
 
     if args.command == "calibrate":
         scenario, _ = _load(args)
+        _check_output_file(args.out)  # before the sweep, not after it
         model = runner.calibrate(
             scenario, levels=tuple(args.levels), seed=args.seed, window_s=args.window
         )

@@ -32,8 +32,6 @@ from .netmodel import Scenario, ScenarioError, boundary_key
 
 logger = logging.getLogger(__name__)
 
-STRATEGIES = ("msjc", "mspc-lr", "bp-lr", "mspc", "bp")
-
 
 @dataclass
 class RunConfig:
@@ -120,83 +118,87 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 
 
 # ---------------------------------------------------------------------------
-# Strategies.  Each has the same four methods: ``begin_macro(ctx)`` once per
-# macro step, then, only in an active macro step, per micro step
-# ``plans(obs)`` (plan id per boundary key), ``routes(obs)`` (new routes by
-# vehicle id, or None) and, after the simulator stepped, ``record(obs)``.
-# ``macro`` holds the current MacroRecord.  ``begin_macro`` and ``plans`` may
-# read ``sim.arrivals()``: both run before the step's new routes are set, on
-# the state the previous step left, so what ``begin_macro`` builds from it
-# serves the first micro step (demand injection only stages vehicles).
+# Strategies.  Each name in STRATEGIES is a preset of two parts:
+# - an upper level that sets boundary flow targets once per macro step:
+#   "joint" (the joint program) or "pi" (PI gating).  Its targets are
+#   realized by one BoundaryController per boundary.  Without one (None)
+#   each boundary takes its max-pressure plan over the full plan set;
+# - a route rule that may reassign vehicles every micro step: "splits"
+#   (route choice toward the joint program's splits), "logit" (logit
+#   rerouting) or None.
+# The run loop calls ``begin_macro(ctx)`` once per macro step, then, only in
+# an active macro step, per micro step ``plans(obs)`` (plan id per boundary
+# key), ``routes(obs)`` (new routes by vehicle id, or None) and, after the
+# simulator stepped, ``record(obs)``.  ``macro`` holds the current
+# MacroRecord.  ``begin_macro`` and ``plans`` may read ``sim.arrivals()``:
+# both run before the step's new routes are set, on the state the previous
+# step left, so the projection ``begin_macro`` builds from it serves the
+# first micro step (demand injection only stages vehicles).  So do the
+# joint program's route tables, for the first step's route choice.
+
+STRATEGIES: dict[str, tuple[str | None, str | None]] = {
+    "msjc": ("joint", "splits"),
+    "mspc-lr": ("pi", "logit"),
+    "bp-lr": (None, "logit"),
+    "mspc": ("pi", None),
+    "bp": (None, None),
+}
 
 
-class _TrackedStrategy:
-    """Shared plumbing for strategies that realize macro flow targets
-    through the boundary flow-tracking controller.  The projection that
-    sets the flow envelopes in ``begin_macro`` serves the first ``plans``."""
+class Strategy:
+    """One preset of STRATEGIES wired to a simulator: its upper level
+    ``upper`` and its route rule ``route_rule``."""
 
-    def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
+    def __init__(
+        self,
+        scenario: Scenario,
+        model: MfdModel,
+        sim: Simulator,
+        upper: str | None,
+        route_rule: str | None,
+    ):
         self.scenario = scenario
         self.net = scenario.network
         self.model = model
         self.sim = sim
-        self.controllers = {
-            key: BoundaryController(self.net, key, scenario.control)
-            for key in scenario.partition.boundary_keys()
-        }
+        self.upper = upper
+        self.route_rule = route_rule
         self.macro = MacroRecord()
-        # begin_macro's projection, until the first micro step's plans
+        control = scenario.control
+        self.controllers = {
+            key: BoundaryController(self.net, key, control)
+            for key in scenario.partition.boundary_keys()
+            if upper is not None
+        }
+        self.pi = {
+            (i, h): PiController(kp=control.pi_kp, ki=control.pi_ki, setpoint=model.critical(h))
+            for i, h in scenario.partition.ordered_boundaries()
+            if upper == "pi"
+        }
+        # begin_macro's projection and route tables, until the first micro
+        # step's plans and routes
         self._arrivals: dict[str, float] | None = None
+        self._tables: routectl.RouteTables | None = None
 
-    def _begin_boundaries(self, ctx: MacroContext) -> None:
+    def begin_macro(self, ctx: MacroContext) -> None:
+        self.macro = MacroRecord()
+        if not ctx.active:
+            for pi in self.pi.values():
+                pi.deactivate()
+            return
+        if self.upper is None:
+            return
         self._arrivals = self.sim.arrivals()
         for (i, h), bc in self.controllers.items():
             (f_lo, f_hi), (r_lo, r_hi) = bc.macro_flow_bounds(ctx.obs, self._arrivals)
             self.macro.envelopes[(i, h)] = (f_lo, f_hi)
             self.macro.envelopes[(h, i)] = (r_lo, r_hi)
-
-    def _set_targets(self, targets: dict[tuple[str, str], float]) -> None:
+        targets = self._joint_targets(ctx) if self.upper == "joint" else self._pi_targets(ctx)
         self.macro.targets = targets
         for (i, h), bc in self.controllers.items():
             bc.begin_macro(targets.get((i, h), 0.0), targets.get((h, i), 0.0))
 
-    def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
-        arrivals = self._arrivals if self._arrivals is not None else self.sim.arrivals()
-        self._arrivals = None
-        return {key: bc.control_step(obs, arrivals) for key, bc in self.controllers.items()}
-
-    def record(self, obs: MicroObservation) -> None:
-        for bc in self.controllers.values():
-            bc.record_realized(obs)
-            self.macro.decisions.append(bc.last_decision)
-
-
-class MsjcStrategy(_TrackedStrategy):
-    """Joint gating/routing optimization on top of the tracking controller.
-
-    ``begin_macro`` keeps the route tables it builds for the first micro
-    step's ``routes``, as it keeps its projection for the first ``plans``:
-    demand injection and plan selection in between change neither the
-    network vehicles nor the queues."""
-
-    def __init__(self, scenario: Scenario, model: MfdModel, sim: Simulator):
-        super().__init__(scenario, model, sim)
-        # begin_macro's route tables, until the first micro step's routes
-        self._tables: routectl.RouteTables | None = None
-
-    def _route_tables(self) -> routectl.RouteTables:
-        sim = self.sim
-        # id order fixes the solve's columns and the routing draws
-        vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
-        alternatives = routectl.generate_routes(vehicles, self.net, sim.travel_time_estimates())
-        return routectl.route_tables(vehicles, alternatives, self.net, sim.queue_heads())
-
-    def begin_macro(self, ctx: MacroContext) -> None:
-        self.macro = MacroRecord()
-        if not ctx.active:
-            return
-        self._begin_boundaries(ctx)
-
+    def _joint_targets(self, ctx: MacroContext) -> dict[tuple[str, str], float]:
         self._tables = self._route_tables()
         envelopes = self.macro.envelopes
         bounds = ControlBounds(
@@ -205,9 +207,49 @@ class MsjcStrategy(_TrackedStrategy):
             *jointctl.route_bounds(self._tables.next_sets, self.scenario.partition.adjacency),
         )
         self.macro.solution = jointctl.solve(ctx.state, self.model, bounds)
-        self._set_targets(dict(self.macro.solution.m))
+        return dict(self.macro.solution.m)
+
+    def _pi_targets(self, ctx: MacroContext) -> dict[tuple[str, str], float]:
+        targets = {}
+        for (i, h), pi in sorted(self.pi.items()):
+            n_h = ctx.state.accumulation(h)
+            if pi.n_prev is None:
+                pi.reset(ctx.realized_prev.get((i, h), 0.0), n_h)
+            lo, hi = self.macro.envelopes[(i, h)]
+            targets[(i, h)] = pi_target(pi, n_h, lo, hi)
+        return targets
+
+    def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
+        if self.upper is None:
+            return {
+                key: bp_control(obs, self.net, key)
+                for key in self.scenario.partition.boundary_keys()
+            }
+        arrivals = self._arrivals if self._arrivals is not None else self.sim.arrivals()
+        self._arrivals = None
+        return {key: bc.control_step(obs, arrivals) for key, bc in self.controllers.items()}
 
     def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
+        if self.route_rule == "splits":
+            return self._split_routes(obs)
+        if self.route_rule == "logit":
+            return self._logit_routes()
+        return None
+
+    def record(self, obs: MicroObservation) -> None:
+        for bc in self.controllers.values():
+            bc.record_realized(obs)
+            self.macro.decisions.append(bc.last_decision)
+
+    def _route_tables(self) -> routectl.RouteTables:
+        sim = self.sim
+        # id order fixes the solve's columns and the routing draws
+        vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
+        alternatives = routectl.generate_routes(vehicles, self.net, sim.travel_time_estimates())
+        return routectl.route_tables(vehicles, alternatives, self.net, sim.queue_heads())
+
+    def _split_routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]]:
+        """Route choice toward the joint solution's splits, region by region."""
         solution = self.macro.solution
         tables = self._tables if self._tables is not None else self._route_tables()
         self._tables = None
@@ -241,100 +283,27 @@ class MsjcStrategy(_TrackedStrategy):
             )
         return assignments
 
-
-class PiStrategy(_TrackedStrategy):
-    """PI gating targets realized through the tracking controller, with or
-    without logit route guidance."""
-
-    def __init__(
-        self, scenario: Scenario, model: MfdModel, sim: Simulator, routing: bool
-    ):
-        super().__init__(scenario, model, sim)
-        self.routing = routing
-        control = scenario.control
-        self.pi = {
-            (i, h): PiController(
-                kp=control.pi_kp,
-                ki=control.pi_ki,
-                setpoint=model.critical(h),
-            )
-            for i, h in scenario.partition.ordered_boundaries()
-        }
-
-    def begin_macro(self, ctx: MacroContext) -> None:
-        self.macro = MacroRecord()
-        if not ctx.active:
-            for pi in self.pi.values():
-                pi.deactivate()
-            return
-        self._begin_boundaries(ctx)
-        targets = {}
-        for (i, h), pi in sorted(self.pi.items()):
-            n_h = ctx.state.accumulation(h)
-            if pi.n_prev is None:
-                pi.reset(ctx.realized_prev.get((i, h), 0.0), n_h)
-            lo, hi = self.macro.envelopes[(i, h)]
-            targets[(i, h)] = pi_target(pi, n_h, lo, hi)
-        self._set_targets(targets)
-
-    def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        return _logit_routes(self) if self.routing else None
-
-
-class BpStrategy:
-    """Pure backpressure at boundary intersections, optional logit routing.
-    It sets no targets, so its macro record stays empty."""
-
-    def __init__(self, scenario: Scenario, sim: Simulator, routing: bool):
-        self.scenario = scenario
-        self.net = scenario.network
-        self.sim = sim
-        self.routing = routing
-        self.macro = MacroRecord()
-
-    def begin_macro(self, ctx: MacroContext) -> None:
-        pass
-
-    def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
-        return {
-            key: bp_control(obs, self.net, key)
-            for key in self.scenario.partition.boundary_keys()
-        }
-
-    def routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]] | None:
-        return _logit_routes(self) if self.routing else None
-
-    def record(self, obs: MicroObservation) -> None:
-        pass
-
-
-def _logit_routes(strategy) -> dict[int, tuple[str, ...]]:
-    """One logit draw per vehicle that has an alternative, in id order."""
-    sim: Simulator = strategy.sim
-    tt = sim.travel_time_estimates()
-    theta = strategy.scenario.control.logit_theta
-    alternatives = routectl.generate_routes(sim.vehicles.values(), strategy.net, tt)
-    assignments: dict[int, tuple[str, ...]] = {}
-    for vid in sorted(alternatives):
-        best = alternatives[vid]
-        times = [route_travel_time(sim.vehicles[vid].route, tt), route_travel_time(best, tt)]
-        if routectl.draw_two(logit_choice(times, theta), sim.routing_rng):
-            assignments[vid] = best
-    return assignments
+    def _logit_routes(self) -> dict[int, tuple[str, ...]]:
+        """One logit draw per vehicle that has an alternative, in id order."""
+        sim = self.sim
+        tt = sim.travel_time_estimates()
+        theta = self.scenario.control.logit_theta
+        alternatives = routectl.generate_routes(sim.vehicles.values(), self.net, tt)
+        assignments: dict[int, tuple[str, ...]] = {}
+        for vid in sorted(alternatives):
+            best = alternatives[vid]
+            times = [route_travel_time(sim.vehicles[vid].route, tt), route_travel_time(best, tt)]
+            if routectl.draw_two(logit_choice(times, theta), sim.routing_rng):
+                assignments[vid] = best
+        return assignments
 
 
 def make_strategy(
     name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator
-):
-    model = _require_mfd(scenario, model)
-    routing = name.endswith("-lr")
-    if name == "msjc":
-        return MsjcStrategy(scenario, model, sim)
-    if name in ("mspc", "mspc-lr"):
-        return PiStrategy(scenario, model, sim, routing)
-    if name in ("bp", "bp-lr"):
-        return BpStrategy(scenario, sim, routing)
-    raise ValueError(f"unknown strategy '{name}' (choose from {STRATEGIES})")
+) -> Strategy:
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy '{name}' (choose from {tuple(STRATEGIES)})")
+    return Strategy(scenario, _require_mfd(scenario, model), sim, *STRATEGIES[name])
 
 
 # ---------------------------------------------------------------------------

@@ -413,11 +413,10 @@ def counted_routes(routes: Sequence[VehicleRoutes]) -> RouteTables:
 
 
 def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
-    """Logit rerouting of a ``-lr`` strategy as first written: every vehicle
-    record gets its candidate set (its current route, then its fresh-search
-    shortest route when that differs and its lane serves it), the sets are
-    sorted by id, and each unpinned vehicle draws once from
-    ``sim.routing_rng``."""
+    """The ``logit`` route rule as first written: every vehicle record gets
+    its candidate set (its current route, then its fresh-search shortest
+    route when that differs and its lane serves it), the sets are sorted by
+    id, and each unpinned vehicle draws once from ``sim.routing_rng``."""
     sim: Simulator = strategy.sim
     tt = sim.travel_time_estimates()
     records = [v for v in sim.vehicles.values() if len(v.route) > 2]

@@ -264,19 +264,27 @@ def test_out_of_range_input_is_a_usage_error(argv, needle, tmp_path, capsys):
 
 
 # Each of these once ended in an OSError traceback; calibrate's only after
-# its whole sweep.
+# its whole sweep, which now never starts.
 @pytest.mark.parametrize(
     "argv, out, needle",
     [
         (["make-scenario", "corridor2", "-o"], "nodir/x.yaml", "No such file or directory"),
         (["calibrate", "--scenario", "{scenario}", "--out"], "dir", "Is a directory"),
+        (["calibrate", "--scenario", "{scenario}", "--out"], "nodir/mfd.yaml",
+         "No such file or directory"),
         (["run", "--scenario", "{scenario}", "--strategy", "bp", "--out"], "file", "File exists"),
         (["compare", "--scenario", "{scenario}", "--strategies", "bp", "--out"], "file",
          "Not a directory"),
     ],
-    ids=["make-scenario", "calibrate", "run", "compare"],
+    ids=["make-scenario", "calibrate", "calibrate-missing-parent", "run", "compare"],
 )
-def test_unwritable_output_is_one_line_and_exit_2(argv, out, needle, tmp_path, capsys):
+def test_unwritable_output_is_one_line_and_exit_2(
+    argv, out, needle, tmp_path, capsys, monkeypatch
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("calibrated before checking the output path")
+
+    monkeypatch.setattr(runner, "calibrate", no_sweep)
     scenario, _ = _corridor2(tmp_path, capsys)
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")

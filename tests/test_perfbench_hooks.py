@@ -11,12 +11,14 @@ route search through the names the timers wrap.  The third checks msjc's
 solve counters against what the solves themselves returned and against the
 run's ``joint.csv``.  The fourth pins the route-choice counters on a grid6
 msjc window and the call shapes they read.  The last runs corridor2 under
-the hooks of an untraced run (``workloads.Watch``) and checks their step
-times and travel time against the run's own.
+the hooks of an untraced run (``workloads.Watch``), once per strategy, and
+checks their step times and travel time against the run's own.
 """
 
 import csv
 from pathlib import Path
+
+import pytest
 
 from msjc import fixtures, routectl, runner
 
@@ -147,7 +149,8 @@ def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
     assert metrics["routectl.generate_routes.vehicles"] == seen["vehicles"] == 1824
 
 
-def test_untraced_hooks_time_every_active_step(monkeypatch):
+@pytest.mark.parametrize("strategy", runner.STRATEGIES)
+def test_untraced_hooks_time_every_active_step(monkeypatch, strategy):
     # an untraced benchmark run times only the strategy hooks that
     # workloads.Watch puts around runner.make_strategy's strategy
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -155,7 +158,7 @@ def test_untraced_hooks_time_every_active_step(monkeypatch):
 
     scenario = fixtures.corridor2()
     with workloads.Watch() as watch:
-        metrics = runner.run(scenario, runner.RunConfig("msjc", seed=0))
+        metrics = runner.run(scenario, runner.RunConfig(strategy, seed=0))
     assert watch.macro_ms
     assert len(watch.micro_ms) == scenario.control.steps_per_macro * len(watch.macro_ms)
     ttt = sum(rec.ttt_veh_s for rec in watch.sims.values())

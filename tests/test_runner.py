@@ -245,7 +245,7 @@ def test_golden_corridor2_writes_every_log(strategy, tmp_path):
 def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     # begin_macro's route set serves the first micro step's routes
     calls = Counter()
-    generate, routes = runner.routectl.generate_routes, runner.MsjcStrategy.routes
+    generate, routes = runner.routectl.generate_routes, runner.Strategy.routes
 
     def counted_generate(*args):
         calls["generate"] += 1
@@ -256,7 +256,7 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
         return routes(self, obs)
 
     monkeypatch.setattr(runner.routectl, "generate_routes", counted_generate)
-    monkeypatch.setattr(runner.MsjcStrategy, "routes", counted_routes)
+    monkeypatch.setattr(runner.Strategy, "routes", counted_routes)
     metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
     assert (metrics.total_travel_time_veh_s, metrics.clearance_time_s) == GOLDEN["msjc"]
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
@@ -267,7 +267,7 @@ def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
     # reads every vehicle in id order, and so lists the route-choice columns
     # and makes the routing draws in id order
     seen = Counter()
-    route_tables, strategy_tables = runner.routectl.route_tables, runner.MsjcStrategy._route_tables
+    route_tables, strategy_tables = runner.routectl.route_tables, runner.Strategy._route_tables
 
     def checked(vehicles, alternatives, net, heads):
         ids = [v.id for v in vehicles]
@@ -286,7 +286,7 @@ def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
         return tables
 
     monkeypatch.setattr(runner.routectl, "route_tables", checked)
-    monkeypatch.setattr(runner.MsjcStrategy, "_route_tables", counted)
+    monkeypatch.setattr(runner.Strategy, "_route_tables", counted)
     # one macro step of msjc on the loaded grid, as in the benchmark's windows
     runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0))
     assert seen["tables"] > 0 and seen["unordered"] > 0
@@ -297,7 +297,7 @@ def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
     # Per routed step, the reference runs first; the routing generator is then
     # put back, and the strategy's own rerouting must make the same
     # assignments with the same draws, in the same order.
-    logit_routes = runner._logit_routes
+    logit_routes = runner.Strategy._logit_routes
     seen = Counter()
 
     def checked(strat):
@@ -314,9 +314,16 @@ def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
         seen["rerouted"] += len(assignments)
         return assignments
 
-    monkeypatch.setattr(runner, "_logit_routes", checked)
+    monkeypatch.setattr(runner.Strategy, "_logit_routes", checked)
     runner.run(fixtures.grid6(), runner.RunConfig(strategy, seed=0, cap_s=1000.0))
     assert seen["steps"] >= 60 and seen["drawn"] > 0 and seen["rerouted"] > 0
+
+
+def test_unknown_strategy_rejected_naming_the_presets():
+    scenario = fixtures.corridor2()
+    with pytest.raises(ValueError, match="unknown strategy 'msjc-lr'") as exc:
+        runner.make_strategy("msjc-lr", scenario, None, mesosim.Simulator(scenario, seed=0))
+    assert all(f"'{name}'" in str(exc.value) for name in ("msjc", "mspc-lr", "bp-lr", "mspc", "bp"))
 
 
 @pytest.mark.parametrize("strategy", runner.STRATEGIES)
