@@ -36,6 +36,7 @@ from scipy.optimize._highspy import _core as highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .macrodyn import CompletionModel, MacroState
+from .routectl import RouteCounts, VehicleRoutes
 
 logger = logging.getLogger(__name__)
 
@@ -80,27 +81,31 @@ class ControlSolution:
 
 
 def route_bounds(
-    set_counts: Mapping[tuple[str, str, frozenset[str]], int],
+    counts: Mapping[str, RouteCounts],
+    choices: Mapping[str, list[VehicleRoutes]],
     adjacency: Mapping[str, tuple[str, ...]],
 ) -> tuple[dict[TKey, float], dict[TKey, float]]:
-    """Split bounds from the vehicles counted per (origin region,
-    destination region, candidate next-region set)
-    (``routectl.RouteTables.next_sets``).
+    """Split bounds from the step's route tables (``routectl.route_tables``):
+    per origin region, its vehicles counted by (next region, destination) of
+    their last candidate, and its vehicles with a choice.
 
     The upper bound for next region h is the fraction of the OD's vehicles
-    that could go via h at all; the lower bound is the fraction whose set is
-    h alone (also when both candidates go via h).  Counts are integers, so
-    each bound is one exact division.
+    that could go via h at all; the lower bound is the fraction whose only
+    next region is h (also when both candidates go via h).  Counts are
+    integers, so each bound is one exact division.
     """
-    totals, could, must = Counter(), Counter(), Counter()
-    for (i, j, hs), n in set_counts.items():
-        totals[(i, j)] += n
-        for h in hs:
-            could[(i, h, j)] += n
-            must[(i, h, j)] += n if len(hs) == 1 else 0
-    keys = [(i, h, j, n) for (i, j), n in totals.items() for h in adjacency[i]]
-    c_min = {(i, h, j): must[(i, h, j)] / n for i, h, j, n in keys}
-    c_max = {(i, h, j): could[(i, h, j)] / n for i, h, j, n in keys}
+    c_min: dict[TKey, float] = {}
+    c_max: dict[TKey, float] = {}
+    for i, region_counts in counts.items():
+        could, must = Counter(region_counts.next_keys), Counter(region_counts.next_keys)
+        for vr in choices.get(i, ()):
+            first, last = (r.next_region for r in vr.routes)
+            if first != last:  # could also go via first; need not go via last
+                could[(first, vr.dest_region)] += 1
+                must[(last, vr.dest_region)] -= 1
+        ods = [(j, n) for j, n in region_counts.destinations.items() if j != i]
+        c_min.update({(i, h, j): must[(h, j)] / n for j, n in ods for h in adjacency[i]})
+        c_max.update({(i, h, j): could[(h, j)] / n for j, n in ods for h in adjacency[i]})
     return c_min, c_max
 
 

@@ -16,10 +16,9 @@ its current link otherwise.  ``route_tables`` makes one pass over the
 vehicles in id order.  Per region it counts every vehicle by its last
 candidate (its alternative if it has one, else its current route): per
 destination region, per (next region, destination) and per projected link.
-Per OD it counts the vehicles by candidate next-region set, the input to
-the split bounds (``jointctl.route_bounds``).  Only a vehicle with an
-alternative gets its candidate set (``VehicleRoutes``).  Both functions read
-the simulator's own vehicle records, ``Simulator.vehicles``.
+Only a vehicle with an alternative gets its candidate set
+(``VehicleRoutes``).  Both functions read the simulator's own vehicle
+records, ``Simulator.vehicles``.
 The per-region program picks route probabilities on each vehicle's simplex
 so that the realized next-region proportions match the hyper-path split
 targets while the predicted end-of-step link densities stay close to the
@@ -28,14 +27,14 @@ bounded-variable least squares problem, solved exactly.  Its constant part
 comes from the region's counts (``Network.region_links`` gives the region's
 links and lane areas), and it has one column per vehicle with a choice; only
 those vehicles get probabilities and draw a route, and a region without one
-has nothing to solve.
+has nothing to build or solve.  ``explain_routes`` computes ``routing.csv``'s
+terms only when the log is written, from the program the solve built.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,21 +69,20 @@ class RouteCounts(NamedTuple):
 
 class RouteTables(NamedTuple):
     """The step's route guidance input (``route_tables``): per region, its
-    vehicles with a choice in id order and its counts; and the vehicles per
-    (region, destination outside it, candidate next-region set)."""
+    vehicles with a choice in id order and its counts."""
 
     choices: dict[str, list[VehicleRoutes]]
     counts: dict[str, RouteCounts]
-    next_sets: Counter[tuple[str, str, frozenset[str]]]
 
 
-@dataclass
-class RouteProbabilities:
-    phi: dict[int, np.ndarray]
-    target_term: float
-    homogeneity_term: float
-    realized: dict[tuple[str, str, str], float]
+# keys, base, goal and m_mat of one region's program, as ``_program`` builds them
+RouteProgram = tuple[list[tuple[str, str, str]], np.ndarray, np.ndarray, np.ndarray]
+
+
+class RouteProbabilities(NamedTuple):
+    phi: dict[int, tuple[float, float]]  # (x, 1 - x) per choice vehicle, in id order
     iterations: int
+    program: RouteProgram | None  # the one solved; None without a choice
 
 
 def generate_routes(
@@ -136,7 +134,6 @@ def route_tables(
     region_of = net.region_of
     rows: dict[str, list[tuple[str, str, str | None]]] = {}
     choices: dict[str, list[VehicleRoutes]] = {}
-    next_sets: list[tuple[str, str, frozenset[str]]] = []
     for v in vehicles:
         route, dest = v.route, v.dest_region
         region = region_of[route[0]]
@@ -146,20 +143,16 @@ def route_tables(
         h = next_region(last, net)
         link = last[k] if region_of[last[k]] == region else None
         rows.setdefault(region, []).append((dest, h, link))
-        hs = (h,)
         if alternative is not None:
             h0 = next_region(route, net)
             current = CandidateRoute(route, h0, route[k] if region_of[route[k]] == region else None)
             routes = (current, CandidateRoute(alternative, h, link))
             choices.setdefault(region, []).append(VehicleRoutes(v.id, region, dest, routes))
-            hs = (h0, h)
-        if dest != region:
-            next_sets.append((region, dest, frozenset(hs)))
     counts = {}
     for region, region_rows in rows.items():
         dests, nexts, links = zip(*region_rows)
         counts[region] = RouteCounts(Counter(dests), Counter(zip(nexts, dests)), Counter(links))
-    return RouteTables(choices, counts, Counter(next_sets))
+    return RouteTables(choices, counts)
 
 
 def solve_probabilities(
@@ -178,55 +171,78 @@ def solve_probabilities(
     ``counts`` covers every vehicle in the region by its last candidate;
     ``choices`` are those with two candidates, in id order, with route
     probabilities (x, 1 - x).  The program is then min ||M x - c||^2 over x
-    in [0, 1]^n, one column per choice vehicle, solved by bounded-variable
-    least squares; at x = 0 every vehicle takes its last candidate, so the
-    counts give each row's constant part.  ``phi`` holds the choice vehicles
-    only; with none there is nothing to solve.  Raises ValueError for a
-    choice vehicle without exactly two candidates.
+    in [0, 1]^n, one column per choice vehicle.  As in ``lsq_linear``, the
+    unconstrained solution stands when it is in the box (0 iterations), and
+    BVLS solves it otherwise; with no choice there is nothing to solve.
+    Raises ValueError for a choice vehicle without exactly two candidates.
     """
-    for vr in choices:
-        if len(vr.routes) != 2:
-            raise ValueError(f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, not 2")
+    if not choices:
+        return RouteProbabilities({}, 0, None)
+    program = _program(choices, counts, targets, net, region, accumulation, adjacency)
+    keys, base, goal, m_mat = program
+    weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * (len(base) - len(keys)))
+    a, b = weight[:, None] * m_mat, weight * (goal - base)
+    x, iterations = np.linalg.lstsq(a, b, rcond=-1)[0], 0
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        sol = lsq_linear(a, b, bounds=(0.0, 1.0), method="bvls")
+        x, iterations = sol.x, sol.nit
+    phi = {vr.vid: (xk, 1.0 - xk) for vr, xk in zip(choices, x.tolist())}
+    return RouteProbabilities(phi, iterations, program)
 
+
+def explain_routes(
+    probs: RouteProbabilities,
+    counts: RouteCounts,
+    targets: Mapping[tuple[str, str, str], float],
+    net: Network,
+    region: str,
+    accumulation: float,
+    beta: float,
+    adjacency: Mapping[str, tuple[str, ...]],
+) -> tuple[dict[tuple[str, str, str], float], float, float]:
+    """The realized split per key, the target term and the homogeneity term
+    of ``probs``, ``solve_probabilities``' decision on the same arguments: at
+    its x, or at x = 0 (each vehicle on its only candidate) without a choice."""
+    program = probs.program or _program((), counts, targets, net, region, accumulation, adjacency)
+    keys, base, goal, m_mat = program
+    value = base + m_mat @ np.array([p for p, _ in probs.phi.values()])
+    gap, n = value - goal, len(keys)
+    realized = {key: float(v) for key, v in zip(keys, value)}
+    return realized, beta * float(np.sum(gap[:n] ** 2)), float(np.sum(gap[n:] ** 2))
+
+
+def _program(
+    choices: Sequence[VehicleRoutes],
+    counts: RouteCounts,
+    targets: Mapping[tuple[str, str, str], float],
+    net: Network,
+    region: str,
+    accumulation: float,
+    adjacency: Mapping[str, tuple[str, ...]],
+) -> RouteProgram:
+    """``region``'s program: its split keys; per row (the keys', then its
+    links') the value at x = 0, where each vehicle takes its last candidate,
+    and the goal; and one column per vehicle of ``choices``."""
     od_counts = {j: n for j, n in counts.destinations.items() if j != region}
     keys = [(region, h, j) for j in sorted(od_counts) for h in adjacency[region]]
     link_area = net.region_links[region]
     d_bar = accumulation / sum(link_area.values())
-
-    # At x = 0 every vehicle takes its last candidate.
     base = [_running_sum(1.0 / od_counts[j], counts.next_keys[(h, j)]) for _, h, j in keys]
     base += [_running_sum(1.0 / area, counts.links[l]) for l, area in link_area.items()]
     goal = np.array([targets.get(key, 0.0) for key in keys] + [d_bar] * len(link_area))
-    x, iterations, value = (), 0, np.array(base)
-    if choices:
-        key_row = {key: k for k, key in enumerate(keys)}
-        link_row = {l: len(keys) + k for k, l in enumerate(link_area)}
-        # one column per choice vehicle: its first candidate's hits less its last's
-        m_mat = np.zeros((len(base), len(choices)))
-        for k, vr in enumerate(choices):
-            for sign, r in zip((1.0, -1.0), vr.routes):
-                row = key_row.get((region, r.next_region, vr.dest_region))
-                if row is not None:
-                    m_mat[row, k] += sign * (1.0 / od_counts[vr.dest_region])
-                link = r.projected_link
-                if link in link_row:
-                    m_mat[link_row[link], k] += sign * (1.0 / link_area[link])
-        weight = np.array([math.sqrt(beta)] * len(keys) + [1.0] * len(link_area))
-        sol = lsq_linear(
-            weight[:, None] * m_mat, weight * (goal - value), bounds=(0.0, 1.0), method="bvls"
-        )
-        x, iterations = sol.x, sol.nit
-        value = value + m_mat @ x
-
-    target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
-    homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
-    return RouteProbabilities(
-        phi={vr.vid: np.array([xk, 1.0 - xk]) for vr, xk in zip(choices, x)},
-        target_term=target_term,
-        homogeneity_term=homog_term,
-        realized={key: float(v) for key, v in zip(keys, value)},
-        iterations=iterations,
-    )
+    key_row = {key: k for k, key in enumerate(keys)}
+    link_row = {l: len(keys) + k for k, l in enumerate(link_area)}
+    m_mat = np.zeros((len(base), len(choices)))
+    for k, vr in enumerate(choices):
+        if len(vr.routes) != 2:
+            raise ValueError(f"vehicle {vr.vid}: {len(vr.routes)} candidate routes, not 2")
+        for sign, r in zip((1.0, -1.0), vr.routes):  # first candidate's hits less last's
+            row = key_row.get((region, r.next_region, vr.dest_region))
+            if row is not None:
+                m_mat[row, k] += sign * (1.0 / od_counts[vr.dest_region])
+            if r.projected_link in link_row:
+                m_mat[link_row[r.projected_link], k] += sign * (1.0 / link_area[r.projected_link])
+    return keys, np.array(base), goal, m_mat
 
 
 def _running_sum(value: float, count: int) -> float:
@@ -240,7 +256,7 @@ def _running_sum(value: float, count: int) -> float:
 
 def assign_routes(
     routes: Sequence[VehicleRoutes],
-    probabilities: Mapping[int, np.ndarray],
+    probabilities: Mapping[int, Sequence[float]],
     rng: np.random.Generator,
 ) -> dict[int, tuple[str, ...]]:
     """Sample one committed route per vehicle from its probabilities.
@@ -251,8 +267,9 @@ def assign_routes(
     assignment."""
     chosen: dict[int, tuple[str, ...]] = {}
     for vr in sorted(routes, key=lambda r: r.vid):
-        phi = np.clip(np.asarray(probabilities[vr.vid], dtype=float), 0.0, None)
-        chosen[vr.vid] = vr.routes[draw_two(phi / phi.sum(), rng)].links
+        p0, p1 = (max(p, 0.0) for p in probabilities[vr.vid])  # clipped; NaN stays NaN
+        total = p0 + p1
+        chosen[vr.vid] = vr.routes[draw_two((p0 / total, p1 / total), rng)].links
     return chosen
 
 

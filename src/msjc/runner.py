@@ -82,7 +82,7 @@ class MacroContext:
 @dataclass
 class RoutingRow:
     """Realized against target split of one (region, next, destination)
-    after one route-choice solve; a row of ``routing.csv``."""
+    after one route-choice decision; a row of ``routing.csv``."""
 
     time_s: float
     region: str
@@ -103,7 +103,8 @@ class MacroRecord:
     envelopes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     solution: ControlSolution | None = None
     decisions: list[BoundaryDecision] = field(default_factory=list)
-    routing: list[RoutingRow] = field(default_factory=list)
+    # per (micro step, region with vehicles): time, decision, the solve's other arguments
+    routing: list[tuple[float, routectl.RouteProbabilities, tuple]] = field(default_factory=list)
 
 
 def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
@@ -124,8 +125,9 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 #   realized by one BoundaryController per boundary.  Without one (None)
 #   each boundary takes its max-pressure plan over the full plan set;
 # - a route rule that may reassign vehicles every micro step: "splits"
-#   (route choice toward the joint program's splits), "logit" (logit
-#   rerouting) or None.
+#   (route choice toward the joint program's splits: each step only decides,
+#   and ``macro.routing`` keeps each decision with the solve's arguments for
+#   the logs to explain in ``routing.csv``), "logit" (logit rerouting) or None.
 # The run loop calls ``begin_macro(ctx)`` once per macro step, then, only in
 # an active macro step, per micro step ``plans(obs)`` (plan id per boundary
 # key), ``routes(obs)`` (new routes by vehicle id, or None) and, after the
@@ -204,7 +206,9 @@ class Strategy:
         bounds = ControlBounds(
             {k: v[0] for k, v in envelopes.items()},
             {k: v[1] for k, v in envelopes.items()},
-            *jointctl.route_bounds(self._tables.next_sets, self.scenario.partition.adjacency),
+            *jointctl.route_bounds(
+                self._tables.counts, self._tables.choices, self.scenario.partition.adjacency
+            ),
         )
         self.macro.solution = jointctl.solve(ctx.state, self.model, bounds)
         return dict(self.macro.solution.m)
@@ -259,28 +263,15 @@ class Strategy:
             if counts is None:
                 continue
             choices = tables.choices.get(region, [])
-            probs = routectl.solve_probabilities(
-                choices,
-                counts,
-                solution.c,
-                self.net,
-                region,
-                float(obs.accumulation[region]),
-                self.scenario.control.route_beta,
-                self.scenario.partition.adjacency,
-            )
+            args = (counts, solution.c, self.net, region, float(obs.accumulation[region]))
+            args += (self.scenario.control.route_beta, self.scenario.partition.adjacency)
+            probs = routectl.solve_probabilities(choices, *args)
             # only vehicles with a choice draw, in id order
             chosen = routectl.assign_routes(choices, probs.phi, self.sim.routing_rng)
             for vr in choices:
                 if chosen[vr.vid] != vr.routes[0].links:
                     assignments[vr.vid] = chosen[vr.vid]
-            self.macro.routing.extend(
-                RoutingRow(
-                    obs.time_s, region, j, h, solution.c.get((i, h, j), 0.0), realized,
-                    probs.target_term, probs.homogeneity_term,
-                )
-                for (i, h, j), realized in sorted(probs.realized.items())
-            )
+            self.macro.routing.append((obs.time_s, probs, args))
         return assignments
 
     def _logit_routes(self) -> dict[int, tuple[str, ...]]:
@@ -447,7 +438,13 @@ class _RunLogs:
                 + [_fmt(sol.m.get(key, 0.0)) for key in self._boundaries]
             )
         self._boundary.writerows(_cells(d) for d in rec.decisions)
-        self._routing.writerows(_cells(r) for r in rec.routing)
+        for time_s, probs, args in rec.routing:
+            # the realized splits, then the target and homogeneity terms
+            splits, *terms = routectl.explain_routes(probs, *args)
+            self._routing.writerows(
+                _cells(RoutingRow(time_s, i, j, h, sol.c.get((i, h, j), 0.0), value, *terms))
+                for (i, h, j), value in sorted(splits.items())
+            )
         fallbacks = Counter(d.boundary for d in rec.decisions if d.fallback)
         for i, h in self._boundaries:
             m_min, m_max = rec.envelopes.get((i, h), (0.0, 0.0))

@@ -26,8 +26,10 @@ the route-choice solve fits.
 ``reference_arrivals`` is the simulator's arrivals projection as first
 written: a projection over every running vehicle of every link.
 ``dense_route_probabilities`` is the route-choice solve as first written,
-one dense column per vehicle candidate.  ``dense_relaxation`` is the
-joint program's McCormick LP as first written: its rows stacked densely
+one dense column per vehicle candidate, always solved by ``lsq_linear``'s
+bounded-variable least squares, with the decision and its explanation in
+one ``RouteChoice``.  ``dense_relaxation`` is the joint program's
+McCormick LP as first written: its rows stacked densely
 from the transfer Jacobian at each box corner.  ``linprog_relaxation``
 solves it by ``linprog`` and ``milp_relaxation`` by ``milp``, the call
 ``jointctl`` made before it passed its sparse LP to HiGHS itself.
@@ -61,12 +63,23 @@ from msjc.netmodel import (
 from msjc.routectl import (
     CandidateRoute,
     RouteCounts,
-    RouteProbabilities,
     RouteTables,
     VehicleRoutes,
 )
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class RouteChoice:
+    """A region's route-choice decision with the terms ``routing.csv``
+    explains it by."""
+
+    phi: dict[int, Sequence[float]]
+    target_term: float
+    homogeneity_term: float
+    realized: dict[TKey, float]
+    iterations: int
 
 
 class FractionMfd:
@@ -392,8 +405,7 @@ def reference_route_bounds(
 def counted_routes(routes: Sequence[VehicleRoutes]) -> RouteTables:
     """``routectl.route_tables``' output rebuilt from per-vehicle candidate
     sets (``annotate_routes``) with ``Counter``s: per region its vehicles
-    with two candidates, and its vehicles counted by last candidate; per
-    (region, destination, candidate next-region set) its vehicles."""
+    with two candidates, and its vehicles counted by last candidate."""
     choices: dict[str, list[VehicleRoutes]] = {}
     counts: dict[str, RouteCounts] = {}
     for region in dict.fromkeys(vr.region for vr in routes):
@@ -406,10 +418,7 @@ def counted_routes(routes: Sequence[VehicleRoutes]) -> RouteTables:
             Counter((vr.routes[-1].next_region, vr.dest_region) for vr in mine),
             Counter(vr.routes[-1].projected_link for vr in mine),
         )
-    next_sets = Counter(
-        (i, j, s) for (i, j), sets in candidate_next_regions(routes).items() for s in sets
-    )
-    return RouteTables(choices, counts, next_sets)
+    return RouteTables(choices, counts)
 
 
 def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
@@ -784,7 +793,7 @@ def dense_route_probabilities(
     accumulation: float,
     beta: float,
     adjacency: Mapping[str, tuple[str, ...]],
-) -> RouteProbabilities:
+) -> RouteChoice:
     """``routectl.solve_probabilities`` as first written: a dense column of
     realized proportions and link densities for every candidate of every
     vehicle in ``region``, the constant part summed over all vehicles'
@@ -839,7 +848,7 @@ def dense_route_probabilities(
     value = base + m_mat @ x
     target_term = beta * float(np.sum((value[: len(keys)] - goal[: len(keys)]) ** 2))
     homog_term = float(np.sum((value[len(keys) :] - d_bar) ** 2))
-    return RouteProbabilities(
+    return RouteChoice(
         phi=phi,
         target_term=target_term,
         homogeneity_term=homog_term,

@@ -8,10 +8,12 @@ from scipy import sparse
 from msjc import fixtures, jointctl, runner
 from msjc.jointctl import ControlBounds, _Problem, route_bounds, solve
 from msjc.macrodyn import MacroState
+from msjc.routectl import CandidateRoute, VehicleRoutes
 
 from oracles import (
     FractionMfd,
     completion_split,
+    counted_routes,
     dense_relaxation,
     linprog_relaxation,
     milp_relaxation,
@@ -236,36 +238,51 @@ def sample_feasible_controls(rng, state, mfd, bounds):
     return b, c
 
 
+def route_bounds_of(candidates, adjacency):
+    """``route_bounds`` on the route tables of one vehicle per entry of
+    ``candidates`` ((origin, destination) -> per vehicle, the next regions of
+    its one or two candidates)."""
+    routes = [
+        VehicleRoutes(0, i, j, tuple(CandidateRoute(("L",), h, None) for h in next_regions))
+        for (i, j), per_vehicle in candidates.items()
+        for next_regions in per_vehicle
+    ]
+    tables = counted_routes(routes)
+    return route_bounds(tables.counts, tables.choices, adjacency)
+
+
 class TestRouteBounds:
     def test_sole_next_region_pins_to_one(self):
-        c_min, c_max = route_bounds({("R1", "R3", frozenset({"R2"})): 4}, {"R1": ("R2",)})
+        c_min, c_max = route_bounds_of({("R1", "R3"): [("R2",)] * 4}, {"R1": ("R2",)})
         assert c_min[("R1", "R2", "R3")] == 1.0
         assert c_max[("R1", "R2", "R3")] == 1.0
 
     def test_mixed_candidate_sets(self):
-        counts = {
-            ("i", "j", frozenset({"h"})): 6,
-            ("i", "j", frozenset({"h", "g"})): 3,
-            ("i", "j", frozenset({"g"})): 1,
-        }
-        c_min, c_max = route_bounds(counts, {"i": ("g", "h")})
+        candidates = {("i", "j"): [("h",)] * 6 + [("h", "g")] * 2 + [("g", "h"), ("g",)]}
+        c_min, c_max = route_bounds_of(candidates, {"i": ("g", "h")})
         assert c_max[("i", "h", "j")] == pytest.approx(0.9)
         assert c_min[("i", "h", "j")] == pytest.approx(0.6)
         assert c_max[("i", "g", "j")] == pytest.approx(0.4)
         assert c_min[("i", "g", "j")] == pytest.approx(0.1)
 
     def test_counts_match_the_per_vehicle_formula(self):
+        # a vehicle's two candidates may go via one region: its set is that
+        # region alone
         rng = np.random.default_rng(4)
         adjacency = {"i": ("g", "h", "k"), "m": ("i", "k")}
         for _ in range(50):
-            sets = {}
+            candidates = {}
             for _ in range(int(rng.integers(1, 40))):
                 i = str(rng.choice(["i", "m"]))
-                j = str(rng.choice(["x", "y"]))
-                hs = frozenset(rng.choice(adjacency[i], int(rng.integers(1, 3))))
-                sets.setdefault((i, j), []).append(hs)
-            counts = Counter((i, j, hs) for (i, j), od_sets in sets.items() for hs in od_sets)
-            assert route_bounds(counts, adjacency) == reference_route_bounds(sets, adjacency)
+                j = str(rng.choice(["x", "y", i]))
+                next_regions = tuple(rng.choice(adjacency[i], int(rng.integers(1, 3))))
+                candidates.setdefault((i, j), []).append(next_regions)
+            sets = {
+                (i, j): [frozenset(hs) for hs in per_vehicle]
+                for (i, j), per_vehicle in candidates.items()
+                if i != j
+            }
+            assert route_bounds_of(candidates, adjacency) == reference_route_bounds(sets, adjacency)
 
 
 class TestSolve:

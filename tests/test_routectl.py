@@ -11,6 +11,7 @@ from msjc.routectl import (
     RouteCounts,
     VehicleRoutes,
     assign_routes,
+    explain_routes,
     generate_routes,
     route_tables,
     solve_probabilities,
@@ -19,6 +20,7 @@ from msjc import fixtures, routectl, runner
 
 from conftest import make_single_gate
 from oracles import (
+    RouteChoice,
     annotate_routes,
     candidate_next_regions,
     counted_routes,
@@ -81,18 +83,17 @@ def choices_of(tables):
 
 def solve(routes, targets, net, region, accumulation, beta, adjacency):
     """``solve_probabilities`` on the count tables and choice list of
-    ``routes``, candidate sets given per vehicle."""
+    ``routes``, candidate sets given per vehicle, with its explanation."""
     tables = counted_routes(routes)
-    return solve_probabilities(
-        tables.choices.get(region, []),
-        tables.counts[region],
-        targets,
-        net,
-        region,
-        accumulation,
-        beta,
-        adjacency,
-    )
+    args = (tables.counts[region], targets, net, region, accumulation, beta, adjacency)
+    return explained(solve_probabilities(tables.choices.get(region, []), *args), *args)
+
+
+def explained(probs, *args):
+    """The decision ``probs`` with ``explain_routes``' terms for it;
+    ``args`` are the solve's arguments after the choice list."""
+    realized, target_term, homogeneity_term = explain_routes(probs, *args)
+    return RouteChoice(probs.phi, target_term, homogeneity_term, realized, probs.iterations)
 
 
 def objective_of(out):
@@ -288,11 +289,11 @@ class TestGenerateRoutes:
     def test_two_candidates_through_one_next_region_count_as_must(self):
         # the vehicle's candidate next-region set is {R2} alone
         sc, sim, head, alternatives, tables = detour_off_the_gated_approach()
-        assert tables.next_sets == {("R1", "R2", frozenset({"R2"})): 1}
-        adjacency = sc.partition.adjacency
-        c_min, c_max = route_bounds(tables.next_sets, adjacency)
-        assert c_min[("R1", "R2", "R2")] == c_max[("R1", "R2", "R2")] == 1.0
         annotated = annotate_routes(head, alternatives, sc.network, sim.queue_heads())
+        assert candidate_next_regions(annotated) == {("R1", "R2"): [frozenset({"R2"})]}
+        adjacency = sc.partition.adjacency
+        c_min, c_max = route_bounds(tables.counts, tables.choices, adjacency)
+        assert c_min[("R1", "R2", "R2")] == c_max[("R1", "R2", "R2")] == 1.0
         reference = reference_route_bounds(candidate_next_regions(annotated), adjacency)
         assert (c_min, c_max) == reference
 
@@ -457,7 +458,7 @@ class TestSolveProbabilities:
         ]
         targets = {("R1", "R2", "R9"): 0.37, ("R1", "R3", "R9"): 0.63}
         out = solve(routes, targets, net, "R1", 20.0, 10.0, ADJ)
-        for phi in out.phi.values():
+        for phi in map(np.array, out.phi.values()):
             assert phi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(phi >= -1e-15) and np.all(phi <= 1.0 + 1e-15)
 
@@ -612,6 +613,32 @@ class TestDenseReference:
             beta = float(rng.uniform(0.5, 20))
             assert_matches_dense_reference(routes, targets, net, "R1", acc, beta, ADJ)
 
+    def test_least_squares_shortcut_keeps_lsq_linears_answer(self):
+        # a few choice vehicles among pinned ones: lsq_linear's unconstrained
+        # solution is in the box in some instances (0 iterations; its BVLS
+        # reports at least 1) and leaves it in others; x and the iterations
+        # match the reference's bit for bit either way
+        rng = np.random.default_rng(43)
+        net = one_region_net(n_links=4, lanes=2, length=80.0)
+        links = ["L0", "L1", "L2", "L3", None]
+        seen = Counter()
+        for _ in range(100):
+            n_free = int(rng.integers(1, 4))
+            routes = [
+                vr(vid, "R1", str(rng.choice(["R8", "R9"])), [
+                    cr(str(rng.choice(["R2", "R3"])), rng.choice(links))
+                    for _ in range(2 if vid < n_free else 1)
+                ])
+                for vid in range(int(rng.integers(2, 30)))
+            ]
+            targets = {
+                ("R1", h, j): float(rng.uniform()) for h in ("R2", "R3") for j in ("R8", "R9")
+            }
+            acc, beta = float(rng.uniform(0, 40)), float(rng.uniform(0.5, 20))
+            out = assert_matches_dense_reference(routes, targets, net, "R1", acc, beta, ADJ)
+            seen["in the box" if out.iterations == 0 else "off the box"] += 1
+        assert seen["in the box"] >= 10 and seen["off the box"] >= 10
+
     def test_running_sum_keeps_every_bit(self):
         # ten one-candidate vehicles of one OD each add 1/10 to its realized
         # share: ten additions of 0.1 give 0.9999999999999999, not 10 * 0.1
@@ -640,8 +667,8 @@ class TestAgainstTheReferencePath:
             tables = tables_fn(vehicles, alternatives, net, heads)
             annotated[:] = annotate_routes(vehicles, alternatives, net, heads)
             assert tables == counted_routes(annotated)
-            assert route_bounds(tables.next_sets, adjacency) == reference_route_bounds(
-                candidate_next_regions(annotated), adjacency
+            assert route_bounds(tables.counts, tables.choices, adjacency) == (
+                reference_route_bounds(candidate_next_regions(annotated), adjacency)
             )
             seen["tables"] += 1
             return tables
@@ -649,9 +676,11 @@ class TestAgainstTheReferencePath:
         def checked_solve(choices, counts, targets, net, region, acc, beta, adj):
             out = solve_fn(choices, counts, targets, net, region, acc, beta, adj)
             in_region = [vr for vr in annotated if vr.region == region]
-            assert_same_as_dense(out, in_region, targets, net, region, acc, beta, adj)
+            args = (counts, targets, net, region, acc, beta, adj)
+            assert_same_as_dense(explained(out, *args), in_region, *args[1:])
             seen["solves"] += 1
             seen["with_choice"] += bool(choices)
+            seen["off_the_box"] += out.iterations > 0
             return out
 
         monkeypatch.setattr(routectl, "route_tables", checked_tables)
@@ -660,6 +689,8 @@ class TestAgainstTheReferencePath:
         runner.run(fixtures.grid6(), config)
         assert seen["tables"] == 10 and seen["solves"] == 60
         assert 0 < seen["with_choice"] < seen["solves"]
+        # both the least-squares shortcut and BVLS decide some of the solves
+        assert 0 < seen["off_the_box"] < seen["with_choice"]
 
 
 class TestAssignRoutes:

@@ -292,6 +292,42 @@ def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
     assert seen["tables"] > 0 and seen["unordered"] > 0
 
 
+def test_routing_log_explains_without_changing_decisions(monkeypatch, tmp_path):
+    # routing.csv's terms are computed only when the log is written, one
+    # explanation per (step, region with vehicles), and never feed back
+    calls = Counter()
+    sims = []
+    solve, explain, make_strategy = (
+        runner.routectl.solve_probabilities,
+        runner.routectl.explain_routes,
+        runner.make_strategy,
+    )
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(runner.routectl, "solve_probabilities", counted("solve", solve))
+    monkeypatch.setattr(runner.routectl, "explain_routes", counted("explain", explain))
+    monkeypatch.setattr(
+        runner, "make_strategy", lambda *args: sims.append(args[3]) or make_strategy(*args)
+    )
+    runs = {}
+    for out_dir in (None, tmp_path):
+        calls.clear()
+        config = runner.RunConfig("msjc", seed=0, cap_s=1300.0, out_dir=out_dir)
+        metrics = runner.run(fixtures.grid6(), config)
+        runs[out_dir] = (metrics, sims[-1].routing_rng.bit_generator.state, dict(calls))
+    (quiet, quiet_rng, quiet_calls), (logged, logged_rng, logged_calls) = runs.values()
+    assert logged == quiet and logged.throughput_series == quiet.throughput_series
+    assert logged_rng == quiet_rng
+    assert quiet_calls.get("explain", 0) == 0 and quiet_calls["solve"] > 0
+    assert logged_calls["explain"] == logged_calls["solve"] == quiet_calls["solve"]
+
+
 @pytest.mark.parametrize("strategy", ["bp-lr", "mspc-lr"])
 def test_logit_rerouting_draws_like_the_reference(monkeypatch, strategy):
     # Per routed step, the reference runs first; the routing generator is then
