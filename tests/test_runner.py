@@ -36,9 +36,21 @@ GRID6_GOLDEN = {
 
 # grid6, seed 0: SHA-256 of msjc's joint and routing logs.  A TTT golden
 # survives a one-ulp move in a gating fraction or a split; these do not.
+# The run's metrics.csv and manifest.json pin how its result and settings
+# are written.
 GRID6_MSJC_LOGS = {
     "joint.csv": "e8b9062c1dadf9d067a2eba69dcc485e0131b14a84f88db56733b6284fb7e918",
     "routing.csv": "1093727fcce83067fb76a44c69b27d67f3f96606d6e1f05c33221d2cb937e8df",
+    "metrics.csv": "c4a098009eea3da4aa78b273094d136cdb58c9c6e2febbfefef4210258571fd0",
+    "manifest.json": "4fb42555df04c12168d602c64eed06762cdd9606def31e0af0b8d9cf22d2f98c",
+}
+
+# corridor2, every strategy, seeds 0-1: SHA-256 of the files compare writes
+# beside the runs' own directories.
+CORRIDOR2_COMPARE_FILES = {
+    "comparison.csv": "f552eafc9652d2002210c9d572f93efa4566035658aa30437805268c94c5d1d8",
+    "summary.csv": "453065bd906fdd581ec491b0d797f44074becce85e6fa9a48e4b0f4cc2dea367",
+    "throughput_series.csv": "13786504e2bc58998352abc36a64958ba7fe72e7e74750fa49d6dac9ad390621",
 }
 
 # grid6, seed 0: SHA-256 of the boundary.csv of the tracked strategies.  The
@@ -195,6 +207,12 @@ def test_golden_corridor2_boundary_decisions(strategy, tmp_path):
     )
     rows = _boundary_rows(tmp_path)
     assert _decision_counts(rows) == BOUNDARY_DECISIONS[("corridor2", strategy)]
+
+
+def test_golden_corridor2_compare(tmp_path):
+    runner.compare(fixtures.corridor2(), tuple(runner.STRATEGIES), (0, 1), out_dir=tmp_path)
+    for name, digest in CORRIDOR2_COMPARE_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_golden_grid6_calibration():
