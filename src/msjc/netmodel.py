@@ -561,6 +561,8 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
         i, _, h = pair_raw.partition("|")
         if not h or i not in adjacency or h not in adjacency:
             raise ScenarioError(f"plans: bad boundary key '{pair_raw}' (want 'R1|R2')")
+        if h not in adjacency[i]:
+            raise ScenarioError(f"plans '{pair_raw}': regions {i} and {h} are not adjacent")
         key = boundary_key(i, h)
         nodes = sorted(gating_nodes.get(key, []))
         for spec in _value(list, plans_raw[pair_raw], "plans", pair_raw):

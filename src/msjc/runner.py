@@ -4,7 +4,9 @@ One run wires a strategy to the simulator: every macro step the strategy
 receives the region-level state and sets boundary targets (or nothing);
 every micro step it activates a multi-phase plan per boundary and may
 reassign vehicle routes.  Runs terminate at network clearance or a hard
-time cap, and emit stable CSV logs plus a manifest for reproducibility.
+time cap.  Given an output directory, a run writes ``manifest.json`` and
+CSV logs with the same columns for every strategy, and ``report`` writes
+the tables across runs; every CSV cell follows one rule on its value.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,21 +79,6 @@ class MacroContext:
     obs: MicroObservation
     active: bool
     realized_prev: dict[tuple[str, str], float]
-
-
-@dataclass
-class RoutingRow:
-    """Realized against target split of one (region, next, destination)
-    after one route-choice decision; a row of ``routing.csv``."""
-
-    time_s: float
-    region: str
-    dest_region: str
-    next_region: str
-    target: float
-    realized: float
-    target_term: float
-    homogeneity_term: float
 
 
 @dataclass
@@ -314,74 +301,51 @@ def _build_macro_state(
     )
 
 
-@dataclass
-class JointRow:
-    """Joint program outcome of one macro step; ``joint.csv`` follows these
-    columns with the gating fractions b_i_h and target flows M_i_h.  The gaps
-    are the distances to the relaxation's bounds (``ControlSolution``)."""
-
-    t_index: int
-    time_s: float
-    z: float
-    residual: float
-    feasible: bool
-    z_gap: float
-    flow_gap: float
-
-
-@dataclass
-class FlowRow:
-    """Target, envelope and realized flow of one ordered boundary over one
-    macro step; a row of ``flows.csv``."""
-
-    t_index: int
-    time_s: float
-    from_region: str
-    to_region: str
-    active: bool
-    target: float
-    m_min: float
-    m_max: float
-    realized: float
-    fallback_steps: int
-
-
-def _header(row_type) -> list[str]:
-    return [f.name for f in fields(row_type)]
-
-
-def _cells(row, columns=None) -> list:
-    """A row dataclass as CSV cells in field order: floats exactly (repr),
-    flags as 0/1 and a missing value as an empty cell.  The declared type
-    (annotation text) of each field picks the format."""
+def _cells(values) -> list:
+    """CSV cells by value: None is an empty cell, a flag 0/1, a float (numpy's
+    too) its exact repr, and anything else itself."""
     cells = []
-    for f in columns or fields(row):
-        value = getattr(row, f.name)
+    for value in values:
         if value is None:
             cells.append("")
-        elif f.type.startswith("float"):
-            cells.append(_fmt(value))
-        elif f.type == "bool":
+        elif isinstance(value, bool):
             cells.append(int(value))
+        elif isinstance(value, (float, np.floating)):
+            cells.append(repr(float(value)))
         else:
             cells.append(value)
     return cells
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 class _RunLogs:
-    """Streaming CSV writers with stable schemas across strategies."""
+    """A run's manifest, and its CSV logs streamed with the same columns for
+    every strategy."""
 
-    def __init__(self, out_dir: Path, scenario: Scenario):
+    def __init__(
+        self, out_dir: Path, scenario: Scenario, config: RunConfig, warmup_s: float, cap_s: float
+    ):
         out_dir.mkdir(parents=True, exist_ok=True)
+        control = scenario.control
+        manifest = {
+            "scenario": scenario.name,
+            "strategy": config.strategy,
+            "seed": config.seed,
+            "demand_scale": config.demand_scale,
+            "warmup_s": warmup_s,
+            "cap_s": cap_s,
+            "t_macro_s": control.t_macro_s,
+            "t_micro_s": control.t_micro_s,
+            "sigma": control.sigma,
+            "activation_threshold": control.activation_threshold,
+        }
+        with open(out_dir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
         self._regions = regions = scenario.partition.regions
         self._boundaries = boundaries = scenario.partition.ordered_boundaries()
+        self._decision_fields = [f.name for f in fields(BoundaryDecision)]
         with ExitStack() as files:
 
-            def open_csv(name: str, header: list[str]):
+            def open_csv(name: str, header: Sequence[str]):
                 writer = csv.writer(files.enter_context(open(out_dir / name, "w", newline="")))
                 writer.writerow(header)
                 return writer
@@ -393,24 +357,39 @@ class _RunLogs:
                 + [f"m_{i}_{h}" for i, h in boundaries]
                 + ["queue_total", "entry_queue", "in_network", "completed", "throughput_cum"],
             )
+            # a row per joint solve: the gaps are the distances to the relaxation's
+            # bounds (ControlSolution); gating fractions b_i_h and target flows M_i_h follow
             self._joint = open_csv(
                 "joint.csv",
-                _header(JointRow)
-                + [f"b_{i}_{h}" for i, h in boundaries]
-                + [f"M_{i}_{h}" for i, h in boundaries],
+                ("t_index", "time_s", "z", "residual", "feasible", "z_gap", "flow_gap")
+                + tuple(f"b_{i}_{h}" for i, h in boundaries)
+                + tuple(f"M_{i}_{h}" for i, h in boundaries),
             )
-            self._boundary = open_csv("boundary.csv", _header(BoundaryDecision))
-            self._routing = open_csv("routing.csv", _header(RoutingRow))
-            self._flows = open_csv("flows.csv", _header(FlowRow))
+            self._boundary = open_csv("boundary.csv", self._decision_fields)
+            # a row: the realized against the target split of one (region, next,
+            # destination) after one route-choice decision
+            self._routing = open_csv(
+                "routing.csv",
+                ("time_s", "region", "dest_region", "next_region", "target", "realized",
+                 "target_term", "homogeneity_term"),
+            )
+            # a row: target, envelope and realized flow of one ordered boundary over
+            # one macro step
+            self._flows = open_csv(
+                "flows.csv",
+                ("t_index", "time_s", "from_region", "to_region", "active", "target",
+                 "m_min", "m_max", "realized", "fallback_steps"),
+            )
             self.close = files.pop_all().close  # keep the files open past the with
 
     def observation(self, obs: MicroObservation, throughput_cum: int) -> None:
-        self._obs.writerow(
-            [obs.step, _fmt(obs.time_s)]
+        row = (
+            [obs.step, obs.time_s]
             + [obs.accumulation[r] for r in self._regions]
-            + [_fmt(obs.boundary_crossings[(i, h)]) for i, h in self._boundaries]
+            + [obs.boundary_crossings[(i, h)] for i, h in self._boundaries]
             + [obs.queue_total(), obs.entry_queue, obs.in_network, obs.completed, throughput_cum]
         )
+        self._obs.writerow(_cells(row))
 
     def macro_step(
         self,
@@ -424,42 +403,28 @@ class _RunLogs:
         if sol is not None:
             self._joint.writerow(
                 _cells(
-                    JointRow(
-                        ctx.t_index,
-                        ctx.time_s,
-                        sol.z,
-                        sol.residual,
-                        sol.feasible,
-                        sol.z_gap,
-                        sol.flow_gap,
-                    )
+                    [ctx.t_index, ctx.time_s, sol.z, sol.residual, sol.feasible]
+                    + [sol.z_gap, sol.flow_gap]
+                    + [sol.b.get(key, 1.0) for key in self._boundaries]
+                    + [sol.m.get(key, 0.0) for key in self._boundaries]
                 )
-                + [_fmt(sol.b.get(key, 1.0)) for key in self._boundaries]
-                + [_fmt(sol.m.get(key, 0.0)) for key in self._boundaries]
             )
-        self._boundary.writerows(_cells(d) for d in rec.decisions)
+        self._boundary.writerows(
+            _cells(getattr(d, name) for name in self._decision_fields) for d in rec.decisions
+        )
         for time_s, probs, args in rec.routing:
             # the realized splits, then the target and homogeneity terms
             splits, *terms = routectl.explain_routes(probs, *args)
             self._routing.writerows(
-                _cells(RoutingRow(time_s, i, j, h, sol.c.get((i, h, j), 0.0), value, *terms))
+                _cells((time_s, i, j, h, sol.c.get((i, h, j), 0.0), value, *terms))
                 for (i, h, j), value in sorted(splits.items())
             )
         fallbacks = Counter(d.boundary for d in rec.decisions if d.fallback)
         for i, h in self._boundaries:
             m_min, m_max = rec.envelopes.get((i, h), (0.0, 0.0))
-            row = FlowRow(
-                t_index=ctx.t_index,
-                time_s=end_s,
-                from_region=i,
-                to_region=h,
-                active=ctx.active,
-                target=rec.targets.get((i, h), 0.0),
-                m_min=m_min,
-                m_max=m_max,
-                realized=realized.get((i, h), 0.0),
-                fallback_steps=fallbacks["|".join(boundary_key(i, h))],
-            )
+            target, flow = rec.targets.get((i, h), 0.0), realized.get((i, h), 0.0)
+            fallback_steps = fallbacks["|".join(boundary_key(i, h))]
+            row = (ctx.t_index, end_s, i, h, ctx.active, target, m_min, m_max, flow, fallback_steps)
             self._flows.writerow(_cells(row))
 
 
@@ -487,24 +452,8 @@ def run(
     logs = None
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
-        logs = _RunLogs(out_dir, scenario)
+        logs = _RunLogs(out_dir, scenario, config, warmup_s, cap_s)
     try:
-        if logs:
-            manifest = {
-                "scenario": scenario.name,
-                "strategy": config.strategy,
-                "seed": config.seed,
-                "demand_scale": config.demand_scale,
-                "warmup_s": warmup_s,
-                "cap_s": cap_s,
-                "t_macro_s": control.t_macro_s,
-                "t_micro_s": control.t_micro_s,
-                "sigma": control.sigma,
-                "activation_threshold": control.activation_threshold,
-            }
-            with open(out_dir / "manifest.json", "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-
         obs = sim.initial_observation()
         ttt = 0.0
         first_activation_s: float | None = None
@@ -710,7 +659,7 @@ def _write_metrics_csv(path: Path, runs: list[RunMetrics]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f.name for f in _METRIC_COLUMNS])
-        w.writerows(_cells(m, _METRIC_COLUMNS) for m in runs)
+        w.writerows(_cells(getattr(m, f.name) for f in _METRIC_COLUMNS) for m in runs)
 
 
 def read_metrics_csv(path) -> list[RunMetrics]:
@@ -799,8 +748,9 @@ def report(runs: list[RunMetrics], out_dir: str | Path) -> list[SummaryRow]:
     rows = summarize(runs)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_header(SummaryRow))
-        w.writerows(_cells(r) for r in rows)
+        names = [f.name for f in fields(SummaryRow)]
+        w.writerow(names)
+        w.writerows(_cells(getattr(r, name) for name in names) for r in rows)
 
     # Runs read back from comparison.csv carry no series; keep the file the
     # original comparison wrote.
@@ -817,5 +767,5 @@ def report(runs: list[RunMetrics], out_dir: str | Path) -> list[SummaryRow]:
             # a run that cleared early holds its final count
             for idx, (time_s, _) in enumerate(max(series, key=len)):
                 arr = np.array([s[min(idx, len(s) - 1)][1] for s in series], dtype=float)
-                w.writerow([strategy, _fmt(time_s), _fmt(arr.mean()), _fmt(arr.std())])
+                w.writerow(_cells([strategy, time_s, arr.mean(), arr.std()]))
     return rows

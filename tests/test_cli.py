@@ -53,8 +53,9 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
 
 
 # Keys removed from the scenario format, band widths that would divide by
-# zero in the boundary controller, a wrongly typed number and container, and
-# a plan naming a phase its intersection lacks.
+# zero in the boundary controller, a wrongly typed number and container, a
+# plan naming a phase its intersection lacks, and plans for a region and
+# itself.
 @pytest.mark.parametrize(
     "where, key, value",
     [
@@ -67,6 +68,7 @@ def test_unknown_control_key_is_one_line_and_exit_2(tmp_path, capsys):
         (lambda raw: raw, "meta", "corridor two"),
         (lambda raw: raw, "regions", ["R1", "R2"]),
         (lambda raw: raw["plans"]["R1|R2"][0], "phases", {"g": "p_nosuch"}),
+        (lambda raw: raw["plans"], "R1|R1", [{"id": "x", "phases": {}}]),
     ],
 )
 def test_rejected_scenario_setting_is_one_line_and_exit_2(where, key, value, tmp_path, capsys):

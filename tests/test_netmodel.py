@@ -553,6 +553,18 @@ def test_non_finite_profile_entry_rejected(step):
         scenario_from_dict(raw)
 
 
+# A plans key must name two adjacent regions.  Such a key once loaded, and
+# the simulator cycled its empty plan every step.
+@pytest.mark.parametrize("key", ["R1|R3", "R1|R1"])
+def test_plans_key_of_no_boundary_rejected(key):
+    raw = fixtures.grid6_document()
+    raw["plans"][key] = [{"id": "x", "phases": {}}]
+    i, _, h = key.partition("|")
+    message = f"plans '{key}': regions {i} and {h} are not adjacent"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_dict(raw)
+
+
 def test_duplicate_plan_id_within_a_boundary_rejected():
     raw = fixtures.corridor2_document()
     [plan] = [p for p in raw["plans"]["R1|R2"] if p["id"] == "east"]

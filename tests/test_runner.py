@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msjc import fixtures, mesosim, runner
@@ -213,6 +214,22 @@ def test_golden_corridor2_compare(tmp_path):
     runner.compare(fixtures.corridor2(), tuple(runner.STRATEGIES), (0, 1), out_dir=tmp_path)
     for name, digest in CORRIDOR2_COMPARE_FILES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_a_cell_is_written_by_its_value():
+    values = [None, True, False, 0.1, np.float64(1 / 3), 7, "R1"]
+    assert runner._cells(values) == ["", 1, 0, "0.1", "0.3333333333333333", 7, "R1"]
+
+
+def test_metrics_read_back_as_written(tmp_path):
+    # a truncated run that never activated (an empty first_activation_s
+    # cell) and a cleared run whose floats need all 17 significant digits
+    runs = [
+        runner.RunMetrics("bp", 3, 1234.5, 10, 40, 6000.0, True, None),
+        runner.RunMetrics("msjc", 0, 0.1 + 0.2, 856, 856, 1650.0000000000002, False, 2 / 3 + 200),
+    ]
+    runner.report(runs, tmp_path)
+    assert runner.read_metrics_csv(tmp_path / "comparison.csv") == runs
 
 
 def test_golden_grid6_calibration():
