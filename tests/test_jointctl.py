@@ -155,6 +155,20 @@ def assert_certified(sol):
 # share the minimal z while their total flows differ several-fold.
 GRID6_WINDOWS = [(0, 400.0), (1, 400.0), (7001, 800.0), (7011, 400.0), (24, 1400.0)]
 
+# Each window's optimum, (z, total boundary flow in veh/s), as the solve by
+# McCormick relaxation and fix-and-solve LPs found it.  Any other exact solve
+# of the program must find the same values.
+GRID6_WINDOW_OPTIMA = {
+    (0, 400.0): (-53.96046666566665, 2.127790000090001),
+    (1, 400.0): (-46.94266666566667, 2.9929946667166667),
+    (7001, 800.0): (-52.89999999899997, 2.8458320000900033),
+    (7011, 400.0): (-49.87759999899999, 2.78768400007),
+    (24, 1400.0): (-55.920199999000005, 1.50131600006),
+}
+
+FEAS_TOL = 1e-7  # HiGHS's default primal and dual feasibility tolerances
+GAP_TOL = 1e-9  # times 1 + |objective|
+
 
 @functools.cache
 def grid6_window(seed, warmup_s):
@@ -177,6 +191,51 @@ def grid6_window(seed, warmup_s):
         jointctl.solve = solve_
     [args] = calls
     return args
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """Every HiGHS instance that ``jointctl`` makes while the test runs, in
+    order."""
+    made, make = [], jointctl.highs._Highs
+    monkeypatch.setattr(jointctl.highs, "_Highs", lambda: made.append(make()) or made[-1])
+    return made
+
+
+def certify(solver) -> float:
+    """Certify from its own point and duals that ``solver``, a HiGHS
+    instance after ``run``, holds an optimum of the LP it was given: primal
+    feasibility, the dual sign conditions, complementary slackness and a
+    zero duality gap.  Returns the optimum.
+
+    In HiGHS's form the LP minimizes c @ x subject to L <= A @ x <= U and
+    l <= x <= u; the row duals are y and the reduced costs c - A.T @ y.  A
+    positive dual prices a lower bound and a negative one an upper bound.
+    """
+    lp, sol = solver.getLp(), solver.getSolution()
+    assert solver.getModelStatus() == jointctl.highs.HighsModelStatus.kOptimal
+    assert sol.value_valid and sol.dual_valid
+    matrix = lp.a_matrix_
+    a = sparse.csc_array(
+        (matrix.value_, matrix.index_, matrix.start_), shape=(lp.num_row_, lp.num_col_)
+    )
+    c, x, y = np.array(lp.col_cost_), np.array(sol.col_value), np.array(sol.row_dual)
+    # rows, then columns: activity, bounds and dual
+    act = np.concatenate([a @ x, x])
+    lo = np.concatenate([lp.row_lower_, lp.col_lower_])
+    hi = np.concatenate([lp.row_upper_, lp.col_upper_])
+    dual = np.concatenate([y, c - a.T @ y])
+    assert np.all(act >= lo - FEAS_TOL) and np.all(act <= hi + FEAS_TOL), "primal infeasible"
+    assert np.all(dual[np.isinf(lo)] <= FEAS_TOL), "a dual prices an infinite lower bound"
+    assert np.all(dual[np.isinf(hi)] >= -FEAS_TOL), "a dual prices an infinite upper bound"
+    up, down = np.maximum(dual, 0.0), np.maximum(-dual, 0.0)
+    lo, hi = np.where(np.isinf(lo), 0.0, lo), np.where(np.isinf(hi), 0.0, hi)
+    objective = float(c @ x)
+    tol = GAP_TOL * (1.0 + abs(objective))
+    slack = np.concatenate([up * (act - lo), down * (hi - act)])
+    assert np.all(np.abs(slack) <= tol), "complementary slackness"
+    assert abs(objective - (up @ lo - down @ hi)) <= tol, "duality gap"
+    return objective
 
 
 def assert_relaxations_match(monkeypatch, oracle, state, mfd, bounds) -> list[bool]:
@@ -399,6 +458,13 @@ class TestSolve:
     def test_grid6_window_reaches_both_bounds(self, seed, warmup_s):
         assert_certified(solve(*grid6_window(seed, warmup_s)))
 
+    @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
+    def test_grid6_window_keeps_its_optimum(self, seed, warmup_s):
+        sol = solve(*grid6_window(seed, warmup_s))
+        z, flow = GRID6_WINDOW_OPTIMA[(seed, warmup_s)]
+        assert abs(sol.z - z) <= 1e-7 * (1.0 + abs(z))
+        assert abs(sum(sol.m.values()) - flow) <= 1e-9
+
     def test_inactive_od_reports_uniform_split(self):
         state = MacroState(
             n={("R1", "R3"): 0.0, ("R1", "R1"): 50.0, ("R2", "R2"): 10.0},
@@ -453,6 +519,30 @@ class TestTargets:
                 for key in m:
                     assert m[key] >= bounds.m_min[key] - 1e-6
                     assert m[key] <= bounds.m_max[key] + 1e-6
+
+
+class TestCertificate:
+    """Every LP that ``solve`` hands to HiGHS is certified optimal by its
+    own duals."""
+
+    def test_random_instances(self, solvers):
+        for instance, seed, count in ((random_instance, 71, 5), (three_region_instance, 72, 20)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                solvers.clear()
+                assert solve(*instance(rng)).feasible
+                assert solvers
+                for solver in solvers:
+                    certify(solver)
+
+    @pytest.mark.parametrize("seed, warmup_s", GRID6_WINDOWS)
+    def test_grid6_window(self, solvers, seed, warmup_s):
+        args = grid6_window(seed, warmup_s)
+        solvers.clear()
+        assert solve(*args).feasible
+        assert solvers
+        for solver in solvers:
+            certify(solver)
 
 
 class TestRelaxation:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -15,106 +16,42 @@ from msjc.mfd import MfdFitError
 
 from oracles import reference_logit_routes
 
-# corridor2, seed 0: every strategy injects and completes 856 vehicles.
-# Per strategy: total travel time (veh.s) and the time the network clears (s).
-GOLDEN = {
-    "msjc": (101_620.0, 1650.0),
-    "mspc-lr": (109_970.0, 1610.0),
-    "bp-lr": (95_780.0, 1610.0),
-    "mspc": (114_850.0, 1610.0),
-    "bp": (95_810.0, 1610.0),
-}
-
-# grid6, seed 0, per strategy: total travel time (veh.s), throughput (veh)
-# and the time the network clears (s).
-GRID6_GOLDEN = {
-    "msjc": (336_170.0, 1379, 1870.0),
-    "mspc-lr": (325_830.0, 1379, 1870.0),
-    "bp-lr": (223_990.0, 1379, 1730.0),
-    "mspc": (325_670.0, 1379, 1870.0),
-    "bp": (223_970.0, 1379, 1730.0),
-}
-
-# grid6, seed 0: SHA-256 of msjc's joint and routing logs.  A TTT golden
-# survives a one-ulp move in a gating fraction or a split; these do not.
-# The run's metrics.csv and manifest.json pin how its result and settings
-# are written.
-GRID6_MSJC_LOGS = {
-    "joint.csv": "e8b9062c1dadf9d067a2eba69dcc485e0131b14a84f88db56733b6284fb7e918",
-    "routing.csv": "1093727fcce83067fb76a44c69b27d67f3f96606d6e1f05c33221d2cb937e8df",
-    "metrics.csv": "c4a098009eea3da4aa78b273094d136cdb58c9c6e2febbfefef4210258571fd0",
-    "manifest.json": "4fb42555df04c12168d602c64eed06762cdd9606def31e0af0b8d9cf22d2f98c",
-}
-
-# corridor2, every strategy, seeds 0-1: SHA-256 of the files compare writes
-# beside the runs' own directories.
-CORRIDOR2_COMPARE_FILES = {
-    "comparison.csv": "f552eafc9652d2002210c9d572f93efa4566035658aa30437805268c94c5d1d8",
-    "summary.csv": "453065bd906fdd581ec491b0d797f44074becce85e6fa9a48e4b0f4cc2dea367",
-    "throughput_series.csv": "13786504e2bc58998352abc36a64958ba7fe72e7e74750fa49d6dac9ad390621",
-}
-
-# grid6, seed 0: SHA-256 of the boundary.csv of the tracked strategies.  The
-# decision counts below survive a move in the last bit of a logged flow
-# estimate (est_fwd, est_rev: sums of lane terms); these do not.
-GRID6_BOUNDARY_LOGS = {
-    "msjc": "d4e3741238fb952f9406506b07223aba7a4de159f1da00a37b03691d95daa4b5",
-    "mspc-lr": "daf7b89d29d07cb73bbd60aec926b72e7bb44de4522dd50d326e01141c5c8942",
-    "mspc": "40e4b12baef2c2bd7cfdcec7df685bdc4b3a2100e6586478c8d03379cb4886e6",
-}
-
-# grid6, seed 0: SHA-256 of every strategy's observations.csv and flows.csv.
-# They pin each micro step's state and each macro step's targets, envelopes
-# and realized flows, so a strategy's decisions cannot drift unseen.
-GRID6_STEP_LOGS = {
-    "msjc": (
-        "9b9b863564e27628d5dbd59ad1683e38e850340b9ab459c11a1d7a379884854c",
-        "e964ef5f2cc2b6b38525f577c2a09de279d7438a7dd6e0749bf795c139f37689",
-    ),
-    "mspc-lr": (
-        "c619192945cf039f0a9c5ab715b2cd7a9852a80a1bf80232ea47094c8f23d9de",
-        "29e1f381fd7b87a390b9244ca65b78caf85328242ff994880998a15f1193d86b",
-    ),
-    "bp-lr": (
-        "1dce199de973ff407c0a2cf2d19976c50e1ec909e65d9c5d740785f4cf8394ae",
-        "db49ba3b69586f4274318c20faa0ecd6d504e4a7255c917db506e98355212b00",
-    ),
-    "mspc": (
-        "19e745b85650c298b4b31007640f7436d42b16217ba0464973e45cf57a4d4e7d",
-        "7a24da63087c8774d8d64a0cbe3ebe9a1079c52fba8a2922e58315a985aad299",
-    ),
-    "bp": (
-        "ef4b160a4794b660ad530055d6e8e809ec8e4f9345c6825ffe1f07d4314cfbb1",
-        "e16929f8b9479d9dcf6627d7d9c35f6929c69fb6b22ea8ac4c2670232cbac574",
-    ),
-}
-
-# Boundary decisions of a run's boundary.csv, seed 0: (decisions, fallbacks,
-# sum of feasible_count).  They pin the boundary controller's plan choice.
-BOUNDARY_DECISIONS = {
-    ("grid6", "mspc"): (1120, 616, 792),
-    ("corridor2", "msjc"): (140, 92, 85),
-    ("corridor2", "mspc"): (140, 79, 102),
-}
-
-# grid6, seed 0, default demand levels 0.25-1.25: calibrated MFD per region
-# as (b1, b2, b3, n_crit, n_max_fit).  The fit is a LAPACK least-squares
-# solve, so the last digits may depend on the BLAS build.
-GRID6_CALIBRATED = {
-    "R1": (0.014287266560945639, 0.0002071594284302518, -6.01203869851056e-06, 41.88435565644784, 49.4),
-    "R2": (0.015074075582016726, 3.2414138230207234e-05, -1.094603993118161e-06, 63.49999999999999, 63.49999999999999),
-    "R3": (0.013489451764349627, 0.00033320231657913004, -8.235353917096347e-06, 39.9, 39.9),
-    "R4": (0.017042646033313312, 9.37102157710419e-05, -5.973259495203592e-06, 36.50880280412692, 44.599999999999994),
-    "R5": (0.014921882348962546, 3.9853631816401504e-05, -1.3937074925773448e-06, 61.6, 61.6),
-    "R6": (0.015848235050762226, 0.00015264478755149755, -4.332874904574162e-06, 37.599999999999994, 37.599999999999994),
-}
+# Every pinned result, in one table that tests/regen_goldens.py regenerates.
+#
+# HEADLINES: per run, (total travel time veh.s, throughput veh, injected veh,
+#   clearance time s, truncated).  corridor2 runs every strategy at seeds 0-1
+#   (seed 0 alone, and compare's runs); grid6 every strategy at seed 0, and
+#   msjc once more with a 1300 s cap.
+# GRID6_STEP_LOGS: SHA-256 of every grid6 strategy's observations.csv and
+#   flows.csv.  They pin each micro step's state and each macro step's
+#   targets, envelopes and realized flows, so a strategy's decisions cannot
+#   drift unseen.
+# GRID6_MSJC_LOGS: SHA-256 of grid6 msjc's joint and routing logs, which a
+#   one-ulp move in a gating fraction or a split changes where a TTT does
+#   not, and of its metrics.csv and manifest.json, which pin how its result
+#   and settings are written.
+# GRID6_BOUNDARY_LOGS: SHA-256 of the tracked strategies' grid6 boundary.csv.
+#   The decision counts survive a move in the last bit of a logged flow
+#   estimate (est_fwd, est_rev: sums of lane terms); these do not.
+# BOUNDARY_DECISIONS: a run's boundary.csv at seed 0 as (decisions,
+#   fallbacks, sum of feasible_count), and GRID6_MSPC_PLANS grid6 mspc's
+#   count of each plan chosen.  They pin the boundary controller's choice.
+# CORRIDOR2_COMPARE_FILES: SHA-256 of the files compare writes beside the
+#   runs' own directories.
+# GRID6_CALIBRATED: grid6's calibrated MFD at seed 0, default demand levels
+#   0.25-1.25, per region as (b1, b2, b3, n_crit, n_max_fit).  The fit is a
+#   LAPACK least-squares solve, so the last digits may depend on the BLAS
+#   build.
+GOLDENS = json.loads(Path(__file__).with_name("goldens.json").read_text())
+HEADLINES = {run: tuple(head) for run, head in GOLDENS["HEADLINES"].items()}
 
 
 def assert_grid6_calibrated(model) -> None:
-    assert model.regions() == tuple(GRID6_CALIBRATED)
-    for region, expected in GRID6_CALIBRATED.items():
+    calibrated = GOLDENS["GRID6_CALIBRATED"]
+    assert model.regions() == tuple(calibrated)
+    for region, expected in calibrated.items():
         p = model.params[region]
-        assert (p.b1, p.b2, p.b3, p.n_crit, p.n_max_fit) == pytest.approx(expected, rel=1e-9)
+        assert [p.b1, p.b2, p.b3, p.n_crit, p.n_max_fit] == pytest.approx(expected, rel=1e-9)
 
 
 CSV_HEADERS = {
@@ -146,6 +83,10 @@ CSV_HEADERS = {
 }
 
 
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _boundary_rows(out_dir) -> list[dict]:
     with open(out_dir / "boundary.csv", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -173,8 +114,7 @@ def _headline(m: runner.RunMetrics) -> tuple:
 def test_golden_corridor2(strategy):
     scenario = fixtures.corridor2()
     m = runner.run(scenario, runner.RunConfig(strategy=strategy, seed=0))
-    ttt, clearance = GOLDEN[strategy]
-    assert _headline(m) == (ttt, 856, 856, clearance, False)
+    assert _headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
     again = runner.run(scenario, runner.RunConfig(strategy=strategy, seed=0))
     assert _headline(again) == _headline(m)
 
@@ -184,20 +124,18 @@ def test_golden_grid6(strategy, tmp_path):
     m = runner.run(
         fixtures.grid6(), runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path)
     )
-    ttt, throughput, clearance = GRID6_GOLDEN[strategy]
-    assert _headline(m) == (ttt, throughput, throughput, clearance, False)
-    for name, digest in zip(("observations.csv", "flows.csv"), GRID6_STEP_LOGS[strategy]):
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert _headline(m) == HEADLINES[f"grid6 {strategy} seed 0"]
+    for name, digest in GOLDENS["GRID6_STEP_LOGS"][strategy].items():
+        assert _digest(tmp_path / name) == digest, name
     if strategy == "msjc":
-        for name, digest in GRID6_MSJC_LOGS.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-    if strategy in GRID6_BOUNDARY_LOGS:
-        boundary_log = (tmp_path / "boundary.csv").read_bytes()
-        assert hashlib.sha256(boundary_log).hexdigest() == GRID6_BOUNDARY_LOGS[strategy]
+        for name, digest in GOLDENS["GRID6_MSJC_LOGS"].items():
+            assert _digest(tmp_path / name) == digest, name
+    if strategy in GOLDENS["GRID6_BOUNDARY_LOGS"]:
+        assert _digest(tmp_path / "boundary.csv") == GOLDENS["GRID6_BOUNDARY_LOGS"][strategy]
     if strategy == "mspc":
         rows = _boundary_rows(tmp_path)
-        assert _decision_counts(rows) == BOUNDARY_DECISIONS[("grid6", "mspc")]
-        assert Counter(r["plan"] for r in rows) == {"both": 383, "fwd": 349, "rev": 354, "none": 34}
+        assert list(_decision_counts(rows)) == GOLDENS["BOUNDARY_DECISIONS"]["grid6 mspc"]
+        assert Counter(r["plan"] for r in rows) == GOLDENS["GRID6_MSPC_PLANS"]
 
 
 @pytest.mark.parametrize("strategy", ["msjc", "mspc"])
@@ -207,13 +145,15 @@ def test_golden_corridor2_boundary_decisions(strategy, tmp_path):
         runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path),
     )
     rows = _boundary_rows(tmp_path)
-    assert _decision_counts(rows) == BOUNDARY_DECISIONS[("corridor2", strategy)]
+    assert list(_decision_counts(rows)) == GOLDENS["BOUNDARY_DECISIONS"][f"corridor2 {strategy}"]
 
 
 def test_golden_corridor2_compare(tmp_path):
-    runner.compare(fixtures.corridor2(), tuple(runner.STRATEGIES), (0, 1), out_dir=tmp_path)
-    for name, digest in CORRIDOR2_COMPARE_FILES.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    runs = runner.compare(fixtures.corridor2(), tuple(runner.STRATEGIES), (0, 1), out_dir=tmp_path)
+    for m in runs:
+        assert _headline(m) == HEADLINES[f"corridor2 {m.strategy} seed {m.seed}"]
+    for name, digest in GOLDENS["CORRIDOR2_COMPARE_FILES"].items():
+        assert _digest(tmp_path / name) == digest, name
 
 
 def test_a_cell_is_written_by_its_value():
@@ -268,7 +208,7 @@ def test_golden_corridor2_writes_every_log(strategy, tmp_path):
         fixtures.corridor2(),
         runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path),
     )
-    assert m.total_travel_time_veh_s == GOLDEN[strategy][0]
+    assert _headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         list(CSV_HEADERS) + ["manifest.json"]
     )
@@ -293,7 +233,7 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     monkeypatch.setattr(runner.routectl, "generate_routes", counted_generate)
     monkeypatch.setattr(runner.Strategy, "routes", counted_routes)
     metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
-    assert (metrics.total_travel_time_veh_s, metrics.clearance_time_s) == GOLDEN["msjc"]
+    assert _headline(metrics) == HEADLINES["corridor2 msjc seed 0"]
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
 
 
@@ -546,6 +486,5 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
     one, two = runs
     for name in ("joint.csv", "metrics.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    # the headline of that run: 984 of 1211 vehicles delivered by the cap
     [m] = runner.read_metrics_csv(one / "metrics.csv")
-    assert _headline(m) == (256_180.0, 984, 1211, 1300.0, True)
+    assert _headline(m) == HEADLINES["grid6 msjc seed 0 cap 1300"]
