@@ -357,11 +357,11 @@ class _RunLogs:
                 + [f"m_{i}_{h}" for i, h in boundaries]
                 + ["queue_total", "entry_queue", "in_network", "completed", "throughput_cum"],
             )
-            # a row per joint solve: the gaps are the distances to the relaxation's
-            # bounds (ControlSolution); gating fractions b_i_h and target flows M_i_h follow
+            # a row per joint solve (ControlSolution): its worst overshoot, residual
+            # and feasibility, then gating fractions b_i_h and target flows M_i_h
             self._joint = open_csv(
                 "joint.csv",
-                ("t_index", "time_s", "z", "residual", "feasible", "z_gap", "flow_gap")
+                ("t_index", "time_s", "z", "residual", "feasible")
                 + tuple(f"b_{i}_{h}" for i, h in boundaries)
                 + tuple(f"M_{i}_{h}" for i, h in boundaries),
             )
@@ -404,7 +404,6 @@ class _RunLogs:
             self._joint.writerow(
                 _cells(
                     [ctx.t_index, ctx.time_s, sol.z, sol.residual, sol.feasible]
-                    + [sol.z_gap, sol.flow_gap]
                     + [sol.b.get(key, 1.0) for key in self._boundaries]
                     + [sol.m.get(key, 0.0) for key in self._boundaries]
                 )

@@ -28,11 +28,7 @@ written: a projection over every running vehicle of every link.
 ``dense_route_probabilities`` is the route-choice solve as first written,
 one dense column per vehicle candidate, always solved by ``lsq_linear``'s
 bounded-variable least squares, with the decision and its explanation in
-one ``RouteChoice``.  ``dense_relaxation`` is the joint program's
-McCormick LP as first written: its rows stacked densely
-from the transfer Jacobian at each box corner.  ``linprog_relaxation``
-solves it by ``linprog`` and ``milp_relaxation`` by ``milp``, the call
-``jointctl`` made before it passed its sparse LP to HiGHS itself.
+one ``RouteChoice``.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, OptimizeResult, linprog, lsq_linear, milp
+from scipy.optimize import lsq_linear
 
 from msjc.baselines import logit_choice, route_travel_time
 from msjc.boundaryctl import BoundaryDecision
@@ -855,73 +851,3 @@ def dense_route_probabilities(
         realized={key: float(v) for key, v in zip(keys, value)},
         iterations=iterations,
     )
-
-
-def dense_relaxation(
-    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
-) -> tuple[np.ndarray, ...]:
-    """``jointctl._Problem.relaxation``'s LP as first written: every row of
-    the McCormick LP stacked densely, the four corner blocks from the dense
-    Jacobian of b*c*kappa.  Returns the cost, the inequality rows and their
-    upper bounds, the split-sum rows (each equal to 1) and the variable
-    bounds."""
-    nb, nc, nv = problem.nb, problem.nc, problem.nv
-    rows = np.arange(nc)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = np.zeros((nc, nv))
-        jac[rows, problem.c_b] = x[problem.c_cols] * problem.kappa
-        jac[rows, problem.c_cols] = x[problem.c_b] * problem.kappa
-        return jac
-
-    w_block = np.hstack([np.eye(nc), np.zeros((nc, 1))])
-    pick_w = np.hstack([np.zeros((nc, nv)), w_block])
-    over = problem.region_map @ pick_w
-    over[:, problem.zi] = -1.0
-    env = problem.flow_map[problem.env_rows] @ pick_w
-    s = np.eye(1, nv + nc + 1, nv + nc)
-    a_ub = [over, env - s, -env - s]
-    b_ub = [-problem.base, problem.m_max, -problem.m_min]
-    lo_hi = np.concatenate([lb[:nb], ub[nb:]])
-    hi_lo = np.concatenate([ub[:nb], lb[nb:]])
-    for sign, corner in ((1.0, lb), (1.0, ub), (-1.0, lo_hi), (-1.0, hi_lo)):
-        a_ub.append(sign * np.hstack([jacobian(corner), -w_block]))
-        b_ub.append(sign * problem.moved(corner))
-    n_od = len(problem.active_od)
-    a_eq = np.hstack([problem.split_sum, np.zeros((n_od, nc + 1))])
-    cost = np.zeros(nv + nc + 1)
-    upper = np.concatenate([ub, np.full(nc, np.inf), [np.inf if elastic else 0.0]])
-    if elastic:
-        cost[-1] = 1.0
-    elif z_cap is None:
-        cost[problem.zi] = 1.0
-    else:
-        cost[nv:-1] = -problem.flow_map.sum(axis=0)
-        upper[problem.zi] = z_cap
-    lower = np.append(lb, np.zeros(nc + 1))
-    return cost, np.vstack(a_ub), np.concatenate(b_ub), a_eq, lower, upper
-
-
-def linprog_relaxation(
-    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
-) -> OptimizeResult:
-    """``dense_relaxation``'s LP handed to ``linprog``."""
-    cost, a_ub, b_ub, a_eq, lower, upper = dense_relaxation(problem, lb, ub, z_cap, elastic)
-    bounds = np.column_stack([lower, upper])
-    return linprog(cost, a_ub, b_ub, a_eq, np.ones(len(a_eq)), bounds, method="highs")
-
-
-def milp_relaxation(
-    problem, lb: np.ndarray, ub: np.ndarray, z_cap: float | None = None, elastic: bool = False
-) -> OptimizeResult:
-    """``dense_relaxation``'s LP handed to ``milp`` with no integrality, as
-    one dense ``LinearConstraint``: the call ``jointctl`` made before it
-    passed its sparse LP to HiGHS itself."""
-    cost, a_ub, b_ub, a_eq, lower, upper = dense_relaxation(problem, lb, ub, z_cap, elastic)
-    n_eq = len(a_eq)
-    rows = LinearConstraint(
-        np.vstack([a_ub, a_eq]),
-        np.concatenate([np.full(len(b_ub), -np.inf), np.ones(n_eq)]),
-        np.concatenate([b_ub, np.ones(n_eq)]),
-    )
-    return milp(cost, bounds=(lower, upper), constraints=rows)

@@ -125,7 +125,8 @@ def main() -> None:
         if head is None:
             return "not pinned"
         ttt, _, _, clearance, capped = head
-        return f"TTT {ttt:,.0f} veh.s, clearance {clearance:g} s, capped {'yes' if capped else 'no'}"
+        capped = "yes" if capped else "no"
+        return f"TTT {ttt:,.0f} veh.s, clearance {clearance:g} s, capped {capped}"
 
     print("pinned runs (before -> after):")
     for run, head in after["HEADLINES"].items():

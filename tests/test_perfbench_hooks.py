@@ -144,8 +144,8 @@ def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
         runner.run(fixtures.grid6(), config)
     metrics = workloads.layer_metrics(tracer.layers)
     assert metrics["routectl.solve_probabilities.calls"] == seen["solves"] == 60
-    assert metrics["routectl.solve_probabilities.free_variables"] == 154
-    assert metrics["routectl.solve_probabilities.iterations"] == 10
+    assert metrics["routectl.solve_probabilities.free_variables"] == 134
+    assert metrics["routectl.solve_probabilities.iterations"] == 8
     assert metrics["routectl.generate_routes.vehicles"] == seen["vehicles"] == 1824
 
 

@@ -60,7 +60,7 @@ CSV_HEADERS = {
         "queue_total", "entry_queue", "in_network", "completed", "throughput_cum",
     ],
     "joint.csv": [
-        "t_index", "time_s", "z", "residual", "feasible", "z_gap", "flow_gap",
+        "t_index", "time_s", "z", "residual", "feasible",
         "b_R1_R2", "b_R2_R1", "M_R1_R2", "M_R2_R1",
     ],
     "boundary.csv": [
@@ -418,7 +418,7 @@ def test_tracked_strategies_project_arrivals_once_per_active_step(
 
     monkeypatch.setattr(mesosim.Simulator, "set_route", recorded)
     scenario = fixtures.grid6()
-    m = runner.run(scenario, runner.RunConfig(strategy, seed=0, cap_s=1900.0, out_dir=tmp_path))
+    m = runner.run(scenario, runner.RunConfig(strategy, seed=0, out_dir=tmp_path))
     with open(tmp_path / "flows.csv", newline="") as fh:
         active = {r["t_index"]: r["active"] for r in csv.DictReader(fh)}
     assert "0" in active.values() and m.first_activation_s == scenario.demand.warmup_s
