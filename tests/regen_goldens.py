@@ -3,7 +3,7 @@ pins, and print what moved.
 
     python tests/regen_goldens.py
 
-Run from the repository root.  Each pinned run is made anew.  The script
+Each pinned run is made anew, with the package under ``src/``.  The script
 prints every run's total travel time, clearance time and whether it hit its
 time cap, before (as the table holds them) and after (as this checkout
 makes them), then each entry of the table that changed, old and new, and
