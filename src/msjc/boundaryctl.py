@@ -50,15 +50,17 @@ def plan_weights(lanes: PlanLanes, obs: MicroObservation, net: Network) -> list[
         outs = lane.output_lanes
         downstream = sum(obs.queues.get(o, 0) for o in outs) / len(outs) if outs else 0.0
         pressure[lane_id] = (obs.queues.get(lane_id, 0) - downstream) * lane.sat_flow_veh_s
-    return [_in_order(pressure, green) for green in lanes.green]
+    return [sum_in_order(pressure, green) for green in lanes.green]
 
 
-def _in_order(terms: Mapping[str, float], lanes: Iterable[str]) -> float:
-    """The terms of ``lanes`` added one by one in that order, so that a
-    plan's sum has the same bits however the terms were computed."""
+def sum_in_order(terms: Mapping[str, float], keys: Iterable[str]) -> float:
+    """The terms of ``keys`` added one by one in that order, so that a sum
+    (a plan's over its lanes, a route's over its links) has the same bits
+    however the terms were computed, and on any Python: 3.12's float
+    ``sum()`` is compensated."""
     total = 0.0
-    for lane_id in lanes:
-        total += terms[lane_id]
+    for key in keys:
+        total += terms[key]
     return total
 
 
@@ -93,15 +95,16 @@ class BoundaryController:
         i, h = self.key
         self.directions = ((i, h), (h, i))
         self.control = control
-        self.plans = list(net.plan_set(i, h))
         self.plan_lanes = net.plan_lanes[self.key]
-        self.targets = (0.0, 0.0)  # veh/s, forward and reverse
-        self.realized: tuple[list[float], list[float]] = ([], [])
         self.last_decision: BoundaryDecision | None = None
+        self.begin_macro(0.0, 0.0)
 
     def begin_macro(self, target_fwd: float, target_rev: float) -> None:
-        self.targets = (target_fwd, target_rev)
-        self.realized = ([], [])
+        self.targets = (target_fwd, target_rev)  # veh/s, forward and reverse
+        # the macro step's realized flows (veh/s), per direction added left
+        # to right as they come, and the micro steps recorded
+        self.realized = [0.0, 0.0]
+        self.steps = 0
 
     def plan_flows(
         self, obs: MicroObservation, arrivals: Mapping[str, float]
@@ -112,7 +115,7 @@ class BoundaryController:
         lanes = self.plan_lanes
         flows = lane_flows(lanes.all_crossing, obs, arrivals, self.net)
         dt = obs.dt_s
-        return [(_in_order(flows, f) / dt, _in_order(flows, r) / dt) for f, r in lanes.crossing]
+        return [(sum_in_order(flows, f) / dt, sum_in_order(flows, r) / dt) for f, r in lanes.crossing]
 
     def macro_flow_bounds(
         self, obs: MicroObservation, arrivals: Mapping[str, float]
@@ -132,11 +135,11 @@ class BoundaryController:
         sigma_abs when nothing more is expected)."""
         c = self.control
         u, dt = c.steps_per_macro, c.t_micro_s
-        k = len(self.realized[0]) + 1
+        k = self.steps + 1
         remaining = u - k + 1
         # the rate that would still meet the macro target, floored at zero
         expected = [
-            max((target * (u * dt) - sum(done) * dt) / (remaining * dt), 0.0)
+            max((target * (u * dt) - done * dt) / (remaining * dt), 0.0)
             for target, done in zip(self.targets, self.realized)
         ]
         ng = [obs.non_gating_crossings.get(d, 0.0) for d in self.directions]
@@ -159,7 +162,7 @@ class BoundaryController:
             time_s=obs.time_s,
             boundary="|".join(self.key),
             k=k,
-            plan=self.plans[index].id,
+            plan=self.plan_lanes.ids[index],
             fallback=bool(fallback),
             feasible_count=sum(r[0] == 0 for r in ranks),
             m_expected_fwd=expected[0],
@@ -169,14 +172,15 @@ class BoundaryController:
             ng_fwd=ng[0],
             ng_rev=ng[1],
         )
-        return self.plans[index].id
+        return self.plan_lanes.ids[index]
 
     def record_realized(self, obs: MicroObservation) -> None:
-        """Append the realized flows once the simulator finished the step
-        that ``control_step`` decided, and note them in its decision."""
+        """Add the realized flows once the simulator finished the step that
+        ``control_step`` decided, and note them in its decision."""
         d = self.last_decision
         d.realized_fwd, d.realized_rev = (
             obs.boundary_crossings.get(x, 0.0) for x in self.directions
         )
-        self.realized[0].append(d.realized_fwd)
-        self.realized[1].append(d.realized_rev)
+        self.realized[0] += d.realized_fwd
+        self.realized[1] += d.realized_rev
+        self.steps += 1

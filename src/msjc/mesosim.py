@@ -28,7 +28,7 @@ and a queued vehicle's next link is one its lane serves (``set_route``
 rejects any other route).
 
 One step runs from static tables built once per network
-(``Network.service_order``, ``region_of``, ``plan_green``) and per-lane
+(``Network.service_order``, ``region_of``, ``plan_lanes``) and per-lane
 discharge budgets built once per simulator.  Boundary control's projected
 arrivals are built on demand (``Simulator.arrivals``), not by a step.
 
@@ -38,13 +38,14 @@ produce an identical observation trace.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import GATING, NON_GATING, Network, Scenario
+from .netmodel import GATING, NON_GATING, Network, Scenario, ScenarioError
 from .netmodel import TravelTimes, shortest_paths_to
 
 
@@ -91,10 +92,35 @@ class MicroObservation:
         return sum(self.queues.values())
 
 
+# the most vehicles a demand scale may be expected to create over the
+# demand horizon; grid6 at scale 1.0 expects about 1,350
+MAX_EXPECTED_VEHICLES = 1e6
+
+
+def check_demand_scale(scenario: Scenario, scale: float) -> None:
+    """Raise ScenarioError, naming the scale and the count, unless ``scale``
+    is finite and > 0 and the expected vehicles over the demand horizon
+    (over ODs, the peak rate times the scale and the horizon) are at most
+    MAX_EXPECTED_VEHICLES."""
+    demand = scenario.demand
+    expected = math.fsum(
+        max((rate for _, rate in od.profile), default=0.0) * scale * demand.horizon_s
+        for od in demand.od
+    )
+    if not (0 < scale < math.inf and expected <= MAX_EXPECTED_VEHICLES):
+        raise ScenarioError(
+            f"demand scale {scale:g} expects {expected:.3g} vehicles over the demand "
+            f"horizon; it must be finite and > 0 and expect at most {MAX_EXPECTED_VEHICLES:g}"
+        )
+
+
 class Simulator:
     """Single-writer simulation state; ``advance`` is the only mutator."""
 
     def __init__(self, scenario: Scenario, seed: int, demand_scale: float = 1.0):
+        """Raises ScenarioError for a demand scale ``check_demand_scale``
+        rejects, before anything is allocated."""
+        check_demand_scale(scenario, demand_scale)
         self.scenario = scenario
         self.net: Network = scenario.network
         self.partition = scenario.partition
@@ -240,13 +266,10 @@ class Simulator:
         # lanes the activated plans turn green; a boundary without an
         # activated plan runs a fixed-cycle round robin
         green: set[str] = set()
-        for key, green_of in net.plan_green.items():
+        for key, lanes in net.plan_lanes.items():
             plan_id = plans.get(key)
-            if plan_id is None:
-                plan_list = net.plans[key]
-                green |= plan_list[self.step_count % len(plan_list)].green
-            else:
-                green |= green_of[plan_id]
+            index = self.step_count % len(lanes.ids) if plan_id is None else lanes.ids.index(plan_id)
+            green.update(lanes.green[index])
         self.step_count += 1
         self.time_s += dt
 

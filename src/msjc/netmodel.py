@@ -67,12 +67,6 @@ class Link:
 
 
 @dataclass(frozen=True)
-class MultiPhasePlan:
-    id: str
-    green: frozenset[str]  # union of the lanes its phases serve
-
-
-@dataclass(frozen=True)
 class RegionPartition:
     regions: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
@@ -128,10 +122,12 @@ class ControlConfig:
 
 
 class PlanLanes(NamedTuple):
-    """The lanes of one boundary's plans, for its key (i, h), in plan order
-    and each in lane id order: per plan, the lanes crossing i -> h and
-    h -> i and the lanes it turns green; then every lane of either kind."""
+    """One boundary's plans, for its key (i, h), in configured order: their
+    ids, and per plan, each in lane id order, the lanes crossing i -> h and
+    h -> i and the lanes it turns green (the union of its phases' lanes);
+    then every lane of either kind.  The one record of a boundary's plans."""
 
+    ids: tuple[str, ...]
     crossing: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     green: tuple[tuple[str, ...], ...]
     all_crossing: tuple[str, ...]
@@ -151,12 +147,12 @@ class Network:
         links: Mapping[str, Link],
         lanes: Mapping[str, Lane],
         node_kind: Mapping[str, str],
-        plans: Mapping[tuple[str, str], tuple[MultiPhasePlan, ...]],
+        plans: Mapping[tuple[str, str], Sequence[tuple[str, Iterable[str]]]],
     ):
+        """``plans``: per boundary key, (plan id, green lanes) in configured order."""
         self.links = dict(sorted(links.items()))
         self.lanes = dict(sorted(lanes.items()))
         self.node_kind = dict(sorted(node_kind.items()))  # intersection -> kind
-        self.plans = {k: tuple(v) for k, v in sorted(plans.items())}
 
         # Link successors via lane wiring (prunes movements the lanes forbid),
         # the lanes serving each (link, next link) move, link storage, and per
@@ -166,10 +162,9 @@ class Network:
         # ``link_index`` and each link's predecessor indices.  Static tables
         # of one simulator step: each link's region and free-flow time; the
         # queue service order (per link in id order: its region, the kind of
-        # its downstream node, None for a plain node, and its lanes); each
-        # boundary's plan id -> green lanes; the links, with their lanes,
-        # that feed a gating intersection; and per region its links in id
-        # order -> lane area (lanes times length).
+        # its downstream node, None for a plain node, and its lanes); the
+        # links, with their lanes, that feed a gating intersection; and per
+        # region its links in id order -> lane area (lanes times length).
         self._succ: dict[str, tuple[str, ...]] = {}
         self.link_ids = tuple(self.links)
         self.link_index = {l: k for k, l in enumerate(self.link_ids)}
@@ -209,9 +204,6 @@ class Network:
         self.travel_time_terms = tuple(travel_time_terms)
         self.service_order = tuple(service_order)
         self.gating_approaches = tuple(gating_approaches)
-        self.plan_green = {
-            key: {p.id: p.green for p in plan_list} for key, plan_list in self.plans.items()
-        }
 
         preds: list[list[int]] = [[] for _ in self.link_ids]
         for k, link_id in enumerate(self.link_ids):
@@ -232,9 +224,10 @@ class Network:
                     for out in self.lanes[l].output_lanes
                 }
         self.plan_lanes: dict[tuple[str, str], PlanLanes] = {}
-        for key, plan_list in self.plans.items():
+        for key, plan_list in sorted(plans.items()):
             rev = (key[1], key[0])
-            green = [tuple(sorted(plan.green)) for plan in plan_list]
+            ids = tuple(plan_id for plan_id, _ in plan_list)
+            green = [tuple(sorted(lanes)) for _, lanes in plan_list]
             crossing = [
                 (
                     tuple(l for l in lanes if key in crosses[l]),
@@ -244,13 +237,10 @@ class Network:
             ]
             all_green = tuple(sorted(set().union(*green)))
             all_crossing = tuple(l for l in all_green if key in crosses[l] or rev in crosses[l])
-            self.plan_lanes[key] = PlanLanes(tuple(crossing), tuple(green), all_crossing, all_green)
+            self.plan_lanes[key] = PlanLanes(ids, tuple(crossing), tuple(green), all_crossing, all_green)
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]
-
-    def plan_set(self, i: str, h: str) -> tuple[MultiPhasePlan, ...]:
-        return self.plans[boundary_key(i, h)]
 
 
 @dataclass(frozen=True)
@@ -555,7 +545,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                             f"{boundary} but carries a {key} movement"
                         )
 
-    plans: dict[tuple[str, str], list[MultiPhasePlan]] = {}
+    plans: dict[tuple[str, str], list[tuple[str, frozenset[str]]]] = {}
     plans_raw = top["plans"]
     for pair_raw in _ids(plans_raw, "scenario", "plans"):
         i, _, h = pair_raw.partition("|")
@@ -574,7 +564,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                     f"{ctx}: must assign exactly one phase to each gating "
                     f"intersection {nodes}, got {sorted(phase_map)}"
                 )
-            if any(p.id == spec["id"] for p in plans.get(key, ())):
+            if any(plan_id == spec["id"] for plan_id, _ in plans.get(key, ())):
                 raise ScenarioError(f"boundary {key}: duplicate plan id '{spec['id']}'")
             green = frozenset()
             for node_id in nodes:
@@ -584,7 +574,7 @@ def scenario_from_dict(raw: Mapping, name: str = "scenario") -> Scenario:
                         f"{ctx}: phases: intersection {node_id} has no phase '{phase_id}'"
                     )
                 green |= node_phases[node_id][phase_id]
-            plans.setdefault(key, []).append(MultiPhasePlan(spec["id"], green))
+            plans.setdefault(key, []).append((spec["id"], green))
 
     for key in partition.boundary_keys():
         if not gating_nodes.get(key):

@@ -24,11 +24,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jointctl, mfd as mfdmod, routectl
-from .baselines import PiController, bp_control, logit_choice, pi_target, route_travel_time
+from .baselines import bp_control, logit_choice, pi_target, route_travel_time
 from .boundaryctl import BoundaryController, BoundaryDecision
 from .jointctl import ControlBounds, ControlSolution
 from .macrodyn import MacroState
-from .mesosim import MicroObservation, Simulator
+from .mesosim import MicroObservation, Simulator, check_demand_scale
 from .mfd import MfdFitError, MfdModel, MfdSample
 from .netmodel import Scenario, ScenarioError, boundary_key
 
@@ -153,17 +153,14 @@ class Strategy:
         self.upper = upper
         self.route_rule = route_rule
         self.macro = MacroRecord()
-        control = scenario.control
         self.controllers = {
-            key: BoundaryController(self.net, key, control)
+            key: BoundaryController(self.net, key, scenario.control)
             for key in scenario.partition.boundary_keys()
             if upper is not None
         }
-        self.pi = {
-            (i, h): PiController(kp=control.pi_kp, ki=control.pi_ki, setpoint=model.critical(h))
-            for i, h in scenario.partition.ordered_boundaries()
-            if upper == "pi"
-        }
+        # PI gating's state per ordered boundary (i, h): its last target and
+        # h's accumulation then; emptied by an inactive macro step
+        self.pi_state: dict[tuple[str, str], tuple[float, float]] = {}
         # begin_macro's projection and route tables, until the first micro
         # step's plans and routes
         self._arrivals: dict[str, float] | None = None
@@ -172,8 +169,7 @@ class Strategy:
     def begin_macro(self, ctx: MacroContext) -> None:
         self.macro = MacroRecord()
         if not ctx.active:
-            for pi in self.pi.values():
-                pi.deactivate()
+            self.pi_state.clear()
             return
         if self.upper is None:
             return
@@ -201,13 +197,18 @@ class Strategy:
         return dict(self.macro.solution.m)
 
     def _pi_targets(self, ctx: MacroContext) -> dict[tuple[str, str], float]:
+        """One PI step per ordered boundary.  The first step of a run or after
+        an inactive macro step starts from the flow realized in the macro
+        step before and the accumulation now."""
+        c = self.scenario.control
         targets = {}
-        for (i, h), pi in sorted(self.pi.items()):
+        for i, h in sorted(self.scenario.partition.ordered_boundaries()):
             n_h = ctx.state.accumulation(h)
-            if pi.n_prev is None:
-                pi.reset(ctx.realized_prev.get((i, h), 0.0), n_h)
+            m_prev, n_prev = self.pi_state.get((i, h), (ctx.realized_prev.get((i, h), 0.0), n_h))
             lo, hi = self.macro.envelopes[(i, h)]
-            targets[(i, h)] = pi_target(pi, n_h, lo, hi)
+            m = pi_target(m_prev, n_prev, n_h, self.model.critical(h), c.pi_kp, c.pi_ki, lo, hi)
+            targets[(i, h)] = m
+            self.pi_state[(i, h)] = (m, n_h)
         return targets
 
     def plans(self, obs: MicroObservation) -> dict[tuple[str, str], str]:
@@ -581,9 +582,12 @@ def calibrate(
     per aggregation window and fits the per-region cubics.  Raises
     MfdFitError for a demand level that is not finite and > 0, for a window
     that is not a positive whole number of micro steps, and when the samples
-    cannot be fitted."""
+    cannot be fitted, and ScenarioError, before the sweep, for a level that
+    expects too many vehicles (``mesosim.check_demand_scale``)."""
     if not all(0 < level < math.inf for level in levels):
         raise MfdFitError(f"calibration levels must be > 0 and finite, got {list(levels)}")
+    for level in levels:
+        check_demand_scale(scenario, level)
     if len(levels) < 2:
         logger.warning("calibration with %d demand level(s): narrow accumulation range", len(levels))
     control = scenario.control

@@ -37,7 +37,7 @@ import heapq
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ from msjc.jointctl import BKey, TKey
 from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import MicroObservation, Simulator
 from msjc.netmodel import (
-    MultiPhasePlan,
     Network,
     TravelTimes,
     boundary_key,
@@ -495,13 +494,14 @@ def reference_arrivals(sim: Simulator) -> dict[str, float]:
 
 @dataclass
 class BoundaryTracker:
-    """Per ordered boundary (i, h): macro target and realized history."""
+    """Per ordered boundary (i, h): macro target and the flow realized so
+    far, added left to right."""
 
     boundary: tuple[str, str]
     target_veh_s: float = 0.0
     u: int = 10
     k: int = 1
-    observed: list[float] = field(default_factory=list)
+    observed_veh_s: float = 0.0
     ng_rate: float = 0.0
     sigma: float = 0.1
     sigma_abs: float = 0.05
@@ -511,26 +511,26 @@ class BoundaryTracker:
     def begin_macro(self, target_veh_s: float) -> None:
         self.target_veh_s = target_veh_s
         self.k = 1
-        self.observed = []
+        self.observed_veh_s = 0.0
         self.floored = False
 
     def record(self, realized_veh_s: float, ng_veh_s: float) -> None:
-        self.observed.append(realized_veh_s)
+        self.observed_veh_s += realized_veh_s
         self.ng_rate = ng_veh_s
         self.k += 1
 
 
 def plan_flow(
-    plan: MultiPhasePlan,
+    green: Collection[str],
     obs: MicroObservation,
     arrivals: Mapping[str, float],
     net: Network,
     direction: tuple[str, str],
 ) -> float:
-    """A plan's estimated flow (veh/s) across ``direction`` as first
-    written, every lane term computed for this plan alone: per served
-    crossing lane, min(arrivals, saturation, downstream space), divided by
-    the step length.  A served lane crosses i -> h when it lies in i and one
+    """The estimated flow (veh/s) across ``direction`` of a plan that turns
+    ``green`` green, as first written, every lane term computed for this
+    plan alone: per served crossing lane, min(arrivals, saturation,
+    downstream space), divided by the step length.  A served lane crosses i -> h when it lies in i and one
     of its output lanes in h."""
     i, h = direction
 
@@ -538,7 +538,7 @@ def plan_flow(
         return net.links[net.lanes[lane_id].link].region
 
     total = 0.0
-    for lane_id in sorted(plan.green):
+    for lane_id in sorted(green):
         lane = net.lanes[lane_id]
         if region(lane_id) != i or all(region(out) != h for out in lane.output_lanes):
             continue
@@ -555,12 +555,12 @@ def plan_flow(
     return total / obs.dt_s
 
 
-def plan_weight(plan: MultiPhasePlan, obs: MicroObservation, net: Network) -> float:
-    """A plan's backpressure weight as first written: over the lanes it
-    turns green, in id order, served queue minus mean downstream queue,
-    scaled by each lane's saturation flow."""
+def plan_weight(green: Collection[str], obs: MicroObservation, net: Network) -> float:
+    """The backpressure weight of a plan that turns ``green`` green, as
+    first written: over those lanes in id order, served queue minus mean
+    downstream queue, scaled by each lane's saturation flow."""
     w = 0.0
-    for lane_id in sorted(plan.green):
+    for lane_id in sorted(green):
         lane = net.lanes[lane_id]
         q_l = obs.queues.get(lane_id, 0)
         if lane.output_lanes:
@@ -576,7 +576,7 @@ def plan_weight(plan: MultiPhasePlan, obs: MicroObservation, net: Network) -> fl
 def expected_rate(tracker: BoundaryTracker) -> float:
     """Remaining per-step flow budget (veh/s), floored at zero."""
     t_macro = tracker.u * tracker.t_micro_s
-    done = sum(tracker.observed) * tracker.t_micro_s
+    done = tracker.observed_veh_s * tracker.t_micro_s
     remaining_steps = tracker.u - tracker.k + 1
     rate = (tracker.target_veh_s * t_macro - done) / (remaining_steps * tracker.t_micro_s)
     if rate < 0.0:
@@ -674,8 +674,9 @@ class ReferenceController:
         self.rev = BoundaryTracker(
             boundary=(h, i), u=u, sigma=sigma, sigma_abs=sigma_abs, t_micro_s=t_micro_s
         )
-        self.plans = list(net.plan_set(i, h))
-        self.plan_order = [p.id for p in self.plans]
+        lanes = net.plan_lanes[self.key]
+        self.green = dict(zip(lanes.ids, lanes.green))  # plan id -> green lanes
+        self.plan_order = list(lanes.ids)
         self.last_decision: BoundaryDecision | None = None
 
     def begin_macro(self, target_fwd: float, target_rev: float) -> None:
@@ -687,8 +688,8 @@ class ReferenceController:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """(min, max) start-of-macro-step flow envelope for both directions."""
         i, h = self.key
-        est_fwd = {p.id: plan_flow(p, obs, arrivals, self.net, (i, h)) for p in self.plans}
-        est_rev = {p.id: plan_flow(p, obs, arrivals, self.net, (h, i)) for p in self.plans}
+        est_fwd = {p: plan_flow(g, obs, arrivals, self.net, (i, h)) for p, g in self.green.items()}
+        est_rev = {p: plan_flow(g, obs, arrivals, self.net, (h, i)) for p, g in self.green.items()}
         ng_fwd = obs.non_gating_crossings.get((i, h), 0.0)
         ng_rev = obs.non_gating_crossings.get((h, i), 0.0)
         return flow_bounds(est_fwd, ng_fwd), flow_bounds(est_rev, ng_rev)
@@ -702,14 +703,14 @@ class ReferenceController:
         m_fwd = expected_rate(self.fwd)
         m_rev = expected_rate(self.rev)
         estimates = {
-            p.id: (
-                plan_flow(p, obs, arrivals, self.net, (i, h)),
-                plan_flow(p, obs, arrivals, self.net, (h, i)),
+            p: (
+                plan_flow(g, obs, arrivals, self.net, (i, h)),
+                plan_flow(g, obs, arrivals, self.net, (h, i)),
             )
-            for p in self.plans
+            for p, g in self.green.items()
         }
         feasible = feasible_plans(self.fwd, self.rev, estimates, self.plan_order)
-        weights = {p.id: plan_weight(p, obs, self.net) for p in self.plans}
+        weights = {p: plan_weight(g, obs, self.net) for p, g in self.green.items()}
         deviations = {
             pid: _relative_deviation(est[0] + self.fwd.ng_rate, m_fwd, self.fwd)
             + _relative_deviation(est[1] + self.rev.ng_rate, m_rev, self.rev)

@@ -24,11 +24,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from msjc import fixtures, runner  # noqa: E402
+from msjc import fixtures, routectl, runner  # noqa: E402
 
 TABLE = Path(__file__).with_name("goldens.json")
 # the run behind test_results_do_not_depend_on_blas_threads
 GRID6_MSJC_CAPPED = "grid6 msjc seed 0 cap 1300"
+# the grid6 msjc window whose route-choice counters
+# test_perfbench_hooks.py checks against perfbench's
+GRID6_MSJC_WINDOW = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
 
 
 def digest(path: Path) -> str:
@@ -57,6 +60,31 @@ def decision_counts(out_dir: Path) -> list[int]:
         sum(r["fallback"] == "1" for r in rows),
         sum(int(r["feasible_count"]) for r in rows),
     ]
+
+
+def route_counters() -> dict:
+    """On GRID6_MSJC_WINDOW: the route-choice solves, their BVLS iterations
+    and the vehicles handed to route generation, counted by wrapping the
+    two ``routectl`` functions for the one run."""
+    counts = {"solves": 0, "iterations": 0, "vehicles": 0}
+    solve, generate = routectl.solve_probabilities, routectl.generate_routes
+
+    def counted_solve(*args):
+        out = solve(*args)
+        counts["solves"] += 1
+        counts["iterations"] += out.iterations
+        return out
+
+    def counted_generate(*args):
+        counts["vehicles"] += len(args[0])
+        return generate(*args)
+
+    routectl.solve_probabilities, routectl.generate_routes = counted_solve, counted_generate
+    try:
+        runner.run(fixtures.grid6(), GRID6_MSJC_WINDOW)
+    finally:
+        routectl.solve_probabilities, routectl.generate_routes = solve, generate
+    return counts
 
 
 def regenerate(tmp: Path) -> dict:
@@ -99,6 +127,7 @@ def regenerate(tmp: Path) -> dict:
 
     m = runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0, cap_s=1300.0))
     heads[GRID6_MSJC_CAPPED] = headline(m)
+    table["GRID6_MSJC_ROUTE_COUNTERS"] = route_counters()
 
     model = runner.calibrate(fixtures.grid6(), seed=0)
     table["GRID6_CALIBRATED"] = {

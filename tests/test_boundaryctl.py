@@ -45,10 +45,9 @@ def lane_controller(monkeypatch):
         crossing, flows, weights=None, targets=(0.0, 0.0), history=(), control=ControlConfig()
     ):
         weights = weights or {}
-        plans = tuple(SimpleNamespace(id=pid) for pid in crossing)
         every = tuple(sorted({l for pair in crossing.values() for lanes in pair for l in lanes}))
-        lanes = PlanLanes(tuple(crossing.values()), ((),) * len(plans), every, ())
-        net = SimpleNamespace(plan_set=lambda i, h: plans, plan_lanes={FWD: lanes})
+        lanes = PlanLanes(tuple(crossing), tuple(crossing.values()), ((),) * len(crossing), every, ())
+        net = SimpleNamespace(plan_lanes={FWD: lanes})
         monkeypatch.setattr(
             boundaryctl,
             "lane_flows",
@@ -125,6 +124,19 @@ class TestExpectedRate:
             assert bc.last_decision.k == k
             assert rate == pytest.approx(0.5)
             bc.record_realized(mkobs(crossings={FWD: rate}))
+
+    def test_realized_flow_adds_left_to_right(self, table_controller):
+        # 20 steps of 10 s; ten realized at 0.1 veh/s add to
+        # 0.9999999999999999 left to right, where Python 3.12's compensated
+        # sum() gives 1.0 and so nothing more expected (a zero-rate band)
+        control = ControlConfig(t_macro_s=200.0)
+        bc = table_controller(
+            {"only": (0.0, 0.0)}, targets=(0.05, 0.0), history=[(0.1, 0.0)] * 10, control=control
+        )
+        assert bc.realized == [0.9999999999999999, 0.0]
+        bc.control_step(mkobs(), {})
+        assert bc.last_decision.k == 11
+        assert bc.last_decision.m_expected_fwd == (10.0 - 9.999999999999998) / 100.0 > 0.0
 
     def test_overshoot_floors_at_zero(self, table_controller):
         # (10 - 12) / 80 < 0: nothing more is expected this macro step
@@ -210,21 +222,17 @@ class TestFlowBounds:
         assert bc.macro_flow_bounds(mkobs(), {}) == ((0.0, 0.0), (0.0, 0.0))
 
 
-def plan_named(net, plan_id):
-    return {p.id: p for p in net.plan_set("R1", "R2")}[plan_id]
-
-
 def flow_of(net, plan_id, obs, arrivals, direction=FWD):
     """The controller's estimated flow of one plan across ``direction``."""
     bc = BoundaryController(net, FWD, ControlConfig())
-    index = [p.id for p in bc.plans].index(plan_id)
+    index = bc.plan_lanes.ids.index(plan_id)
     return bc.plan_flows(obs, arrivals)[index][bc.directions.index(direction)]
 
 
 def weight_of(net, plan_id, obs):
     """A plan's backpressure weight among its boundary's plans."""
-    index = [p.id for p in net.plan_set(*FWD)].index(plan_id)
-    return plan_weights(net.plan_lanes[FWD], obs, net)[index]
+    lanes = net.plan_lanes[FWD]
+    return plan_weights(lanes, obs, net)[lanes.ids.index(plan_id)]
 
 
 class TestPlanFlow:
@@ -265,18 +273,18 @@ class TestPlanFlow:
         net = two_gate.network
         rng = np.random.default_rng(11)
         bc = BoundaryController(net, FWD, ControlConfig())
-        shared = Counter(l for pair in net.plan_lanes[FWD].crossing for ls in pair for l in ls)
+        lanes = net.plan_lanes[FWD]
+        shared = Counter(l for pair in lanes.crossing for ls in pair for l in ls)
         assert max(shared.values()) > 1
         for _ in range(50):
             queues = {l: int(rng.integers(0, 12)) for l in net.lanes}
             arrivals = {l: float(rng.uniform(0, 6)) for l in net.lanes}
             obs = mkobs(queues=queues)
             assert bc.plan_flows(obs, arrivals) == [
-                tuple(plan_flow(p, obs, arrivals, net, d) for d in bc.directions) for p in bc.plans
+                tuple(plan_flow(g, obs, arrivals, net, d) for d in bc.directions)
+                for g in lanes.green
             ]
-            assert plan_weights(net.plan_lanes[FWD], obs, net) == [
-                plan_weight(p, obs, net) for p in bc.plans
-            ]
+            assert plan_weights(lanes, obs, net) == [plan_weight(g, obs, net) for g in lanes.green]
 
 
 class TestPressure:
@@ -302,9 +310,8 @@ class TestPressure:
     def test_plan_weight_counts_both_gating_nodes(self, two_gate):
         net = two_gate.network
         obs = mkobs(queues={"A_0": 5, "C_0": 4, "Rv_0": 3, "Sv_0": 2, "D_0": 1})
-        plans = net.plan_set("R1", "R2")
-        weights = plan_weights(net.plan_lanes[FWD], obs, net)
-        assert dict(zip((p.id for p in plans), weights)) == pytest.approx(
+        lanes = net.plan_lanes[FWD]
+        assert dict(zip(lanes.ids, plan_weights(lanes, obs, net))) == pytest.approx(
             {"fwd": (5 + 4 - 1) * 0.3, "mixed": (5 + 2) * 0.3, "rev": (3 + 2) * 0.3}
         )
 

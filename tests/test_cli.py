@@ -265,6 +265,24 @@ def test_out_of_range_input_is_a_usage_error(argv, needle, tmp_path, capsys):
     assert not out.exists()
 
 
+# A demand scale that expects more vehicles than MAX_EXPECTED_VEHICLES once
+# ended in numpy's "lam value too large" traceback; calibrate's only after
+# the sweep's lower levels.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--strategy", "bp", "--demand-scale", "1e300"],
+        ["calibrate", "--levels", "0.5", "1e300"],
+    ],
+)
+def test_a_demand_scale_expecting_too_many_vehicles_is_one_line_and_exit_2(argv, tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--scenario", str(scenario), "--out", str(out)]) == 2
+    _one_error_line(capsys, "demand scale 1e+300 expects", "vehicles over the demand horizon")
+    assert not out.exists()
+
+
 # Each of these once ended in an OSError traceback; calibrate's only after
 # its whole sweep, which now never starts.
 @pytest.mark.parametrize(

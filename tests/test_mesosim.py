@@ -1,10 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from msjc import fixtures, routectl
 from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
-from msjc.netmodel import GATING, TravelTimes, scenario_from_dict, shortest_paths_to
+from msjc.netmodel import GATING, ScenarioError, TravelTimes, scenario_from_dict, shortest_paths_to
 from conftest import make_single_gate, make_two_gate, single_gate_document
 from oracles import reference_arrivals
 
@@ -191,7 +194,7 @@ class TestAdvance:
         sc = fixtures.corridor2(horizon_s=400.0, east_rate=0.5, west_rate=0.3)
         sim = Simulator(sc, seed=7)
         rng = np.random.default_rng(0)
-        plan_ids = [p.id for p in sc.network.plan_set("R1", "R2")]
+        plan_ids = sc.network.plan_lanes[("R1", "R2")].ids
         for k in range(80):
             sim.inject_demand()
             before = {
@@ -473,3 +476,12 @@ class TestTravelTimeSnapshot:
             sim.advance({})
         # empty steps at the start, and again once the first queues cleared
         assert any(b - a > 1 for a, b in zip(empty_steps, empty_steps[1:]))
+
+
+# Each once ended in numpy's "lam value too large" from the first demand
+# draw.  grid6 expects 1,350 vehicles over its demand horizon at scale 1.0.
+@pytest.mark.parametrize("scale, count", [(1e300, "1.35e+303"), (math.nan, "nan")])
+def test_a_demand_scale_out_of_bounds_is_refused_before_any_step(scale, count):
+    message = f"demand scale {scale:g} expects {count} vehicles over the demand horizon"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        Simulator(fixtures.grid6(), seed=0, demand_scale=scale)

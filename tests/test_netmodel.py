@@ -119,7 +119,7 @@ def test_grid6_partitions_six_symmetric_regions():
             assert r in sc.partition.adjacency[h]
     # every boundary pair carries at least one plan
     for i, h in sc.partition.ordered_boundaries():
-        assert sc.network.plan_set(i, h)
+        assert sc.network.plan_lanes[boundary_key(i, h)].ids
 
 
 def test_every_lane_outputs_onto_downstream_links():
@@ -304,17 +304,17 @@ class TestNextRegion:
 
 class TestTwoGatingNodes:
     def test_green_is_the_union_of_both_nodes_phases(self, two_gate):
-        plans = two_gate.network.plan_set("R1", "R2")
-        assert {p.id: p.green for p in plans} == {
-            "fwd": {"A_0", "C_0"},
-            "mixed": {"A_0", "Sv_0"},
-            "rev": {"Rv_0", "Sv_0"},
+        lanes = two_gate.network.plan_lanes[("R1", "R2")]
+        assert dict(zip(lanes.ids, lanes.green)) == {
+            "fwd": ("A_0", "C_0"),
+            "mixed": ("A_0", "Sv_0"),
+            "rev": ("Rv_0", "Sv_0"),
         }
 
     def test_crossing_lanes_count_both_nodes(self, two_gate):
         net = two_gate.network
         lanes = net.plan_lanes[("R1", "R2")]
-        assert dict(zip((p.id for p in net.plan_set("R1", "R2")), lanes.crossing)) == {
+        assert dict(zip(lanes.ids, lanes.crossing)) == {
             "fwd": (("A_0", "C_0"), ()),
             "mixed": (("A_0",), ("Sv_0",)),
             "rev": ((), ("Rv_0", "Sv_0")),

@@ -9,20 +9,28 @@ corridor2 runs and checks the boundary fallback counter against the runs'
 own ``boundary.csv``, and that injection and rerouting still reach the
 route search through the names the timers wrap.  The third checks msjc's
 solve counters against what the solves themselves returned and against the
-run's ``joint.csv``.  The fourth pins the route-choice counters on a grid6
-msjc window and the call shapes they read.  The last runs corridor2 under
+run's ``joint.csv``.  The fourth checks the route-choice counters on a grid6
+msjc window against the solves they wrap and the pins of
+``tests/goldens.json``, and the call shapes they read.  The last runs corridor2 under
 the hooks of an untraced run (``workloads.Watch``), once per strategy, and
 checks their step times and travel time against the run's own.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
 
 from msjc import fixtures, routectl, runner
 
+from regen_goldens import GRID6_MSJC_WINDOW
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# pinned by tests/regen_goldens.py
+ROUTE_COUNTERS = json.loads(Path(__file__).with_name("goldens.json").read_text())[
+    "GRID6_MSJC_ROUTE_COUNTERS"
+]
 
 
 class CheckingTracer:
@@ -109,12 +117,13 @@ def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
     # argument as the vehicles with a choice (``_count_route_choice``) and
     # generate_routes' first as every vehicle (``_count_vehicles``); on one
     # grid6 msjc window their values are the ones the per-vehicle candidate
-    # sets gave
+    # sets gave: two free variables per choice vehicle, and the pinned
+    # counts
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
     from layers import Tracer
 
-    seen = {"solves": 0, "vehicles": 0}
+    seen = {"solves": 0, "choice_vehicles": 0, "vehicles": 0}
     solve_probabilities, generate_routes = routectl.solve_probabilities, routectl.generate_routes
 
     def solve_checked(*args):
@@ -123,6 +132,7 @@ def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
         assert all(len(vr.routes) == 2 for vr in choices)
         assert [vr.vid for vr in choices] == sorted(vr.vid for vr in choices)
         seen["solves"] += 1
+        seen["choice_vehicles"] += len(choices)
         return solve_probabilities(*args)
 
     def generate_checked(*args):
@@ -140,13 +150,13 @@ def test_msjc_route_counters_read_what_they_did_before(monkeypatch):
     monkeypatch.setattr(routectl, "generate_routes", generate_checked)
     with Tracer() as tracer:
         workloads.bind_layers(tracer)
-        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
-        runner.run(fixtures.grid6(), config)
+        runner.run(fixtures.grid6(), GRID6_MSJC_WINDOW)
     metrics = workloads.layer_metrics(tracer.layers)
-    assert metrics["routectl.solve_probabilities.calls"] == seen["solves"] == 60
-    assert metrics["routectl.solve_probabilities.free_variables"] == 134
-    assert metrics["routectl.solve_probabilities.iterations"] == 8
-    assert metrics["routectl.generate_routes.vehicles"] == seen["vehicles"] == 1824
+    pins = ROUTE_COUNTERS
+    assert metrics["routectl.solve_probabilities.calls"] == seen["solves"] == pins["solves"]
+    assert metrics["routectl.solve_probabilities.free_variables"] == 2 * seen["choice_vehicles"]
+    assert metrics["routectl.solve_probabilities.iterations"] == pins["iterations"]
+    assert metrics["routectl.generate_routes.vehicles"] == seen["vehicles"] == pins["vehicles"]
 
 
 @pytest.mark.parametrize("strategy", runner.STRATEGIES)

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import math
 import os
@@ -11,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msjc import fixtures, mesosim, runner
+from msjc import baselines, fixtures, mesosim, runner
+from msjc.macrodyn import MacroState
 from msjc.mfd import MfdFitError
+from msjc.netmodel import ScenarioError
 
 from oracles import reference_logit_routes
+from regen_goldens import boundary_rows, decision_counts, digest, headline
 
 # Every pinned result, in one table that tests/regen_goldens.py regenerates.
 #
@@ -36,6 +38,10 @@ from oracles import reference_logit_routes
 # BOUNDARY_DECISIONS: a run's boundary.csv at seed 0 as (decisions,
 #   fallbacks, sum of feasible_count), and GRID6_MSPC_PLANS grid6 mspc's
 #   count of each plan chosen.  They pin the boundary controller's choice.
+# GRID6_MSJC_ROUTE_COUNTERS: on grid6 msjc seed 0 from 800 to 900 s, the
+#   route-choice solves, their BVLS iterations and the vehicles handed to
+#   route generation; test_perfbench_hooks.py checks perfbench's counters
+#   against them.
 # CORRIDOR2_COMPARE_FILES: SHA-256 of the files compare writes beside the
 #   runs' own directories.
 # GRID6_CALIBRATED: grid6's calibrated MFD at seed 0, default demand levels
@@ -43,7 +49,7 @@ from oracles import reference_logit_routes
 #   LAPACK least-squares solve, so the last digits may depend on the BLAS
 #   build.
 GOLDENS = json.loads(Path(__file__).with_name("goldens.json").read_text())
-HEADLINES = {run: tuple(head) for run, head in GOLDENS["HEADLINES"].items()}
+HEADLINES = GOLDENS["HEADLINES"]
 
 
 def assert_grid6_calibrated(model) -> None:
@@ -83,40 +89,13 @@ CSV_HEADERS = {
 }
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _boundary_rows(out_dir) -> list[dict]:
-    with open(out_dir / "boundary.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _decision_counts(rows: list[dict]) -> tuple[int, int, int]:
-    return (
-        len(rows),
-        sum(r["fallback"] == "1" for r in rows),
-        sum(int(r["feasible_count"]) for r in rows),
-    )
-
-
-def _headline(m: runner.RunMetrics) -> tuple:
-    return (
-        m.total_travel_time_veh_s,
-        m.throughput_veh,
-        m.injected_veh,
-        m.clearance_time_s,
-        m.truncated,
-    )
-
-
 @pytest.mark.parametrize("strategy", runner.STRATEGIES)
 def test_golden_corridor2(strategy):
     scenario = fixtures.corridor2()
     m = runner.run(scenario, runner.RunConfig(strategy=strategy, seed=0))
-    assert _headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
+    assert headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
     again = runner.run(scenario, runner.RunConfig(strategy=strategy, seed=0))
-    assert _headline(again) == _headline(m)
+    assert headline(again) == headline(m)
 
 
 @pytest.mark.parametrize("strategy", runner.STRATEGIES)
@@ -124,18 +103,18 @@ def test_golden_grid6(strategy, tmp_path):
     m = runner.run(
         fixtures.grid6(), runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path)
     )
-    assert _headline(m) == HEADLINES[f"grid6 {strategy} seed 0"]
-    for name, digest in GOLDENS["GRID6_STEP_LOGS"][strategy].items():
-        assert _digest(tmp_path / name) == digest, name
+    assert headline(m) == HEADLINES[f"grid6 {strategy} seed 0"]
+    for name, expected in GOLDENS["GRID6_STEP_LOGS"][strategy].items():
+        assert digest(tmp_path / name) == expected, name
     if strategy == "msjc":
-        for name, digest in GOLDENS["GRID6_MSJC_LOGS"].items():
-            assert _digest(tmp_path / name) == digest, name
+        for name, expected in GOLDENS["GRID6_MSJC_LOGS"].items():
+            assert digest(tmp_path / name) == expected, name
     if strategy in GOLDENS["GRID6_BOUNDARY_LOGS"]:
-        assert _digest(tmp_path / "boundary.csv") == GOLDENS["GRID6_BOUNDARY_LOGS"][strategy]
+        assert digest(tmp_path / "boundary.csv") == GOLDENS["GRID6_BOUNDARY_LOGS"][strategy]
     if strategy == "mspc":
-        rows = _boundary_rows(tmp_path)
-        assert list(_decision_counts(rows)) == GOLDENS["BOUNDARY_DECISIONS"]["grid6 mspc"]
-        assert Counter(r["plan"] for r in rows) == GOLDENS["GRID6_MSPC_PLANS"]
+        assert decision_counts(tmp_path) == GOLDENS["BOUNDARY_DECISIONS"]["grid6 mspc"]
+        plans = Counter(r["plan"] for r in boundary_rows(tmp_path))
+        assert plans == GOLDENS["GRID6_MSPC_PLANS"]
 
 
 @pytest.mark.parametrize("strategy", ["msjc", "mspc"])
@@ -144,16 +123,15 @@ def test_golden_corridor2_boundary_decisions(strategy, tmp_path):
         fixtures.corridor2(),
         runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path),
     )
-    rows = _boundary_rows(tmp_path)
-    assert list(_decision_counts(rows)) == GOLDENS["BOUNDARY_DECISIONS"][f"corridor2 {strategy}"]
+    assert decision_counts(tmp_path) == GOLDENS["BOUNDARY_DECISIONS"][f"corridor2 {strategy}"]
 
 
 def test_golden_corridor2_compare(tmp_path):
     runs = runner.compare(fixtures.corridor2(), tuple(runner.STRATEGIES), (0, 1), out_dir=tmp_path)
     for m in runs:
-        assert _headline(m) == HEADLINES[f"corridor2 {m.strategy} seed {m.seed}"]
-    for name, digest in GOLDENS["CORRIDOR2_COMPARE_FILES"].items():
-        assert _digest(tmp_path / name) == digest, name
+        assert headline(m) == HEADLINES[f"corridor2 {m.strategy} seed {m.seed}"]
+    for name, expected in GOLDENS["CORRIDOR2_COMPARE_FILES"].items():
+        assert digest(tmp_path / name) == expected, name
 
 
 def test_a_cell_is_written_by_its_value():
@@ -190,6 +168,15 @@ def test_calibration_level_not_above_zero_rejected(levels):
         runner.calibrate(fixtures.corridor2(), levels=levels)
 
 
+def test_calibration_checks_every_level_before_the_sweep(monkeypatch):
+    # sorted, 0.5 would be swept first; 1e300 expects too many vehicles
+    built = []
+    monkeypatch.setattr(runner, "Simulator", lambda *args, **kwargs: built.append(kwargs))
+    with pytest.raises(ScenarioError, match=r"demand scale 1e\+300 expects 1\.35e\+303 vehicles"):
+        runner.calibrate(fixtures.grid6(), levels=(0.5, 1e300))
+    assert built == []
+
+
 def test_calibration_whose_flow_dips_below_zero_rejected():
     # at 1% demand corridor2's R2 fits b1 = -0.0756 veh/s per veh: negative
     # completion flow near N = 0
@@ -208,7 +195,7 @@ def test_golden_corridor2_writes_every_log(strategy, tmp_path):
         fixtures.corridor2(),
         runner.RunConfig(strategy=strategy, seed=0, out_dir=tmp_path),
     )
-    assert _headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
+    assert headline(m) == HEADLINES[f"corridor2 {strategy} seed 0"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         list(CSV_HEADERS) + ["manifest.json"]
     )
@@ -233,7 +220,7 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     monkeypatch.setattr(runner.routectl, "generate_routes", counted_generate)
     monkeypatch.setattr(runner.Strategy, "routes", counted_routes)
     metrics = runner.run(fixtures.corridor2(), runner.RunConfig("msjc", seed=0))
-    assert _headline(metrics) == HEADLINES["corridor2 msjc seed 0"]
+    assert headline(metrics) == HEADLINES["corridor2 msjc seed 0"]
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
 
 
@@ -424,7 +411,7 @@ def test_tracked_strategies_project_arrivals_once_per_active_step(
     assert "0" in active.values() and m.first_activation_s == scenario.demand.warmup_s
     # every boundary decides in every active micro step; count one of them
     one = "|".join(scenario.partition.boundary_keys()[0])
-    rows = [r for r in _boundary_rows(tmp_path) if r["boundary"] == one]
+    rows = [r for r in boundary_rows(tmp_path) if r["boundary"] == one]
     micro = Counter(float(r["time_s"]) for r in rows)
     macro = Counter(float(r["time_s"]) for r in rows if r["k"] == "1")
     assert len(macro) == list(active.values()).count("1")
@@ -432,6 +419,47 @@ def test_tracked_strategies_project_arrivals_once_per_active_step(
     assert min(calls) == scenario.demand.warmup_s
     assert bool(routed) == (strategy != "mspc")
     assert all(t not in calls[n:] for t, n in routed)
+
+
+def test_pi_gating_restarts_after_an_inactive_macro_step(monkeypatch):
+    # PI gating keeps (last target, receiving accumulation) per ordered
+    # boundary: an active macro step carries it on, an inactive one empties
+    # it, and the next active step starts again from the flow realized in
+    # the macro step before and the accumulation then
+    scenario = fixtures.corridor2()
+    sim = mesosim.Simulator(scenario, seed=0)
+    strategy = runner.make_strategy("mspc", scenario, None, sim)
+    envelope = ((0.0, 2.0), (0.0, 2.0))
+    monkeypatch.setattr(runner.BoundaryController, "macro_flow_bounds", lambda *args: envelope)
+    steps = []
+    monkeypatch.setattr(
+        runner, "pi_target", lambda *args: steps.append(args[:3]) or baselines.pi_target(*args)
+    )
+    partition = scenario.partition
+
+    def begin(active, n_r2, realized_r1_r2):
+        # R1 holds 10 vehicles throughout; one PI step per ordered boundary,
+        # (R1, R2) then (R2, R1), each as (m_prev, n_prev, n_h)
+        n = {("R1", "R1"): 10.0, ("R2", "R2"): n_r2}
+        state = MacroState(n, {}, 100.0, partition.regions, partition.adjacency)
+        realized = {("R1", "R2"): realized_r1_r2, ("R2", "R1"): 0.2}
+        ctx = runner.MacroContext(0, 0.0, state, sim.initial_observation(), active, realized)
+        steps.clear()
+        strategy.begin_macro(ctx)
+        return steps
+
+    assert begin(True, 20.0, 0.3) == [(0.3, 20.0, 20.0), (0.2, 10.0, 10.0)]
+    last = strategy.macro.targets
+    assert strategy.pi_state == {
+        ("R1", "R2"): (last[("R1", "R2")], 20.0),
+        ("R2", "R1"): (last[("R2", "R1")], 10.0),
+    }
+    assert begin(True, 30.0, 0.9) == [
+        (last[("R1", "R2")], 20.0, 30.0),
+        (last[("R2", "R1")], 10.0, 10.0),
+    ]
+    assert begin(False, 40.0, 0.7) == [] and strategy.pi_state == {}
+    assert begin(True, 50.0, 0.6) == [(0.6, 50.0, 50.0), (0.2, 10.0, 10.0)]
 
 
 def test_broken_vehicle_balance_raises(monkeypatch, tmp_path):
@@ -487,4 +515,4 @@ def test_results_do_not_depend_on_blas_threads(tmp_path):
     for name in ("joint.csv", "metrics.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
     [m] = runner.read_metrics_csv(one / "metrics.csv")
-    assert _headline(m) == HEADLINES["grid6 msjc seed 0 cap 1300"]
+    assert headline(m) == HEADLINES["grid6 msjc seed 0 cap 1300"]
