@@ -10,14 +10,23 @@ their routes link by link; blocked vehicles are never removed.
 Routing reads one snapshot per step.  ``travel_time_estimates`` fixes the
 per-link times (free flow plus queue clearance) on its first call after
 ``advance``, the only code that changes a lane queue, and returns that same
-snapshot until the next ``advance``.  The snapshot holds one resumable
-search per destination (``netmodel.shortest_paths_to``), so demand
-injection and rerouting in one step extend the same search and get the
-same route from the same start link.  A step that finds every lane queue
-empty has free-flow times, and every such step gets the simulator's one
-free-flow snapshot: its searches resume across those steps, so once they
-have settled, routing on an empty network only walks routes.  A route
-depends only on the times, so sharing the snapshot moves no route.
+snapshot until the next ``advance``.  A snapshot holds one resumable search
+per destination (``netmodel.shortest_paths_to``), so every caller in one
+step extends the same search and gets the same route from the same start
+link.  The simulator's one free-flow snapshot, built with it, is the
+snapshot of every step that finds every lane queue empty; its searches
+resume across all steps, so once they have settled, a free-flow route only
+walks the search.  A route depends only on the times, so sharing a
+snapshot moves no route.
+
+Demand injection routes on the free-flow snapshot first, and searches the
+step's snapshot only for an OD whose free-flow route meets a queued lane;
+a step whose injected routes all meet no queue builds no snapshot.  This
+is exact: queue terms are >= 0, so a free-flow shortest route that meets
+no queue keeps its time while every other route's time can only grow, and
+at each of its links every other successor within 1e-12 of tight was
+within it at free flow too, so the smallest-next-link tie rule keeps the
+same successor.  Rerouting (``routectl``) searches the step's snapshot.
 
 A new vehicle waits in its origin's entry queue until the origin link has
 storage; ``Simulator.vehicles``, the only per-vehicle record, holds exactly
@@ -28,9 +37,12 @@ and a queued vehicle's next link is one its lane serves (``set_route``
 rejects any other route).
 
 One step runs from static tables built once per network
-(``Network.service_order``, ``region_of``, ``plan_lanes``) and per-lane
-discharge budgets built once per simulator.  Boundary control's projected
-arrivals are built on demand (``Simulator.arrivals``), not by a step.
+(``Network.service_order``, ``region_of``, ``plan_lanes``,
+``boundary_pairs``) and per-lane discharge budgets built once per
+simulator.  A step keeps each region's accumulation as a counter that
+admission, completion and boundary crossing update.  Boundary control's
+projected arrivals are built on demand (``Simulator.arrivals``), not by a
+step.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -49,14 +61,14 @@ from .netmodel import GATING, NON_GATING, Network, Scenario, ScenarioError
 from .netmodel import TravelTimes, shortest_paths_to
 
 
-@dataclass
+@dataclass(slots=True)
 class _Vehicle:
     id: int
     destination: str
     dest_region: str
     route: tuple[str, ...]  # route[0] is always the current link
-    remaining_s: float = 0.0
-    lane: str | None = None  # the lane it queues in at the stop line
+    remaining_s: float = 0.0  # free-flow time left to the stop line
+    lane: str | None = None  # the lane it queues in at the stop line, once it does
 
     @property
     def current(self) -> str:
@@ -70,9 +82,11 @@ class MicroObservation:
     ``queues`` is the end-of-step queue of every lane (a decision input for
     the next step).  ``boundary_crossings`` are the exact counts of link
     transitions across each ordered region boundary during the step, in
-    veh/s.  ``Simulator.od_counts()``, ``queue_heads()`` and ``arrivals()``
-    build the OD counts, the next step's queue heads and the projected
-    arrivals on demand.
+    veh/s, keyed in ``Network.boundary_pairs`` order.  ``accumulation`` is
+    the vehicles in each region's links at the end of the step, from the
+    simulator's counters.  ``Simulator.od_counts()``, ``queue_heads()`` and
+    ``arrivals()`` build the OD counts, the next step's queue heads and the
+    projected arrivals on demand.
     """
 
     step: int
@@ -109,7 +123,7 @@ def check_demand_scale(scenario: Scenario, scale: float) -> None:
     )
     if not (0 < scale < math.inf and expected <= MAX_EXPECTED_VEHICLES):
         raise ScenarioError(
-            f"demand scale {scale:g} expects {expected:.3g} vehicles over the demand "
+            f"demand scale {scale:g} expects {expected:.6g} vehicles over the demand "
             f"horizon; it must be finite and > 0 and expect at most {MAX_EXPECTED_VEHICLES:g}"
         )
 
@@ -139,10 +153,14 @@ class Simulator:
         self._running: dict[str, list[int]] = {l: [] for l in self.net.links}
         self._queues: dict[str, list[int]] = {l: [] for l in self.net.lanes}
         self._occupancy: dict[str, int] = dict.fromkeys(self.net.links, 0)
+        self._accumulation: dict[str, int] = dict.fromkeys(self.partition.regions, 0)
         self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
         self._snapshot: TravelTimes | None = None  # this step's, until advance
-        self._free_flow: TravelTimes | None = None  # every empty-queue step's
+        # injection's first snapshot, and every empty-queue step's
+        self._free_flow = TravelTimes(
+            self.net, [free_s for free_s, _, _ in self.net.travel_time_terms]
+        )
         self.created_total = 0  # also the next vehicle id
         self.completed_total = 0
         # vehicles a lane may discharge per step, at most: the floor of
@@ -160,13 +178,10 @@ class Simulator:
         with the route searches run on them: fixed on the first call after
         ``advance``, then the same snapshot until the next ``advance``.  A
         step with every lane queue empty gets the simulator's one free-flow
-        snapshot, whose searches every such step extends; any other step
-        gets a new snapshot."""
+        snapshot; any other step builds a new snapshot, on the first call
+        that needs one (injection only for a route that meets a queue)."""
         if self._snapshot is None:
-            empty = not any(self._queues.values())
-            if empty and self._free_flow is not None:
-                self._snapshot = self._free_flow
-            else:
+            if any(self._queues.values()):
                 queue = self._queues.__getitem__
                 self._snapshot = TravelTimes(
                     self.net,
@@ -175,8 +190,8 @@ class Simulator:
                         for free_s, lanes, service in self.net.travel_time_terms
                     ],
                 )
-                if empty:
-                    self._free_flow = self._snapshot
+            else:
+                self._snapshot = self._free_flow
         return self._snapshot
 
     def shortest_route(
@@ -189,13 +204,14 @@ class Simulator:
 
     def inject_demand(self) -> list[int]:
         """Draw the current step's Poisson arrivals and stage them in the
-        entry queues.  Returns the new vehicle ids."""
+        entry queues.  Returns the new vehicle ids.  No draw is made from
+        the demand horizon on."""
         t = self.step_count * self.dt
+        if t >= self.scenario.demand.horizon_s:
+            return []
         arriving = []
         for flow in self.scenario.demand.od:
             rate = flow.rate_at(t) * self.demand_scale
-            if t >= self.scenario.demand.horizon_s:
-                rate = 0.0
             if rate <= 0.0:
                 continue
             count = int(self.demand_rng.poisson(rate * self.dt))
@@ -204,16 +220,22 @@ class Simulator:
         if not arriving:
             return []
         # travel times are fixed within a step, so one search per destination
-        # routes every vehicle of its ODs
-        tt = self.travel_time_estimates()
+        # routes every vehicle of its ODs; a free-flow route that meets no
+        # queued lane is this step's route too (module docstring)
         origins: dict[str, list[str]] = {}
         for flow, _ in arriving:
             origins.setdefault(flow.destination, []).append(flow.origin)
-        routes = {
-            (origin, destination): route
-            for destination, starts in origins.items()
-            for origin, route in self.shortest_route(destination, starts, tt).items()
-        }
+        queued = {self.net.lanes[l].link for l, q in self._queues.items() if q}
+        routes = {}
+        tt = None
+        for destination, starts in origins.items():
+            found = self.shortest_route(destination, starts, self._free_flow)
+            stale = [o for o, route in found.items() if not queued.isdisjoint(route)]
+            if stale:
+                if tt is None:
+                    tt = self.travel_time_estimates()
+                found.update(self.shortest_route(destination, stale, tt))
+            routes.update(((o, destination), route) for o, route in found.items())
         # every OD is reachable (checked at load), so every route is found
         first = self.created_total
         for flow, count in arriving:
@@ -263,6 +285,7 @@ class Simulator:
         vehicles = self.vehicles
         occupancy = self._occupancy
         running = self._running
+        accumulation = self._accumulation
         # lanes the activated plans turn green; a boundary without an
         # activated plan runs a fixed-cycle round robin
         green: set[str] = set()
@@ -282,13 +305,15 @@ class Simulator:
         # 1. admit staged vehicles while their origin link has storage
         for origin in sorted(self._entry):
             staged = self._entry[origin]
+            region = region_of[origin]
             while staged and occupancy[origin] < storage[origin]:
                 v = staged.pop(0)
                 v.remaining_s = free_flow_s[origin]
                 vehicles[v.id] = v
                 occupancy[origin] += 1
+                accumulation[region] += 1
                 running[origin].append(v.id)
-                od = (region_of[origin], v.dest_region)
+                od = (region, v.dest_region)
                 admitted_od[od] = admitted_od.get(od, 0) + 1
 
         # 2. free-flow progress; vehicles reaching the stop line join a lane
@@ -312,6 +337,7 @@ class Simulator:
                     completed += 1
                     self.completed_total += 1
                     region = region_of[link_id]
+                    accumulation[region] -= 1
                     completions_by_region[region] = (
                         completions_by_region.get(region, 0) + 1
                     )
@@ -347,6 +373,8 @@ class Simulator:
                     budget -= 1
                     to_region = region_of[nxt]
                     if from_region != to_region:
+                        accumulation[from_region] -= 1
+                        accumulation[to_region] += 1
                         key = (from_region, to_region)
                         crossings[key] = crossings.get(key, 0) + 1
                         if kind == NON_GATING:
@@ -357,8 +385,13 @@ class Simulator:
         )
 
     def _pick_lane(self, v: _Vehicle) -> str | None:
-        nxt = v.route[1]
-        feasible = self.net.lanes_to.get((v.current, nxt), ())
+        """The least-loaded lane serving the vehicle's next move that has
+        room, the lower id first on a tie; None when every one is full."""
+        feasible = self.net.lanes_to[v.route[:2]]
+        if len(feasible) == 1:
+            [lane_id] = feasible
+            room = len(self._queues[lane_id]) < self.net.lanes[lane_id].capacity_veh
+            return lane_id if room else None
         best = None
         best_len = None
         for lane_id in feasible:
@@ -384,27 +417,15 @@ class Simulator:
         admitted_od: dict[tuple[str, str], int],
         dt: float,
     ) -> MicroObservation:
-        queues = {lane: len(q) for lane, q in self._queues.items()}
-
-        accumulation = {r: 0 for r in self.partition.regions}
-        for link_id, region in self.net.region_of.items():
-            accumulation[region] += self._occupancy[link_id]
-
-        boundary_rates = {}
-        ng_rates = {}
-        for i in self.partition.regions:
-            for h in self.partition.adjacency[i]:
-                boundary_rates[(i, h)] = crossings.get((i, h), 0) / dt
-                ng_rates[(i, h)] = ng_crossings.get((i, h), 0) / dt
-
+        pairs = self.net.boundary_pairs
         return MicroObservation(
             step=self.step_count,
             time_s=self.time_s,
             dt_s=dt,
-            queues=queues,
-            boundary_crossings=boundary_rates,
-            non_gating_crossings=ng_rates,
-            accumulation=accumulation,
+            queues={lane: len(q) for lane, q in self._queues.items()},
+            boundary_crossings={p: crossings.get(p, 0) / dt for p in pairs},
+            non_gating_crossings={p: ng_crossings.get(p, 0) / dt for p in pairs},
+            accumulation=dict(self._accumulation),
             completed=completed,
             completions_by_region=completions_by_region,
             admitted_od=admitted_od,

@@ -6,7 +6,7 @@ current one (for a queued vehicle, only if its lane serves that route's next
 link; never within one link of the destination).  The shortest routes come
 from the step's travel-time snapshot (``Simulator.travel_time_estimates``):
 its search per destination (``netmodel.shortest_paths_to``) is the one demand
-injection started in the same step, so rerouting only extends it.  Every
+injection extends in the same step for a route that meets a queue.  Every
 vehicle with the same start link and destination gets one route, the one a
 vehicle injected there in the same step got.  Logit rerouting reads only
 that map.  msjc's programs also need each candidate's upcoming region and the

@@ -283,6 +283,18 @@ def test_a_demand_scale_expecting_too_many_vehicles_is_one_line_and_exit_2(argv,
     assert not out.exists()
 
 
+def test_the_least_whole_demand_scale_past_the_bound_is_one_line_and_exit_2(tmp_path, capsys):
+    # grid6 at 741 expects 1,000,350 vehicles; the count once read "1e+06",
+    # the bound's own figure
+    scenario, out = tmp_path / "grid6.yaml", tmp_path / "out"
+    assert cli.main(["make-scenario", "grid6", "-o", str(scenario)]) == 0
+    capsys.readouterr()
+    argv = ["run", "--scenario", str(scenario), "--strategy", "bp", "--out", str(out)]
+    assert cli.main(argv + ["--demand-scale", "741"]) == 2
+    _one_error_line(capsys, "demand scale 741 expects 1.00035e+06 vehicles over the demand horizon")
+    assert not out.exists()
+
+
 # Each of these once ended in an OSError traceback; calibrate's only after
 # its whole sweep, which now never starts.
 @pytest.mark.parametrize(

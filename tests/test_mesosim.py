@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
         **state,
     )
     sim._occupancy[route[0]] += 1
+    sim._accumulation[sim.net.region_of[route[0]]] += 1
     return vid
 
 
@@ -411,6 +413,127 @@ class TestVehicleRecords:
         assert shared > 0
 
 
+class TestInjectionRoutes:
+    def test_every_injected_route_is_shortest_on_the_steps_times(self):
+        # an optimality certificate: Bellman-Ford potentials on each step's
+        # times, over Network.successors and independent of the search, and
+        # the search's tie rule, on a grid whose queues make injection
+        # search beyond the free-flow routes
+        sc = fixtures.grid6()
+        net = sc.network
+        sim = Simulator(sc, seed=0, demand_scale=2.0)
+        starts = Counter()
+        search = sim.shortest_route
+
+        def counted(destination, origins, tt):
+            starts["free flow" if tt is sim._free_flow else "searched"] += len(origins)
+            return search(destination, origins, tt)
+
+        sim.shortest_route = counted
+        routes = 0
+        for _ in range(150):
+            times = {
+                link.id: link.travel_time_s
+                + sum(len(sim._queues[l]) for l in link.lanes)
+                / sum(net.lanes[l].sat_flow_veh_s for l in link.lanes)
+                for link in net.links.values()
+            }
+            new = set(sim.inject_demand())
+            potentials: dict[str, dict[str, float]] = {}
+            for origin, staged in sim._entry.items():
+                for v in staged:
+                    if v.id not in new:
+                        continue
+                    if v.destination not in potentials:
+                        potentials[v.destination] = _potentials(net, times, v.destination)
+                    _certify(net, times, potentials[v.destination], origin, v.destination, v.route)
+                    routes += 1
+            sim.advance({})
+        assert routes == sim.created_total
+        # both kinds of route occur: free-flow routes kept, and routes that
+        # met a queue and were searched on the step's times
+        assert starts["searched"] > 0 and starts["free flow"] > starts["searched"]
+
+
+def _potentials(net, times: dict[str, float], destination: str) -> dict[str, float]:
+    """Each link's time to ``destination``, its own included (Bellman-Ford)."""
+    pi = dict.fromkeys(net.links, math.inf)
+    pi[destination] = times[destination]
+    changed = True
+    while changed:
+        changed = False
+        for link in net.links:
+            for nxt in net.successors(link):
+                if times[link] + pi[nxt] < pi[link]:
+                    pi[link] = times[link] + pi[nxt]
+                    changed = True
+    return pi
+
+
+def _certify(net, times, pi, origin, destination, route) -> None:
+    assert route[0] == origin and route[-1] == destination
+    cost = math.fsum(times[l] for l in route)
+    assert abs(cost - pi[origin]) <= 1e-9, (route, cost, pi[origin])
+    for link, nxt in zip(route, route[1:]):
+        successors = net.successors(link)
+        assert nxt in successors
+        best = min(pi[s] for s in successors)
+        assert nxt == min(s for s in successors if pi[s] <= best + 1e-12), (route, link)
+
+
+class TestPickLane:
+    """The least-loaded serving lane with room, on a move with two lanes (A_0
+    and A_1 into B; A_2 turns into Rr, so A can hold a vehicle that finds
+    both full).  grid6 has one lane per link, so only this move reaches the
+    choice."""
+
+    @staticmethod
+    def _sim() -> Simulator:
+        raw = single_gate_document()
+        raw["links"]["A"]["lanes"] = 3
+        raw["lanes"]["A_0"] = {"output_lanes": ["B_0"], "capacity_veh": 3}
+        raw["lanes"]["A_1"] = {"output_lanes": ["B_0"], "capacity_veh": 1}
+        raw["lanes"]["A_2"] = {"output_lanes": ["Rr_0"]}
+        for phase in ("p_both", "p_fwd"):
+            raw["intersections"]["g"]["phases"][phase].append("A_1")
+        sim = Simulator(scenario_from_dict(raw), seed=0)
+        assert sim.net.lanes_to[("A", "B")] == ("A_0", "A_1")
+        return sim
+
+    @pytest.mark.parametrize(
+        "queued, lane",
+        [
+            ({"A_0": 1, "A_1": 0}, "A_1"),
+            ({"A_0": 0, "A_1": 0}, "A_0"),
+            ({"A_0": 2, "A_1": 1}, "A_0"),
+        ],
+        ids=["least-loaded", "lower-id-on-a-tie", "shorter-but-full-skipped"],
+    )
+    def test_a_joiner_takes_the_least_loaded_lane_with_room(self, queued, lane):
+        sim = self._sim()
+        for lane_id, count in queued.items():
+            force_queued(sim, lane_id, count, ("A", "B"))
+        [vid] = force_running(sim, 1, ("A", "B"), remaining=5.0)
+        obs = sim.advance({("R1", "R2"): "none"})
+        assert sim.vehicles[vid].lane == lane and vid in sim._queues[lane]
+        assert obs.queues[lane] == queued[lane] + 1
+
+    def test_with_every_lane_full_the_vehicle_waits_on_its_link(self):
+        sim = self._sim()
+        force_queued(sim, "A_0", 3, ("A", "B"))
+        force_queued(sim, "A_1", 1, ("A", "B"))
+        [vid] = force_running(sim, 1, ("A", "B"), remaining=5.0)
+        # both lanes are full when it reaches the stop line; the green then
+        # empties them
+        obs = sim.advance({("R1", "R2"): "fwd"})
+        v = sim.vehicles[vid]
+        assert v.lane is None and vid in sim._running["A"] and v.remaining_s == 0.0
+        assert obs.queues["A_0"] == obs.queues["A_1"] == 0
+        # the next step tries again
+        obs = sim.advance({("R1", "R2"): "none"})
+        assert v.lane == "A_0" and sim._queues["A_0"] == [vid] and vid not in sim._running["A"]
+
+
 class TestTravelTimeSnapshot:
     def test_one_snapshot_per_step_shared_by_injection_and_rerouting(self):
         sc = fixtures.grid6(horizon_s=600.0)
@@ -478,10 +601,25 @@ class TestTravelTimeSnapshot:
         assert any(b - a > 1 for a, b in zip(empty_steps, empty_steps[1:]))
 
 
-# Each once ended in numpy's "lam value too large" from the first demand
-# draw.  grid6 expects 1,350 vehicles over its demand horizon at scale 1.0.
-@pytest.mark.parametrize("scale, count", [(1e300, "1.35e+303"), (math.nan, "nan")])
+# 1e300 and NaN each once ended in numpy's "lam value too large" from the
+# first demand draw.  grid6 expects 1,350 vehicles over its demand horizon at
+# scale 1.0, so 741 is the least whole scale past MAX_EXPECTED_VEHICLES.
+@pytest.mark.parametrize(
+    "scale, count",
+    [
+        (1e300, "1.35e+303"),
+        (math.nan, "nan"),
+        (741.0, "1.00035e+06"),
+        (0.0, "0"),
+        (math.inf, "inf"),
+    ],
+)
 def test_a_demand_scale_out_of_bounds_is_refused_before_any_step(scale, count):
     message = f"demand scale {scale:g} expects {count} vehicles over the demand horizon"
     with pytest.raises(ScenarioError, match=re.escape(message)):
         Simulator(fixtures.grid6(), seed=0, demand_scale=scale)
+
+
+def test_the_largest_whole_demand_scale_within_the_bound_is_accepted():
+    sim = Simulator(fixtures.grid6(), seed=0, demand_scale=740.0)  # 999,000 vehicles
+    assert sim.demand_scale == 740.0

@@ -693,6 +693,46 @@ class TestAgainstTheReferencePath:
         assert 0 < seen["off_the_box"] < seen["with_choice"]
 
 
+class TestKktCertificate:
+    def test_every_route_choice_solve_of_a_grid6_msjc_run_is_optimal(self, monkeypatch):
+        """The KKT conditions of min ||a x - b||^2 over x in [0, 1]^n, with
+        ``a`` and ``b`` rebuilt from each solve's own program: the gradient
+        g = a^T (a x - b) is >= 0 where x = 0, <= 0 where x = 1 and 0 in
+        between, within 1e-9; an x within 1e-12 of a bound is at it (BVLS
+        may stop an ulp inside or outside the box).  The whole grid6 msjc
+        run of seed 0, not its 800-900 s window: on that window every
+        off-the-box solve is also solved by clipping the least-squares x
+        into the box, a defect the certificate must catch."""
+        solve_fn = routectl.solve_probabilities
+        tol, x_tol = 1e-9, 1e-12
+        seen = Counter()
+
+        def certified(choices, counts, targets, net, region, acc, beta, adj):
+            out = solve_fn(choices, counts, targets, net, region, acc, beta, adj)
+            if not choices:
+                return out
+            keys, base, goal, m_mat = out.program
+            weight = np.array([np.sqrt(beta)] * len(keys) + [1.0] * (len(base) - len(keys)))
+            a, b = weight[:, None] * m_mat, weight * (goal - base)
+            x = np.array([out.phi[vr.vid][0] for vr in choices])
+            g = a.T @ (a @ x - b)
+            assert np.all((x >= -x_tol) & (x <= 1.0 + x_tol))
+            at_zero, at_one = x <= x_tol, x >= 1.0 - x_tol
+            assert np.all(g[at_zero] >= -tol), g[at_zero]
+            assert np.all(g[at_one] <= tol), g[at_one]
+            assert np.all(np.abs(g[~(at_zero | at_one)]) <= tol), g
+            seen["solves"] += 1
+            seen["off_the_box"] += out.iterations > 0
+            seen["bound_holds_x"] += bool(np.any(np.abs(g[at_zero | at_one]) > tol))
+            return out
+
+        monkeypatch.setattr(routectl, "solve_probabilities", certified)
+        runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0))
+        # BVLS decides some solves, and in some a bound holds x off the
+        # unconstrained optimum
+        assert seen["solves"] > 100 and seen["off_the_box"] > 0 and seen["bound_holds_x"] > 0
+
+
 class TestAssignRoutes:
     def test_certain_probability_always_picks_first(self):
         routes = [vr(1, "R1", "R9", [cr("R2", "L0"), cr("R3", "L0")])]
