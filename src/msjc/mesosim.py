@@ -19,10 +19,11 @@ resume across all steps, so once they have settled, a free-flow route only
 walks the search.  A route depends only on the times, so sharing a
 snapshot moves no route.
 
-Demand injection routes on the free-flow snapshot first, and searches the
-step's snapshot only for an OD whose free-flow route meets a queued lane;
-a step whose injected routes all meet no queue builds no snapshot.  This
-is exact: queue terms are >= 0, so a free-flow shortest route that meets
+Demand injection routes a destination's ODs on the free-flow snapshot
+first, and searches the step's snapshot only for those whose free-flow
+route meets a queued lane; a destination with a queued origin link needs
+that search anyway, so all its ODs go straight to it.  A step whose
+injected routes all meet no queue builds no snapshot.  This is exact: queue terms are >= 0, so a free-flow shortest route that meets
 no queue keeps its time while every other route's time can only grow, and
 at each of its links every other successor within 1e-12 of tight was
 within it at free flow too, so the smallest-next-link tie rule keeps the
@@ -38,11 +39,9 @@ rejects any other route).
 
 One step runs from static tables built once per network
 (``Network.service_order``, ``region_of``, ``plan_lanes``,
-``boundary_pairs``) and per-lane discharge budgets built once per
-simulator.  A step keeps each region's accumulation as a counter that
-admission, completion and boundary crossing update.  Boundary control's
-projected arrivals are built on demand (``Simulator.arrivals``), not by a
-step.
+``boundary_pairs``, ``region_links``) and per-lane discharge budgets built
+once per simulator.  Boundary control's projected arrivals are built on
+demand (``Simulator.arrivals``), not by a step.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -83,10 +82,10 @@ class MicroObservation:
     the next step).  ``boundary_crossings`` are the exact counts of link
     transitions across each ordered region boundary during the step, in
     veh/s, keyed in ``Network.boundary_pairs`` order.  ``accumulation`` is
-    the vehicles in each region's links at the end of the step, from the
-    simulator's counters.  ``Simulator.od_counts()``, ``queue_heads()`` and
-    ``arrivals()`` build the OD counts, the next step's queue heads and the
-    projected arrivals on demand.
+    the vehicles in each region's links at the end of the step.
+    ``Simulator.od_counts()``, ``queue_heads()`` and ``arrivals()`` build the
+    OD counts, the next step's queue heads and the projected arrivals on
+    demand.
     """
 
     step: int
@@ -153,7 +152,6 @@ class Simulator:
         self._running: dict[str, list[int]] = {l: [] for l in self.net.links}
         self._queues: dict[str, list[int]] = {l: [] for l in self.net.lanes}
         self._occupancy: dict[str, int] = dict.fromkeys(self.net.links, 0)
-        self._accumulation: dict[str, int] = dict.fromkeys(self.partition.regions, 0)
         self._entry: dict[str, list[_Vehicle]] = {}  # staged, by origin link
 
         self._snapshot: TravelTimes | None = None  # this step's, until advance
@@ -229,17 +227,20 @@ class Simulator:
         routes = {}
         tt = None
         for destination, starts in origins.items():
-            found = self.shortest_route(destination, starts, self._free_flow)
-            stale = [o for o, route in found.items() if not queued.isdisjoint(route)]
+            if queued.isdisjoint(starts):
+                found = self.shortest_route(destination, starts, self._free_flow)
+                stale = [o for o, route in found.items() if not queued.isdisjoint(route)]
+            else:
+                found, stale = {}, starts
             if stale:
                 if tt is None:
                     tt = self.travel_time_estimates()
                 found.update(self.shortest_route(destination, stale, tt))
-            routes.update(((o, destination), route) for o, route in found.items())
+            routes[destination] = found
         # every OD is reachable (checked at load), so every route is found
         first = self.created_total
         for flow, count in arriving:
-            route = routes[(flow.origin, flow.destination)]
+            route = routes[flow.destination][flow.origin]
             dest_region = self.net.region_of[flow.destination]
             self._entry.setdefault(flow.origin, []).extend(
                 _Vehicle(self.created_total + k, flow.destination, dest_region, route)
@@ -285,7 +286,6 @@ class Simulator:
         vehicles = self.vehicles
         occupancy = self._occupancy
         running = self._running
-        accumulation = self._accumulation
         # lanes the activated plans turn green; a boundary without an
         # activated plan runs a fixed-cycle round robin
         green: set[str] = set()
@@ -305,15 +305,13 @@ class Simulator:
         # 1. admit staged vehicles while their origin link has storage
         for origin in sorted(self._entry):
             staged = self._entry[origin]
-            region = region_of[origin]
             while staged and occupancy[origin] < storage[origin]:
                 v = staged.pop(0)
                 v.remaining_s = free_flow_s[origin]
                 vehicles[v.id] = v
                 occupancy[origin] += 1
-                accumulation[region] += 1
                 running[origin].append(v.id)
-                od = (region, v.dest_region)
+                od = (region_of[origin], v.dest_region)
                 admitted_od[od] = admitted_od.get(od, 0) + 1
 
         # 2. free-flow progress; vehicles reaching the stop line join a lane
@@ -337,7 +335,6 @@ class Simulator:
                     completed += 1
                     self.completed_total += 1
                     region = region_of[link_id]
-                    accumulation[region] -= 1
                     completions_by_region[region] = (
                         completions_by_region.get(region, 0) + 1
                     )
@@ -373,8 +370,6 @@ class Simulator:
                     budget -= 1
                     to_region = region_of[nxt]
                     if from_region != to_region:
-                        accumulation[from_region] -= 1
-                        accumulation[to_region] += 1
                         key = (from_region, to_region)
                         crossings[key] = crossings.get(key, 0) + 1
                         if kind == NON_GATING:
@@ -387,11 +382,8 @@ class Simulator:
     def _pick_lane(self, v: _Vehicle) -> str | None:
         """The least-loaded lane serving the vehicle's next move that has
         room, the lower id first on a tie; None when every one is full."""
-        feasible = self.net.lanes_to[v.route[:2]]
-        if len(feasible) == 1:
-            [lane_id] = feasible
-            room = len(self._queues[lane_id]) < self.net.lanes[lane_id].capacity_veh
-            return lane_id if room else None
+        nxt = v.route[1]
+        feasible = self.net.lanes_to.get((v.current, nxt), ())
         best = None
         best_len = None
         for lane_id in feasible:
@@ -418,6 +410,8 @@ class Simulator:
         dt: float,
     ) -> MicroObservation:
         pairs = self.net.boundary_pairs
+        occupancy = self._occupancy.__getitem__
+        region_links = self.net.region_links
         return MicroObservation(
             step=self.step_count,
             time_s=self.time_s,
@@ -425,7 +419,9 @@ class Simulator:
             queues={lane: len(q) for lane, q in self._queues.items()},
             boundary_crossings={p: crossings.get(p, 0) / dt for p in pairs},
             non_gating_crossings={p: ng_crossings.get(p, 0) / dt for p in pairs},
-            accumulation=dict(self._accumulation),
+            accumulation={
+                r: sum(map(occupancy, region_links.get(r, ()))) for r in self.partition.regions
+            },
             completed=completed,
             completions_by_region=completions_by_region,
             admitted_od=admitted_od,

@@ -24,7 +24,6 @@ def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
         **state,
     )
     sim._occupancy[route[0]] += 1
-    sim._accumulation[sim.net.region_of[route[0]]] += 1
     return vid
 
 
@@ -422,16 +421,19 @@ class TestInjectionRoutes:
         sc = fixtures.grid6()
         net = sc.network
         sim = Simulator(sc, seed=0, demand_scale=2.0)
-        starts = Counter()
+        source: dict[tuple[str, str], str] = {}  # the last snapshot an OD was routed on
         search = sim.shortest_route
 
         def counted(destination, origins, tt):
-            starts["free flow" if tt is sim._free_flow else "searched"] += len(origins)
+            for origin in origins:
+                source[origin, destination] = "free flow" if tt is sim._free_flow else "searched"
             return search(destination, origins, tt)
 
         sim.shortest_route = counted
+        kinds = Counter()
         routes = 0
         for _ in range(150):
+            source.clear()
             times = {
                 link.id: link.travel_time_s
                 + sum(len(sim._queues[l]) for l in link.lanes)
@@ -448,11 +450,12 @@ class TestInjectionRoutes:
                         potentials[v.destination] = _potentials(net, times, v.destination)
                     _certify(net, times, potentials[v.destination], origin, v.destination, v.route)
                     routes += 1
+            kinds.update(source.values())
             sim.advance({})
         assert routes == sim.created_total
-        # both kinds of route occur: free-flow routes kept, and routes that
-        # met a queue and were searched on the step's times
-        assert starts["searched"] > 0 and starts["free flow"] > starts["searched"]
+        # both kinds of route occur: free-flow routes kept, and routes
+        # searched on the step's times
+        assert kinds["free flow"] > 0 and kinds["searched"] > 0
 
 
 def _potentials(net, times: dict[str, float], destination: str) -> dict[str, float]:
@@ -535,18 +538,42 @@ class TestPickLane:
 
 
 class TestTravelTimeSnapshot:
-    def test_one_snapshot_per_step_shared_by_injection_and_rerouting(self):
+    def test_step_snapshot_searches_are_injections_queued_routes_extended_by_rerouting(self):
         sc = fixtures.grid6(horizon_s=600.0)
         net = sc.network
         sim = Simulator(sc, seed=6)
+        free = TravelTimes(net, [free_s for free_s, _, _ in net.travel_time_terms])
         previous = None
         was_empty = False
-        queued = rerouted = shared = 0
+        kept = rerouted = extended = 0
         for _ in range(60):
-            sim.inject_demand()
-            empty = not any(sim._queues.values())
+            queued_links = {net.lanes[l].link for l, q in sim._queues.items() if q}
+            empty = not queued_links
+            new = set(sim.inject_demand())
+            # destinations whose free-flow route from some injected origin
+            # meets a queued link: exactly the searches of the step snapshot
+            injected = {
+                (origin, v.destination)
+                for origin, staged in sim._entry.items()
+                for v in staged
+                if v.id in new
+            }
+            stale = {
+                destination
+                for origin, destination in injected
+                if not queued_links.isdisjoint(
+                    shortest_paths_to(free, destination, [origin])[origin]
+                )
+            }
+            step = sim._snapshot
+            if stale:
+                assert step is not None and step.searches.keys() == stale
+            else:
+                assert step is None
             snapshot = sim.travel_time_estimates()
-            # a new snapshot after advance, unless both steps saw no queue
+            assert step is None or snapshot is step
+            # the free-flow snapshot on every empty step, else a new one
+            assert (snapshot is sim._free_flow) == empty
             assert (snapshot is previous) == (empty and was_empty)
             assert snapshot == {
                 link.id: link.travel_time_s
@@ -554,7 +581,8 @@ class TestTravelTimeSnapshot:
                 / sum(net.lanes[l].sat_flow_veh_s for l in link.lanes)
                 for link in net.links.values()
             }
-            queued += any(sim._queues.values())
+            # a destination none of whose routes meets a queue is not searched
+            kept += not empty and bool({d for _, d in injected} - stale)
             started = dict(snapshot.searches)
             records = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
             alternatives = routectl.generate_routes(records, net, snapshot)
@@ -563,12 +591,14 @@ class TestTravelTimeSnapshot:
                     sim.set_route(v.id, alternatives[v.id])
                     rerouted += 1
             assert sim.travel_time_estimates() is snapshot
-            # rerouting extended the searches injection started
+            # rerouting extended the searches injection started on this
+            # step's snapshot (on a step with queues, those of ``stale``)
             assert all(snapshot.searches[d] is search for d, search in started.items())
-            shared += bool(started.keys() & {v.destination for v in sim.vehicles.values()})
+            if not empty:
+                extended += bool(stale & {v.destination for v in records})
             previous, was_empty = snapshot, empty
             sim.advance({})
-        assert queued > 0 and rerouted > 0 and shared > 0
+        assert kept > 0 and rerouted > 0 and extended > 0
 
     def test_empty_network_steps_share_one_free_flow_snapshot(self):
         sc = fixtures.grid6(horizon_s=300.0)
