@@ -13,9 +13,12 @@ that map.  msjc's programs also need each candidate's upcoming region and the
 link the vehicle is projected to sit on at the end of the step: the route's
 next link for a vehicle the step may discharge (``Simulator.queue_heads``),
 its current link otherwise.  ``route_tables`` makes one pass over the
-vehicles in id order.  Per region it counts every vehicle by its last
-candidate (its alternative if it has one, else its current route): per
-destination region, per (next region, destination) and per projected link.
+vehicles it is given, in id order: every vehicle of the regions a caller
+needs (all of them for the joint program and the logs, else only those
+where a vehicle has a choice).  Per region it counts each of those vehicles
+by its last candidate (its alternative if it has one, else its current
+route): per destination region, per (next region, destination) and per
+projected link.
 Only a vehicle with an alternative gets its candidate set
 (``VehicleRoutes``).  Both functions read the simulator's own vehicle
 records, ``Simulator.vehicles``.
@@ -129,7 +132,8 @@ def route_tables(
     candidates are its current route, then its alternative if any, each with
     its upcoming region and projected end-of-step link: ``route[1]`` for a
     vehicle in ``heads`` (``Simulator.queue_heads()``), else ``route[0]``;
-    None outside the vehicle's region.  Every vehicle is counted; only one
+    None outside the vehicle's region.  Every vehicle given is counted, so a
+    region's counts are complete when all its vehicles are given; only one
     with an alternative gets a ``VehicleRoutes``."""
     region_of = net.region_of
     rows: dict[str, list[tuple[str, str, str | None]]] = {}

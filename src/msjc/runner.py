@@ -90,7 +90,8 @@ class MacroRecord:
     envelopes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     solution: ControlSolution | None = None
     decisions: list[BoundaryDecision] = field(default_factory=list)
-    # per (micro step, region with vehicles): time, decision, the solve's other arguments
+    # per (micro step, region with vehicles) of a logged run: time, decision,
+    # the solve's other arguments
     routing: list[tuple[float, routectl.RouteProbabilities, tuple]] = field(default_factory=list)
 
 
@@ -112,9 +113,11 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 #   realized by one BoundaryController per boundary.  Without one (None)
 #   each boundary takes its max-pressure plan over the full plan set;
 # - a route rule that may reassign vehicles every micro step: "splits"
-#   (route choice toward the joint program's splits: each step only decides,
-#   and ``macro.routing`` keeps each decision with the solve's arguments for
-#   the logs to explain in ``routing.csv``), "logit" (logit rerouting) or None.
+#   (route choice toward the joint program's splits: a run without logs
+#   counts and solves only the regions where a vehicle has a choice; a
+#   logged run solves every region with vehicles, and ``macro.routing``
+#   keeps each decision with the solve's arguments for the logs to explain
+#   in ``routing.csv``), "logit" (logit rerouting) or None.
 # The run loop calls ``begin_macro(ctx)`` once per macro step, then, only in
 # an active macro step, per micro step ``plans(obs)`` (plan id per boundary
 # key), ``routes(obs)`` (new routes by vehicle id, or None) and, after the
@@ -136,7 +139,8 @@ STRATEGIES: dict[str, tuple[str | None, str | None]] = {
 
 class Strategy:
     """One preset of STRATEGIES wired to a simulator: its upper level
-    ``upper`` and its route rule ``route_rule``."""
+    ``upper`` and its route rule ``route_rule``; ``logged`` when the run
+    writes logs that explain its route decisions."""
 
     def __init__(
         self,
@@ -145,6 +149,7 @@ class Strategy:
         sim: Simulator,
         upper: str | None,
         route_rule: str | None,
+        logged: bool = False,
     ):
         self.scenario = scenario
         self.net = scenario.network
@@ -152,6 +157,7 @@ class Strategy:
         self.sim = sim
         self.upper = upper
         self.route_rule = route_rule
+        self.logged = logged
         self.macro = MacroRecord()
         self.controllers = {
             key: BoundaryController(self.net, key, scenario.control)
@@ -233,23 +239,35 @@ class Strategy:
             bc.record_realized(obs)
             self.macro.decisions.append(bc.last_decision)
 
-    def _route_tables(self) -> routectl.RouteTables:
-        sim = self.sim
+    def _route_tables(self, every_region: bool = True) -> routectl.RouteTables:
+        """The route tables of the simulator's vehicles, in id order.  Every
+        region is counted for those that need them all: the joint program's
+        ``jointctl.route_bounds`` and the logs' ``routing.csv``.  Otherwise
+        only the regions that hold a vehicle with an alternative are: the
+        others have nothing to decide, and a region's counts come only from
+        its own vehicles."""
+        sim, region_of = self.sim, self.net.region_of
         # id order fixes the solve's columns and the routing draws
         vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
         alternatives = routectl.generate_routes(vehicles, self.net, sim.travel_time_estimates())
+        if not every_region:
+            chosen = {region_of[sim.vehicles[vid].route[0]] for vid in alternatives}
+            vehicles = [v for v in vehicles if region_of[v.route[0]] in chosen]
         return routectl.route_tables(vehicles, alternatives, self.net, sim.queue_heads())
 
     def _split_routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]]:
-        """Route choice toward the joint solution's splits, region by region."""
+        """Route choice toward the joint solution's splits, region by region:
+        every region with vehicles in a logged run, else only those with a
+        choice (a region without one makes no draw)."""
         solution = self.macro.solution
-        tables = self._tables if self._tables is not None else self._route_tables()
+        tables = self._tables if self._tables is not None else self._route_tables(self.logged)
         self._tables = None
+        solved = tables.counts if self.logged else tables.choices
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
-            counts = tables.counts.get(region)
-            if counts is None:
+            if region not in solved:
                 continue
+            counts = tables.counts[region]
             choices = tables.choices.get(region, [])
             args = (counts, solution.c, self.net, region, float(obs.accumulation[region]))
             args += (self.scenario.control.route_beta, self.scenario.partition.adjacency)
@@ -259,7 +277,8 @@ class Strategy:
             for vr in choices:
                 if chosen[vr.vid] != vr.routes[0].links:
                     assignments[vr.vid] = chosen[vr.vid]
-            self.macro.routing.append((obs.time_s, probs, args))
+            if self.logged:
+                self.macro.routing.append((obs.time_s, probs, args))
         return assignments
 
     def _logit_routes(self) -> dict[int, tuple[str, ...]]:
@@ -278,11 +297,11 @@ class Strategy:
 
 
 def make_strategy(
-    name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator
+    name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator, logged: bool = False
 ) -> Strategy:
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{name}' (choose from {tuple(STRATEGIES)})")
-    return Strategy(scenario, _require_mfd(scenario, model), sim, *STRATEGIES[name])
+    return Strategy(scenario, _require_mfd(scenario, model), sim, *STRATEGIES[name], logged)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +462,7 @@ def run(
     u = control.steps_per_macro
     sim = Simulator(scenario, seed=config.seed, demand_scale=config.demand_scale)
     model = _require_mfd(scenario, model)
-    strategy = make_strategy(config.strategy, scenario, model, sim)
+    strategy = make_strategy(config.strategy, scenario, model, sim, config.out_dir is not None)
 
     warmup_s = config.warmup_s if config.warmup_s is not None else scenario.demand.warmup_s
     horizon = scenario.demand.horizon_s

@@ -9,6 +9,7 @@ from msjc.netmodel import scenario_from_dict
 from msjc.routectl import (
     CandidateRoute,
     RouteCounts,
+    RouteTables,
     VehicleRoutes,
     assign_routes,
     explain_routes,
@@ -653,11 +654,12 @@ class TestDenseReference:
 
 
 class TestAgainstTheReferencePath:
-    def test_msjc_window_matches_the_per_vehicle_path(self, monkeypatch):
+    def test_msjc_window_matches_the_per_vehicle_path(self, monkeypatch, tmp_path):
         """Every routed step of a seeded grid6 msjc window: the count tables
         and choice lists are ``Counter``s over the per-vehicle candidate
         sets, and the split bounds and every route-choice solve match the
-        per-vehicle path bit for bit."""
+        per-vehicle path bit for bit.  The run writes logs, so every region
+        with vehicles is counted and solved, those without a choice too."""
         adjacency = fixtures.grid6().partition.adjacency
         tables_fn, solve_fn = routectl.route_tables, routectl.solve_probabilities
         annotated = []
@@ -673,7 +675,64 @@ class TestAgainstTheReferencePath:
             seen["tables"] += 1
             return tables
 
-        def checked_solve(choices, counts, targets, net, region, acc, beta, adj):
+        monkeypatch.setattr(routectl, "route_tables", checked_tables)
+        monkeypatch.setattr(routectl, "solve_probabilities", self.checked_solve(annotated, seen))
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0, out_dir=tmp_path)
+        runner.run(fixtures.grid6(), config)
+        assert seen["tables"] == 10 and seen["solves"] == 60
+        assert 0 < seen["with_choice"] < seen["solves"]
+        # both the least-squares shortcut and BVLS decide some of the solves
+        assert 0 < seen["off_the_box"] < seen["with_choice"]
+
+    def test_quiet_msjc_window_solves_the_regions_with_a_choice(self, monkeypatch):
+        """The same window without logs: begin_macro's tables are the full
+        tables, each micro step's are the full tables restricted to the
+        regions with a choice, and every solve, all of them with a choice,
+        matches the per-vehicle path over the region's vehicles."""
+        tables_fn, generate_fn = routectl.route_tables, routectl.generate_routes
+        begin_macro = runner.Strategy.begin_macro
+        annotated, every_vehicle = [], []
+        seen = Counter()
+
+        def generated(vehicles, net, tt):
+            every_vehicle[:] = vehicles
+            return generate_fn(vehicles, net, tt)
+
+        def in_macro_step(strategy, ctx):
+            seen["macro"] += 1
+            begin_macro(strategy, ctx)
+            seen["macro"] -= 1
+
+        def checked_tables(vehicles, alternatives, net, heads):
+            tables = tables_fn(vehicles, alternatives, net, heads)
+            annotated[:] = annotate_routes(every_vehicle, alternatives, net, heads)
+            full = counted_routes(annotated)
+            if seen["macro"]:
+                assert tables == full
+            else:
+                with_choice = {region: full.counts[region] for region in full.choices}
+                assert tables == RouteTables(full.choices, with_choice)
+                seen["restricted"] += len(full.counts) > len(full.choices)
+            seen["tables"] += 1
+            return tables
+
+        monkeypatch.setattr(routectl, "generate_routes", generated)
+        monkeypatch.setattr(routectl, "route_tables", checked_tables)
+        monkeypatch.setattr(routectl, "solve_probabilities", self.checked_solve(annotated, seen))
+        monkeypatch.setattr(runner.Strategy, "begin_macro", in_macro_step)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
+        runner.run(fixtures.grid6(), config)
+        assert seen["tables"] == 10 and seen["restricted"] > 0
+        assert 0 < seen["solves"] == seen["with_choice"] < 60
+        assert 0 < seen["off_the_box"] < seen["with_choice"]
+
+    @staticmethod
+    def checked_solve(annotated, seen):
+        """``solve_probabilities`` checked against the dense per-vehicle
+        solve over the region's vehicles in ``annotated``."""
+        solve_fn = routectl.solve_probabilities
+
+        def checked(choices, counts, targets, net, region, acc, beta, adj):
             out = solve_fn(choices, counts, targets, net, region, acc, beta, adj)
             in_region = [vr for vr in annotated if vr.region == region]
             args = (counts, targets, net, region, acc, beta, adj)
@@ -683,14 +742,7 @@ class TestAgainstTheReferencePath:
             seen["off_the_box"] += out.iterations > 0
             return out
 
-        monkeypatch.setattr(routectl, "route_tables", checked_tables)
-        monkeypatch.setattr(routectl, "solve_probabilities", checked_solve)
-        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
-        runner.run(fixtures.grid6(), config)
-        assert seen["tables"] == 10 and seen["solves"] == 60
-        assert 0 < seen["with_choice"] < seen["solves"]
-        # both the least-squares shortcut and BVLS decide some of the solves
-        assert 0 < seen["off_the_box"] < seen["with_choice"]
+        return checked
 
 
 class TestKktCertificate:

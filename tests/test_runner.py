@@ -38,10 +38,10 @@ from regen_goldens import boundary_rows, decision_counts, digest, headline
 # BOUNDARY_DECISIONS: a run's boundary.csv at seed 0 as (decisions,
 #   fallbacks, sum of feasible_count), and GRID6_MSPC_PLANS grid6 mspc's
 #   count of each plan chosen.  They pin the boundary controller's choice.
-# GRID6_MSJC_ROUTE_COUNTERS: on grid6 msjc seed 0 from 800 to 900 s, the
-#   route-choice solves, their BVLS iterations and the vehicles handed to
-#   route generation; test_perfbench_hooks.py checks perfbench's counters
-#   against them.
+# GRID6_MSJC_ROUTE_COUNTERS: on grid6 msjc seed 0 from 800 to 900 s without
+#   logs, the route-choice solves (one per region with a choice and step),
+#   their BVLS iterations and the vehicles handed to route generation;
+#   test_perfbench_hooks.py checks perfbench's counters against them.
 # CORRIDOR2_COMPARE_FILES: SHA-256 of the files compare writes beside the
 #   runs' own directories.
 # GRID6_CALIBRATED: grid6's calibrated MFD at seed 0, default demand levels
@@ -224,10 +224,12 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
 
 
-def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
-    # Simulator.vehicles is in admission order, not id order; route guidance
-    # reads every vehicle in id order, and so lists the route-choice columns
-    # and makes the routing draws in id order
+def route_tables_seen(monkeypatch, out_dir) -> Counter:
+    """Route guidance's tables over one macro step of msjc on the loaded
+    grid, as in the benchmark's windows, each checked to list its vehicles
+    in id order and to count every vehicle of each region it holds: every
+    region with vehicles when asked for all, else the regions with a
+    choice."""
     seen = Counter()
     route_tables, strategy_tables = runner.routectl.route_tables, runner.Strategy._route_tables
 
@@ -239,55 +241,125 @@ def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
             assert [vr.vid for vr in choices] == sorted(vr.vid for vr in choices)
         return tables
 
-    def counted(self):
-        tables = strategy_tables(self)
+    def counted(self, *args):
+        tables = strategy_tables(self, *args)
         vehicles = self.sim.vehicles
-        assert sum(sum(c.destinations.values()) for c in tables.counts.values()) == len(vehicles)
+        region_of = self.net.region_of
+        every_region = not args or args[0]
+        if every_region:
+            counted_regions = {region_of[v.route[0]] for v in vehicles.values()}
+        else:
+            counted_regions = set(tables.choices)
+        assert set(tables.counts) == counted_regions
+        in_counted = sum(region_of[v.route[0]] in counted_regions for v in vehicles.values())
+        assert sum(sum(c.destinations.values()) for c in tables.counts.values()) == in_counted
         seen["tables"] += 1
+        seen["every region"] += every_region
+        seen["all vehicles"] += in_counted == len(vehicles)
         seen["unordered"] += list(vehicles) != sorted(vehicles)
         return tables
 
     monkeypatch.setattr(runner.routectl, "route_tables", checked)
     monkeypatch.setattr(runner.Strategy, "_route_tables", counted)
-    # one macro step of msjc on the loaded grid, as in the benchmark's windows
-    runner.run(fixtures.grid6(), runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0))
+    config = runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0, out_dir=out_dir)
+    runner.run(fixtures.grid6(), config)
+    return seen
+
+
+def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
+    # Simulator.vehicles is in admission order, not id order; route guidance
+    # reads every vehicle in id order, and so lists the route-choice columns
+    # and makes the routing draws in id order.  Without logs only the joint
+    # program's tables count every region; a micro step's count the regions
+    # where a vehicle has a choice
+    seen = route_tables_seen(monkeypatch, None)
     assert seen["tables"] > 0 and seen["unordered"] > 0
+    assert seen["every region"] == 1 and seen["all vehicles"] < seen["tables"]
+
+
+def test_logged_msjc_route_tables_count_every_vehicle(monkeypatch, tmp_path):
+    seen = route_tables_seen(monkeypatch, tmp_path)
+    assert seen["tables"] > 0 and seen["unordered"] > 0
+    assert seen["every region"] == seen["all vehicles"] == seen["tables"]
 
 
 def test_routing_log_explains_without_changing_decisions(monkeypatch, tmp_path):
     # routing.csv's terms are computed only when the log is written, one
-    # explanation per (step, region with vehicles), and never feed back
+    # explanation per (step, region with vehicles), and never feed back.  A
+    # run without logs solves only the regions where a vehicle has a choice
+    # and keeps no decision, with the same draws and the same result
     calls = Counter()
-    sims = []
-    solve, explain, make_strategy = (
+    strategies, steps = [], []
+    solve, explain, generate, routes, make_strategy = (
         runner.routectl.solve_probabilities,
         runner.routectl.explain_routes,
+        runner.routectl.generate_routes,
+        runner.Strategy.routes,
         runner.make_strategy,
     )
+    generated = {}
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
+    def solved(choices, counts, targets, net, region, *args):
+        calls["solve"] += 1
+        steps[-1]["solved"].append(region)
+        return solve(choices, counts, targets, net, region, *args)
 
-        return call
+    def explained(*args):
+        calls["explain"] += 1
+        return explain(*args)
 
-    monkeypatch.setattr(runner.routectl, "solve_probabilities", counted("solve", solve))
-    monkeypatch.setattr(runner.routectl, "explain_routes", counted("explain", explain))
-    monkeypatch.setattr(
-        runner, "make_strategy", lambda *args: sims.append(args[3]) or make_strategy(*args)
-    )
+    def generated_routes(vehicles, net, tt):
+        # the regions with a vehicle, and those where one has an alternative
+        # that differs from its route, from the step's vehicles
+        alternatives = generate(vehicles, net, tt)
+        region_of = net.region_of
+        generated["vehicles"] = {region_of[v.route[0]] for v in vehicles}
+        generated["choice"] = {
+            region_of[v.route[0]]
+            for v in vehicles
+            if alternatives.get(v.id, v.route) != v.route
+        }
+        return alternatives
+
+    def routed(self, obs):
+        steps.append({"solved": []})
+        out = routes(self, obs)
+        # the step's own search, or begin_macro's for a macro step's first
+        steps[-1].update(generated, kept=len(self.macro.routing))
+        return out
+
+    def made(*args):
+        strategies.append(make_strategy(*args))
+        return strategies[-1]
+
+    monkeypatch.setattr(runner.routectl, "solve_probabilities", solved)
+    monkeypatch.setattr(runner.routectl, "explain_routes", explained)
+    monkeypatch.setattr(runner.routectl, "generate_routes", generated_routes)
+    monkeypatch.setattr(runner.Strategy, "routes", routed)
+    monkeypatch.setattr(runner, "make_strategy", made)
     runs = {}
     for out_dir in (None, tmp_path):
         calls.clear()
+        steps.clear()
         config = runner.RunConfig("msjc", seed=0, cap_s=1300.0, out_dir=out_dir)
         metrics = runner.run(fixtures.grid6(), config)
-        runs[out_dir] = (metrics, sims[-1].routing_rng.bit_generator.state, dict(calls))
-    (quiet, quiet_rng, quiet_calls), (logged, logged_rng, logged_calls) = runs.values()
+        rng = strategies[-1].sim.routing_rng.bit_generator.state
+        runs[out_dir] = (metrics, rng, dict(calls), list(steps))
+    (quiet, quiet_rng, quiet_calls, quiet_steps) = runs[None]
+    (logged, logged_rng, logged_calls, logged_steps) = runs[tmp_path]
     assert logged == quiet and logged.throughput_series == quiet.throughput_series
     assert logged_rng == quiet_rng
     assert quiet_calls.get("explain", 0) == 0 and quiet_calls["solve"] > 0
-    assert logged_calls["explain"] == logged_calls["solve"] == quiet_calls["solve"]
+    assert logged_calls["explain"] == logged_calls["solve"] > quiet_calls["solve"]
+    assert len(quiet_steps) == len(logged_steps) > 0
+    for step in quiet_steps:
+        assert sorted(step["solved"]) == sorted(step["choice"])
+        assert step["kept"] == 0
+    for step in logged_steps:
+        assert sorted(step["solved"]) == sorted(step["vehicles"])
+    # some quiet steps skip a region with vehicles and no choice
+    assert any(step["choice"] < step["vehicles"] for step in quiet_steps)
+    assert any(step["kept"] for step in logged_steps)
 
 
 @pytest.mark.parametrize("strategy", ["bp-lr", "mspc-lr"])
