@@ -7,27 +7,33 @@ space), with gating approaches served only when the activated multi-phase
 plan allows their lane.  Vehicles enter on the shortest route and follow
 their routes link by link; blocked vehicles are never removed.
 
+Demand takes one ``poisson`` call per ``steps_per_macro`` injections, each
+taking the next row of per-OD counts.  Runs inject once per step, so this is
+the stream of per-step scalar draws: numpy draws an array element by element
+with the scalar routine, and a zero rate draws nothing.
+
 Routing reads one snapshot per step.  ``travel_time_estimates`` fixes the
 per-link times (free flow plus queue clearance) on its first call after
 ``advance``, the only code that changes a lane queue, and returns that same
-snapshot until the next ``advance``.  A snapshot holds one resumable search
-per destination (``netmodel.shortest_paths_to``), so every caller in one
-step extends the same search and gets the same route from the same start
-link.  The simulator's one free-flow snapshot, built with it, is the
-snapshot of every step that finds every lane queue empty; its searches
-resume across all steps, so once they have settled, a free-flow route only
-walks the search.  A route depends only on the times, so sharing a
-snapshot moves no route.
+snapshot until the next ``advance``; only links with a queued lane differ
+from free flow.  A snapshot holds one resumable search per destination
+(``netmodel.shortest_paths_to``), so every caller in one step extends the
+same search and gets the same route from the same start link.  The
+simulator's one free-flow snapshot, built with it, is the snapshot of every
+step that finds every lane queue empty; its searches resume across all
+steps, so once they have settled, a free-flow route only walks the search.
+A route depends only on the times, so sharing a snapshot moves no route.
 
 Demand injection routes a destination's ODs on the free-flow snapshot
 first, and searches the step's snapshot only for those whose free-flow
 route meets a queued lane; a destination with a queued origin link needs
 that search anyway, so all its ODs go straight to it.  A step whose
-injected routes all meet no queue builds no snapshot.  This is exact: queue terms are >= 0, so a free-flow shortest route that meets
-no queue keeps its time while every other route's time can only grow, and
-at each of its links every other successor within 1e-12 of tight was
-within it at free flow too, so the smallest-next-link tie rule keeps the
-same successor.  Rerouting (``routectl``) searches the step's snapshot.
+injected routes all meet no queue builds no snapshot.  This is exact:
+queue terms are >= 0, so a free-flow shortest route that meets no queue
+keeps its time while every other route's time can only grow, and at each
+of its links every other successor within 1e-12 of tight was within it at
+free flow too, so the smallest-next-link tie rule keeps the same
+successor.  Rerouting (``routectl``) searches the step's snapshot.
 
 A new vehicle waits in its origin's entry queue until the origin link has
 storage; ``Simulator.vehicles``, the only per-vehicle record, holds exactly
@@ -39,9 +45,9 @@ rejects any other route).
 
 One step runs from static tables built once per network
 (``Network.service_order``, ``region_of``, ``plan_lanes``,
-``boundary_pairs``, ``region_links``) and per-lane discharge budgets built
-once per simulator.  Boundary control's projected arrivals are built on
-demand (``Simulator.arrivals``), not by a step.
+``boundary_pairs``, ``region_links``) and per-lane discharge budgets and
+capacities built once per simulator.  Boundary control's projected
+arrivals are built on demand (``Simulator.arrivals``), not by a step.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -167,6 +173,11 @@ class Simulator:
         self._budget = {
             l: int(lane.sat_flow_veh_s * dt + 1e-9) for l, lane in self.net.lanes.items()
         }
+        self._capacity = {l: lane.capacity_veh for l, lane in self.net.lanes.items()}
+        self._link_of = {l: self.net.link_index[lane.link] for l, lane in self.net.lanes.items()}
+        self._no_crossings = dict.fromkeys(self.net.boundary_pairs, 0.0)  # every rate's key
+        self._demand_rows: list[list[int]] = []  # drawn by the first call that needs them
+        self._demand_next = 0
 
     # ------------------------------------------------------------------
     # Demand
@@ -177,17 +188,17 @@ class Simulator:
         ``advance``, then the same snapshot until the next ``advance``.  A
         step with every lane queue empty gets the simulator's one free-flow
         snapshot; any other step builds a new snapshot, on the first call
-        that needs one (injection only for a route that meets a queue)."""
+        that needs one (injection only for a route that meets a queue), from
+        the free-flow times with the links of the queued lanes recomputed."""
         if self._snapshot is None:
-            if any(self._queues.values()):
+            queued = {self._link_of[l] for l, q in self._queues.items() if q}
+            if queued:
                 queue = self._queues.__getitem__
-                self._snapshot = TravelTimes(
-                    self.net,
-                    [
-                        free_s + sum(map(len, map(queue, lanes))) / service
-                        for free_s, lanes, service in self.net.travel_time_terms
-                    ],
-                )
+                times = list(self._free_flow.by_index)
+                for k in queued:
+                    free_s, lanes, service = self.net.travel_time_terms[k]
+                    times[k] = free_s + sum(map(len, map(queue, lanes))) / service
+                self._snapshot = TravelTimes(self.net, times)
             else:
                 self._snapshot = self._free_flow
         return self._snapshot
@@ -201,20 +212,27 @@ class Simulator:
         return shortest_paths_to(travel_times, destination, origins)
 
     def inject_demand(self) -> list[int]:
-        """Draw the current step's Poisson arrivals and stage them in the
-        entry queues.  Returns the new vehicle ids.  No draw is made from
-        the demand horizon on."""
-        t = self.step_count * self.dt
-        if t >= self.scenario.demand.horizon_s:
+        """Stage the current step's Poisson arrivals in the entry queues and
+        return the new vehicle ids.  A call takes the next row of per-OD
+        counts; with none left, one ``poisson`` call draws the rows of the
+        ``steps_per_macro`` steps from this one at their rates (0 from the
+        demand horizon on), so one call per step draws each at its own."""
+        demand = self.scenario.demand
+        if self.step_count * self.dt >= demand.horizon_s:
             return []
-        arriving = []
-        for flow in self.scenario.demand.od:
-            rate = flow.rate_at(t) * self.demand_scale
-            if rate <= 0.0:
-                continue
-            count = int(self.demand_rng.poisson(rate * self.dt))
-            if count > 0:
-                arriving.append((flow, count))
+        if self._demand_next == len(self._demand_rows):
+            dt, scale, first = self.dt, self.demand_scale, self.step_count
+            steps = range(first, first + self.scenario.control.steps_per_macro)
+            lam = [
+                [max(f.rate_at(s * dt) * scale, 0.0) * dt for f in demand.od]
+                if s * dt < demand.horizon_s else [0.0] * len(demand.od)
+                for s in steps
+            ]
+            self._demand_rows = self.demand_rng.poisson(lam).tolist()
+            self._demand_next = 0
+        row = self._demand_rows[self._demand_next]
+        self._demand_next += 1
+        arriving = [(flow, count) for flow, count in zip(demand.od, row) if count]
         if not arriving:
             return []
         # travel times are fixed within a step, so one search per destination
@@ -286,6 +304,7 @@ class Simulator:
         vehicles = self.vehicles
         occupancy = self._occupancy
         running = self._running
+        queues, lanes_to, capacity = self._queues, net.lanes_to, self._capacity
         # lanes the activated plans turn green; a boundary without an
         # activated plan runs a fixed-cycle round robin
         green: set[str] = set()
@@ -314,8 +333,9 @@ class Simulator:
                 od = (region_of[origin], v.dest_region)
                 admitted_od[od] = admitted_od.get(od, 0) + 1
 
-        # 2. free-flow progress; vehicles reaching the stop line join a lane
-        #    queue (shortest feasible) or complete their trip
+        # 2. free-flow progress; vehicles reaching the stop line complete
+        #    their trip or join the least-loaded lane with room serving
+        #    their next move, the lower id first on a tie
         for link_id, on_link in running.items():
             if not on_link:
                 continue
@@ -339,18 +359,22 @@ class Simulator:
                         completions_by_region.get(region, 0) + 1
                     )
                     continue
-                lane = self._pick_lane(v)
+                lane = None
+                for lane_id in lanes_to.get((link_id, v.route[1]), ()):
+                    q = len(queues[lane_id])
+                    if q < capacity[lane_id] and (lane is None or q < best):
+                        lane, best = lane_id, q
                 if lane is None:
                     still_running.append(vid)  # all feasible lanes full; hold
                     continue
                 v.lane = lane
-                self._queues[lane].append(vid)
+                queues[lane].append(vid)
             running[link_id] = still_running
 
         # 3. queue service
         for link_id, from_region, kind, lanes in net.service_order:
             for lane_id in lanes:
-                queue = self._queues[lane_id]
+                queue = queues[lane_id]
                 if not queue or (kind == GATING and lane_id not in green):
                     continue
                 budget = self._budget[lane_id]
@@ -379,21 +403,6 @@ class Simulator:
             crossings, ng_crossings, completed, completions_by_region, admitted_od, dt
         )
 
-    def _pick_lane(self, v: _Vehicle) -> str | None:
-        """The least-loaded lane serving the vehicle's next move that has
-        room, the lower id first on a tie; None when every one is full."""
-        nxt = v.route[1]
-        feasible = self.net.lanes_to.get((v.current, nxt), ())
-        best = None
-        best_len = None
-        for lane_id in feasible:
-            q = len(self._queues[lane_id])
-            if q >= self.net.lanes[lane_id].capacity_veh:
-                continue
-            if best_len is None or q < best_len:
-                best, best_len = lane_id, q
-        return best
-
     # ------------------------------------------------------------------
     # Observations
 
@@ -409,7 +418,6 @@ class Simulator:
         admitted_od: dict[tuple[str, str], int],
         dt: float,
     ) -> MicroObservation:
-        pairs = self.net.boundary_pairs
         occupancy = self._occupancy.__getitem__
         region_links = self.net.region_links
         return MicroObservation(
@@ -417,8 +425,9 @@ class Simulator:
             time_s=self.time_s,
             dt_s=dt,
             queues={lane: len(q) for lane, q in self._queues.items()},
-            boundary_crossings={p: crossings.get(p, 0) / dt for p in pairs},
-            non_gating_crossings={p: ng_crossings.get(p, 0) / dt for p in pairs},
+            # every crossing is at a boundary with plans (checked at load)
+            boundary_crossings=self._no_crossings | {p: n / dt for p, n in crossings.items()},
+            non_gating_crossings=self._no_crossings | {p: n / dt for p, n in ng_crossings.items()},
             accumulation={
                 r: sum(map(occupancy, region_links.get(r, ()))) for r in self.partition.regions
             },
@@ -434,8 +443,9 @@ class Simulator:
         the only lanes boundary control reads: per lane, its queue plus the
         running vehicles within one step of the stop line, each put on the
         serving lane with the least (load, lane id), with no capacity check,
-        unlike ``_pick_lane``; changing the rule moves plan decisions.  It
-        reads the vehicles' current routes, so read it before ``set_route``."""
+        unlike a vehicle joining a queue in ``advance``; changing the rule
+        moves plan decisions.  It reads the vehicles' current routes, so
+        read it before ``set_route``."""
         arrivals: dict[str, float] = {}
         for link_id, lanes in self.net.gating_approaches:
             lane_loads = {l: len(self._queues[l]) for l in lanes}

@@ -25,6 +25,8 @@ reference for the controller's single ranking over per-step lane terms.
 the route-choice solve fits.
 ``reference_arrivals`` is the simulator's arrivals projection as first
 written: a projection over every running vehicle of every link.
+``reference_demand`` is demand injection's Poisson stream as first written:
+one scalar draw per OD with a positive rate, per step.
 ``dense_route_probabilities`` is the route-choice solve as first written,
 one dense column per vehicle candidate, always solved by ``lsq_linear``'s
 bounded-variable least squares, with the decision and its explanation in
@@ -50,6 +52,7 @@ from msjc.macrodyn import CompletionModel, MacroState
 from msjc.mesosim import MicroObservation, Simulator
 from msjc.netmodel import (
     Network,
+    Scenario,
     TravelTimes,
     boundary_key,
     next_region,
@@ -486,6 +489,29 @@ def reference_arrivals(sim: Simulator) -> dict[str, float]:
             loads[lane] += 1
             arrivals[lane] += 1.0
     return arrivals
+
+
+def reference_demand(
+    scenario: Scenario, seed: int, steps: int, demand_scale: float = 1.0
+) -> list[Counter[tuple[str, str]]]:
+    """Per step, the arrivals per (origin, destination): one scalar
+    ``poisson(rate * dt)`` per OD with a positive rate, in OD order, from a
+    Generator seeded as the simulator seeds its demand stream; no draw from
+    the demand horizon on."""
+    demand_seq, _ = np.random.SeedSequence([seed, scenario.demand.seed]).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(demand_seq))
+    dt = scenario.control.t_micro_s
+    counts = []
+    for step in range(steps):
+        t = step * dt
+        arrived: Counter[tuple[str, str]] = Counter()
+        if t < scenario.demand.horizon_s:
+            for flow in scenario.demand.od:
+                rate = flow.rate_at(t) * demand_scale
+                if rate > 0.0:
+                    arrived[flow.origin, flow.destination] += int(rng.poisson(rate * dt))
+        counts.append(+arrived)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from msjc.baselines import bp_control
 from msjc.mesosim import Simulator, _Vehicle
 from msjc.netmodel import GATING, ScenarioError, TravelTimes, scenario_from_dict, shortest_paths_to
 from conftest import make_single_gate, make_two_gate, single_gate_document
-from oracles import reference_arrivals
+from oracles import reference_arrivals, reference_demand
 
 
 def _new_vehicle(sim: Simulator, route: tuple[str, ...], **state) -> int:
@@ -75,6 +75,42 @@ class TestInjectDemand:
             sim.advance({})
         assert all(drawn[:31]) and not any(drawn[31:])
 
+    @staticmethod
+    def _changing_corridor2():
+        # east steps up at 150 s and west starts at 50 s and drops at 250 s,
+        # each inside a 10-step block; the 310 s horizon ends one step into one
+        raw = fixtures.corridor2_document(horizon_s=310.0)
+        east, west = raw["demand"]["od"]
+        del east["rate_veh_s"], west["rate_veh_s"]
+        east["profile"] = [[0.0, 0.2], [150.0, 0.9]]
+        west["profile"] = [[0.0, 0.0], [50.0, 0.4], [250.0, 0.1]]
+        return scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    @pytest.mark.parametrize("name", ["grid6", "corridor2 with changing rates"])
+    def test_counts_are_the_scalar_draws_of_each_step(self, name, seed):
+        sc = fixtures.grid6() if name == "grid6" else self._changing_corridor2()
+        steps = math.ceil(sc.demand.horizon_s / sc.control.t_micro_s) + 15
+        expected = reference_demand(sc, seed, steps)
+        sim = Simulator(sc, seed=seed)
+        for step in range(steps):
+            new = set(sim.inject_demand())
+            drawn = Counter(
+                (origin, v.destination)
+                for origin, staged in sim._entry.items()
+                for v in staged
+                if v.id in new
+            )
+            assert drawn == expected[step], step
+            sim.advance({})
+        assert sim.created_total == sum(sum(c.values()) for c in expected) > 0
+
+    def test_construction_draws_nothing(self):
+        sc = fixtures.grid6()
+        sim = Simulator(sc, seed=3)
+        demand_seq, _ = np.random.SeedSequence([3, sc.demand.seed]).spawn(2)
+        assert sim.demand_rng.bit_generator.state == np.random.PCG64(demand_seq).state
+
     def test_new_vehicles_get_shortest_route(self):
         sc = fixtures.corridor2(east_rate=0.5, west_rate=0.0)
         sim = Simulator(sc, seed=3)
@@ -125,6 +161,26 @@ class TestSetRoute:
 
 
 class TestAdvance:
+    @pytest.mark.parametrize("fixture", [fixtures.corridor2, fixtures.grid6])
+    def test_observation_keys_follow_the_network_and_rates_are_floats(self, fixture):
+        # the key order and cell types of observations.csv
+        sc = fixture()
+        net = sc.network
+        sim = Simulator(sc, seed=2)
+        observations = [sim.initial_observation()]
+        for _ in range(60):
+            sim.inject_demand()
+            observations.append(sim.advance({}))
+        rates = []
+        for obs in observations:
+            assert list(obs.queues) == list(net.lanes)
+            assert all(type(q) is int for q in obs.queues.values())
+            for crossings in (obs.boundary_crossings, obs.non_gating_crossings):
+                assert list(crossings) == list(net.boundary_pairs)
+                rates += crossings.values()
+        assert all(type(r) is float for r in rates)
+        assert 0.0 in rates and any(rates)
+
     def test_empty_network_observation_is_zero(self, single_gate):
         sim = Simulator(single_gate, seed=0)
         obs = sim.advance({})
@@ -599,6 +655,28 @@ class TestTravelTimeSnapshot:
             previous, was_empty = snapshot, empty
             sim.advance({})
         assert kept > 0 and rerouted > 0 and extended > 0
+
+    def test_a_step_snapshot_is_the_full_per_link_formula(self):
+        # at demand 2.0 links off the gating approaches queue too
+        sc = fixtures.grid6()
+        net = sc.network
+        sim = Simulator(sc, seed=0, demand_scale=2.0)
+        gating = {link_id for link_id, _ in net.gating_approaches}
+        empty = off_gating = 0
+        for _ in range(150):
+            sim.inject_demand()
+            snapshot = sim.travel_time_estimates()
+            assert snapshot.by_index == tuple(
+                free_s + sum(len(sim._queues[l]) for l in lanes) / service
+                for free_s, lanes, service in net.travel_time_terms
+            )
+            queued = {net.lanes[l].link for l, q in sim._queues.items() if q}
+            if not queued:
+                assert snapshot is sim._free_flow
+            empty += not queued
+            off_gating += bool(queued - gating)
+            sim.advance({})
+        assert empty > 0 and off_gating > 0
 
     def test_empty_network_steps_share_one_free_flow_snapshot(self):
         sc = fixtures.grid6(horizon_s=300.0)
