@@ -10,8 +10,9 @@ intersection, with opposing through demand.  Small enough for oracle tests.
 
 ``grid6``: six regions in a 2x3 mosaic, each a hub with a source and a sink,
 joined by one gating intersection per boundary.  Cross demands admit several
-hyper-paths, so route guidance matters.  Sized so a five-strategy comparison
-over several seeds completes in minutes.
+hyper-paths, so route guidance matters.  Sized so a run takes well under a
+second (0.03-0.2 s per strategy at seed 0 on a 2-CPU VM) and a five-strategy
+comparison over five seeds about 2 s.
 """
 
 from __future__ import annotations

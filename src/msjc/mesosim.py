@@ -45,9 +45,9 @@ rejects any other route).
 
 One step runs from static tables built once per network
 (``Network.service_order``, ``region_of``, ``plan_lanes``,
-``boundary_pairs``, ``region_links``) and per-lane discharge budgets and
-capacities built once per simulator.  Boundary control's projected
-arrivals are built on demand (``Simulator.arrivals``), not by a step.
+``region_links``) and per-lane discharge budgets and capacities built once
+per simulator.  Boundary control's projected arrivals are built on demand
+(``Simulator.arrivals``), not by a step.
 
 The engine is deterministic: identical seed, scenario and control trace
 produce an identical observation trace.
@@ -87,8 +87,9 @@ class MicroObservation:
     ``queues`` is the end-of-step queue of every lane (a decision input for
     the next step).  ``boundary_crossings`` are the exact counts of link
     transitions across each ordered region boundary during the step, in
-    veh/s, keyed in ``Network.boundary_pairs`` order.  ``accumulation`` is
-    the vehicles in each region's links at the end of the step.
+    veh/s, keyed in ``RegionPartition.ordered_boundaries()`` order.
+    ``accumulation`` is the vehicles in each region's links at the end of
+    the step.
     ``Simulator.od_counts()``, ``queue_heads()`` and ``arrivals()`` build the
     OD counts, the next step's queue heads and the projected arrivals on
     demand.
@@ -175,7 +176,8 @@ class Simulator:
         }
         self._capacity = {l: lane.capacity_veh for l, lane in self.net.lanes.items()}
         self._link_of = {l: self.net.link_index[lane.link] for l, lane in self.net.lanes.items()}
-        self._no_crossings = dict.fromkeys(self.net.boundary_pairs, 0.0)  # every rate's key
+        # every rate's key
+        self._no_crossings = dict.fromkeys(self.partition.ordered_boundaries(), 0.0)
         self._demand_rows: list[list[int]] = []  # drawn by the first call that needs them
         self._demand_next = 0
 

@@ -238,10 +238,6 @@ class Network:
             all_green = tuple(sorted(set().union(*green)))
             all_crossing = tuple(l for l in all_green if key in crosses[l] or rev in crosses[l])
             self.plan_lanes[key] = PlanLanes(ids, tuple(crossing), tuple(green), all_crossing, all_green)
-        # Both directions of every boundary, sorted: the order of a step's
-        # crossing rates.  Every boundary of the partition has plans, so with
-        # sorted regions and neighbors this is ``ordered_boundaries()``.
-        self.boundary_pairs = tuple(sorted(p for key in self.plan_lanes for p in (key, key[::-1])))
 
     def successors(self, link_id: str) -> tuple[str, ...]:
         return self._succ[link_id]

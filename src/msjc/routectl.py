@@ -14,11 +14,10 @@ link the vehicle is projected to sit on at the end of the step: the route's
 next link for a vehicle the step may discharge (``Simulator.queue_heads``),
 its current link otherwise.  ``route_tables`` makes one pass over the
 vehicles it is given, in id order: every vehicle of the regions a caller
-needs (all of them for the joint program and the logs, else only those
-where a vehicle has a choice).  Per region it counts each of those vehicles
-by its last candidate (its alternative if it has one, else its current
-route): per destination region, per (next region, destination) and per
-projected link.
+needs (all of them for the joint program, else only those where a vehicle
+has a choice).  Per region it counts each of those vehicles by its last
+candidate (its alternative if it has one, else its current route): per
+destination region, per (next region, destination) and per projected link.
 Only a vehicle with an alternative gets its candidate set
 (``VehicleRoutes``).  Both functions read the simulator's own vehicle
 records, ``Simulator.vehicles``.
@@ -30,8 +29,8 @@ bounded-variable least squares problem, solved exactly.  Its constant part
 comes from the region's counts (``Network.region_links`` gives the region's
 links and lane areas), and it has one column per vehicle with a choice; only
 those vehicles get probabilities and draw a route, and a region without one
-has nothing to build or solve.  ``explain_routes`` computes ``routing.csv``'s
-terms only when the log is written, from the program the solve built.
+has nothing to build or solve.  ``explain_routes`` computes a solve's
+``routing.csv`` terms from the program the solve built, for the logs alone.
 """
 
 from __future__ import annotations
@@ -195,20 +194,12 @@ def solve_probabilities(
 
 
 def explain_routes(
-    probs: RouteProbabilities,
-    counts: RouteCounts,
-    targets: Mapping[tuple[str, str, str], float],
-    net: Network,
-    region: str,
-    accumulation: float,
-    beta: float,
-    adjacency: Mapping[str, tuple[str, ...]],
+    probs: RouteProbabilities, beta: float
 ) -> tuple[dict[tuple[str, str, str], float], float, float]:
     """The realized split per key, the target term and the homogeneity term
-    of ``probs``, ``solve_probabilities``' decision on the same arguments: at
-    its x, or at x = 0 (each vehicle on its only candidate) without a choice."""
-    program = probs.program or _program((), counts, targets, net, region, accumulation, adjacency)
-    keys, base, goal, m_mat = program
+    of ``probs``, a decision of ``solve_probabilities`` with a choice and
+    weight ``beta``, at its x on the program it solved."""
+    keys, base, goal, m_mat = probs.program
     value = base + m_mat @ np.array([p for p, _ in probs.phi.values()])
     gap, n = value - goal, len(keys)
     realized = {key: float(v) for key, v in zip(keys, value)}

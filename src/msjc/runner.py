@@ -90,9 +90,9 @@ class MacroRecord:
     envelopes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
     solution: ControlSolution | None = None
     decisions: list[BoundaryDecision] = field(default_factory=list)
-    # per (micro step, region with vehicles) of a logged run: time, decision,
-    # the solve's other arguments
-    routing: list[tuple[float, routectl.RouteProbabilities, tuple]] = field(default_factory=list)
+    # per route-choice solve (micro step, region with a choice): time and
+    # decision, which ``routing.csv`` explains
+    routing: list[tuple[float, routectl.RouteProbabilities]] = field(default_factory=list)
 
 
 def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
@@ -113,11 +113,10 @@ def _require_mfd(scenario: Scenario, model: MfdModel | None) -> MfdModel:
 #   realized by one BoundaryController per boundary.  Without one (None)
 #   each boundary takes its max-pressure plan over the full plan set;
 # - a route rule that may reassign vehicles every micro step: "splits"
-#   (route choice toward the joint program's splits: a run without logs
-#   counts and solves only the regions where a vehicle has a choice; a
-#   logged run solves every region with vehicles, and ``macro.routing``
-#   keeps each decision with the solve's arguments for the logs to explain
-#   in ``routing.csv``), "logit" (logit rerouting) or None.
+#   (route choice toward the joint program's splits: it counts and solves
+#   only the regions where a vehicle has a choice, and ``macro.routing``
+#   keeps each decision for the logs to explain in ``routing.csv``),
+#   "logit" (logit rerouting) or None.
 # The run loop calls ``begin_macro(ctx)`` once per macro step, then, only in
 # an active macro step, per micro step ``plans(obs)`` (plan id per boundary
 # key), ``routes(obs)`` (new routes by vehicle id, or None) and, after the
@@ -139,8 +138,8 @@ STRATEGIES: dict[str, tuple[str | None, str | None]] = {
 
 class Strategy:
     """One preset of STRATEGIES wired to a simulator: its upper level
-    ``upper`` and its route rule ``route_rule``; ``logged`` when the run
-    writes logs that explain its route decisions."""
+    ``upper`` and its route rule ``route_rule``.  Whether the run writes
+    logs changes nothing it computes."""
 
     def __init__(
         self,
@@ -149,7 +148,6 @@ class Strategy:
         sim: Simulator,
         upper: str | None,
         route_rule: str | None,
-        logged: bool = False,
     ):
         self.scenario = scenario
         self.net = scenario.network
@@ -157,7 +155,6 @@ class Strategy:
         self.sim = sim
         self.upper = upper
         self.route_rule = route_rule
-        self.logged = logged
         self.macro = MacroRecord()
         self.controllers = {
             key: BoundaryController(self.net, key, scenario.control)
@@ -241,11 +238,10 @@ class Strategy:
 
     def _route_tables(self, every_region: bool = True) -> routectl.RouteTables:
         """The route tables of the simulator's vehicles, in id order.  Every
-        region is counted for those that need them all: the joint program's
-        ``jointctl.route_bounds`` and the logs' ``routing.csv``.  Otherwise
-        only the regions that hold a vehicle with an alternative are: the
-        others have nothing to decide, and a region's counts come only from
-        its own vehicles."""
+        region is counted for the joint program's ``jointctl.route_bounds``,
+        which needs them all.  Otherwise only the regions that hold a vehicle
+        with an alternative are: the others have nothing to decide, and a
+        region's counts come only from its own vehicles."""
         sim, region_of = self.sim, self.net.region_of
         # id order fixes the solve's columns and the routing draws
         vehicles = [sim.vehicles[vid] for vid in sorted(sim.vehicles)]
@@ -256,19 +252,17 @@ class Strategy:
         return routectl.route_tables(vehicles, alternatives, self.net, sim.queue_heads())
 
     def _split_routes(self, obs: MicroObservation) -> dict[int, tuple[str, ...]]:
-        """Route choice toward the joint solution's splits, region by region:
-        every region with vehicles in a logged run, else only those with a
-        choice (a region without one makes no draw)."""
+        """Route choice toward the joint solution's splits, in each region
+        where a vehicle has a choice (a region without one makes no draw).
+        Each decision is kept in ``macro.routing``."""
         solution = self.macro.solution
-        tables = self._tables if self._tables is not None else self._route_tables(self.logged)
+        tables = self._tables if self._tables is not None else self._route_tables(False)
         self._tables = None
-        solved = tables.counts if self.logged else tables.choices
         assignments: dict[int, tuple[str, ...]] = {}
         for region in self.scenario.partition.regions:
-            if region not in solved:
+            if region not in tables.choices:
                 continue
-            counts = tables.counts[region]
-            choices = tables.choices.get(region, [])
+            choices, counts = tables.choices[region], tables.counts[region]
             args = (counts, solution.c, self.net, region, float(obs.accumulation[region]))
             args += (self.scenario.control.route_beta, self.scenario.partition.adjacency)
             probs = routectl.solve_probabilities(choices, *args)
@@ -277,8 +271,7 @@ class Strategy:
             for vr in choices:
                 if chosen[vr.vid] != vr.routes[0].links:
                     assignments[vr.vid] = chosen[vr.vid]
-            if self.logged:
-                self.macro.routing.append((obs.time_s, probs, args))
+            self.macro.routing.append((obs.time_s, probs))
         return assignments
 
     def _logit_routes(self) -> dict[int, tuple[str, ...]]:
@@ -297,11 +290,11 @@ class Strategy:
 
 
 def make_strategy(
-    name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator, logged: bool = False
+    name: str, scenario: Scenario, model: MfdModel | None, sim: Simulator
 ) -> Strategy:
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy '{name}' (choose from {tuple(STRATEGIES)})")
-    return Strategy(scenario, _require_mfd(scenario, model), sim, *STRATEGIES[name], logged)
+    return Strategy(scenario, _require_mfd(scenario, model), sim, *STRATEGIES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +353,7 @@ class _RunLogs:
         }
         with open(out_dir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
+        self._beta = control.route_beta
         self._regions = regions = scenario.partition.regions
         self._boundaries = boundaries = scenario.partition.ordered_boundaries()
         self._decision_fields = [f.name for f in fields(BoundaryDecision)]
@@ -431,9 +425,9 @@ class _RunLogs:
         self._boundary.writerows(
             _cells(getattr(d, name) for name in self._decision_fields) for d in rec.decisions
         )
-        for time_s, probs, args in rec.routing:
+        for time_s, probs in rec.routing:
             # the realized splits, then the target and homogeneity terms
-            splits, *terms = routectl.explain_routes(probs, *args)
+            splits, *terms = routectl.explain_routes(probs, self._beta)
             self._routing.writerows(
                 _cells((time_s, i, j, h, sol.c.get((i, h, j), 0.0), value, *terms))
                 for (i, h, j), value in sorted(splits.items())
@@ -462,7 +456,7 @@ def run(
     u = control.steps_per_macro
     sim = Simulator(scenario, seed=config.seed, demand_scale=config.demand_scale)
     model = _require_mfd(scenario, model)
-    strategy = make_strategy(config.strategy, scenario, model, sim, config.out_dir is not None)
+    strategy = make_strategy(config.strategy, scenario, model, sim)
 
     warmup_s = config.warmup_s if config.warmup_s is not None else scenario.demand.warmup_s
     horizon = scenario.demand.horizon_s

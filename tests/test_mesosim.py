@@ -176,7 +176,7 @@ class TestAdvance:
             assert list(obs.queues) == list(net.lanes)
             assert all(type(q) is int for q in obs.queues.values())
             for crossings in (obs.boundary_crossings, obs.non_gating_crossings):
-                assert list(crossings) == list(net.boundary_pairs)
+                assert list(crossings) == sc.partition.ordered_boundaries()
                 rates += crossings.values()
         assert all(type(r) is float for r in rates)
         assert 0.0 in rates and any(rates)

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from msjc.netmodel import scenario_from_dict
 from msjc.routectl import (
     CandidateRoute,
     RouteCounts,
+    RouteProbabilities,
     RouteTables,
     VehicleRoutes,
     assign_routes,
@@ -32,6 +35,11 @@ from oracles import (
     route_choice_grid_search,
 )
 from test_mesosim import force_queued, force_running
+
+# the route-choice solves of grid6 msjc seed 0 from 800 to 900 s
+ROUTE_COUNTERS = json.loads(Path(__file__).with_name("goldens.json").read_text())[
+    "GRID6_MSJC_ROUTE_COUNTERS"
+]
 
 
 def one_region_net(n_links=2, lanes=2, length=100.0):
@@ -84,16 +92,23 @@ def choices_of(tables):
 
 def solve(routes, targets, net, region, accumulation, beta, adjacency):
     """``solve_probabilities`` on the count tables and choice list of
-    ``routes``, candidate sets given per vehicle, with its explanation."""
+    ``routes``, candidate sets given per vehicle, with its explanation.
+    None when no vehicle has a choice, once the decision is checked to be
+    empty: nothing was solved, so there is nothing to explain."""
     tables = counted_routes(routes)
+    choices = tables.choices.get(region, [])
     args = (tables.counts[region], targets, net, region, accumulation, beta, adjacency)
-    return explained(solve_probabilities(tables.choices.get(region, []), *args), *args)
+    probs = solve_probabilities(choices, *args)
+    if not choices:
+        assert probs == RouteProbabilities({}, 0, None)
+        return None
+    return explained(probs, beta)
 
 
-def explained(probs, *args):
-    """The decision ``probs`` with ``explain_routes``' terms for it;
-    ``args`` are the solve's arguments after the choice list."""
-    realized, target_term, homogeneity_term = explain_routes(probs, *args)
+def explained(probs, beta):
+    """The decision ``probs``, solved with weight ``beta``, with
+    ``explain_routes``' terms for it."""
+    realized, target_term, homogeneity_term = explain_routes(probs, beta)
     return RouteChoice(probs.phi, target_term, homogeneity_term, realized, probs.iterations)
 
 
@@ -375,19 +390,22 @@ class TestSolveProbabilities:
     def test_single_vehicle_single_route_is_pinned(self):
         net = one_region_net()
         routes = [vr(1, "R1", "R9", [cr("R2", "L0")])]
-        out = solve(routes, {("R1", "R2", "R9"): 0.0}, net, "R1", 1.0, 10.0, ADJ)
-        assert out.phi == {}  # no choice: no probabilities, no draw
-        assert out.iterations == 0
+        # no choice: no probabilities, no iterations, no program, no draw
+        assert solve(routes, {("R1", "R2", "R9"): 0.0}, net, "R1", 1.0, 10.0, ADJ) is None
 
     def test_disjoint_fixed_vehicles_leave_only_homogeneity(self):
         net = one_region_net(n_links=2, lanes=1, length=100.0)
-        routes = [
+        fixed = [
             vr(1, "R1", "R9", [cr("R2", "L0")]),
             vr(2, "R1", "R9", [cr("R3", "L0")]),
         ]
         targets = {("R1", "R2", "R9"): 0.5, ("R1", "R3", "R9"): 0.5}
-        out = solve(routes, targets, net, "R1", 2.0, 10.0, ADJ)
-        assert out.phi == {}
+        assert solve(fixed, targets, net, "R1", 2.0, 10.0, ADJ) is None
+        # a vehicle whose candidates end on one link can meet the split
+        # exactly (x = 1/2) without moving a density
+        free = vr(3, "R1", "R9", [cr("R2", "L1"), cr("R3", "L1")])
+        out = solve(fixed + [free], targets, net, "R1", 3.0, 10.0, ADJ)
+        assert out.phi == {3: pytest.approx((0.5, 0.5), abs=1e-12)}
         assert out.target_term == pytest.approx(0.0, abs=1e-12)
         assert objective_of(out) == pytest.approx(out.homogeneity_term)
 
@@ -580,8 +598,12 @@ def assert_matches_dense_reference(routes, targets, net, region, acc, beta, adja
 
 def assert_same_as_dense(out, routes, targets, net, region, acc, beta, adjacency):
     """``out``, the solve for the vehicles ``routes`` of ``region``, is the
-    dense-column reference's solution bit for bit."""
+    dense-column reference's solution bit for bit; None (no choice) where
+    the reference pins every vehicle to its one candidate."""
     ref = dense_route_probabilities(routes, targets, net, region, acc, beta, adjacency)
+    if out is None:
+        assert all(phi.tolist() == [1.0] for phi in ref.phi.values())
+        return
     assert out.realized == ref.realized
     assert (out.target_term, out.homogeneity_term) == (ref.target_term, ref.homogeneity_term)
     assert out.iterations == ref.iterations
@@ -641,54 +663,32 @@ class TestDenseReference:
         assert seen["in the box"] >= 10 and seen["off the box"] >= 10
 
     def test_running_sum_keeps_every_bit(self):
-        # ten one-candidate vehicles of one OD each add 1/10 to its realized
-        # share: ten additions of 0.1 give 0.9999999999999999, not 10 * 0.1
+        # eleven vehicles of one OD on their last candidates, ten fixed and
+        # one with a choice, each add 1/11 to the program's constant share
+        # of R2: eleven additions of 1/11 give 1.0000000000000002, not
+        # 11 * (1 / 11)
         net = one_region_net(n_links=2, lanes=1, length=100.0)
         fixed = [vr(k, "R1", "R9", [cr("R2", "L0")]) for k in range(10)]
-        targets = {("R1", "R2", "R9"): 1.0, ("R1", "R3", "R9"): 0.0}
-        out = assert_matches_dense_reference(fixed, targets, net, "R1", 10.0, 10.0, ADJ)
-        assert out.realized[("R1", "R2", "R9")] == 0.9999999999999999 != 10 * 0.1
-        # with a vehicle that has a choice the fixed ones still sum that way
         free = vr(10, "R1", "R9", [cr("R3", "L1"), cr("R2", "L0")])
+        targets = {("R1", "R2", "R9"): 1.0, ("R1", "R3", "R9"): 0.0}
+        tables = counted_routes(fixed + [free])
+        args = (tables.counts["R1"], targets, net, "R1", 11.0, 10.0, ADJ)
+        keys, base, _, _ = solve_probabilities(tables.choices["R1"], *args).program
+        assert base[keys.index(("R1", "R2", "R9"))] == 1.0000000000000002 != 11 * (1 / 11)
         assert_matches_dense_reference(fixed + [free], targets, net, "R1", 11.0, 10.0, ADJ)
 
 
 class TestAgainstTheReferencePath:
     def test_msjc_window_matches_the_per_vehicle_path(self, monkeypatch, tmp_path):
-        """Every routed step of a seeded grid6 msjc window: the count tables
-        and choice lists are ``Counter``s over the per-vehicle candidate
-        sets, and the split bounds and every route-choice solve match the
-        per-vehicle path bit for bit.  The run writes logs, so every region
-        with vehicles is counted and solved, those without a choice too."""
+        """Every routed step of a seeded grid6 msjc window, run with logs:
+        begin_macro's count tables and choice lists are ``Counter``s over
+        the per-vehicle candidate sets and its split bounds match the
+        per-vehicle path; each micro step's tables are those restricted to
+        the regions with a choice; and every solve, all of them with a
+        choice, matches the per-vehicle path over the region's vehicles bit
+        for bit.  The logs change none of it: the solves are the ones pinned
+        for the window without logs."""
         adjacency = fixtures.grid6().partition.adjacency
-        tables_fn, solve_fn = routectl.route_tables, routectl.solve_probabilities
-        annotated = []
-        seen = Counter()
-
-        def checked_tables(vehicles, alternatives, net, heads):
-            tables = tables_fn(vehicles, alternatives, net, heads)
-            annotated[:] = annotate_routes(vehicles, alternatives, net, heads)
-            assert tables == counted_routes(annotated)
-            assert route_bounds(tables.counts, tables.choices, adjacency) == (
-                reference_route_bounds(candidate_next_regions(annotated), adjacency)
-            )
-            seen["tables"] += 1
-            return tables
-
-        monkeypatch.setattr(routectl, "route_tables", checked_tables)
-        monkeypatch.setattr(routectl, "solve_probabilities", self.checked_solve(annotated, seen))
-        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0, out_dir=tmp_path)
-        runner.run(fixtures.grid6(), config)
-        assert seen["tables"] == 10 and seen["solves"] == 60
-        assert 0 < seen["with_choice"] < seen["solves"]
-        # both the least-squares shortcut and BVLS decide some of the solves
-        assert 0 < seen["off_the_box"] < seen["with_choice"]
-
-    def test_quiet_msjc_window_solves_the_regions_with_a_choice(self, monkeypatch):
-        """The same window without logs: begin_macro's tables are the full
-        tables, each micro step's are the full tables restricted to the
-        regions with a choice, and every solve, all of them with a choice,
-        matches the per-vehicle path over the region's vehicles."""
         tables_fn, generate_fn = routectl.route_tables, routectl.generate_routes
         begin_macro = runner.Strategy.begin_macro
         annotated, every_vehicle = [], []
@@ -709,6 +709,9 @@ class TestAgainstTheReferencePath:
             full = counted_routes(annotated)
             if seen["macro"]:
                 assert tables == full
+                assert route_bounds(tables.counts, tables.choices, adjacency) == (
+                    reference_route_bounds(candidate_next_regions(annotated), adjacency)
+                )
             else:
                 with_choice = {region: full.counts[region] for region in full.choices}
                 assert tables == RouteTables(full.choices, with_choice)
@@ -720,10 +723,11 @@ class TestAgainstTheReferencePath:
         monkeypatch.setattr(routectl, "route_tables", checked_tables)
         monkeypatch.setattr(routectl, "solve_probabilities", self.checked_solve(annotated, seen))
         monkeypatch.setattr(runner.Strategy, "begin_macro", in_macro_step)
-        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0, out_dir=tmp_path)
         runner.run(fixtures.grid6(), config)
         assert seen["tables"] == 10 and seen["restricted"] > 0
-        assert 0 < seen["solves"] == seen["with_choice"] < 60
+        assert seen["solves"] == seen["with_choice"] == ROUTE_COUNTERS["solves"]
+        # both the least-squares shortcut and BVLS decide some of the solves
         assert 0 < seen["off_the_box"] < seen["with_choice"]
 
     @staticmethod
@@ -735,8 +739,9 @@ class TestAgainstTheReferencePath:
         def checked(choices, counts, targets, net, region, acc, beta, adj):
             out = solve_fn(choices, counts, targets, net, region, acc, beta, adj)
             in_region = [vr for vr in annotated if vr.region == region]
-            args = (counts, targets, net, region, acc, beta, adj)
-            assert_same_as_dense(explained(out, *args), in_region, *args[1:])
+            assert_same_as_dense(
+                explained(out, beta), in_region, targets, net, region, acc, beta, adj
+            )
             seen["solves"] += 1
             seen["with_choice"] += bool(choices)
             seen["off_the_box"] += out.iterations > 0
