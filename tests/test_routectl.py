@@ -680,14 +680,25 @@ class TestDenseReference:
 
 class TestAgainstTheReferencePath:
     def test_msjc_window_matches_the_per_vehicle_path(self, monkeypatch, tmp_path):
-        """Every routed step of a seeded grid6 msjc window, run with logs:
-        begin_macro's count tables and choice lists are ``Counter``s over
-        the per-vehicle candidate sets and its split bounds match the
-        per-vehicle path; each micro step's tables are those restricted to
-        the regions with a choice; and every solve, all of them with a
-        choice, matches the per-vehicle path over the region's vehicles bit
-        for bit.  The logs change none of it: the solves are the ones pinned
-        for the window without logs."""
+        """The window run with logs: the logs change none of the checks, and
+        the solves are the ones pinned for the window without logs."""
+        seen = self.checked_window(monkeypatch, tmp_path)
+        assert seen["solves"] == seen["with_choice"] == ROUTE_COUNTERS["solves"]
+
+    def test_quiet_msjc_window_solves_the_regions_with_a_choice(self, monkeypatch):
+        """The window without logs, as the benchmark runs it: one solve per
+        (micro step, region with a choice), as pinned."""
+        seen = self.checked_window(monkeypatch, None)
+        assert seen["solves"] == seen["with_choice"] == ROUTE_COUNTERS["solves"]
+
+    def checked_window(self, monkeypatch, out_dir) -> Counter:
+        """Every routed step of grid6 msjc seed 0 from 800 to 900 s, logs
+        written to ``out_dir`` (None for none): begin_macro's count tables
+        and choice lists are ``Counter``s over the per-vehicle candidate
+        sets and its split bounds match the per-vehicle path; each micro
+        step's tables are those restricted to the regions with a choice; and
+        every solve, all of them with a choice, matches the per-vehicle path
+        over the region's vehicles bit for bit."""
         adjacency = fixtures.grid6().partition.adjacency
         tables_fn, generate_fn = routectl.route_tables, routectl.generate_routes
         begin_macro = runner.Strategy.begin_macro
@@ -723,12 +734,12 @@ class TestAgainstTheReferencePath:
         monkeypatch.setattr(routectl, "route_tables", checked_tables)
         monkeypatch.setattr(routectl, "solve_probabilities", self.checked_solve(annotated, seen))
         monkeypatch.setattr(runner.Strategy, "begin_macro", in_macro_step)
-        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0, out_dir=tmp_path)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=800.0, cap_s=900.0, out_dir=out_dir)
         runner.run(fixtures.grid6(), config)
         assert seen["tables"] == 10 and seen["restricted"] > 0
-        assert seen["solves"] == seen["with_choice"] == ROUTE_COUNTERS["solves"]
         # both the least-squares shortcut and BVLS decide some of the solves
         assert 0 < seen["off_the_box"] < seen["with_choice"]
+        return seen
 
     @staticmethod
     def checked_solve(annotated, seen):

@@ -224,13 +224,14 @@ def test_msjc_builds_one_route_set_per_routed_micro_step(monkeypatch):
     assert calls["routed"] > 0 and calls["generate"] == calls["routed"]
 
 
-def route_tables_seen(monkeypatch) -> Counter:
+def route_tables_seen(monkeypatch, out_dir=None) -> tuple[Counter, list]:
     """Route guidance's tables over one macro step of msjc on the loaded
-    grid, as in the benchmark's windows, each checked to list its vehicles
-    in id order and to count every vehicle of each region it holds: every
-    region with vehicles when asked for all, else the regions with a
-    choice."""
-    seen = Counter()
+    grid, as in the benchmark's windows, logs written to ``out_dir`` (None
+    for none), each checked to list its vehicles in id order and to count
+    every vehicle of each region it holds: every region with vehicles when
+    asked for all, else the regions with a choice.  Returns the checks'
+    tallies and the tables in the order they were built."""
+    seen, built = Counter(), []
     route_tables, strategy_tables = runner.routectl.route_tables, runner.Strategy._route_tables
 
     def checked(vehicles, alternatives, net, heads):
@@ -257,13 +258,15 @@ def route_tables_seen(monkeypatch) -> Counter:
         seen["every region"] += every_region
         seen["all vehicles"] += in_counted == len(vehicles)
         seen["unordered"] += list(vehicles) != sorted(vehicles)
+        built.append(tables)
         return tables
 
-    monkeypatch.setattr(runner.routectl, "route_tables", checked)
-    monkeypatch.setattr(runner.Strategy, "_route_tables", counted)
-    config = runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0)
-    runner.run(fixtures.grid6(), config)
-    return seen
+    with monkeypatch.context() as patched:
+        patched.setattr(runner.routectl, "route_tables", checked)
+        patched.setattr(runner.Strategy, "_route_tables", counted)
+        config = runner.RunConfig("msjc", seed=0, warmup_s=400.0, cap_s=500.0, out_dir=out_dir)
+        runner.run(fixtures.grid6(), config)
+    return seen, built
 
 
 def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
@@ -272,9 +275,18 @@ def test_msjc_route_tables_are_in_vehicle_id_order(monkeypatch):
     # and makes the routing draws in id order.  Only the joint program's
     # tables count every region; a micro step's count the regions where a
     # vehicle has a choice
-    seen = route_tables_seen(monkeypatch)
+    seen, _ = route_tables_seen(monkeypatch)
     assert seen["tables"] > 0 and seen["unordered"] > 0
     assert seen["every region"] == 1 and seen["all vehicles"] < seen["tables"]
+
+
+def test_logged_msjc_route_tables_are_those_of_a_quiet_run(monkeypatch, tmp_path):
+    # writing logs counts no region more: a logged run builds the quiet
+    # run's tables, table for table, under the same checks
+    quiet_seen, quiet = route_tables_seen(monkeypatch)
+    seen, logged = route_tables_seen(monkeypatch, tmp_path)
+    assert seen == quiet_seen and seen["every region"] == 1
+    assert len(logged) == seen["tables"] > 1 and logged == quiet
 
 
 def test_routing_log_explains_without_changing_decisions(monkeypatch, tmp_path):
