@@ -6,7 +6,7 @@ parts, and ``runner.Strategy`` keeps PI gating's state between macro steps.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +36,6 @@ def logit_choice(
     u = u - u.max()
     e = np.exp(u)
     return e / e.sum()
-
-
-def route_travel_time(
-    route: Sequence[str], travel_times: Mapping[str, float]
-) -> float:
-    """Sum of the route's link times, added left to right."""
-    return boundaryctl.sum_in_order(travel_times, route)
 
 
 def bp_control(

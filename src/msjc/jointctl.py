@@ -20,13 +20,12 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Protocol
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 
-from .macrodyn import CompletionModel, MacroState
 from .routectl import RouteCounts, VehicleRoutes
 
 logger = logging.getLogger(__name__)
@@ -37,6 +36,37 @@ TKey = tuple[str, str, str]
 _EMPTY_REGION_VEH = 1.0  # regions below this stock impose no flow constraint
 _FEASIBILITY_TOL = 1e-6
 _Z_TIE = 1e-9  # z that stage 2 may add to stage 1's: LP rounding
+
+
+class CompletionModel(Protocol):
+    def evaluate(self, region: str, n: float) -> float: ...
+
+    def critical(self, region: str) -> float: ...
+
+
+@dataclass
+class MacroState:
+    """The program's input: region stocks and fresh demand of one macro step."""
+
+    n: dict[tuple[str, str], float]  # (region, destination region) -> veh
+    q: dict[tuple[str, str], float]  # fresh demand per macro step, veh
+    t_macro_s: float
+    regions: tuple[str, ...]
+    adjacency: Mapping[str, tuple[str, ...]]
+
+    def accumulation(self, region: str) -> float:
+        return sum(self.n.get((region, j), 0.0) for j in self.regions)
+
+    def accumulations(self) -> dict[str, float]:
+        return {i: self.accumulation(i) for i in self.regions}
+
+    def validate(self) -> None:
+        for key, value in self.n.items():
+            if value < 0:
+                raise ValueError(f"negative stock {key}: {value}")
+        for key, value in self.q.items():
+            if value < 0:
+                raise ValueError(f"negative demand {key}: {value}")
 
 
 @dataclass(frozen=True)

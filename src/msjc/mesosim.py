@@ -402,14 +402,14 @@ class Simulator:
                             ng_crossings[key] = ng_crossings.get(key, 0) + 1
 
         return self._build_observation(
-            crossings, ng_crossings, completed, completions_by_region, admitted_od, dt
+            crossings, ng_crossings, completed, completions_by_region, admitted_od
         )
 
     # ------------------------------------------------------------------
     # Observations
 
     def initial_observation(self) -> MicroObservation:
-        return self._build_observation({}, {}, 0, {}, {}, self.dt)
+        return self._build_observation({}, {}, 0, {}, {})
 
     def _build_observation(
         self,
@@ -418,8 +418,8 @@ class Simulator:
         completed: int,
         completions_by_region: dict[str, int],
         admitted_od: dict[tuple[str, str], int],
-        dt: float,
     ) -> MicroObservation:
+        dt = self.dt
         occupancy = self._occupancy.__getitem__
         region_links = self.net.region_links
         return MicroObservation(

@@ -58,9 +58,7 @@ def _cubic(b1: float, b2: float, b3: float, n) -> np.ndarray:
     return ((b3 * n + b2) * n + b1) * n
 
 
-def critical_accumulation(
-    b1: float, b2: float, b3: float, n_max: float | None = None
-) -> float:
+def critical_accumulation(b1: float, b2: float, b3: float, n_max: float) -> float:
     """Argmax of the no-intercept cubic on [0, n_max].
 
     The maximum of a cubic on [0, n_max] lies at a root of its derivative
@@ -77,20 +75,9 @@ def critical_accumulation(
             candidates += [(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)]
     elif abs(b) > 0.0:
         candidates.append(-c / b)
-
-    if n_max is None:
-        interior = [
-            n for n in candidates if n > 0.0 and (6.0 * b3 * n + 2.0 * b2) < 0.0
-        ]
-        if not interior:
-            raise MfdFitError(
-                "cubic has no interior maximum; provide an explicit range"
-            )
-        n_crit = min(interior)
-    else:
-        candidates = [n for n in candidates if 0.0 < n < n_max] + [n_max]
-        values = _cubic(b1, b2, b3, candidates)
-        n_crit = float(candidates[int(np.argmax(values))])
+    candidates = [n for n in candidates if 0.0 < n < n_max] + [n_max]
+    values = _cubic(b1, b2, b3, candidates)
+    n_crit = float(candidates[int(np.argmax(values))])
     if _cubic(b1, b2, b3, n_crit) <= 0.0:
         raise MfdFitError("fitted cubic is non-positive at its maximum")
     return float(n_crit)

@@ -27,7 +27,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, fields
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 import yaml
@@ -679,7 +679,7 @@ def _route_exists(net: Network, origin: str, destination: str) -> bool:
 # Routes and hyper-paths
 
 
-class TravelTimes(Mapping[str, float]):
+class TravelTimes:
     """Per-link travel times (link id -> s) fixed for one step, and the
     route searches run on them.  ``shortest_paths_to`` keeps one resumable
     search per destination in ``searches``, so every caller that routes on
@@ -694,12 +694,6 @@ class TravelTimes(Mapping[str, float]):
 
     def __getitem__(self, link: str) -> float:
         return self.by_index[self.net.link_index[link]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.net.link_ids)
-
-    def __len__(self) -> int:
-        return len(self.by_index)
 
 
 class _Search:

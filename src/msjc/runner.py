@@ -24,10 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jointctl, mfd as mfdmod, routectl
-from .baselines import bp_control, logit_choice, pi_target, route_travel_time
-from .boundaryctl import BoundaryController, BoundaryDecision
-from .jointctl import ControlBounds, ControlSolution
-from .macrodyn import MacroState
+from .baselines import bp_control, logit_choice, pi_target
+from .boundaryctl import BoundaryController, BoundaryDecision, sum_in_order
+from .jointctl import ControlBounds, ControlSolution, MacroState
 from .mesosim import MicroObservation, Simulator, check_demand_scale
 from .mfd import MfdFitError, MfdModel, MfdSample
 from .netmodel import Scenario, ScenarioError, boundary_key
@@ -283,7 +282,7 @@ class Strategy:
         assignments: dict[int, tuple[str, ...]] = {}
         for vid in sorted(alternatives):
             best = alternatives[vid]
-            times = [route_travel_time(sim.vehicles[vid].route, tt), route_travel_time(best, tt)]
+            times = [sum_in_order(tt, sim.vehicles[vid].route), sum_in_order(tt, best)]
             if routectl.draw_two(logit_choice(times, theta), sim.routing_rng):
                 assignments[vid] = best
         return assignments
@@ -455,7 +454,6 @@ def run(
     dt = control.t_micro_s
     u = control.steps_per_macro
     sim = Simulator(scenario, seed=config.seed, demand_scale=config.demand_scale)
-    model = _require_mfd(scenario, model)
     strategy = make_strategy(config.strategy, scenario, model, sim)
 
     warmup_s = config.warmup_s if config.warmup_s is not None else scenario.demand.warmup_s
@@ -492,7 +490,7 @@ def run(
         while True:
             state = _build_macro_state(scenario, sim.od_counts(), prev_admitted)
             active = any(
-                state.accumulation(r) > control.activation_threshold * model.critical(r)
+                state.accumulation(r) > control.activation_threshold * strategy.model.critical(r)
                 for r in scenario.partition.regions
             )
             if active and first_activation_s is None:

@@ -45,10 +45,9 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from msjc.baselines import logit_choice, route_travel_time
-from msjc.boundaryctl import BoundaryDecision
-from msjc.jointctl import BKey, TKey
-from msjc.macrodyn import CompletionModel, MacroState
+from msjc.baselines import logit_choice
+from msjc.boundaryctl import BoundaryDecision, sum_in_order
+from msjc.jointctl import BKey, CompletionModel, MacroState, TKey
 from msjc.mesosim import MicroObservation, Simulator
 from msjc.netmodel import (
     Network,
@@ -432,7 +431,7 @@ def reference_logit_routes(strategy) -> dict[int, tuple[str, ...]]:
     for v, (cands, pinned) in sorted(zip(records, candidates), key=lambda vc: vc[0].id):
         if pinned:
             continue
-        times = [route_travel_time(links, tt) for links, *_ in cands]
+        times = [sum_in_order(tt, links) for links, *_ in cands]
         phi = logit_choice(times, strategy.scenario.control.logit_theta)
         links, is_current, _, _ = cands[int(sim.routing_rng.choice(len(phi), p=phi))]
         if not is_current:

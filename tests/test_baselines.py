@@ -1,6 +1,7 @@
 import pytest
 
-from msjc.baselines import pi_target, route_travel_time
+from msjc.baselines import pi_target
+from msjc.boundaryctl import sum_in_order
 
 # kp, ki as in ControlConfig's defaults
 GAINS = dict(kp=0.05, ki=0.01)
@@ -22,9 +23,9 @@ def test_pi_step_clamps_at_the_envelope_ceiling():
     assert pi_target(0.8, 40.0, 20.0, 42.0, **GAINS, m_min=0.1, m_max=1.0) == 1.0
 
 
-def test_route_travel_time_adds_left_to_right():
+def test_logit_route_times_add_left_to_right():
     # Python 3.12's sum() of floats is compensated: sum([0.1] * 10) == 1.0
     # there but 0.9999999999999999 on 3.11; one left-to-right rule keeps
     # a logit draw's inputs the same on both
     times = {f"l{k}": 0.1 for k in range(10)}
-    assert route_travel_time(list(times), times) == 0.9999999999999999
+    assert sum_in_order(times, list(times)) == 0.9999999999999999

@@ -95,17 +95,18 @@ def test_made_scenario_is_the_fixture_document(name, with_mfd, tmp_path):
 
 
 def test_package_entry_point_writes_a_loadable_scenario(tmp_path):
-    path = tmp_path / "grid6.yaml"
+    path = tmp_path / "corridor2.yaml"
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-m", "msjc", "make-scenario", "grid6", "-o", str(path)],
+        [sys.executable, "-m", "msjc", "make-scenario", "corridor2", "-o", str(path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert netmodel.load_scenario(path).name == "grid6"
+    assert yaml.safe_load(path.read_text()) == fixtures.corridor2_document()
+    assert netmodel.load_scenario(path).name == "corridor2"
 
 
 def _corridor2(tmp_path, capsys):
@@ -359,3 +360,13 @@ def test_truncated_run_names_the_stop_time_and_the_cap(tmp_path, capsys):
     assert metrics.truncated and "cleared at" not in printed
     stopped = f"stopped at {metrics.clearance_time_s:.0f} s by the 5 s time cap, not cleared"
     assert printed.endswith(stopped + "\n")
+
+
+def test_cleared_run_names_the_clearance_time(tmp_path, capsys):
+    scenario, _ = _corridor2(tmp_path, capsys)
+    argv = ["run", "--scenario", str(scenario), "--strategy", "bp", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    [metrics] = runner.read_metrics_csv(tmp_path / "run" / "metrics.csv")
+    assert not metrics.truncated and "time cap" not in printed
+    assert printed.endswith(f"cleared at {metrics.clearance_time_s:.0f} s\n")

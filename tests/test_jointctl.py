@@ -1,4 +1,5 @@
 import functools
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from scipy import sparse
 
 from msjc import fixtures, jointctl, runner
-from msjc.jointctl import ControlBounds, _Problem, route_bounds, solve
-from msjc.macrodyn import MacroState
+from msjc.jointctl import ControlBounds, MacroState, _Problem, route_bounds, solve
 from msjc.routectl import CandidateRoute, VehicleRoutes
 
 from oracles import (
@@ -318,6 +318,18 @@ class TestRouteBounds:
 
 
 class TestSolve:
+    @pytest.mark.parametrize(
+        "n, q, message",
+        [
+            ({("R1", "R2"): -1.0}, {}, "negative stock ('R1', 'R2'): -1.0"),
+            ({("R1", "R2"): 5.0}, {("R2", "R1"): -0.5}, "negative demand ('R2', 'R1'): -0.5"),
+        ],
+    )
+    def test_negative_state_refused(self, n, q, message):
+        mfd = FractionMfd({"R1": 0.5, "R2": 0.5}, {"R1": 1000.0, "R2": 1000.0})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(two_region_state(n, q), mfd, wide_bounds())
+
     def test_empty_network_hits_spare_capacity_of_largest_region(self):
         state = two_region_state({})
         mfd = FractionMfd({"R1": 0.5, "R2": 0.5}, {"R1": 1000.0, "R2": 2000.0})

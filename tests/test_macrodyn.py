@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from msjc.macrodyn import MacroState
+from msjc.jointctl import MacroState
 
 from oracles import completion_split, step, transfers
 
@@ -221,7 +221,7 @@ class TestStep:
     def test_overdraw_clamps_to_zero_and_warns(self, caplog):
         state = two_region_state({("R1", "R2"): 10.0})
         mfd = StubMfd({"R1": 1.5, "R2": 0.5})  # releases more than the stock
-        with caplog.at_level(logging.WARNING, logger="msjc.macrodyn"):
+        with caplog.at_level(logging.WARNING, logger="oracles"):
             nxt = step(
                 state,
                 mfd,

@@ -631,7 +631,7 @@ class TestTravelTimeSnapshot:
             # the free-flow snapshot on every empty step, else a new one
             assert (snapshot is sim._free_flow) == empty
             assert (snapshot is previous) == (empty and was_empty)
-            assert snapshot == {
+            assert {l: snapshot[l] for l in net.link_ids} == {
                 link.id: link.travel_time_s
                 + sum(len(sim._queues[l]) for l in link.lanes)
                 / sum(net.lanes[l].sat_flow_veh_s for l in link.lanes)

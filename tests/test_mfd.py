@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from msjc.mfd import MfdFitError, MfdModel, MfdSample, critical_accumulation, fit, load_mfd, save_mfd
-from msjc.netmodel import MfdParams
+from msjc.netmodel import MfdParams, ScenarioError
 
 # Published per-region cubic coefficients used as anchors: (b1, b2, b3, n_crit)
 REGION_CUBICS = {
@@ -96,7 +98,7 @@ class TestFit:
         rng = np.random.default_rng(17)
         samples = _samples(b1, b2, b3, np.linspace(50, 2600, 260), noise=0.05, rng=rng)
         model = fit(samples)
-        true_crit = critical_accumulation(b1, b2, b3)
+        true_crit = critical_accumulation(b1, b2, b3, 4000.0)
         assert abs(model.params["R1"].n_crit - true_crit) / true_crit <= 0.02
 
     def test_argmax_property_on_fit_range(self):
@@ -111,7 +113,7 @@ class TestCritical:
     @pytest.mark.parametrize("key", sorted(REGION_CUBICS))
     def test_published_critical_values_within_one_percent(self, key):
         b1, b2, b3, expected = REGION_CUBICS[key]
-        n_crit = critical_accumulation(b1, b2, b3)
+        n_crit = critical_accumulation(b1, b2, b3, 2 * expected)
         assert abs(n_crit - expected) / expected <= 0.01
 
     def test_dense_scan_agrees_with_closed_form(self):
@@ -168,3 +170,17 @@ def test_save_load_round_trip(tmp_path):
     again = load_mfd(path, ("R1", "R2"))
     assert again.params == model.params
     assert again.to_dict() == model.to_dict()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"regions": {}}, "not an MFD file (missing 'mfd' block)"),
+        ({"mfd": [1, 2]}, "mfd: must map each region to its coefficients"),
+    ],
+)
+def test_load_mfd_refuses_a_file_without_an_mfd_mapping(tmp_path, document, message):
+    path = tmp_path / "mfd.yaml"
+    path.write_text(yaml.safe_dump(document))
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: {message}")):
+        load_mfd(path, ("R1", "R2"))

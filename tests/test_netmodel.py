@@ -81,6 +81,48 @@ def test_asymmetric_adjacency_rejected():
         scenario_from_dict(raw)
 
 
+def _self_neighbor(raw):
+    raw["regions"]["R1"]["neighbors"].append("R1")
+
+
+def _interior_with_boundary(raw):
+    raw["intersections"]["n1"] = {"kind": "interior", "boundary": ["R1", "R2"]}
+
+
+def _boundary_of_non_neighbors(raw):
+    raw["regions"]["R3"] = {"neighbors": []}
+    raw["intersections"]["g"]["boundary"] = ["R1", "R3"]
+
+
+def _phase_lane_elsewhere(raw):
+    raw["intersections"]["g"]["phases"]["go"] = ["b_0"]
+
+
+def _node_of_another_boundary(raw):
+    # g is declared for R1|R3 but link a (R1) feeds link b (R2) through it
+    raw["regions"]["R3"] = {"neighbors": ["R1"]}
+    raw["regions"]["R1"]["neighbors"].append("R3")
+    raw["intersections"]["g"]["boundary"] = ["R1", "R3"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_self_neighbor, "region R1 lists itself as neighbor"),
+        (_interior_with_boundary, "intersection n1: interior intersections carry no boundary"),
+        (_boundary_of_non_neighbors, "intersection g: regions R1 and R3 are not adjacent"),
+        (_phase_lane_elsewhere, "intersection g phase go: lane b_0 does not approach this node"),
+        (_node_of_another_boundary,
+         "node g is declared for boundary ('R1', 'R3') but carries a ('R1', 'R2') movement"),
+    ],
+)
+def test_inconsistent_topology_rejected(edit, message):
+    raw = _raw()
+    edit(raw)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        scenario_from_dict(raw)
+
+
 def test_boundary_without_gating_intersection_rejected():
     raw = _raw()
     raw["intersections"]["g"]["kind"] = "non_gating"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from msjc import baselines, fixtures, mesosim, runner
-from msjc.macrodyn import MacroState
+from msjc.jointctl import MacroState
 from msjc.mfd import MfdFitError
 from msjc.netmodel import ScenarioError
 
